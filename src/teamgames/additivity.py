@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MissingUtilityError, SizeLimitError, StructureError
-from .players import PlayerSet, iter_submasks
+from .errors import SizeLimitError, StructureError
+from .players import PlayerSet, mask_pairs, mask_sizes
 from .st import STGame
 from .tu import DEFAULT_TOL
 
@@ -35,18 +35,36 @@ def _bits(mask: int) -> list[int]:
     return list(PlayerSet(mask))
 
 
+def _member_sum(n: int, members, term) -> np.ndarray:
+    """Per pair, the sum of ``term(i, selection)`` over the players i in ``members``.
+
+    Terms are added in ascending player order, starting from 0, as a
+    left-to-right ``sum`` over the members would add them.
+    """
+    total = np.zeros(len(members))
+    for i in range(n):
+        sel = (members >> i) & 1 == 1
+        total[sel] += term(i, sel)
+    return total
+
+
 def _find_additive_violation(g: STGame, tol: float):
     """First (assessor, coalition, got, expected) where u_A(S) != sum of members' u_a(S)."""
     _check_size(g.n)
-    full = (1 << g.n) - 1
-    for s_mask in range(1, full + 1):
-        x = g._v(s_mask)
-        singles = {a: g._u(1 << a, x) for a in _bits(s_mask)}
-        for a_mask in iter_submasks(s_mask, nonempty=True):
-            expected = sum(singles[a] for a in _bits(a_mask))
-            got = g._u(a_mask, x)
-            if abs(got - expected) > tol:
-                return (a_mask, s_mask, got, expected)
+    for s, a in mask_pairs((1 << g.n) - 1, nested=True, nonempty=True):
+        # u_i(V(S)) once per member i of each coalition in the chunk's range
+        lo = int(s[0])
+        span = np.arange(lo, int(s[-1]) + 1, dtype=np.int64)
+        singles = np.zeros((len(span), g.n))
+        for i in range(g.n):
+            has = (span >> i) & 1 == 1
+            singles[has, i] = g.u(1 << i, span[has])
+        expected = _member_sum(g.n, a, lambda i, sel: singles[s[sel] - lo, i])
+        got = g.u(a, s)
+        bad = np.abs(got - expected) > tol
+        if bad.any():
+            k = int(np.argmax(bad))
+            return (int(a[k]), int(s[k]), float(got[k]), float(expected[k]))
     return None
 
 
@@ -58,17 +76,16 @@ def _find_coadditive_violation(g: STGame, tol: float):
     violation.
     """
     _check_size(g.n)
-    full = (1 << g.n) - 1
-    for s_mask in range(1, full + 1):
-        x = g._v(s_mask)
-        for a_mask in iter_submasks(s_mask, nonempty=True):
-            try:
-                expected = sum(g._u(a_mask, g._v(1 << b)) for b in _bits(s_mask))
-            except MissingUtilityError:
-                return (a_mask, s_mask, None, None)
-            got = g._u(a_mask, x)
-            if abs(got - expected) > tol:
-                return (a_mask, s_mask, got, expected)
+    for s, a in mask_pairs((1 << g.n) - 1, nested=True, nonempty=True):
+        expected = _member_sum(g.n, s, lambda i, sel: g.u(a[sel], 1 << i))
+        got = g.u(a, s)
+        missing = np.isnan(expected)
+        bad = missing | (np.abs(got - expected) > tol)
+        if bad.any():
+            k = int(np.argmax(bad))
+            if missing[k]:
+                return (int(a[k]), int(s[k]), None, None)
+            return (int(a[k]), int(s[k]), float(got[k]), float(expected[k]))
     return None
 
 
@@ -138,32 +155,49 @@ def extract_matrix(g: STGame, tol: float = DEFAULT_TOL) -> BiAdditiveMatrix:
     """
     _check_size(g.n)
     n = g.n
-    mat = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            try:
-                mat[a][b] = g._u(1 << a, g._v(1 << b))
-            except MissingUtilityError:
-                raise StructureError(
-                    f"singleton assessment u_{g.players[a]}(V({{{g.players[b]}}})) is missing; "
-                    "cannot extract a perception matrix",
-                    witness=(1 << a, 1 << b, None, None),
-                ) from None
-    full = (1 << n) - 1
-    for s_mask in range(1, full + 1):
-        x = g._v(s_mask)
-        cols = _bits(s_mask)
-        row_sums = mat[:, cols].sum(axis=1)
-        for a_mask in iter_submasks(s_mask, nonempty=True):
-            expected = float(sum(row_sums[a] for a in _bits(a_mask)))
-            got = g._u(a_mask, x)
-            if abs(got - expected) > tol:
-                raise StructureError(
-                    f"game is not bi-additive: u at assessor mask {a_mask}, coalition mask "
-                    f"{s_mask} is {got}, matrix reconstruction gives {expected}",
-                    witness=(a_mask, s_mask, got, expected),
-                )
+    singles = 1 << np.arange(n, dtype=np.int64)
+    mat = g.u(singles[:, None], singles[None, :])
+    missing = np.isnan(mat)
+    if missing.any():
+        a, b = divmod(int(np.argmax(missing)), n)
+        raise StructureError(
+            f"singleton assessment u_{g.players[a]}(V({{{g.players[b]}}})) is missing; "
+            "cannot extract a perception matrix",
+            witness=(1 << a, 1 << b, None, None),
+        )
+    row_sums = _row_sums(mat)
+    for s, a in mask_pairs((1 << n) - 1, nested=True, nonempty=True):
+        expected = _member_sum(n, a, lambda i, sel: row_sums[s[sel], i])
+        got = g.u(a, s)
+        bad = np.abs(got - expected) > tol
+        if bad.any():
+            k = int(np.argmax(bad))
+            a_mask, s_mask, got, expected = int(a[k]), int(s[k]), float(got[k]), float(expected[k])
+            raise StructureError(
+                f"game is not bi-additive: u at assessor mask {a_mask}, coalition mask "
+                f"{s_mask} is {got}, matrix reconstruction gives {expected}",
+                witness=(a_mask, s_mask, got, expected),
+            )
     return BiAdditiveMatrix(n, mat)
+
+
+def _row_sums(mat: np.ndarray) -> np.ndarray:
+    """Row sums of ``mat`` over each coalition's columns, one row per coalition mask.
+
+    Coalitions of equal size are summed together, each along a contiguous
+    last axis exactly as ``mat[:, members].sum(axis=1)`` sums one, so the
+    reconstruction (and the value a witness reports) matches a
+    per-coalition computation to the last bit.
+    """
+    n = len(mat)
+    masks = np.arange(1 << n, dtype=np.int64)
+    sizes = mask_sizes(n)
+    sums = np.zeros((1 << n, n))
+    for size in range(1, n + 1):
+        group = masks[sizes == size]
+        members = np.nonzero((group[:, None] >> np.arange(n)) & 1)[1].reshape(len(group), size)
+        sums[group] = mat[:, members].sum(axis=2).T
+    return sums
 
 
 def fast_metrics(matrix: BiAdditiveMatrix, a: PlayerSet, b: PlayerSet) -> FastMetrics:
@@ -239,26 +273,23 @@ def additive_predicates(g: STGame, tol: float = DEFAULT_TOL) -> AdditiveReport:
     if violation is not None:
         raise StructureError("game is not additive", witness=violation)
     _check_size(g.n)
-    full = (1 << g.n) - 1
-
-    values_ok = True
-    for s_mask in range(1, full + 1):
-        x = g._v(s_mask)
-        if any(g._u(1 << a, x) < -tol for a in _bits(s_mask)):
-            values_ok = False
-            break
+    n, full = g.n, (1 << g.n) - 1
+    masks = np.arange(1, full + 1, dtype=np.int64)
+    values_ok = not any(
+        np.any(g.u(1 << p, masks[(masks >> p) & 1 == 1]) < -tol) for p in range(n)
+    )
 
     coop_ok = True
     gains_ok = True
-    for a_mask in range(1, full + 1):
-        for b_mask in iter_submasks(full & ~a_mask, nonempty=True):
-            x_union = g._v(a_mask | b_mask)
-            x_b = g._v(b_mask)
-            gains = [g._u(1 << p, x_union) - g._u(1 << p, x_b) for p in _bits(b_mask)]
-            if sum(gains) < -tol:
-                coop_ok = False
-            if any(gain < -tol for gain in gains):
-                gains_ok = False
+    for a, b in mask_pairs(full, nonempty=True):
+        union = a | b
+        total = np.zeros(len(a))
+        for p in range(n):
+            sel = (b >> p) & 1 == 1
+            gain = g.u(1 << p, union[sel]) - g.u(1 << p, b[sel])
+            total[sel] += gain
+            gains_ok = gains_ok and not np.any(gain < -tol)
+        coop_ok = coop_ok and not np.any(total < -tol)
         if not coop_ok and not gains_ok:
             break
     return AdditiveReport(
@@ -291,33 +322,23 @@ def coadditive_predicates(g: STGame, tol: float = DEFAULT_TOL) -> CoadditiveRepo
     if violation is not None:
         raise StructureError("game is not co-additive", witness=violation)
     _check_size(g.n)
-    full = (1 << g.n) - 1
-    singleton_outcomes = [g._v(1 << p) for p in range(g.n)]
-
-    outsiders_ok = True
-    for b_mask in range(1, full + 1):
-        for p in range(g.n):
-            if b_mask >> p & 1:
-                continue
-            if g._u(b_mask, singleton_outcomes[p]) < -tol:
-                outsiders_ok = False
-                break
-        if not outsiders_ok:
-            break
+    n, full = g.n, (1 << g.n) - 1
+    masks = np.arange(1, full + 1, dtype=np.int64)
+    outsiders_ok = not any(
+        np.any(g.u(masks[(masks >> p) & 1 == 0], 1 << p) < -tol) for p in range(n)
+    )
 
     sensible_ok = True
     monotone_ok = True
-    for a_mask in range(1, full + 1):
-        for b_mask in iter_submasks(full & ~a_mask):
-            union = a_mask | b_mask
-            deltas = [
-                g._u(union, singleton_outcomes[p]) - g._u(b_mask, singleton_outcomes[p])
-                for p in _bits(union)
-            ]
-            if sum(deltas) < -tol:
-                sensible_ok = False
-            if any(d < -tol for d in deltas):
-                monotone_ok = False
+    for a, b in mask_pairs(full):
+        union = a | b
+        total = np.zeros(len(a))
+        for p in range(n):
+            sel = (union >> p) & 1 == 1
+            delta = g.u(union[sel], 1 << p) - g.u(b[sel], 1 << p)
+            total[sel] += delta
+            monotone_ok = monotone_ok and not np.any(delta < -tol)
+        sensible_ok = sensible_ok and not np.any(total < -tol)
         if not sensible_ok and not monotone_ok:
             break
     return CoadditiveReport(

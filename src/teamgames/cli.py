@@ -273,7 +273,7 @@ def cmd_cobb_sweep(args) -> int:
     for gamma in _gammas(args):
         rows.extend(
             cobb.payoff_utility_grid(
-                hybrid(gamma), cfg, args.size_a, args.size_b, args.resolution
+                hybrid(gamma), cfg, args.size_a, args.size_b, args.resolution, args.tol
             )
         )
     out = _out_path(args, "cobb_sweep.csv")
@@ -284,33 +284,14 @@ def cmd_cobb_sweep(args) -> int:
 
 def cmd_cobb_path(args) -> int:
     cfg = _base_config(args)
+    a_set = PlayerSet.from_players(range(args.size_a))
+    b_set = PlayerSet.from_players(range(args.size_a, args.size_a + args.size_b))
     rows = []
     for gamma in _gammas(args):
         scheme = hybrid(gamma)
+        row = cobb.contribution_rows(scheme, cfg, a_set, b_set, args.tol)
         for sample in cobb.cooperation_path(scheme, cfg, args.size_a, args.size_b, args.samples):
-            point = sample.point
-            union = PlayerSet.full(args.size_a + args.size_b)
-            a_set = PlayerSet.from_players(range(args.size_a))
-            prof = cobb.ContributionProfile.create(
-                [sample.x_a_avg] * args.size_a + [sample.x_b_avg] * args.size_b
-            )
-            rows.append(
-                {
-                    "gamma": gamma,
-                    "theta": cfg.theta,
-                    "beta": cfg.beta,
-                    "sizeA": args.size_a,
-                    "sizeB": args.size_b,
-                    "xA_avg": sample.x_a_avg,
-                    "xB_avg": sample.x_b_avg,
-                    "payoff": cobb.payoff(scheme, cfg, prof, a_set, union),
-                    "utility": cobb.cd_subset_utility(scheme, cfg, prof, a_set, union),
-                    "altruism": point.altruism,
-                    "competitive": point.competitive,
-                    "marginal": point.marginal,
-                    "quadrant": st.classify_quadrant(point, args.tol).value,
-                }
-            )
+            rows.append(row(sample.x_a_avg, sample.x_b_avg))
     out = _out_path(args, "cobb_path.csv")
     game_io.write_table(rows, COBB_COLUMNS, out)
     print(f"wrote {len(rows)} rational-path samples to {out}")
@@ -460,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_scenario)
 
-    parser.add_argument("--seed", type=int, default=None, help="seed for randomized sweeps")
     return parser
 
 

@@ -321,7 +321,10 @@ def max_stable_team_size(gamma: float, r: float, beta: float) -> float:
     For f = alpha*x^beta with beta > 1 under the gamma-hybrid scheme the
     stay condition reduces to |S| <= (1-gamma) / (r^beta - gamma*r); when
     the denominator is not positive every size is stable and ``math.inf``
-    is returned, otherwise the floor of the bound.
+    is returned, otherwise the floor of the bound. A quotient within 4 ulps
+    below an integer counts as reaching it, since rounding in r^beta - gamma*r
+    can pull an exact integer bound just under itself; from 2^40 on, where
+    4 ulps approach a whole step, the plain floor is kept.
     """
     if not 0 < r <= 1:
         raise ValueError(f"contribution share r must lie in (0, 1], got {r}")
@@ -332,7 +335,13 @@ def max_stable_team_size(gamma: float, r: float, beta: float) -> float:
     denom = r**beta - gamma * r
     if denom <= 0:
         return UNBOUNDED
-    return float(math.floor((1.0 - gamma) / denom))
+    quotient = (1.0 - gamma) / denom
+    bound = math.floor(quotient)
+    # an exact integer bound can come out a few ulps short in floating point
+    slack = 4 * math.ulp(quotient)
+    if slack < 2.0**-10 and bound + 1 - quotient <= slack:
+        bound += 1
+    return float(bound)
 
 
 def _golden_max(fn, lo: float, hi: float, xatol: float) -> float:
@@ -571,12 +580,52 @@ def cooperation_path(
     return ordered_map(sample_at, (float(t) for t in np.linspace(0.0, 1.0, samples)))
 
 
+def contribution_rows(
+    scheme: PayoffScheme,
+    cfg: CobbDouglasConfig,
+    a_set: PlayerSet,
+    b_set: PlayerSet,
+    tol: float = DEFAULT_TOL,
+):
+    """Row builder of the sweep and path tables.
+
+    Returns ``row(x_a, x_b)``: A's payoff, utility and cooperation point
+    against B when every member of A contributes x_a and every member of B
+    contributes x_b (unit pools), with the quadrant classified at tolerance
+    ``tol``.
+    """
+    union = a_set | b_set
+    size_a, size_b = len(a_set), len(b_set)
+
+    def row(x_a: float, x_b: float) -> dict:
+        prof = ContributionProfile.create([x_a] * size_a + [x_b] * size_b)
+        point = cd_coop_point(scheme, cfg, prof, a_set, b_set)
+        return {
+            "gamma": scheme.mix,
+            "theta": cfg.theta,
+            "beta": cfg.beta,
+            "sizeA": size_a,
+            "sizeB": size_b,
+            "xA_avg": x_a,
+            "xB_avg": x_b,
+            "payoff": payoff(scheme, cfg, prof, a_set, union),
+            "utility": cd_subset_utility(scheme, cfg, prof, a_set, union),
+            "altruism": point.altruism,
+            "competitive": point.competitive,
+            "marginal": point.marginal,
+            "quadrant": classify_quadrant(point, tol).value,
+        }
+
+    return row
+
+
 def payoff_utility_grid(
     scheme: PayoffScheme,
     cfg: CobbDouglasConfig,
     size_a: int,
     size_b: int,
     resolution: int = 101,
+    tol: float = DEFAULT_TOL,
 ) -> list[dict]:
     """Dense sweep of A's payoff, utility, and cooperation metrics.
 
@@ -588,28 +637,13 @@ def payoff_utility_grid(
         raise ValueError("resolution must be at least 2")
     a_set = PlayerSet.from_players(range(size_a))
     b_set = PlayerSet.from_players(range(size_a, size_a + size_b))
-    union = a_set | b_set
     axis = [float(v) for v in np.linspace(0.0, 1.0, resolution)]
+
+    row = contribution_rows(scheme, cfg, a_set, b_set, tol)
 
     def cell(contribs: tuple[float, float]) -> dict:
         xb, xa = contribs
-        prof = ContributionProfile.create([xa] * size_a + [xb] * size_b)
-        point = cd_coop_point(scheme, cfg, prof, a_set, b_set)
-        return {
-            "gamma": scheme.mix,
-            "theta": cfg.theta,
-            "beta": cfg.beta,
-            "sizeA": size_a,
-            "sizeB": size_b,
-            "xA_avg": xa,
-            "xB_avg": xb,
-            "payoff": payoff(scheme, cfg, prof, a_set, union),
-            "utility": cd_subset_utility(scheme, cfg, prof, a_set, union),
-            "altruism": point.altruism,
-            "competitive": point.competitive,
-            "marginal": point.marginal,
-            "quadrant": classify_quadrant(point).value,
-        }
+        return row(xa, xb)
 
     return ordered_map(cell, ((xb, xa) for xb in axis for xa in axis))
 

@@ -23,16 +23,17 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from pathlib import Path
 
 import numpy as np
 
 from .additivity import PerceptionGraph
 from .cobb import CobbDouglasConfig
-from .errors import GameLoadError
+from .errors import GameLoadError, SizeLimitError
 from .players import PlayerSet
 from .st import STGame
-from .tu import TUGame
+from .tu import MAX_EXHAUSTIVE, TUGame
 
 DOCUMENT_VERSION = 1
 
@@ -63,10 +64,9 @@ def _parse_players(doc: dict) -> list[str]:
     return players
 
 
-def _parse_subset(entry, players: list[str], location: str) -> int:
+def _parse_subset(entry, index: dict[str, int], location: str) -> int:
     if not isinstance(entry, list):
         raise GameLoadError("subset must be an array of player names", location)
-    index = {name: i for i, name in enumerate(players)}
     mask = 0
     for j, name in enumerate(entry):
         if name not in index:
@@ -76,6 +76,10 @@ def _parse_subset(entry, players: list[str], location: str) -> int:
             raise GameLoadError(f"player {name!r} listed twice", f"{location}[{j}]")
         mask |= bit
     return mask
+
+
+def _player_index(players: list[str]) -> dict[str, int]:
+    return {name: i for i, name in enumerate(players)}
 
 
 def _parse_value(entry, location: str) -> float:
@@ -136,6 +140,9 @@ def _parse_cobb(doc: dict) -> CobbDouglasConfig:
 def _parse_tu(doc: dict) -> TUGame:
     players = _parse_players(doc)
     n = len(players)
+    if n > MAX_EXHAUSTIVE:
+        raise GameLoadError(f"TU games support 1..{MAX_EXHAUSTIVE} players, got {n}", "players")
+    index = _player_index(players)
     entries = _require(doc, "utilities", list, "utilities")
     table = np.zeros(1 << n)
     seen: dict[int, int] = {}
@@ -149,7 +156,7 @@ def _parse_tu(doc: dict) -> TUGame:
                 "with an outcomes section?)",
                 f"{loc}.outcome",
             )
-        mask = _parse_subset(entry.get("subset"), players, f"{loc}.subset")
+        mask = _parse_subset(entry.get("subset"), index, f"{loc}.subset")
         value = _parse_value(entry.get("value"), f"{loc}.value")
         if mask in seen:
             raise GameLoadError(
@@ -169,66 +176,77 @@ def _parse_tu(doc: dict) -> TUGame:
 def _parse_st(doc: dict) -> STGame:
     players = _parse_players(doc)
     n = len(players)
+    index = _player_index(players)
     outcomes = _require(doc, "outcomes", list, "outcomes")
     if not outcomes:
         raise GameLoadError("at least one outcome is required", "outcomes")
-    seen_outcomes = set()
+    column_of: dict[str, int] = {}
     for i, outcome in enumerate(outcomes):
         if not isinstance(outcome, str) or not outcome:
             raise GameLoadError("outcome ids must be nonempty strings", f"outcomes[{i}]")
-        if outcome in seen_outcomes:
+        if outcome in column_of:
             raise GameLoadError(f"duplicate outcome {outcome!r}", f"outcomes[{i}]")
-        seen_outcomes.add(outcome)
+        column_of[outcome] = i
 
+    # coalition mask -> (entry position, outcome column); sized by the document,
+    # so coverage is settled before anything of size 2^n is allocated
     cons_entries = _require(doc, "consequence", list, "consequence")
-    consequence: dict[int, str] = {}
-    positions: dict[int, int] = {}
+    consequence: dict[int, tuple[int, int]] = {}
     for i, entry in enumerate(cons_entries):
         loc = f"consequence[{i}]"
         if not isinstance(entry, dict):
             raise GameLoadError("consequence entry must be an object", loc)
-        mask = _parse_subset(entry.get("subset"), players, f"{loc}.subset")
+        mask = _parse_subset(entry.get("subset"), index, f"{loc}.subset")
         if mask == 0:
             raise GameLoadError("the empty coalition has no consequence entry", f"{loc}.subset")
         outcome = entry.get("outcome")
-        if outcome not in seen_outcomes:
+        if not isinstance(outcome, str) or outcome not in column_of:
             raise GameLoadError(f"undeclared outcome {outcome!r}", f"{loc}.outcome")
         if mask in consequence:
             raise GameLoadError(
-                f"duplicate consequence for subset (also at consequence[{positions[mask]}])",
+                f"duplicate consequence for subset (also at consequence[{consequence[mask][0]}])",
                 f"{loc}.subset",
             )
-        consequence[mask] = outcome
-        positions[mask] = i
-    for mask in range(1, 1 << n):
-        if mask not in consequence:
-            names = [players[i] for i in PlayerSet(mask)]
-            raise GameLoadError(f"no consequence entry for subset {names}", "consequence")
+        consequence[mask] = (i, column_of[outcome])
+    if len(consequence) < (1 << n) - 1:
+        mask = next(m for m in range(1, 1 << n) if m not in consequence)
+        names = [players[i] for i in PlayerSet(mask)]
+        raise GameLoadError(f"no consequence entry for subset {names}", "consequence")
+    columns = np.zeros(1 << n, dtype=np.intp)
+    columns[list(consequence)] = [col for _, col in consequence.values()]
 
     util_entries = _require(doc, "utilities", list, "utilities")
-    utilities: dict[tuple[int, str], float] = {}
-    upositions: dict[tuple[int, str], int] = {}
+    assessors, positions, values = array("q"), array("q"), array("d")
+    seen: set[int] = set()  # mask * len(outcomes) + column of every entry so far
     for i, entry in enumerate(util_entries):
         loc = f"utilities[{i}]"
         if not isinstance(entry, dict):
             raise GameLoadError("utility entry must be an object", loc)
-        mask = _parse_subset(entry.get("subset"), players, f"{loc}.subset")
+        mask = _parse_subset(entry.get("subset"), index, f"{loc}.subset")
         if mask == 0:
             raise GameLoadError("the empty subset assesses nothing", f"{loc}.subset")
         outcome = entry.get("outcome")
-        if outcome not in seen_outcomes:
+        if not isinstance(outcome, str) or outcome not in column_of:
             raise GameLoadError(f"undeclared outcome {outcome!r}", f"{loc}.outcome")
         value = _parse_value(entry.get("value"), f"{loc}.value")
-        key = (mask, outcome)
-        if key in utilities:
+        col = column_of[outcome]
+        key = mask * len(outcomes) + col
+        if key in seen:
+            first = next(j for j in range(i) if assessors[j] == mask and positions[j] == col)
             raise GameLoadError(
-                f"duplicate utility for (subset, outcome) (also at utilities[{upositions[key]}])",
-                loc,
+                f"duplicate utility for (subset, outcome) (also at utilities[{first}])", loc
             )
-        utilities[key] = value
-        upositions[key] = i
+        seen.add(key)
+        assessors.append(mask)
+        positions.append(col)
+        values.append(value)
+    del seen  # freed before the table is allocated
     try:
-        return STGame.from_tables(n, outcomes, consequence, utilities, tuple(players))
+        return STGame.from_entries(
+            n, tuple(outcomes), columns, assessors, positions, values, tuple(players)
+        )
+    except SizeLimitError as exc:
+        raise GameLoadError(str(exc), "outcomes") from None
     except ValueError as exc:
         raise GameLoadError(str(exc), "utilities") from None
 
@@ -264,7 +282,8 @@ def document_for(game) -> dict:
             ],
         }
     if isinstance(game, STGame):
-        if game.utility_table is None or game.consequence_table is None:
+        consequence, utilities = game.consequence_table, game.utility_table
+        if consequence is None or utilities is None:
             raise ValueError("only tabulated team games can be serialized")
         return {
             "version": DOCUMENT_VERSION,
@@ -273,14 +292,14 @@ def document_for(game) -> dict:
             "consequence": [
                 {
                     "subset": _subset_names(mask, game.players),
-                    "outcome": game.consequence_table[mask],
+                    "outcome": consequence[mask],
                 }
                 for mask in range(1, 1 << game.n)
             ],
             "utilities": [
                 {"subset": _subset_names(mask, game.players), "outcome": outcome, "value": float(v)}
                 for (mask, outcome), v in sorted(
-                    game.utility_table.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))
+                    utilities.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))
                 )
             ],
         }

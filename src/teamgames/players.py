@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 MAX_PLAYERS = 64
 
 
@@ -137,3 +139,66 @@ def disjoint_pairs(n: int, *, nonempty_b: bool = True) -> Iterator[tuple[PlayerS
         rest = ((1 << n) - 1) & ~a_mask
         for b_mask in iter_submasks(rest, nonempty=nonempty_b):
             yield PlayerSet(a_mask), PlayerSet(b_mask)
+
+
+def mask_sizes(n: int) -> np.ndarray:
+    """Popcount of every mask below 2^n."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    sizes = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):
+        sizes += (masks >> i) & 1
+    return sizes
+
+
+def _deposit(values, rooms, width: int) -> np.ndarray:
+    """Scatter the low bits of each value into the set bits of its room mask.
+
+    The k-th lowest bit of a value lands on the k-th lowest set bit of its
+    room (a parallel bit deposit), so ascending values below
+    2^popcount(room) map to the submasks of that room in ascending order.
+    ``width`` bounds the bit positions rooms use.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    out = np.zeros_like(values)
+    for i in range(width):
+        bit = (rooms >> i) & 1
+        out |= (values & bit) << i
+        values = values >> bit
+    return out
+
+
+FIRST_CHUNK = 1 << 6   # pairs in a scan's first chunk, so early exits stay cheap
+PAIR_CHUNK = 1 << 16   # largest chunk; later chunks double up to it
+
+
+def mask_pairs(within: int, *, nested: bool = False, nonempty: bool = False):
+    """Every mask pair of a 3^n scan, in chunks of parallel int64 arrays.
+
+    Yields ``(outer, inner)`` arrays ascending in (outer, inner): outer runs
+    over the nonempty submasks of ``within``; inner over the submasks of
+    outer (``nested``) or of the rest of ``within`` (disjoint), the empty
+    one skipped when ``nonempty``. Pairs are numbered in that order and
+    chunks are consecutive ranges of the numbering, so a scan that stops at
+    the first violating entry of a chunk stops at the first violating pair,
+    and no pair array outgrows the chunk size whatever the team size.
+    """
+    width = within.bit_length()
+    k = bin(within).count("1")
+    full = (1 << k) - 1
+    outer = np.arange(1, full + 1, dtype=np.int64)
+    sizes = mask_sizes(k)[1:]
+    counts = np.left_shift(1, sizes if nested else k - sizes) - int(nonempty)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    total = int(ends[-1]) if len(ends) else 0
+    done, size = 0, FIRST_CHUNK
+    while done < total:
+        index = np.arange(done, min(done + size, total), dtype=np.int64)
+        pos = np.searchsorted(ends, index, side="right")
+        x = outer[pos]
+        y = _deposit(index - starts[pos] + int(nonempty), x if nested else full ^ x, k)
+        if within != full:
+            x, y = _deposit(x, within, width), _deposit(y, within, width)
+        yield x, y
+        done += len(index)
+        size = min(2 * size, PAIR_CHUNK)

@@ -21,8 +21,12 @@ B empty therefore reduce to m_A(A) = u_A(V(A)).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Hashable, Mapping
+
+import numpy as np
 
 from .errors import (
     DisjointnessError,
@@ -30,8 +34,7 @@ from .errors import (
     NotReducibleError,
     SizeLimitError,
 )
-from .parallel import ordered_map
-from .players import PlayerSet, iter_submasks
+from .players import PlayerSet, mask_pairs
 from .tu import DEFAULT_TOL, TUGame
 
 Outcome = Hashable
@@ -39,6 +42,7 @@ NULL_OUTCOME: Outcome = None
 
 MAX_PAIR_SCAN = 16  # predicates walk ~3^n disjoint pairs
 MAX_POINTS = 20     # cooperation-space point tables
+MAX_TABLE_CELLS = 1 << 25  # assessor x outcome cells of a tabulated game (256 MiB)
 
 
 def _default_names(n: int) -> tuple[str, ...]:
@@ -49,19 +53,21 @@ def _default_names(n: int) -> tuple[str, ...]:
 class STGame:
     """Team game with per-subset outcome assessments.
 
-    ``consequence`` maps every nonempty coalition mask to an outcome id and
-    ``utility`` evaluates (assessor mask, outcome) pairs. Tabulated games
-    keep their sparse utility table in ``utility_table`` (masked keys), which
-    also powers serialization; functional games leave it ``None``.
+    A tabulated game is two arrays: ``_columns[S]``, the position in
+    ``outcomes`` of V(S) for every coalition mask, and ``_table[A, j]``,
+    assessor A's value of outcome j, NaN where no entry was given (row 0,
+    the empty assessor, is all 0). A functional game holds callables over
+    masks instead and is evaluated lazily. Every kernel reads both kinds
+    through :meth:`u`.
     """
 
     n: int
     outcomes: tuple
     players: tuple[str, ...]
-    _consequence: Callable[[int], Outcome]
-    _utility: Callable[[int, Outcome], float]
-    utility_table: Mapping[tuple[int, Outcome], float] | None = None
-    consequence_table: Mapping[int, Outcome] | None = None
+    _consequence: Callable[[int], Outcome] | None = None
+    _utility: Callable[[int, Outcome], float] | None = None
+    _columns: np.ndarray | None = None
+    _table: np.ndarray | None = None
 
     @classmethod
     def from_tables(
@@ -84,52 +90,75 @@ class STGame:
         players = tuple(players) if players is not None else _default_names(n)
         if len(players) != n:
             raise ValueError("player name list must match the player count")
-        known = set(outcomes)
-        full = (1 << n) - 1
-        for mask in range(1, full + 1):
+        column_of = {outcome: j for j, outcome in enumerate(outcomes)}
+        columns = [0]
+        for mask in range(1, 1 << n):
             if mask not in consequence:
                 raise ValueError(
                     f"consequence map is missing coalition {_subset_label(mask, players)}"
                 )
-            if consequence[mask] not in known:
+            if consequence[mask] not in column_of:
                 raise ValueError(
                     f"consequence of {_subset_label(mask, players)} is an undeclared outcome "
                     f"{consequence[mask]!r}"
                 )
-        for key, value in utilities.items():
-            a_mask, outcome = key
-            if not 0 < a_mask <= full:
+            columns.append(column_of[consequence[mask]])
+        assessors, positions, values = [], [], []
+        for (a_mask, outcome), value in utilities.items():
+            if not 0 < a_mask < 1 << n:
                 raise ValueError(f"utility entry has invalid assessor mask {a_mask}")
-            if outcome not in known:
+            if outcome not in column_of:
                 raise ValueError(f"utility entry references undeclared outcome {outcome!r}")
-            float(value)
-        for s_mask in range(1, full + 1):
-            x = consequence[s_mask]
-            for a_mask in iter_submasks(s_mask, nonempty=True):
-                if (a_mask, x) not in utilities:
-                    raise ValueError(
-                        f"missing utility: assessor {_subset_label(a_mask, players)} "
-                        f"at outcome {x!r} (reachable via coalition "
-                        f"{_subset_label(s_mask, players)})"
-                    )
-        table = dict(utilities)
-        cons = dict(consequence)
+            value = float(value)
+            if math.isnan(value):
+                raise ValueError(
+                    f"utility of assessor {_subset_label(a_mask, players)} at outcome "
+                    f"{outcome!r} is not a number"
+                )
+            assessors.append(a_mask)
+            positions.append(column_of[outcome])
+            values.append(value)
+        return cls.from_entries(n, outcomes, columns, assessors, positions, values, players)
 
-        def _lookup(a_mask: int, outcome: Outcome) -> float:
-            try:
-                return float(table[(a_mask, outcome)])
-            except KeyError:
-                raise MissingUtilityError(_subset_label(a_mask, players), outcome) from None
+    @classmethod
+    def from_entries(
+        cls, n: int, outcomes: tuple, columns, assessors, positions, values, players
+    ) -> STGame:
+        """Tabulated game from outcome positions and utility entries.
 
-        return cls(
-            n=n,
-            outcomes=outcomes,
-            players=players,
-            _consequence=cons.__getitem__,
-            _utility=_lookup,
-            utility_table=table,
-            consequence_table=cons,
-        )
+        The shared builder of :meth:`from_tables` and the document loader.
+        ``columns[S]`` is the position in ``outcomes`` of V(S) for every
+        coalition mask S (entry 0 is ignored); entry k values outcome
+        ``positions[k]`` at ``values[k]`` for assessor mask ``assessors[k]``,
+        and no (assessor, position) pair comes twice. Refuses a table of
+        more than ``MAX_TABLE_CELLS`` cells before allocating it, then walks
+        the nested (coalition, assessor) pairs in ascending order and names
+        the first missing assessment.
+        """
+        cells = (1 << n) * len(outcomes)
+        if cells > MAX_TABLE_CELLS:
+            raise SizeLimitError(
+                f"{n} players and {len(outcomes)} outcomes need {cells} table cells, "
+                f"over the limit of {MAX_TABLE_CELLS}"
+            )
+        columns = np.array(columns, dtype=np.intp)
+        columns[0] = 0
+        table = np.full((1 << n, len(outcomes)), np.nan)
+        table[0] = 0.0
+        table[np.asarray(assessors, dtype=np.intp), np.asarray(positions, dtype=np.intp)] = values
+        columns.flags.writeable = False
+        table.flags.writeable = False
+        game = cls(n, outcomes, players, _columns=columns, _table=table)
+        for s, a in mask_pairs((1 << n) - 1, nested=True, nonempty=True):
+            missing = np.isnan(game.u(a, s))
+            if missing.any():
+                k = int(np.argmax(missing))
+                raise ValueError(
+                    f"missing utility: assessor {_subset_label(int(a[k]), players)} "
+                    f"at outcome {game._v(int(s[k]))!r} (reachable via coalition "
+                    f"{_subset_label(int(s[k]), players)})"
+                )
+        return game
 
     @classmethod
     def from_functions(
@@ -150,32 +179,78 @@ class STGame:
             _utility=lambda mask, x: float(utility(PlayerSet(mask), x)),
         )
 
+    @property
+    def utility_table(self) -> Mapping[tuple[int, Outcome], float] | None:
+        """Read-only (assessor mask, outcome) -> value map of a tabulated game's
+        entries, built on each access; ``None`` for functional games."""
+        if self._table is None:
+            return None
+        rows, cols = np.nonzero(~np.isnan(self._table[1:]))
+        values = self._table[rows + 1, cols].tolist()
+        keys = zip((rows + 1).tolist(), (self.outcomes[j] for j in cols.tolist()))
+        return MappingProxyType(dict(zip(keys, values)))
+
+    @property
+    def consequence_table(self) -> Mapping[int, Outcome] | None:
+        """Read-only coalition mask -> outcome map of a tabulated game, built on
+        each access; ``None`` for functional games."""
+        if self._table is None:
+            return None
+        return MappingProxyType(
+            {mask: self.outcomes[j] for mask, j in enumerate(self._columns.tolist()) if mask}
+        )
+
     def consequence(self, coalition: PlayerSet) -> Outcome:
         """Outcome produced by a coalition; the empty coalition yields the null outcome."""
         if not coalition.fits(self.n):
             raise ValueError(f"{coalition} is not a coalition of a {self.n}-player team")
-        if not coalition:
-            return NULL_OUTCOME
-        return self._consequence(coalition.mask)
+        return self._v(coalition.mask)
 
     def assess(self, assessor: PlayerSet, outcome: Outcome) -> float:
         """Value of an outcome to an assessing subset; empty assessor values 0."""
         if not assessor.fits(self.n):
             raise ValueError(f"{assessor} is not a subset of a {self.n}-player team")
-        if not assessor:
-            return 0.0
-        return self._utility(assessor.mask, outcome)
+        return self._u(assessor.mask, outcome)
 
     def subset_utility(self, assessor: PlayerSet, coalition: PlayerSet) -> float:
         """u_A(S): the assessor's value of the coalition's outcome."""
         return self.assess(assessor, self.consequence(coalition))
 
-    # mask-level accessors for the hot enumeration loops
+    def u(self, a_masks, s_masks) -> np.ndarray:
+        """u_A(V(S)) over (broadcast) arrays of assessor and coalition masks.
+
+        0 where A is empty; NaN where a tabulated game has no entry. A
+        functional game calls its callables once per element, so a scan
+        that asks chunk by chunk holds one chunk of values at a time.
+        """
+        if self._table is not None:
+            return self._table[a_masks, self._columns[s_masks]]
+        a_masks, s_masks = np.broadcast_arrays(a_masks, s_masks)
+        values = [
+            self._u(a, self._v(s)) for a, s in zip(a_masks.ravel().tolist(), s_masks.ravel().tolist())
+        ]
+        return np.array(values, dtype=float).reshape(a_masks.shape)
+
+    # scalar accessors for the per-pair functions
     def _v(self, mask: int) -> Outcome:
-        return NULL_OUTCOME if mask == 0 else self._consequence(mask)
+        if mask == 0:
+            return NULL_OUTCOME
+        if self._table is None:
+            return self._consequence(mask)
+        return self.outcomes[self._columns.item(mask)]
 
     def _u(self, mask: int, outcome: Outcome) -> float:
-        return 0.0 if mask == 0 else self._utility(mask, outcome)
+        if mask == 0:
+            return 0.0
+        if self._table is None:
+            return self._utility(mask, outcome)
+        try:
+            value = self._table.item(mask, self.outcomes.index(outcome))
+        except ValueError:  # not an outcome of this game
+            value = math.nan
+        if value != value:  # NaN: no entry
+            raise MissingUtilityError(_subset_label(mask, self.players), outcome)
+        return value
 
 
 def _subset_label(mask: int, players) -> str:
@@ -289,15 +364,23 @@ def all_coop_points(g: STGame, *, include_grand: bool = True) -> list[CoopPoint]
     """One point per nonempty subset, ascending mask order.
 
     The grand coalition's point (computed under the empty-bystander
-    convention) comes last; drop it with ``include_grand=False``. Points for
-    different subsets are independent, so they may be computed in parallel;
-    the result order is fixed either way.
+    convention) comes last; drop it with ``include_grand=False``.
     """
     if g.n > MAX_POINTS:
         raise SizeLimitError(f"point tables support n <= {MAX_POINTS}, got {g.n}")
     full = (1 << g.n) - 1
-    top = full + 1 if include_grand else full
-    return ordered_map(lambda mask: coop_point(g, PlayerSet(mask)), range(1, top))
+    subsets = np.arange(1, full + include_grand, dtype=np.int64)
+    rest = full ^ subsets
+    rest_joint = g.u(rest, full)
+    competitive = g.u(full, full) - rest_joint
+    altruism = np.where(rest != 0, rest_joint - g.u(rest, rest), 0.0)
+    marginal = altruism + competitive
+    return [
+        CoopPoint(altruism=alt, competitive=c, marginal=m, subset=PlayerSet(mask))
+        for mask, alt, c, m in zip(
+            subsets.tolist(), altruism.tolist(), competitive.tolist(), marginal.tolist()
+        )
+    ]
 
 
 def _check_pair_scan(n: int) -> None:
@@ -312,13 +395,10 @@ def is_sensible(g: STGame, tol: float = DEFAULT_TOL) -> bool:
     B-empty case (self-assessments nonnegative).
     """
     _check_pair_scan(g.n)
-    full = (1 << g.n) - 1
-    for a_mask in range(1, full + 1):
-        for b_mask in iter_submasks(full & ~a_mask):
-            union = a_mask | b_mask
-            x = g._v(union)
-            if g._u(union, x) - g._u(b_mask, x) < -tol:
-                return False
+    for a, b in mask_pairs((1 << g.n) - 1):
+        union = a | b
+        if np.any(g.u(union, union) - g.u(b, union) < -tol):
+            return False
     return True
 
 
@@ -329,11 +409,9 @@ def is_cohesive(g: STGame, s: PlayerSet, tol: float = DEFAULT_TOL) -> bool:
     if not s.fits(g.n):
         raise ValueError(f"{s} is not a coalition of a {g.n}-player team")
     _check_pair_scan(len(s))
-    for a_mask in iter_submasks(s.mask, nonempty=True):
-        for b_mask in iter_submasks(s.mask & ~a_mask, nonempty=True):
-            union = a_mask | b_mask
-            if g._u(b_mask, g._v(union)) - g._u(b_mask, g._v(b_mask)) < -tol:
-                return False
+    for a, b in mask_pairs(s.mask, nonempty=True):
+        if np.any(g.u(b, a | b) - g.u(b, b) < -tol):
+            return False
     return True
 
 
@@ -396,15 +474,12 @@ def reduce_to_tu(g: STGame, tol: float = DEFAULT_TOL) -> TUGame:
     otherwise.
     """
     _check_pair_scan(g.n)
-    full = (1 << g.n) - 1
-    for a_mask in range(1, full + 1):
-        for b_mask in iter_submasks(full & ~a_mask, nonempty=True):
-            union = a_mask | b_mask
-            x = g._v(union)
-            c = g._u(union, x) - g._u(b_mask, x)
-            if abs(c) > tol:
-                raise NotReducibleError(PlayerSet(a_mask), PlayerSet(b_mask), c)
-    table = [0.0] * (full + 1)
-    for mask in range(1, full + 1):
-        table[mask] = g._u(mask, g._v(mask))
-    return TUGame(g.n, table, g.players)
+    for a, b in mask_pairs((1 << g.n) - 1, nonempty=True):
+        union = a | b
+        c = g.u(union, union) - g.u(b, union)
+        bad = np.abs(c) > tol
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise NotReducibleError(PlayerSet(int(a[k])), PlayerSet(int(b[k])), float(c[k]))
+    masks = np.arange(1 << g.n, dtype=np.int64)
+    return TUGame(g.n, g.u(masks, masks), g.players)

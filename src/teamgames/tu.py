@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DisjointnessError, SizeLimitError
 from .exact_lp import minimal_coalition_cover
-from .players import PlayerSet, iter_submasks
+from .players import PlayerSet, mask_pairs, mask_sizes
 
 DEFAULT_TOL = 1e-9
 
@@ -82,15 +82,6 @@ def marginal_contribution(game: TUGame, a: PlayerSet, b: PlayerSet) -> float:
     return float(game.u[a.mask | b.mask] - game.u[b.mask])
 
 
-def _mask_sizes(n: int) -> np.ndarray:
-    """Popcount of every mask below 2^n."""
-    masks = np.arange(1 << n, dtype=np.int64)
-    sizes = np.zeros(1 << n, dtype=np.int64)
-    for i in range(n):
-        sizes += (masks >> i) & 1
-    return sizes
-
-
 def shapley_value(game: TUGame) -> np.ndarray:
     """Shapley allocation via the subset-weighted sum.
 
@@ -103,7 +94,7 @@ def shapley_value(game: TUGame) -> np.ndarray:
     fact = [math.factorial(k) for k in range(n + 1)]
     weights = np.array([fact[k] * fact[n - k - 1] / fact[n] for k in range(n)])
     masks = np.arange(1 << n, dtype=np.int64)
-    sizes = _mask_sizes(n)
+    sizes = mask_sizes(n)
     phi = np.zeros(n)
     for i in range(n):
         bit = 1 << i
@@ -182,13 +173,10 @@ def is_convex(game: TUGame, tol: float = DEFAULT_TOL) -> bool:
 
 def is_superadditive(game: TUGame, tol: float = DEFAULT_TOL) -> bool:
     """True when u(A|B) >= u(A) + u(B) for every disjoint nonempty pair."""
-    n = game.n
     u = game.u
-    full = (1 << n) - 1
-    for a_mask in range(1, full + 1):
-        for b_mask in iter_submasks(full & ~a_mask, nonempty=True):
-            if u[a_mask | b_mask] < u[a_mask] + u[b_mask] - tol:
-                return False
+    for a, b in mask_pairs((1 << game.n) - 1, nonempty=True):
+        if np.any(u[a | b] < u[a] + u[b] - tol):
+            return False
     return True
 
 

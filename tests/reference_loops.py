@@ -1,0 +1,238 @@
+"""Pair-at-a-time reference walks for the chunked array kernels.
+
+These are the nested submask loops the library used before its scans moved
+to one chunked pair enumerator. They read games only through the scalar
+accessors ``g._v`` and ``g._u`` and walk pairs in ascending (outer, inner)
+mask order, so the first violation they report is the one the array
+kernels must report too. Sums are accumulated left to right in ascending
+player order, as the library adds them.
+"""
+
+import numpy as np
+
+from teamgames.errors import MissingUtilityError, NotReducibleError, StructureError
+from teamgames.players import PlayerSet, iter_submasks
+from teamgames.st import _subset_label, coop_point
+from teamgames.tu import TUGame
+
+
+def _bits(mask):
+    return list(PlayerSet(mask))
+
+
+def _total(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+# ----------------------------------------------------------------- st
+
+
+def is_sensible(g, tol=1e-9):
+    full = (1 << g.n) - 1
+    for a_mask in range(1, full + 1):
+        for b_mask in iter_submasks(full & ~a_mask):
+            union = a_mask | b_mask
+            x = g._v(union)
+            if g._u(union, x) - g._u(b_mask, x) < -tol:
+                return False
+    return True
+
+
+def is_cohesive(g, s, tol=1e-9):
+    for a_mask in iter_submasks(s.mask, nonempty=True):
+        for b_mask in iter_submasks(s.mask & ~a_mask, nonempty=True):
+            union = a_mask | b_mask
+            if g._u(b_mask, g._v(union)) - g._u(b_mask, g._v(b_mask)) < -tol:
+                return False
+    return True
+
+
+def is_fully_cooperative(g, tol=1e-9):
+    return is_cohesive(g, PlayerSet.full(g.n), tol)
+
+
+def reduce_to_tu(g, tol=1e-9):
+    full = (1 << g.n) - 1
+    for a_mask in range(1, full + 1):
+        for b_mask in iter_submasks(full & ~a_mask, nonempty=True):
+            union = a_mask | b_mask
+            x = g._v(union)
+            c = g._u(union, x) - g._u(b_mask, x)
+            if abs(c) > tol:
+                raise NotReducibleError(PlayerSet(a_mask), PlayerSet(b_mask), c)
+    table = [0.0] * (full + 1)
+    for mask in range(1, full + 1):
+        table[mask] = g._u(mask, g._v(mask))
+    return TUGame(g.n, table, g.players)
+
+
+def all_coop_points(g, include_grand=True):
+    full = (1 << g.n) - 1
+    top = full + 1 if include_grand else full
+    return [coop_point(g, PlayerSet(mask)) for mask in range(1, top)]
+
+
+def check_tables(n, outcomes, consequence, utilities, players=None):
+    """The ValueError ``STGame.from_tables`` raises for these tables, or None."""
+    players = tuple(players) if players is not None else tuple(str(i) for i in range(n))
+    known = set(outcomes)
+    full = (1 << n) - 1
+    for mask in range(1, full + 1):
+        if mask not in consequence:
+            return f"consequence map is missing coalition {_subset_label(mask, players)}"
+        if consequence[mask] not in known:
+            return (
+                f"consequence of {_subset_label(mask, players)} is an undeclared outcome "
+                f"{consequence[mask]!r}"
+            )
+    for (a_mask, outcome), value in utilities.items():
+        if not 0 < a_mask <= full:
+            return f"utility entry has invalid assessor mask {a_mask}"
+        if outcome not in known:
+            return f"utility entry references undeclared outcome {outcome!r}"
+    for s_mask in range(1, full + 1):
+        x = consequence[s_mask]
+        for a_mask in iter_submasks(s_mask, nonempty=True):
+            if (a_mask, x) not in utilities:
+                return (
+                    f"missing utility: assessor {_subset_label(a_mask, players)} "
+                    f"at outcome {x!r} (reachable via coalition "
+                    f"{_subset_label(s_mask, players)})"
+                )
+    return None
+
+
+# ----------------------------------------------------------------- additivity
+
+
+def find_additive_violation(g, tol=1e-9):
+    full = (1 << g.n) - 1
+    for s_mask in range(1, full + 1):
+        x = g._v(s_mask)
+        singles = {a: g._u(1 << a, x) for a in _bits(s_mask)}
+        for a_mask in iter_submasks(s_mask, nonempty=True):
+            expected = _total(singles[a] for a in _bits(a_mask))
+            got = g._u(a_mask, x)
+            if abs(got - expected) > tol:
+                return (a_mask, s_mask, got, expected)
+    return None
+
+
+def find_coadditive_violation(g, tol=1e-9):
+    full = (1 << g.n) - 1
+    for s_mask in range(1, full + 1):
+        x = g._v(s_mask)
+        for a_mask in iter_submasks(s_mask, nonempty=True):
+            try:
+                expected = _total(g._u(a_mask, g._v(1 << b)) for b in _bits(s_mask))
+            except MissingUtilityError:
+                return (a_mask, s_mask, None, None)
+            got = g._u(a_mask, x)
+            if abs(got - expected) > tol:
+                return (a_mask, s_mask, got, expected)
+    return None
+
+
+def extract_matrix(g, tol=1e-9):
+    """The perception matrix, or the StructureError the library must raise."""
+    n = g.n
+    mat = np.zeros((n, n))
+    for a in range(n):
+        for b in range(n):
+            try:
+                mat[a][b] = g._u(1 << a, g._v(1 << b))
+            except MissingUtilityError:
+                return StructureError(
+                    f"singleton assessment u_{g.players[a]}(V({{{g.players[b]}}})) is missing; "
+                    "cannot extract a perception matrix",
+                    witness=(1 << a, 1 << b, None, None),
+                )
+    full = (1 << n) - 1
+    for s_mask in range(1, full + 1):
+        x = g._v(s_mask)
+        cols = _bits(s_mask)
+        row_sums = mat[:, cols].sum(axis=1)
+        for a_mask in iter_submasks(s_mask, nonempty=True):
+            expected = float(_total(row_sums[a] for a in _bits(a_mask)))
+            got = g._u(a_mask, x)
+            if abs(got - expected) > tol:
+                return StructureError(
+                    f"game is not bi-additive: u at assessor mask {a_mask}, coalition mask "
+                    f"{s_mask} is {got}, matrix reconstruction gives {expected}",
+                    witness=(a_mask, s_mask, got, expected),
+                )
+    return mat
+
+
+def additive_predicates(g, tol=1e-9):
+    """(values_ok, coop_ok, gains_ok) of an additive game."""
+    full = (1 << g.n) - 1
+    values_ok = True
+    for s_mask in range(1, full + 1):
+        x = g._v(s_mask)
+        if any(g._u(1 << a, x) < -tol for a in _bits(s_mask)):
+            values_ok = False
+            break
+    coop_ok = True
+    gains_ok = True
+    for a_mask in range(1, full + 1):
+        for b_mask in iter_submasks(full & ~a_mask, nonempty=True):
+            x_union = g._v(a_mask | b_mask)
+            x_b = g._v(b_mask)
+            gains = [g._u(1 << p, x_union) - g._u(1 << p, x_b) for p in _bits(b_mask)]
+            if _total(gains) < -tol:
+                coop_ok = False
+            if any(gain < -tol for gain in gains):
+                gains_ok = False
+        if not coop_ok and not gains_ok:
+            break
+    return values_ok, coop_ok, gains_ok
+
+
+def coadditive_predicates(g, tol=1e-9):
+    """(sensible_ok, outsiders_ok, monotone_ok) of a co-additive game."""
+    full = (1 << g.n) - 1
+    singleton_outcomes = [g._v(1 << p) for p in range(g.n)]
+    outsiders_ok = True
+    for b_mask in range(1, full + 1):
+        for p in range(g.n):
+            if b_mask >> p & 1:
+                continue
+            if g._u(b_mask, singleton_outcomes[p]) < -tol:
+                outsiders_ok = False
+                break
+        if not outsiders_ok:
+            break
+    sensible_ok = True
+    monotone_ok = True
+    for a_mask in range(1, full + 1):
+        for b_mask in iter_submasks(full & ~a_mask):
+            union = a_mask | b_mask
+            deltas = [
+                g._u(union, singleton_outcomes[p]) - g._u(b_mask, singleton_outcomes[p])
+                for p in _bits(union)
+            ]
+            if _total(deltas) < -tol:
+                sensible_ok = False
+            if any(d < -tol for d in deltas):
+                monotone_ok = False
+        if not sensible_ok and not monotone_ok:
+            break
+    return sensible_ok, outsiders_ok, monotone_ok
+
+
+# ----------------------------------------------------------------- tu
+
+
+def is_superadditive(game, tol=1e-9):
+    u = game.u
+    full = (1 << game.n) - 1
+    for a_mask in range(1, full + 1):
+        for b_mask in iter_submasks(full & ~a_mask, nonempty=True):
+            if u[a_mask | b_mask] < u[a_mask] + u[b_mask] - tol:
+                return False
+    return True
+

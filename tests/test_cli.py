@@ -274,6 +274,66 @@ class TestCobbCommands:
         with pytest.raises(SystemExit):
             run(["cobb", "sweep", "--theta", "1.5", "-o", tmp_path / "x.csv"])
 
+    @pytest.mark.parametrize("command", ["sweep", "path"])
+    def test_wide_tolerance_labels_points_inside_the_band(self, tmp_path, command):
+        size = "--resolution" if command == "sweep" else "--samples"
+        args = ["cobb", command, "--sizeA", 1, "--sizeB", 2, size, 5, "--gammas", "0,0.5"]
+        narrow, wide = tmp_path / "narrow.csv", tmp_path / "wide.csv"
+        assert run(args + ["-o", narrow]) == 0
+        assert run(args + ["--tol", "1e6", "-o", wide]) == 0
+        narrow_rows = [line.rsplit(",", 1) for line in narrow.read_text().splitlines()[1:]]
+        wide_rows = [line.rsplit(",", 1) for line in wide.read_text().splitlines()[1:]]
+        assert [r[0] for r in narrow_rows] == [r[0] for r in wide_rows]
+        assert {r[1] for r in narrow_rows} - {"origin", "axis-a", "axis-c"}
+        assert {r[1] for r in wide_rows} == {"origin"}
+
+    def test_seed_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit):
+            run(["--seed", 5, "cobb", "frontier", "-o", tmp_path / "f.csv"])
+
+
+class TestOversizedDocuments:
+    """A document past the size limits ends in one error line, exit 1."""
+
+    @staticmethod
+    def _names(n):
+        return [f"p{i}" for i in range(n)]
+
+    def _run(self, tmp_path, capsys, doc):
+        path = tmp_path / "big.game"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(["classify", path]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        return err[0]
+
+    def test_forty_player_tu_document(self, tmp_path, capsys):
+        doc = {"version": 1, "players": self._names(40),
+               "utilities": [{"subset": ["p0"], "value": 1.0}]}
+        err = self._run(tmp_path, capsys, doc)
+        assert err == "error: players: TU games support 1..20 players, got 40"
+
+    def test_forty_player_team_document(self, tmp_path, capsys):
+        doc = {"version": 1, "players": self._names(40), "outcomes": ["x"],
+               "consequence": [{"subset": ["p0"], "outcome": "x"}],
+               "utilities": [{"subset": ["p0"], "outcome": "x", "value": 1.0}]}
+        err = self._run(tmp_path, capsys, doc)
+        assert err == "error: consequence: no consequence entry for subset ['p1']"
+
+    def test_table_past_the_cell_limit(self, tmp_path, capsys):
+        # 2^16 assessors x 65,536 outcomes would be a 34 GB table
+        n = 16
+        names = self._names(n)
+        outcomes = [f"o{k}" for k in range(1 << n)]
+        consequence = [
+            {"subset": [names[i] for i in range(n) if mask >> i & 1], "outcome": outcomes[mask]}
+            for mask in range(1, 1 << n)
+        ]
+        doc = {"version": 1, "players": names, "outcomes": outcomes,
+               "consequence": consequence, "utilities": []}
+        err = self._run(tmp_path, capsys, doc)
+        assert err.startswith("error: outcomes: 16 players and 65536 outcomes need")
+
 
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, tmp_path):

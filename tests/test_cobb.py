@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -345,6 +346,22 @@ class TestTeamSizeBound:
         for gamma, r in ((0.0, 0.5), (0.25, 0.4), (0.5, 0.6)):
             closed = max_stable_team_size(gamma, r, 1.5)
             assert closed == brute_force_max_size(gamma, r, 1.5, cap=12)
+
+    @pytest.mark.parametrize("beta", [2, 3])
+    def test_exact_integer_bounds(self, beta):
+        # integer beta makes the bound rational: decide the floor exactly
+        assert max_stable_team_size(0.0, 0.2, 2) == 25
+        # past 2^40, where 4 ulps near a whole step, an exact bound is not rounded up
+        e = 52 // beta
+        assert max_stable_team_size(0.0, 2.0**-e, beta) == 2.0 ** (beta * e)
+        for res in (10, 100, 101, 1000, 1001):
+            for gamma in (0.0, 0.25, 0.5, 0.75):
+                g = Fraction(gamma)
+                for k in range(1, res + 1):
+                    r = Fraction(k, res)
+                    denom = r**beta - g * r
+                    expected = UNBOUNDED if denom <= 0 else math.floor((1 - g) / denom)
+                    assert max_stable_team_size(gamma, k / res, beta) == expected, (gamma, k, res)
 
     def test_grid_rows(self):
         rows = stable_size_grid(1.5, [0.0, 1.0], [0.5, 1.0])

@@ -63,6 +63,32 @@ def test_missing_consequence_names_subset():
         parse_document(doc)
 
 
+def test_non_string_outcome_is_undeclared():
+    doc = copy.deepcopy(PRISONERS_DILEMMA)
+    doc["consequence"][0]["outcome"] = ["together"]
+    with pytest.raises(GameLoadError, match=r"consequence\[0\].outcome: undeclared outcome"):
+        parse_document(doc)
+    doc = copy.deepcopy(PRISONERS_DILEMMA)
+    doc["utilities"][1]["outcome"] = {"id": 1}
+    with pytest.raises(GameLoadError, match=r"utilities\[1\].outcome: undeclared outcome"):
+        parse_document(doc)
+
+
+def test_duplicate_consequence_names_first_entry():
+    doc = copy.deepcopy(PRISONERS_DILEMMA)
+    doc["consequence"].append(dict(doc["consequence"][1]))
+    with pytest.raises(GameLoadError, match=r"consequence\[3\].subset: .*also at consequence\[1\]"):
+        parse_document(doc)
+
+
+def test_duplicate_utility_names_first_entry():
+    doc = copy.deepcopy(PRISONERS_DILEMMA)
+    doc["utilities"].append(dict(doc["utilities"][3]))
+    doc["utilities"].append(dict(doc["utilities"][3]))
+    with pytest.raises(GameLoadError, match=r"utilities\[5\]: .*also at utilities\[3\]"):
+        parse_document(doc)
+
+
 def test_unknown_player_location():
     doc = copy.deepcopy(PRISONERS_DILEMMA)
     doc["utilities"][2]["subset"] = ["Z"]

@@ -1,0 +1,341 @@
+"""The chunked pair kernels against the pair-at-a-time reference walks.
+
+Every predicate and detector that scans disjoint or nested mask pairs must
+give the reference walk's answer, and when it names a violation it must
+name the same first pair, with the same values, in the same words.
+"""
+
+import functools
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import reference_loops as ref
+from teamgames.additivity import (
+    BiAdditiveMatrix,
+    _find_additive_violation,
+    _find_coadditive_violation,
+    additive_predicates,
+    coadditive_predicates,
+    extract_matrix,
+)
+from teamgames.errors import NotReducibleError, SizeLimitError, StructureError
+from teamgames.players import FIRST_CHUNK, PlayerSet, iter_submasks, mask_pairs
+from teamgames.random_games import (
+    monotone_series,
+    random_additive_game,
+    random_biadditive_matrix,
+    random_coadditive_game,
+    random_st_game,
+    random_tu_game,
+    tabulate,
+)
+from teamgames.st import (
+    MAX_TABLE_CELLS,
+    STGame,
+    all_coop_points,
+    from_ntu,
+    is_cohesive,
+    is_fully_cooperative,
+    is_sensible,
+    reduce_to_tu,
+)
+from teamgames.tu import is_superadditive, random_convex_game
+
+SIZES = range(1, 8)
+
+
+def _nested_entry(n, rng):
+    """A random (assessor, coalition) mask pair with the assessor inside."""
+    s_mask = int(rng.integers(1, 1 << n))
+    subs = iter_submasks(s_mask, nonempty=True)
+    return subs[int(rng.integers(0, len(subs)))], s_mask
+
+
+def _perturbed(game, rng, scale=0.5):
+    """Tabulated copy of a game with one reachable assessment shifted."""
+    table = tabulate(game)
+    utilities = dict(table.utility_table)
+    a_mask, s_mask = _nested_entry(game.n, rng)
+    key = (a_mask, table._v(s_mask))
+    utilities[key] += scale
+    return STGame.from_tables(
+        game.n, table.outcomes, dict(table.consequence_table), utilities, game.players
+    )
+
+
+def _competition_free(n, rng):
+    """Every assessor values each coalition's outcome alike: reducible to TU."""
+    worth = {mask: float(rng.integers(-8, 9)) / 4 for mask in range(1, 1 << n)}
+    return STGame.from_functions(
+        n, tuple(worth), lambda s: s.mask, lambda a, x: worth[x] if a else 0.0
+    )
+
+
+def _sparse(game, rng):
+    """Tabulated copy keeping every reachable entry and about half of the others."""
+    table = tabulate(game)
+    reachable = {
+        (a_mask, table._v(s_mask))
+        for s_mask in range(1, 1 << game.n)
+        for a_mask in iter_submasks(s_mask, nonempty=True)
+    }
+    utilities = {
+        key: value
+        for key, value in table.utility_table.items()
+        if key in reachable or rng.random() < 0.5
+    }
+    return STGame.from_tables(
+        game.n, table.outcomes, dict(table.consequence_table), utilities, game.players
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _games(n, seed):
+    rng = np.random.default_rng(1000 * n + seed)
+    matrix = random_biadditive_matrix(n, rng)
+    outcomes = tuple(range(1, 1 << n))
+    individual = {p: {x: float(rng.uniform(-0.2, 1.0)) for x in outcomes} for p in range(n)}
+    games = {
+        "random_st": random_st_game(n, rng),
+        "random_st_few_outcomes": random_st_game(n, rng, n_outcomes=3),
+        "monotone_series": monotone_series(n, rng),
+        "additive": random_additive_game(n, rng),
+        "additive_monotone": random_additive_game(n, rng, nonnegative=True, monotone=True),
+        "coadditive": random_coadditive_game(n, rng),
+        "coadditive_monotone": random_coadditive_game(n, rng, monotone=True),
+        "biadditive": matrix.to_game(),
+        "biadditive_nonneg": BiAdditiveMatrix(n, np.abs(matrix.m)).to_game(),
+        "from_ntu": from_ntu(n, outcomes, {m: m for m in outcomes}, individual),
+        "competition_free": _competition_free(n, rng),
+    }
+    games["biadditive_tabulated"] = tabulate(games["biadditive"])
+    games["biadditive_perturbed"] = _perturbed(games["biadditive"], rng)
+    games["biadditive_sparse"] = _sparse(games["biadditive"], rng)
+    games["additive_perturbed"] = _perturbed(games["additive_monotone"], rng)
+    games["coadditive_perturbed"] = _perturbed(games["coadditive_monotone"], rng)
+    games["competition_free_perturbed"] = _perturbed(games["competition_free"], rng, 0.25)
+    return games
+
+
+CASES = [(n, seed) for n in SIZES for seed in range(2 if n < 7 else 1)]
+
+
+@pytest.mark.parametrize("n,seed", CASES)
+def test_team_predicates_match_reference(n, seed):
+    s = PlayerSet(int(np.random.default_rng(n + seed).integers(1, 1 << n)))
+    for name, g in _games(n, seed).items():
+        assert is_sensible(g) == ref.is_sensible(g), name
+        assert is_fully_cooperative(g) == ref.is_fully_cooperative(g), name
+        assert is_cohesive(g, s) == ref.is_cohesive(g, s), name
+        for include_grand in (True, False):
+            assert all_coop_points(g, include_grand=include_grand) == ref.all_coop_points(
+                g, include_grand
+            ), name
+
+
+@pytest.mark.parametrize("n,seed", CASES)
+def test_reduce_to_tu_matches_reference(n, seed):
+    for name, g in _games(n, seed).items():
+        try:
+            expected = ref.reduce_to_tu(g)
+        except NotReducibleError as exc:
+            with pytest.raises(NotReducibleError) as got:
+                reduce_to_tu(g)
+            assert (got.value.a, got.value.b, got.value.value) == (exc.a, exc.b, exc.value), name
+            assert str(got.value) == str(exc), name
+        else:
+            reduced = reduce_to_tu(g)
+            assert reduced.players == expected.players
+            assert reduced.u.tolist() == expected.u.tolist(), name
+
+
+@pytest.mark.parametrize("n,seed", CASES)
+def test_structure_detectors_match_reference(n, seed):
+    for name, g in _games(n, seed).items():
+        additive = ref.find_additive_violation(g)
+        coadditive = ref.find_coadditive_violation(g)
+        assert _find_additive_violation(g, 1e-9) == additive, name
+        assert _find_coadditive_violation(g, 1e-9) == coadditive, name
+
+        expected = ref.extract_matrix(g)
+        if isinstance(expected, StructureError):
+            with pytest.raises(StructureError) as got:
+                extract_matrix(g)
+            assert got.value.witness == expected.witness, name
+            assert str(got.value) == str(expected), name
+        else:
+            assert extract_matrix(g).m.tolist() == expected.tolist(), name
+
+        if additive is None:
+            report = additive_predicates(g)
+            values_ok, coop_ok, gains_ok = ref.additive_predicates(g)
+            assert (report.sensible, report.individual_values_nonneg) == (values_ok, values_ok)
+            assert report.fully_cooperative == coop_ok, name
+            assert report.individual_gains_nonneg == gains_ok, name
+        else:
+            with pytest.raises(StructureError) as got:
+                additive_predicates(g)
+            assert got.value.witness == additive, name
+        if coadditive is None:
+            report = coadditive_predicates(g)
+            sensible_ok, outsiders_ok, monotone_ok = ref.coadditive_predicates(g)
+            assert report.sensible == sensible_ok, name
+            assert report.fully_cooperative == outsiders_ok, name
+            assert report.perceptions_of_outsiders_nonneg == outsiders_ok, name
+            assert report.assessments_monotone == monotone_ok, name
+        else:
+            with pytest.raises(StructureError) as got:
+                coadditive_predicates(g)
+            assert got.value.witness == coadditive, name
+
+
+def test_structured_families_reach_both_answers():
+    """The cases above see each detector and predicate both pass and fail."""
+    seen = {}
+    for n, seed in CASES:
+        for g in _games(n, seed).values():
+            seen.setdefault(("sensible", ref.is_sensible(g)), True)
+            seen.setdefault(("cooperative", ref.is_fully_cooperative(g)), True)
+            seen.setdefault(("additive", ref.find_additive_violation(g) is None), True)
+            seen.setdefault(("coadditive", ref.find_coadditive_violation(g) is None), True)
+            try:
+                ref.reduce_to_tu(g)
+                seen[("reducible", True)] = True
+            except NotReducibleError:
+                seen[("reducible", False)] = True
+    for key in ("sensible", "cooperative", "additive", "coadditive", "reducible"):
+        assert (key, True) in seen and (key, False) in seen, key
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_superadditivity_matches_reference(n):
+    rng = np.random.default_rng(77 + n)
+    games = [random_tu_game(n, rng) for _ in range(3)]
+    convex = random_convex_game(n, rng)
+    games.append(convex)
+    if n > 1:
+        table = convex.u.copy()
+        table[int(rng.integers(1, 1 << n))] -= 0.5
+        games.append(type(convex)(n, table))
+    for g in games:
+        assert is_superadditive(g) == ref.is_superadditive(g)
+    assert is_superadditive(convex)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_from_tables_names_the_same_missing_entry(n):
+    rng = np.random.default_rng(300 + n)
+    for _ in range(6):
+        g = random_st_game(n, rng, n_outcomes=min(3, (1 << n) - 1))
+        consequence = dict(g.consequence_table)
+        utilities = dict(g.utility_table)
+        # drop a few entries, some of them reachable
+        keys = list(utilities)
+        for index in rng.choice(len(keys), size=min(3, len(keys)), replace=False):
+            del utilities[keys[int(index)]]
+        a_mask, s_mask = _nested_entry(n, rng)
+        utilities.pop((a_mask, consequence[s_mask]), None)
+        message = ref.check_tables(n, g.outcomes, consequence, utilities)
+        assert message is not None and message.startswith("missing utility")
+        with pytest.raises(ValueError) as got:
+            STGame.from_tables(n, g.outcomes, consequence, utilities)
+        assert str(got.value) == message
+
+        consequence.pop(int(rng.integers(1, 1 << n)))
+        message = ref.check_tables(n, g.outcomes, consequence, utilities)
+        with pytest.raises(ValueError, match="consequence map is missing") as got:
+            STGame.from_tables(n, g.outcomes, consequence, utilities)
+        assert str(got.value) == message
+
+
+def test_from_tables_rejects_nan_values():
+    g = random_st_game(2, np.random.default_rng(5), n_outcomes=2)
+    utilities = dict(g.utility_table)
+    utilities[next(iter(utilities))] = float("nan")
+    with pytest.raises(ValueError, match="is not a number"):
+        STGame.from_tables(2, g.outcomes, dict(g.consequence_table), utilities)
+
+
+def test_from_tables_refuses_a_table_past_the_cell_limit():
+    n = 16
+    outcomes = tuple(f"o{k}" for k in range(MAX_TABLE_CELLS // (1 << n) + 1))
+    consequence = {mask: outcomes[0] for mask in range(1, 1 << n)}
+    with pytest.raises(SizeLimitError, match="table cells, over the limit"):
+        STGame.from_tables(n, outcomes, consequence, {})
+
+
+def test_enumerator_order_and_coverage():
+    for within in (0, 0b1, 0b1011, 0b110101, (1 << 8) - 1):
+        for nested in (False, True):
+            for nonempty in (False, True):
+                got = [
+                    (int(x), int(y))
+                    for xs, ys in mask_pairs(within, nested=nested, nonempty=nonempty)
+                    for x, y in zip(xs, ys)
+                ]
+                expected = [
+                    (x, y)
+                    for x in iter_submasks(within, nonempty=True)
+                    for y in iter_submasks(x if nested else within & ~x, nonempty=nonempty)
+                ]
+                assert got == expected
+
+
+def _size_outcome_game(n):
+    """Additive team game whose outcome is the coalition size: sensible, so
+    a sensibility scan walks every pair."""
+    sizes = np.array([bin(m).count("1") for m in range(1 << n)])
+    columns = np.maximum(sizes - 1, 0).astype(np.intp)
+    weight = np.array([sum(0.5 + i for i in range(n) if m >> i & 1) for m in range(1 << n)])
+    table = weight[:, None] * np.arange(1, n + 1)[None, :]
+    outcomes = tuple(f"k{k}" for k in range(1, n + 1))
+    players = tuple(str(i) for i in range(n))
+    masks, cols = np.meshgrid(np.arange(1, 1 << n), np.arange(n), indexing="ij")
+    return STGame.from_entries(
+        n, outcomes, columns, masks.ravel(), cols.ravel(), table[1:].ravel(), players
+    )
+
+
+def test_sensibility_scan_memory_is_chunk_bounded():
+    n = 14
+    g = _size_outcome_game(n)
+    tracemalloc.start()
+    try:
+        assert is_sensible(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3**n * 8
+
+
+def test_violation_near_the_start_stops_early():
+    n = 14
+    calls = 0
+
+    def utility(a, outcome):
+        nonlocal calls
+        calls += 1
+        return -1.0 if a.mask == 1 else float(len(a))
+
+    g = STGame.from_functions(n, ("x",), lambda s: "x", utility)
+    assert not is_sensible(g)
+    assert calls <= 2 * FIRST_CHUNK
+
+
+def test_functional_games_stay_lazy():
+    """A functional game's kernels evaluate what the pairs need, nothing tabulated."""
+    n = 9
+    calls = 0
+
+    def utility(a, outcome):
+        nonlocal calls
+        calls += 1
+        return float(len(a)) * len(PlayerSet(outcome))
+
+    g = STGame.from_functions(n, tuple(range(1, 1 << n)), lambda s: s.mask, utility)
+    assert is_sensible(g)
+    pairs = 3**n - 2**n  # u_A(V(A|B)) and u_B(V(A|B)) for every pair with B nonempty
+    assert calls <= 2 * 3**n
+    assert calls >= pairs
