@@ -99,6 +99,7 @@ from .errors import (
     DisjointnessError,
     SizeLimitError,
     MissingUtilityError,
+    NumericOverflowError,
     StructureError,
     NotReducibleError,
     GameLoadError,

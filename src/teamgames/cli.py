@@ -2,21 +2,19 @@
 
 Numeric results always land in files (CSV tables, ``.game`` documents,
 ``.edges`` lists); standard output carries a short human summary. Sweep
-commands honor the ``TEAMGAMES_THREADS`` environment variable and emit rows
-in a fixed order, so repeated runs are byte-identical regardless of thread
-count.
+commands emit rows in a fixed order, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from . import additivity, cobb, game_io, st, tu
 from .cobb import CobbDouglasConfig, hybrid
 from .errors import GameError, NotReducibleError, StructureError
-from .parallel import ordered_map
 from .players import PlayerSet
 from .scenarios import SCENARIOS, scenario_document
 from .st import STGame
@@ -48,15 +46,23 @@ def _unit_interval(text: str) -> float:
 
 def _positive(text: str) -> float:
     value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"{value} is not positive")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{value} is not a finite positive number")
     return value
 
 
 def _positive_int(text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    # counts become floats in the Cobb-Douglas tables, exact up to 2^53
+    if not 1 <= value <= 2**53:
+        raise argparse.ArgumentTypeError(f"{value} is not an integer in [1, 2^53]")
+    return value
+
+
+def _sample_count(text: str) -> int:
+    value = _positive_int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"{value} is below 2; a table needs both ends of [0, 1]")
     return value
 
 
@@ -254,7 +260,6 @@ def _base_config(args) -> CobbDouglasConfig:
             alpha=updates.get("alpha", base.alpha),
             beta=updates.get("beta", base.beta),
             resources=base.resources,
-            value_fn=base.value_fn,
         )
     return base
 
@@ -284,14 +289,14 @@ def cmd_cobb_sweep(args) -> int:
 
 def cmd_cobb_path(args) -> int:
     cfg = _base_config(args)
-    a_set = PlayerSet.from_players(range(args.size_a))
-    b_set = PlayerSet.from_players(range(args.size_a, args.size_a + args.size_b))
     rows = []
     for gamma in _gammas(args):
         scheme = hybrid(gamma)
-        row = cobb.contribution_rows(scheme, cfg, a_set, b_set, args.tol)
-        for sample in cobb.cooperation_path(scheme, cfg, args.size_a, args.size_b, args.samples):
-            rows.append(row(sample.x_a_avg, sample.x_b_avg))
+        path = cobb.cooperation_path(scheme, cfg, args.size_a, args.size_b, args.samples)
+        x_a, x_b = [p.x_a_avg for p in path], [p.x_b_avg for p in path]
+        rows.extend(
+            cobb.contribution_rows(scheme, cfg, args.size_a, args.size_b, x_a, x_b, args.tol)
+        )
     out = _out_path(args, "cobb_path.csv")
     game_io.write_table(rows, COBB_COLUMNS, out)
     print(f"wrote {len(rows)} rational-path samples to {out}")
@@ -300,6 +305,8 @@ def cmd_cobb_path(args) -> int:
 
 def cmd_cobb_frontier(args) -> int:
     cfg = _base_config(args)
+    if not cfg.beta > 1.0:
+        raise GameError(f"beta: the team-size bound needs beta > 1, got {cfg.beta!r}")
     shares = [k / args.resolution for k in range(1, args.resolution + 1)]
     rows = cobb.stable_size_grid(cfg.beta, _gammas(args), shares)
     out = _out_path(args, "cobb_frontier.csv")
@@ -310,32 +317,10 @@ def cmd_cobb_frontier(args) -> int:
 
 def cmd_cobb_rational(args) -> int:
     cfg = _base_config(args)
-    size_a, size_b = args.size_a, args.size_b
-    a_set = PlayerSet.from_players(range(size_a))
-
-    def row_for(cell):
-        gamma, x_b = cell
+    rows = []
+    for gamma in _gammas(args):
         scheme = hybrid(gamma)
-        base = cobb.ContributionProfile.create([0.0] * size_a + [x_b] * size_b)
-        x_a = cobb.symmetric_rational_contribution(scheme, cfg, base, a_set)
-        root = cobb.zero_altruism_contour(scheme, cfg, size_a, size_b, x_b * size_b)
-        return {
-            "gamma": gamma,
-            "theta": cfg.theta,
-            "beta": cfg.beta,
-            "sizeA": size_a,
-            "sizeB": size_b,
-            "xB_avg": x_b,
-            "xA_rational": x_a,
-            "zero_altruism_xA": None if root is None else root / size_a,
-        }
-
-    cells = [
-        (gamma, k / (args.resolution - 1))
-        for gamma in _gammas(args)
-        for k in range(args.resolution)
-    ]
-    rows = ordered_map(row_for, cells)
+        rows.extend(cobb.rational_rows(scheme, cfg, args.size_a, args.size_b, args.resolution))
     out = _out_path(args, "cobb_rational.csv")
     game_io.write_table(
         rows,
@@ -418,12 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = cobb_sub.add_parser("sweep", help="payoff/utility grid over average contributions")
     add_cobb_common(p)
-    p.add_argument("--resolution", type=_positive_int, default=101)
+    p.add_argument("--resolution", type=_sample_count, default=101)
     p.set_defaults(func=cmd_cobb_sweep)
 
     p = cobb_sub.add_parser("path", help="rational-behavior paths through cooperation space")
     add_cobb_common(p)
-    p.add_argument("--samples", type=_positive_int, default=101)
+    p.add_argument("--samples", type=_sample_count, default=101)
     p.set_defaults(func=cmd_cobb_path)
 
     p = cobb_sub.add_parser("frontier", help="maximum stable team size over (gamma, r)")
@@ -433,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = cobb_sub.add_parser("rational", help="rational contributions with zero-altruism roots")
     add_cobb_common(p)
-    p.add_argument("--resolution", type=_positive_int, default=101)
+    p.add_argument("--resolution", type=_sample_count, default=101)
     p.set_defaults(func=cmd_cobb_rational)
 
     p = sub.add_parser("scenario", help="write a built-in scenario and classify it")

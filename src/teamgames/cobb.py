@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
-from .errors import DisjointnessError
-from .parallel import ordered_map
+from .errors import DisjointnessError, NumericOverflowError
 from .players import PlayerSet
-from .st import STGame, CoopPoint, classify_quadrant
+from .st import STGame, CoopPoint, quadrant_of
 from .tu import DEFAULT_TOL
 
 UNBOUNDED = math.inf
@@ -37,7 +36,7 @@ class CobbDouglasConfig:
 
     theta weighs payoff against reserve (1 = payoff only), gamma is the
     default hybrid mix (1 = proportional), and the produced value is
-    alpha * x^beta unless ``value_fn`` supplies a custom f with f(0) = 0.
+    alpha * x^beta.
     ``resources`` fixes per-player pools; None means a unit pool per player,
     the normalization under which sweep parameters are average
     contributions in [0, 1].
@@ -48,42 +47,39 @@ class CobbDouglasConfig:
     alpha: float = 1.0
     beta: float = 1.5
     resources: tuple[float, ...] | None = None
-    value_fn: Callable[[float], float] | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if self.resources is not None:
             res = tuple(float(r) for r in self.resources)
             if any(r < 0 for r in res):
                 raise ValueError("resources must be nonnegative")
             object.__setattr__(self, "resources", res)
 
-    def value(self, x: float) -> float:
-        """Total value produced by a pooled contribution x."""
-        if x < 0:
-            raise ValueError(f"contribution must be nonnegative, got {x}")
-        if self.value_fn is not None:
-            return float(self.value_fn(x))
-        return self.alpha * x**self.beta
+    def value(self, x):
+        """Total value produced by a pooled contribution x (a number or an array).
 
-    def pool(self, player: int, n: int) -> float:
-        if self.resources is not None:
-            if len(self.resources) != n:
-                raise ValueError(
-                    f"config lists {len(self.resources)} resource pools for {n} players"
-                )
-            return self.resources[player]
-        return 1.0
-
-    def pools(self, n: int) -> tuple[float, ...]:
-        return tuple(self.pool(p, n) for p in range(n))
+        Raises ``NumericOverflowError`` where alpha * x^beta exceeds the float range.
+        """
+        x = np.asarray(x, dtype=float)
+        if np.any(x < 0):
+            raise ValueError(f"contribution must be nonnegative, got {x.min()}")
+        with np.errstate(over="ignore"):
+            produced = self.alpha * x**self.beta
+        overflow = ~np.isfinite(produced)
+        if overflow.any():
+            raise NumericOverflowError(
+                f"alpha * x^beta overflows at x = {float(x[overflow].min())!r} "
+                f"(alpha = {self.alpha!r}, beta = {self.beta!r})"
+            )
+        return produced[()]
 
 
 @dataclass(frozen=True)
@@ -161,29 +157,37 @@ def hybrid(gamma: float) -> PayoffScheme:
     return PayoffScheme("hybrid", gamma)
 
 
-def cd_value(theta: float, y: float, z: float) -> float:
+def cd_value(theta: float, y, z):
     """Cobb-Douglas aggregate y^theta z^(1-theta) with the 0^0 = 1 convention.
 
-    At theta 0 or 1 the untouched quantity drops out even when it is zero,
-    so the endpoints degenerate cleanly to pure reserve or pure payoff.
+    Works elementwise on arrays. At theta 0 or 1 the untouched quantity
+    drops out even when it is zero, so the endpoints degenerate cleanly to
+    pure reserve or pure payoff.
     """
-    if y < 0 or z < 0:
-        raise ValueError(f"Cobb-Douglas inputs must be nonnegative, got ({y}, {z})")
+    y = np.asarray(y, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if np.any(y < 0) or np.any(z < 0):
+        raise ValueError(f"Cobb-Douglas inputs must be nonnegative, got ({y.min()}, {z.min()})")
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    return y**theta * z ** (1.0 - theta)
+    return (y**theta * z ** (1.0 - theta))[()]
 
 
-def _member_share(scheme: PayoffScheme, x_a: float, size_a: int, x_s: float, size_s: int) -> float:
-    """Fraction of f(x_S) paid to a sub-group with contribution x_a and size_a heads."""
-    if size_s <= 0:
+def _member_share(scheme: PayoffScheme, x_a, size_a, x_s, size_s):
+    """Share of f(x_S) paid to a sub-group with contribution x_a and size_a heads, elementwise."""
+    if np.any(np.asarray(size_s) <= 0):
         raise ValueError("coalition must be nonempty")
+    x_s = np.asarray(x_s, dtype=float)
     mix = scheme.mix
-    head_share = size_a / size_s
-    if x_s <= 0.0:
-        # nothing was produced; every scheme pays nothing
-        return 0.0
-    return mix * (x_a / x_s) + (1.0 - mix) * head_share
+    produced = x_s > 0.0
+    share = mix * (x_a / np.where(produced, x_s, 1.0)) + (1.0 - mix) * (size_a / size_s)
+    # where nothing was produced every scheme pays nothing
+    return np.where(produced, share, 0.0)[()]
+
+
+def _group_payoff(scheme: PayoffScheme, cfg: CobbDouglasConfig, x_a, size_a, x_s, size_s):
+    """Payment to a group (total x_a, size_a heads) out of a coalition's (x_s, size_s) value."""
+    return _member_share(scheme, x_a, size_a, x_s, size_s) * cfg.value(x_s)
 
 
 def payoff(
@@ -205,8 +209,7 @@ def _payoff_members(scheme, cfg, profile, a: PlayerSet, s: PlayerSet) -> float:
         return 0.0
     inside = a & s
     x_s = profile.total(s)
-    share = _member_share(scheme, profile.total(inside), len(inside), x_s, len(s))
-    return share * cfg.value(x_s)
+    return float(_group_payoff(scheme, cfg, profile.total(inside), len(inside), x_s, len(s)))
 
 
 def cd_subset_utility(
@@ -219,7 +222,9 @@ def cd_subset_utility(
     """u_A(S): the Cobb-Douglas balance of A's payment from S and A's reserve."""
     if not a:
         return 0.0
-    return cd_value(cfg.theta, _payoff_members(scheme, cfg, profile, a, s), profile.reserve(a))
+    return float(
+        cd_value(cfg.theta, _payoff_members(scheme, cfg, profile, a, s), profile.reserve(a))
+    )
 
 
 def st_game_view(
@@ -312,7 +317,7 @@ def avg_return_condition(cfg: CobbDouglasConfig, x: float, y: float) -> bool:
     """
     if not 0 < x <= y:
         raise ValueError(f"need 0 < x <= y, got ({x}, {y})")
-    return cfg.value(y) / y >= cfg.value(x) / x
+    return bool(cfg.value(y) / y >= cfg.value(x) / x)
 
 
 def max_stable_team_size(gamma: float, r: float, beta: float) -> float:
@@ -380,18 +385,16 @@ def maximize_scalar(fn, lo: float, hi: float, *, coarse: int = 256, xatol: float
     The scan survives non-unimodal objectives (equal-split utilities can
     peak at a boundary); golden section then sharpens the winning bracket.
     Whenever several candidates reach the same value the smallest argument
-    wins.
+    wins. The scan calls fn once on the array of its ``coarse + 1`` points
+    (a scalar result counts for every point); the refinement calls it on
+    single numbers.
     """
     if hi < lo:
         raise ValueError("empty bracket")
     if hi == lo:
         return lo
     grid = np.linspace(lo, hi, coarse + 1)
-    values = [fn(float(x)) for x in grid]
-    best_i = 0
-    for i in range(1, len(values)):
-        if values[i] > values[best_i]:
-            best_i = i
+    best_i = int(np.argmax(np.broadcast_to(fn(grid), grid.shape)))
     bracket_lo = float(grid[max(best_i - 1, 0)])
     bracket_hi = float(grid[min(best_i + 1, coarse)])
     refined = _golden_max(fn, bracket_lo, bracket_hi, xatol)
@@ -403,6 +406,25 @@ def maximize_scalar(fn, lo: float, hi: float, *, coarse: int = 256, xatol: float
         if y > best_y:
             best_x, best_y = x, y
     return best_x
+
+
+def _require_groups(size_a: int, size_b: int) -> None:
+    if size_a < 1 or size_b < 1:
+        raise ValueError("both subset sizes must be at least 1")
+
+
+def _best_response(scheme, cfg, size, others_total, team_size, cap=1.0, pool=1.0, xatol=1e-6):
+    """Common contribution in [0, cap] of ``size`` members that maximizes one member's utility.
+
+    The rest of the ``team_size`` team contributes ``others_total``; the
+    member keeps ``pool`` minus its contribution.
+    """
+
+    def utility(v):
+        pay = _group_payoff(scheme, cfg, v, 1, size * v + others_total, team_size)
+        return cd_value(cfg.theta, pay, pool - v)
+
+    return maximize_scalar(utility, 0.0, cap, xatol=xatol)
 
 
 def rational_contribution(
@@ -418,17 +440,7 @@ def rational_contribution(
     Everyone else's contribution is taken from ``profile`` (the player's own
     entry is ignored); ties break toward contributing less.
     """
-    n = len(profile)
-    cap = profile.resources[player]
-    me = PlayerSet.of(player)
-    team = PlayerSet.full(n)
-    x = list(profile.x)
-
-    def utility(v: float) -> float:
-        x[player] = v
-        return cd_subset_utility(scheme, cfg, ContributionProfile(tuple(x), profile.resources), me, team)
-
-    return maximize_scalar(utility, 0.0, cap, xatol=xatol)
+    return symmetric_rational_contribution(scheme, cfg, profile, PlayerSet.of(player), xatol=xatol)
 
 
 def symmetric_rational_contribution(
@@ -449,17 +461,16 @@ def symmetric_rational_contribution(
         raise ValueError("group must be nonempty")
     n = len(profile)
     members = list(group)
-    cap = min(profile.resources[p] for p in members)
-    focal = PlayerSet.of(members[0])
-    team = PlayerSet.full(n)
-    x = list(profile.x)
-
-    def utility(v: float) -> float:
-        for p in members:
-            x[p] = v
-        return cd_subset_utility(scheme, cfg, ContributionProfile(tuple(x), profile.resources), focal, team)
-
-    return maximize_scalar(utility, 0.0, cap, xatol=xatol)
+    return _best_response(
+        scheme,
+        cfg,
+        len(members),
+        profile.total(group.complement(n)),
+        n,
+        cap=min(profile.resources[p] for p in members),
+        pool=profile.resources[members[0]],
+        xatol=xatol,
+    )
 
 
 def altruism_roots(
@@ -485,24 +496,17 @@ def altruism_roots(
     scan covers x_A in [0, size_a]. Grid points already within tolerance of
     zero count as roots; sign changes are bisected to ``xatol``.
     """
-    if size_a < 1 or size_b < 1:
-        raise ValueError("both subset sizes must be at least 1")
+    _require_groups(size_a, size_b)
     if not 0.0 <= x_b_total <= size_b:
         raise ValueError(f"x_B must lie in [0, {size_b}], got {x_b_total}")
-    a_set = PlayerSet.from_players(range(size_a))
-    b_set = PlayerSet.from_players(range(size_a, size_a + size_b))
-    union = a_set | b_set
+    size = size_a + size_b
+    alone = _group_payoff(scheme, cfg, x_b_total, size_b, x_b_total, size_b)
 
-    def altruism(x_a_total: float) -> float:
-        per_a = x_a_total / size_a
-        per_b = x_b_total / size_b
-        prof = ContributionProfile.create([per_a] * size_a + [per_b] * size_b)
-        return _payoff_members(scheme, cfg, prof, b_set, union) - _payoff_members(
-            scheme, cfg, prof, b_set, b_set
-        )
+    def altruism(x_a_total):
+        return _group_payoff(scheme, cfg, x_b_total, size_b, x_a_total + x_b_total, size) - alone
 
     grid = np.linspace(0.0, float(size_a), scan + 1)
-    values = [altruism(float(x)) for x in grid]
+    values = altruism(grid).tolist()
     roots: list[float] = []
     for i, v in enumerate(values):
         if abs(v) <= tol:
@@ -540,9 +544,38 @@ def zero_altruism_contour(
     return roots[0] if roots else None
 
 
+def _group_metrics(scheme, cfg, size_a: int, size_b: int, x_a, x_b):
+    """A's payoff and utility in the union of A and B, and its cooperation point against B.
+
+    Every member of A contributes x_a and every member of B contributes
+    x_b out of a unit pool, so each quantity is a closed form in the group
+    totals and head counts; x_a and x_b may be arrays. Returns the arrays
+    (payoff, utility, altruism, competitive, marginal).
+    """
+    _require_groups(size_a, size_b)
+    x_a = np.asarray(x_a, dtype=float)
+    x_b = np.asarray(x_b, dtype=float)
+    total_a, total_b = size_a * x_a, size_b * x_b
+    total, size = total_a + total_b, size_a + size_b
+    reserve_a, reserve_b = size_a * (1.0 - x_a), size_b * (1.0 - x_b)
+    pay_a = _group_payoff(scheme, cfg, total_a, size_a, total, size)
+    pay_b_joint = _group_payoff(scheme, cfg, total_b, size_b, total, size)
+    pay_b_alone = _group_payoff(scheme, cfg, total_b, size_b, total_b, size_b)
+    pay_joint = _group_payoff(scheme, cfg, total, size, total, size)
+    u_b_joint = cd_value(cfg.theta, pay_b_joint, reserve_b)
+    altruism = u_b_joint - cd_value(cfg.theta, pay_b_alone, reserve_b)
+    competitive = cd_value(cfg.theta, pay_joint, reserve_a + reserve_b) - u_b_joint
+    utility_a = cd_value(cfg.theta, pay_a, reserve_a)
+    return pay_a, utility_a, altruism, competitive, altruism + competitive
+
+
 @dataclass(frozen=True)
 class PathPoint:
-    """One sample of a rational-behavior path through cooperation space."""
+    """One sample of a rational-behavior path through cooperation space.
+
+    A is a symmetric group, not a set of numbered players, so
+    ``point.subset`` is None.
+    """
 
     x_b_avg: float
     x_a_avg: float
@@ -566,57 +599,43 @@ def cooperation_path(
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    if size_a < 1 or size_b < 1:
-        raise ValueError("both subset sizes must be at least 1")
-    a_set = PlayerSet.from_players(range(size_a))
-    b_set = PlayerSet.from_players(range(size_a, size_a + size_b))
-
-    def sample_at(t: float) -> PathPoint:
-        base = ContributionProfile.create([0.0] * size_a + [t] * size_b)
-        x_a = symmetric_rational_contribution(scheme, cfg, base, a_set, xatol=xatol)
-        prof = ContributionProfile.create([x_a] * size_a + [t] * size_b)
-        return PathPoint(x_b_avg=t, x_a_avg=x_a, point=cd_coop_point(scheme, cfg, prof, a_set, b_set))
-
-    return ordered_map(sample_at, (float(t) for t in np.linspace(0.0, 1.0, samples)))
+    _require_groups(size_a, size_b)
+    x_b = np.linspace(0.0, 1.0, samples).tolist()
+    team = size_a + size_b
+    x_a = [_best_response(scheme, cfg, size_a, size_b * t, team, xatol=xatol) for t in x_b]
+    _, _, alt, comp, marginal = _group_metrics(scheme, cfg, size_a, size_b, x_a, x_b)
+    return [
+        PathPoint(t, x, CoopPoint(*point, subset=None))
+        for t, x, point in zip(x_b, x_a, zip(alt.tolist(), comp.tolist(), marginal.tolist()))
+    ]
 
 
 def contribution_rows(
     scheme: PayoffScheme,
     cfg: CobbDouglasConfig,
-    a_set: PlayerSet,
-    b_set: PlayerSet,
+    size_a: int,
+    size_b: int,
+    x_a,
+    x_b,
     tol: float = DEFAULT_TOL,
-):
-    """Row builder of the sweep and path tables.
+) -> list[dict]:
+    """Rows of the sweep and path tables.
 
-    Returns ``row(x_a, x_b)``: A's payoff, utility and cooperation point
-    against B when every member of A contributes x_a and every member of B
-    contributes x_b (unit pools), with the quadrant classified at tolerance
-    ``tol``.
+    One row per pair (x_a[i], x_b[i]): A's payoff, utility and cooperation
+    point against B when every member of A contributes x_a[i] and every
+    member of B contributes x_b[i] (unit pools), with the quadrant
+    classified at tolerance ``tol``.
     """
-    union = a_set | b_set
-    size_a, size_b = len(a_set), len(b_set)
-
-    def row(x_a: float, x_b: float) -> dict:
-        prof = ContributionProfile.create([x_a] * size_a + [x_b] * size_b)
-        point = cd_coop_point(scheme, cfg, prof, a_set, b_set)
-        return {
-            "gamma": scheme.mix,
-            "theta": cfg.theta,
-            "beta": cfg.beta,
-            "sizeA": size_a,
-            "sizeB": size_b,
-            "xA_avg": x_a,
-            "xB_avg": x_b,
-            "payoff": payoff(scheme, cfg, prof, a_set, union),
-            "utility": cd_subset_utility(scheme, cfg, prof, a_set, union),
-            "altruism": point.altruism,
-            "competitive": point.competitive,
-            "marginal": point.marginal,
-            "quadrant": classify_quadrant(point, tol).value,
-        }
-
-    return row
+    fixed = {"gamma": scheme.mix, "theta": cfg.theta, "beta": cfg.beta,
+             "sizeA": size_a, "sizeB": size_b}
+    names = ("xA_avg", "xB_avg", "payoff", "utility", "altruism", "competitive", "marginal")
+    columns = (x_a, x_b, *_group_metrics(scheme, cfg, size_a, size_b, x_a, x_b))
+    rows = []
+    for values in zip(*(np.asarray(c, dtype=float).tolist() for c in columns)):
+        row = dict(fixed, **dict(zip(names, values)))
+        row["quadrant"] = quadrant_of(row["altruism"], row["competitive"], tol).value
+        rows.append(row)
+    return rows
 
 
 def payoff_utility_grid(
@@ -635,17 +654,30 @@ def payoff_utility_grid(
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    a_set = PlayerSet.from_players(range(size_a))
-    b_set = PlayerSet.from_players(range(size_a, size_a + size_b))
-    axis = [float(v) for v in np.linspace(0.0, 1.0, resolution)]
+    axis = np.linspace(0.0, 1.0, resolution)
+    x_b, x_a = np.meshgrid(axis, axis, indexing="ij")
+    return contribution_rows(scheme, cfg, size_a, size_b, x_a.ravel(), x_b.ravel(), tol)
 
-    row = contribution_rows(scheme, cfg, a_set, b_set, tol)
 
-    def cell(contribs: tuple[float, float]) -> dict:
-        xb, xa = contribs
-        return row(xa, xb)
+def rational_rows(scheme, cfg, size_a: int, size_b: int, resolution: int = 101) -> list[dict]:
+    """Rows of the rational table, one per average contribution k/(resolution-1) of B.
 
-    return ordered_map(cell, ((xb, xa) for xb in axis for xa in axis))
+    Each row holds the common utility-maximizing contribution of A's
+    members and the smallest average contribution of A at which B's payment
+    balance vanishes (None without a zero crossing); pools are unit.
+    """
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
+    fixed = {"gamma": scheme.mix, "theta": cfg.theta, "beta": cfg.beta,
+             "sizeA": size_a, "sizeB": size_b}
+    rows = []
+    for k in range(resolution):
+        x_b = k / (resolution - 1)
+        x_a = _best_response(scheme, cfg, size_a, size_b * x_b, size_a + size_b)
+        root = zero_altruism_contour(scheme, cfg, size_a, size_b, x_b * size_b)
+        zero = None if root is None else root / size_a
+        rows.append(dict(fixed, xB_avg=x_b, xA_rational=x_a, zero_altruism_xA=zero))
+    return rows
 
 
 def stable_size_grid(beta: float, gammas, shares) -> list[dict]:

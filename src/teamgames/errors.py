@@ -13,6 +13,10 @@ class SizeLimitError(GameError, ValueError):
     """A game exceeds the player-count bound of an exhaustive operation."""
 
 
+class NumericOverflowError(GameError, OverflowError):
+    """A computed quantity is too large for a float."""
+
+
 class MissingUtilityError(GameError, KeyError):
     """A tabulated game has no entry for a requested (assessor, outcome) pair."""
 

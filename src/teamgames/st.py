@@ -304,12 +304,15 @@ class Quadrant(enum.Enum):
 
 @dataclass(frozen=True)
 class CoopPoint:
-    """One subset's coordinates in cooperation space (vs. the rest of the team)."""
+    """One subset's coordinates in cooperation space (vs. the rest of the team).
+
+    ``subset`` is None for a point of a symmetric group given by its size.
+    """
 
     altruism: float
     competitive: float
     marginal: float
-    subset: PlayerSet
+    subset: PlayerSet | None
 
     def as_pair(self) -> tuple[float, float]:
         return (self.altruism, self.competitive)
@@ -323,7 +326,11 @@ def classify_quadrant(point: CoopPoint, tol: float = DEFAULT_TOL, *, closed: boo
     band into the nonnegative side, so quadrant I means a >= -tol and
     c >= -tol; this matches predicates stated with >= 0.
     """
-    a, c = point.altruism, point.competitive
+    return quadrant_of(point.altruism, point.competitive, tol, closed=closed)
+
+
+def quadrant_of(a: float, c: float, tol: float = DEFAULT_TOL, *, closed: bool = False) -> Quadrant:
+    """The quadrant of the point with altruism ``a`` and competitive part ``c``."""
     if closed:
         if a >= -tol:
             return Quadrant.I if c >= -tol else Quadrant.IV

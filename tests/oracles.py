@@ -18,7 +18,7 @@ def grid_oracle(scheme, cfg, profile, player, points=10_000):
     n = len(profile)
     xs = np.linspace(0.0, cap, points)
     x_s = others_total + xs
-    f = cfg.alpha * x_s**cfg.beta if cfg.value_fn is None else np.vectorize(cfg.value_fn)(x_s)
+    f = cfg.alpha * x_s**cfg.beta
     share = np.zeros_like(xs)
     positive = x_s > 0
     share[positive] = scheme.mix * (xs[positive] / x_s[positive]) + (1.0 - scheme.mix) / n

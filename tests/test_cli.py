@@ -3,7 +3,6 @@ import json
 import pytest
 
 from teamgames.cli import main
-from teamgames.parallel import THREADS_ENV, ordered_map, thread_count
 from teamgames.scenarios import PRISONERS_DILEMMA
 
 
@@ -287,6 +286,40 @@ class TestCobbCommands:
         assert {r[1] for r in narrow_rows} - {"origin", "axis-a", "axis-c"}
         assert {r[1] for r in wide_rows} == {"origin"}
 
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            (["rational", "--resolution", 1], None),
+            (["sweep", "--resolution", 1], None),
+            (["path", "--samples", 1], None),
+            (["sweep", "--alpha", "inf"], None),
+            (["frontier", "--beta", 1], None),
+            (["sweep", "--beta", "1e308", "--resolution", 3], None),
+            (["path", "--beta", "1e308", "--samples", 3], None),
+            (["rational", "--beta", "1e308", "--resolution", 3], None),
+            (["path", "--alpha", "1e308", "--samples", 3], None),
+            (["sweep", "--sizeA", 10**400, "--resolution", 3], None),
+            (["sweep", "--sizeA", 2, "--sizeB", 63, "--resolution", 3, "--gamma", 0.5], 9),
+            (["path", "--sizeA", 2, "--sizeB", 63, "--samples", 3, "--gamma", 0.5], 3),
+            (["rational", "--sizeA", 2, "--sizeB", 63, "--resolution", 3, "--gamma", 0.5], 3),
+        ],
+    )
+    def test_flag_values_end_in_a_table_or_one_error_line(self, tmp_path, capsys, argv, rows):
+        out = tmp_path / "out.csv"
+        try:
+            status = run(["cobb", *argv, "-o", out])
+        except SystemExit as exc:  # argparse rejects a flag value with status 2
+            status = exc.code
+        err = capsys.readouterr().err.splitlines()
+        if rows is None:
+            assert status in (1, 2) and not out.exists()
+            assert [line for line in err if "error: " in line] == err[-1:]
+            return
+        assert status == 0 and err == []
+        table = out.read_text(encoding="utf-8").splitlines()
+        assert len(table) == 1 + rows
+        assert not any(word in line for line in table for word in ("inf", "nan"))
+
     def test_seed_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit):
             run(["--seed", 5, "cobb", "frontier", "-o", tmp_path / "f.csv"])
@@ -343,26 +376,3 @@ class TestDeterminism:
         assert run(args + ["-o", a]) == 0
         assert run(args + ["-o", b]) == 0
         assert a.read_bytes() == b.read_bytes()
-
-    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        args = ["cobb", "rational", "--sizeA", 2, "--sizeB", 2, "--resolution", 4, "--gammas", "0,0.5"]
-        monkeypatch.setenv(THREADS_ENV, "1")
-        one = tmp_path / "one.csv"
-        assert run(args + ["-o", one]) == 0
-        monkeypatch.setenv(THREADS_ENV, "8")
-        assert thread_count() == 8
-        many = tmp_path / "many.csv"
-        assert run(args + ["-o", many]) == 0
-        assert one.read_bytes() == many.read_bytes()
-
-
-class TestParallelHelper:
-    def test_ordered_map_preserves_order(self):
-        items = list(range(50))
-        assert ordered_map(lambda x: x * x, items, workers=4) == [x * x for x in items]
-
-    def test_default_thread_count(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV, raising=False)
-        assert thread_count() == 1
-        monkeypatch.setenv(THREADS_ENV, "notanumber")
-        assert thread_count() == 1

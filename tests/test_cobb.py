@@ -1,11 +1,14 @@
+import csv
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from oracles import brute_force_max_size, grid_oracle
 
 import teamgames.st as st
+from teamgames.cli import main as cli_main
 from teamgames.cobb import (
     EQUAL,
     PROPORTIONAL,
@@ -16,10 +19,12 @@ from teamgames.cobb import (
     avg_return_condition,
     cd_altruistic,
     cd_competitive,
+    cd_coop_point,
     cd_fully_cooperative,
     cd_marginal,
     cd_subset_utility,
     cd_value,
+    contribution_rows,
     cooperation_path,
     hybrid,
     max_stable_team_size,
@@ -27,12 +32,16 @@ from teamgames.cobb import (
     payoff,
     payoff_utility_grid,
     rational_contribution,
+    rational_rows,
     stable_size_grid,
     st_game_view,
     symmetric_rational_contribution,
     zero_altruism_contour,
 )
+from teamgames.errors import NumericOverflowError
 from teamgames.players import PlayerSet
+
+GOLDEN = Path(__file__).parent / "golden"
 
 A = PlayerSet.of(0)
 S2 = PlayerSet.of(0, 1)
@@ -517,3 +526,107 @@ class TestGrids:
         pay_prop = payoff(PROPORTIONAL, cfg, prof, a, union)
         pay_mid = payoff(hybrid(0.5), cfg, prof, a, union)
         assert pay_equal > pay_mid > pay_prop
+
+
+class TestClosedForm:
+    """The array tables against the per-player PlayerSet API and the recorded tables."""
+
+    @staticmethod
+    def _scalar_terms(scheme, cfg, size_a, size_b, x_a, x_b):
+        a = PlayerSet.from_players(range(size_a))
+        b = PlayerSet.from_players(range(size_a, size_a + size_b))
+        prof = ContributionProfile.create([x_a] * size_a + [x_b] * size_b)
+        point = cd_coop_point(scheme, cfg, prof, a, b)
+        scale = max(
+            1.0,
+            abs(cd_subset_utility(scheme, cfg, prof, b, a | b)),
+            abs(cd_subset_utility(scheme, cfg, prof, b, b)),
+        )
+        return prof, a, a | b, point, scale
+
+    @pytest.mark.parametrize("size_a, size_b", [(1, 1), (2, 10), (3, 13)])
+    def test_rows_match_scalar_api(self, size_a, size_b):
+        # 0 and 1 hit 0^0, an empty pot and an empty reserve
+        axis = [0.0, 0.3, 0.7, 1.0]
+        x_a = [xa for _ in axis for xa in axis]
+        x_b = [xb for xb in axis for _ in axis]
+        for theta in (0.0, 0.4, 1.0):
+            for beta in (0.5, 1.0, 1.5, 3.0):
+                cfg = CobbDouglasConfig(theta=theta, beta=beta)
+                for gamma in (0.0, 0.25, 0.5, 0.75, 1.0):
+                    scheme = hybrid(gamma)
+                    for row in contribution_rows(scheme, cfg, size_a, size_b, x_a, x_b):
+                        prof, a, union, point, scale = self._scalar_terms(
+                            scheme, cfg, size_a, size_b, row["xA_avg"], row["xB_avg"]
+                        )
+                        expected = {
+                            "payoff": payoff(scheme, cfg, prof, a, union),
+                            "utility": cd_subset_utility(scheme, cfg, prof, a, union),
+                            "competitive": point.competitive,
+                        }
+                        for key, value in expected.items():
+                            assert math.isclose(row[key], value, rel_tol=1e-12), (key, row)
+                        assert abs(row["altruism"] - point.altruism) <= 1e-12 * scale, row
+                        assert abs(row["marginal"] - point.marginal) <= 1e-12 * scale, row
+                        assert row["quadrant"] == st.classify_quadrant(point).value, row
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("sweep.csv", ["sweep", "--sizeA", "2", "--sizeB", "3", "--resolution", "5", "--gammas", "0,0.5,1"]),
+            ("path.csv", ["path", "--sizeA", "2", "--sizeB", "2", "--samples", "7", "--gammas", "0,1"]),
+            ("rational.csv", ["rational", "--sizeA", "1", "--sizeB", "2", "--resolution", "5", "--gammas", "0,0.5"]),
+        ],
+    )
+    def test_cli_tables_match_recorded_ones(self, tmp_path, name, argv):
+        # recorded from the per-player implementation the closed form replaced
+        out = tmp_path / name
+        assert cli_main(["cobb", *argv, "-o", str(out)]) == 0
+        with open(GOLDEN / name, encoding="utf-8") as fh:
+            expected = list(csv.DictReader(fh))
+        with open(out, encoding="utf-8") as fh:
+            got = list(csv.DictReader(fh))
+        assert len(got) == len(expected)
+        cfg = CobbDouglasConfig()
+        for want, row in zip(expected, got):
+            assert want.keys() == row.keys()
+            for key in ("gamma", "theta", "beta", "sizeA", "sizeB", "xB_avg", "quadrant"):
+                assert row.get(key) == want.get(key), (key, want, row)
+            if "xA_rational" in want:
+                assert abs(float(row["xA_rational"]) - float(want["xA_rational"])) <= 1e-6
+                zero, want_zero = row["zero_altruism_xA"], want["zero_altruism_xA"]
+                assert (zero == "") == (want_zero == "")
+                if want_zero:
+                    assert abs(float(zero) - float(want_zero)) <= 1e-8
+                continue
+            assert abs(float(row["xA_avg"]) - float(want["xA_avg"])) <= 1e-6
+            for key in ("payoff", "utility", "competitive"):
+                assert math.isclose(float(row[key]), float(want[key]), rel_tol=1e-12), (key, want, row)
+            *_, scale = self._scalar_terms(
+                hybrid(float(want["gamma"])), cfg, int(want["sizeA"]), int(want["sizeB"]),
+                float(want["xA_avg"]), float(want["xB_avg"]),
+            )
+            for key in ("altruism", "marginal"):
+                assert abs(float(row[key]) - float(want[key])) <= 1e-12 * scale, (key, want, row)
+
+    def test_tables_build_no_player_sets(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"built a {type(self).__name__}")
+
+        monkeypatch.setattr(PlayerSet, "__post_init__", refuse)
+        monkeypatch.setattr(ContributionProfile, "__post_init__", refuse)
+        cfg = CobbDouglasConfig(theta=0.75, beta=1.5)
+        # 72 heads: past the 64 players a PlayerSet can hold
+        assert len(payoff_utility_grid(EQUAL, cfg, 2, 70, resolution=3)) == 9
+        assert len(cooperation_path(EQUAL, cfg, 2, 70, samples=3)) == 3
+        assert len(rational_rows(EQUAL, cfg, 2, 70, resolution=3)) == 3
+
+    def test_overflow_is_an_error(self):
+        cfg = CobbDouglasConfig(beta=1e308)
+        assert cfg.value(np.array([0.0, 0.5, 1.0])).tolist() == [0.0, 0.0, 1.0]
+        with pytest.raises(NumericOverflowError, match="overflows at x = 1.25"):
+            cfg.value(np.array([0.5, 1.25, 2.0]))
+        with pytest.raises(NumericOverflowError):
+            payoff_utility_grid(EQUAL, cfg, 2, 3, resolution=3)
+        with pytest.raises(ValueError):
+            CobbDouglasConfig(alpha=math.inf)
