@@ -8,33 +8,26 @@ commands emit rows in a fixed order, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
 
 from . import additivity, cobb, game_io, st, tu
 from .cobb import CobbDouglasConfig, hybrid
-from .errors import GameError, NotReducibleError, StructureError
+from .errors import GameError, NotReducibleError, SizeLimitError, StructureError
 from .players import PlayerSet
 from .scenarios import SCENARIOS, scenario_document
 from .st import STGame
 from .tu import DEFAULT_TOL, TUGame
 
-COBB_COLUMNS = [
-    "gamma",
-    "theta",
-    "beta",
-    "sizeA",
-    "sizeB",
-    "xA_avg",
-    "xB_avg",
-    "payoff",
-    "utility",
-    "altruism",
-    "competitive",
-    "marginal",
-    "quadrant",
-]
+# Row budgets of the cobb tables, checked before anything is computed. On a 2-core
+# machine a sweep or frontier row (a closed form) costs up to 20 us and 1 KB, and a
+# path or rational row (one optimization) about 2 ms: at most about 20 s and 0.25 GB.
+MAX_GRID_ROWS = 250_000
+MAX_SEARCH_ROWS = 10_000
+
+KIND_NAMES = {STGame: "team game", TUGame: "TU game", CobbDouglasConfig: "Cobb-Douglas game"}
 
 
 def _unit_interval(text: str) -> float:
@@ -76,7 +69,7 @@ def _gamma_list(text: str) -> list[float]:
     return values
 
 
-DEFAULT_GAMMAS = [0.0, 0.25, 0.5, 0.75, 1.0]
+DEFAULT_GAMMAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def _subset_label(subset: PlayerSet, players) -> str:
@@ -87,11 +80,37 @@ def _out_path(args, default: str) -> Path:
     return Path(args.output) if args.output else Path(default)
 
 
-def cmd_metrics(args) -> int:
+def _load(args, *kinds):
+    """The game in ``args.game``; a document of another kind is refused."""
     game = game_io.load_game(args.game)
-    if not isinstance(game, STGame):
-        print("metrics requires a team-game document", file=sys.stderr)
-        return 1
+    if not isinstance(game, kinds):
+        wanted = " or ".join(KIND_NAMES[k] for k in kinds)
+        raise GameError(
+            f"{args.command} requires a {wanted} document, got a {KIND_NAMES[type(game)]}"
+        )
+    return game
+
+
+def _witness(exc: NotReducibleError, players) -> str:
+    a, b = _subset_label(exc.a, players), _subset_label(exc.b, players)
+    return f"c[{a} | {b}] = {exc.value!r}"
+
+
+def _tu_game(args) -> TUGame:
+    """A TU document, or a team document reduced to TU form."""
+    game = _load(args, STGame, TUGame)
+    if isinstance(game, TUGame):
+        return game
+    try:
+        return st.reduce_to_tu(game, args.tol)
+    except NotReducibleError as exc:
+        raise GameError(
+            f"not reducible to a TU game: competitive contribution {_witness(exc, game.players)}"
+        ) from None
+
+
+def cmd_metrics(args) -> int:
+    game = _load(args, STGame)
     points = st.all_coop_points(game, include_grand=args.include_grand)
     rows = []
     full = (1 << game.n) - 1
@@ -155,20 +174,13 @@ def cmd_classify(args) -> int:
         _classify_tu(game, args.tol)
     else:
         print("kind: Cobb-Douglas resource game")
-        print(
-            f"theta={game.theta!r} gamma={game.gamma!r} alpha={game.alpha!r} beta={game.beta!r}"
-        )
+        print(f"theta={game.theta!r} alpha={game.alpha!r} beta={game.beta!r}")
         print("use `teamgames cobb` for sweeps of this game")
     return 0
 
 
 def cmd_shapley(args) -> int:
-    game = game_io.load_game(args.game)
-    if isinstance(game, STGame):
-        game = st.reduce_to_tu(game, args.tol)
-    elif not isinstance(game, TUGame):
-        print("shapley requires a TU (or reducible team) game document", file=sys.stderr)
-        return 1
+    game = _tu_game(args)
     phi = tu.shapley_value(game)
     rows = [
         {"player": name, "shapley": float(value)} for name, value in zip(game.players, phi)
@@ -181,12 +193,7 @@ def cmd_shapley(args) -> int:
 
 
 def cmd_core(args) -> int:
-    game = game_io.load_game(args.game)
-    if isinstance(game, STGame):
-        game = st.reduce_to_tu(game, args.tol)
-    elif not isinstance(game, TUGame):
-        print("core requires a TU (or reducible team) game document", file=sys.stderr)
-        return 1
+    game = _tu_game(args)
     witness = tu.core_witness(game)
     if witness is None:
         print("core: empty")
@@ -203,17 +210,12 @@ def cmd_core(args) -> int:
 
 
 def cmd_reduce_tu(args) -> int:
-    game = game_io.load_game(args.game)
-    if not isinstance(game, STGame):
-        print("reduce-tu requires a team-game document", file=sys.stderr)
-        return 1
+    game = _load(args, STGame)
     try:
         reduced = st.reduce_to_tu(game, args.tol)
     except NotReducibleError as exc:
-        a = _subset_label(exc.a, game.players)
-        b = _subset_label(exc.b, game.players)
         print("not reducible: competitive contributions do not vanish")
-        print(f"witness: c[{a} | {b}] = {exc.value!r}")
+        print(f"witness: {_witness(exc, game.players)}")
         return 0
     out = _out_path(args, Path(args.game).stem + ".tu.game")
     game_io.save_game(reduced, out)
@@ -222,15 +224,11 @@ def cmd_reduce_tu(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    game = game_io.load_game(args.game)
-    if not isinstance(game, STGame):
-        print("graph requires a team-game document", file=sys.stderr)
-        return 1
+    game = _load(args, STGame)
     try:
         matrix = additivity.extract_matrix(game, args.tol)
     except StructureError as exc:
-        print(f"not bi-additive: {exc}", file=sys.stderr)
-        return 1
+        raise GameError(f"not bi-additive: {exc}") from None
     graph = additivity.export_graph(matrix)
     out = _out_path(args, Path(args.game).stem + ".edges")
     game_io.write_edges(graph, out)
@@ -240,57 +238,48 @@ def cmd_graph(args) -> int:
 
 def _base_config(args) -> CobbDouglasConfig:
     """Configuration from the optional document, overridden by explicit flags."""
-    base = CobbDouglasConfig()
-    if getattr(args, "game", None):
-        loaded = game_io.load_game(args.game)
-        if not isinstance(loaded, CobbDouglasConfig):
-            raise GameError(f"{args.game} does not contain a cobb_douglas block")
-        base = loaded
+    base = _load(args, CobbDouglasConfig) if args.game else CobbDouglasConfig()
     updates = {}
     for field in ("theta", "alpha", "beta"):
         value = getattr(args, field, None)
         if value is not None:
-            if getattr(args, "game", None) and value != getattr(base, field):
+            if args.game and value != getattr(base, field):
                 print(f"note: flag --{field}={value} overrides document value {getattr(base, field)}")
             updates[field] = value
-    if updates:
-        base = CobbDouglasConfig(
-            theta=updates.get("theta", base.theta),
-            gamma=base.gamma,
-            alpha=updates.get("alpha", base.alpha),
-            beta=updates.get("beta", base.beta),
-            resources=base.resources,
+    return dataclasses.replace(base, **updates)
+
+
+def _check_rows(args, count: int, flag: str, budget: int) -> None:
+    """Refuse a table of more than ``budget`` rows before anything is computed."""
+    rows = count * len(args.gammas)
+    if rows > budget:
+        raise SizeLimitError(
+            f"{flag}: cobb {args.cobb_command} would write {rows} rows ({len(args.gammas)} "
+            f"gammas), over its limit of {budget}"
         )
-    return base
-
-
-def _gammas(args) -> list[float]:
-    if getattr(args, "gammas", None):
-        return args.gammas
-    if getattr(args, "gamma", None) is not None:
-        return [args.gamma]
-    return list(DEFAULT_GAMMAS)
 
 
 def cmd_cobb_sweep(args) -> int:
+    _check_rows(args, args.resolution**2, "--resolution", MAX_GRID_ROWS)
     cfg = _base_config(args)
     rows = []
-    for gamma in _gammas(args):
+    for gamma in args.gammas:
         rows.extend(
             cobb.payoff_utility_grid(
                 hybrid(gamma), cfg, args.size_a, args.size_b, args.resolution, args.tol
             )
         )
     out = _out_path(args, "cobb_sweep.csv")
-    game_io.write_table(rows, COBB_COLUMNS, out)
+    game_io.write_table(rows, cobb.COBB_COLUMNS, out)
     print(f"wrote {len(rows)} payoff/utility grid cells to {out}")
     return 0
 
 
 def cmd_cobb_path(args) -> int:
+    _check_rows(args, args.samples, "--samples", MAX_SEARCH_ROWS)
     cfg = _base_config(args)
     rows = []
-    for gamma in _gammas(args):
+    for gamma in args.gammas:
         scheme = hybrid(gamma)
         path = cobb.cooperation_path(scheme, cfg, args.size_a, args.size_b, args.samples)
         x_a, x_b = [p.x_a_avg for p in path], [p.x_b_avg for p in path]
@@ -298,35 +287,36 @@ def cmd_cobb_path(args) -> int:
             cobb.contribution_rows(scheme, cfg, args.size_a, args.size_b, x_a, x_b, args.tol)
         )
     out = _out_path(args, "cobb_path.csv")
-    game_io.write_table(rows, COBB_COLUMNS, out)
+    game_io.write_table(rows, cobb.COBB_COLUMNS, out)
     print(f"wrote {len(rows)} rational-path samples to {out}")
     return 0
 
 
 def cmd_cobb_frontier(args) -> int:
+    _check_rows(args, args.resolution, "--resolution", MAX_GRID_ROWS)
     cfg = _base_config(args)
     if not cfg.beta > 1.0:
         raise GameError(f"beta: the team-size bound needs beta > 1, got {cfg.beta!r}")
     shares = [k / args.resolution for k in range(1, args.resolution + 1)]
-    rows = cobb.stable_size_grid(cfg.beta, _gammas(args), shares)
+    rows = cobb.stable_size_grid(cfg.beta, args.gammas, shares)
     out = _out_path(args, "cobb_frontier.csv")
-    game_io.write_table(rows, ["gamma", "r", "beta", "max_stable_size"], out)
+    game_io.write_table(rows, cobb.FRONTIER_COLUMNS, out)
     print(f"wrote {len(rows)} team-size bounds to {out}")
     return 0
 
 
 def cmd_cobb_rational(args) -> int:
+    _check_rows(args, args.resolution, "--resolution", MAX_SEARCH_ROWS)
     cfg = _base_config(args)
     rows = []
-    for gamma in _gammas(args):
-        scheme = hybrid(gamma)
-        rows.extend(cobb.rational_rows(scheme, cfg, args.size_a, args.size_b, args.resolution))
+    for gamma in args.gammas:
+        rows.extend(
+            cobb.rational_rows(
+                hybrid(gamma), cfg, args.size_a, args.size_b, args.resolution, args.tol
+            )
+        )
     out = _out_path(args, "cobb_rational.csv")
-    game_io.write_table(
-        rows,
-        ["gamma", "theta", "beta", "sizeA", "sizeB", "xB_avg", "xA_rational", "zero_altruism_xA"],
-        out,
-    )
+    game_io.write_table(rows, cobb.RATIONAL_COLUMNS, out)
     print(f"wrote {len(rows)} rational-contribution samples to {out}")
     return 0
 
@@ -342,16 +332,24 @@ def cmd_scenario(args) -> int:
     return cmd_classify(ns)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flags must be spelled in full, so a prefix such as --gamma is not read as --gammas."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="teamgames",
         description="Cooperative game analysis: cooperation-space metrics, Shapley values, "
         "cores, and Cobb-Douglas contribution sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_output=True):
-        p.add_argument("--tol", type=_positive, default=DEFAULT_TOL, help="comparison tolerance")
+    def add_common(p, with_output=True, with_tol=True):
+        if with_tol:
+            p.add_argument("--tol", type=_positive, default=DEFAULT_TOL, help="comparison tolerance")
         if with_output:
             p.add_argument("-o", "--output", help="output path")
 
@@ -389,17 +387,20 @@ def build_parser() -> argparse.ArgumentParser:
     cobb_parser = sub.add_parser("cobb", help="Cobb-Douglas contribution-game sweeps")
     cobb_sub = cobb_parser.add_subparsers(dest="cobb_command", required=True)
 
-    def add_cobb_common(p, sizes=True):
+    def add_cobb_common(p, groups=True):
+        """Flags of every cobb table; ``groups`` adds those the frontier bound does not read."""
         p.add_argument("game", nargs="?", help="optional document with a cobb_douglas block")
-        p.add_argument("--theta", type=_unit_interval, default=None)
-        p.add_argument("--alpha", type=_positive, default=None)
+        if groups:
+            p.add_argument("--theta", type=_unit_interval, default=None)
+            p.add_argument("--alpha", type=_positive, default=None)
         p.add_argument("--beta", type=_positive, default=None)
-        p.add_argument("--gamma", type=_unit_interval, default=None, help="single payoff mix")
-        p.add_argument("--gammas", type=_gamma_list, default=None, help="comma-separated mixes")
-        if sizes:
+        p.add_argument(
+            "--gammas", type=_gamma_list, default=DEFAULT_GAMMAS, help="comma-separated mixes"
+        )
+        if groups:
             p.add_argument("--sizeA", dest="size_a", type=_positive_int, default=2)
             p.add_argument("--sizeB", dest="size_b", type=_positive_int, default=10)
-        add_common(p)
+        add_common(p, with_tol=groups)
 
     p = cobb_sub.add_parser("sweep", help="payoff/utility grid over average contributions")
     add_cobb_common(p)
@@ -412,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cobb_path)
 
     p = cobb_sub.add_parser("frontier", help="maximum stable team size over (gamma, r)")
-    add_cobb_common(p, sizes=False)
+    add_cobb_common(p, groups=False)
     p.add_argument("--resolution", type=_positive_int, default=101)
     p.set_defaults(func=cmd_cobb_frontier)
 
@@ -434,10 +435,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GameError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GameError, OSError) as exc:
+        # the one place a refusal is reported
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

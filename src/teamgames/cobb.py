@@ -29,39 +29,41 @@ from .tu import DEFAULT_TOL
 
 UNBOUNDED = math.inf
 
+# maximize_scalar: intervals of the coarse scan, and the width golden refinement stops at
+ARGMAX_SCAN = 256
+ARGMAX_XATOL = 1e-6
+# altruism_roots: intervals of the sign scan, and the width bisection stops at
+ROOT_SCAN = 1024
+ROOT_XATOL = 1e-8
+
+# column order of the sweep and path tables, the rational table and the frontier table
+COBB_COLUMNS = ["gamma", "theta", "beta", "sizeA", "sizeB", "xA_avg", "xB_avg", "payoff",
+                "utility", "altruism", "competitive", "marginal", "quadrant"]
+RATIONAL_COLUMNS = ["gamma", "theta", "beta", "sizeA", "sizeB", "xB_avg", "xA_rational",
+                    "zero_altruism_xA"]
+FRONTIER_COLUMNS = ["gamma", "r", "beta", "max_stable_size"]
+
 
 @dataclass(frozen=True)
 class CobbDouglasConfig:
     """Game parameters.
 
-    theta weighs payoff against reserve (1 = payoff only), gamma is the
-    default hybrid mix (1 = proportional), and the produced value is
-    alpha * x^beta.
-    ``resources`` fixes per-player pools; None means a unit pool per player,
-    the normalization under which sweep parameters are average
-    contributions in [0, 1].
+    theta weighs payoff against reserve (1 = payoff only) and the produced
+    value is alpha * x^beta. The payoff scheme and the contributions are
+    separate arguments (``PayoffScheme``, ``ContributionProfile``).
     """
 
     theta: float = 0.75
-    gamma: float = 0.5
     alpha: float = 1.0
     beta: float = 1.5
-    resources: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if not 0.0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not 0.0 < self.beta < math.inf:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        if self.resources is not None:
-            res = tuple(float(r) for r in self.resources)
-            if any(r < 0 for r in res):
-                raise ValueError("resources must be nonnegative")
-            object.__setattr__(self, "resources", res)
 
     def value(self, x):
         """Total value produced by a pooled contribution x (a number or an array).
@@ -379,25 +381,25 @@ def _golden_max(fn, lo: float, hi: float, xatol: float) -> float:
     return (lo + d) / 2.0 if yc > yd else (c + hi) / 2.0
 
 
-def maximize_scalar(fn, lo: float, hi: float, *, coarse: int = 256, xatol: float = 1e-6) -> float:
+def maximize_scalar(fn, lo: float, hi: float) -> float:
     """Argmax of fn on [lo, hi]: coarse scan, golden refinement, smallest-x ties.
 
     The scan survives non-unimodal objectives (equal-split utilities can
     peak at a boundary); golden section then sharpens the winning bracket.
     Whenever several candidates reach the same value the smallest argument
-    wins. The scan calls fn once on the array of its ``coarse + 1`` points
-    (a scalar result counts for every point); the refinement calls it on
-    single numbers.
+    wins. The scan calls fn once on the array of its ``ARGMAX_SCAN + 1``
+    points (a scalar result counts for every point); the refinement calls it
+    on single numbers and stops at width ``ARGMAX_XATOL``.
     """
     if hi < lo:
         raise ValueError("empty bracket")
     if hi == lo:
         return lo
-    grid = np.linspace(lo, hi, coarse + 1)
+    grid = np.linspace(lo, hi, ARGMAX_SCAN + 1)
     best_i = int(np.argmax(np.broadcast_to(fn(grid), grid.shape)))
     bracket_lo = float(grid[max(best_i - 1, 0)])
-    bracket_hi = float(grid[min(best_i + 1, coarse)])
-    refined = _golden_max(fn, bracket_lo, bracket_hi, xatol)
+    bracket_hi = float(grid[min(best_i + 1, ARGMAX_SCAN)])
+    refined = _golden_max(fn, bracket_lo, bracket_hi, ARGMAX_XATOL)
     candidates = sorted({lo, hi, float(grid[best_i]), refined})
     best_x = candidates[0]
     best_y = fn(best_x)
@@ -413,7 +415,7 @@ def _require_groups(size_a: int, size_b: int) -> None:
         raise ValueError("both subset sizes must be at least 1")
 
 
-def _best_response(scheme, cfg, size, others_total, team_size, cap=1.0, pool=1.0, xatol=1e-6):
+def _best_response(scheme, cfg, size, others_total, team_size, cap=1.0, pool=1.0):
     """Common contribution in [0, cap] of ``size`` members that maximizes one member's utility.
 
     The rest of the ``team_size`` team contributes ``others_total``; the
@@ -424,7 +426,7 @@ def _best_response(scheme, cfg, size, others_total, team_size, cap=1.0, pool=1.0
         pay = _group_payoff(scheme, cfg, v, 1, size * v + others_total, team_size)
         return cd_value(cfg.theta, pay, pool - v)
 
-    return maximize_scalar(utility, 0.0, cap, xatol=xatol)
+    return maximize_scalar(utility, 0.0, cap)
 
 
 def rational_contribution(
@@ -432,15 +434,13 @@ def rational_contribution(
     cfg: CobbDouglasConfig,
     profile: ContributionProfile,
     player: int,
-    *,
-    xatol: float = 1e-6,
 ) -> float:
     """The contribution maximizing the player's own utility in the full team.
 
     Everyone else's contribution is taken from ``profile`` (the player's own
     entry is ignored); ties break toward contributing less.
     """
-    return symmetric_rational_contribution(scheme, cfg, profile, PlayerSet.of(player), xatol=xatol)
+    return symmetric_rational_contribution(scheme, cfg, profile, PlayerSet.of(player))
 
 
 def symmetric_rational_contribution(
@@ -448,8 +448,6 @@ def symmetric_rational_contribution(
     cfg: CobbDouglasConfig,
     profile: ContributionProfile,
     group: PlayerSet,
-    *,
-    xatol: float = 1e-6,
 ) -> float:
     """Common per-member contribution maximizing a group member's utility.
 
@@ -469,7 +467,6 @@ def symmetric_rational_contribution(
         n,
         cap=min(profile.resources[p] for p in members),
         pool=profile.resources[members[0]],
-        xatol=xatol,
     )
 
 
@@ -480,8 +477,6 @@ def altruism_roots(
     size_b: int,
     x_b_total: float,
     *,
-    scan: int = 1024,
-    xatol: float = 1e-8,
     tol: float = DEFAULT_TOL,
 ) -> list[float]:
     """All zero crossings of A's altruism as a function of A's total contribution.
@@ -493,8 +488,9 @@ def altruism_roots(
     altruism to zero everywhere).
 
     A and B contribute symmetrically within themselves over unit pools; the
-    scan covers x_A in [0, size_a]. Grid points already within tolerance of
-    zero count as roots; sign changes are bisected to ``xatol``.
+    scan covers x_A in [0, size_a] in ``ROOT_SCAN`` intervals. Grid points
+    within ``tol`` of zero count as roots; sign changes are bisected to
+    ``ROOT_XATOL``.
     """
     _require_groups(size_a, size_b)
     if not 0.0 <= x_b_total <= size_b:
@@ -505,15 +501,15 @@ def altruism_roots(
     def altruism(x_a_total):
         return _group_payoff(scheme, cfg, x_b_total, size_b, x_a_total + x_b_total, size) - alone
 
-    grid = np.linspace(0.0, float(size_a), scan + 1)
+    grid = np.linspace(0.0, float(size_a), ROOT_SCAN + 1)
     values = altruism(grid).tolist()
     roots: list[float] = []
     for i, v in enumerate(values):
         if abs(v) <= tol:
             x = float(grid[i])
-            if not roots or x - roots[-1] > xatol:
+            if not roots or x - roots[-1] > ROOT_XATOL:
                 roots.append(x)
-    for i in range(scan):
+    for i in range(ROOT_SCAN):
         lo_v, hi_v = values[i], values[i + 1]
         if abs(lo_v) <= tol or abs(hi_v) <= tol:
             continue
@@ -521,7 +517,7 @@ def altruism_roots(
             continue
         lo, hi = float(grid[i]), float(grid[i + 1])
         f_lo = lo_v
-        while hi - lo > xatol:
+        while hi - lo > ROOT_XATOL:
             mid = (lo + hi) / 2.0
             f_mid = altruism(mid)
             if f_mid == 0.0:
@@ -537,10 +533,10 @@ def altruism_roots(
 
 
 def zero_altruism_contour(
-    scheme, cfg, size_a: int, size_b: int, x_b_total: float, **kwargs
+    scheme, cfg, size_a: int, size_b: int, x_b_total: float, *, tol: float = DEFAULT_TOL
 ) -> float | None:
     """Smallest contribution of A at which its altruism vanishes, if any."""
-    roots = altruism_roots(scheme, cfg, size_a, size_b, x_b_total, **kwargs)
+    roots = altruism_roots(scheme, cfg, size_a, size_b, x_b_total, tol=tol)
     return roots[0] if roots else None
 
 
@@ -588,8 +584,6 @@ def cooperation_path(
     size_a: int,
     size_b: int,
     samples: int = 101,
-    *,
-    xatol: float = 1e-6,
 ) -> list[PathPoint]:
     """Path traced by subset A responding rationally to B's average contribution.
 
@@ -602,12 +596,18 @@ def cooperation_path(
     _require_groups(size_a, size_b)
     x_b = np.linspace(0.0, 1.0, samples).tolist()
     team = size_a + size_b
-    x_a = [_best_response(scheme, cfg, size_a, size_b * t, team, xatol=xatol) for t in x_b]
+    x_a = [_best_response(scheme, cfg, size_a, size_b * t, team) for t in x_b]
     _, _, alt, comp, marginal = _group_metrics(scheme, cfg, size_a, size_b, x_a, x_b)
     return [
         PathPoint(t, x, CoopPoint(*point, subset=None))
         for t, x, point in zip(x_b, x_a, zip(alt.tolist(), comp.tolist(), marginal.tolist()))
     ]
+
+
+def _fixed_cells(scheme, cfg, size_a: int, size_b: int) -> dict:
+    """The leading cells every row of a sweep, path or rational table shares."""
+    return {"gamma": scheme.mix, "theta": cfg.theta, "beta": cfg.beta,
+            "sizeA": size_a, "sizeB": size_b}
 
 
 def contribution_rows(
@@ -626,8 +626,7 @@ def contribution_rows(
     member of B contributes x_b[i] (unit pools), with the quadrant
     classified at tolerance ``tol``.
     """
-    fixed = {"gamma": scheme.mix, "theta": cfg.theta, "beta": cfg.beta,
-             "sizeA": size_a, "sizeB": size_b}
+    fixed = _fixed_cells(scheme, cfg, size_a, size_b)
     names = ("xA_avg", "xB_avg", "payoff", "utility", "altruism", "competitive", "marginal")
     columns = (x_a, x_b, *_group_metrics(scheme, cfg, size_a, size_b, x_a, x_b))
     rows = []
@@ -659,22 +658,24 @@ def payoff_utility_grid(
     return contribution_rows(scheme, cfg, size_a, size_b, x_a.ravel(), x_b.ravel(), tol)
 
 
-def rational_rows(scheme, cfg, size_a: int, size_b: int, resolution: int = 101) -> list[dict]:
+def rational_rows(
+    scheme, cfg, size_a: int, size_b: int, resolution: int = 101, tol: float = DEFAULT_TOL
+) -> list[dict]:
     """Rows of the rational table, one per average contribution k/(resolution-1) of B.
 
     Each row holds the common utility-maximizing contribution of A's
     members and the smallest average contribution of A at which B's payment
-    balance vanishes (None without a zero crossing); pools are unit.
+    balance vanishes, within ``tol`` (None without a zero crossing); pools
+    are unit.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    fixed = {"gamma": scheme.mix, "theta": cfg.theta, "beta": cfg.beta,
-             "sizeA": size_a, "sizeB": size_b}
+    fixed = _fixed_cells(scheme, cfg, size_a, size_b)
     rows = []
     for k in range(resolution):
         x_b = k / (resolution - 1)
         x_a = _best_response(scheme, cfg, size_a, size_b * x_b, size_a + size_b)
-        root = zero_altruism_contour(scheme, cfg, size_a, size_b, x_b * size_b)
+        root = zero_altruism_contour(scheme, cfg, size_a, size_b, x_b * size_b, tol=tol)
         zero = None if root is None else root / size_a
         rows.append(dict(fixed, xB_avg=x_b, xA_rational=x_a, zero_altruism_xA=zero))
     return rows

@@ -36,13 +36,15 @@ from .st import STGame
 from .tu import MAX_EXHAUSTIVE, TUGame
 
 DOCUMENT_VERSION = 1
+COBB_KEYS = ("theta", "alpha", "beta")
 
 
 def _require(doc: dict, key: str, kind, location: str):
     if key not in doc:
         raise GameLoadError(f"missing required field {key!r}", location)
     value = doc[key]
-    if not isinstance(value, kind):
+    # JSON true and false are Python bools, which are ints too
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise GameLoadError(
             f"field {key!r} must be {getattr(kind, '__name__', kind)}, got {type(value).__name__}",
             location,
@@ -69,9 +71,10 @@ def _parse_subset(entry, index: dict[str, int], location: str) -> int:
         raise GameLoadError("subset must be an array of player names", location)
     mask = 0
     for j, name in enumerate(entry):
-        if name not in index:
-            raise GameLoadError(f"unknown player {name!r}", f"{location}[{j}]")
-        bit = 1 << index[name]
+        try:
+            bit = 1 << index[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name, such as an array
+            raise GameLoadError(f"unknown player {name!r}", f"{location}[{j}]") from None
         if mask & bit:
             raise GameLoadError(f"player {name!r} listed twice", f"{location}[{j}]")
         mask |= bit
@@ -108,31 +111,12 @@ def parse_document(doc: dict):
 
 def _parse_cobb(doc: dict) -> CobbDouglasConfig:
     block = _require(doc, "cobb_douglas", dict, "cobb_douglas")
-    known = {"theta", "gamma", "alpha", "beta", "resources"}
     for key in block:
-        if key not in known:
+        if key not in COBB_KEYS:
             raise GameLoadError(f"unknown parameter {key!r}", f"cobb_douglas.{key}")
-    params = {}
-    for key in ("theta", "gamma", "alpha", "beta"):
-        if key in block:
-            params[key] = _parse_value(block[key], f"cobb_douglas.{key}")
-    resources = None
-    if "resources" in block:
-        raw = block["resources"]
-        if not isinstance(raw, list) or not raw:
-            raise GameLoadError("resources must be a nonempty array", "cobb_douglas.resources")
-        resources = tuple(
-            _parse_value(v, f"cobb_douglas.resources[{i}]") for i, v in enumerate(raw)
-        )
-        if "players" in doc:
-            players = _parse_players(doc)
-            if len(players) != len(resources):
-                raise GameLoadError(
-                    f"{len(resources)} resource pools for {len(players)} players",
-                    "cobb_douglas.resources",
-                )
+    params = {key: _parse_value(value, f"cobb_douglas.{key}") for key, value in block.items()}
     try:
-        return CobbDouglasConfig(resources=resources, **params)
+        return CobbDouglasConfig(**params)
     except ValueError as exc:
         raise GameLoadError(str(exc), "cobb_douglas") from None
 
@@ -253,16 +237,18 @@ def _parse_st(doc: dict) -> STGame:
 
 def load_game(source):
     """Load a game document from a path or open text stream."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
+    try:
+        text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GameLoadError(f"not UTF-8 text ({exc.reason})", f"byte {exc.start}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GameLoadError(
             f"malformed document: {exc.msg}", f"line {exc.lineno}, column {exc.colno}"
         ) from None
+    except RecursionError:
+        raise GameLoadError("malformed document: nested too deeply", "$") from None
     return parse_document(doc)
 
 
@@ -304,14 +290,7 @@ def document_for(game) -> dict:
             ],
         }
     if isinstance(game, CobbDouglasConfig):
-        block = {
-            "theta": game.theta,
-            "gamma": game.gamma,
-            "alpha": game.alpha,
-            "beta": game.beta,
-        }
-        if game.resources is not None:
-            block["resources"] = list(game.resources)
+        block = {key: getattr(game, key) for key in COBB_KEYS}
         return {"version": DOCUMENT_VERSION, "cobb_douglas": block}
     raise TypeError(f"cannot serialize {type(game).__name__}")
 
@@ -321,38 +300,35 @@ def save_game(game, path) -> None:
 
 
 def format_cell(value) -> str:
-    """Full-precision, deterministic text for one table cell."""
-    if isinstance(value, bool):
-        return str(value).lower()
+    """Full-precision, deterministic text for one table cell.
+
+    numpy floats and bools print like their Python counterparts.
+    """
     if isinstance(value, float):
-        return repr(value)
+        # float.__repr__, not repr: numpy 2 spells repr(np.float64(0.1)) 'np.float64(0.1)'
+        return float.__repr__(value)
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
     if value is None:
         return ""
     return str(value)
 
 
 def write_table(rows, columns, path) -> None:
-    """Write rectangular data as UTF-8 CSV with a header and newline-terminated rows.
+    """Write mappings keyed by column name as UTF-8 CSV with a header row.
 
-    Rows may be sequences (matching ``columns``) or mappings keyed by column
-    name. Row order is preserved, so identical inputs produce identical
-    bytes.
+    Every line ends in a newline and rows keep their order, so identical
+    inputs produce identical bytes.
     """
     columns = list(columns)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for i, row in enumerate(rows):
-            if isinstance(row, dict):
-                missing = [c for c in columns if c not in row]
-                if missing:
-                    raise ValueError(f"row {i} is missing columns {missing}")
-                cells = [row[c] for c in columns]
-            else:
-                cells = list(row)
-                if len(cells) != len(columns):
-                    raise ValueError(f"row {i} has {len(cells)} cells for {len(columns)} columns")
-            writer.writerow([format_cell(c) for c in cells])
+            missing = [c for c in columns if c not in row]
+            if missing:
+                raise ValueError(f"row {i} is missing columns {missing}")
+            writer.writerow([format_cell(row[c]) for c in columns])
 
 
 def write_edges(graph: PerceptionGraph, path) -> None:

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from teamgames import cli
 from teamgames.cli import main
-from teamgames.scenarios import PRISONERS_DILEMMA
+from teamgames.scenarios import GLOVE, PRISONERS_DILEMMA
 
 
 @pytest.fixture()
@@ -15,6 +16,19 @@ def pd_file(tmp_path):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def write_doc(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def one_error_line(capsys) -> str:
+    """The single stderr line of a refused command."""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
 
 
 class TestMetrics:
@@ -165,6 +179,62 @@ class TestGraph:
         assert "not bi-additive" in capsys.readouterr().err
 
 
+class TestRefusals:
+    """Every refusal ends in exactly one ``error:`` line on stderr and exit status 1."""
+
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            ("metrics", "tu", "error: metrics requires a team game document, got a TU game"),
+            ("shapley", "cobb", "error: shapley requires a team game or TU game document, "
+                                "got a Cobb-Douglas game"),
+            ("core", "cobb", "error: core requires a team game or TU game document, "
+                             "got a Cobb-Douglas game"),
+            ("reduce-tu", "tu", "error: reduce-tu requires a team game document, got a TU game"),
+            ("graph", "tu", "error: graph requires a team game document, got a TU game"),
+            ("graph", "pd", "error: not bi-additive: "),
+            ("cobb sweep", "tu", "error: cobb requires a Cobb-Douglas game document, got a TU game"),
+        ],
+        ids=["metrics", "shapley", "core", "reduce-tu", "graph", "graph-not-biadditive", "cobb"],
+    )
+    def test_wrong_document_is_one_error_line(self, tmp_path, capsys, command, doc, message):
+        docs = {"tu": GLOVE, "pd": PRISONERS_DILEMMA,
+                "cobb": {"version": 1, "cobb_douglas": {"beta": 2.0}}}
+        path = write_doc(tmp_path, f"{doc}.game", docs[doc])
+        out = tmp_path / "out"
+        assert run([*command.split(), path, "-o", out]) == 1
+        assert one_error_line(capsys).startswith(message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["shapley", "core"])
+    def test_unreducible_witness_is_named_by_players(self, pd_file, tmp_path, capsys, command):
+        assert run([command, pd_file, "-o", tmp_path / "out.csv"]) == 1
+        assert one_error_line(capsys) == (
+            "error: not reducible to a TU game: competitive contribution c[A | B] = 2.0"
+        )
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("[" * 100_000 + "]" * 100_000, "error: $: malformed document: nested too deeply"),
+            (b'{"version": 1, "players": ["\xe9"]}', "error: byte 28: not UTF-8 text"),
+            ('{"version": true, "players": ["A"], "utilities": []}',
+             "error: version: field 'version' must be int, got bool"),
+            ('{"version": 1, "players": ["A"], "utilities": [{"subset": [["A"]], "value": 1}]}',
+             "error: utilities[0].subset[0]: unknown player ['A']"),
+        ],
+        ids=["deep-nesting", "not-utf8", "version-true", "nested-player-name"],
+    )
+    def test_unreadable_document_is_one_error_line(self, tmp_path, capsys, content, message):
+        path = tmp_path / "bad.game"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+        assert run(["classify", path]) == 1
+        assert one_error_line(capsys).startswith(message)
+
+
 class TestAgainstDirectApi:
     def test_metrics_rows_match_library_calls(self, tmp_path):
         import numpy as np
@@ -299,9 +369,9 @@ class TestCobbCommands:
             (["rational", "--beta", "1e308", "--resolution", 3], None),
             (["path", "--alpha", "1e308", "--samples", 3], None),
             (["sweep", "--sizeA", 10**400, "--resolution", 3], None),
-            (["sweep", "--sizeA", 2, "--sizeB", 63, "--resolution", 3, "--gamma", 0.5], 9),
-            (["path", "--sizeA", 2, "--sizeB", 63, "--samples", 3, "--gamma", 0.5], 3),
-            (["rational", "--sizeA", 2, "--sizeB", 63, "--resolution", 3, "--gamma", 0.5], 3),
+            (["sweep", "--sizeA", 2, "--sizeB", 63, "--resolution", 3, "--gammas", 0.5], 9),
+            (["path", "--sizeA", 2, "--sizeB", 63, "--samples", 3, "--gammas", 0.5], 3),
+            (["rational", "--sizeA", 2, "--sizeB", 63, "--resolution", 3, "--gammas", 0.5], 3),
         ],
     )
     def test_flag_values_end_in_a_table_or_one_error_line(self, tmp_path, capsys, argv, rows):
@@ -319,6 +389,87 @@ class TestCobbCommands:
         table = out.read_text(encoding="utf-8").splitlines()
         assert len(table) == 1 + rows
         assert not any(word in line for line in table for word in ("inf", "nan"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["frontier", "--theta", 0.5],
+            ["frontier", "--alpha", 2],
+            ["frontier", "--tol", 0.1],
+            ["sweep", "--gamma", 0.5],
+            ["path", "--gamma", 0.5],
+            ["frontier", "--gamma", 0.5],
+            ["rational", "--gamma", 0.5],
+        ],
+    )
+    def test_removed_flags_are_usage_errors(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["cobb", *argv, "-o", out])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("gamma", 0.3), ("resources", [1.0, 1.0])])
+    def test_removed_document_keys_are_refused(self, tmp_path, capsys, key, value):
+        doc = {"version": 1, "cobb_douglas": {"theta": 0.6, key: value}}
+        path = write_doc(tmp_path, "cd.game", doc)
+        out = tmp_path / "sweep.csv"
+        assert run(["cobb", "sweep", path, "--resolution", 3, "-o", out]) == 1
+        assert one_error_line(capsys) == f"error: cobb_douglas.{key}: unknown parameter {key!r}"
+        assert not out.exists()
+
+    def test_classify_prints_the_cobb_douglas_parameters(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "cd.game", {"version": 1, "cobb_douglas": {"theta": 0.6}})
+        assert run(["classify", path]) == 0
+        assert "theta=0.6 alpha=1.0 beta=1.5\n" in capsys.readouterr().out
+
+    def test_rational_tol_reaches_the_root_scan(self, tmp_path):
+        args = ["cobb", "rational", "--resolution", 5, "--gammas", "0"]
+        tables = {}
+        for tol in (None, "1e-9", "0.5"):
+            out = tmp_path / f"rational-{tol}.csv"
+            assert run(args + (["--tol", tol] if tol else []) + ["-o", out]) == 0
+            tables[tol] = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert tables[None] == tables["1e-9"]
+        default, wide = tables[None], tables["0.5"]
+        # the rational choice does not depend on --tol; the zero-altruism root does
+        assert [row[:7] for row in default] == [row[:7] for row in wide]
+        assert [row[7] for row in default[1:]] != [row[7] for row in wide[1:]]
+
+    @pytest.mark.parametrize(
+        "command, table_fn, count_flag, budget",
+        [
+            ("sweep", "payoff_utility_grid", "--resolution", "MAX_GRID_ROWS"),
+            ("path", "cooperation_path", "--samples", "MAX_SEARCH_ROWS"),
+            ("rational", "rational_rows", "--resolution", "MAX_SEARCH_ROWS"),
+            ("frontier", "stable_size_grid", "--resolution", "MAX_GRID_ROWS"),
+        ],
+    )
+    def test_row_budget_refuses_before_computing(
+        self, tmp_path, capsys, monkeypatch, command, table_fn, count_flag, budget
+    ):
+        monkeypatch.setattr(cli.cobb, table_fn, lambda *args, **kwargs: [])
+        limit = getattr(cli, budget)
+        per_gamma = int(limit**0.5) if command == "sweep" else limit
+        # the default gammas and this command's default count fit
+        default = 101**2 if command == "sweep" else 101
+        assert default * len(cli.DEFAULT_GAMMAS) <= limit
+        out = tmp_path / "out.csv"
+        assert run(["cobb", command, count_flag, per_gamma, "--gammas", "0", "-o", out]) == 0
+        # one more row per gamma, or a second gamma, passes the budget: refused before any rows
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{table_fn} called past the row budget")
+
+        monkeypatch.setattr(cli.cobb, table_fn, refuse)
+        for count, gammas in ((per_gamma + 1, "0"), (per_gamma, "0,1")):
+            out.unlink(missing_ok=True)
+            argv = ["cobb", command, count_flag, count, "--gammas", gammas, "-o", out]
+            assert run(argv) == 1
+            line = one_error_line(capsys)
+            assert line.startswith(f"error: {count_flag}: cobb {command} would write ")
+            assert line.endswith(f"over its limit of {limit}")
+            assert not out.exists()
 
     def test_seed_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit):

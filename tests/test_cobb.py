@@ -97,7 +97,7 @@ class TestCdValue:
 
 
 class TestPayoff:
-    cfg = CobbDouglasConfig(theta=0.5, beta=2.0, resources=(5.0, 5.0))
+    cfg = CobbDouglasConfig(theta=0.5, beta=2.0)
     prof = ContributionProfile((2.0, 3.0), (5.0, 5.0))
 
     def test_scheme_arithmetic(self):
@@ -171,21 +171,21 @@ class TestPayoff:
 class TestSubsetUtility:
     def test_power_arithmetic(self):
         # payoff 16 at theta 0.75 with unit reserve
-        cfg = CobbDouglasConfig(theta=0.75, beta=1.0, alpha=4.0, resources=(5.0, 5.0))
+        cfg = CobbDouglasConfig(theta=0.75, beta=1.0, alpha=4.0)
         prof = ContributionProfile((1.0, 3.0), (5.0, 5.0))
         # proportional: (1/4) * 4*4 = 4 ... pick equal to land on 16: f(4)=16, |A|/|S|=1/2 -> 8
         value = cd_subset_utility(PROPORTIONAL, cfg, prof, A, S2)
         assert abs(value - (4.0**0.75) * (4.0**0.25)) <= 1e-12
 
     def test_sixteen_to_three_quarters(self):
-        cfg = CobbDouglasConfig(theta=0.75, beta=2.0, resources=(5.0, 5.0))
+        cfg = CobbDouglasConfig(theta=0.75, beta=2.0)
         prof = ContributionProfile((2.0, 2.0), (3.0, 5.0))
         # f(4) = 16, proportional share 1/2 -> payoff 8; reserve of A is 1
         assert payoff(PROPORTIONAL, cfg, prof, A, S2) == 8.0
         assert cd_subset_utility(PROPORTIONAL, cfg, prof, A, S2) == 8.0**0.75
 
     def test_zero_reserve_with_interior_theta(self):
-        cfg = CobbDouglasConfig(theta=0.75, beta=1.5, resources=(1.0, 1.0))
+        cfg = CobbDouglasConfig(theta=0.75, beta=1.5)
         prof = ContributionProfile((1.0, 0.5), (1.0, 1.0))
         assert cd_subset_utility(PROPORTIONAL, cfg, prof, A, S2) == 0.0
 

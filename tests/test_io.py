@@ -1,6 +1,7 @@
 import copy
 import json
 
+import numpy as np
 import pytest
 
 from teamgames.additivity import BiAdditiveMatrix, export_graph
@@ -132,11 +133,11 @@ def test_unsupported_version():
 def test_cobb_document_round_trip(tmp_path):
     doc = {
         "version": 1,
-        "cobb_douglas": {"theta": 0.6, "gamma": 0.4, "alpha": 2.0, "beta": 1.5, "resources": [1.0, 2.0]},
+        "cobb_douglas": {"theta": 0.6, "alpha": 2.0, "beta": 1.5},
     }
     cfg = parse_document(doc)
     assert isinstance(cfg, CobbDouglasConfig)
-    assert cfg.theta == 0.6 and cfg.resources == (1.0, 2.0)
+    assert cfg.theta == 0.6
     path = tmp_path / "cd.game"
     save_game(cfg, path)
     again = load_game(path)
@@ -181,6 +182,8 @@ def test_write_table_deterministic_and_full_precision(tmp_path):
     rows = [
         {"name": "a", "value": 1 / 3, "flag": True},
         {"name": "b", "value": 2.0, "flag": False},
+        {"name": "c", "value": np.float64(0.1), "flag": np.bool_(True)},
+        {"name": "d", "value": np.float64(-1e-300), "flag": np.bool_(False)},
     ]
     p1 = tmp_path / "one.csv"
     p2 = tmp_path / "two.csv"
@@ -193,6 +196,8 @@ def test_write_table_deterministic_and_full_precision(tmp_path):
     assert text.endswith("\n")
     # round-trips through float() exactly
     assert float(text.splitlines()[1].split(",")[1]) == 1 / 3
+    # numpy scalars print like Python floats and bools
+    assert text.splitlines()[3:] == ["c,0.1,true", "d,-1e-300,false"]
 
 
 def test_write_table_empty_is_header_only(tmp_path):
@@ -208,8 +213,6 @@ def test_write_table_quotes_awkward_cells(tmp_path):
 
 
 def test_write_table_rejects_ragged_rows(tmp_path):
-    with pytest.raises(ValueError, match="row 0"):
-        write_table([[1, 2, 3]], ["a", "b"], tmp_path / "bad.csv")
     with pytest.raises(ValueError, match="missing"):
         write_table([{"a": 1}], ["a", "b"], tmp_path / "bad2.csv")
 
