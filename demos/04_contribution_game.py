@@ -56,23 +56,22 @@ for x_b in (0.4, 0.7, 1.0):
 print()
 
 print("== paths of rational behavior in cooperation space ==")
-rows = []
+tables = []
 for gamma in (0.0, 0.5, 1.0):
-    for sample in cooperation_path(hybrid(gamma), cfg, 2, 10, samples=11):
-        rows.append(
-            {
-                "gamma": gamma,
-                "xB_avg": sample.x_b_avg,
-                "xA_avg": sample.x_a_avg,
-                "altruism": sample.point.altruism,
-                "competitive": sample.point.competitive,
-            }
-        )
-write_table(rows, ["gamma", "xB_avg", "xA_avg", "altruism", "competitive"], "paths.csv")
+    path = cooperation_path(hybrid(gamma), cfg, 2, 10, samples=11)
+    tables.append(
+        {
+            "gamma": [gamma] * len(path),
+            "xB_avg": [sample.x_b_avg for sample in path],
+            "xA_avg": [sample.x_a_avg for sample in path],
+            "altruism": [sample.point.altruism for sample in path],
+            "competitive": [sample.point.competitive for sample in path],
+        }
+    )
+write_table(tables, ["gamma", "xB_avg", "xA_avg", "altruism", "competitive"], "paths.csv")
 print("wrote paths.csv; the 2-member subset A responds rationally to the")
 print("10-member B's average contribution")
 
-worst = min(r["altruism"] for r in rows if r["gamma"] == 0.0)
-print(f"equal split: altruism dips to {worst:.4f} as B nears full effort")
-worst = min(r["altruism"] for r in rows if r["gamma"] == 1.0)
-print(f"proportional: never below {worst:.4f} (cheating does not pay)")
+equal, _, proportional = tables
+print(f"equal split: altruism dips to {min(equal['altruism']):.4f} as B nears full effort")
+print(f"proportional: never below {min(proportional['altruism']):.4f} (cheating does not pay)")

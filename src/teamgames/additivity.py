@@ -18,18 +18,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SizeLimitError, StructureError
-from .players import PlayerSet, mask_pairs, mask_sizes
+from .errors import StructureError
+from .players import PlayerSet, check_pair_scan, mask_pairs, mask_sizes
 from .st import STGame
 from .tu import DEFAULT_TOL
-
-MAX_DETECT = 16
-
-
-def _check_size(n: int) -> None:
-    if n > MAX_DETECT:
-        raise SizeLimitError(f"structure detectors support n <= {MAX_DETECT}, got {n}")
-
 
 def _bits(mask: int) -> list[int]:
     return list(PlayerSet(mask))
@@ -50,7 +42,7 @@ def _member_sum(n: int, members, term) -> np.ndarray:
 
 def _find_additive_violation(g: STGame, tol: float):
     """First (assessor, coalition, got, expected) where u_A(S) != sum of members' u_a(S)."""
-    _check_size(g.n)
+    check_pair_scan(g.n)
     for s, a in mask_pairs((1 << g.n) - 1, nested=True, nonempty=True):
         # u_i(V(S)) once per member i of each coalition in the chunk's range
         lo = int(s[0])
@@ -75,7 +67,7 @@ def _find_coadditive_violation(g: STGame, tol: float):
     the identity as a total function; the missing entry is reported as the
     violation.
     """
-    _check_size(g.n)
+    check_pair_scan(g.n)
     for s, a in mask_pairs((1 << g.n) - 1, nested=True, nonempty=True):
         expected = _member_sum(g.n, s, lambda i, sel: g.u(a[sel], 1 << i))
         got = g.u(a, s)
@@ -153,7 +145,7 @@ def extract_matrix(g: STGame, tol: float = DEFAULT_TOL) -> BiAdditiveMatrix:
     nested (assessor, coalition) pairs; otherwise a StructureError carries
     the first witness.
     """
-    _check_size(g.n)
+    check_pair_scan(g.n)
     n = g.n
     singles = 1 << np.arange(n, dtype=np.int64)
     mat = g.u(singles[:, None], singles[None, :])
@@ -272,7 +264,6 @@ def additive_predicates(g: STGame, tol: float = DEFAULT_TOL) -> AdditiveReport:
     violation = _find_additive_violation(g, tol)
     if violation is not None:
         raise StructureError("game is not additive", witness=violation)
-    _check_size(g.n)
     n, full = g.n, (1 << g.n) - 1
     masks = np.arange(1, full + 1, dtype=np.int64)
     values_ok = not any(
@@ -321,7 +312,6 @@ def coadditive_predicates(g: STGame, tol: float = DEFAULT_TOL) -> CoadditiveRepo
     violation = _find_coadditive_violation(g, tol)
     if violation is not None:
         raise StructureError("game is not co-additive", witness=violation)
-    _check_size(g.n)
     n, full = g.n, (1 << g.n) - 1
     masks = np.arange(1, full + 1, dtype=np.int64)
     outsiders_ok = not any(

@@ -22,8 +22,9 @@ from .st import STGame
 from .tu import DEFAULT_TOL, TUGame
 
 # Row budgets of the cobb tables, checked before anything is computed. On a 2-core
-# machine a sweep or frontier row (a closed form) costs up to 20 us and 1 KB, and a
-# path or rational row (one optimization) about 2 ms: at most about 20 s and 0.25 GB.
+# machine a sweep or frontier row (a closed form) costs up to 23 us and 0.2 KB (a
+# 250,000-row sweep: 5.7 s, 77 MB peak), and a path or rational row (one optimization)
+# about 3 ms: at most about 30 s and 0.1 GB.
 MAX_GRID_ROWS = 250_000
 MAX_SEARCH_ROWS = 10_000
 
@@ -112,25 +113,21 @@ def _tu_game(args) -> TUGame:
 def cmd_metrics(args) -> int:
     game = _load(args, STGame)
     points = st.all_coop_points(game, include_grand=args.include_grand)
-    rows = []
     full = (1 << game.n) - 1
-    for p in points:
-        rows.append(
-            {
-                "subset": _subset_label(p.subset, game.players),
-                "altruism": p.altruism,
-                "competitive": p.competitive,
-                "marginal": p.marginal,
-                "quadrant": st.classify_quadrant(p, args.tol).value,
-                "grand": p.subset.mask == full,
-            }
-        )
+    table = {
+        "subset": [_subset_label(p.subset, game.players) for p in points],
+        "altruism": [p.altruism for p in points],
+        "competitive": [p.competitive for p in points],
+        "marginal": [p.marginal for p in points],
+        "quadrant": [st.classify_quadrant(p, args.tol).value for p in points],
+        "grand": [p.subset.mask == full for p in points],
+    }
     columns = ["subset", "altruism", "competitive", "marginal", "quadrant"]
     if args.include_grand:
         columns.append("grand")
     out = _out_path(args, Path(args.game).stem + ".metrics.csv")
-    game_io.write_table(rows, columns, out)
-    print(f"wrote {len(rows)} cooperation-space points to {out}")
+    rows = game_io.write_table([table], columns, out)
+    print(f"wrote {rows} cooperation-space points to {out}")
     return 0
 
 
@@ -182,11 +179,8 @@ def cmd_classify(args) -> int:
 def cmd_shapley(args) -> int:
     game = _tu_game(args)
     phi = tu.shapley_value(game)
-    rows = [
-        {"player": name, "shapley": float(value)} for name, value in zip(game.players, phi)
-    ]
     out = _out_path(args, Path(args.game).stem + ".shapley.csv")
-    game_io.write_table(rows, ["player", "shapley"], out)
+    game_io.write_table([{"player": game.players, "shapley": phi}], ["player", "shapley"], out)
     print(f"wrote Shapley allocation to {out}")
     print(f"efficient sum: {float(phi.sum())!r} vs grand worth {game.grand_value()!r}")
     return 0
@@ -198,12 +192,9 @@ def cmd_core(args) -> int:
     if witness is None:
         print("core: empty")
         return 0
-    rows = [
-        {"player": name, "allocation": float(value)}
-        for name, value in zip(game.players, witness)
-    ]
     out = _out_path(args, Path(args.game).stem + ".core.csv")
-    game_io.write_table(rows, ["player", "allocation"], out)
+    table = {"player": game.players, "allocation": witness}
+    game_io.write_table([table], ["player", "allocation"], out)
     print("core: nonempty")
     print(f"wrote witness allocation to {out}")
     return 0
@@ -262,33 +253,32 @@ def _check_rows(args, count: int, flag: str, budget: int) -> None:
 def cmd_cobb_sweep(args) -> int:
     _check_rows(args, args.resolution**2, "--resolution", MAX_GRID_ROWS)
     cfg = _base_config(args)
-    rows = []
-    for gamma in args.gammas:
-        rows.extend(
-            cobb.payoff_utility_grid(
-                hybrid(gamma), cfg, args.size_a, args.size_b, args.resolution, args.tol
-            )
+    tables = [
+        cobb.payoff_utility_grid(
+            hybrid(gamma), cfg, args.size_a, args.size_b, args.resolution, args.tol
         )
+        for gamma in args.gammas
+    ]
     out = _out_path(args, "cobb_sweep.csv")
-    game_io.write_table(rows, cobb.COBB_COLUMNS, out)
-    print(f"wrote {len(rows)} payoff/utility grid cells to {out}")
+    rows = game_io.write_table(tables, cobb.COBB_COLUMNS, out)
+    print(f"wrote {rows} payoff/utility grid cells to {out}")
     return 0
 
 
 def cmd_cobb_path(args) -> int:
     _check_rows(args, args.samples, "--samples", MAX_SEARCH_ROWS)
     cfg = _base_config(args)
-    rows = []
+    tables = []
     for gamma in args.gammas:
         scheme = hybrid(gamma)
         path = cobb.cooperation_path(scheme, cfg, args.size_a, args.size_b, args.samples)
         x_a, x_b = [p.x_a_avg for p in path], [p.x_b_avg for p in path]
-        rows.extend(
-            cobb.contribution_rows(scheme, cfg, args.size_a, args.size_b, x_a, x_b, args.tol)
+        tables.append(
+            cobb.contribution_table(scheme, cfg, args.size_a, args.size_b, x_a, x_b, args.tol)
         )
     out = _out_path(args, "cobb_path.csv")
-    game_io.write_table(rows, cobb.COBB_COLUMNS, out)
-    print(f"wrote {len(rows)} rational-path samples to {out}")
+    rows = game_io.write_table(tables, cobb.COBB_COLUMNS, out)
+    print(f"wrote {rows} rational-path samples to {out}")
     return 0
 
 
@@ -298,26 +288,23 @@ def cmd_cobb_frontier(args) -> int:
     if not cfg.beta > 1.0:
         raise GameError(f"beta: the team-size bound needs beta > 1, got {cfg.beta!r}")
     shares = [k / args.resolution for k in range(1, args.resolution + 1)]
-    rows = cobb.stable_size_grid(cfg.beta, args.gammas, shares)
+    table = cobb.stable_size_grid(cfg.beta, args.gammas, shares)
     out = _out_path(args, "cobb_frontier.csv")
-    game_io.write_table(rows, cobb.FRONTIER_COLUMNS, out)
-    print(f"wrote {len(rows)} team-size bounds to {out}")
+    rows = game_io.write_table([table], cobb.FRONTIER_COLUMNS, out)
+    print(f"wrote {rows} team-size bounds to {out}")
     return 0
 
 
 def cmd_cobb_rational(args) -> int:
     _check_rows(args, args.resolution, "--resolution", MAX_SEARCH_ROWS)
     cfg = _base_config(args)
-    rows = []
-    for gamma in args.gammas:
-        rows.extend(
-            cobb.rational_rows(
-                hybrid(gamma), cfg, args.size_a, args.size_b, args.resolution, args.tol
-            )
-        )
+    tables = [
+        cobb.rational_table(hybrid(gamma), cfg, args.size_a, args.size_b, args.resolution, args.tol)
+        for gamma in args.gammas
+    ]
     out = _out_path(args, "cobb_rational.csv")
-    game_io.write_table(rows, cobb.RATIONAL_COLUMNS, out)
-    print(f"wrote {len(rows)} rational-contribution samples to {out}")
+    rows = game_io.write_table(tables, cobb.RATIONAL_COLUMNS, out)
+    print(f"wrote {rows} rational-contribution samples to {out}")
     return 0
 
 

@@ -604,13 +604,7 @@ def cooperation_path(
     ]
 
 
-def _fixed_cells(scheme, cfg, size_a: int, size_b: int) -> dict:
-    """The leading cells every row of a sweep, path or rational table shares."""
-    return {"gamma": scheme.mix, "theta": cfg.theta, "beta": cfg.beta,
-            "sizeA": size_a, "sizeB": size_b}
-
-
-def contribution_rows(
+def contribution_table(
     scheme: PayoffScheme,
     cfg: CobbDouglasConfig,
     size_a: int,
@@ -618,23 +612,24 @@ def contribution_rows(
     x_a,
     x_b,
     tol: float = DEFAULT_TOL,
-) -> list[dict]:
-    """Rows of the sweep and path tables.
+) -> dict:
+    """Columns of the sweep and path tables, keyed by ``COBB_COLUMNS``.
 
-    One row per pair (x_a[i], x_b[i]): A's payoff, utility and cooperation
-    point against B when every member of A contributes x_a[i] and every
-    member of B contributes x_b[i] (unit pools), with the quadrant
-    classified at tolerance ``tol``.
+    Row i holds A's payoff, utility and cooperation point against B when
+    every member of A contributes x_a[i] and every member of B contributes
+    x_b[i] (unit pools), with the quadrant classified at tolerance ``tol``.
     """
-    fixed = _fixed_cells(scheme, cfg, size_a, size_b)
-    names = ("xA_avg", "xB_avg", "payoff", "utility", "altruism", "competitive", "marginal")
-    columns = (x_a, x_b, *_group_metrics(scheme, cfg, size_a, size_b, x_a, x_b))
-    rows = []
-    for values in zip(*(np.asarray(c, dtype=float).tolist() for c in columns)):
-        row = dict(fixed, **dict(zip(names, values)))
-        row["quadrant"] = quadrant_of(row["altruism"], row["competitive"], tol).value
-        rows.append(row)
-    return rows
+    x_a = np.asarray(x_a, dtype=float)
+    x_b = np.asarray(x_b, dtype=float)
+    pay, utility, alt, comp, marginal = _group_metrics(scheme, cfg, size_a, size_b, x_a, x_b)
+    n = len(x_a)
+    return {
+        "gamma": [scheme.mix] * n, "theta": [cfg.theta] * n, "beta": [cfg.beta] * n,
+        "sizeA": [size_a] * n, "sizeB": [size_b] * n, "xA_avg": x_a, "xB_avg": x_b,
+        "payoff": pay, "utility": utility, "altruism": alt, "competitive": comp,
+        "marginal": marginal,
+        "quadrant": [quadrant_of(a, c, tol).value for a, c in zip(alt.tolist(), comp.tolist())],
+    }
 
 
 def payoff_utility_grid(
@@ -644,24 +639,24 @@ def payoff_utility_grid(
     size_b: int,
     resolution: int = 101,
     tol: float = DEFAULT_TOL,
-) -> list[dict]:
-    """Dense sweep of A's payoff, utility, and cooperation metrics.
+) -> dict:
+    """Dense sweep of A's payoff, utility, and cooperation metrics, as table columns.
 
     Axes are the average contributions of the members of A and B over unit
-    pools, ``resolution`` samples each; rows are emitted with the B axis
-    outer and the A axis inner, both ascending.
+    pools, ``resolution`` samples each; rows run with the B axis outer and
+    the A axis inner, both ascending.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     axis = np.linspace(0.0, 1.0, resolution)
     x_b, x_a = np.meshgrid(axis, axis, indexing="ij")
-    return contribution_rows(scheme, cfg, size_a, size_b, x_a.ravel(), x_b.ravel(), tol)
+    return contribution_table(scheme, cfg, size_a, size_b, x_a.ravel(), x_b.ravel(), tol)
 
 
-def rational_rows(
+def rational_table(
     scheme, cfg, size_a: int, size_b: int, resolution: int = 101, tol: float = DEFAULT_TOL
-) -> list[dict]:
-    """Rows of the rational table, one per average contribution k/(resolution-1) of B.
+) -> dict:
+    """Columns of the rational table, one row per average contribution k/(resolution-1) of B.
 
     Each row holds the common utility-maximizing contribution of A's
     members and the smallest average contribution of A at which B's payment
@@ -670,28 +665,23 @@ def rational_rows(
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    fixed = _fixed_cells(scheme, cfg, size_a, size_b)
-    rows = []
-    for k in range(resolution):
-        x_b = k / (resolution - 1)
-        x_a = _best_response(scheme, cfg, size_a, size_b * x_b, size_a + size_b)
-        root = zero_altruism_contour(scheme, cfg, size_a, size_b, x_b * size_b, tol=tol)
-        zero = None if root is None else root / size_a
-        rows.append(dict(fixed, xB_avg=x_b, xA_rational=x_a, zero_altruism_xA=zero))
-    return rows
+    x_b = [k / (resolution - 1) for k in range(resolution)]
+    x_a, zero = [], []
+    for t in x_b:
+        x_a.append(_best_response(scheme, cfg, size_a, size_b * t, size_a + size_b))
+        root = zero_altruism_contour(scheme, cfg, size_a, size_b, t * size_b, tol=tol)
+        zero.append(None if root is None else root / size_a)
+    n = resolution
+    return {
+        "gamma": [scheme.mix] * n, "theta": [cfg.theta] * n, "beta": [cfg.beta] * n,
+        "sizeA": [size_a] * n, "sizeB": [size_b] * n, "xB_avg": x_b, "xA_rational": x_a,
+        "zero_altruism_xA": zero,
+    }
 
 
-def stable_size_grid(beta: float, gammas, shares) -> list[dict]:
-    """Closed-form maximum stable team size over a (gamma, r) grid."""
-    rows = []
-    for gamma in gammas:
-        for r in shares:
-            rows.append(
-                {
-                    "gamma": float(gamma),
-                    "r": float(r),
-                    "beta": float(beta),
-                    "max_stable_size": max_stable_team_size(float(gamma), float(r), float(beta)),
-                }
-            )
-    return rows
+def stable_size_grid(beta: float, gammas, shares) -> dict:
+    """Closed-form maximum stable team size over a (gamma, r) grid, gamma outer, as columns."""
+    gamma = [float(g) for g in gammas for _ in shares]
+    r = [float(share) for share in shares] * len(gammas)
+    bound = [max_stable_team_size(g, share, float(beta)) for g, share in zip(gamma, r)]
+    return {"gamma": gamma, "r": r, "beta": [float(beta)] * len(r), "max_stable_size": bound}

@@ -37,6 +37,7 @@ from .tu import MAX_EXHAUSTIVE, TUGame
 
 DOCUMENT_VERSION = 1
 COBB_KEYS = ("theta", "alpha", "beta")
+ROW_CHUNK = 4096  # table rows turned into Python cells at a time, so cells stay few
 
 
 def _require(doc: dict, key: str, kind, location: str):
@@ -314,21 +315,39 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def write_table(rows, columns, path) -> None:
-    """Write mappings keyed by column name as UTF-8 CSV with a header row.
+def write_table(tables, columns, path) -> int:
+    """Write column tables one after another as UTF-8 CSV with a header row.
 
-    Every line ends in a newline and rows keep their order, so identical
-    inputs produce identical bytes.
+    A table maps every name in ``columns`` to an equal-length sequence (a
+    numpy array or a list) holding that column's cells in row order. Every
+    table is checked before the file is opened, cells are formatted
+    ``ROW_CHUNK`` rows at a time and every line ends in a newline, so
+    identical inputs produce identical bytes. Returns the number of rows
+    written.
     """
     columns = list(columns)
+    tables = list(tables)
+    for i, table in enumerate(tables):
+        missing = [c for c in columns if c not in table]
+        if missing:
+            raise ValueError(f"table {i} is missing columns {missing}")
+        lengths = sorted({len(table[c]) for c in columns})
+        if len(lengths) > 1:
+            raise ValueError(f"table {i} has columns of unequal lengths {lengths}")
+    rows = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for i, row in enumerate(rows):
-            missing = [c for c in columns if c not in row]
-            if missing:
-                raise ValueError(f"row {i} is missing columns {missing}")
-            writer.writerow([format_cell(row[c]) for c in columns])
+        for table in tables:
+            cols = [table[c] for c in columns]
+            count = len(cols[0]) if cols else 0
+            for lo in range(0, count, ROW_CHUNK):
+                cells = [c[lo:lo + ROW_CHUNK] for c in cols]
+                # tolist gives Python floats and bools, which format_cell spells fastest
+                cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in cells]
+                writer.writerows(zip(*(map(format_cell, col) for col in cells)))
+            rows += count
+    return rows
 
 
 def write_edges(graph: PerceptionGraph, path) -> None:

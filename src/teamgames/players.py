@@ -12,7 +12,10 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .errors import SizeLimitError
+
 MAX_PLAYERS = 64
+MAX_PAIR_SCAN = 16  # a 3^n pair scan past this many players runs for minutes
 
 
 @dataclass(frozen=True)
@@ -165,6 +168,12 @@ def _deposit(values, rooms, width: int) -> np.ndarray:
         out |= (values & bit) << i
         values = values >> bit
     return out
+
+
+def check_pair_scan(n: int) -> None:
+    """Refuse a 3^n pair scan over more than ``MAX_PAIR_SCAN`` players, before it starts."""
+    if n > MAX_PAIR_SCAN:
+        raise SizeLimitError(f"disjoint-pair scans support n <= {MAX_PAIR_SCAN}, got {n}")
 
 
 FIRST_CHUNK = 1 << 6   # pairs in a scan's first chunk, so early exits stay cheap

@@ -34,13 +34,12 @@ from .errors import (
     NotReducibleError,
     SizeLimitError,
 )
-from .players import PlayerSet, mask_pairs
+from .players import PlayerSet, check_pair_scan, mask_pairs
 from .tu import DEFAULT_TOL, TUGame
 
 Outcome = Hashable
 NULL_OUTCOME: Outcome = None
 
-MAX_PAIR_SCAN = 16  # predicates walk ~3^n disjoint pairs
 MAX_POINTS = 20     # cooperation-space point tables
 MAX_TABLE_CELLS = 1 << 25  # assessor x outcome cells of a tabulated game (256 MiB)
 
@@ -390,18 +389,13 @@ def all_coop_points(g: STGame, *, include_grand: bool = True) -> list[CoopPoint]
     ]
 
 
-def _check_pair_scan(n: int) -> None:
-    if n > MAX_PAIR_SCAN:
-        raise SizeLimitError(f"disjoint-pair scans support n <= {MAX_PAIR_SCAN}, got {n}")
-
-
 def is_sensible(g: STGame, tol: float = DEFAULT_TOL) -> bool:
     """No subset's participation is valued below the bystanders' assessment.
 
     Quantifies c_A(A|B) >= 0 over all disjoint nonempty pairs and over the
     B-empty case (self-assessments nonnegative).
     """
-    _check_pair_scan(g.n)
+    check_pair_scan(g.n)
     for a, b in mask_pairs((1 << g.n) - 1):
         union = a | b
         if np.any(g.u(union, union) - g.u(b, union) < -tol):
@@ -415,7 +409,7 @@ def is_cohesive(g: STGame, s: PlayerSet, tol: float = DEFAULT_TOL) -> bool:
         raise ValueError("coalition must be nonempty")
     if not s.fits(g.n):
         raise ValueError(f"{s} is not a coalition of a {g.n}-player team")
-    _check_pair_scan(len(s))
+    check_pair_scan(len(s))
     for a, b in mask_pairs(s.mask, nonempty=True):
         if np.any(g.u(b, a | b) - g.u(b, b) < -tol):
             return False
@@ -428,7 +422,6 @@ def is_fully_cooperative(g: STGame, tol: float = DEFAULT_TOL) -> bool:
     Pairs inside any coalition are also pairs inside the whole team, so this
     is equivalent to cohesiveness of the grand coalition.
     """
-    _check_pair_scan(g.n)
     return is_cohesive(g, PlayerSet.full(g.n), tol)
 
 
@@ -480,7 +473,7 @@ def reduce_to_tu(g: STGame, tol: float = DEFAULT_TOL) -> TUGame:
     value). Raises :class:`NotReducibleError` with the witnessing pair
     otherwise.
     """
-    _check_pair_scan(g.n)
+    check_pair_scan(g.n)
     for a, b in mask_pairs((1 << g.n) - 1, nonempty=True):
         union = a | b
         c = g.u(union, union) - g.u(b, union)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DisjointnessError, SizeLimitError
 from .exact_lp import minimal_coalition_cover
-from .players import PlayerSet, mask_pairs, mask_sizes
+from .players import PlayerSet, check_pair_scan, mask_pairs, mask_sizes
 
 DEFAULT_TOL = 1e-9
 
@@ -173,6 +173,7 @@ def is_convex(game: TUGame, tol: float = DEFAULT_TOL) -> bool:
 
 def is_superadditive(game: TUGame, tol: float = DEFAULT_TOL) -> bool:
     """True when u(A|B) >= u(A) + u(B) for every disjoint nonempty pair."""
+    check_pair_scan(game.n)
     u = game.u
     for a, b in mask_pairs((1 << game.n) - 1, nonempty=True):
         if np.any(u[a | b] < u[a] + u[b] - tol):

@@ -313,16 +313,17 @@ def test_criterion_09_figure_level_claims():
     # (iv) partition identity on every emitted grid cell
     scheme = hybrid(0.5)
     size_a, size_b = 2, 10
-    rows = payoff_utility_grid(scheme, cfg, size_a, size_b, resolution=21)
+    table = payoff_utility_grid(scheme, cfg, size_a, size_b, resolution=21)
     a = PlayerSet.from_players(range(size_a))
     b = PlayerSet.from_players(range(size_a, size_a + size_b))
     union = a | b
-    for row in rows:
-        prof = ContributionProfile.create([row["xA_avg"]] * size_a + [row["xB_avg"]] * size_b)
+    cells = list(zip(table["xA_avg"], table["xB_avg"]))
+    for x_a, x_b in cells:
+        prof = ContributionProfile.create([x_a] * size_a + [x_b] * size_b)
         total = payoff(scheme, cfg, prof, a, union) + payoff(scheme, cfg, prof, b, union)
         assert abs(total - cfg.value(prof.total(union))) <= 1e-9
 
-    _report("criterion 9 (figure-level claims)", start, 60.0, f"{len(rows)} grid cells")
+    _report("criterion 9 (figure-level claims)", start, 60.0, f"{len(cells)} grid cells")
 
 
 MATRIX_DOC = {

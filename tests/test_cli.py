@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,9 @@ def pd_file(tmp_path):
     path = tmp_path / "pd.game"
     path.write_text(json.dumps(PRISONERS_DILEMMA), encoding="utf-8")
     return path
+
+
+EXACT_GOLDEN = Path(__file__).parent / "golden" / "exact"
 
 
 def run(args):
@@ -442,14 +446,17 @@ class TestCobbCommands:
         [
             ("sweep", "payoff_utility_grid", "--resolution", "MAX_GRID_ROWS"),
             ("path", "cooperation_path", "--samples", "MAX_SEARCH_ROWS"),
-            ("rational", "rational_rows", "--resolution", "MAX_SEARCH_ROWS"),
+            ("rational", "rational_table", "--resolution", "MAX_SEARCH_ROWS"),
             ("frontier", "stable_size_grid", "--resolution", "MAX_GRID_ROWS"),
         ],
     )
     def test_row_budget_refuses_before_computing(
         self, tmp_path, capsys, monkeypatch, command, table_fn, count_flag, budget
     ):
-        monkeypatch.setattr(cli.cobb, table_fn, lambda *args, **kwargs: [])
+        # stand-ins that compute nothing: no path points, or a table of empty columns
+        columns = (*cli.cobb.COBB_COLUMNS, *cli.cobb.RATIONAL_COLUMNS, *cli.cobb.FRONTIER_COLUMNS)
+        empty = [] if table_fn == "cooperation_path" else dict.fromkeys(columns, [])
+        monkeypatch.setattr(cli.cobb, table_fn, lambda *args, **kwargs: empty)
         limit = getattr(cli, budget)
         per_gamma = int(limit**0.5) if command == "sweep" else limit
         # the default gammas and this command's default count fit
@@ -527,3 +534,27 @@ class TestDeterminism:
         assert run(args + ["-o", a]) == 0
         assert run(args + ["-o", b]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("cobb_sweep.csv", ["cobb", "sweep", "--sizeA", 2, "--sizeB", 3, "--resolution", 6,
+                                "--gammas", "0,0.5,1"]),
+            ("cobb_path.csv", ["cobb", "path", "--sizeA", 1, "--sizeB", 4, "--samples", 9,
+                               "--gammas", "0,0.25,1"]),
+            ("cobb_rational.csv", ["cobb", "rational", "--beta", 0.5, "--sizeA", 2, "--sizeB", 5,
+                                   "--resolution", 6, "--gammas", "0,0.5"]),
+            ("cobb_frontier.csv", ["cobb", "frontier", "--beta", 2, "--resolution", 8,
+                                   "--gammas", "0,0.5,1"]),
+            ("pd.metrics.csv", ["metrics", "pd.game", "--include-grand"]),
+            ("glove.shapley.csv", ["shapley", "glove.game"]),
+            ("glove.core.csv", ["core", "glove.game"]),
+        ],
+    )
+    def test_tables_match_recorded_bytes(self, tmp_path, monkeypatch, name, argv):
+        # recorded from the row-at-a-time writer the column tables replaced
+        monkeypatch.chdir(tmp_path)
+        write_doc(tmp_path, "pd.game", PRISONERS_DILEMMA)
+        write_doc(tmp_path, "glove.game", GLOVE)
+        assert run([*argv, "-o", name]) == 0
+        assert (tmp_path / name).read_bytes() == (EXACT_GOLDEN / name).read_bytes()

@@ -10,6 +10,7 @@ from oracles import brute_force_max_size, grid_oracle
 import teamgames.st as st
 from teamgames.cli import main as cli_main
 from teamgames.cobb import (
+    COBB_COLUMNS,
     EQUAL,
     PROPORTIONAL,
     UNBOUNDED,
@@ -24,7 +25,7 @@ from teamgames.cobb import (
     cd_marginal,
     cd_subset_utility,
     cd_value,
-    contribution_rows,
+    contribution_table,
     cooperation_path,
     hybrid,
     max_stable_team_size,
@@ -32,7 +33,7 @@ from teamgames.cobb import (
     payoff,
     payoff_utility_grid,
     rational_contribution,
-    rational_rows,
+    rational_table,
     stable_size_grid,
     st_game_view,
     symmetric_rational_contribution,
@@ -373,9 +374,10 @@ class TestTeamSizeBound:
                     assert max_stable_team_size(gamma, k / res, beta) == expected, (gamma, k, res)
 
     def test_grid_rows(self):
-        rows = stable_size_grid(1.5, [0.0, 1.0], [0.5, 1.0])
-        assert len(rows) == 4
-        by_key = {(row["gamma"], row["r"]): row["max_stable_size"] for row in rows}
+        table = stable_size_grid(1.5, [0.0, 1.0], [0.5, 1.0])
+        assert table["gamma"] == [0.0, 0.0, 1.0, 1.0] and table["beta"] == [1.5] * 4
+        assert len(table["max_stable_size"]) == 4
+        by_key = dict(zip(zip(table["gamma"], table["r"]), table["max_stable_size"]))
         assert by_key[(0.0, 0.5)] == 2
         assert by_key[(1.0, 0.5)] == UNBOUNDED
         assert by_key[(0.0, 1.0)] == 1
@@ -491,28 +493,25 @@ class TestCooperationPath:
 class TestGrids:
     def test_degenerate_grid_matches_direct_calls(self):
         cfg = CobbDouglasConfig(theta=0.75, beta=1.5)
-        rows = payoff_utility_grid(hybrid(0.5), cfg, 2, 3, resolution=2)
-        assert len(rows) == 4
-        first = rows[0]
-        assert first["xA_avg"] == 0.0 and first["xB_avg"] == 0.0
+        table = payoff_utility_grid(hybrid(0.5), cfg, 2, 3, resolution=2)
+        assert [len(table[key]) for key in COBB_COLUMNS] == [4] * len(COBB_COLUMNS)
+        assert table["xA_avg"][0] == 0.0 and table["xB_avg"][0] == 0.0
         prof = ContributionProfile.create([0.0] * 2 + [0.0] * 3)
         a = PlayerSet.from_players(range(2))
         union = PlayerSet.full(5)
-        assert first["payoff"] == payoff(hybrid(0.5), cfg, prof, a, union)
-        assert first["utility"] == cd_subset_utility(hybrid(0.5), cfg, prof, a, union)
+        assert table["payoff"][0] == payoff(hybrid(0.5), cfg, prof, a, union)
+        assert table["utility"][0] == cd_subset_utility(hybrid(0.5), cfg, prof, a, union)
 
     def test_grid_partitions_value(self):
         cfg = CobbDouglasConfig(theta=0.75, beta=1.5)
         scheme = hybrid(0.25)
         size_a, size_b = 2, 3
-        rows = payoff_utility_grid(scheme, cfg, size_a, size_b, resolution=5)
+        table = payoff_utility_grid(scheme, cfg, size_a, size_b, resolution=5)
         a = PlayerSet.from_players(range(size_a))
         b = PlayerSet.from_players(range(size_a, size_a + size_b))
         union = a | b
-        for row in rows:
-            prof = ContributionProfile.create(
-                [row["xA_avg"]] * size_a + [row["xB_avg"]] * size_b
-            )
+        for x_a, x_b in zip(table["xA_avg"], table["xB_avg"]):
+            prof = ContributionProfile.create([x_a] * size_a + [x_b] * size_b)
             total = payoff(scheme, cfg, prof, a, union) + payoff(scheme, cfg, prof, b, union)
             assert abs(total - cfg.value(prof.total(union))) <= 1e-9
 
@@ -555,9 +554,11 @@ class TestClosedForm:
                 cfg = CobbDouglasConfig(theta=theta, beta=beta)
                 for gamma in (0.0, 0.25, 0.5, 0.75, 1.0):
                     scheme = hybrid(gamma)
-                    for row in contribution_rows(scheme, cfg, size_a, size_b, x_a, x_b):
+                    table = contribution_table(scheme, cfg, size_a, size_b, x_a, x_b)
+                    assert table["xA_avg"].tolist() == x_a and table["xB_avg"].tolist() == x_b
+                    for i in range(len(x_a)):
                         prof, a, union, point, scale = self._scalar_terms(
-                            scheme, cfg, size_a, size_b, row["xA_avg"], row["xB_avg"]
+                            scheme, cfg, size_a, size_b, x_a[i], x_b[i]
                         )
                         expected = {
                             "payoff": payoff(scheme, cfg, prof, a, union),
@@ -565,10 +566,10 @@ class TestClosedForm:
                             "competitive": point.competitive,
                         }
                         for key, value in expected.items():
-                            assert math.isclose(row[key], value, rel_tol=1e-12), (key, row)
-                        assert abs(row["altruism"] - point.altruism) <= 1e-12 * scale, row
-                        assert abs(row["marginal"] - point.marginal) <= 1e-12 * scale, row
-                        assert row["quadrant"] == st.classify_quadrant(point).value, row
+                            assert math.isclose(table[key][i], value, rel_tol=1e-12), (key, i)
+                        assert abs(table["altruism"][i] - point.altruism) <= 1e-12 * scale, i
+                        assert abs(table["marginal"][i] - point.marginal) <= 1e-12 * scale, i
+                        assert table["quadrant"][i] == st.classify_quadrant(point).value, i
 
     @pytest.mark.parametrize(
         "name, argv",
@@ -617,9 +618,9 @@ class TestClosedForm:
         monkeypatch.setattr(ContributionProfile, "__post_init__", refuse)
         cfg = CobbDouglasConfig(theta=0.75, beta=1.5)
         # 72 heads: past the 64 players a PlayerSet can hold
-        assert len(payoff_utility_grid(EQUAL, cfg, 2, 70, resolution=3)) == 9
+        assert len(payoff_utility_grid(EQUAL, cfg, 2, 70, resolution=3)["quadrant"]) == 9
         assert len(cooperation_path(EQUAL, cfg, 2, 70, samples=3)) == 3
-        assert len(rational_rows(EQUAL, cfg, 2, 70, resolution=3)) == 3
+        assert len(rational_table(EQUAL, cfg, 2, 70, resolution=3)["zero_altruism_xA"]) == 3
 
     def test_overflow_is_an_error(self):
         cfg = CobbDouglasConfig(beta=1e308)

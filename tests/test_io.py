@@ -8,6 +8,7 @@ from teamgames.additivity import BiAdditiveMatrix, export_graph
 from teamgames.cobb import CobbDouglasConfig
 from teamgames.errors import GameLoadError
 from teamgames.game_io import (
+    ROW_CHUNK,
     document_for,
     load_game,
     parse_document,
@@ -179,16 +180,15 @@ def test_functional_games_cannot_serialize():
 
 
 def test_write_table_deterministic_and_full_precision(tmp_path):
-    rows = [
-        {"name": "a", "value": 1 / 3, "flag": True},
-        {"name": "b", "value": 2.0, "flag": False},
-        {"name": "c", "value": np.float64(0.1), "flag": np.bool_(True)},
-        {"name": "d", "value": np.float64(-1e-300), "flag": np.bool_(False)},
-    ]
+    table = {
+        "name": ["a", "b", "c", "d"],
+        "value": [1 / 3, 2.0, np.float64(0.1), np.float64(-1e-300)],
+        "flag": [True, False, np.bool_(True), np.bool_(False)],
+    }
     p1 = tmp_path / "one.csv"
     p2 = tmp_path / "two.csv"
-    write_table(rows, ["name", "value", "flag"], p1)
-    write_table(rows, ["name", "value", "flag"], p2)
+    assert write_table([table], ["name", "value", "flag"], p1) == 4
+    assert write_table([table], ["name", "value", "flag"], p2) == 4
     assert p1.read_bytes() == p2.read_bytes()
     text = p1.read_text(encoding="utf-8")
     assert text.splitlines()[0] == "name,value,flag"
@@ -206,15 +206,38 @@ def test_write_table_empty_is_header_only(tmp_path):
     assert path.read_text(encoding="utf-8") == "a,b\n"
 
 
+def test_write_table_writes_tables_in_order_from_arrays(tmp_path):
+    path = tmp_path / "tables.csv"
+    n = 2 * ROW_CHUNK + 1  # crosses the slices rows are formatted in
+    first = {"x": np.array([0.1, -1e-300]), "ok": np.array([True, False]), "k": [3, 4]}
+    empty = {"x": [], "ok": [], "k": []}
+    long = {"k": np.arange(n), "x": np.arange(n) / 2, "ok": [True] * n}
+    last = {"k": [5], "x": np.array([2.0]), "ok": [np.bool_(True)], "extra": ["ignored"]}
+    assert write_table([first, empty, long, last], ["k", "x", "ok"], path) == n + 3
+    text = path.read_text(encoding="utf-8")
+    assert text.startswith("k,x,ok\n3,0.1,true\n4,-1e-300,false\n")
+    assert text.endswith("\n5,2.0,true\n")
+    assert text.splitlines()[3:-1] == [f"{i},{i / 2!r},true" for i in range(n)]
+
+
 def test_write_table_quotes_awkward_cells(tmp_path):
     path = tmp_path / "quoted.csv"
-    write_table([{"a": "x,y", "b": 1.0}], ["a", "b"], path)
+    write_table([{"a": ["x,y"], "b": [1.0]}], ["a", "b"], path)
     assert path.read_text(encoding="utf-8").splitlines()[1] == '"x,y",1.0'
 
 
 def test_write_table_rejects_ragged_rows(tmp_path):
     with pytest.raises(ValueError, match="missing"):
-        write_table([{"a": 1}], ["a", "b"], tmp_path / "bad2.csv")
+        write_table([{"a": [1]}], ["a", "b"], tmp_path / "bad2.csv")
+
+
+def test_write_table_rejects_unequal_columns_before_opening(tmp_path):
+    # zip would silently cut every column to the shortest one
+    path = tmp_path / "bad3.csv"
+    good = {"a": [1, 2], "b": np.array([1.0, 2.0])}
+    with pytest.raises(ValueError, match=r"table 1 has columns of unequal lengths \[1, 2\]"):
+        write_table([good, {"a": [1, 2], "b": np.array([1.0])}], ["a", "b"], path)
+    assert not path.exists()
 
 
 def test_write_edges_format(tmp_path):

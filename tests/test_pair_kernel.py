@@ -12,6 +12,9 @@ import numpy as np
 import pytest
 
 import reference_loops as ref
+import teamgames.additivity as additivity
+import teamgames.st as st
+import teamgames.tu as tu
 from teamgames.additivity import (
     BiAdditiveMatrix,
     _find_additive_violation,
@@ -19,9 +22,11 @@ from teamgames.additivity import (
     additive_predicates,
     coadditive_predicates,
     extract_matrix,
+    is_additive,
+    is_coadditive,
 )
 from teamgames.errors import NotReducibleError, SizeLimitError, StructureError
-from teamgames.players import FIRST_CHUNK, PlayerSet, iter_submasks, mask_pairs
+from teamgames.players import FIRST_CHUNK, MAX_PAIR_SCAN, PlayerSet, iter_submasks, mask_pairs
 from teamgames.random_games import (
     monotone_series,
     random_additive_game,
@@ -41,7 +46,7 @@ from teamgames.st import (
     is_sensible,
     reduce_to_tu,
 )
-from teamgames.tu import is_superadditive, random_convex_game
+from teamgames.tu import TUGame, is_superadditive, random_convex_game
 
 SIZES = range(1, 8)
 
@@ -339,3 +344,24 @@ def test_functional_games_stay_lazy():
     pairs = 3**n - 2**n  # u_A(V(A|B)) and u_B(V(A|B)) for every pair with B nonempty
     assert calls <= 2 * 3**n
     assert calls >= pairs
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [is_sensible, is_fully_cooperative, reduce_to_tu, is_additive, is_coadditive, extract_matrix,
+     additive_predicates, coadditive_predicates, is_superadditive],
+    ids=lambda scan: scan.__name__,
+)
+def test_pair_scans_refuse_past_the_limit_before_scanning(monkeypatch, scan):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mask_pairs called past the pair-scan limit")
+
+    for module in (st, additivity, tu):
+        monkeypatch.setattr(module, "mask_pairs", refuse)
+    n = MAX_PAIR_SCAN + 1
+    if scan is is_superadditive:
+        game = TUGame(n, np.zeros(1 << n))
+    else:
+        game = STGame.from_functions(n, ("x",), lambda s: "x", lambda a, x: 1.0)
+    with pytest.raises(SizeLimitError, match=f"pair scans support n <= {MAX_PAIR_SCAN}, got {n}"):
+        scan(game)
