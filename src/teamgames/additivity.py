@@ -19,25 +19,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import StructureError
-from .players import PlayerSet, check_pair_scan, mask_pairs, mask_sizes
-from .st import STGame
+from .players import PlayerSet, check_pair_scan, mask_pairs, mask_sizes, member_sum
+from .st import STGame, coalition_outcomes
 from .tu import DEFAULT_TOL
-
-def _bits(mask: int) -> list[int]:
-    return list(PlayerSet(mask))
-
-
-def _member_sum(n: int, members, term) -> np.ndarray:
-    """Per pair, the sum of ``term(i, selection)`` over the players i in ``members``.
-
-    Terms are added in ascending player order, starting from 0, as a
-    left-to-right ``sum`` over the members would add them.
-    """
-    total = np.zeros(len(members))
-    for i in range(n):
-        sel = (members >> i) & 1 == 1
-        total[sel] += term(i, sel)
-    return total
 
 
 def _find_additive_violation(g: STGame, tol: float):
@@ -51,7 +35,7 @@ def _find_additive_violation(g: STGame, tol: float):
         for i in range(g.n):
             has = (span >> i) & 1 == 1
             singles[has, i] = g.u(1 << i, span[has])
-        expected = _member_sum(g.n, a, lambda i, sel: singles[s[sel] - lo, i])
+        expected = member_sum(g.n, a, lambda i, sel: singles[s[sel] - lo, i])
         got = g.u(a, s)
         bad = np.abs(got - expected) > tol
         if bad.any():
@@ -69,7 +53,7 @@ def _find_coadditive_violation(g: STGame, tol: float):
     """
     check_pair_scan(g.n)
     for s, a in mask_pairs((1 << g.n) - 1, nested=True, nonempty=True):
-        expected = _member_sum(g.n, s, lambda i, sel: g.u(a[sel], 1 << i))
+        expected = member_sum(g.n, s, lambda i, sel: g.u(a[sel], 1 << i))
         got = g.u(a, s)
         missing = np.isnan(expected)
         bad = missing | (np.abs(got - expected) > tol)
@@ -115,20 +99,11 @@ class BiAdditiveMatrix:
         """The bi-additive team game this matrix determines.
 
         Outcomes are the coalition masks themselves (the consequence map is
-        the identity), so every subset's assessment of any coalition's
-        outcome is defined.
+        the identity), so u_A(S), the sum over a in A of m[a]'s row sum over
+        S, is defined for every subset and every coalition.
         """
-        n = self.n
-        outcomes = tuple(range(1, 1 << n))
-        mat = self.m
-
-        def utility(a: PlayerSet, outcome) -> float:
-            members = _bits(int(outcome))
-            return float(sum(mat[x][b] for x in a for b in members))
-
-        return STGame.from_functions(
-            n, outcomes, lambda s: s.mask, utility, players=players
-        )
+        outcomes, columns = coalition_outcomes(self.n)
+        return STGame.additive(self.n, outcomes, columns, _row_sums(self.m)[1:].T, players)
 
 
 class FastMetrics(NamedTuple):
@@ -159,7 +134,7 @@ def extract_matrix(g: STGame, tol: float = DEFAULT_TOL) -> BiAdditiveMatrix:
         )
     row_sums = _row_sums(mat)
     for s, a in mask_pairs((1 << n) - 1, nested=True, nonempty=True):
-        expected = _member_sum(n, a, lambda i, sel: row_sums[s[sel], i])
+        expected = member_sum(n, a, lambda i, sel: row_sums[s[sel], i])
         got = g.u(a, s)
         bad = np.abs(got - expected) > tol
         if bad.any():

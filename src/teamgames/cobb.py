@@ -23,8 +23,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DisjointnessError, NumericOverflowError
-from .players import PlayerSet
-from .st import STGame, CoopPoint, quadrant_of
+from .players import PlayerSet, mask_sizes, member_sum
+from .st import STGame, CoopPoint, coalition_outcomes, player_names, quadrant_of
 from .tu import DEFAULT_TOL
 
 UNBOUNDED = math.inf
@@ -240,14 +240,19 @@ def st_game_view(
     metrics read.
     """
     n = len(profile)
-    outcomes = tuple(range(1, 1 << n))
-    return STGame.from_functions(
-        n,
-        outcomes,
-        lambda s: s.mask,
-        lambda a, outcome: cd_subset_utility(scheme, cfg, profile, a, PlayerSet(int(outcome))),
-        players=players,
-    )
+    outcomes, columns = coalition_outcomes(n)
+    masks = np.arange(1 << n, dtype=np.int64)
+    total = member_sum(n, masks, lambda i, sel: profile.x[i])
+    reserve = member_sum(n, masks, lambda i, sel: profile.resources[i] - profile.x[i])
+    heads = mask_sizes(n)
+
+    def assess(a, j):
+        s = j + 1  # outcome position j is coalition mask j + 1
+        inside = a & s
+        pay = _group_payoff(scheme, cfg, total[inside], heads[inside], total[s], heads[s])
+        return cd_value(cfg.theta, pay, reserve[a])
+
+    return STGame(n, outcomes, player_names(n, players), columns, assess)
 
 
 def _require_disjoint(a: PlayerSet, b: PlayerSet) -> None:

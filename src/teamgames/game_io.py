@@ -31,9 +31,9 @@ import numpy as np
 from .additivity import PerceptionGraph
 from .cobb import CobbDouglasConfig
 from .errors import GameLoadError, SizeLimitError
-from .players import PlayerSet
+from .players import MAX_SUBSET_ARRAY, PlayerSet
 from .st import STGame
-from .tu import MAX_EXHAUSTIVE, TUGame
+from .tu import TUGame
 
 DOCUMENT_VERSION = 1
 COBB_KEYS = ("theta", "alpha", "beta")
@@ -125,8 +125,8 @@ def _parse_cobb(doc: dict) -> CobbDouglasConfig:
 def _parse_tu(doc: dict) -> TUGame:
     players = _parse_players(doc)
     n = len(players)
-    if n > MAX_EXHAUSTIVE:
-        raise GameLoadError(f"TU games support 1..{MAX_EXHAUSTIVE} players, got {n}", "players")
+    if n > MAX_SUBSET_ARRAY:
+        raise GameLoadError(f"TU games support 1..{MAX_SUBSET_ARRAY} players, got {n}", "players")
     index = _player_index(players)
     entries = _require(doc, "utilities", list, "utilities")
     table = np.zeros(1 << n)

@@ -16,6 +16,7 @@ from .errors import SizeLimitError
 
 MAX_PLAYERS = 64
 MAX_PAIR_SCAN = 16  # a 3^n pair scan past this many players runs for minutes
+MAX_SUBSET_ARRAY = 20  # an array over all 2^n subsets past this many players outgrows memory
 
 
 @dataclass(frozen=True)
@@ -153,6 +154,17 @@ def mask_sizes(n: int) -> np.ndarray:
     return sizes
 
 
+def member_sum(n: int, members, term) -> np.ndarray:
+    """Per element of ``members``, the sum of ``term(i, sel)`` over the players i it holds,
+    ``sel`` selecting the elements that hold player i. Terms are added in ascending player
+    order, starting from 0, as a left-to-right ``sum`` over the members would add them."""
+    total = np.zeros(np.shape(members))
+    for i in range(n):
+        sel = members & (1 << i) != 0
+        total[sel] += term(i, sel)
+    return total
+
+
 def _deposit(values, rooms, width: int) -> np.ndarray:
     """Scatter the low bits of each value into the set bits of its room mask.
 
@@ -174,6 +186,12 @@ def check_pair_scan(n: int) -> None:
     """Refuse a 3^n pair scan over more than ``MAX_PAIR_SCAN`` players, before it starts."""
     if n > MAX_PAIR_SCAN:
         raise SizeLimitError(f"disjoint-pair scans support n <= {MAX_PAIR_SCAN}, got {n}")
+
+
+def check_subset_array(n: int) -> None:
+    """Refuse a 2^n-entry array past ``MAX_SUBSET_ARRAY`` players, before it is allocated."""
+    if n > MAX_SUBSET_ARRAY:
+        raise SizeLimitError(f"arrays over all subsets support n <= {MAX_SUBSET_ARRAY}, got {n}")
 
 
 FIRST_CHUNK = 1 << 6   # pairs in a scan's first chunk, so early exits stay cheap

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .additivity import BiAdditiveMatrix
-from .players import PlayerSet
-from .st import STGame, from_ntu
+from .players import mask_sizes, member_sum
+from .st import STGame, coalition_outcomes, player_names
 from .tu import TUGame
 
 
@@ -26,15 +26,17 @@ def random_st_game(n: int, rng: np.random.Generator, n_outcomes: int | None = No
     if n_outcomes is None:
         n_outcomes = full
     outcomes = tuple(f"o{k}" for k in range(n_outcomes))
-    consequence = {
-        mask: outcomes[int(rng.integers(0, n_outcomes))] for mask in range(1, full + 1)
-    }
-    utilities = {
-        (a_mask, x): float(rng.uniform(-1.0, 1.0))
-        for a_mask in range(1, full + 1)
-        for x in outcomes
-    }
-    return STGame.from_tables(n, outcomes, consequence, utilities)
+    columns = np.insert(rng.integers(0, n_outcomes, size=full), 0, 0)
+    return _full_table(n, outcomes, columns, rng.uniform(-1.0, 1.0, size=(full, n_outcomes)))
+
+
+def _full_table(n: int, outcomes, columns, values, players=None) -> STGame:
+    """Tabulated game valuing outcome j at ``values[A - 1, j]`` for every assessor A > 0."""
+    rows, positions = np.indices(values.shape)
+    return STGame.from_entries(
+        n, outcomes, columns, rows.ravel() + 1, positions.ravel(), values.ravel(),
+        player_names(n, players),
+    )
 
 
 def random_additive_game(
@@ -46,19 +48,13 @@ def random_additive_game(
     game sensible); ``monotone`` makes every player value larger coalitions'
     outcomes weakly more (which makes it fully cooperative).
     """
-    full = (1 << n) - 1
-    outcomes = tuple(range(1, full + 1))
-    lo = 0.0 if nonnegative else -1.0
-    individual: dict[int, dict] = {p: {} for p in range(n)}
-    for p in range(n):
-        if monotone:
-            for mask in outcomes:
-                base = 0.25 * mask.bit_count()
-                individual[p][mask] = base + float(rng.uniform(0.0, 0.2))
-        else:
-            for mask in outcomes:
-                individual[p][mask] = float(rng.uniform(lo, 1.0))
-    return from_ntu(n, outcomes, {mask: mask for mask in outcomes}, individual)
+    outcomes, columns = coalition_outcomes(n)
+    shape = (n, len(outcomes))
+    if monotone:
+        values = 0.25 * mask_sizes(n)[1:] + rng.uniform(0.0, 0.2, size=shape)
+    else:
+        values = rng.uniform(0.0 if nonnegative else -1.0, 1.0, size=shape)
+    return STGame.additive(n, outcomes, columns, values)
 
 
 def random_coadditive_game(
@@ -66,28 +62,25 @@ def random_coadditive_game(
 ) -> STGame:
     """Co-additive game: each subset's per-player perception drawn at random.
 
-    ``monotone`` makes perceptions nonnegative and growing with the
-    assessing subset, which yields a sensible and fully cooperative game.
+    u_A(S) sums A's perceptions of the members of S. ``monotone`` makes
+    perceptions nonnegative and growing with the assessing subset, which
+    yields a sensible and fully cooperative game.
     """
-    full = (1 << n) - 1
-    outcomes = tuple(range(1, full + 1))
+    outcomes, columns = coalition_outcomes(n)
+    shape = (len(outcomes), n)
     if monotone:
-        perception = {
-            (a_mask, b): 0.3 * a_mask.bit_count() + float(rng.uniform(0.0, 0.2))
-            for a_mask in range(1, full + 1)
-            for b in range(n)
-        }
+        draws = 0.3 * mask_sizes(n)[1:, None] + rng.uniform(0.0, 0.2, size=shape)
     else:
-        perception = {
-            (a_mask, b): float(rng.uniform(-1.0, 1.0))
-            for a_mask in range(1, full + 1)
-            for b in range(n)
-        }
+        draws = rng.uniform(-1.0, 1.0, size=shape)
+    perception = np.vstack([np.zeros(n), draws])  # row 0: the empty assessor perceives nothing
 
-    def utility(a: PlayerSet, outcome) -> float:
-        return sum(perception[(a.mask, b)] for b in PlayerSet(int(outcome)))
+    def assess(a, j):
+        s = j + 1  # outcome position j is coalition mask j + 1
+        if isinstance(a, int):  # one read: a loop over the members of S beats n array passes
+            return sum(perception.item(a, b) for b in range(n) if s >> b & 1)
+        return member_sum(n, s, lambda b, sel: perception[a[sel], b])
 
-    return STGame.from_functions(n, outcomes, lambda s: s.mask, utility)
+    return STGame(n, outcomes, player_names(n), columns, assess)
 
 
 def random_biadditive_matrix(n: int, rng: np.random.Generator) -> BiAdditiveMatrix:
@@ -95,32 +88,20 @@ def random_biadditive_matrix(n: int, rng: np.random.Generator) -> BiAdditiveMatr
 
 
 def tabulate(game: STGame) -> STGame:
-    """Materialize a functional game into tables (e.g. for serialization).
+    """Materialize a game into tables (e.g. for serialization).
 
     Entries cover every (assessor, outcome) pair, so detectors needing
     assessments outside nested pairs keep working.
     """
-    full = (1 << game.n) - 1
-    consequence = {mask: game._v(mask) for mask in range(1, full + 1)}
-    utilities = {
-        (a_mask, x): game._u(a_mask, x)
-        for a_mask in range(1, full + 1)
-        for x in game.outcomes
-    }
-    return STGame.from_tables(game.n, game.outcomes, consequence, utilities, game.players)
+    rows, positions = np.indices(((1 << game.n) - 1, len(game.outcomes)))
+    values = game._assess(rows + 1, positions)
+    return _full_table(game.n, game.outcomes, game._columns, values, game.players)
 
 
 def monotone_series(n: int, rng: np.random.Generator) -> STGame:
     """Fully cooperative tabulated game: everyone weakly prefers bigger coalitions."""
-    full = (1 << n) - 1
-    outcomes = tuple(f"o{mask}" for mask in range(1, full + 1))
-    consequence = {mask: f"o{mask}" for mask in range(1, full + 1)}
-    utilities = {}
-    for a_mask in range(1, full + 1):
-        for s_mask in range(1, full + 1):
-            base = 0.5 * s_mask.bit_count()
-            jitter = float(rng.uniform(0.0, 0.4)) if a_mask & s_mask == a_mask else float(
-                rng.uniform(-0.5, 0.5)
-            )
-            utilities[(a_mask, f"o{s_mask}")] = base + jitter
-    return STGame.from_tables(n, outcomes, consequence, utilities)
+    outcomes, columns = coalition_outcomes(n)
+    a = np.arange(1, 1 << n)[:, None]
+    draws = rng.random((len(outcomes), len(outcomes)))  # A inside S: [0, 0.4); else [-0.5, 0.5)
+    values = 0.5 * mask_sizes(n)[1:] + np.where((a & a.T) == a, 0.4 * draws, -0.5 + draws)
+    return _full_table(n, tuple(f"o{s}" for s in outcomes), columns, values)

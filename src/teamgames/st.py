@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Hashable, Mapping
 
@@ -34,38 +35,41 @@ from .errors import (
     NotReducibleError,
     SizeLimitError,
 )
-from .players import PlayerSet, check_pair_scan, mask_pairs
+from .players import PlayerSet, check_pair_scan, check_subset_array, mask_pairs, member_sum
 from .tu import DEFAULT_TOL, TUGame
 
 Outcome = Hashable
 NULL_OUTCOME: Outcome = None
 
-MAX_POINTS = 20     # cooperation-space point tables
 MAX_TABLE_CELLS = 1 << 25  # assessor x outcome cells of a tabulated game (256 MiB)
 
 
-def _default_names(n: int) -> tuple[str, ...]:
-    return tuple(str(i) for i in range(n))
+def player_names(n: int, players=None) -> tuple[str, ...]:
+    """The given names of n players, or "0".."n-1" for ``None``."""
+    names = tuple(players) if players is not None else tuple(map(str, range(n)))
+    if len(names) != n:
+        raise ValueError("player name list must match the player count")
+    return names
 
 
 @dataclass(frozen=True, eq=False)
 class STGame:
     """Team game with per-subset outcome assessments.
 
-    A tabulated game is two arrays: ``_columns[S]``, the position in
-    ``outcomes`` of V(S) for every coalition mask, and ``_table[A, j]``,
-    assessor A's value of outcome j, NaN where no entry was given (row 0,
-    the empty assessor, is all 0). A functional game holds callables over
-    masks instead and is evaluated lazily. Every kernel reads both kinds
-    through :meth:`u`.
+    Every game is two things: ``_columns[S]``, the position in ``outcomes``
+    of V(S) for every coalition mask S, and ``_assess(a, j)``, the value of
+    outcome position j to assessor mask a, for two int arrays of one shape
+    or two ints. A tabulated game reads it from ``_table[A, j]``, NaN where
+    no entry was given (row 0, the empty assessor, is all 0); structured
+    games compute it in closed form; only :meth:`from_functions` calls user
+    code per element. Every kernel reads games through :meth:`u`.
     """
 
     n: int
     outcomes: tuple
     players: tuple[str, ...]
-    _consequence: Callable[[int], Outcome] | None = None
-    _utility: Callable[[int, Outcome], float] | None = None
-    _columns: np.ndarray | None = None
+    _columns: np.ndarray
+    _assess: Callable[[np.ndarray, np.ndarray], np.ndarray]
     _table: np.ndarray | None = None
 
     @classmethod
@@ -86,22 +90,9 @@ class STGame:
         them) but are not required.
         """
         outcomes = tuple(outcomes)
-        players = tuple(players) if players is not None else _default_names(n)
-        if len(players) != n:
-            raise ValueError("player name list must match the player count")
+        players = player_names(n, players)
+        columns = _outcome_columns(n, outcomes, consequence, players)
         column_of = {outcome: j for j, outcome in enumerate(outcomes)}
-        columns = [0]
-        for mask in range(1, 1 << n):
-            if mask not in consequence:
-                raise ValueError(
-                    f"consequence map is missing coalition {_subset_label(mask, players)}"
-                )
-            if consequence[mask] not in column_of:
-                raise ValueError(
-                    f"consequence of {_subset_label(mask, players)} is an undeclared outcome "
-                    f"{consequence[mask]!r}"
-                )
-            columns.append(column_of[consequence[mask]])
         assessors, positions, values = [], [], []
         for (a_mask, outcome), value in utilities.items():
             if not 0 < a_mask < 1 << n:
@@ -125,14 +116,12 @@ class STGame:
     ) -> STGame:
         """Tabulated game from outcome positions and utility entries.
 
-        The shared builder of :meth:`from_tables` and the document loader.
         ``columns[S]`` is the position in ``outcomes`` of V(S) for every
         coalition mask S (entry 0 is ignored); entry k values outcome
         ``positions[k]`` at ``values[k]`` for assessor mask ``assessors[k]``,
-        and no (assessor, position) pair comes twice. Refuses a table of
-        more than ``MAX_TABLE_CELLS`` cells before allocating it, then walks
-        the nested (coalition, assessor) pairs in ascending order and names
-        the first missing assessment.
+        and no (assessor, position) pair comes twice. Refuses a table of more
+        than ``MAX_TABLE_CELLS`` cells before allocating it, then names the
+        first missing assessment in ascending (coalition, assessor) order.
         """
         cells = (1 << n) * len(outcomes)
         if cells > MAX_TABLE_CELLS:
@@ -145,19 +134,25 @@ class STGame:
         table = np.full((1 << n, len(outcomes)), np.nan)
         table[0] = 0.0
         table[np.asarray(assessors, dtype=np.intp), np.asarray(positions, dtype=np.intp)] = values
+        # after a subset-OR closure, cover[S, j] says some nonempty submask of S lacks outcome j
+        cover = np.isnan(table)
+        for i in range(n):
+            halves = cover.reshape(-1, 2, 1 << i, len(outcomes))
+            halves[:, 1] |= halves[:, 0]
+        bad = cover[np.arange(1 << n), columns]
+        if bad.any():
+            s = int(np.argmax(bad))
+            subs = np.arange(1, s + 1)
+            subs = subs[(subs & s) == subs]
+            a = int(subs[np.argmax(np.isnan(table[subs, columns[s]]))])
+            raise ValueError(
+                f"missing utility: assessor {_subset_label(a, players)} "
+                f"at outcome {outcomes[columns[s]]!r} (reachable via coalition "
+                f"{_subset_label(s, players)})"
+            )
         columns.flags.writeable = False
         table.flags.writeable = False
-        game = cls(n, outcomes, players, _columns=columns, _table=table)
-        for s, a in mask_pairs((1 << n) - 1, nested=True, nonempty=True):
-            missing = np.isnan(game.u(a, s))
-            if missing.any():
-                k = int(np.argmax(missing))
-                raise ValueError(
-                    f"missing utility: assessor {_subset_label(int(a[k]), players)} "
-                    f"at outcome {game._v(int(s[k]))!r} (reachable via coalition "
-                    f"{_subset_label(int(s[k]), players)})"
-                )
-        return game
+        return cls(n, outcomes, players, columns, lambda a, j: table[a, j], table)
 
     @classmethod
     def from_functions(
@@ -168,20 +163,37 @@ class STGame:
         utility: Callable[[PlayerSet, Outcome], float],
         players=None,
     ) -> STGame:
-        """Wrap callables over PlayerSets; no totality check is possible."""
-        players = tuple(players) if players is not None else _default_names(n)
-        return cls(
-            n=n,
-            outcomes=tuple(outcomes),
-            players=players,
-            _consequence=lambda mask: consequence(PlayerSet(mask)),
-            _utility=lambda mask, x: float(utility(PlayerSet(mask), x)),
-        )
+        """Game over callables: ``consequence`` is read once per coalition here and must
+        name a declared outcome; ``utility`` is called per element a kernel reads."""
+        outcomes = tuple(outcomes)
+        players = player_names(n, players)
+        columns = _outcome_columns(n, outcomes, consequence, players)
+
+        def assess(a, j):
+            a, j = np.broadcast_arrays(a, j)
+            pairs = zip(a.ravel().tolist(), j.ravel().tolist())
+            values = [float(utility(PlayerSet(m), outcomes[k])) if m else 0.0 for m, k in pairs]
+            return np.array(values, dtype=float).reshape(a.shape)
+
+        return cls(n, outcomes, players, columns, assess)
+
+    @classmethod
+    def additive(cls, n: int, outcomes, columns, values, players=None) -> STGame:
+        """Additive game: u_A(o_j) is the sum of ``values[i, j]`` over the members i of A,
+        where o_j is ``outcomes[j]`` and ``columns[S]`` is the position of V(S)."""
+        values = np.array(values, dtype=float)
+
+        def assess(a, j):
+            if isinstance(a, int):  # one read: a loop over A's members beats n array passes
+                return sum(values.item(i, j) for i in range(n) if a >> i & 1)
+            return member_sum(n, a, lambda i, sel: values[i, j[sel]])
+
+        return cls(n, tuple(outcomes), player_names(n, players), columns, assess)
 
     @property
     def utility_table(self) -> Mapping[tuple[int, Outcome], float] | None:
         """Read-only (assessor mask, outcome) -> value map of a tabulated game's
-        entries, built on each access; ``None`` for functional games."""
+        entries, built on each access; ``None`` for other games."""
         if self._table is None:
             return None
         rows, cols = np.nonzero(~np.isnan(self._table[1:]))
@@ -192,7 +204,7 @@ class STGame:
     @property
     def consequence_table(self) -> Mapping[int, Outcome] | None:
         """Read-only coalition mask -> outcome map of a tabulated game, built on
-        each access; ``None`` for functional games."""
+        each access; ``None`` for other games."""
         if self._table is None:
             return None
         return MappingProxyType(
@@ -216,40 +228,54 @@ class STGame:
         return self.assess(assessor, self.consequence(coalition))
 
     def u(self, a_masks, s_masks) -> np.ndarray:
-        """u_A(V(S)) over (broadcast) arrays of assessor and coalition masks.
+        """u_A(V(S)) over broadcast assessor and coalition masks; 0 where A is empty, NaN
+        where a tabulated game has no entry."""
+        return self._assess(*np.broadcast_arrays(a_masks, self._columns[s_masks]))
 
-        0 where A is empty; NaN where a tabulated game has no entry. A
-        functional game calls its callables once per element, so a scan
-        that asks chunk by chunk holds one chunk of values at a time.
-        """
-        if self._table is not None:
-            return self._table[a_masks, self._columns[s_masks]]
-        a_masks, s_masks = np.broadcast_arrays(a_masks, s_masks)
-        values = [
-            self._u(a, self._v(s)) for a, s in zip(a_masks.ravel().tolist(), s_masks.ravel().tolist())
-        ]
-        return np.array(values, dtype=float).reshape(a_masks.shape)
+    @cached_property
+    def _position(self) -> dict:
+        return {outcome: j for j, outcome in enumerate(self.outcomes)}
 
     # scalar accessors for the per-pair functions
     def _v(self, mask: int) -> Outcome:
-        if mask == 0:
-            return NULL_OUTCOME
-        if self._table is None:
-            return self._consequence(mask)
-        return self.outcomes[self._columns.item(mask)]
+        return NULL_OUTCOME if mask == 0 else self.outcomes[self._columns.item(mask)]
 
     def _u(self, mask: int, outcome: Outcome) -> float:
         if mask == 0:
             return 0.0
-        if self._table is None:
-            return self._utility(mask, outcome)
-        try:
-            value = self._table.item(mask, self.outcomes.index(outcome))
-        except ValueError:  # not an outcome of this game
-            value = math.nan
+        j = self._position.get(outcome)  # None: not an outcome of this game
+        value = math.nan if j is None else float(self._assess(int(mask), j))
         if value != value:  # NaN: no entry
             raise MissingUtilityError(_subset_label(mask, self.players), outcome)
         return value
+
+
+def coalition_outcomes(n: int) -> tuple[tuple, np.ndarray]:
+    """Outcomes 1..2^n - 1 with V(S) = S, and the position of every coalition's outcome."""
+    check_subset_array(n)
+    return tuple(range(1, 1 << n)), np.maximum(np.arange(-1, (1 << n) - 1, dtype=np.intp), 0)
+
+
+def _outcome_columns(n: int, outcomes: tuple, consequence, players) -> np.ndarray:
+    """Position in ``outcomes`` of V(S) for every coalition mask S, read once from a map
+    of masks or a callable over PlayerSets; an undeclared outcome is refused."""
+    check_subset_array(n)
+    column_of = {outcome: j for j, outcome in enumerate(outcomes)}
+    columns = np.zeros(1 << n, dtype=np.intp)
+    for mask in range(1, 1 << n):
+        if callable(consequence):
+            outcome = consequence(PlayerSet(mask))
+        elif mask in consequence:
+            outcome = consequence[mask]
+        else:
+            raise ValueError(f"consequence map is missing coalition {_subset_label(mask, players)}")
+        if outcome not in column_of:
+            raise ValueError(
+                f"consequence of {_subset_label(mask, players)} is an undeclared outcome "
+                f"{outcome!r}"
+            )
+        columns[mask] = column_of[outcome]
+    return columns
 
 
 def _subset_label(mask: int, players) -> str:
@@ -372,8 +398,7 @@ def all_coop_points(g: STGame, *, include_grand: bool = True) -> list[CoopPoint]
     The grand coalition's point (computed under the empty-bystander
     convention) comes last; drop it with ``include_grand=False``.
     """
-    if g.n > MAX_POINTS:
-        raise SizeLimitError(f"point tables support n <= {MAX_POINTS}, got {g.n}")
+    check_subset_array(g.n)
     full = (1 << g.n) - 1
     subsets = np.arange(1, full + include_grand, dtype=np.int64)
     rest = full ^ subsets
@@ -449,20 +474,17 @@ def from_ntu(
     individual: Mapping[int, Mapping[Outcome, float]],
     players=None,
 ) -> STGame:
-    """Embed per-player utilities as an additive team game: u_A = sum of members' u_a."""
+    """Embed per-player utilities ``individual[p][x]``, given for every player p and
+    outcome x, as an additive team game: u_A = sum of members' u_a."""
+    outcomes = tuple(outcomes)
     for p in range(n):
-        if p not in individual:
-            raise ValueError(f"missing individual utility for player {p}")
-    if callable(consequence):
-        cons_fn = consequence
-    else:
-        cons_map = dict(consequence)
-        cons_fn = lambda s: cons_map[s.mask]  # noqa: E731
-
-    def utility(a: PlayerSet, outcome) -> float:
-        return sum(individual[p][outcome] for p in a)
-
-    return STGame.from_functions(n, outcomes, cons_fn, utility, players)
+        for x in outcomes:
+            if x not in individual.get(p, ()):
+                raise ValueError(f"missing individual utility for player {p} at outcome {x!r}")
+    values = [[individual[p][x] for x in outcomes] for p in range(n)]
+    players = player_names(n, players)
+    columns = _outcome_columns(n, outcomes, consequence, players)
+    return STGame.additive(n, outcomes, columns, values, players)
 
 
 def reduce_to_tu(g: STGame, tol: float = DEFAULT_TOL) -> TUGame:

@@ -17,11 +17,12 @@ import numpy as np
 
 from .errors import DisjointnessError, SizeLimitError
 from .exact_lp import minimal_coalition_cover
-from .players import PlayerSet, check_pair_scan, mask_pairs, mask_sizes
+from .players import (
+    MAX_SUBSET_ARRAY, PlayerSet, check_pair_scan, check_subset_array, mask_pairs, mask_sizes,
+)
 
 DEFAULT_TOL = 1e-9
 
-MAX_EXHAUSTIVE = 20   # 2^n table walks
 MAX_PERMUTATION = 8   # n! join orders
 MAX_CORE_DECIDE = 10  # exact LP columns: 2^n - 2
 
@@ -43,8 +44,8 @@ class TUGame:
     players: tuple[str, ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_EXHAUSTIVE:
-            raise SizeLimitError(f"TU games support 1..{MAX_EXHAUSTIVE} players, got {self.n}")
+        if not 1 <= self.n <= MAX_SUBSET_ARRAY:
+            raise SizeLimitError(f"TU games support 1..{MAX_SUBSET_ARRAY} players, got {self.n}")
         table = np.asarray(self.u, dtype=float)
         if table.shape != (1 << self.n,):
             raise ValueError(f"payoff table must have length {1 << self.n}, got {table.shape}")
@@ -244,11 +245,8 @@ def unanimity_game(n: int, carrier: PlayerSet) -> TUGame:
         raise ValueError("carrier must be nonempty")
     if not carrier.fits(n):
         raise ValueError(f"carrier {carrier} does not fit a {n}-player team")
-    table = np.zeros(1 << n)
-    for mask in range(1, 1 << n):
-        if mask & carrier.mask == carrier.mask:
-            table[mask] = 1.0
-    return TUGame(n, table)
+    check_subset_array(n)
+    return TUGame(n, ((np.arange(1 << n) & carrier.mask) == carrier.mask).astype(float))
 
 
 def random_convex_game(n: int, rng: np.random.Generator, scale: float = 1.0) -> TUGame:
@@ -257,10 +255,10 @@ def random_convex_game(n: int, rng: np.random.Generator, scale: float = 1.0) -> 
     Unanimity games are convex and convexity is preserved by nonnegative
     sums, so the result is convex by construction.
     """
+    check_subset_array(n)
     table = np.zeros(1 << n)
-    for carrier in range(1, 1 << n):
-        coeff = rng.uniform(0.0, scale)
-        for mask in range(carrier, 1 << n):
-            if mask & carrier == carrier:
-                table[mask] += coeff
+    table[1:] = rng.uniform(0.0, scale, size=(1 << n) - 1)  # one coefficient per carrier
+    for i in range(n):  # each mask sums the coefficients of the carriers inside it
+        halves = table.reshape(-1, 2, 1 << i)
+        halves[:, 1] += halves[:, 0]
     return TUGame(n, table)

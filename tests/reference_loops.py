@@ -6,13 +6,18 @@ accessors ``g._v`` and ``g._u`` and walk pairs in ascending (outer, inner)
 mask order, so the first violation they report is the one the array
 kernels must report too. Sums are accumulated left to right in ascending
 player order, as the library adds them.
+
+The structured games are here too as the per-element closures the library
+built them from before they became closed forms over arrays, with the same
+random draws one value at a time.
 """
 
 import numpy as np
 
+from teamgames.cobb import cd_subset_utility
 from teamgames.errors import MissingUtilityError, NotReducibleError, StructureError
 from teamgames.players import PlayerSet, iter_submasks
-from teamgames.st import _subset_label, coop_point
+from teamgames.st import STGame, _subset_label, coop_point
 from teamgames.tu import TUGame
 
 
@@ -236,3 +241,81 @@ def is_superadditive(game, tol=1e-9):
                 return False
     return True
 
+
+def random_convex_game(n, rng, scale=1.0):
+    table = np.zeros(1 << n)
+    for carrier in range(1, 1 << n):
+        coeff = rng.uniform(0.0, scale)
+        for mask in range(carrier, 1 << n):
+            if mask & carrier == carrier:
+                table[mask] += coeff
+    return TUGame(n, table)
+
+
+def unanimity_game(n, carrier):
+    table = np.zeros(1 << n)
+    for mask in range(1, 1 << n):
+        if mask & carrier.mask == carrier.mask:
+            table[mask] = 1.0
+    return TUGame(n, table)
+
+
+# ----------------------------------------------------------------- structured games
+
+
+def from_ntu(n, outcomes, consequence, individual, players=None):
+    cons_fn = consequence if callable(consequence) else (lambda s: consequence[s.mask])
+
+    def utility(a, outcome):
+        return sum(individual[p][outcome] for p in a)
+
+    return STGame.from_functions(n, outcomes, cons_fn, utility, players)
+
+
+def random_additive_game(n, rng, *, nonnegative=False, monotone=False):
+    full = (1 << n) - 1
+    outcomes = tuple(range(1, full + 1))
+    lo = 0.0 if nonnegative else -1.0
+    individual = {p: {} for p in range(n)}
+    for p in range(n):
+        for mask in outcomes:
+            if monotone:
+                individual[p][mask] = 0.25 * mask.bit_count() + float(rng.uniform(0.0, 0.2))
+            else:
+                individual[p][mask] = float(rng.uniform(lo, 1.0))
+    return from_ntu(n, outcomes, {mask: mask for mask in outcomes}, individual)
+
+
+def random_coadditive_game(n, rng, *, monotone=False):
+    full = (1 << n) - 1
+    outcomes = tuple(range(1, full + 1))
+    perception = {}
+    for a_mask in range(1, full + 1):
+        for b in range(n):
+            if monotone:
+                perception[(a_mask, b)] = 0.3 * a_mask.bit_count() + float(rng.uniform(0.0, 0.2))
+            else:
+                perception[(a_mask, b)] = float(rng.uniform(-1.0, 1.0))
+
+    def utility(a, outcome):
+        return sum(perception[(a.mask, b)] for b in PlayerSet(int(outcome)))
+
+    return STGame.from_functions(n, outcomes, lambda s: s.mask, utility)
+
+
+def biadditive_game(matrix):
+    mat = matrix.m
+
+    def utility(a, outcome):
+        return float(sum(mat[x][b] for x in a for b in PlayerSet(int(outcome))))
+
+    outcomes = tuple(range(1, 1 << matrix.n))
+    return STGame.from_functions(matrix.n, outcomes, lambda s: s.mask, utility)
+
+
+def st_game_view(scheme, cfg, profile):
+    def utility(a, outcome):
+        return cd_subset_utility(scheme, cfg, profile, a, PlayerSet(int(outcome)))
+
+    outcomes = tuple(range(1, 1 << len(profile)))
+    return STGame.from_functions(len(profile), outcomes, lambda s: s.mask, utility)

@@ -25,6 +25,7 @@ from teamgames.additivity import (
     is_additive,
     is_coadditive,
 )
+from teamgames.cobb import CobbDouglasConfig, ContributionProfile, hybrid, st_game_view
 from teamgames.errors import NotReducibleError, SizeLimitError, StructureError
 from teamgames.players import FIRST_CHUNK, MAX_PAIR_SCAN, PlayerSet, iter_submasks, mask_pairs
 from teamgames.random_games import (
@@ -121,6 +122,8 @@ def _games(n, seed):
     games["additive_perturbed"] = _perturbed(games["additive_monotone"], rng)
     games["coadditive_perturbed"] = _perturbed(games["coadditive_monotone"], rng)
     games["competition_free_perturbed"] = _perturbed(games["competition_free"], rng, 0.25)
+    profile = ContributionProfile.create(rng.uniform(0.0, 1.0, size=n).tolist())
+    games["cobb_view"] = st_game_view(hybrid(0.5), CobbDouglasConfig(beta=1.2), profile)
     return games
 
 
