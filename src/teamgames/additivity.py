@@ -18,16 +18,33 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import StructureError
-from .players import PlayerSet, check_pair_scan, mask_pairs, mask_sizes, member_sum
-from .st import STGame, coalition_outcomes
+from .errors import DisjointnessError, StructureError
+from .players import PlayerSet, check_pair_scan, first_pair, mask_sizes, member_sum
+from .st import STGame, coalition_outcomes, is_fully_cooperative, is_sensible
 from .tu import DEFAULT_TOL
+
+ROW_BLOCK = 1 << 10  # coalitions per gathered block of row sums
+
+
+def _first_mismatch(g: STGame, expected, tol: float):
+    """First nested pair (assessor A, coalition S) in scan order where u_A(S) is more than
+    ``tol`` off ``expected(s, a)``, as (A, S, got, expected); a NaN expectation (a missing
+    entry) counts as off and is reported with got and expected None."""
+    def off(s, a):
+        want = expected(s, a)
+        got = g.u(a, s)
+        return np.isnan(want) | (np.abs(got - want) > tol), got, want
+
+    witness = first_pair((1 << g.n) - 1, off, nested=True, nonempty=True)
+    if witness is None:
+        return None
+    s, a, got, want = witness
+    return (a, s, got, want) if want == want else (a, s, None, None)
 
 
 def _find_additive_violation(g: STGame, tol: float):
-    """First (assessor, coalition, got, expected) where u_A(S) != sum of members' u_a(S)."""
-    check_pair_scan(g.n)
-    for s, a in mask_pairs((1 << g.n) - 1, nested=True, nonempty=True):
+    """First violation of u_A(S) = sum over members a of u_a(S)."""
+    def expected(s, a):
         # u_i(V(S)) once per member i of each coalition in the chunk's range
         lo = int(s[0])
         span = np.arange(lo, int(s[-1]) + 1, dtype=np.int64)
@@ -35,13 +52,9 @@ def _find_additive_violation(g: STGame, tol: float):
         for i in range(g.n):
             has = (span >> i) & 1 == 1
             singles[has, i] = g.u(1 << i, span[has])
-        expected = member_sum(g.n, a, lambda i, sel: singles[s[sel] - lo, i])
-        got = g.u(a, s)
-        bad = np.abs(got - expected) > tol
-        if bad.any():
-            k = int(np.argmax(bad))
-            return (int(a[k]), int(s[k]), float(got[k]), float(expected[k]))
-    return None
+        return member_sum(g.n, a, lambda i, sel: singles[s[sel] - lo, i])
+
+    return _first_mismatch(g, expected, tol)
 
 
 def _find_coadditive_violation(g: STGame, tol: float):
@@ -51,18 +64,9 @@ def _find_coadditive_violation(g: STGame, tol: float):
     the identity as a total function; the missing entry is reported as the
     violation.
     """
-    check_pair_scan(g.n)
-    for s, a in mask_pairs((1 << g.n) - 1, nested=True, nonempty=True):
-        expected = member_sum(g.n, s, lambda i, sel: g.u(a[sel], 1 << i))
-        got = g.u(a, s)
-        missing = np.isnan(expected)
-        bad = missing | (np.abs(got - expected) > tol)
-        if bad.any():
-            k = int(np.argmax(bad))
-            if missing[k]:
-                return (int(a[k]), int(s[k]), None, None)
-            return (int(a[k]), int(s[k]), float(got[k]), float(expected[k]))
-    return None
+    return _first_mismatch(
+        g, lambda s, a: member_sum(g.n, s, lambda i, sel: g.u(a[sel], 1 << i)), tol
+    )
 
 
 def is_additive(g: STGame, tol: float = DEFAULT_TOL) -> bool:
@@ -120,7 +124,7 @@ def extract_matrix(g: STGame, tol: float = DEFAULT_TOL) -> BiAdditiveMatrix:
     nested (assessor, coalition) pairs; otherwise a StructureError carries
     the first witness.
     """
-    check_pair_scan(g.n)
+    check_pair_scan(g.n)  # before the 2^n row sums are built
     n = g.n
     singles = 1 << np.arange(n, dtype=np.int64)
     mat = g.u(singles[:, None], singles[None, :])
@@ -133,26 +137,25 @@ def extract_matrix(g: STGame, tol: float = DEFAULT_TOL) -> BiAdditiveMatrix:
             witness=(1 << a, 1 << b, None, None),
         )
     row_sums = _row_sums(mat)
-    for s, a in mask_pairs((1 << n) - 1, nested=True, nonempty=True):
-        expected = member_sum(n, a, lambda i, sel: row_sums[s[sel], i])
-        got = g.u(a, s)
-        bad = np.abs(got - expected) > tol
-        if bad.any():
-            k = int(np.argmax(bad))
-            a_mask, s_mask, got, expected = int(a[k]), int(s[k]), float(got[k]), float(expected[k])
-            raise StructureError(
-                f"game is not bi-additive: u at assessor mask {a_mask}, coalition mask "
-                f"{s_mask} is {got}, matrix reconstruction gives {expected}",
-                witness=(a_mask, s_mask, got, expected),
-            )
+    witness = _first_mismatch(
+        g, lambda s, a: member_sum(n, a, lambda i, sel: row_sums[s[sel], i]), tol
+    )
+    if witness is not None:
+        a_mask, s_mask, got, expected = witness
+        raise StructureError(
+            f"game is not bi-additive: u at assessor mask {a_mask}, coalition mask "
+            f"{s_mask} is {got}, matrix reconstruction gives {expected}",
+            witness=witness,
+        )
     return BiAdditiveMatrix(n, mat)
 
 
 def _row_sums(mat: np.ndarray) -> np.ndarray:
     """Row sums of ``mat`` over each coalition's columns, one row per coalition mask.
 
-    Coalitions of equal size are summed together, each along a contiguous
-    last axis exactly as ``mat[:, members].sum(axis=1)`` sums one, so the
+    Coalitions of equal size are summed together, up to ``ROW_BLOCK`` at a
+    time so the gathered block stays small, each along a contiguous last
+    axis exactly as ``mat[:, members].sum(axis=1)`` sums one, so the
     reconstruction (and the value a witness reports) matches a
     per-coalition computation to the last bit.
     """
@@ -162,8 +165,9 @@ def _row_sums(mat: np.ndarray) -> np.ndarray:
     sums = np.zeros((1 << n, n))
     for size in range(1, n + 1):
         group = masks[sizes == size]
-        members = np.nonzero((group[:, None] >> np.arange(n)) & 1)[1].reshape(len(group), size)
-        sums[group] = mat[:, members].sum(axis=2).T
+        for block in np.split(group, range(ROW_BLOCK, len(group), ROW_BLOCK)):
+            members = np.nonzero((block[:, None] >> np.arange(n)) & 1)[1].reshape(-1, size)
+            sums[block] = mat[:, members].sum(axis=2).T
     return sums
 
 
@@ -174,7 +178,7 @@ def fast_metrics(matrix: BiAdditiveMatrix, a: PlayerSet, b: PlayerSet) -> FastMe
     the altruistic part is everything B perceives in A.
     """
     if not a.isdisjoint(b):
-        raise ValueError(f"{a} and {b} overlap")
+        raise DisjointnessError(f"{a} and {b} overlap")
     mat = matrix.m
     union = list(a) + list(b)
     competitive = float(sum(mat[x][y] for x in a for y in union))
@@ -190,7 +194,7 @@ def additive_metrics(g: STGame, a: PlayerSet, b: PlayerSet) -> FastMetrics:
     outcomes. Assumes additivity; no structure check is repeated here.
     """
     if not a.isdisjoint(b):
-        raise ValueError(f"{a} and {b} overlap")
+        raise DisjointnessError(f"{a} and {b} overlap")
     x_union = g._v(a.mask | b.mask)
     competitive = float(sum(g._u(1 << p, x_union) for p in a))
     x_b = g._v(b.mask)
@@ -206,7 +210,7 @@ def coadditive_metrics(g: STGame, a: PlayerSet, b: PlayerSet) -> FastMetrics:
     Assumes co-additivity.
     """
     if not a.isdisjoint(b):
-        raise ValueError(f"{a} and {b} overlap")
+        raise DisjointnessError(f"{a} and {b} overlap")
     union = a | b
     altruism = float(sum(g._u(b.mask, g._v(1 << p)) for p in a))
     competitive = float(
@@ -239,30 +243,24 @@ def additive_predicates(g: STGame, tol: float = DEFAULT_TOL) -> AdditiveReport:
     violation = _find_additive_violation(g, tol)
     if violation is not None:
         raise StructureError("game is not additive", witness=violation)
-    n, full = g.n, (1 << g.n) - 1
-    masks = np.arange(1, full + 1, dtype=np.int64)
+    n = g.n
+    masks = np.arange(1, 1 << n, dtype=np.int64)
     values_ok = not any(
         np.any(g.u(1 << p, masks[(masks >> p) & 1 == 1]) < -tol) for p in range(n)
     )
 
-    coop_ok = True
-    gains_ok = True
-    for a, b in mask_pairs(full, nonempty=True):
-        union = a | b
-        total = np.zeros(len(a))
+    def loses(a, b):  # some bystander p in B values A joining below B's own outcome
+        bad = np.zeros(len(a), dtype=bool)
         for p in range(n):
             sel = (b >> p) & 1 == 1
-            gain = g.u(1 << p, union[sel]) - g.u(1 << p, b[sel])
-            total[sel] += gain
-            gains_ok = gains_ok and not np.any(gain < -tol)
-        coop_ok = coop_ok and not np.any(total < -tol)
-        if not coop_ok and not gains_ok:
-            break
+            bad[sel] |= g.u(1 << p, a[sel] | b[sel]) - g.u(1 << p, b[sel]) < -tol
+        return (bad,)
+
     return AdditiveReport(
         sensible=values_ok,
-        fully_cooperative=coop_ok,
+        fully_cooperative=is_fully_cooperative(g, tol),
         individual_values_nonneg=values_ok,
-        individual_gains_nonneg=gains_ok,
+        individual_gains_nonneg=first_pair((1 << n) - 1, loses, nonempty=True) is None,
     )
 
 
@@ -287,30 +285,25 @@ def coadditive_predicates(g: STGame, tol: float = DEFAULT_TOL) -> CoadditiveRepo
     violation = _find_coadditive_violation(g, tol)
     if violation is not None:
         raise StructureError("game is not co-additive", witness=violation)
-    n, full = g.n, (1 << g.n) - 1
-    masks = np.arange(1, full + 1, dtype=np.int64)
+    n = g.n
+    masks = np.arange(1, 1 << n, dtype=np.int64)
     outsiders_ok = not any(
         np.any(g.u(masks[(masks >> p) & 1 == 0], 1 << p) < -tol) for p in range(n)
     )
 
-    sensible_ok = True
-    monotone_ok = True
-    for a, b in mask_pairs(full):
+    def drops(a, b):  # A|B values some member p's presence below B's valuation of it
         union = a | b
-        total = np.zeros(len(a))
+        bad = np.zeros(len(a), dtype=bool)
         for p in range(n):
             sel = (union >> p) & 1 == 1
-            delta = g.u(union[sel], 1 << p) - g.u(b[sel], 1 << p)
-            total[sel] += delta
-            monotone_ok = monotone_ok and not np.any(delta < -tol)
-        sensible_ok = sensible_ok and not np.any(total < -tol)
-        if not sensible_ok and not monotone_ok:
-            break
+            bad[sel] |= g.u(union[sel], 1 << p) - g.u(b[sel], 1 << p) < -tol
+        return (bad,)
+
     return CoadditiveReport(
-        sensible=sensible_ok,
+        sensible=is_sensible(g, tol),
         fully_cooperative=outsiders_ok,
         perceptions_of_outsiders_nonneg=outsiders_ok,
-        assessments_monotone=monotone_ok,
+        assessments_monotone=first_pair((1 << n) - 1, drops) is None,
     )
 
 

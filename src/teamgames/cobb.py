@@ -507,21 +507,14 @@ def altruism_roots(
         return _group_payoff(scheme, cfg, x_b_total, size_b, x_a_total + x_b_total, size) - alone
 
     grid = np.linspace(0.0, float(size_a), ROOT_SCAN + 1)
-    values = altruism(grid).tolist()
-    roots: list[float] = []
-    for i, v in enumerate(values):
-        if abs(v) <= tol:
-            x = float(grid[i])
-            if not roots or x - roots[-1] > ROOT_XATOL:
-                roots.append(x)
-    for i in range(ROOT_SCAN):
-        lo_v, hi_v = values[i], values[i + 1]
-        if abs(lo_v) <= tol or abs(hi_v) <= tol:
-            continue
-        if (lo_v < 0) == (hi_v < 0):
-            continue
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        f_lo = lo_v
+    values = altruism(grid)
+    near = np.abs(values) <= tol
+    negative = values < 0
+    crossing = ~near[:-1] & ~near[1:] & (negative[:-1] != negative[1:])
+    roots = grid[near].tolist()
+    for i in np.flatnonzero(crossing).tolist():
+        lo, hi = grid[i].item(), grid[i + 1].item()
+        f_lo = values[i].item()
         while hi - lo > ROOT_XATOL:
             mid = (lo + hi) / 2.0
             f_mid = altruism(mid)

@@ -89,9 +89,12 @@ def _player_index(players: list[str]) -> dict[str, int]:
 def _parse_value(entry, location: str) -> float:
     if isinstance(entry, bool) or not isinstance(entry, (int, float)):
         raise GameLoadError(f"value must be a number, got {entry!r}", location)
-    value = float(entry)
+    try:
+        value = float(entry)
+    except OverflowError:  # an integer past the float range
+        value = math.inf
     if not math.isfinite(value):
-        raise GameLoadError(f"value must be finite, got {entry!r}", location)
+        raise GameLoadError(f"value must be finite, got {value!r}", location)
     return value
 
 

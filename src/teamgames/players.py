@@ -210,7 +210,7 @@ def mask_pairs(within: int, *, nested: bool = False, nonempty: bool = False):
     and no pair array outgrows the chunk size whatever the team size.
     """
     width = within.bit_length()
-    k = bin(within).count("1")
+    k = within.bit_count()
     full = (1 << k) - 1
     outer = np.arange(1, full + 1, dtype=np.int64)
     sizes = mask_sizes(k)[1:]
@@ -229,3 +229,21 @@ def mask_pairs(within: int, *, nested: bool = False, nonempty: bool = False):
         yield x, y
         done += len(index)
         size = min(2 * size, PAIR_CHUNK)
+
+
+def first_pair(within: int, test, *, nested: bool = False, nonempty: bool = False):
+    """The first pair of a :func:`mask_pairs` scan that ``test`` flags, or None.
+
+    ``test(outer, inner)`` takes one chunk and returns ``(bad, *values)``, a
+    boolean array flagging pairs and arrays of the chunk's length; the
+    result is ``(outer, inner, *values)`` at the first flagged pair in scan
+    order, as Python scalars. A scan over more than ``MAX_PAIR_SCAN`` players
+    is refused before ``test`` sees a chunk.
+    """
+    check_pair_scan(within.bit_count())
+    for outer, inner in mask_pairs(within, nested=nested, nonempty=nonempty):
+        bad, *values = test(outer, inner)
+        if bad.any():
+            k = int(np.argmax(bad))
+            return (int(outer[k]), int(inner[k]), *(v[k].item() for v in values))
+    return None

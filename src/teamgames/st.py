@@ -35,7 +35,7 @@ from .errors import (
     NotReducibleError,
     SizeLimitError,
 )
-from .players import PlayerSet, check_pair_scan, check_subset_array, mask_pairs, member_sum
+from .players import PlayerSet, check_subset_array, first_pair, member_sum
 from .tu import DEFAULT_TOL, TUGame
 
 Outcome = Hashable
@@ -420,12 +420,11 @@ def is_sensible(g: STGame, tol: float = DEFAULT_TOL) -> bool:
     Quantifies c_A(A|B) >= 0 over all disjoint nonempty pairs and over the
     B-empty case (self-assessments nonnegative).
     """
-    check_pair_scan(g.n)
-    for a, b in mask_pairs((1 << g.n) - 1):
+    def loses(a, b):  # A|B values its outcome below B's assessment of it
         union = a | b
-        if np.any(g.u(union, union) - g.u(b, union) < -tol):
-            return False
-    return True
+        return (g.u(union, union) - g.u(b, union) < -tol,)
+
+    return first_pair((1 << g.n) - 1, loses) is None
 
 
 def is_cohesive(g: STGame, s: PlayerSet, tol: float = DEFAULT_TOL) -> bool:
@@ -434,11 +433,11 @@ def is_cohesive(g: STGame, s: PlayerSet, tol: float = DEFAULT_TOL) -> bool:
         raise ValueError("coalition must be nonempty")
     if not s.fits(g.n):
         raise ValueError(f"{s} is not a coalition of a {g.n}-player team")
-    check_pair_scan(len(s))
-    for a, b in mask_pairs(s.mask, nonempty=True):
-        if np.any(g.u(b, a | b) - g.u(b, b) < -tol):
-            return False
-    return True
+
+    def loses(a, b):  # B values A joining below its own outcome
+        return (g.u(b, a | b) - g.u(b, b) < -tol,)
+
+    return first_pair(s.mask, loses, nonempty=True) is None
 
 
 def is_fully_cooperative(g: STGame, tol: float = DEFAULT_TOL) -> bool:
@@ -495,13 +494,14 @@ def reduce_to_tu(g: STGame, tol: float = DEFAULT_TOL) -> TUGame:
     value). Raises :class:`NotReducibleError` with the witnessing pair
     otherwise.
     """
-    check_pair_scan(g.n)
-    for a, b in mask_pairs((1 << g.n) - 1, nonempty=True):
+    def competes(a, b):
         union = a | b
         c = g.u(union, union) - g.u(b, union)
-        bad = np.abs(c) > tol
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise NotReducibleError(PlayerSet(int(a[k])), PlayerSet(int(b[k])), float(c[k]))
+        return np.abs(c) > tol, c
+
+    witness = first_pair((1 << g.n) - 1, competes, nonempty=True)
+    if witness is not None:
+        a, b, c = witness
+        raise NotReducibleError(PlayerSet(a), PlayerSet(b), c)
     masks = np.arange(1 << g.n, dtype=np.int64)
     return TUGame(g.n, g.u(masks, masks), g.players)

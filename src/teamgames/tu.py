@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DisjointnessError, SizeLimitError
 from .exact_lp import minimal_coalition_cover
 from .players import (
-    MAX_SUBSET_ARRAY, PlayerSet, check_pair_scan, check_subset_array, mask_pairs, mask_sizes,
+    MAX_SUBSET_ARRAY, PlayerSet, check_subset_array, first_pair, mask_sizes, member_sum,
 )
 
 DEFAULT_TOL = 1e-9
@@ -174,22 +174,9 @@ def is_convex(game: TUGame, tol: float = DEFAULT_TOL) -> bool:
 
 def is_superadditive(game: TUGame, tol: float = DEFAULT_TOL) -> bool:
     """True when u(A|B) >= u(A) + u(B) for every disjoint nonempty pair."""
-    check_pair_scan(game.n)
     u = game.u
-    for a, b in mask_pairs((1 << game.n) - 1, nonempty=True):
-        if np.any(u[a | b] < u[a] + u[b] - tol):
-            return False
-    return True
-
-
-def coalition_sums(n: int, phi) -> np.ndarray:
-    """Sum of allocation entries over every coalition mask (length 2^n)."""
-    phi = np.asarray(phi, dtype=float)
-    masks = np.arange(1 << n, dtype=np.int64)
-    sums = np.zeros(1 << n)
-    for i in range(n):
-        sums += phi[i] * ((masks >> i) & 1)
-    return sums
+    return first_pair((1 << game.n) - 1, lambda a, b: (u[a | b] < u[a] + u[b] - tol,),
+                      nonempty=True) is None
 
 
 def is_efficient(game: TUGame, phi, tol: float = DEFAULT_TOL) -> bool:
@@ -203,7 +190,7 @@ def in_core(game: TUGame, phi, tol: float = DEFAULT_TOL) -> bool:
         raise ValueError(f"allocation must have length {game.n}")
     if not is_efficient(game, phi, tol):
         return False
-    sums = coalition_sums(game.n, phi)
+    sums = member_sum(game.n, np.arange(1 << game.n), lambda i, sel: phi[i])
     return bool(np.all(sums >= game.u - tol))
 
 

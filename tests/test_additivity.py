@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from teamgames.additivity import (
     BiAdditiveMatrix,
+    _row_sums,
+    additive_metrics,
     additive_predicates,
+    coadditive_metrics,
     coadditive_predicates,
     export_graph,
     extract_matrix,
@@ -12,7 +17,7 @@ from teamgames.additivity import (
     is_biadditive,
     is_coadditive,
 )
-from teamgames.errors import StructureError
+from teamgames.errors import DisjointnessError, StructureError
 from teamgames.players import PlayerSet, disjoint_pairs
 from teamgames.random_games import (
     random_additive_game,
@@ -168,8 +173,21 @@ class TestFastMetrics:
 
     def test_overlapping_subsets_rejected(self):
         m = BiAdditiveMatrix(2, np.eye(2))
-        with pytest.raises(ValueError):
-            fast_metrics(m, PlayerSet.of(0), PlayerSet.of(0))
+        g = m.to_game()
+        a, b = PlayerSet.of(0), PlayerSet.of(0, 1)
+        for metrics, subject in ((fast_metrics, m), (additive_metrics, g), (coadditive_metrics, g)):
+            with pytest.raises(DisjointnessError, match="overlap"):
+                metrics(subject, a, b)
+
+    def test_row_sums_memory_stays_below_twice_the_result(self):
+        mat = np.random.default_rng(3).normal(size=(16, 16))
+        tracemalloc.start()
+        try:
+            sums = _row_sums(mat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sums.nbytes
 
 
 class TestStructuredPredicates:

@@ -226,8 +226,13 @@ class TestRefusals:
              "error: version: field 'version' must be int, got bool"),
             ('{"version": 1, "players": ["A"], "utilities": [{"subset": [["A"]], "value": 1}]}',
              "error: utilities[0].subset[0]: unknown player ['A']"),
+            ('{"version": 1, "players": ["A"], "utilities": [{"subset": ["A"], "value": 1'
+             + "0" * 400 + "}]}", "error: utilities[0].value: value must be finite"),
+            ('{"version": 1, "cobb_douglas": {"beta": 1' + "0" * 400 + "}}",
+             "error: cobb_douglas.beta: value must be finite"),
         ],
-        ids=["deep-nesting", "not-utf8", "version-true", "nested-player-name"],
+        ids=["deep-nesting", "not-utf8", "version-true", "nested-player-name",
+             "huge-tu-value", "huge-cobb-beta"],
     )
     def test_unreadable_document_is_one_error_line(self, tmp_path, capsys, content, message):
         path = tmp_path / "bad.game"

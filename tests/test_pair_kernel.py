@@ -12,9 +12,7 @@ import numpy as np
 import pytest
 
 import reference_loops as ref
-import teamgames.additivity as additivity
-import teamgames.st as st
-import teamgames.tu as tu
+import teamgames.players as players
 from teamgames.additivity import (
     BiAdditiveMatrix,
     _find_additive_violation,
@@ -359,8 +357,7 @@ def test_pair_scans_refuse_past_the_limit_before_scanning(monkeypatch, scan):
     def refuse(*args, **kwargs):
         raise AssertionError("mask_pairs called past the pair-scan limit")
 
-    for module in (st, additivity, tu):
-        monkeypatch.setattr(module, "mask_pairs", refuse)
+    monkeypatch.setattr(players, "mask_pairs", refuse)
     n = MAX_PAIR_SCAN + 1
     if scan is is_superadditive:
         game = TUGame(n, np.zeros(1 << n))

@@ -1,10 +1,15 @@
+import numpy as np
 import pytest
 
+from teamgames.errors import SizeLimitError
 from teamgames.players import (
+    MAX_PAIR_SCAN,
     PlayerSet,
     disjoint_pairs,
+    first_pair,
     iter_submasks,
     iter_subset_masks,
+    mask_pairs,
     subsets,
 )
 
@@ -70,3 +75,37 @@ def test_disjoint_pairs_count():
         assert a and b and a.isdisjoint(b)
     with_empty_b = list(disjoint_pairs(3, nonempty_b=False))
     assert len(with_empty_b) == 3**3 - 2**3
+
+
+@pytest.mark.parametrize("nested", [False, True])
+@pytest.mark.parametrize("edge", ["first-of-later-chunk", "last-of-chunk"])
+def test_first_pair_stops_at_the_first_flagged_pair(nested, edge):
+    within = 0b1101101
+    chunks = [list(zip(x.tolist(), y.tolist())) for x, y in mask_pairs(within, nested=nested)]
+    assert len(chunks) >= 3
+    target = chunks[2][0] if edge == "first-of-later-chunk" else chunks[1][-1]
+    order = [pair for chunk in chunks for pair in chunk]
+    start = order.index(target)
+    calls = []
+
+    def test(outer, inner):
+        calls.append(len(outer))
+        index = np.arange(len(outer)) + sum(calls[:-1])
+        return index >= start, outer * 1000 + inner, index
+
+    got = first_pair(within, test, nested=nested)
+    assert got == (*target, target[0] * 1000 + target[1], start)
+    assert all(type(v) is int for v in got)
+    assert len(calls) == (3 if edge == "first-of-later-chunk" else 2)
+    assert first_pair(within, lambda x, y: (x < 0,), nested=nested) is None
+
+
+def test_first_pair_refuses_before_calling_test():
+    def test(outer, inner):
+        raise AssertionError("test called past the pair-scan limit")
+
+    within = (1 << (MAX_PAIR_SCAN + 1)) - 1
+    with pytest.raises(SizeLimitError, match=f"got {MAX_PAIR_SCAN + 1}"):
+        first_pair(within, test)
+    # the limit counts the players in the scan, not the highest index
+    assert first_pair(1 << 40 | 1, lambda x, y: (x == 1 << 40, y)) == (1 << 40, 0, 0)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import reference_loops as ref
-import teamgames.st as st
+import teamgames.players as players
 from teamgames.additivity import BiAdditiveMatrix, is_additive, is_coadditive
 from teamgames.cobb import EQUAL, CobbDouglasConfig, ContributionProfile, hybrid, st_game_view
 from teamgames.errors import SizeLimitError
@@ -125,7 +125,7 @@ def test_from_entries_checks_totality_without_a_pair_walk(monkeypatch, tmp_path)
 
     game = random_st_game(4, np.random.default_rng(2), n_outcomes=3)
     save_game(game, tmp_path / "team.game")
-    monkeypatch.setattr(st, "mask_pairs", refuse)
+    monkeypatch.setattr(players, "mask_pairs", refuse)
     assert load_game(tmp_path / "team.game").utility_table == game.utility_table
     utilities = dict(game.utility_table)
     del utilities[(0b0110, game._v(0b1110))]
