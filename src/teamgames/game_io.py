@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from array import array
 from pathlib import Path
 
 import numpy as np
@@ -53,18 +52,19 @@ def _require(doc: dict, key: str, kind, location: str):
     return value
 
 
-def _parse_players(doc: dict) -> list[str]:
-    players = _require(doc, "players", list, "players")
-    if not players:
-        raise GameLoadError("at least one player is required", "players")
-    seen = set()
-    for i, name in enumerate(players):
+def _parse_names(doc: dict, key: str, noun: str, names: str) -> dict[str, int]:
+    """Position of each name in ``doc[key]``, a nonempty list of distinct nonempty strings."""
+    items = _require(doc, key, list, key)
+    if not items:
+        raise GameLoadError(f"at least one {noun} is required", key)
+    index: dict[str, int] = {}
+    for i, name in enumerate(items):
         if not isinstance(name, str) or not name:
-            raise GameLoadError("player names must be nonempty strings", f"players[{i}]")
-        if name in seen:
-            raise GameLoadError(f"duplicate player {name!r}", f"players[{i}]")
-        seen.add(name)
-    return players
+            raise GameLoadError(f"{names} must be nonempty strings", f"{key}[{i}]")
+        if name in index:
+            raise GameLoadError(f"duplicate {noun} {name!r}", f"{key}[{i}]")
+        index[name] = i
+    return index
 
 
 def _parse_subset(entry, index: dict[str, int], location: str) -> int:
@@ -82,20 +82,119 @@ def _parse_subset(entry, index: dict[str, int], location: str) -> int:
     return mask
 
 
-def _player_index(players: list[str]) -> dict[str, int]:
-    return {name: i for i, name in enumerate(players)}
+def _as_float(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        return math.inf
 
 
 def _parse_value(entry, location: str) -> float:
     if isinstance(entry, bool) or not isinstance(entry, (int, float)):
         raise GameLoadError(f"value must be a number, got {entry!r}", location)
-    try:
-        value = float(entry)
-    except OverflowError:  # an integer past the float range
-        value = math.inf
+    value = _as_float(entry)
     if not math.isfinite(value):
         raise GameLoadError(f"value must be finite, got {value!r}", location)
     return value
+
+
+def _first(flags: np.ndarray) -> int:
+    """Index of the first set flag, or the length of ``flags`` when none is set."""
+    return int(np.argmax(flags)) if flags.any() else len(flags)
+
+
+_KINDS = {  # per section kind: entry noun, empty-subset error (None: allowed), repeated entry
+    "consequence": ("consequence", "the empty coalition has no consequence entry",
+                    "consequence for subset"),
+    "utilities": ("utility", "the empty subset assesses nothing", "utility for (subset, outcome)"),
+    "tu": ("utility", None, "entry for subset"),
+}
+
+
+def _entry_fault(kind: str, section: str, i: int, entry, index, column_of, earlier: int):
+    """Raise the error of entry i, its section's first fault; its key first came at ``earlier``."""
+    noun, empty, repeat = _KINDS[kind]
+    loc = f"{section}[{i}]"
+    if not isinstance(entry, dict):
+        raise GameLoadError(f"{noun} entry must be an object", loc)
+    if kind == "tu" and "outcome" in entry:
+        raise GameLoadError("TU utility entries carry no outcome (did you mean a team-game "
+                            "document with an outcomes section?)", f"{loc}.outcome")
+    mask = _parse_subset(entry.get("subset"), index, f"{loc}.subset")
+    if mask == 0 and empty:
+        raise GameLoadError(empty, f"{loc}.subset")
+    outcome = entry.get("outcome")
+    if column_of is not None and (not isinstance(outcome, str) or outcome not in column_of):
+        raise GameLoadError(f"undeclared outcome {outcome!r}", f"{loc}.outcome")
+    value = _parse_value(entry.get("value"), f"{loc}.value") if noun == "utility" else None
+    if earlier < i:
+        where = loc if kind == "utilities" else f"{loc}.subset"
+        raise GameLoadError(f"duplicate {repeat} (also at {section}[{earlier}])", where)
+    if mask == 0 and value != 0.0:
+        raise GameLoadError("the empty coalition must be worth 0", f"{loc}.value")
+    raise AssertionError(f"{loc}: flagged entry passed every check")
+
+
+def _read_section(doc: dict, kind: str, index, column_of, subsets: dict, masks: dict):
+    """Subset ids, outcome columns and values of a ``consequence``, ``utilities`` or ``tu``
+    section, gathered up to the first entry with a bad object, subset or outcome. Each list
+    of names is parsed once (``subsets``: names -> id; ``masks``: mask -> id). Values and
+    repeats are checked in bulk; the lowest faulty entry raises through :func:`_entry_fault`."""
+    section = "consequence" if kind == "consequence" else "utilities"
+    entries = _require(doc, section, list, section)
+    ids, cols, raw = [], [], []
+    prev = sid = None
+    for entry in entries:
+        try:  # KeyError: a missing field or undeclared outcome; TypeError: an unhashable name
+            if not isinstance(entry, dict) or (column_of is None and "outcome" in entry):
+                break
+            subset = entry["subset"]
+            if sid is None or subset != prev:  # most documents repeat a subset in a row
+                sid = subsets.get(tuple(subset) if isinstance(subset, list) else None)
+                if sid is None:
+                    mask = _parse_subset(subset, index, section)
+                    if mask == 0 and _KINDS[kind][1]:
+                        break
+                    sid = subsets[tuple(subset)] = masks.setdefault(mask, len(masks))
+                prev = subset
+            if column_of is not None:
+                if not isinstance(outcome := entry["outcome"], str):
+                    break
+                cols.append(column_of[outcome])
+            ids.append(sid)
+            if kind != "consequence":
+                raw.append(entry["value"])
+        except (KeyError, TypeError, GameLoadError):
+            break
+    ids, cols = np.array(ids, dtype=np.int64), np.array(cols, dtype=np.int64)
+    keys = ids * len(column_of) + cols if kind == "utilities" else ids
+    repeat = np.ones(len(ids), dtype=bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False
+    faults = [len(ids), _first(repeat)]
+    values = None
+    if kind != "consequence":
+        numbers = {t for t in set(map(type, raw)) if issubclass(t, (int, float)) and t is not bool}
+        raw = raw[:_first(~np.fromiter(map(numbers.__contains__, map(type, raw)), bool, len(raw)))]
+        try:
+            values = np.array(raw, dtype=np.float64)
+        except OverflowError:  # an integer past the float range
+            values = np.fromiter(map(_as_float, raw), np.float64, len(raw))
+        faults.append(_first(~np.isfinite(values)))
+        empty = ids[:len(values)] == masks.get(0, -1)  # only a TU document lists the empty set
+        faults.append(_first(empty & (values != 0.0)))
+    i = min(faults)
+    if i < len(entries):
+        earlier = _first(keys[:i] == keys[i]) if i < len(ids) else i
+        _entry_fault(kind, section, i, entries[i], index, column_of, earlier)
+    return ids, cols, values
+
+
+def _require_every_subset(masks: dict, n: int, players, what: str, section: str) -> np.ndarray:
+    """The masks by id, once every nonempty subset is present; n is bounded from here on."""
+    if len(masks) - (0 in masks) < (1 << n) - 1:
+        mask = next(m for m in range(1, 1 << n) if m not in masks)
+        raise GameLoadError(f"no {what} entry for subset {_subset_names(mask, players)}", section)
+    return np.array(list(masks), dtype=np.int64)
 
 
 def parse_document(doc: dict):
@@ -126,112 +225,32 @@ def _parse_cobb(doc: dict) -> CobbDouglasConfig:
 
 
 def _parse_tu(doc: dict) -> TUGame:
-    players = _parse_players(doc)
-    n = len(players)
+    index = _parse_names(doc, "players", "player", "player names")
+    players, n = list(index), len(index)
     if n > MAX_SUBSET_ARRAY:
         raise GameLoadError(f"TU games support 1..{MAX_SUBSET_ARRAY} players, got {n}", "players")
-    index = _player_index(players)
-    entries = _require(doc, "utilities", list, "utilities")
+    masks: dict[int, int] = {}
+    ids, _, values = _read_section(doc, "tu", index, None, {}, masks)
     table = np.zeros(1 << n)
-    seen: dict[int, int] = {}
-    for i, entry in enumerate(entries):
-        loc = f"utilities[{i}]"
-        if not isinstance(entry, dict):
-            raise GameLoadError("utility entry must be an object", loc)
-        if "outcome" in entry:
-            raise GameLoadError(
-                "TU utility entries carry no outcome (did you mean a team-game document "
-                "with an outcomes section?)",
-                f"{loc}.outcome",
-            )
-        mask = _parse_subset(entry.get("subset"), index, f"{loc}.subset")
-        value = _parse_value(entry.get("value"), f"{loc}.value")
-        if mask in seen:
-            raise GameLoadError(
-                f"duplicate entry for subset (also at utilities[{seen[mask]}])", f"{loc}.subset"
-            )
-        if mask == 0 and value != 0.0:
-            raise GameLoadError("the empty coalition must be worth 0", f"{loc}.value")
-        seen[mask] = i
-        table[mask] = value
-    for mask in range(1, 1 << n):
-        if mask not in seen:
-            names = [players[i] for i in PlayerSet(mask)]
-            raise GameLoadError(f"no utility entry for subset {names}", "utilities")
+    table[_require_every_subset(masks, n, players, "utility", "utilities")[ids]] = values
     return TUGame(n, table, tuple(players))
 
 
 def _parse_st(doc: dict) -> STGame:
-    players = _parse_players(doc)
-    n = len(players)
-    index = _player_index(players)
-    outcomes = _require(doc, "outcomes", list, "outcomes")
-    if not outcomes:
-        raise GameLoadError("at least one outcome is required", "outcomes")
-    column_of: dict[str, int] = {}
-    for i, outcome in enumerate(outcomes):
-        if not isinstance(outcome, str) or not outcome:
-            raise GameLoadError("outcome ids must be nonempty strings", f"outcomes[{i}]")
-        if outcome in column_of:
-            raise GameLoadError(f"duplicate outcome {outcome!r}", f"outcomes[{i}]")
-        column_of[outcome] = i
-
-    # coalition mask -> (entry position, outcome column); sized by the document,
-    # so coverage is settled before anything of size 2^n is allocated
-    cons_entries = _require(doc, "consequence", list, "consequence")
-    consequence: dict[int, tuple[int, int]] = {}
-    for i, entry in enumerate(cons_entries):
-        loc = f"consequence[{i}]"
-        if not isinstance(entry, dict):
-            raise GameLoadError("consequence entry must be an object", loc)
-        mask = _parse_subset(entry.get("subset"), index, f"{loc}.subset")
-        if mask == 0:
-            raise GameLoadError("the empty coalition has no consequence entry", f"{loc}.subset")
-        outcome = entry.get("outcome")
-        if not isinstance(outcome, str) or outcome not in column_of:
-            raise GameLoadError(f"undeclared outcome {outcome!r}", f"{loc}.outcome")
-        if mask in consequence:
-            raise GameLoadError(
-                f"duplicate consequence for subset (also at consequence[{consequence[mask][0]}])",
-                f"{loc}.subset",
-            )
-        consequence[mask] = (i, column_of[outcome])
-    if len(consequence) < (1 << n) - 1:
-        mask = next(m for m in range(1, 1 << n) if m not in consequence)
-        names = [players[i] for i in PlayerSet(mask)]
-        raise GameLoadError(f"no consequence entry for subset {names}", "consequence")
+    index = _parse_names(doc, "players", "player", "player names")
+    players, n = list(index), len(index)
+    column_of = _parse_names(doc, "outcomes", "outcome", "outcome ids")
+    # the sections share one subset cache; coverage is settled before any 2^n allocation
+    subsets, masks = {}, {}
+    ids, cols, _ = _read_section(doc, "consequence", index, column_of, subsets, masks)
+    coalitions = _require_every_subset(masks, n, players, "consequence", "consequence")[ids]
     columns = np.zeros(1 << n, dtype=np.intp)
-    columns[list(consequence)] = [col for _, col in consequence.values()]
-
-    util_entries = _require(doc, "utilities", list, "utilities")
-    assessors, positions, values = array("q"), array("q"), array("d")
-    seen: set[int] = set()  # mask * len(outcomes) + column of every entry so far
-    for i, entry in enumerate(util_entries):
-        loc = f"utilities[{i}]"
-        if not isinstance(entry, dict):
-            raise GameLoadError("utility entry must be an object", loc)
-        mask = _parse_subset(entry.get("subset"), index, f"{loc}.subset")
-        if mask == 0:
-            raise GameLoadError("the empty subset assesses nothing", f"{loc}.subset")
-        outcome = entry.get("outcome")
-        if not isinstance(outcome, str) or outcome not in column_of:
-            raise GameLoadError(f"undeclared outcome {outcome!r}", f"{loc}.outcome")
-        value = _parse_value(entry.get("value"), f"{loc}.value")
-        col = column_of[outcome]
-        key = mask * len(outcomes) + col
-        if key in seen:
-            first = next(j for j in range(i) if assessors[j] == mask and positions[j] == col)
-            raise GameLoadError(
-                f"duplicate utility for (subset, outcome) (also at utilities[{first}])", loc
-            )
-        seen.add(key)
-        assessors.append(mask)
-        positions.append(col)
-        values.append(value)
-    del seen  # freed before the table is allocated
+    columns[coalitions] = cols
+    ids, positions, values = _read_section(doc, "utilities", index, column_of, subsets, masks)
+    assessors = np.array(list(masks), dtype=np.int64)[ids]
     try:
         return STGame.from_entries(
-            n, tuple(outcomes), columns, assessors, positions, values, tuple(players)
+            n, tuple(column_of), columns, assessors, positions, values, tuple(players)
         )
     except SizeLimitError as exc:
         raise GameLoadError(str(exc), "outcomes") from None
@@ -253,6 +272,7 @@ def load_game(source):
         ) from None
     except RecursionError:
         raise GameLoadError("malformed document: nested too deeply", "$") from None
+    del text  # the decoded tree is all parsing needs
     return parse_document(doc)
 
 

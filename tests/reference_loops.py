@@ -9,14 +9,24 @@ player order, as the library adds them.
 
 The structured games are here too as the per-element closures the library
 built them from before they became closed forms over arrays, with the same
-random draws one value at a time.
+random draws one value at a time; so are the entry-at-a-time document
+loaders that ``game_io`` replaced with its column reader.
 """
+
+from array import array
 
 import numpy as np
 
 from teamgames.cobb import cd_subset_utility
-from teamgames.errors import MissingUtilityError, NotReducibleError, StructureError
-from teamgames.players import PlayerSet, iter_submasks
+from teamgames.errors import (
+    GameLoadError,
+    MissingUtilityError,
+    NotReducibleError,
+    SizeLimitError,
+    StructureError,
+)
+from teamgames.game_io import _parse_names, _parse_subset, _parse_value, _require
+from teamgames.players import MAX_SUBSET_ARRAY, PlayerSet, iter_submasks
 from teamgames.st import STGame, _subset_label, coop_point
 from teamgames.tu import TUGame
 
@@ -319,3 +329,107 @@ def st_game_view(scheme, cfg, profile):
 
     outcomes = tuple(range(1, 1 << len(profile)))
     return STGame.from_functions(len(profile), outcomes, lambda s: s.mask, utility)
+
+
+# ----------------------------------------------------------------- game_io
+
+
+def parse_tu(doc):
+    index = _parse_names(doc, "players", "player", "player names")
+    players, n = list(index), len(index)
+    if n > MAX_SUBSET_ARRAY:
+        raise GameLoadError(f"TU games support 1..{MAX_SUBSET_ARRAY} players, got {n}", "players")
+    entries = _require(doc, "utilities", list, "utilities")
+    table = np.zeros(1 << n)
+    seen = {}
+    for i, entry in enumerate(entries):
+        loc = f"utilities[{i}]"
+        if not isinstance(entry, dict):
+            raise GameLoadError("utility entry must be an object", loc)
+        if "outcome" in entry:
+            raise GameLoadError(
+                "TU utility entries carry no outcome (did you mean a team-game document "
+                "with an outcomes section?)",
+                f"{loc}.outcome",
+            )
+        mask = _parse_subset(entry.get("subset"), index, f"{loc}.subset")
+        value = _parse_value(entry.get("value"), f"{loc}.value")
+        if mask in seen:
+            raise GameLoadError(
+                f"duplicate entry for subset (also at utilities[{seen[mask]}])", f"{loc}.subset"
+            )
+        if mask == 0 and value != 0.0:
+            raise GameLoadError("the empty coalition must be worth 0", f"{loc}.value")
+        seen[mask] = i
+        table[mask] = value
+    for mask in range(1, 1 << n):
+        if mask not in seen:
+            names = [players[i] for i in PlayerSet(mask)]
+            raise GameLoadError(f"no utility entry for subset {names}", "utilities")
+    return TUGame(n, table, tuple(players))
+
+
+def parse_st(doc):
+    index = _parse_names(doc, "players", "player", "player names")
+    players, n = list(index), len(index)
+    column_of = _parse_names(doc, "outcomes", "outcome", "outcome ids")
+    outcomes = list(column_of)
+
+    cons_entries = _require(doc, "consequence", list, "consequence")
+    consequence = {}
+    for i, entry in enumerate(cons_entries):
+        loc = f"consequence[{i}]"
+        if not isinstance(entry, dict):
+            raise GameLoadError("consequence entry must be an object", loc)
+        mask = _parse_subset(entry.get("subset"), index, f"{loc}.subset")
+        if mask == 0:
+            raise GameLoadError("the empty coalition has no consequence entry", f"{loc}.subset")
+        outcome = entry.get("outcome")
+        if not isinstance(outcome, str) or outcome not in column_of:
+            raise GameLoadError(f"undeclared outcome {outcome!r}", f"{loc}.outcome")
+        if mask in consequence:
+            raise GameLoadError(
+                f"duplicate consequence for subset (also at consequence[{consequence[mask][0]}])",
+                f"{loc}.subset",
+            )
+        consequence[mask] = (i, column_of[outcome])
+    if len(consequence) < (1 << n) - 1:
+        mask = next(m for m in range(1, 1 << n) if m not in consequence)
+        names = [players[i] for i in PlayerSet(mask)]
+        raise GameLoadError(f"no consequence entry for subset {names}", "consequence")
+    columns = np.zeros(1 << n, dtype=np.intp)
+    columns[list(consequence)] = [col for _, col in consequence.values()]
+
+    util_entries = _require(doc, "utilities", list, "utilities")
+    assessors, positions, values = array("q"), array("q"), array("d")
+    seen = set()
+    for i, entry in enumerate(util_entries):
+        loc = f"utilities[{i}]"
+        if not isinstance(entry, dict):
+            raise GameLoadError("utility entry must be an object", loc)
+        mask = _parse_subset(entry.get("subset"), index, f"{loc}.subset")
+        if mask == 0:
+            raise GameLoadError("the empty subset assesses nothing", f"{loc}.subset")
+        outcome = entry.get("outcome")
+        if not isinstance(outcome, str) or outcome not in column_of:
+            raise GameLoadError(f"undeclared outcome {outcome!r}", f"{loc}.outcome")
+        value = _parse_value(entry.get("value"), f"{loc}.value")
+        col = column_of[outcome]
+        key = mask * len(outcomes) + col
+        if key in seen:
+            first = next(j for j in range(i) if assessors[j] == mask and positions[j] == col)
+            raise GameLoadError(
+                f"duplicate utility for (subset, outcome) (also at utilities[{first}])", loc
+            )
+        seen.add(key)
+        assessors.append(mask)
+        positions.append(col)
+        values.append(value)
+    try:
+        return STGame.from_entries(
+            n, tuple(outcomes), columns, assessors, positions, values, tuple(players)
+        )
+    except SizeLimitError as exc:
+        raise GameLoadError(str(exc), "outcomes") from None
+    except ValueError as exc:
+        raise GameLoadError(str(exc), "utilities") from None

@@ -516,6 +516,16 @@ class TestOversizedDocuments:
         err = self._run(tmp_path, capsys, doc)
         assert err == "error: consequence: no consequence entry for subset ['p1']"
 
+    def test_seventy_player_team_document(self, tmp_path, capsys):
+        # masks of 70 players do not fit int64; coverage is checked on Python ints first
+        names = self._names(70)
+        doc = {"version": 1, "players": names, "outcomes": ["x", "y"],
+               "consequence": [{"subset": names, "outcome": "x"},
+                               {"subset": names[::-1][:3], "outcome": "y"}],
+               "utilities": [{"subset": names, "outcome": "x", "value": 1.0}]}
+        err = self._run(tmp_path, capsys, doc)
+        assert err == "error: consequence: no consequence entry for subset ['p0']"
+
     def test_table_past_the_cell_limit(self, tmp_path, capsys):
         # 2^16 assessors x 65,536 outcomes would be a 34 GB table
         n = 16

@@ -1,9 +1,12 @@
 import copy
 import json
+import random
 
 import numpy as np
 import pytest
+import reference_loops as ref
 
+from teamgames import game_io
 from teamgames.additivity import BiAdditiveMatrix, export_graph
 from teamgames.cobb import CobbDouglasConfig
 from teamgames.errors import GameLoadError
@@ -117,6 +120,172 @@ def test_missing_totality_is_an_error():
     doc["utilities"] = [e for e in doc["utilities"] if e != {"subset": ["A"], "outcome": "together", "value": 2}]
     with pytest.raises(GameLoadError, match="missing utility"):
         parse_document(doc)
+
+
+def _names(mask, players):
+    return [players[i] for i in PlayerSet(mask)]
+
+
+def _team_doc(n):
+    """Size-outcome team document: V(S) is "s|S|", listed assessor by assessor."""
+    players = [f"p{i}" for i in range(n)]
+    full = 1 << n
+    return {
+        "version": 1,
+        "players": players,
+        "outcomes": [f"s{k}" for k in range(1, n + 1)],
+        "consequence": [
+            {"subset": _names(s, players), "outcome": f"s{s.bit_count()}"} for s in range(1, full)
+        ],
+        "utilities": [
+            {"subset": _names(a, players), "outcome": f"s{k}", "value": a * 0.25 - k}
+            for a in range(1, full)
+            for k in range(a.bit_count(), n + 1)
+        ],
+    }
+
+
+def _tu_doc(n):
+    players = [f"p{i}" for i in range(n)]
+    return {
+        "version": 1,
+        "players": players,
+        "utilities": [{"subset": _names(s, players), "value": s * 0.5} for s in range(1 << n)],
+    }
+
+
+def _load_result(parse, doc):
+    """The error text and location of loading ``doc``, or the bytes of the game's table."""
+    try:
+        game = parse(doc)
+    except GameLoadError as exc:
+        return str(exc), exc.location
+    return game.u.tobytes() if isinstance(game, TUGame) else game._table.tobytes()
+
+
+# each fault rewrites the entry at position i of a section's entry list
+_SUBSET_FAULTS = {
+    "not-an-object": lambda e, i, es: ["p0"],
+    "subset-not-a-list": lambda e, i, es: {**e, "subset": "p0"},
+    "subset-missing": lambda e, i, es: {k: v for k, v in e.items() if k != "subset"},
+    "unknown-player": lambda e, i, es: {**e, "subset": e["subset"] + ["zed"]},
+    "player-twice": lambda e, i, es: {**e, "subset": ["p1", "p0", "p1"]},
+    "unhashable-name": lambda e, i, es: {**e, "subset": ["p0", ["p1"]]},
+    "empty-subset": lambda e, i, es: {**e, "subset": []},
+    "duplicate": lambda e, i, es: dict(es[1 if i == 0 else 0]),
+}
+_OUTCOME_FAULTS = {
+    "undeclared-outcome": lambda e, i, es: {**e, "outcome": "s9"},
+    "list-outcome": lambda e, i, es: {**e, "outcome": ["s1"]},
+    "number-outcome": lambda e, i, es: {**e, "outcome": 1},
+    "outcome-missing": lambda e, i, es: {k: v for k, v in e.items() if k != "outcome"},
+}
+_VALUE_FAULTS = {
+    f"value-{name}": (lambda v: lambda e, i, es: {**e, "value": v})(v)
+    for name, v in [("true", True), ("string", "4"), ("none", None), ("nan", float("nan")),
+                    ("infinity", float("inf")), ("401-digits", 10**400)]
+}
+_SECTIONS = {
+    "consequence": (lambda: _team_doc(3), "consequence", {**_SUBSET_FAULTS, **_OUTCOME_FAULTS}),
+    "team-utilities": (lambda: _team_doc(3), "utilities",
+                       {**_SUBSET_FAULTS, **_OUTCOME_FAULTS, **_VALUE_FAULTS}),
+    "tu-utilities": (lambda: _tu_doc(3), "utilities",
+                     {**_SUBSET_FAULTS, **_VALUE_FAULTS,
+                      "outcome-key": lambda e, i, es: {**e, "outcome": "s1"},
+                      "empty-subset-worth": lambda e, i, es: {"subset": [], "value": 1.5}}),
+}
+
+
+def _faulty_docs():
+    for section_name, (make, section, faults) in _SECTIONS.items():
+        size = len(make()[section])
+        for fault_name, fault in faults.items():
+            for where, i in (("first", 0), ("middle", size // 2), ("last", size - 1)):
+                doc = make()
+                doc[section][i] = fault(doc[section][i], i, doc[section])
+                yield f"{section_name}-{fault_name}-{where}", doc
+        # two faults: the lower entry index wins, whichever fault comes first in the list
+        names = list(faults)
+        for k, (low, high) in enumerate(zip(names, names[1:] + names[:1])):
+            doc = make()
+            entries = doc[section]
+            i, j = 1 + k % 2, size - 1 - k % 2
+            entries[j] = faults[high](entries[j], j, entries)
+            entries[i] = faults[low](entries[i], i, entries)
+            yield f"{section_name}-{low}-before-{high}", doc
+    # every consequence fault is reported before any utilities fault
+    doc = _team_doc(3)
+    doc["utilities"][0] = ["not", "an", "object"]
+    doc["consequence"][-1]["outcome"] = "s9"
+    yield "consequence-before-utilities", doc
+
+
+def test_loader_errors_match_reference_loops():
+    refused = 0
+    for case, doc in _faulty_docs():
+        oracle = ref.parse_st if "outcomes" in doc else ref.parse_tu
+        expected = _load_result(oracle, copy.deepcopy(doc))
+        assert _load_result(parse_document, doc) == expected, case
+        refused += isinstance(expected, tuple)
+    # only the TU document's first entry, the empty subset worth 0, survives a fault
+    assert refused > 150
+
+
+def test_valid_documents_match_reference_loops():
+    for doc in (_team_doc(1), _team_doc(4), PRISONERS_DILEMMA):
+        game, expected = parse_document(doc), ref.parse_st(doc)
+        assert np.array_equal(game._table, expected._table, equal_nan=True)
+        assert np.array_equal(game._columns, expected._columns)
+    for doc in (_tu_doc(1), _tu_doc(5), GLOVE):
+        assert parse_document(doc).u.tobytes() == ref.parse_tu(doc).u.tobytes()
+
+
+def test_each_distinct_subset_is_parsed_once(monkeypatch):
+    calls = []
+
+    def counting(entry, index, location):
+        calls.append(location)
+        return parse_subset(entry, index, location)
+
+    parse_subset = game_io._parse_subset
+    monkeypatch.setattr(game_io, "_parse_subset", counting)
+    doc = _team_doc(10)
+    assert len(doc["utilities"]) == 6133
+    parse_document(doc)
+    # 1,023 distinct subsets; the utilities section reuses the consequence section's parses
+    assert 0 < calls.count("consequence") and len(calls) <= 1023
+    calls.clear()
+    parse_document(_tu_doc(10))
+    assert len(calls) <= 1024
+
+
+def test_entry_order_does_not_change_the_game():
+    doc = _team_doc(6)
+    game = parse_document(doc)
+    rng = random.Random(8)
+    for section in ("consequence", "utilities"):
+        rng.shuffle(doc[section])
+    again = parse_document(doc)
+    assert np.array_equal(again._table, game._table, equal_nan=True)
+    assert np.array_equal(again._columns, game._columns)
+    doc = _tu_doc(6)
+    table = parse_document(doc).u
+    rng.shuffle(doc["utilities"])
+    assert parse_document(doc).u.tobytes() == table.tobytes()
+
+
+@pytest.mark.parametrize("value", [2**64 + 1, 2**53 + 1, -(2**63) - 3, 10**300 + 1])
+def test_large_integer_values_load_as_their_float(value):
+    for doc in (copy.deepcopy(GLOVE), copy.deepcopy(PRISONERS_DILEMMA)):
+        entry = doc["utilities"][-1]
+        entry["value"] = value
+        game = parse_document(doc)
+        mask = sum(1 << doc["players"].index(name) for name in entry["subset"])
+        if isinstance(game, TUGame):
+            got = game.u[mask]
+        else:
+            got = game._table[mask, doc["outcomes"].index(entry["outcome"])]
+        assert got.hex() == float(value).hex()
 
 
 def test_malformed_json_reports_line(tmp_path):
