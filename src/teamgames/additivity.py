@@ -18,8 +18,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DisjointnessError, StructureError
-from .players import PlayerSet, check_pair_scan, first_pair, mask_sizes, member_sum
+from .errors import StructureError
+from .players import (
+    PlayerSet, check_pair_scan, first_pair, mask_sizes, member_sum, require_disjoint,
+)
 from .st import STGame, coalition_outcomes, is_fully_cooperative, is_sensible
 from .tu import DEFAULT_TOL
 
@@ -177,8 +179,7 @@ def fast_metrics(matrix: BiAdditiveMatrix, a: PlayerSet, b: PlayerSet) -> FastMe
     The competitive part is everything A perceives in the joint coalition;
     the altruistic part is everything B perceives in A.
     """
-    if not a.isdisjoint(b):
-        raise DisjointnessError(f"{a} and {b} overlap")
+    require_disjoint(a, b)
     mat = matrix.m
     union = list(a) + list(b)
     competitive = float(sum(mat[x][y] for x in a for y in union))
@@ -193,8 +194,7 @@ def additive_metrics(g: STGame, a: PlayerSet, b: PlayerSet) -> FastMetrics:
     Altruistic: each bystander's gain between the joint and stand-alone
     outcomes. Assumes additivity; no structure check is repeated here.
     """
-    if not a.isdisjoint(b):
-        raise DisjointnessError(f"{a} and {b} overlap")
+    require_disjoint(a, b)
     x_union = g._v(a.mask | b.mask)
     competitive = float(sum(g._u(1 << p, x_union) for p in a))
     x_b = g._v(b.mask)
@@ -209,8 +209,7 @@ def coadditive_metrics(g: STGame, a: PlayerSet, b: PlayerSet) -> FastMetrics:
     shift from B to the joint coalition summed over all members present.
     Assumes co-additivity.
     """
-    if not a.isdisjoint(b):
-        raise DisjointnessError(f"{a} and {b} overlap")
+    require_disjoint(a, b)
     union = a | b
     altruism = float(sum(g._u(b.mask, g._v(1 << p)) for p in a))
     competitive = float(

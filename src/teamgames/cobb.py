@@ -7,11 +7,13 @@ its kept reserve with the Cobb-Douglas aggregate
 
     u_A(S) = payoff_A(S)^theta * reserve_A^(1-theta).
 
-Three division schemes are covered: proportional to contributions, equal
-per head, and their gamma-blend. The module provides the cooperation
-metrics of this game, closed-form team-size stability bounds for power
-value functions, rational (utility-maximizing) contribution choices, zero
-altruism contours, and the dense sweep tables behind all of the above.
+A payoff scheme is one share gamma paid by contribution, the rest per head
+(1 proportional, 0 equal). Every metric pays groups given by their total
+contribution, head count and reserve through one evaluator. The module
+provides the cooperation metrics of this game, closed-form team-size
+stability bounds for power value functions, rational (utility-maximizing)
+contribution choices, zero altruism contours, and the dense sweep tables
+behind all of the above.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DisjointnessError, NumericOverflowError
-from .players import PlayerSet, mask_sizes, member_sum
-from .st import STGame, CoopPoint, coalition_outcomes, player_names, quadrant_of
+from .errors import NumericOverflowError
+from .players import PlayerSet, mask_sizes, member_sum, player_names, require_disjoint
+from .st import STGame, CoopPoint, coalition_outcomes, quadrant_of
 from .tu import DEFAULT_TOL
 
 UNBOUNDED = math.inf
@@ -125,38 +127,30 @@ class ContributionProfile:
 
 @dataclass(frozen=True)
 class PayoffScheme:
-    """How the produced value is divided: by contribution, by head, or blended."""
+    """Share ``mix`` (gamma) of the value paid by contribution, the rest by head: 1 is
+    proportional, 0 equal, anything between a hybrid."""
 
-    kind: str
-    gamma: float = 1.0
+    mix: float
 
     def __post_init__(self):
-        if self.kind not in ("proportional", "equal", "hybrid"):
-            raise ValueError(f"unknown payoff scheme {self.kind!r}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-
-    @property
-    def mix(self) -> float:
-        """Weight on the proportional part."""
-        if self.kind == "proportional":
-            return 1.0
-        if self.kind == "equal":
-            return 0.0
-        return self.gamma
+        if not 0.0 <= self.mix <= 1.0:
+            raise ValueError(f"gamma must lie in [0, 1], got {self.mix}")
+        object.__setattr__(self, "mix", float(self.mix))
 
     def label(self) -> str:
-        if self.kind == "hybrid":
-            return f"hybrid({self.gamma})"
-        return self.kind
+        if self.mix == 1.0:
+            return "proportional"
+        if self.mix == 0.0:
+            return "equal"
+        return f"hybrid({self.mix})"
 
 
-PROPORTIONAL = PayoffScheme("proportional")
-EQUAL = PayoffScheme("equal")
+PROPORTIONAL = PayoffScheme(1.0)
+EQUAL = PayoffScheme(0.0)
 
 
 def hybrid(gamma: float) -> PayoffScheme:
-    return PayoffScheme("hybrid", gamma)
+    return PayoffScheme(gamma)
 
 
 def cd_value(theta: float, y, z):
@@ -175,21 +169,31 @@ def cd_value(theta: float, y, z):
     return (y**theta * z ** (1.0 - theta))[()]
 
 
-def _member_share(scheme: PayoffScheme, x_a, size_a, x_s, size_s):
-    """Share of f(x_S) paid to a sub-group with contribution x_a and size_a heads, elementwise."""
-    if np.any(np.asarray(size_s) <= 0):
-        raise ValueError("coalition must be nonempty")
+def _group_payoff(scheme: PayoffScheme, cfg: CobbDouglasConfig, x_a, size_a, x_s, size_s):
+    """Payment to a group (total x_a, size_a heads) out of a coalition's (x_s, size_s) value.
+
+    Elementwise; a coalition that produced nothing, the empty one among
+    them, pays nothing under every scheme.
+    """
     x_s = np.asarray(x_s, dtype=float)
     mix = scheme.mix
     produced = x_s > 0.0
-    share = mix * (x_a / np.where(produced, x_s, 1.0)) + (1.0 - mix) * (size_a / size_s)
-    # where nothing was produced every scheme pays nothing
-    return np.where(produced, share, 0.0)[()]
+    by_heads = size_a / np.where(produced, size_s, 1)
+    share = mix * (x_a / np.where(produced, x_s, 1.0)) + (1.0 - mix) * by_heads
+    return np.where(produced, share, 0.0)[()] * cfg.value(x_s)
 
 
-def _group_payoff(scheme: PayoffScheme, cfg: CobbDouglasConfig, x_a, size_a, x_s, size_s):
-    """Payment to a group (total x_a, size_a heads) out of a coalition's (x_s, size_s) value."""
-    return _member_share(scheme, x_a, size_a, x_s, size_s) * cfg.value(x_s)
+def _group_utility(scheme: PayoffScheme, cfg: CobbDouglasConfig, group, coalition):
+    """(payment, utility) of a (total contribution, head count, reserve) group out of the
+    value of a (total contribution, head count) coalition; numbers or arrays. Every
+    Cobb-Douglas metric reads the game through this function."""
+    total, heads, reserve = group
+    pay = _group_payoff(scheme, cfg, total, heads, *coalition)
+    return pay, cd_value(cfg.theta, pay, reserve)
+
+
+def _group(profile: ContributionProfile, coalition: PlayerSet) -> tuple[float, int, float]:
+    return profile.total(coalition), len(coalition), profile.reserve(coalition)
 
 
 def payoff(
@@ -202,16 +206,7 @@ def payoff(
     """Payment to subset A out of coalition S's produced value. Requires A in S."""
     if not a.issubset(s):
         raise ValueError(f"{a} is not a subset of the coalition {s}")
-    return _payoff_members(scheme, cfg, profile, a, s)
-
-
-def _payoff_members(scheme, cfg, profile, a: PlayerSet, s: PlayerSet) -> float:
-    """Payment to A's members inside S (players of A outside S are paid nothing)."""
-    if not s:
-        return 0.0
-    inside = a & s
-    x_s = profile.total(s)
-    return float(_group_payoff(scheme, cfg, profile.total(inside), len(inside), x_s, len(s)))
+    return float(_group_payoff(scheme, cfg, profile.total(a), len(a), profile.total(s), len(s)))
 
 
 def cd_subset_utility(
@@ -221,12 +216,11 @@ def cd_subset_utility(
     a: PlayerSet,
     s: PlayerSet,
 ) -> float:
-    """u_A(S): the Cobb-Douglas balance of A's payment from S and A's reserve."""
-    if not a:
-        return 0.0
-    return float(
-        cd_value(cfg.theta, _payoff_members(scheme, cfg, profile, a, s), profile.reserve(a))
-    )
+    """u_A(S): the Cobb-Douglas balance of A's payment from S, made to A's members inside
+    S, and A's reserve; the empty assessor values everything at 0."""
+    inside = a & s
+    group = (profile.total(inside), len(inside), profile.reserve(a))
+    return float(_group_utility(scheme, cfg, group, (profile.total(s), len(s)))[1])
 
 
 def st_game_view(
@@ -249,15 +243,21 @@ def st_game_view(
     def assess(a, j):
         s = j + 1  # outcome position j is coalition mask j + 1
         inside = a & s
-        pay = _group_payoff(scheme, cfg, total[inside], heads[inside], total[s], heads[s])
-        return cd_value(cfg.theta, pay, reserve[a])
+        group = (total[inside], heads[inside], reserve[a])
+        return _group_utility(scheme, cfg, group, (total[s], heads[s]))[1]
 
     return STGame(n, outcomes, player_names(n, players), columns, assess)
 
 
-def _require_disjoint(a: PlayerSet, b: PlayerSet) -> None:
-    if not a.isdisjoint(b):
-        raise DisjointnessError(f"{a} and {b} overlap")
+def cd_coop_point(scheme, cfg, profile, a: PlayerSet, b: PlayerSet) -> CoopPoint:
+    """A's cooperation point against B; with B empty, A's own utility is all competitive."""
+    require_disjoint(a, b)
+    if not b:
+        alone = cd_subset_utility(scheme, cfg, profile, a, a)
+        return CoopPoint(altruism=0.0, competitive=alone, marginal=alone, subset=a)
+    metrics = _group_metrics(scheme, cfg, _group(profile, a), _group(profile, b))
+    alt, comp, marginal = (float(v) for v in metrics[2:])
+    return CoopPoint(altruism=alt, competitive=comp, marginal=marginal, subset=a)
 
 
 def cd_competitive(scheme, cfg, profile, a: PlayerSet, b: PlayerSet) -> float:
@@ -267,36 +267,16 @@ def cd_competitive(scheme, cfg, profile, a: PlayerSet, b: PlayerSet) -> float:
     pot and keeps at least B's reserve, so the difference of the two
     Cobb-Douglas values cannot go negative.
     """
-    _require_disjoint(a, b)
-    union = a | b
-    return cd_subset_utility(scheme, cfg, profile, union, union) - cd_subset_utility(
-        scheme, cfg, profile, b, union
-    )
+    return cd_coop_point(scheme, cfg, profile, a, b).competitive
 
 
 def cd_altruistic(scheme, cfg, profile, a: PlayerSet, b: PlayerSet) -> float:
     """a_A(A|B): B's utility with A participating minus B's utility alone."""
-    _require_disjoint(a, b)
-    if not b:
-        return 0.0
-    union = a | b
-    return cd_subset_utility(scheme, cfg, profile, b, union) - cd_subset_utility(
-        scheme, cfg, profile, b, b
-    )
+    return cd_coop_point(scheme, cfg, profile, a, b).altruism
 
 
 def cd_marginal(scheme, cfg, profile, a: PlayerSet, b: PlayerSet) -> float:
-    _require_disjoint(a, b)
-    union = a | b
-    return cd_subset_utility(scheme, cfg, profile, union, union) - cd_subset_utility(
-        scheme, cfg, profile, b, b
-    )
-
-
-def cd_coop_point(scheme, cfg, profile, a: PlayerSet, b: PlayerSet) -> CoopPoint:
-    alt = cd_altruistic(scheme, cfg, profile, a, b)
-    comp = cd_competitive(scheme, cfg, profile, a, b)
-    return CoopPoint(altruism=alt, competitive=comp, marginal=alt + comp, subset=a)
+    return cd_coop_point(scheme, cfg, profile, a, b).marginal
 
 
 def cd_fully_cooperative(
@@ -307,13 +287,10 @@ def cd_fully_cooperative(
     Equivalent to a_A(A|B) >= 0 whenever B keeps any reserve: the altruism
     factorizes as (payment_joint^theta - payment_alone^theta) * reserve^(1-theta).
     """
-    _require_disjoint(a, b)
+    require_disjoint(a, b)
     if not b:
         raise ValueError("the bystanding subset B must be nonempty")
-    union = a | b
-    return _payoff_members(scheme, cfg, profile, b, union) >= _payoff_members(
-        scheme, cfg, profile, b, b
-    ) - tol
+    return payoff(scheme, cfg, profile, b, a | b) >= payoff(scheme, cfg, profile, b, b) - tol
 
 
 def avg_return_condition(cfg: CobbDouglasConfig, x: float, y: float) -> bool:
@@ -428,8 +405,8 @@ def _best_response(scheme, cfg, size, others_total, team_size, cap=1.0, pool=1.0
     """
 
     def utility(v):
-        pay = _group_payoff(scheme, cfg, v, 1, size * v + others_total, team_size)
-        return cd_value(cfg.theta, pay, pool - v)
+        coalition = (size * v + others_total, team_size)
+        return _group_utility(scheme, cfg, (v, 1, pool - v), coalition)[1]
 
     return maximize_scalar(utility, 0.0, cap)
 
@@ -458,20 +435,18 @@ def symmetric_rational_contribution(
 
     All members of ``group`` move together (they are interchangeable here),
     so the choice reduces to one dimension: the value each of them
-    contributes. The rest of the team stays at ``profile``.
+    contributes. The rest of the team stays at ``profile``. The members
+    must share one resource pool, or the choice would depend on which
+    member is asked.
     """
     if not group:
         raise ValueError("group must be nonempty")
+    pools = sorted({profile.resources[p] for p in group})
+    if len(pools) > 1:
+        raise ValueError(f"group members must share one resource pool, got pools {pools}")
     n = len(profile)
-    members = list(group)
     return _best_response(
-        scheme,
-        cfg,
-        len(members),
-        profile.total(group.complement(n)),
-        n,
-        cap=min(profile.resources[p] for p in members),
-        pool=profile.resources[members[0]],
+        scheme, cfg, len(group), profile.total(group.complement(n)), n, cap=pools[0], pool=pools[0]
     )
 
 
@@ -538,29 +513,25 @@ def zero_altruism_contour(
     return roots[0] if roots else None
 
 
-def _group_metrics(scheme, cfg, size_a: int, size_b: int, x_a, x_b):
+def _group_metrics(scheme, cfg, a, b):
     """A's payoff and utility in the union of A and B, and its cooperation point against B.
 
-    Every member of A contributes x_a and every member of B contributes
-    x_b out of a unit pool, so each quantity is a closed form in the group
-    totals and head counts; x_a and x_b may be arrays. Returns the arrays
-    (payoff, utility, altruism, competitive, marginal).
+    Each group is a (total contribution, head count, reserve) triple of
+    numbers or arrays, B's head count at least 1; the union adds them up.
+    Returns (payoff, utility, altruism, competitive, marginal).
     """
-    _require_groups(size_a, size_b)
-    x_a = np.asarray(x_a, dtype=float)
-    x_b = np.asarray(x_b, dtype=float)
-    total_a, total_b = size_a * x_a, size_b * x_b
-    total, size = total_a + total_b, size_a + size_b
-    reserve_a, reserve_b = size_a * (1.0 - x_a), size_b * (1.0 - x_b)
-    pay_a = _group_payoff(scheme, cfg, total_a, size_a, total, size)
-    pay_b_joint = _group_payoff(scheme, cfg, total_b, size_b, total, size)
-    pay_b_alone = _group_payoff(scheme, cfg, total_b, size_b, total_b, size_b)
-    pay_joint = _group_payoff(scheme, cfg, total, size, total, size)
-    u_b_joint = cd_value(cfg.theta, pay_b_joint, reserve_b)
-    altruism = u_b_joint - cd_value(cfg.theta, pay_b_alone, reserve_b)
-    competitive = cd_value(cfg.theta, pay_joint, reserve_a + reserve_b) - u_b_joint
-    utility_a = cd_value(cfg.theta, pay_a, reserve_a)
+    union = tuple(x + y for x, y in zip(a, b))
+    pay_a, utility_a = _group_utility(scheme, cfg, a, union[:2])
+    _, u_b_joint = _group_utility(scheme, cfg, b, union[:2])
+    altruism = u_b_joint - _group_utility(scheme, cfg, b, b[:2])[1]
+    competitive = _group_utility(scheme, cfg, union, union[:2])[1] - u_b_joint
     return pay_a, utility_a, altruism, competitive, altruism + competitive
+
+
+def _unit_pool_group(size: int, x):
+    """The group triple of ``size`` members who each contribute x of a unit pool."""
+    x = np.asarray(x, dtype=float)
+    return size * x, size, size * (1.0 - x)
 
 
 @dataclass(frozen=True)
@@ -595,7 +566,8 @@ def cooperation_path(
     x_b = np.linspace(0.0, 1.0, samples).tolist()
     team = size_a + size_b
     x_a = [_best_response(scheme, cfg, size_a, size_b * t, team) for t in x_b]
-    _, _, alt, comp, marginal = _group_metrics(scheme, cfg, size_a, size_b, x_a, x_b)
+    group_a, group_b = _unit_pool_group(size_a, x_a), _unit_pool_group(size_b, x_b)
+    _, _, alt, comp, marginal = _group_metrics(scheme, cfg, group_a, group_b)
     return [
         PathPoint(t, x, CoopPoint(*point, subset=None))
         for t, x, point in zip(x_b, x_a, zip(alt.tolist(), comp.tolist(), marginal.tolist()))
@@ -617,9 +589,11 @@ def contribution_table(
     every member of A contributes x_a[i] and every member of B contributes
     x_b[i] (unit pools), with the quadrant classified at tolerance ``tol``.
     """
+    _require_groups(size_a, size_b)
     x_a = np.asarray(x_a, dtype=float)
     x_b = np.asarray(x_b, dtype=float)
-    pay, utility, alt, comp, marginal = _group_metrics(scheme, cfg, size_a, size_b, x_a, x_b)
+    group_a, group_b = _unit_pool_group(size_a, x_a), _unit_pool_group(size_b, x_b)
+    pay, utility, alt, comp, marginal = _group_metrics(scheme, cfg, group_a, group_b)
     n = len(x_a)
     return {
         "gamma": [scheme.mix] * n, "theta": [cfg.theta] * n, "beta": [cfg.beta] * n,

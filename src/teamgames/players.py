@@ -12,7 +12,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import SizeLimitError
+from .errors import DisjointnessError, SizeLimitError
 
 MAX_PLAYERS = 64
 MAX_PAIR_SCAN = 16  # a 3^n pair scan past this many players runs for minutes
@@ -101,6 +101,20 @@ class PlayerSet:
 
     def __repr__(self) -> str:
         return f"PlayerSet.of({', '.join(map(str, self))})"
+
+
+def require_disjoint(a: PlayerSet, b: PlayerSet) -> None:
+    """Refuse two coalitions that share a player."""
+    if not a.isdisjoint(b):
+        raise DisjointnessError(f"{a} and {b} overlap")
+
+
+def player_names(n: int, players=None) -> tuple[str, ...]:
+    """The given names of n players, or "0".."n-1" for ``None``."""
+    names = tuple(players) if players is not None else tuple(map(str, range(n)))
+    if len(names) != n:
+        raise ValueError("player name list must match the player count")
+    return names
 
 
 def iter_subset_masks(n: int, *, nonempty: bool = False) -> Iterator[int]:

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .additivity import BiAdditiveMatrix
-from .players import mask_sizes, member_sum
-from .st import STGame, coalition_outcomes, player_names
+from .players import mask_sizes, member_sum, player_names
+from .st import STGame, coalition_outcomes
 from .tu import TUGame
 
 

@@ -29,27 +29,16 @@ from typing import Callable, Hashable, Mapping
 
 import numpy as np
 
-from .errors import (
-    DisjointnessError,
-    MissingUtilityError,
-    NotReducibleError,
-    SizeLimitError,
+from .errors import MissingUtilityError, NotReducibleError, SizeLimitError
+from .players import (
+    PlayerSet, check_subset_array, first_pair, member_sum, player_names, require_disjoint,
 )
-from .players import PlayerSet, check_subset_array, first_pair, member_sum
 from .tu import DEFAULT_TOL, TUGame
 
 Outcome = Hashable
 NULL_OUTCOME: Outcome = None
 
 MAX_TABLE_CELLS = 1 << 25  # assessor x outcome cells of a tabulated game (256 MiB)
-
-
-def player_names(n: int, players=None) -> tuple[str, ...]:
-    """The given names of n players, or "0".."n-1" for ``None``."""
-    names = tuple(players) if players is not None else tuple(map(str, range(n)))
-    if len(names) != n:
-        raise ValueError("player name list must match the player count")
-    return names
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,8 +272,7 @@ def _subset_label(mask: int, players) -> str:
 
 
 def _require_pair(g: STGame, a: PlayerSet, b: PlayerSet) -> None:
-    if not a.isdisjoint(b):
-        raise DisjointnessError(f"{a} and {b} overlap")
+    require_disjoint(a, b)
     if not a:
         raise ValueError("the contributing subset A must be nonempty")
     if not (a | b).fits(g.n):

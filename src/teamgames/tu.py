@@ -15,20 +15,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DisjointnessError, SizeLimitError
+from .errors import SizeLimitError
 from .exact_lp import minimal_coalition_cover
 from .players import (
     MAX_SUBSET_ARRAY, PlayerSet, check_subset_array, first_pair, mask_sizes, member_sum,
+    player_names, require_disjoint,
 )
 
 DEFAULT_TOL = 1e-9
 
 MAX_PERMUTATION = 8   # n! join orders
 MAX_CORE_DECIDE = 10  # exact LP columns: 2^n - 2
-
-
-def _default_names(n: int) -> tuple[str, ...]:
-    return tuple(str(i) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -54,10 +51,7 @@ class TUGame:
         table = table.copy()
         table.flags.writeable = False
         object.__setattr__(self, "u", table)
-        names = self.players or _default_names(self.n)
-        if len(names) != self.n:
-            raise ValueError("player name list must match the player count")
-        object.__setattr__(self, "players", tuple(names))
+        object.__setattr__(self, "players", player_names(self.n, self.players))
 
     @classmethod
     def from_function(cls, n: int, worth, players=None) -> TUGame:
@@ -78,8 +72,7 @@ class TUGame:
 
 def marginal_contribution(game: TUGame, a: PlayerSet, b: PlayerSet) -> float:
     """Worth added by coalition A joining the disjoint coalition B."""
-    if not a.isdisjoint(b):
-        raise DisjointnessError(f"{a} and {b} overlap")
+    require_disjoint(a, b)
     return float(game.u[a.mask | b.mask] - game.u[b.mask])
 
 

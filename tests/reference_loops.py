@@ -10,7 +10,9 @@ player order, as the library adds them.
 The structured games are here too as the per-element closures the library
 built them from before they became closed forms over arrays, with the same
 random draws one value at a time; so are the entry-at-a-time document
-loaders that ``game_io`` replaced with its column reader.
+loaders that ``game_io`` replaced with its column reader, and the
+Cobb-Douglas cooperation point as differences of per-pair subset
+utilities, which ``cobb`` replaced with its group evaluator.
 """
 
 from array import array
@@ -27,7 +29,7 @@ from teamgames.errors import (
 )
 from teamgames.game_io import _parse_names, _parse_subset, _parse_value, _require
 from teamgames.players import MAX_SUBSET_ARRAY, PlayerSet, iter_submasks
-from teamgames.st import STGame, _subset_label, coop_point
+from teamgames.st import CoopPoint, STGame, _subset_label, coop_point
 from teamgames.tu import TUGame
 
 
@@ -329,6 +331,14 @@ def st_game_view(scheme, cfg, profile):
 
     outcomes = tuple(range(1, 1 << len(profile)))
     return STGame.from_functions(len(profile), outcomes, lambda s: s.mask, utility)
+
+
+def cd_coop_point(scheme, cfg, profile, a, b):
+    union = a | b
+    b_joint = cd_subset_utility(scheme, cfg, profile, b, union)
+    competitive = cd_subset_utility(scheme, cfg, profile, union, union) - b_joint
+    altruism = b_joint - cd_subset_utility(scheme, cfg, profile, b, b) if b else 0.0
+    return CoopPoint(altruism, competitive, altruism + competitive, subset=a)
 
 
 # ----------------------------------------------------------------- game_io

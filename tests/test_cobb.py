@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import math
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+import reference_loops as ref
 from oracles import brute_force_max_size, grid_oracle
 
 import teamgames.st as st
@@ -16,6 +18,7 @@ from teamgames.cobb import (
     UNBOUNDED,
     CobbDouglasConfig,
     ContributionProfile,
+    PayoffScheme,
     altruism_roots,
     avg_return_condition,
     cd_altruistic,
@@ -95,6 +98,28 @@ class TestCdValue:
             best = ys[int(np.argmax(values))]
             expected = 10.0 * theta  # solves y = (theta/(1-theta)) (10-y)
             assert abs(best - expected) <= 2e-4
+
+
+class TestPayoffScheme:
+    def test_one_field_the_proportional_share(self):
+        assert [field.name for field in dataclasses.fields(PayoffScheme)] == ["mix"]
+        assert PROPORTIONAL == PayoffScheme(1.0) and EQUAL == PayoffScheme(0.0)
+        assert hybrid(0.3).mix == 0.3
+
+    def test_hybrid_endpoints_are_the_pure_schemes(self):
+        assert hybrid(0.0) == EQUAL
+        assert hybrid(1.0) == PROPORTIONAL
+        assert hybrid(1) == PROPORTIONAL and hybrid(1).mix == 1.0
+
+    def test_label_follows_the_share(self):
+        assert PROPORTIONAL.label() == "proportional"
+        assert EQUAL.label() == "equal"
+        assert hybrid(0.5).label() == "hybrid(0.5)"
+
+    @pytest.mark.parametrize("gamma", [-0.1, 1.5, math.nan, math.inf])
+    def test_share_outside_the_unit_interval_is_refused(self, gamma):
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            hybrid(gamma)
 
 
 class TestPayoff:
@@ -252,6 +277,40 @@ class TestSensibility:
         prof = ContributionProfile.create([0.5, 0.5])
         c = cd_competitive(EQUAL, cfg, prof, S2, PlayerSet.empty())
         assert c == cd_subset_utility(EQUAL, cfg, prof, S2, S2)
+
+
+class TestCoopPoint:
+    def test_empty_bystanders_leave_own_utility(self):
+        cfg = CobbDouglasConfig(theta=0.4, beta=1.5)
+        prof = ContributionProfile((0.3, 0.6, 0.2), (1.0, 0.8, 0.5))
+        a = PlayerSet.of(0, 2)
+        own = cd_subset_utility(hybrid(0.3), cfg, prof, a, a)
+        point = cd_coop_point(hybrid(0.3), cfg, prof, a, PlayerSet.empty())
+        assert (point.altruism, point.competitive, point.marginal) == (0.0, own, own)
+        assert point.subset == a and own > 0
+
+    def test_scalar_metrics_are_the_point_fields(self):
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            cfg, prof = random_setup(rng)
+            a, b = random_disjoint_pair(rng, len(prof))
+            for bystanders in (b, PlayerSet.empty()):
+                scheme = hybrid(float(rng.uniform(0, 1)))
+                point = cd_coop_point(scheme, cfg, prof, a, bystanders)
+                assert cd_competitive(scheme, cfg, prof, a, bystanders) == point.competitive
+                assert cd_altruistic(scheme, cfg, prof, a, bystanders) == point.altruism
+                assert cd_marginal(scheme, cfg, prof, a, bystanders) == point.marginal
+
+    def test_point_matches_subset_utility_differences(self):
+        rng = np.random.default_rng(32)
+        for _ in range(30):
+            cfg, prof = random_setup(rng)
+            a, b = random_disjoint_pair(rng, len(prof))
+            scheme = hybrid(float(rng.uniform(0, 1)))
+            got = cd_coop_point(scheme, cfg, prof, a, b)
+            want = ref.cd_coop_point(scheme, cfg, prof, a, b)
+            for key in ("altruism", "competitive", "marginal"):
+                assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-12, abs=1e-12)
 
 
 class TestFullCooperativity:
@@ -419,6 +478,17 @@ class TestRationalContribution:
         single = symmetric_rational_contribution(EQUAL, cfg, base, PlayerSet.of(0))
         assert abs(single - rational_contribution(EQUAL, cfg, base, 0)) <= 1e-9
 
+    def test_group_with_unequal_pools_is_refused(self):
+        # capping at one member's pool and valuing the reserve with another's
+        # made the answer depend on the player labels
+        cfg = CobbDouglasConfig(theta=0.75, beta=1.5)
+        for pools in ((1.0, 0.5, 1.0), (0.5, 1.0, 1.0)):
+            prof = ContributionProfile((0.0, 0.0, 0.6), pools)
+            with pytest.raises(ValueError, match=r"pools \[0\.5, 1\.0\]"):
+                symmetric_rational_contribution(EQUAL, cfg, prof, PlayerSet.of(0, 1))
+        prof = ContributionProfile((0.0, 0.0, 0.6), (0.5, 1.0, 1.0))
+        assert 0.0 <= rational_contribution(EQUAL, cfg, prof, 0) <= 0.5
+
     def test_maximize_scalar_tie_break(self):
         assert maximize_scalar(lambda x: 0.0, 0.0, 1.0) == 0.0
         assert maximize_scalar(lambda x: -((x - 0.5) ** 2), 0.0, 1.0) == pytest.approx(
@@ -528,14 +598,14 @@ class TestGrids:
 
 
 class TestClosedForm:
-    """The array tables against the per-player PlayerSet API and the recorded tables."""
+    """The array tables against per-pair subset-utility differences and the recorded tables."""
 
     @staticmethod
     def _scalar_terms(scheme, cfg, size_a, size_b, x_a, x_b):
         a = PlayerSet.from_players(range(size_a))
         b = PlayerSet.from_players(range(size_a, size_a + size_b))
         prof = ContributionProfile.create([x_a] * size_a + [x_b] * size_b)
-        point = cd_coop_point(scheme, cfg, prof, a, b)
+        point = ref.cd_coop_point(scheme, cfg, prof, a, b)
         scale = max(
             1.0,
             abs(cd_subset_utility(scheme, cfg, prof, b, a | b)),

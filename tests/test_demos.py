@@ -1,4 +1,7 @@
-"""Every demo runs to completion and writes the files it announces."""
+"""Every demo runs to completion and writes the files it announces.
+
+A RuntimeWarning (a numpy divide or overflow) fails the demo, as it fails the tests.
+"""
 
 import os
 import subprocess
@@ -21,8 +24,8 @@ def test_written_files_name_real_demos():
 def test_demo_runs(tmp_path, demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True,
-        timeout=120,
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout

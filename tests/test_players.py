@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from teamgames.errors import SizeLimitError
+from teamgames import additivity, cobb, st, tu
+from teamgames.errors import DisjointnessError, SizeLimitError
 from teamgames.players import (
     MAX_PAIR_SCAN,
     PlayerSet,
@@ -10,8 +11,10 @@ from teamgames.players import (
     iter_submasks,
     iter_subset_masks,
     mask_pairs,
+    player_names,
     subsets,
 )
+from teamgames.random_games import random_additive_game, random_biadditive_matrix
 
 
 def test_construction_and_membership():
@@ -109,3 +112,42 @@ def test_first_pair_refuses_before_calling_test():
         first_pair(within, test)
     # the limit counts the players in the scan, not the highest index
     assert first_pair(1 << 40 | 1, lambda x, y: (x == 1 << 40, y)) == (1 << 40, 0, 0)
+
+
+PAIR_ENTRY_POINTS = [
+    "st.total_marginal", "st.competitive_contribution", "st.altruistic_contribution",
+    "tu.marginal_contribution", "additivity.fast_metrics", "additivity.additive_metrics",
+    "additivity.coadditive_metrics", "cobb.cd_competitive", "cobb.cd_altruistic",
+    "cobb.cd_marginal", "cobb.cd_coop_point", "cobb.cd_fully_cooperative",
+]
+
+
+def _leading_arguments(module, function):
+    """What a call of ``module.function`` takes before its (A, B) pair."""
+    rng = np.random.default_rng(5)
+    if function == "fast_metrics":
+        return [random_biadditive_matrix(3, rng)]
+    if module == "tu":
+        return [tu.TUGame(3, np.zeros(8))]
+    if module == "cobb":
+        profile = cobb.ContributionProfile.create([0.2, 0.5, 0.7])
+        return [cobb.EQUAL, cobb.CobbDouglasConfig(), profile]
+    return [random_additive_game(3, rng)]
+
+
+@pytest.mark.parametrize("name", PAIR_ENTRY_POINTS)
+def test_every_pair_entry_point_refuses_overlapping_subsets(name):
+    module, function = name.split(".")
+    entry = getattr({"st": st, "tu": tu, "additivity": additivity, "cobb": cobb}[module], function)
+    overlap = r"^PlayerSet.of\(0, 1\) and PlayerSet.of\(1, 2\) overlap$"
+    with pytest.raises(DisjointnessError, match=overlap):
+        entry(*_leading_arguments(module, function), PlayerSet.of(0, 1), PlayerSet.of(1, 2))
+
+
+def test_player_names_default_and_length_check():
+    assert player_names(3) == ("0", "1", "2")
+    assert player_names(2, ["x", "y"]) == ("x", "y")
+    for bad in (lambda: player_names(2, ["x"]), lambda: tu.TUGame(2, np.zeros(4), ("x",))):
+        with pytest.raises(ValueError, match="player name list must match the player count"):
+            bad()
+    assert tu.TUGame(2, np.zeros(4)).players == ("0", "1")
