@@ -16,7 +16,7 @@ from pathlib import Path
 from . import additivity, cobb, game_io, st, tu
 from .cobb import CobbDouglasConfig, hybrid
 from .errors import GameError, NotReducibleError, SizeLimitError, StructureError
-from .players import PlayerSet
+from .players import MAX_PAIR_SCAN, PlayerSet
 from .scenarios import SCENARIOS, scenario_document
 from .st import STGame
 from .tu import DEFAULT_TOL, TUGame
@@ -151,16 +151,23 @@ def _classify_st(game: STGame, tol: float) -> None:
             print(f"perception[{game.players[a]}]: {row}")
 
 
+def _decided(n: int, limit: int, decide) -> str:
+    """``decide()`` as a report word, or why it was not decided past ``limit`` players."""
+    return str(decide()).lower() if n <= limit else f"not decided (n > {limit})"
+
+
 def _classify_tu(game: TUGame, tol: float) -> None:
+    n = game.n
     names = ", ".join(game.players)
-    print(f"kind: TU game ({game.n} players: {names})")
+    print(f"kind: TU game ({n} players: {names})")
     print(f"convex: {str(tu.is_convex(game, tol)).lower()}")
-    print(f"superadditive: {str(tu.is_superadditive(game, tol)).lower()}")
+    superadditive = _decided(n, MAX_PAIR_SCAN, lambda: tu.is_superadditive(game, tol))
+    print(f"superadditive: {superadditive}")
     phi = tu.shapley_value(game)
     shap = " ".join(f"{name}={float(value)!r}" for name, value in zip(game.players, phi))
     print(f"shapley: {shap}")
     print(f"shapley in core: {str(tu.in_core(game, phi, tol)).lower()}")
-    print(f"core nonempty: {str(tu.core_is_nonempty(game)).lower()}")
+    print(f"core nonempty: {_decided(n, tu.MAX_CORE_DECIDE, lambda: tu.core_is_nonempty(game))}")
 
 
 def cmd_classify(args) -> int:

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import SizeLimitError
-from .exact_lp import minimal_coalition_cover
+from .errors import NumericOverflowError, SizeLimitError
+from .exact_lp import first_uncovered, minimal_coalition_cover
 from .players import (
     MAX_SUBSET_ARRAY, PlayerSet, check_subset_array, first_pair, mask_sizes, member_sum,
     player_names, require_disjoint,
@@ -25,7 +25,7 @@ from .players import (
 DEFAULT_TOL = 1e-9
 
 MAX_PERMUTATION = 8   # n! join orders
-MAX_CORE_DECIDE = 10  # exact LP columns: 2^n - 2
+MAX_CORE_DECIDE = 14  # exact LP columns: 2^n - 2
 
 
 @dataclass(frozen=True)
@@ -187,6 +187,14 @@ def in_core(game: TUGame, phi, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.all(sums >= game.u - tol))
 
 
+def _core_claims(game: TUGame) -> dict[int, Fraction]:
+    """The exact worth of every proper nonempty coalition, once the size is checked."""
+    n = game.n
+    if n > MAX_CORE_DECIDE:
+        raise SizeLimitError(f"core decision supports n <= {MAX_CORE_DECIDE}, got {n}")
+    return {mask: Fraction(float(game.u[mask])) for mask in range(1, (1 << n) - 1)}
+
+
 def core_witness(game: TUGame) -> np.ndarray | None:
     """An allocation in the core, or None when the core is empty.
 
@@ -194,29 +202,39 @@ def core_witness(game: TUGame) -> np.ndarray | None:
     honors every proper-coalition claim is found by an exact simplex over
     coalition covers; the core is nonempty exactly when that minimum does
     not exceed the grand coalition's worth, and any surplus is then spread
-    evenly to restore efficiency.
+    evenly to restore efficiency. A witness component past the float range
+    raises ``NumericOverflowError`` naming its player.
     """
     n = game.n
-    if n > MAX_CORE_DECIDE:
-        raise SizeLimitError(f"core decision supports n <= {MAX_CORE_DECIDE}, got {n}")
-    grand = Fraction(float(game.u[-1]))
+    worth = _core_claims(game)
     if n == 1:
-        return np.array([float(grand)])
-    worth = {mask: Fraction(float(game.u[mask])) for mask in range(1, (1 << n) - 1)}
+        return np.array([game.grand_value()])
+    grand = Fraction(float(game.u[-1]))
     best_total, prices = minimal_coalition_cover(n, worth)
     if best_total > grand:
         return None
     slack = (grand - best_total) / n
     phi = [p + slack for p in prices]
     # exact sanity check before leaving rational arithmetic
-    for mask, val in worth.items():
-        if sum(phi[i] for i in range(n) if mask >> i & 1) < val:
-            raise AssertionError("exact witness violates a coalition claim")
-    return np.array([float(p) for p in phi])
+    if first_uncovered(n, worth, phi) is not None:
+        raise AssertionError("exact witness violates a coalition claim")
+    witness = []
+    for name, p in zip(game.players, phi):
+        try:
+            witness.append(float(p))
+        except OverflowError:
+            raise NumericOverflowError(
+                f"core witness pays player {name} more than the float range holds") from None
+    return np.array(witness)
 
 
 def core_is_nonempty(game: TUGame) -> bool:
-    return core_witness(game) is not None
+    """Whether the core is nonempty, decided from the exact optimal cover value."""
+    worth = _core_claims(game)
+    if game.n == 1:
+        return True
+    best_total, _ = minimal_coalition_cover(game.n, worth)
+    return best_total <= Fraction(float(game.u[-1]))
 
 
 def unanimity_game(n: int, carrier: PlayerSet) -> TUGame:

@@ -12,10 +12,13 @@ built them from before they became closed forms over arrays, with the same
 random draws one value at a time; so are the entry-at-a-time document
 loaders that ``game_io`` replaced with its column reader, and the
 Cobb-Douglas cooperation point as differences of per-pair subset
-utilities, which ``cobb`` replaced with its group evaluator.
+utilities, which ``cobb`` replaced with its group evaluator. The exact
+core LP is here with its all-``Fraction`` pricing, which ``exact_lp``
+replaced with a float pass and an exact confirmation of Bland's column.
 """
 
 from array import array
+from fractions import Fraction
 
 import numpy as np
 
@@ -252,6 +255,75 @@ def is_superadditive(game, tol=1e-9):
             if u[a_mask | b_mask] < u[a_mask] + u[b_mask] - tol:
                 return False
     return True
+
+
+def minimal_coalition_cover(n, worth):
+    """Bland's-rule revised simplex pricing every column in Fraction, one member
+    bit at a time, and recomputing the prices as c_B B^-1 on every pivot."""
+    if n < 2:
+        raise ValueError("cover program needs at least two players")
+    columns = sorted(worth)
+    if len(columns) != (1 << n) - 2:
+        raise ValueError("worth must cover every proper nonempty coalition")
+
+    zero = Fraction(0)
+    one = Fraction(1)
+    binv = [[one if r == i else zero for i in range(n)] for r in range(n)]
+    basis = [1 << r for r in range(n)]
+    xb = [one] * n
+
+    while True:
+        cb = [worth[m] for m in basis]
+        prices = [sum(cb[r] * binv[r][i] for r in range(n)) for i in range(n)]
+
+        entering = None
+        for mask in columns:
+            reduced = worth[mask]
+            m = mask
+            while m:
+                low = m & -m
+                reduced -= prices[low.bit_length() - 1]
+                m ^= low
+            if reduced > 0:
+                entering = mask
+                break  # Bland: first improving column in ascending mask order
+        if entering is None:
+            value = sum(cb[r] * xb[r] for r in range(n))
+            return value, prices
+
+        direction = []
+        for r in range(n):
+            d = zero
+            m = entering
+            while m:
+                low = m & -m
+                d += binv[r][low.bit_length() - 1]
+                m ^= low
+            direction.append(d)
+
+        leave = None
+        best_ratio = None
+        for r in range(n):
+            if direction[r] > 0:
+                ratio = xb[r] / direction[r]
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[r] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = r
+
+        pivot = direction[leave]
+        binv[leave] = [v / pivot for v in binv[leave]]
+        xb[leave] /= pivot
+        for r in range(n):
+            if r != leave and direction[r] != 0:
+                d = direction[r]
+                row_l = binv[leave]
+                binv[r] = [binv[r][i] - d * row_l[i] for i in range(n)]
+                xb[r] -= d * xb[leave]
+        basis[leave] = entering
 
 
 def random_convex_game(n, rng, scale=1.0):

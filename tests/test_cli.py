@@ -79,6 +79,25 @@ class TestClassify:
         assert "core nonempty: true" in out
 
 
+    @pytest.mark.parametrize("n, superadditive", [(15, "false"), (17, "not decided (n > 16)")])
+    def test_tu_report_past_the_core_limit(self, tmp_path, capsys, n, superadditive):
+        names = [f"p{i}" for i in range(n)]
+        # worth |S|^2, but 5 alone for p0: superadditivity fails at the first pair scanned
+        utilities = [
+            {"subset": [names[i] for i in range(n) if mask >> i & 1],
+             "value": 5.0 if mask == 1 else float(mask.bit_count() ** 2)}
+            for mask in range(1, 1 << n)
+        ]
+        path = write_doc(tmp_path, "big.game", {"version": 1, "players": names,
+                                                "utilities": utilities})
+        assert run(["classify", path]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 6 and "error:" not in captured.err
+        assert lines[2] == f"superadditive: {superadditive}"
+        assert lines[5] == "core nonempty: not decided (n > 14)"
+
+
 class TestScenario:
     def test_majority_core_empty(self, tmp_path, capsys):
         assert run(["scenario", "majority3", "-o", tmp_path]) == 0
@@ -111,6 +130,19 @@ class TestShapleyAndCore:
         out = tmp_path / "core.csv"
         assert run(["core", tmp_path / "majority3.game", "-o", out]) == 0
         assert "core: empty" in capsys.readouterr().out
+        assert not out.exists()
+
+
+    def test_core_witness_past_the_float_range(self, tmp_path, capsys):
+        doc = {"version": 1, "players": ["a", "b"], "utilities": [
+            {"subset": ["a"], "value": 1.7e308},
+            {"subset": ["b"], "value": -1.7e308},
+            {"subset": ["a", "b"], "value": 1.7e308},
+        ]}
+        out = tmp_path / "core.csv"
+        assert run(["core", write_doc(tmp_path, "huge.game", doc), "-o", out]) == 1
+        assert one_error_line(capsys) == (
+            "error: core witness pays player a more than the float range holds")
         assert not out.exists()
 
 

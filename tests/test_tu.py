@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from teamgames.errors import DisjointnessError, SizeLimitError
-from teamgames.players import PlayerSet
+from teamgames.errors import DisjointnessError, NumericOverflowError, SizeLimitError
+from teamgames.players import PlayerSet, member_sum
 from teamgames.random_games import random_tu_game
 from teamgames.tu import (
+    MAX_CORE_DECIDE,
     TUGame,
     core_is_nonempty,
     core_witness,
@@ -173,8 +174,35 @@ class TestCore:
         assert core_witness(g2) is None
 
     def test_size_bound(self):
+        n = MAX_CORE_DECIDE + 1
         with pytest.raises(SizeLimitError):
-            core_is_nonempty(TUGame(11, np.zeros(2048)))
+            core_is_nonempty(TUGame(n, np.zeros(1 << n)))
+
+    def test_fourteen_player_planted_core(self):
+        # claims below an integer allocation, in eighths: the core holds that allocation
+        n = 14
+        rng = np.random.default_rng(14)
+        x = rng.integers(-16, 33, n).astype(float)
+        table = member_sum(n, np.arange(1 << n), lambda i, sel: x[i])
+        table[1:-1] -= rng.choice([0, 0, 1, 2, 4, 8, 16], (1 << n) - 2)
+        g = TUGame(n, table / 8)
+        w = core_witness(g)
+        assert w is not None and in_core(g, w)
+
+    def test_fourteen_player_empty_core(self):
+        # the grand worth falls short of the balanced family of (n-1)-player coalitions
+        n = 14
+        table = np.random.default_rng(15).integers(-8, 25, 1 << n) / 8
+        full = (1 << n) - 1
+        table[0] = 0.0
+        table[full] = sum(table[full & ~(1 << i)] for i in range(n)) / (n - 1) - 0.125
+        assert not core_is_nonempty(TUGame(n, table))
+
+    def test_witness_past_the_float_range(self):
+        g = game({(0,): 1.7e308, (1,): -1.7e308, (0, 1): 1.7e308}, 2)
+        assert core_is_nonempty(g)  # decided from the exact cover value alone
+        with pytest.raises(NumericOverflowError, match="player 0 "):
+            core_witness(g)
 
     def test_convex_games_have_shapley_in_core(self):
         rng = np.random.default_rng(42)
