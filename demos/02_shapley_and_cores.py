@@ -12,10 +12,8 @@ from teamgames.scenarios import builtin_game
 
 glove = builtin_game("glove")
 
-print("== Shapley value, three independent routes ==")
+print("== Shapley value ==")
 print("subset-weighted sum :", tg.shapley_value(glove))
-print("size-stratified sum :", tg.shapley_value_stratified(glove))
-print("all 3! join orders  :", tg.shapley_by_permutations(glove))
 print()
 
 phi = tg.shapley_value(glove)

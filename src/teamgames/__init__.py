@@ -16,14 +16,12 @@ The package splits into:
 * :mod:`teamgames.cli` - the ``teamgames`` command.
 """
 
-from .players import PlayerSet, subsets, disjoint_pairs
+from .players import PlayerSet, subsets
 from .tu import (
     DEFAULT_TOL,
     TUGame,
     marginal_contribution,
     shapley_value,
-    shapley_value_stratified,
-    shapley_by_permutations,
     is_convex,
     is_superadditive,
     in_core,
@@ -46,7 +44,6 @@ from .st import (
     is_sensible,
     is_cohesive,
     is_fully_cooperative,
-    in_st_core,
     from_ntu,
     reduce_to_tu,
 )

@@ -22,11 +22,12 @@ from .st import STGame
 from .tu import DEFAULT_TOL, TUGame
 
 # Row budgets of the cobb tables, checked before anything is computed. On a 2-core
-# machine a sweep or frontier row (a closed form) costs up to 23 us and 0.2 KB (a
-# 250,000-row sweep: 5.7 s, 77 MB peak), and a path or rational row (one optimization)
-# about 3 ms: at most about 30 s and 0.1 GB.
+# machine a sweep or frontier row (a closed form) costs up to 20 us and 0.2 KB (a
+# 250,000-row sweep: 4.3 s, 84 MB peak), and a path or rational row (its share of one
+# batched search) 55-80 us and up to 0.6 KB: 200,000 path rows take 11 s and peak at
+# 153 MB, 200,000 rational rows 15 s and 101 MB.
 MAX_GRID_ROWS = 250_000
-MAX_SEARCH_ROWS = 10_000
+MAX_SEARCH_ROWS = 200_000
 
 KIND_NAMES = {STGame: "team game", TUGame: "TU game", CobbDouglasConfig: "Cobb-Douglas game"}
 

@@ -14,6 +14,15 @@ provides the cooperation metrics of this game, closed-form team-size
 stability bounds for power value functions, rational (utility-maximizing)
 contribution choices, zero altruism contours, and the dense sweep tables
 behind all of the above.
+
+The searches run on arrays of rows: ``maximize_scalar`` (a coarse scan,
+then golden section; Kiefer 1953) and ``altruism_roots`` (a sign scan, then
+bisection) take one row per table row. A path or rational table calls
+``altruism_roots`` once and ``maximize_scalar`` once per 255 rows, and
+every 2-D scan is evaluated over blocks of at most ``SCAN_CELLS`` cells.
+Each row keeps the step count its own bracket fixes and is frozen once it
+is done, so it does the float operations of a search run on it alone; a
+single number is a table of one row.
 """
 
 from __future__ import annotations
@@ -37,6 +46,8 @@ ARGMAX_XATOL = 1e-6
 # altruism_roots: intervals of the sign scan, and the width bisection stops at
 ROOT_SCAN = 1024
 ROOT_XATOL = 1e-8
+# cells (rows x points) of a batched 2-D scan evaluated at a time, so its arrays stay near 0.5 MB
+SCAN_CELLS = 1 << 16
 
 # column order of the sweep and path tables, the rational table and the frontier table
 COBB_COLUMNS = ["gamma", "theta", "beta", "sizeA", "sizeB", "xA_avg", "xB_avg", "payoff",
@@ -79,6 +90,9 @@ class CobbDouglasConfig:
             produced = self.alpha * x**self.beta
         overflow = ~np.isfinite(produced)
         if overflow.any():
+            if x.ndim > 1:  # rows of a batched search: report the first row that overflows
+                first = int(np.argmax(overflow.any(axis=tuple(range(1, x.ndim)))))
+                x, overflow = x[first], overflow[first]
             raise NumericOverflowError(
                 f"alpha * x^beta overflows at x = {float(x[overflow].min())!r} "
                 f"(alpha = {self.alpha!r}, beta = {self.beta!r})"
@@ -333,63 +347,77 @@ def max_stable_team_size(gamma: float, r: float, beta: float) -> float:
     return float(bound)
 
 
-def _golden_max(fn, lo: float, hi: float, xatol: float) -> float:
-    """Golden-section maximizer on [lo, hi]; assumes unimodality inside the bracket."""
+def _golden_max(fn, lo, hi, xatol: float):
+    """Golden-section maximizer on each row's [lo, hi]; assumes unimodality inside a bracket.
+
+    Each row takes the step count its own bracket fixes, and a row that has taken them is
+    frozen, so every row does the float operations of a search run on it alone.
+    """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     inv_phi2 = (3.0 - math.sqrt(5.0)) / 2.0
     span = hi - lo
-    if span <= xatol:
-        return (lo + hi) / 2.0
-    steps = int(math.ceil(math.log(xatol / span) / math.log(inv_phi)))
+    steps = np.array([math.ceil(math.log(xatol / s) / math.log(inv_phi)) if s > xatol else 0
+                      for s in span.tolist()], dtype=np.int64)
     c = lo + inv_phi2 * span
     d = lo + inv_phi * span
-    yc = fn(c)
-    yd = fn(d)
-    for _ in range(steps - 1):
-        if yc > yd:
-            hi = d
-            d = c
-            yd = yc
-            span *= inv_phi
-            c = lo + inv_phi2 * span
-            yc = fn(c)
-        else:
-            lo = c
-            c = d
-            yc = yd
-            span *= inv_phi
-            d = lo + inv_phi * span
-            yd = fn(d)
-    return (lo + d) / 2.0 if yc > yd else (c + hi) / 2.0
+    points = np.stack([c, d], axis=1)
+    yc, yd = np.broadcast_to(fn(points), points.shape).T
+    for k in range(int(steps.max(initial=0)) - 1):
+        # keep [lo, d] and probe x below its old c, or keep [c, hi] and probe x above its old d
+        left = yc > yd
+        span_next = span * inv_phi
+        lo_next = np.where(left, lo, c)
+        x = lo_next + np.where(left, inv_phi2, inv_phi) * span_next
+        y = np.broadcast_to(fn(x[:, None]), (len(x), 1))[:, 0]
+        moved = (lo_next, np.where(left, d, hi), np.where(left, x, d), np.where(left, c, x),
+                 np.where(left, y, yd), np.where(left, yc, y), span_next)
+        live = k < steps - 1  # a row that has taken its steps stays as it is
+        lo, hi, c, d, yc, yd, span = [np.where(live, new, old) for new, old in
+                                      zip(moved, (lo, hi, c, d, yc, yd, span))]
+    refined = np.where(yc > yd, (lo + d) / 2.0, (c + hi) / 2.0)
+    return np.where(steps > 0, refined, (lo + hi) / 2.0)
 
 
-def maximize_scalar(fn, lo: float, hi: float) -> float:
-    """Argmax of fn on [lo, hi]: coarse scan, golden refinement, smallest-x ties.
+def maximize_scalar(fn, lo, hi):
+    """Argmax of fn on each row's [lo, hi]: coarse scan, golden refinement, smallest-x ties.
 
-    The scan survives non-unimodal objectives (equal-split utilities can
-    peak at a boundary); golden section then sharpens the winning bracket.
-    Whenever several candidates reach the same value the smallest argument
-    wins. The scan calls fn once on the array of its ``ARGMAX_SCAN + 1``
-    points (a scalar result counts for every point); the refinement calls it
-    on single numbers and stops at width ``ARGMAX_XATOL``.
+    ``lo`` and ``hi`` are numbers or equal-length arrays, one bracket per row, and the
+    result has their shape. ``fn`` maps a (rows, k) array, k points of each row's bracket,
+    to values of that shape (a number counts for every point). The scan survives
+    non-unimodal objectives (equal-split utilities can peak at a boundary): one call
+    evaluates ``ARGMAX_SCAN + 1`` evenly spaced points per row, then golden section
+    sharpens each row's winning bracket to width ``ARGMAX_XATOL``, one call per step for
+    all rows. Whenever several candidates reach the same value the smallest argument wins.
+    Each row gets the float operations of a search run on it alone.
     """
-    if hi < lo:
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
+                                 np.atleast_1d(np.asarray(hi, dtype=float)))
+    if np.any(hi < lo):
         raise ValueError("empty bracket")
-    if hi == lo:
-        return lo
-    grid = np.linspace(lo, hi, ARGMAX_SCAN + 1)
-    best_i = int(np.argmax(np.broadcast_to(fn(grid), grid.shape)))
-    bracket_lo = float(grid[max(best_i - 1, 0)])
-    bracket_hi = float(grid[min(best_i + 1, ARGMAX_SCAN)])
+    # np.linspace per row: j * step + lo, or (j / n) * span + lo where the step underflows,
+    # ending exactly at hi
+    span = (hi - lo)[:, None]
+    step = span / ARGMAX_SCAN
+    j = np.arange(ARGMAX_SCAN + 1.0)
+    grid = np.where(step == 0, j / ARGMAX_SCAN * span, j * step) + lo[:, None]
+    grid[:, -1] = hi
+    best_i = np.argmax(np.broadcast_to(fn(grid), grid.shape), axis=1)
+    rows = np.arange(len(lo))
+    bracket_lo = grid[rows, np.maximum(best_i - 1, 0)]
+    bracket_hi = grid[rows, np.minimum(best_i + 1, ARGMAX_SCAN)]
     refined = _golden_max(fn, bracket_lo, bracket_hi, ARGMAX_XATOL)
-    candidates = sorted({lo, hi, float(grid[best_i]), refined})
-    best_x = candidates[0]
-    best_y = fn(best_x)
-    for x in candidates[1:]:
-        y = fn(x)
-        if y > best_y:
-            best_x, best_y = x, y
-    return best_x
+    # ascending candidates; a stable sort keeps the first of equal ones, a repeat is skipped
+    candidates = np.sort(np.stack([lo, hi, grid[rows, best_i], refined], axis=1),
+                         axis=1, kind="stable")
+    values = np.broadcast_to(fn(candidates), candidates.shape)
+    best_x, best_y = candidates[:, 0], values[:, 0]
+    for k in range(1, candidates.shape[1]):
+        better = (values[:, k] > best_y) & (candidates[:, k] != candidates[:, k - 1])
+        best_x = np.where(better, candidates[:, k], best_x)
+        best_y = np.where(better, values[:, k], best_y)
+    best_x = np.where(hi == lo, lo, best_x)
+    return float(best_x[0]) if scalar else best_x
 
 
 def _require_groups(size_a: int, size_b: int) -> None:
@@ -400,15 +428,22 @@ def _require_groups(size_a: int, size_b: int) -> None:
 def _best_response(scheme, cfg, size, others_total, team_size, cap=1.0, pool=1.0):
     """Common contribution in [0, cap] of ``size`` members that maximizes one member's utility.
 
-    The rest of the ``team_size`` team contributes ``others_total``; the
-    member keeps ``pool`` minus its contribution.
+    One search per row of ``others_total``, what the rest of the ``team_size`` team
+    contributes there; the member keeps ``pool`` minus its contribution. Rows are searched
+    ``SCAN_CELLS // (ARGMAX_SCAN + 1)`` at a time, so the scan arrays stay small.
     """
+    others_total = np.asarray(others_total, dtype=float)
+    block = SCAN_CELLS // (ARGMAX_SCAN + 1)
+    found = []
+    for start in range(0, len(others_total), block):
+        others = others_total[start:start + block, None]
 
-    def utility(v):
-        coalition = (size * v + others_total, team_size)
-        return _group_utility(scheme, cfg, (v, 1, pool - v), coalition)[1]
+        def utility(v, others=others):
+            coalition = (size * v + others, team_size)
+            return _group_utility(scheme, cfg, (v, 1, pool - v), coalition)[1]
 
-    return maximize_scalar(utility, 0.0, cap)
+        found.append(maximize_scalar(utility, np.zeros(len(others)), np.full(len(others), cap)))
+    return np.concatenate(found)
 
 
 def rational_contribution(
@@ -445,9 +480,9 @@ def symmetric_rational_contribution(
     if len(pools) > 1:
         raise ValueError(f"group members must share one resource pool, got pools {pools}")
     n = len(profile)
-    return _best_response(
-        scheme, cfg, len(group), profile.total(group.complement(n)), n, cap=pools[0], pool=pools[0]
-    )
+    others = [profile.total(group.complement(n))]
+    found = _best_response(scheme, cfg, len(group), others, n, cap=pools[0], pool=pools[0])
+    return float(found[0])
 
 
 def altruism_roots(
@@ -455,10 +490,10 @@ def altruism_roots(
     cfg: CobbDouglasConfig,
     size_a: int,
     size_b: int,
-    x_b_total: float,
+    x_b_total,
     *,
     tol: float = DEFAULT_TOL,
-) -> list[float]:
+):
     """All zero crossings of A's altruism as a function of A's total contribution.
 
     The altruism factors as (f_B(A|B)^theta - f_B(B)^theta) * reserve_B^(1-theta),
@@ -470,39 +505,57 @@ def altruism_roots(
     A and B contribute symmetrically within themselves over unit pools; the
     scan covers x_A in [0, size_a] in ``ROOT_SCAN`` intervals. Grid points
     within ``tol`` of zero count as roots; sign changes are bisected to
-    ``ROOT_XATOL``.
+    ``ROOT_XATOL``. ``x_b_total`` is a number, giving one ascending list of
+    roots, or an array of rows, giving one list per row; the rows are scanned
+    ``SCAN_CELLS // (ROOT_SCAN + 1)`` at a time and bisected together, each
+    with the float operations of a search run on it alone.
     """
     _require_groups(size_a, size_b)
-    if not 0.0 <= x_b_total <= size_b:
-        raise ValueError(f"x_B must lie in [0, {size_b}], got {x_b_total}")
+    x_b = np.atleast_1d(np.asarray(x_b_total, dtype=float))
+    outside = ~((0.0 <= x_b) & (x_b <= size_b))
+    if outside.any():
+        raise ValueError(f"x_B must lie in [0, {size_b}], got {x_b[outside][0].item()}")
     size = size_a + size_b
-    alone = _group_payoff(scheme, cfg, x_b_total, size_b, x_b_total, size_b)
+    alone = _group_payoff(scheme, cfg, x_b, size_b, x_b, size_b)
 
-    def altruism(x_a_total):
-        return _group_payoff(scheme, cfg, x_b_total, size_b, x_a_total + x_b_total, size) - alone
+    def altruism(x_a, rows):
+        """The payoff balance at A's totals x_a, broadcast against the rows' x_B."""
+        return _group_payoff(scheme, cfg, x_b[rows], size_b, x_a + x_b[rows], size) - alone[rows]
 
     grid = np.linspace(0.0, float(size_a), ROOT_SCAN + 1)
-    values = altruism(grid)
-    near = np.abs(values) <= tol
-    negative = values < 0
-    crossing = ~near[:-1] & ~near[1:] & (negative[:-1] != negative[1:])
-    roots = grid[near].tolist()
-    for i in np.flatnonzero(crossing).tolist():
-        lo, hi = grid[i].item(), grid[i + 1].item()
-        f_lo = values[i].item()
-        while hi - lo > ROOT_XATOL:
-            mid = (lo + hi) / 2.0
-            f_mid = altruism(mid)
-            if f_mid == 0.0:
-                lo = hi = mid
-                break
-            if (f_mid < 0) == (f_lo < 0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-        roots.append((lo + hi) / 2.0)
-    roots.sort()
-    return roots
+    roots = [[] for _ in x_b]
+    # sign changes of every row: (row, interval, balance at the interval's left end)
+    cross_rows, cross_at, cross_f = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
+    block = SCAN_CELLS // (ROOT_SCAN + 1)
+    for start in range(0, len(x_b), block):
+        rows = np.arange(start, min(start + block, len(x_b)))
+        values = altruism(grid, rows[:, None])
+        near = np.abs(values) <= tol
+        negative = values < 0
+        crossing = ~near[:, :-1] & ~near[:, 1:] & (negative[:, :-1] != negative[:, 1:])
+        for r, i in zip(*np.nonzero(near)):
+            roots[start + r].append(grid[i].item())
+        r, i = np.nonzero(crossing)
+        cross_rows.append(rows[r])
+        cross_at.append(i)
+        cross_f.append(values[r, i])
+    rows, at, f_lo = (np.concatenate(part) for part in (cross_rows, cross_at, cross_f))
+    lo, hi = grid[at], grid[at + 1]
+    live = hi - lo > ROOT_XATOL
+    while live.any():
+        mid = (lo + hi) / 2.0
+        f_mid = altruism(mid, rows)
+        hit = f_mid == 0.0  # an exact zero ends the row's bisection at mid
+        same = (f_mid < 0) == (f_lo < 0)
+        lo = np.where(live & (hit | same), mid, lo)
+        hi = np.where(live & (hit | ~same), mid, hi)
+        f_lo = np.where(live & same & ~hit, f_mid, f_lo)
+        live = hi - lo > ROOT_XATOL
+    for r, root in zip(rows.tolist(), ((lo + hi) / 2.0).tolist()):
+        roots[r].append(root)
+    for row in roots:
+        row.sort()
+    return roots if np.ndim(x_b_total) else roots[0]
 
 
 def zero_altruism_contour(
@@ -563,14 +616,14 @@ def cooperation_path(
     if samples < 2:
         raise ValueError("need at least 2 samples")
     _require_groups(size_a, size_b)
-    x_b = np.linspace(0.0, 1.0, samples).tolist()
-    team = size_a + size_b
-    x_a = [_best_response(scheme, cfg, size_a, size_b * t, team) for t in x_b]
+    x_b = np.linspace(0.0, 1.0, samples)
+    x_a = _best_response(scheme, cfg, size_a, size_b * x_b, size_a + size_b)
     group_a, group_b = _unit_pool_group(size_a, x_a), _unit_pool_group(size_b, x_b)
     _, _, alt, comp, marginal = _group_metrics(scheme, cfg, group_a, group_b)
     return [
         PathPoint(t, x, CoopPoint(*point, subset=None))
-        for t, x, point in zip(x_b, x_a, zip(alt.tolist(), comp.tolist(), marginal.tolist()))
+        for t, x, point in zip(x_b.tolist(), x_a.tolist(),
+                               zip(alt.tolist(), comp.tolist(), marginal.tolist()))
     ]
 
 
@@ -637,12 +690,10 @@ def rational_table(
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    x_b = [k / (resolution - 1) for k in range(resolution)]
-    x_a, zero = [], []
-    for t in x_b:
-        x_a.append(_best_response(scheme, cfg, size_a, size_b * t, size_a + size_b))
-        root = zero_altruism_contour(scheme, cfg, size_a, size_b, t * size_b, tol=tol)
-        zero.append(None if root is None else root / size_a)
+    x_b = np.arange(resolution) / (resolution - 1)
+    x_a = _best_response(scheme, cfg, size_a, size_b * x_b, size_a + size_b)
+    roots = altruism_roots(scheme, cfg, size_a, size_b, x_b * size_b, tol=tol)
+    zero = [row[0] / size_a if row else None for row in roots]
     n = resolution
     return {
         "gamma": [scheme.mix] * n, "theta": [cfg.theta] * n, "beta": [cfg.beta] * n,

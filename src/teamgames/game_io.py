@@ -21,8 +21,10 @@ full-precision (shortest round-trip) decimals, and graph exports as
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -338,13 +340,41 @@ def format_cell(value) -> str:
     return str(value)
 
 
+def _constant(cells) -> bool:
+    """Are all cells of a slice exactly the same: one object, or one bit pattern in an array?
+
+    ``==`` would not do: it takes 0.0 for -0.0 and 1 for True.
+    """
+    if isinstance(cells, np.ndarray):
+        if cells.dtype.kind not in "biuf" or cells.itemsize not in (1, 2, 4, 8):
+            return False
+        bits = cells.view(f"u{cells.itemsize}")
+        return bool((bits == bits[0]).all())
+    first = cells[0]
+    return all(map(operator.is_, cells, itertools.repeat(first)))
+
+
+def _format_slice(cells):
+    """Lazy text of one column slice, its formatter chosen once for the whole slice."""
+    if _constant(cells):
+        first = cells[:1].tolist() if isinstance(cells, np.ndarray) else cells[:1]
+        return itertools.repeat(format_cell(first[0]), len(cells))
+    if isinstance(cells, np.ndarray):
+        if cells.dtype == np.float64:
+            return map(float.__repr__, cells.tolist())
+        # tolist gives Python floats and bools, which format_cell spells fastest
+        cells = cells.tolist()
+    return map(format_cell, cells)
+
+
 def write_table(tables, columns, path) -> int:
     """Write column tables one after another as UTF-8 CSV with a header row.
 
     A table maps every name in ``columns`` to an equal-length sequence (a
     numpy array or a list) holding that column's cells in row order. Every
     table is checked before the file is opened, cells are formatted
-    ``ROW_CHUNK`` rows at a time and every line ends in a newline, so
+    ``ROW_CHUNK`` rows at a time, each column slice by one formatter (a
+    constant slice formatted once), and every line ends in a newline, so
     identical inputs produce identical bytes. Returns the number of rows
     written.
     """
@@ -365,10 +395,7 @@ def write_table(tables, columns, path) -> int:
             cols = [table[c] for c in columns]
             count = len(cols[0]) if cols else 0
             for lo in range(0, count, ROW_CHUNK):
-                cells = [c[lo:lo + ROW_CHUNK] for c in cols]
-                # tolist gives Python floats and bools, which format_cell spells fastest
-                cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in cells]
-                writer.writerows(zip(*(map(format_cell, col) for col in cells)))
+                writer.writerows(zip(*(_format_slice(c[lo:lo + ROW_CHUNK]) for c in cols)))
             rows += count
     return rows
 

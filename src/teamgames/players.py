@@ -117,46 +117,15 @@ def player_names(n: int, players=None) -> tuple[str, ...]:
     return names
 
 
-def iter_subset_masks(n: int, *, nonempty: bool = False) -> Iterator[int]:
-    """All subset masks of an n-player team, ascending."""
-    return iter(range(1 if nonempty else 0, 1 << n))
-
-
-def iter_submasks(mask: int, *, nonempty: bool = False) -> list[int]:
-    """All submasks of ``mask``, ascending.
-
-    The classic descending-submask walk is reversed so every enumeration in
-    the package shares the ascending convention.
-    """
-    subs = []
-    s = mask
-    while True:
-        subs.append(s)
-        if s == 0:
-            break
-        s = (s - 1) & mask
-    subs.reverse()
-    if nonempty:
-        subs = subs[1:] if subs and subs[0] == 0 else subs
-    return subs
+def subset_label(mask: int, players) -> str:
+    """A coalition as ``{a,b}``, its members' names in player order."""
+    return "{" + ",".join(players[i] for i in PlayerSet(mask)) + "}"
 
 
 def subsets(n: int, *, nonempty: bool = False) -> Iterator[PlayerSet]:
     """All coalitions of an n-player team as PlayerSets, ascending mask order."""
-    for mask in iter_subset_masks(n, nonempty=nonempty):
+    for mask in range(1 if nonempty else 0, 1 << n):
         yield PlayerSet(mask)
-
-
-def disjoint_pairs(n: int, *, nonempty_b: bool = True) -> Iterator[tuple[PlayerSet, PlayerSet]]:
-    """Ordered pairs (A, B) of disjoint coalitions with A nonempty.
-
-    With ``nonempty_b=False`` the pairs with B = empty set are included.
-    Ascending in (A mask, B mask).
-    """
-    for a_mask in iter_subset_masks(n, nonempty=True):
-        rest = ((1 << n) - 1) & ~a_mask
-        for b_mask in iter_submasks(rest, nonempty=nonempty_b):
-            yield PlayerSet(a_mask), PlayerSet(b_mask)
 
 
 def mask_sizes(n: int) -> np.ndarray:

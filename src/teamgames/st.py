@@ -32,6 +32,7 @@ import numpy as np
 from .errors import MissingUtilityError, NotReducibleError, SizeLimitError
 from .players import (
     PlayerSet, check_subset_array, first_pair, member_sum, player_names, require_disjoint,
+    subset_label,
 )
 from .tu import DEFAULT_TOL, TUGame
 
@@ -91,7 +92,7 @@ class STGame:
             value = float(value)
             if math.isnan(value):
                 raise ValueError(
-                    f"utility of assessor {_subset_label(a_mask, players)} at outcome "
+                    f"utility of assessor {subset_label(a_mask, players)} at outcome "
                     f"{outcome!r} is not a number"
                 )
             assessors.append(a_mask)
@@ -135,9 +136,9 @@ class STGame:
             subs = subs[(subs & s) == subs]
             a = int(subs[np.argmax(np.isnan(table[subs, columns[s]]))])
             raise ValueError(
-                f"missing utility: assessor {_subset_label(a, players)} "
+                f"missing utility: assessor {subset_label(a, players)} "
                 f"at outcome {outcomes[columns[s]]!r} (reachable via coalition "
-                f"{_subset_label(s, players)})"
+                f"{subset_label(s, players)})"
             )
         columns.flags.writeable = False
         table.flags.writeable = False
@@ -235,7 +236,7 @@ class STGame:
         j = self._position.get(outcome)  # None: not an outcome of this game
         value = math.nan if j is None else float(self._assess(int(mask), j))
         if value != value:  # NaN: no entry
-            raise MissingUtilityError(_subset_label(mask, self.players), outcome)
+            raise MissingUtilityError(subset_label(mask, self.players), outcome)
         return value
 
 
@@ -257,18 +258,14 @@ def _outcome_columns(n: int, outcomes: tuple, consequence, players) -> np.ndarra
         elif mask in consequence:
             outcome = consequence[mask]
         else:
-            raise ValueError(f"consequence map is missing coalition {_subset_label(mask, players)}")
+            raise ValueError(f"consequence map is missing coalition {subset_label(mask, players)}")
         if outcome not in column_of:
             raise ValueError(
-                f"consequence of {_subset_label(mask, players)} is an undeclared outcome "
+                f"consequence of {subset_label(mask, players)} is an undeclared outcome "
                 f"{outcome!r}"
             )
         columns[mask] = column_of[outcome]
     return columns
-
-
-def _subset_label(mask: int, players) -> str:
-    return "{" + ",".join(players[i] for i in PlayerSet(mask)) + "}"
 
 
 def _require_pair(g: STGame, a: PlayerSet, b: PlayerSet) -> None:
@@ -435,23 +432,6 @@ def is_fully_cooperative(g: STGame, tol: float = DEFAULT_TOL) -> bool:
     is equivalent to cohesiveness of the grand coalition.
     """
     return is_cohesive(g, PlayerSet.full(g.n), tol)
-
-
-def in_st_core(
-    n: int,
-    outcomes,
-    consequence: Mapping[int, Outcome],
-    utilities: Mapping[tuple[int, Outcome], float],
-    tol: float = DEFAULT_TOL,
-    players=None,
-) -> bool:
-    """Does this utility table make the consequence function fully cooperative?
-
-    Membership predicate for the set of utility functions under which the
-    given consequence map supports stable teamwork.
-    """
-    game = STGame.from_tables(n, outcomes, consequence, utilities, players)
-    return is_fully_cooperative(game, tol)
 
 
 def from_ntu(

@@ -2,13 +2,12 @@
 
 A TU game assigns one real payoff to every coalition of an n-player team.
 This module covers the classical machinery: marginal contributions, the
-Shapley value (three independent routes), convexity and superadditivity
-predicates, core membership, and an exact core-nonemptiness decision.
+Shapley value, convexity and superadditivity predicates, core membership,
+and an exact core-nonemptiness decision.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,12 +18,11 @@ from .errors import NumericOverflowError, SizeLimitError
 from .exact_lp import first_uncovered, minimal_coalition_cover
 from .players import (
     MAX_SUBSET_ARRAY, PlayerSet, check_subset_array, first_pair, mask_sizes, member_sum,
-    player_names, require_disjoint,
+    player_names, require_disjoint, subset_label,
 )
 
 DEFAULT_TOL = 1e-9
 
-MAX_PERMUTATION = 8   # n! join orders
 MAX_CORE_DECIDE = 14  # exact LP columns: 2^n - 2
 
 
@@ -76,69 +74,45 @@ def marginal_contribution(game: TUGame, a: PlayerSet, b: PlayerSet) -> float:
     return float(game.u[a.mask | b.mask] - game.u[b.mask])
 
 
+def _require_finite(game: TUGame, values, coalitions, what: str) -> None:
+    """Refuse float results past the float range, naming the first coalition whose
+    ``what`` (a phrase the label completes) overflowed."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        label = subset_label(int(coalitions[np.argmax(bad)]), game.players)
+        raise NumericOverflowError(f"{what} {label} is past the float range")
+
+
+def _margins(game: TUGame, i: int) -> np.ndarray:
+    """Player i's margin u(S + i) - u(S) at every mask S (0 where S holds i); a margin
+    past the float range raises ``NumericOverflowError`` naming S."""
+    masks = np.arange(1 << game.n, dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        margins = game.u[masks | (1 << i)] - game.u
+    _require_finite(game, margins, masks, f"the margin of player {game.players[i]} on coalition")
+    return margins
+
+
 def shapley_value(game: TUGame) -> np.ndarray:
     """Shapley allocation via the subset-weighted sum.
 
     Each player receives the average of their marginal contributions, the
     subset S they join being weighted by |S|!(n-1-|S|)!/n!. Vectorized over
-    the 2^n table, so the full n <= 20 range stays practical.
+    the 2^n table, so the full n <= 20 range stays practical. A margin or a
+    share past the float range raises ``NumericOverflowError``.
     """
     n = game.n
-    u = game.u
     fact = [math.factorial(k) for k in range(n + 1)]
     weights = np.array([fact[k] * fact[n - k - 1] / fact[n] for k in range(n)])
     masks = np.arange(1 << n, dtype=np.int64)
     sizes = mask_sizes(n)
     phi = np.zeros(n)
     for i in range(n):
-        bit = 1 << i
-        without = masks[(masks & bit) == 0]
-        phi[i] = float(np.sum(weights[sizes[without]] * (u[without | bit] - u[without])))
+        without = masks[(masks & (1 << i)) == 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi[i] = float(np.sum(weights[sizes[without]] * _margins(game, i)[without]))
+        _require_finite(game, phi[i:i + 1], [1 << i], "the Shapley share of")
     return phi
-
-
-def shapley_value_stratified(game: TUGame) -> np.ndarray:
-    """Shapley allocation by size strata: average within each coalition size,
-    then average over the n sizes.
-
-    Algebraically identical to :func:`shapley_value` but enumerated through
-    ``itertools.combinations``, so the two serve as mutual checks.
-    """
-    n = game.n
-    u = game.u
-    phi = np.zeros(n)
-    for i in range(n):
-        rest = [j for j in range(n) if j != i]
-        bit = 1 << i
-        total = 0.0
-        for k in range(n):
-            layer = 0.0
-            for combo in itertools.combinations(rest, k):
-                s_mask = 0
-                for j in combo:
-                    s_mask |= 1 << j
-                layer += u[s_mask | bit] - u[s_mask]
-            total += layer / math.comb(n - 1, k)
-        phi[i] = total / n
-    return phi
-
-
-def shapley_by_permutations(game: TUGame) -> np.ndarray:
-    """Brute-force Shapley oracle: average marginal gains over all n! join orders."""
-    n = game.n
-    if n > MAX_PERMUTATION:
-        raise SizeLimitError(f"permutation enumeration supports n <= {MAX_PERMUTATION}, got {n}")
-    u = game.u
-    phi = np.zeros(n)
-    for order in itertools.permutations(range(n)):
-        mask = 0
-        prev = 0.0
-        for i in order:
-            mask |= 1 << i
-            cur = u[mask]
-            phi[i] += cur - prev
-            prev = cur
-    return phi / math.factorial(n)
 
 
 def is_convex(game: TUGame, tol: float = DEFAULT_TOL) -> bool:
@@ -146,30 +120,43 @@ def is_convex(game: TUGame, tol: float = DEFAULT_TOL) -> bool:
 
     Checked through the local pairwise form: for every i, S not containing i
     and j outside S+i, the margin of i on S is at most its margin on S+j.
-    Vectorized per (i, j) pair over all eligible subsets.
+    Vectorized per (i, j) pair over all eligible subsets. A margin past the
+    float range raises ``NumericOverflowError``.
     """
     n = game.n
-    u = game.u
     masks = np.arange(1 << n, dtype=np.int64)
     for i in range(n):
-        ibit = 1 << i
+        margins = _margins(game, i)
         for j in range(n):
             if j == i:
                 continue
-            jbit = 1 << j
-            s = masks[(masks & (ibit | jbit)) == 0]
-            lhs = u[s | ibit] - u[s]
-            rhs = u[s | ibit | jbit] - u[s | jbit]
-            if np.any(lhs > rhs + tol):
-                return False
+            s = masks[(masks & ((1 << i) | (1 << j))) == 0]
+            with np.errstate(over="ignore"):  # past the range, rhs + tol is inf: no violation
+                if np.any(margins[s] > margins[s | (1 << j)] + tol):
+                    return False
     return True
 
 
 def is_superadditive(game: TUGame, tol: float = DEFAULT_TOL) -> bool:
-    """True when u(A|B) >= u(A) + u(B) for every disjoint nonempty pair."""
+    """True when u(A|B) >= u(A) + u(B) for every disjoint nonempty pair.
+
+    A sum below the float range cannot violate the bound, and one above it
+    at the first violating pair raises ``NumericOverflowError``.
+    """
     u = game.u
-    return first_pair((1 << game.n) - 1, lambda a, b: (u[a | b] < u[a] + u[b] - tol,),
-                      nonempty=True) is None
+
+    def test(a, b):
+        total = u[a] + u[b]
+        return u[a | b] < total - tol, total
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = first_pair((1 << game.n) - 1, test, nonempty=True)
+    if first is None:
+        return True
+    if not math.isfinite(first[2]):
+        a, b = (subset_label(mask, game.players) for mask in first[:2])
+        raise NumericOverflowError(f"u({a}) + u({b}) is past the float range")
+    return False
 
 
 def is_efficient(game: TUGame, phi, tol: float = DEFAULT_TOL) -> bool:
@@ -177,14 +164,16 @@ def is_efficient(game: TUGame, phi, tol: float = DEFAULT_TOL) -> bool:
 
 
 def in_core(game: TUGame, phi, tol: float = DEFAULT_TOL) -> bool:
-    """Core membership: efficient, and no coalition can beat its share."""
+    """Core membership: efficient, and no coalition can beat its share. A coalition's
+    share past the float range raises ``NumericOverflowError``."""
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (game.n,):
         raise ValueError(f"allocation must have length {game.n}")
-    if not is_efficient(game, phi, tol):
-        return False
-    sums = member_sum(game.n, np.arange(1 << game.n), lambda i, sel: phi[i])
-    return bool(np.all(sums >= game.u - tol))
+    masks = np.arange(1 << game.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = member_sum(game.n, masks, lambda i, sel: phi[i])
+        _require_finite(game, sums, masks, "the allocation's share of")
+        return is_efficient(game, phi, tol) and bool(np.all(sums >= game.u - tol))
 
 
 def _core_claims(game: TUGame) -> dict[int, Fraction]:

@@ -15,14 +15,34 @@ Cobb-Douglas cooperation point as differences of per-pair subset
 utilities, which ``cobb`` replaced with its group evaluator. The exact
 core LP is here with its all-``Fraction`` pricing, which ``exact_lp``
 replaced with a float pass and an exact confirmation of Bland's column.
+So are the Cobb-Douglas searches one row at a time (a scalar golden
+section per rational contribution, a scalar bisection per root), which
+``cobb`` replaced with searches over arrays of rows, and the helpers only
+tests use: the submask and disjoint-pair generators, the two Shapley routes
+that check ``tu.shapley_value``, and the team-core membership wrapper.
 """
+
+import itertools
+import math
 
 from array import array
 from fractions import Fraction
 
 import numpy as np
 
-from teamgames.cobb import cd_subset_utility
+from teamgames.cobb import (
+    ARGMAX_SCAN,
+    ARGMAX_XATOL,
+    ROOT_SCAN,
+    ROOT_XATOL,
+    PathPoint,
+    _group_metrics,
+    _group_payoff,
+    _group_utility,
+    _require_groups,
+    _unit_pool_group,
+    cd_subset_utility,
+)
 from teamgames.errors import (
     GameLoadError,
     MissingUtilityError,
@@ -31,9 +51,41 @@ from teamgames.errors import (
     StructureError,
 )
 from teamgames.game_io import _parse_names, _parse_subset, _parse_value, _require
-from teamgames.players import MAX_SUBSET_ARRAY, PlayerSet, iter_submasks
-from teamgames.st import CoopPoint, STGame, _subset_label, coop_point
+from teamgames.players import MAX_SUBSET_ARRAY, PlayerSet, subset_label
+from teamgames.st import CoopPoint, STGame, coop_point, is_fully_cooperative
 from teamgames.tu import TUGame
+
+
+MAX_PERMUTATION = 8  # n! join orders
+
+
+def iter_subset_masks(n, *, nonempty=False):
+    """All subset masks of an n-player team, ascending."""
+    return iter(range(1 if nonempty else 0, 1 << n))
+
+
+def iter_submasks(mask, *, nonempty=False):
+    """All submasks of ``mask``, ascending: the descending submask walk, reversed."""
+    subs = []
+    s = mask
+    while True:
+        subs.append(s)
+        if s == 0:
+            break
+        s = (s - 1) & mask
+    subs.reverse()
+    if nonempty:
+        subs = subs[1:] if subs and subs[0] == 0 else subs
+    return subs
+
+
+def disjoint_pairs(n, *, nonempty_b=True):
+    """Ordered pairs (A, B) of disjoint coalitions with A nonempty, ascending in (A, B);
+    with ``nonempty_b=False`` the pairs with B empty are included."""
+    for a_mask in iter_subset_masks(n, nonempty=True):
+        rest = ((1 << n) - 1) & ~a_mask
+        for b_mask in iter_submasks(rest, nonempty=nonempty_b):
+            yield PlayerSet(a_mask), PlayerSet(b_mask)
 
 
 def _bits(mask):
@@ -102,10 +154,10 @@ def check_tables(n, outcomes, consequence, utilities, players=None):
     full = (1 << n) - 1
     for mask in range(1, full + 1):
         if mask not in consequence:
-            return f"consequence map is missing coalition {_subset_label(mask, players)}"
+            return f"consequence map is missing coalition {subset_label(mask, players)}"
         if consequence[mask] not in known:
             return (
-                f"consequence of {_subset_label(mask, players)} is an undeclared outcome "
+                f"consequence of {subset_label(mask, players)} is an undeclared outcome "
                 f"{consequence[mask]!r}"
             )
     for (a_mask, outcome), value in utilities.items():
@@ -118,9 +170,9 @@ def check_tables(n, outcomes, consequence, utilities, players=None):
         for a_mask in iter_submasks(s_mask, nonempty=True):
             if (a_mask, x) not in utilities:
                 return (
-                    f"missing utility: assessor {_subset_label(a_mask, players)} "
+                    f"missing utility: assessor {subset_label(a_mask, players)} "
                     f"at outcome {x!r} (reachable via coalition "
-                    f"{_subset_label(s_mask, players)})"
+                    f"{subset_label(s_mask, players)})"
                 )
     return None
 
@@ -326,6 +378,46 @@ def minimal_coalition_cover(n, worth):
         basis[leave] = entering
 
 
+def shapley_value_stratified(game):
+    """Shapley allocation by size strata: average within each coalition size, then over
+    the n sizes, enumerated through ``itertools.combinations``."""
+    n = game.n
+    u = game.u
+    phi = np.zeros(n)
+    for i in range(n):
+        rest = [j for j in range(n) if j != i]
+        bit = 1 << i
+        total = 0.0
+        for k in range(n):
+            layer = 0.0
+            for combo in itertools.combinations(rest, k):
+                s_mask = 0
+                for j in combo:
+                    s_mask |= 1 << j
+                layer += u[s_mask | bit] - u[s_mask]
+            total += layer / math.comb(n - 1, k)
+        phi[i] = total / n
+    return phi
+
+
+def shapley_by_permutations(game):
+    """Average marginal gains over all n! join orders."""
+    n = game.n
+    if n > MAX_PERMUTATION:
+        raise SizeLimitError(f"permutation enumeration supports n <= {MAX_PERMUTATION}, got {n}")
+    u = game.u
+    phi = np.zeros(n)
+    for order in itertools.permutations(range(n)):
+        mask = 0
+        prev = 0.0
+        for i in order:
+            mask |= 1 << i
+            cur = u[mask]
+            phi[i] += cur - prev
+            prev = cur
+    return phi / math.factorial(n)
+
+
 def random_convex_game(n, rng, scale=1.0):
     table = np.zeros(1 << n)
     for carrier in range(1, 1 << n):
@@ -403,6 +495,12 @@ def st_game_view(scheme, cfg, profile):
 
     outcomes = tuple(range(1, 1 << len(profile)))
     return STGame.from_functions(len(profile), outcomes, lambda s: s.mask, utility)
+
+
+def in_st_core(n, outcomes, consequence, utilities, tol=1e-9, players=None):
+    """Does this utility table make the consequence function fully cooperative?"""
+    game = STGame.from_tables(n, outcomes, consequence, utilities, players)
+    return is_fully_cooperative(game, tol)
 
 
 def cd_coop_point(scheme, cfg, profile, a, b):
@@ -515,3 +613,131 @@ def parse_st(doc):
         raise GameLoadError(str(exc), "outcomes") from None
     except ValueError as exc:
         raise GameLoadError(str(exc), "utilities") from None
+
+
+# ----------------------------------------------------------------- cobb searches
+
+
+def golden_max(fn, lo, hi, xatol):
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    inv_phi2 = (3.0 - math.sqrt(5.0)) / 2.0
+    span = hi - lo
+    if span <= xatol:
+        return (lo + hi) / 2.0
+    steps = int(math.ceil(math.log(xatol / span) / math.log(inv_phi)))
+    c = lo + inv_phi2 * span
+    d = lo + inv_phi * span
+    yc = fn(c)
+    yd = fn(d)
+    for _ in range(steps - 1):
+        if yc > yd:
+            hi = d
+            d = c
+            yd = yc
+            span *= inv_phi
+            c = lo + inv_phi2 * span
+            yc = fn(c)
+        else:
+            lo = c
+            c = d
+            yc = yd
+            span *= inv_phi
+            d = lo + inv_phi * span
+            yd = fn(d)
+    return (lo + d) / 2.0 if yc > yd else (c + hi) / 2.0
+
+
+def maximize_scalar(fn, lo, hi):
+    """One row: scan on a 1-D grid, golden section on numbers, candidates one at a time."""
+    if hi < lo:
+        raise ValueError("empty bracket")
+    if hi == lo:
+        return lo
+    grid = np.linspace(lo, hi, ARGMAX_SCAN + 1)
+    best_i = int(np.argmax(np.broadcast_to(fn(grid), grid.shape)))
+    bracket_lo = float(grid[max(best_i - 1, 0)])
+    bracket_hi = float(grid[min(best_i + 1, ARGMAX_SCAN)])
+    refined = golden_max(fn, bracket_lo, bracket_hi, ARGMAX_XATOL)
+    candidates = sorted({lo, hi, float(grid[best_i]), refined})
+    best_x = candidates[0]
+    best_y = fn(best_x)
+    for x in candidates[1:]:
+        y = fn(x)
+        if y > best_y:
+            best_x, best_y = x, y
+    return best_x
+
+
+def best_response(scheme, cfg, size, others_total, team_size, cap=1.0, pool=1.0):
+    def utility(v):
+        coalition = (size * v + others_total, team_size)
+        return _group_utility(scheme, cfg, (v, 1, pool - v), coalition)[1]
+
+    return maximize_scalar(utility, 0.0, cap)
+
+
+def altruism_roots(scheme, cfg, size_a, size_b, x_b_total, *, tol=1e-9):
+    """One row: a 1-D sign scan, then a scalar bisection per sign change."""
+    _require_groups(size_a, size_b)
+    if not 0.0 <= x_b_total <= size_b:
+        raise ValueError(f"x_B must lie in [0, {size_b}], got {x_b_total}")
+    size = size_a + size_b
+    alone = _group_payoff(scheme, cfg, x_b_total, size_b, x_b_total, size_b)
+
+    def altruism(x_a_total):
+        return _group_payoff(scheme, cfg, x_b_total, size_b, x_a_total + x_b_total, size) - alone
+
+    grid = np.linspace(0.0, float(size_a), ROOT_SCAN + 1)
+    values = altruism(grid)
+    near = np.abs(values) <= tol
+    negative = values < 0
+    crossing = ~near[:-1] & ~near[1:] & (negative[:-1] != negative[1:])
+    roots = grid[near].tolist()
+    for i in np.flatnonzero(crossing).tolist():
+        lo, hi = grid[i].item(), grid[i + 1].item()
+        f_lo = values[i].item()
+        while hi - lo > ROOT_XATOL:
+            mid = (lo + hi) / 2.0
+            f_mid = altruism(mid)
+            if f_mid == 0.0:
+                lo = hi = mid
+                break
+            if (f_mid < 0) == (f_lo < 0):
+                lo, f_lo = mid, f_mid
+            else:
+                hi = mid
+        roots.append((lo + hi) / 2.0)
+    roots.sort()
+    return roots
+
+
+def cooperation_path(scheme, cfg, size_a, size_b, samples=101):
+    if samples < 2:
+        raise ValueError("need at least 2 samples")
+    _require_groups(size_a, size_b)
+    x_b = np.linspace(0.0, 1.0, samples).tolist()
+    team = size_a + size_b
+    x_a = [best_response(scheme, cfg, size_a, size_b * t, team) for t in x_b]
+    group_a, group_b = _unit_pool_group(size_a, x_a), _unit_pool_group(size_b, x_b)
+    _, _, alt, comp, marginal = _group_metrics(scheme, cfg, group_a, group_b)
+    return [
+        PathPoint(t, x, CoopPoint(*point, subset=None))
+        for t, x, point in zip(x_b, x_a, zip(alt.tolist(), comp.tolist(), marginal.tolist()))
+    ]
+
+
+def rational_table(scheme, cfg, size_a, size_b, resolution=101, tol=1e-9):
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
+    x_b = [k / (resolution - 1) for k in range(resolution)]
+    x_a, zero = [], []
+    for t in x_b:
+        x_a.append(best_response(scheme, cfg, size_a, size_b * t, size_a + size_b))
+        roots = altruism_roots(scheme, cfg, size_a, size_b, t * size_b, tol=tol)
+        zero.append(roots[0] / size_a if roots else None)
+    n = resolution
+    return {
+        "gamma": [scheme.mix] * n, "theta": [cfg.theta] * n, "beta": [cfg.beta] * n,
+        "sizeA": [size_a] * n, "sizeB": [size_b] * n, "xB_avg": x_b, "xA_rational": x_a,
+        "zero_altruism_xA": zero,
+    }

@@ -18,7 +18,8 @@ from teamgames.additivity import (
     is_coadditive,
 )
 from teamgames.errors import DisjointnessError, StructureError
-from teamgames.players import PlayerSet, disjoint_pairs
+from reference_loops import disjoint_pairs
+from teamgames.players import PlayerSet
 from teamgames.random_games import (
     random_additive_game,
     random_biadditive_matrix,

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,36 @@ class TestShapleyAndCore:
         assert run(["core", write_doc(tmp_path, "huge.game", doc), "-o", out]) == 1
         assert one_error_line(capsys) == (
             "error: core witness pays player a more than the float range holds")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "command, worths, stdout, error",
+        [
+            ("classify", (1.7e308, -1.7e308, 1.7e308), "kind: TU game (2 players: a, b)\n",
+             "the margin of player a on coalition {b} is past the float range"),
+            ("shapley", (1.7e308, -1.7e308, 1.7e308), "",
+             "the margin of player a on coalition {b} is past the float range"),
+            ("classify", (1e308, 1e308, 1.7e308),
+             "kind: TU game (2 players: a, b)\nconvex: false\n",
+             "u({a}) + u({b}) is past the float range"),
+        ],
+    )
+    def test_tu_reports_past_the_float_range(self, tmp_path, capsys, command, worths, stdout,
+                                             error):
+        # one error line and exit status 1: no RuntimeWarning, no answer decided on inf
+        doc = {"version": 1, "players": ["a", "b"], "utilities": [
+            {"subset": subset, "value": value}
+            for subset, value in zip((["a"], ["b"], ["a", "b"]), worths)
+        ]}
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            argv = [command, write_doc(tmp_path, "huge.game", doc)]
+            assert run(argv + (["-o", out] if command == "shapley" else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == stdout
+        assert captured.err == f"error: {error}\n"
         assert not out.exists()
 
 

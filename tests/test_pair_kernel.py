@@ -25,7 +25,7 @@ from teamgames.additivity import (
 )
 from teamgames.cobb import CobbDouglasConfig, ContributionProfile, hybrid, st_game_view
 from teamgames.errors import NotReducibleError, SizeLimitError, StructureError
-from teamgames.players import FIRST_CHUNK, MAX_PAIR_SCAN, PlayerSet, iter_submasks, mask_pairs
+from teamgames.players import FIRST_CHUNK, MAX_PAIR_SCAN, PlayerSet, mask_pairs
 from teamgames.random_games import (
     monotone_series,
     random_additive_game,
@@ -53,7 +53,7 @@ SIZES = range(1, 8)
 def _nested_entry(n, rng):
     """A random (assessor, coalition) mask pair with the assessor inside."""
     s_mask = int(rng.integers(1, 1 << n))
-    subs = iter_submasks(s_mask, nonempty=True)
+    subs = ref.iter_submasks(s_mask, nonempty=True)
     return subs[int(rng.integers(0, len(subs)))], s_mask
 
 
@@ -83,7 +83,7 @@ def _sparse(game, rng):
     reachable = {
         (a_mask, table._v(s_mask))
         for s_mask in range(1, 1 << game.n)
-        for a_mask in iter_submasks(s_mask, nonempty=True)
+        for a_mask in ref.iter_submasks(s_mask, nonempty=True)
     }
     utilities = {
         key: value
@@ -283,8 +283,8 @@ def test_enumerator_order_and_coverage():
                 ]
                 expected = [
                     (x, y)
-                    for x in iter_submasks(within, nonempty=True)
-                    for y in iter_submasks(x if nested else within & ~x, nonempty=nonempty)
+                    for x in ref.iter_submasks(within, nonempty=True)
+                    for y in ref.iter_submasks(x if nested else within & ~x, nonempty=nonempty)
                 ]
                 assert got == expected
 

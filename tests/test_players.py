@@ -3,16 +3,9 @@ import pytest
 
 from teamgames import additivity, cobb, st, tu
 from teamgames.errors import DisjointnessError, SizeLimitError
+from reference_loops import disjoint_pairs, iter_submasks, iter_subset_masks
 from teamgames.players import (
-    MAX_PAIR_SCAN,
-    PlayerSet,
-    disjoint_pairs,
-    first_pair,
-    iter_submasks,
-    iter_subset_masks,
-    mask_pairs,
-    player_names,
-    subsets,
+    MAX_PAIR_SCAN, PlayerSet, first_pair, mask_pairs, player_names, subsets,
 )
 from teamgames.random_games import random_additive_game, random_biadditive_matrix
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
+from reference_loops import disjoint_pairs, in_st_core
 
 from teamgames.errors import DisjointnessError, NotReducibleError
-from teamgames.players import PlayerSet, disjoint_pairs
+from teamgames.players import PlayerSet
 from teamgames.random_games import monotone_series, random_st_game
 from teamgames.scenarios import builtin_game
 from teamgames.st import (
@@ -17,7 +18,6 @@ from teamgames.st import (
     competitive_contribution,
     coop_point,
     from_ntu,
-    in_st_core,
     is_cohesive,
     is_fully_cooperative,
     is_sensible,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
+from reference_loops import shapley_by_permutations, shapley_value_stratified
 
 from teamgames.errors import DisjointnessError, NumericOverflowError, SizeLimitError
 from teamgames.players import PlayerSet, member_sum
@@ -16,9 +17,7 @@ from teamgames.tu import (
     is_superadditive,
     marginal_contribution,
     random_convex_game,
-    shapley_by_permutations,
     shapley_value,
-    shapley_value_stratified,
     unanimity_game,
 )
 
@@ -136,6 +135,40 @@ class TestPredicates:
             phi = shapley_value(g)
             for i in range(4):
                 assert phi[i] >= g.value(PlayerSet.of(i)) - 1e-9
+
+
+class TestFloatRange:
+    """A margin or sum past the float range raises, naming its coalition, instead of
+    deciding on inf; worths near the range that stay inside it keep exact answers."""
+
+    def test_convexity_and_shapley_refuse_an_overflowing_margin(self):
+        g = game({(0,): 1.7e308, (1,): -1.7e308, (0, 1): 1.7e308}, 2)
+        message = r"^the margin of player 0 on coalition \{1\} is past the float range$"
+        with pytest.raises(NumericOverflowError, match=message):
+            is_convex(g)
+        with pytest.raises(NumericOverflowError, match=message):
+            shapley_value(g)
+
+    def test_superadditivity_refuses_an_overflowing_sum(self):
+        g = game({(0,): 1e308, (1,): 1e308, (0, 1): 1.7e308}, 2)
+        assert not is_convex(g)  # decided on finite margins before any sum overflows
+        with pytest.raises(NumericOverflowError, match=r"^u\(\{0\}\) \+ u\(\{1\}\) is past"):
+            is_superadditive(g)
+
+    def test_core_membership_refuses_an_overflowing_share(self):
+        g = game({(0,): 1.0, (1,): 1.0, (0, 1): 2.0}, 2)
+        with pytest.raises(NumericOverflowError, match=r"allocation's share of \{0,1\} is past"):
+            in_core(g, [1e308, 1e308])
+
+    def test_worths_near_the_range_keep_exact_answers(self):
+        g = game({(0,): 8e307, (1,): 8e307, (0, 1): 1.7e308}, 2)
+        assert is_convex(g) and is_superadditive(g)
+        phi = shapley_value(g)
+        assert phi.tolist() == [8.5e307, 8.5e307]
+        assert in_core(g, phi)
+        assert not in_core(g, [1.7e308, 0.0])
+        opposite = game({(0,): 1e308, (1,): -1e308}, 2)
+        assert in_core(opposite, [1e308, -1e308])
 
 
 class TestCore:
