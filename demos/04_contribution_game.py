@@ -56,18 +56,7 @@ for x_b in (0.4, 0.7, 1.0):
 print()
 
 print("== paths of rational behavior in cooperation space ==")
-tables = []
-for gamma in (0.0, 0.5, 1.0):
-    path = cooperation_path(hybrid(gamma), cfg, 2, 10, samples=11)
-    tables.append(
-        {
-            "gamma": [gamma] * len(path),
-            "xB_avg": [sample.x_b_avg for sample in path],
-            "xA_avg": [sample.x_a_avg for sample in path],
-            "altruism": [sample.point.altruism for sample in path],
-            "competitive": [sample.point.competitive for sample in path],
-        }
-    )
+tables = [cooperation_path(hybrid(gamma), cfg, 2, 10, samples=11) for gamma in (0.0, 0.5, 1.0)]
 write_table(tables, ["gamma", "xB_avg", "xA_avg", "altruism", "competitive"], "paths.csv")
 print("wrote paths.csv; the 2-member subset A responds rationally to the")
 print("10-member B's average contribution")

@@ -21,11 +21,11 @@ from .scenarios import SCENARIOS, scenario_document
 from .st import STGame
 from .tu import DEFAULT_TOL, TUGame
 
-# Row budgets of the cobb tables, checked before anything is computed. On a 2-core
-# machine a sweep or frontier row (a closed form) costs up to 20 us and 0.2 KB (a
-# 250,000-row sweep: 4.3 s, 84 MB peak), and a path or rational row (its share of one
-# batched search) 55-80 us and up to 0.6 KB: 200,000 path rows take 11 s and peak at
-# 153 MB, 200,000 rational rows 15 s and 101 MB.
+# Row budgets of the cobb tables, checked before anything is computed. In one 2-core
+# process (time of `main`, then peak `ru_maxrss`), a sweep or frontier row (a closed
+# form) costs about 12 us (a 248,645-row sweep: 3.0 s, 59 MB peak), and a path or
+# rational row (its share of one batched search) 43-77 us: 200,000 path rows take 8.6 s
+# and peak at 54 MB, 200,000 rational rows 15 s and 58 MB (importing the CLI: 30 MB).
 MAX_GRID_ROWS = 250_000
 MAX_SEARCH_ROWS = 200_000
 
@@ -120,9 +120,10 @@ def cmd_metrics(args) -> int:
         "altruism": [p.altruism for p in points],
         "competitive": [p.competitive for p in points],
         "marginal": [p.marginal for p in points],
-        "quadrant": [st.classify_quadrant(p, args.tol).value for p in points],
         "grand": [p.subset.mask == full for p in points],
     }
+    quadrants = st.quadrant_labels(table["altruism"], table["competitive"], args.tol)
+    table["quadrant"] = quadrants.tolist()
     columns = ["subset", "altruism", "competitive", "marginal", "quadrant"]
     if args.include_grand:
         columns.append("grand")
@@ -276,14 +277,10 @@ def cmd_cobb_sweep(args) -> int:
 def cmd_cobb_path(args) -> int:
     _check_rows(args, args.samples, "--samples", MAX_SEARCH_ROWS)
     cfg = _base_config(args)
-    tables = []
-    for gamma in args.gammas:
-        scheme = hybrid(gamma)
-        path = cobb.cooperation_path(scheme, cfg, args.size_a, args.size_b, args.samples)
-        x_a, x_b = [p.x_a_avg for p in path], [p.x_b_avg for p in path]
-        tables.append(
-            cobb.contribution_table(scheme, cfg, args.size_a, args.size_b, x_a, x_b, args.tol)
-        )
+    tables = [
+        cobb.cooperation_path(hybrid(gamma), cfg, args.size_a, args.size_b, args.samples, args.tol)
+        for gamma in args.gammas
+    ]
     out = _out_path(args, "cobb_path.csv")
     rows = game_io.write_table(tables, cobb.COBB_COLUMNS, out)
     print(f"wrote {rows} rational-path samples to {out}")

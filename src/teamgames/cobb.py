@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import NumericOverflowError
 from .players import PlayerSet, mask_sizes, member_sum, player_names, require_disjoint
-from .st import STGame, CoopPoint, coalition_outcomes, quadrant_of
+from .st import STGame, CoopPoint, coalition_outcomes, quadrant_labels
 from .tu import DEFAULT_TOL
 
 UNBOUNDED = math.inf
@@ -587,44 +587,27 @@ def _unit_pool_group(size: int, x):
     return size * x, size, size * (1.0 - x)
 
 
-@dataclass(frozen=True)
-class PathPoint:
-    """One sample of a rational-behavior path through cooperation space.
-
-    A is a symmetric group, not a set of numbered players, so
-    ``point.subset`` is None.
-    """
-
-    x_b_avg: float
-    x_a_avg: float
-    point: CoopPoint
-
-
 def cooperation_path(
     scheme: PayoffScheme,
     cfg: CobbDouglasConfig,
     size_a: int,
     size_b: int,
     samples: int = 101,
-) -> list[PathPoint]:
-    """Path traced by subset A responding rationally to B's average contribution.
+    tol: float = DEFAULT_TOL,
+) -> dict:
+    """Path traced by subset A responding rationally to B's average contribution, as columns.
 
     For each sampled average contribution of B in [0, 1] (unit pools), the
-    members of A choose a common utility-maximizing contribution and the
-    resulting (altruism, competitive) point of A against B is recorded.
+    members of A choose a common utility-maximizing contribution; the row is
+    ``contribution_table``'s for that pair, so it holds A's (altruism,
+    competitive) point against B and its quadrant at tolerance ``tol``.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
     _require_groups(size_a, size_b)
     x_b = np.linspace(0.0, 1.0, samples)
     x_a = _best_response(scheme, cfg, size_a, size_b * x_b, size_a + size_b)
-    group_a, group_b = _unit_pool_group(size_a, x_a), _unit_pool_group(size_b, x_b)
-    _, _, alt, comp, marginal = _group_metrics(scheme, cfg, group_a, group_b)
-    return [
-        PathPoint(t, x, CoopPoint(*point, subset=None))
-        for t, x, point in zip(x_b.tolist(), x_a.tolist(),
-                               zip(alt.tolist(), comp.tolist(), marginal.tolist()))
-    ]
+    return contribution_table(scheme, cfg, size_a, size_b, x_a, x_b, tol)
 
 
 def contribution_table(
@@ -653,7 +636,7 @@ def contribution_table(
         "sizeA": [size_a] * n, "sizeB": [size_b] * n, "xA_avg": x_a, "xB_avg": x_b,
         "payoff": pay, "utility": utility, "altruism": alt, "competitive": comp,
         "marginal": marginal,
-        "quadrant": [quadrant_of(a, c, tol).value for a, c in zip(alt.tolist(), comp.tolist())],
+        "quadrant": quadrant_labels(alt, comp, tol).tolist(),
     }
 
 

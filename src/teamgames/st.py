@@ -314,48 +314,50 @@ class Quadrant(enum.Enum):
 
 @dataclass(frozen=True)
 class CoopPoint:
-    """One subset's coordinates in cooperation space (vs. the rest of the team).
-
-    ``subset`` is None for a point of a symmetric group given by its size.
-    """
+    """One subset's coordinates in cooperation space (vs. the rest of the team)."""
 
     altruism: float
     competitive: float
     marginal: float
-    subset: PlayerSet | None
+    subset: PlayerSet
 
     def as_pair(self) -> tuple[float, float]:
         return (self.altruism, self.competitive)
 
 
-def classify_quadrant(point: CoopPoint, tol: float = DEFAULT_TOL, *, closed: bool = False) -> Quadrant:
-    """Which quadrant a cooperation-space point occupies.
+# quadrant of a point by the side of each coordinate: 0 below the band, 1 inside, 2 above
+_QUADRANT_GRID = np.array([[Quadrant[name].value for name in row.split()] for row in (
+    "III AXIS_A II", "AXIS_C ORIGIN AXIS_C", "IV AXIS_A I")], dtype=object)
 
-    Open mode (default) keeps a symmetric tolerance band around the axes and
-    reports axis/origin tags for points inside it. Closed mode absorbs the
-    band into the nonnegative side, so quadrant I means a >= -tol and
-    c >= -tol; this matches predicates stated with >= 0.
+
+def quadrant_labels(altruism, competitive, tol: float = DEFAULT_TOL, *, closed: bool = False):
+    """The ``Quadrant`` value of each point (altruism[i], competitive[i]): an object array of
+    labels, or one label for a pair of numbers.
+
+    Open mode (default) keeps a symmetric band |x| <= tol around each axis
+    and tags points inside it as axis or origin points. Closed mode absorbs
+    the band into the nonnegative side, so quadrant I means a >= -tol and
+    c >= -tol; this matches predicates stated with >= 0. A NaN coordinate
+    fails both comparisons and lands on the negative side.
     """
+
+    def side(x):
+        x = np.asarray(x, dtype=float)
+        if closed:
+            return np.where(x >= -tol, 2, 0)
+        return np.where(np.abs(x) <= tol, 1, np.where(x > 0, 2, 0))
+
+    return _QUADRANT_GRID[side(altruism), side(competitive)]
+
+
+def classify_quadrant(point: CoopPoint, tol: float = DEFAULT_TOL, *, closed: bool = False) -> Quadrant:
+    """Which quadrant a cooperation-space point occupies (see ``quadrant_labels``)."""
     return quadrant_of(point.altruism, point.competitive, tol, closed=closed)
 
 
 def quadrant_of(a: float, c: float, tol: float = DEFAULT_TOL, *, closed: bool = False) -> Quadrant:
     """The quadrant of the point with altruism ``a`` and competitive part ``c``."""
-    if closed:
-        if a >= -tol:
-            return Quadrant.I if c >= -tol else Quadrant.IV
-        return Quadrant.II if c >= -tol else Quadrant.III
-    a_sign = 0 if abs(a) <= tol else (1 if a > 0 else -1)
-    c_sign = 0 if abs(c) <= tol else (1 if c > 0 else -1)
-    if a_sign == 0 and c_sign == 0:
-        return Quadrant.ORIGIN
-    if a_sign == 0:
-        return Quadrant.AXIS_C
-    if c_sign == 0:
-        return Quadrant.AXIS_A
-    if a_sign > 0:
-        return Quadrant.I if c_sign > 0 else Quadrant.IV
-    return Quadrant.II if c_sign > 0 else Quadrant.III
+    return Quadrant(quadrant_labels(a, c, tol, closed=closed))
 
 
 def coop_point(g: STGame, a: PlayerSet) -> CoopPoint:

@@ -69,9 +69,13 @@ class TUGame:
 
 
 def marginal_contribution(game: TUGame, a: PlayerSet, b: PlayerSet) -> float:
-    """Worth added by coalition A joining the disjoint coalition B."""
+    """Worth added by coalition A joining the disjoint coalition B; a margin past the
+    float range raises ``NumericOverflowError`` naming both coalitions."""
     require_disjoint(a, b)
-    return float(game.u[a.mask | b.mask] - game.u[b.mask])
+    margin = float(game.u[a.mask | b.mask]) - float(game.u[b.mask])
+    what = f"the margin of coalition {subset_label(a.mask, game.players)} on coalition"
+    _require_finite(game, [margin], [b.mask], what)
+    return margin
 
 
 def _require_finite(game: TUGame, values, coalitions, what: str) -> None:
@@ -160,7 +164,13 @@ def is_superadditive(game: TUGame, tol: float = DEFAULT_TOL) -> bool:
 
 
 def is_efficient(game: TUGame, phi, tol: float = DEFAULT_TOL) -> bool:
-    return abs(float(np.sum(phi)) - game.grand_value()) <= tol
+    """Does the allocation pay out the grand worth? A sum past the float range raises
+    ``NumericOverflowError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(phi))
+    if not math.isfinite(total):
+        raise NumericOverflowError("the allocation's sum is past the float range")
+    return abs(total - game.grand_value()) <= tol
 
 
 def in_core(game: TUGame, phi, tol: float = DEFAULT_TOL) -> bool:
@@ -173,7 +183,9 @@ def in_core(game: TUGame, phi, tol: float = DEFAULT_TOL) -> bool:
     with np.errstate(over="ignore", invalid="ignore"):
         sums = member_sum(game.n, masks, lambda i, sel: phi[i])
         _require_finite(game, sums, masks, "the allocation's share of")
-        return is_efficient(game, phi, tol) and bool(np.all(sums >= game.u - tol))
+        # np.sum may add in another order than the checked member sums: no range check here
+        efficient = abs(float(np.sum(phi)) - game.grand_value()) <= tol
+        return efficient and bool(np.all(sums >= game.u - tol))
 
 
 def _core_claims(game: TUGame) -> dict[int, Fraction]:

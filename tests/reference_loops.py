@@ -17,9 +17,13 @@ core LP is here with its all-``Fraction`` pricing, which ``exact_lp``
 replaced with a float pass and an exact confirmation of Bland's column.
 So are the Cobb-Douglas searches one row at a time (a scalar golden
 section per rational contribution, a scalar bisection per root), which
-``cobb`` replaced with searches over arrays of rows, and the helpers only
-tests use: the submask and disjoint-pair generators, the two Shapley routes
-that check ``tu.shapley_value``, and the team-core membership wrapper.
+``cobb`` replaced with searches over arrays of rows; the path oracle
+returns the same ``COBB_COLUMNS`` dict as ``cobb.cooperation_path``, its
+quadrant column labelled one row at a time by the if-chain ``quadrant_of``
+that ``st.quadrant_labels`` replaced with one array rule. Last come the
+helpers only tests use: the submask and disjoint-pair generators, the two
+Shapley routes that check ``tu.shapley_value``, and the team-core
+membership wrapper.
 """
 
 import itertools
@@ -35,7 +39,6 @@ from teamgames.cobb import (
     ARGMAX_XATOL,
     ROOT_SCAN,
     ROOT_XATOL,
-    PathPoint,
     _group_metrics,
     _group_payoff,
     _group_utility,
@@ -52,7 +55,7 @@ from teamgames.errors import (
 )
 from teamgames.game_io import _parse_names, _parse_subset, _parse_value, _require
 from teamgames.players import MAX_SUBSET_ARRAY, PlayerSet, subset_label
-from teamgames.st import CoopPoint, STGame, coop_point, is_fully_cooperative
+from teamgames.st import CoopPoint, Quadrant, STGame, coop_point, is_fully_cooperative
 from teamgames.tu import TUGame
 
 
@@ -145,6 +148,25 @@ def all_coop_points(g, include_grand=True):
     full = (1 << g.n) - 1
     top = full + 1 if include_grand else full
     return [coop_point(g, PlayerSet(mask)) for mask in range(1, top)]
+
+
+def quadrant_of(a, c, tol=1e-9, *, closed=False):
+    """The band rule one point at a time, as an if-chain on Python floats."""
+    if closed:
+        if a >= -tol:
+            return Quadrant.I if c >= -tol else Quadrant.IV
+        return Quadrant.II if c >= -tol else Quadrant.III
+    a_sign = 0 if abs(a) <= tol else (1 if a > 0 else -1)
+    c_sign = 0 if abs(c) <= tol else (1 if c > 0 else -1)
+    if a_sign == 0 and c_sign == 0:
+        return Quadrant.ORIGIN
+    if a_sign == 0:
+        return Quadrant.AXIS_C
+    if c_sign == 0:
+        return Quadrant.AXIS_A
+    if a_sign > 0:
+        return Quadrant.I if c_sign > 0 else Quadrant.IV
+    return Quadrant.II if c_sign > 0 else Quadrant.III
 
 
 def check_tables(n, outcomes, consequence, utilities, players=None):
@@ -711,7 +733,8 @@ def altruism_roots(scheme, cfg, size_a, size_b, x_b_total, *, tol=1e-9):
     return roots
 
 
-def cooperation_path(scheme, cfg, size_a, size_b, samples=101):
+def cooperation_path(scheme, cfg, size_a, size_b, samples=101, tol=1e-9):
+    """One best response per row, then the path's columns, each row's quadrant on its own."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
     _require_groups(size_a, size_b)
@@ -719,11 +742,16 @@ def cooperation_path(scheme, cfg, size_a, size_b, samples=101):
     team = size_a + size_b
     x_a = [best_response(scheme, cfg, size_a, size_b * t, team) for t in x_b]
     group_a, group_b = _unit_pool_group(size_a, x_a), _unit_pool_group(size_b, x_b)
-    _, _, alt, comp, marginal = _group_metrics(scheme, cfg, group_a, group_b)
-    return [
-        PathPoint(t, x, CoopPoint(*point, subset=None))
-        for t, x, point in zip(x_b, x_a, zip(alt.tolist(), comp.tolist(), marginal.tolist()))
-    ]
+    pay, utility, alt, comp, marginal = (
+        v.tolist() for v in _group_metrics(scheme, cfg, group_a, group_b))
+    n = samples
+    return {
+        "gamma": [scheme.mix] * n, "theta": [cfg.theta] * n, "beta": [cfg.beta] * n,
+        "sizeA": [size_a] * n, "sizeB": [size_b] * n, "xA_avg": x_a, "xB_avg": x_b,
+        "payoff": pay, "utility": utility, "altruism": alt, "competitive": comp,
+        "marginal": marginal,
+        "quadrant": [quadrant_of(a, c, tol).value for a, c in zip(alt, comp)],
+    }
 
 
 def rational_table(scheme, cfg, size_a, size_b, resolution=101, tol=1e-9):

@@ -300,16 +300,16 @@ def test_criterion_09_figure_level_claims():
     # (i) equal team sizes: rational paths never leave the cohesive half-plane
     for gamma in (0.0, 0.25, 0.5, 0.75, 1.0):
         path = cooperation_path(hybrid(gamma), cfg, 2, 2, samples=21)
-        assert all(s.point.altruism >= -1e-9 for s in path)
+        assert all(altruism >= -1e-9 for altruism in path["altruism"].tolist())
 
     # (ii) proportional payoffs: cohesive everywhere along the path
     path = cooperation_path(hybrid(1.0), cfg, 2, 10, samples=21)
-    assert all(s.point.altruism >= -1e-9 for s in path)
+    assert all(altruism >= -1e-9 for altruism in path["altruism"].tolist())
 
     # (iii) equal payoffs with a large bystander group: free-riding appears
     path = cooperation_path(hybrid(0.0), cfg, 2, 10, samples=21)
-    tail = [s for s in path if s.x_b_avg >= 0.8]
-    assert any(s.point.altruism < 0 for s in tail)
+    tail = path["altruism"][path["xB_avg"] >= 0.8]
+    assert any(altruism < 0 for altruism in tail.tolist())
 
     # (iv) partition identity on every emitted grid cell
     scheme = hybrid(0.5)

@@ -27,8 +27,14 @@ SCAN_ROWS = cobb.SCAN_CELLS // (cobb.ARGMAX_SCAN + 1)  # rows of one best-respon
 
 
 def bits(values):
-    """Floats (or None) as exact text."""
-    return [None if v is None else float(v).hex() for v in values]
+    """Floats (or None) as exact text; strings as they are."""
+    return [v if v is None or isinstance(v, str) else float(v).hex() for v in values]
+
+
+def assert_same_columns(got, want):
+    assert list(got) == list(want)
+    for key in got:
+        assert bits(got[key]) == bits(want[key]), key
 
 
 @pytest.mark.parametrize("theta, beta, gamma", CONFIGS)
@@ -103,17 +109,25 @@ def test_tables_match_the_row_by_row_builders(theta, beta, gamma, size_a, size_b
     cfg = CobbDouglasConfig(theta=theta, beta=beta)
     scheme = hybrid(gamma)
 
-    def fields(path):
-        return [bits([p.x_b_avg, p.x_a_avg, p.point.altruism, p.point.competitive,
-                      p.point.marginal]) for p in path]
-
     got = cobb.cooperation_path(scheme, cfg, size_a, size_b, samples=7)
-    assert fields(got) == fields(ref.cooperation_path(scheme, cfg, size_a, size_b, samples=7))
+    assert list(got) == cobb.COBB_COLUMNS
+    assert_same_columns(got, ref.cooperation_path(scheme, cfg, size_a, size_b, samples=7))
     got = cobb.rational_table(scheme, cfg, size_a, size_b, resolution=7)
-    want = ref.rational_table(scheme, cfg, size_a, size_b, resolution=7)
-    assert got.keys() == want.keys()
-    for key in got:
-        assert bits(got[key]) == bits(want[key]), key
+    assert_same_columns(got, ref.rational_table(scheme, cfg, size_a, size_b, resolution=7))
+
+
+def test_path_columns_across_two_blocks_and_tolerances():
+    # rows on both sides of a best-response block boundary, one of them exactly at it
+    cfg = CobbDouglasConfig()
+    got = cobb.cooperation_path(hybrid(0.0), cfg, 2, 10, 2 * SCAN_ROWS + 1)
+    assert_same_columns(got, ref.cooperation_path(hybrid(0.0), cfg, 2, 10, 2 * SCAN_ROWS + 1))
+    # the tolerance reaches the quadrant column and nothing else
+    wide = cobb.cooperation_path(hybrid(0.0), cfg, 2, 10, 9, tol=0.2)
+    assert_same_columns(wide, ref.cooperation_path(hybrid(0.0), cfg, 2, 10, 9, tol=0.2))
+    narrow = cobb.cooperation_path(hybrid(0.0), cfg, 2, 10, 9)
+    assert wide["quadrant"] != narrow["quadrant"]
+    assert_same_columns({k: v for k, v in wide.items() if k != "quadrant"},
+                        {k: v for k, v in narrow.items() if k != "quadrant"})
 
 
 @pytest.mark.parametrize(
@@ -181,6 +195,18 @@ class TestSearchCalls:
         for command in ("path", "rational"):
             assert main(["cobb", command, "-o", str(tmp_path / f"{command}.csv")]) == 0
         assert calls == {"maximize_scalar": 10, "altruism_roots": 5}
+
+    def test_cli_path_evaluates_its_metrics_once_per_gamma(self, monkeypatch, tmp_path):
+        calls = []
+        original = cobb._group_metrics
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cobb, "_group_metrics", counted)
+        assert main(["cobb", "path", "--gammas", "0,0.5,1", "-o", str(tmp_path / "p.csv")]) == 0
+        assert len(calls) == 3
 
 
 class TestColumnFormatter:

@@ -330,6 +330,24 @@ class TestAgainstDirectApi:
             assert float(cells[3]) == point.marginal
             assert cells[4] == classify_quadrant(point).value
 
+    def test_tables_label_quadrants_by_whole_columns(self, tmp_path, monkeypatch):
+        import numpy as np
+
+        from teamgames import st
+        from teamgames.game_io import save_game
+        from teamgames.random_games import random_st_game
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a quadrant was classified one row at a time")
+
+        monkeypatch.setattr(st, "quadrant_of", refuse)
+        monkeypatch.setattr(st, "classify_quadrant", refuse)
+        src = tmp_path / "random3.game"
+        save_game(random_st_game(3, np.random.default_rng(99)), src)
+        assert run(["metrics", src, "--include-grand", "-o", tmp_path / "m.csv"]) == 0
+        for command in ("sweep", "path"):
+            assert run(["cobb", command, "-o", tmp_path / f"{command}.csv"]) == 0
+
     def test_classify_echoes_biadditive_matrix(self, tmp_path, capsys):
         # the game determined by the perception matrix [[1, 2], [0, 3]]
         matrix = {"A": {"A": 1.0, "B": 2.0}, "B": {"A": 0.0, "B": 3.0}}
@@ -521,9 +539,9 @@ class TestCobbCommands:
     def test_row_budget_refuses_before_computing(
         self, tmp_path, capsys, monkeypatch, command, table_fn, count_flag, budget
     ):
-        # stand-ins that compute nothing: no path points, or a table of empty columns
+        # stand-ins that compute nothing: a table of empty columns
         columns = (*cli.cobb.COBB_COLUMNS, *cli.cobb.RATIONAL_COLUMNS, *cli.cobb.FRONTIER_COLUMNS)
-        empty = [] if table_fn == "cooperation_path" else dict.fromkeys(columns, [])
+        empty = dict.fromkeys(columns, [])
         monkeypatch.setattr(cli.cobb, table_fn, lambda *args, **kwargs: empty)
         limit = getattr(cli, budget)
         per_gamma = int(limit**0.5) if command == "sweep" else limit

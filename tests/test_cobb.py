@@ -536,26 +536,26 @@ class TestCooperationPath:
         cfg = CobbDouglasConfig(theta=0.75, beta=1.5)
         for gamma in (0.0, 0.5, 1.0):
             path = cooperation_path(hybrid(gamma), cfg, 2, 2, samples=15)
-            assert len(path) == 15
-            for sample in path:
-                assert sample.point.altruism >= -1e-9
+            assert len(path["altruism"]) == 15
+            for altruism in path["altruism"].tolist():
+                assert altruism >= -1e-9
 
     def test_proportional_path_stays_cooperative(self):
         cfg = CobbDouglasConfig(theta=0.75, beta=1.5)
         path = cooperation_path(hybrid(1.0), cfg, 2, 10, samples=15)
-        for sample in path:
-            assert sample.point.altruism >= -1e-9
+        for altruism in path["altruism"].tolist():
+            assert altruism >= -1e-9
 
     def test_equal_split_free_riding_regime(self):
         cfg = CobbDouglasConfig(theta=0.75, beta=1.5)
         path = cooperation_path(hybrid(0.0), cfg, 2, 10, samples=15)
-        tail = [s for s in path if s.x_b_avg >= 0.75]
-        assert any(s.point.altruism < 0 for s in tail)
+        tail = path["altruism"][path["xB_avg"] >= 0.75]
+        assert any(altruism < 0 for altruism in tail.tolist())
 
     def test_path_is_ordered_by_parameter(self):
         cfg = CobbDouglasConfig(theta=0.75, beta=1.5)
         path = cooperation_path(EQUAL, cfg, 1, 2, samples=7)
-        params = [s.x_b_avg for s in path]
+        params = path["xB_avg"].tolist()
         assert params == sorted(params)
         assert params[0] == 0.0 and params[-1] == 1.0
 
@@ -689,7 +689,7 @@ class TestClosedForm:
         cfg = CobbDouglasConfig(theta=0.75, beta=1.5)
         # 72 heads: past the 64 players a PlayerSet can hold
         assert len(payoff_utility_grid(EQUAL, cfg, 2, 70, resolution=3)["quadrant"]) == 9
-        assert len(cooperation_path(EQUAL, cfg, 2, 70, samples=3)) == 3
+        assert len(cooperation_path(EQUAL, cfg, 2, 70, samples=3)["quadrant"]) == 3
         assert len(rational_table(EQUAL, cfg, 2, 70, resolution=3)["zero_altruism_xA"]) == 3
 
     def test_overflow_is_an_error(self):

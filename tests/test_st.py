@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
+import reference_loops as ref
 from reference_loops import disjoint_pairs, in_st_core
 
 from teamgames.errors import DisjointnessError, NotReducibleError
@@ -21,6 +22,8 @@ from teamgames.st import (
     is_cohesive,
     is_fully_cooperative,
     is_sensible,
+    quadrant_labels,
+    quadrant_of,
     reduce_to_tu,
     total_marginal,
 )
@@ -163,6 +166,30 @@ class TestQuadrants:
         assert classify_quadrant(self.point(-1, 0), closed=True) is Quadrant.II
         assert classify_quadrant(self.point(-1, -1), closed=True) is Quadrant.III
         assert classify_quadrant(self.point(0.5, -1), closed=True) is Quadrant.IV
+
+
+    @pytest.mark.parametrize("closed", [False, True])
+    @pytest.mark.parametrize("tol", [1e-9, 0.5, 0.0])
+    def test_array_rule_matches_the_scalar_if_chain(self, tol, closed):
+        # the band edges exactly and one ulp either side, signed zeros, infinities and NaN
+        edges = [tol, -tol, np.nextafter(tol, np.inf), np.nextafter(tol, -np.inf),
+                 np.nextafter(-tol, np.inf), np.nextafter(-tol, -np.inf)]
+        coords = [float(x) for x in edges] + [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]
+        a, c = (np.array(v) for v in zip(*[(x, y) for x in coords for y in coords]))
+        want = [ref.quadrant_of(x, y, tol, closed=closed) for x, y in zip(a.tolist(), c.tolist())]
+        got = quadrant_labels(a, c, tol, closed=closed)
+        assert got.shape == a.shape
+        assert got.tolist() == [q.value for q in want]
+        for x, y, q in zip(a.tolist(), c.tolist(), want):
+            assert quadrant_of(x, y, tol, closed=closed) is q
+            assert classify_quadrant(self.point(x, y), tol, closed=closed) is q
+        # NaN fails every comparison, so it takes the negative side in both modes
+        assert quadrant_of(np.nan, 1.0, tol, closed=closed) is Quadrant.II
+
+    def test_labels_keep_the_shape_of_their_columns(self):
+        grid = quadrant_labels([[1.0, -1.0], [0.0, 2.0]], [[1.0, 1.0], [-1.0, 0.0]])
+        assert grid.tolist() == [["I", "II"], ["axis-c", "axis-a"]]
+        assert quadrant_labels([], []).tolist() == []
 
 
 class TestPredicates:

@@ -14,6 +14,7 @@ from teamgames.tu import (
     core_witness,
     in_core,
     is_convex,
+    is_efficient,
     is_superadditive,
     marginal_contribution,
     random_convex_game,
@@ -159,6 +160,28 @@ class TestFloatRange:
         g = game({(0,): 1.0, (1,): 1.0, (0, 1): 2.0}, 2)
         with pytest.raises(NumericOverflowError, match=r"allocation's share of \{0,1\} is past"):
             in_core(g, [1e308, 1e308])
+
+    def test_marginal_contribution_refuses_an_overflowing_margin(self):
+        g = game({(0,): 1.7e308, (1,): -1.7e308, (0, 1): 1.7e308}, 2)
+        message = r"^the margin of coalition \{0\} on coalition \{1\} is past the float range$"
+        with pytest.raises(NumericOverflowError, match=message):
+            marginal_contribution(g, PlayerSet.of(0), PlayerSet.of(1))
+        assert marginal_contribution(g, PlayerSet.of(1), PlayerSet.of(0)) == 0.0
+        assert marginal_contribution(g, PlayerSet.of(1), PlayerSet.empty()) == -1.7e308
+
+    def test_efficiency_refuses_an_overflowing_sum(self):
+        g = game({(0,): 1.7e308, (1,): -1.7e308, (0, 1): 1.7e308}, 2)
+        with pytest.raises(NumericOverflowError, match=r"^the allocation's sum is past the float"):
+            is_efficient(g, [1.7e308, 1.7e308])
+        assert is_efficient(g, [1.7e308, 0.0]) and is_efficient(g, [1e308, 7e307])
+        assert not is_efficient(g, [1.7e308, -1e308])
+        # in_core answers as before: its own share check refuses the overflowing sums
+        assert in_core(g, [1.7e308, 0.0])
+        for phi in ([1.7e308, -1e308], [0.0, 1.7e308], [8.5e307, 8.5e307], [1e308, 7e307]):
+            assert not in_core(g, phi)
+        for phi in ([1.7e308, 1e308], [1.7e308, 1.7e308]):
+            with pytest.raises(NumericOverflowError, match=r"allocation's share of \{0,1\} is"):
+                in_core(g, phi)
 
     def test_worths_near_the_range_keep_exact_answers(self):
         g = game({(0,): 8e307, (1,): 8e307, (0, 1): 1.7e308}, 2)
