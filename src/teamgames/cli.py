@@ -133,35 +133,41 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def _classify_st(game: STGame, tol: float) -> None:
-    names = ", ".join(game.players)
-    print(f"kind: team game ({game.n} players: {names})")
-    sensible = st.is_sensible(game, tol)
-    cooperative = st.is_fully_cooperative(game, tol)
-    print(f"sensible: {str(sensible).lower()}")
-    print(f"fully-cooperative: {str(cooperative).lower()}")
-    print(f"utility in team core: {str(cooperative).lower()}")
-    additive = additivity.is_additive(game, tol)
-    coadditive = additivity.is_coadditive(game, tol)
-    print(f"additive: {str(additive).lower()}")
-    print(f"co-additive: {str(coadditive).lower()}")
-    print(f"bi-additive: {str(additive and coadditive).lower()}")
-    if additive and coadditive:
-        matrix = additivity.extract_matrix(game, tol)
-        for a in range(game.n):
-            row = " ".join(repr(float(v)) for v in matrix.m[a])
-            print(f"perception[{game.players[a]}]: {row}")
-
-
 def _decided(n: int, limit: int, decide) -> str:
     """``decide()`` as a report word, or why it was not decided past ``limit`` players."""
     return str(decide()).lower() if n <= limit else f"not decided (n > {limit})"
 
 
+def _classify_st(game: STGame, tol: float) -> None:
+    def scan(test) -> str:
+        return _decided(game.n, MAX_PAIR_SCAN, lambda: test(game, tol))
+
+    sensible, cooperative = scan(st.is_sensible), scan(st.is_fully_cooperative)
+    print(f"sensible: {sensible}")
+    print(f"fully-cooperative: {cooperative}")
+    print(f"utility in team core: {cooperative}")
+    additive, coadditive = scan(additivity.is_additive), scan(additivity.is_coadditive)
+    print(f"additive: {additive}")
+    print(f"co-additive: {coadditive}")
+    biadditive = additive == coadditive == "true"
+    print(f"bi-additive: {_decided(game.n, MAX_PAIR_SCAN, lambda: biadditive)}")
+    if biadditive:
+        try:
+            matrix = additivity.extract_matrix(game, tol)
+        except StructureError as exc:
+            # each detector allows --tol; the matrix can miss an entry by their sum
+            a_mask, s_mask, got, want = exc.witness
+            a, s = (_subset_label(PlayerSet(m), game.players) for m in (a_mask, s_mask))
+            print(f"perception: no matrix within --tol: u_{a}(V({s})) is {got!r}, "
+                  f"the reconstruction gives {want!r}")
+            return
+        for a in range(game.n):
+            row = " ".join(repr(float(v)) for v in matrix.m[a])
+            print(f"perception[{game.players[a]}]: {row}")
+
+
 def _classify_tu(game: TUGame, tol: float) -> None:
     n = game.n
-    names = ", ".join(game.players)
-    print(f"kind: TU game ({n} players: {names})")
     print(f"convex: {str(tu.is_convex(game, tol)).lower()}")
     superadditive = _decided(n, MAX_PAIR_SCAN, lambda: tu.is_superadditive(game, tol))
     print(f"superadditive: {superadditive}")
@@ -174,14 +180,13 @@ def _classify_tu(game: TUGame, tol: float) -> None:
 
 def cmd_classify(args) -> int:
     game = game_io.load_game(args.game)
-    if isinstance(game, STGame):
-        _classify_st(game, args.tol)
-    elif isinstance(game, TUGame):
-        _classify_tu(game, args.tol)
-    else:
+    if isinstance(game, CobbDouglasConfig):
         print("kind: Cobb-Douglas resource game")
         print(f"theta={game.theta!r} alpha={game.alpha!r} beta={game.beta!r}")
         print("use `teamgames cobb` for sweeps of this game")
+        return 0
+    print(f"kind: {KIND_NAMES[type(game)]} ({game.n} players: {', '.join(game.players)})")
+    (_classify_st if isinstance(game, STGame) else _classify_tu)(game, args.tol)
     return 0
 
 
@@ -259,31 +264,28 @@ def _check_rows(args, count: int, flag: str, budget: int) -> None:
         )
 
 
-def cmd_cobb_sweep(args) -> int:
-    _check_rows(args, args.resolution**2, "--resolution", MAX_GRID_ROWS)
-    cfg = _base_config(args)
-    tables = [
-        cobb.payoff_utility_grid(
-            hybrid(gamma), cfg, args.size_a, args.size_b, args.resolution, args.tol
-        )
-        for gamma in args.gammas
-    ]
-    out = _out_path(args, "cobb_sweep.csv")
-    rows = game_io.write_table(tables, cobb.COBB_COLUMNS, out)
-    print(f"wrote {rows} payoff/utility grid cells to {out}")
-    return 0
+# Tables written one per gamma: size flag, rows per gamma as a power of the size, row
+# budget, builder (a name on `cobb`, looked up at run time), columns, summary noun.
+GAMMA_TABLES = {
+    "sweep": ("--resolution", 2, MAX_GRID_ROWS, "payoff_utility_grid", cobb.COBB_COLUMNS,
+              "payoff/utility grid cells"),
+    "path": ("--samples", 1, MAX_SEARCH_ROWS, "cooperation_path", cobb.COBB_COLUMNS,
+             "rational-path samples"),
+    "rational": ("--resolution", 1, MAX_SEARCH_ROWS, "rational_table", cobb.RATIONAL_COLUMNS,
+                 "rational-contribution samples"),
+}
 
 
-def cmd_cobb_path(args) -> int:
-    _check_rows(args, args.samples, "--samples", MAX_SEARCH_ROWS)
+def cmd_cobb_table(args) -> int:
+    flag, power, budget, builder, columns, noun = GAMMA_TABLES[args.cobb_command]
+    size = getattr(args, flag[2:])
+    _check_rows(args, size**power, flag, budget)
     cfg = _base_config(args)
-    tables = [
-        cobb.cooperation_path(hybrid(gamma), cfg, args.size_a, args.size_b, args.samples, args.tol)
-        for gamma in args.gammas
-    ]
-    out = _out_path(args, "cobb_path.csv")
-    rows = game_io.write_table(tables, cobb.COBB_COLUMNS, out)
-    print(f"wrote {rows} rational-path samples to {out}")
+    build = getattr(cobb, builder)
+    tables = [build(hybrid(g), cfg, args.size_a, args.size_b, size, args.tol) for g in args.gammas]
+    out = _out_path(args, f"cobb_{args.cobb_command}.csv")
+    rows = game_io.write_table(tables, columns, out)
+    print(f"wrote {rows} {noun} to {out}")
     return 0
 
 
@@ -297,19 +299,6 @@ def cmd_cobb_frontier(args) -> int:
     out = _out_path(args, "cobb_frontier.csv")
     rows = game_io.write_table([table], cobb.FRONTIER_COLUMNS, out)
     print(f"wrote {rows} team-size bounds to {out}")
-    return 0
-
-
-def cmd_cobb_rational(args) -> int:
-    _check_rows(args, args.resolution, "--resolution", MAX_SEARCH_ROWS)
-    cfg = _base_config(args)
-    tables = [
-        cobb.rational_table(hybrid(gamma), cfg, args.size_a, args.size_b, args.resolution, args.tol)
-        for gamma in args.gammas
-    ]
-    out = _out_path(args, "cobb_rational.csv")
-    rows = game_io.write_table(tables, cobb.RATIONAL_COLUMNS, out)
-    print(f"wrote {rows} rational-contribution samples to {out}")
     return 0
 
 
@@ -345,42 +334,34 @@ def build_parser() -> argparse.ArgumentParser:
         if with_output:
             p.add_argument("-o", "--output", help="output path")
 
-    p = sub.add_parser("metrics", help="cooperation-space point table for a team game")
-    p.add_argument("game")
-    p.add_argument("--include-grand", action="store_true", help="append the whole-team point")
-    add_common(p)
-    p.set_defaults(func=cmd_metrics)
-
-    p = sub.add_parser("classify", help="predicates and structure of a game document")
-    p.add_argument("game")
-    add_common(p, with_output=False)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("shapley", help="Shapley allocation of a TU game")
-    p.add_argument("game")
-    add_common(p)
-    p.set_defaults(func=cmd_shapley)
-
-    p = sub.add_parser("core", help="decide core nonemptiness and write a witness")
-    p.add_argument("game")
-    add_common(p)
-    p.set_defaults(func=cmd_core)
-
-    p = sub.add_parser("reduce-tu", help="collapse a competition-free team game to TU form")
-    p.add_argument("game")
-    add_common(p)
-    p.set_defaults(func=cmd_reduce_tu)
-
-    p = sub.add_parser("graph", help="perception-graph edge list of a bi-additive game")
-    p.add_argument("game")
-    add_common(p)
-    p.set_defaults(func=cmd_graph)
+    for func, name, help_text in (
+        (cmd_metrics, "metrics", "cooperation-space point table for a team game"),
+        (cmd_classify, "classify", "predicates and structure of a game document"),
+        (cmd_shapley, "shapley", "Shapley allocation of a TU game"),
+        (cmd_core, "core", "decide core nonemptiness and write a witness"),
+        (cmd_reduce_tu, "reduce-tu", "collapse a competition-free team game to TU form"),
+        (cmd_graph, "graph", "perception-graph edge list of a bi-additive game"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("game")
+        if func is cmd_metrics:
+            p.add_argument(
+                "--include-grand", action="store_true", help="append the whole-team point"
+            )
+        add_common(p, with_output=func is not cmd_classify)
+        p.set_defaults(func=func)
 
     cobb_parser = sub.add_parser("cobb", help="Cobb-Douglas contribution-game sweeps")
     cobb_sub = cobb_parser.add_subparsers(dest="cobb_command", required=True)
-
-    def add_cobb_common(p, groups=True):
-        """Flags of every cobb table; ``groups`` adds those the frontier bound does not read."""
+    for name, help_text in (
+        ("sweep", "payoff/utility grid over average contributions"),
+        ("path", "rational-behavior paths through cooperation space"),
+        ("frontier", "maximum stable team size over (gamma, r)"),
+        ("rational", "rational contributions with zero-altruism roots"),
+    ):
+        # the frontier bound reads neither the groups (theta, alpha, sizes) nor --tol
+        groups = name in GAMMA_TABLES
+        p = cobb_sub.add_parser(name, help=help_text)
         p.add_argument("game", nargs="?", help="optional document with a cobb_douglas block")
         if groups:
             p.add_argument("--theta", type=_unit_interval, default=None)
@@ -393,26 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--sizeA", dest="size_a", type=_positive_int, default=2)
             p.add_argument("--sizeB", dest="size_b", type=_positive_int, default=10)
         add_common(p, with_tol=groups)
-
-    p = cobb_sub.add_parser("sweep", help="payoff/utility grid over average contributions")
-    add_cobb_common(p)
-    p.add_argument("--resolution", type=_sample_count, default=101)
-    p.set_defaults(func=cmd_cobb_sweep)
-
-    p = cobb_sub.add_parser("path", help="rational-behavior paths through cooperation space")
-    add_cobb_common(p)
-    p.add_argument("--samples", type=_sample_count, default=101)
-    p.set_defaults(func=cmd_cobb_path)
-
-    p = cobb_sub.add_parser("frontier", help="maximum stable team size over (gamma, r)")
-    add_cobb_common(p, groups=False)
-    p.add_argument("--resolution", type=_positive_int, default=101)
-    p.set_defaults(func=cmd_cobb_frontier)
-
-    p = cobb_sub.add_parser("rational", help="rational contributions with zero-altruism roots")
-    add_cobb_common(p)
-    p.add_argument("--resolution", type=_sample_count, default=101)
-    p.set_defaults(func=cmd_cobb_rational)
+        if groups:
+            p.add_argument(GAMMA_TABLES[name][0], type=_sample_count, default=101)
+        else:
+            p.add_argument("--resolution", type=_positive_int, default=101)
+        p.set_defaults(func=cmd_cobb_table if groups else cmd_cobb_frontier)
 
     p = sub.add_parser("scenario", help="write a built-in scenario and classify it")
     p.add_argument("name", choices=sorted(SCENARIOS))

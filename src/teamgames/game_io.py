@@ -282,9 +282,20 @@ def _subset_names(mask: int, players) -> list[str]:
     return [players[i] for i in PlayerSet(mask)]
 
 
+def _require_names(names, noun: str) -> None:
+    """Refuse the names :func:`_parse_names` would refuse, before anything is written."""
+    seen = set()
+    for name in names:
+        if not isinstance(name, str) or not name or name in seen:
+            raise ValueError(f"{noun} {name!r}: a document names each {noun} by a distinct "
+                             "nonempty string")
+        seen.add(name)
+
+
 def document_for(game) -> dict:
     """Document tree for a game; inverse of :func:`parse_document`."""
     if isinstance(game, TUGame):
+        _require_names(game.players, "player")
         return {
             "version": DOCUMENT_VERSION,
             "players": list(game.players),
@@ -297,6 +308,8 @@ def document_for(game) -> dict:
         consequence, utilities = game.consequence_table, game.utility_table
         if consequence is None or utilities is None:
             raise ValueError("only tabulated team games can be serialized")
+        _require_names(game.players, "player")
+        _require_names(game.outcomes, "outcome")
         return {
             "version": DOCUMENT_VERSION,
             "players": list(game.players),
@@ -310,9 +323,7 @@ def document_for(game) -> dict:
             ],
             "utilities": [
                 {"subset": _subset_names(mask, game.players), "outcome": outcome, "value": float(v)}
-                for (mask, outcome), v in sorted(
-                    utilities.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))
-                )
+                for (mask, outcome), v in sorted(utilities.items())
             ],
         }
     if isinstance(game, CobbDouglasConfig):

@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -97,6 +99,80 @@ class TestClassify:
         assert len(lines) == 6 and "error:" not in captured.err
         assert lines[2] == f"superadditive: {superadditive}"
         assert lines[5] == "core nonempty: not decided (n > 14)"
+
+
+    def test_team_report_past_the_pair_scan_limit(self, tmp_path, capsys):
+        # 17 players, one outcome: loads, but no pair scan may start
+        n = 17
+        names = [chr(ord("a") + i) for i in range(n)]
+        subsets = [[names[i] for i in range(n) if mask >> i & 1] for mask in range(1, 1 << n)]
+        path = write_doc(tmp_path, "big.game", {
+            "version": 1, "players": names, "outcomes": ["x"],
+            "consequence": [{"subset": s, "outcome": "x"} for s in subsets],
+            "utilities": [{"subset": s, "outcome": "x", "value": 1.0} for s in subsets],
+        })
+        assert run(["classify", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[0].startswith("kind: team game (17 players: ")
+        scanned = ["sensible", "fully-cooperative", "utility in team core", "additive",
+                   "co-additive", "bi-additive"]
+        assert lines[1:] == [f"{name}: not decided (n > 16)" for name in scanned]
+
+    def test_team_report_when_the_perception_matrix_misses_the_tolerance(
+        self, tmp_path, capsys
+    ):
+        # each detector stays within --tol 0.1; the matrix [[1, 1], [1, 1]] misses u_ab(Vab)
+        values = {("ab", "Vab"): 4.27, ("a", "Vab"): 2.09, ("b", "Vab"): 2.09,
+                  ("ab", "Va"): 2.0, ("ab", "Vb"): 2.27}
+        doc = {
+            "version": 1, "players": ["a", "b"], "outcomes": ["Va", "Vb", "Vab"],
+            "consequence": [{"subset": list(o[1:]), "outcome": o} for o in ("Va", "Vb", "Vab")],
+            "utilities": [
+                {"subset": list(a), "outcome": o, "value": values.get((a, o), 1.0)}
+                for a in ("a", "b", "ab") for o in ("Va", "Vb", "Vab")
+            ],
+        }
+        path = write_doc(tmp_path, "gap.game", doc)
+        assert run(["classify", path, "--tol", "0.1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[4:7] == ["additive: true", "co-additive: true", "bi-additive: true"]
+        assert lines[7:] == [
+            "perception: no matrix within --tol: u_a+b(V(a+b)) is 4.27, "
+            "the reconstruction gives 4.0"
+        ]
+        # graph still refuses the game in one line
+        assert run(["graph", path, "--tol", "0.1", "-o", tmp_path / "gap.edges"]) == 1
+        assert one_error_line(capsys).startswith("error: not bi-additive: ")
+
+
+class TestParser:
+    """The registration loops give every subcommand its own help and flags."""
+
+    COMMANDS = [["metrics"], ["classify"], ["shapley"], ["core"], ["reduce-tu"], ["graph"],
+                ["cobb"], ["cobb", "sweep"], ["cobb", "path"], ["cobb", "frontier"],
+                ["cobb", "rational"], ["scenario"]]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run([*command, "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: teamgames {' '.join(command)} ")
+
+    @pytest.mark.parametrize("command", ["sweep", "path", "frontier", "rational"])
+    def test_cobb_flags_match_the_readme_table(self, command):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        row = re.search(rf"^\| `cobb {command}` \| `([^`]*)` \|$", readme, re.MULTILINE)
+        subcommands = lambda parser: next(  # noqa: E731
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        parser = subcommands(subcommands(cli.build_parser())["cobb"])[command]
+        accepted = {a.option_strings[0] for a in parser._actions if a.option_strings} - {"-h"}
+        assert accepted == set(row.group(1).split())
 
 
 class TestScenario:

@@ -342,6 +342,34 @@ def test_tu_round_trip(tmp_path):
     assert list(second.u) == list(first.u)
 
 
+def test_games_with_unreadable_names_are_not_written(tmp_path):
+    from teamgames.random_games import random_additive_game, tabulate
+
+    game = tabulate(random_additive_game(3, np.random.default_rng(5)))
+    assert not isinstance(game.outcomes[0], str)
+    path = tmp_path / "additive.game"
+    with pytest.raises(ValueError, match=rf"^outcome {game.outcomes[0]!r}: "):
+        save_game(game, path)
+    assert not path.exists()
+    # string outcome ids still round-trip
+    renamed = STGame.from_tables(
+        3, [f"o{x}" for x in game.outcomes],
+        {mask: f"o{x}" for mask, x in game.consequence_table.items()},
+        {(mask, f"o{x}"): v for (mask, x), v in game.utility_table.items()},
+    )
+    save_game(renamed, path)
+    again = load_game(path)
+    assert again.outcomes == renamed.outcomes
+    assert dict(again.consequence_table) == dict(renamed.consequence_table)
+    assert dict(again.utility_table) == dict(renamed.utility_table)
+    # so do the players, and neither may repeat a name
+    with pytest.raises(ValueError, match=r"^outcome 'o1': "):
+        document_for(STGame.from_tables(1, ["o1", "o1"], {1: "o1"}, {(1, "o1"): 1.0}))
+    for players, bad in (((1, 2), 1), (("a", ""), ""), (("a", "a"), "a")):
+        with pytest.raises(ValueError, match=rf"^player {bad!r}: "):
+            document_for(TUGame(2, np.array([0.0, 1.0, 1.0, 3.0]), players))
+
+
 def test_functional_games_cannot_serialize():
     game = STGame.from_functions(2, ("x",), lambda s: "x", lambda a, x: 1.0)
     with pytest.raises(ValueError, match="tabulated"):
