@@ -19,11 +19,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import StructureError
+from .limits import DEFAULT_TOL
 from .players import (
     PlayerSet, check_pair_scan, first_pair, mask_sizes, member_sum, require_disjoint,
 )
 from .st import STGame, coalition_outcomes, is_fully_cooperative, is_sensible
-from .tu import DEFAULT_TOL
 
 ROW_BLOCK = 1 << 10  # coalitions per gathered block of row sums
 

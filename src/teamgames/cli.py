@@ -3,33 +3,39 @@
 Numeric results always land in files (CSV tables, ``.game`` documents,
 ``.edges`` lists); standard output carries a short human summary. Sweep
 commands emit rows in a fixed order, so repeated runs are byte-identical.
+
+Each command imports the modules it runs when it runs, so parsing the
+command line loads no numpy and a command loads no other command's modules.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import additivity, cobb, game_io, st, tu
-from .cobb import CobbDouglasConfig, hybrid
 from .errors import GameError, NotReducibleError, SizeLimitError, StructureError
-from .players import MAX_PAIR_SCAN, PlayerSet
+from .limits import DEFAULT_TOL, MAX_CORE_DECIDE, MAX_PAIR_SCAN
 from .scenarios import SCENARIOS, scenario_document
-from .st import STGame
-from .tu import DEFAULT_TOL, TUGame
+
+if TYPE_CHECKING:
+    from .cobb import CobbDouglasConfig
+    from .players import PlayerSet
+    from .st import STGame
+    from .tu import TUGame
 
 # Row budgets of the cobb tables, checked before anything is computed. In one 2-core
 # process (time of `main`, then peak `ru_maxrss`), a sweep or frontier row (a closed
 # form) costs about 12 us (a 248,645-row sweep: 3.0 s, 59 MB peak), and a path or
 # rational row (its share of one batched search) 43-77 us: 200,000 path rows take 8.6 s
-# and peak at 54 MB, 200,000 rational rows 15 s and 58 MB (importing the CLI: 30 MB).
+# and peak at 54 MB, 200,000 rational rows 15 s and 58 MB (the imports alone: 28 MB).
 MAX_GRID_ROWS = 250_000
 MAX_SEARCH_ROWS = 200_000
 
-KIND_NAMES = {STGame: "team game", TUGame: "TU game", CobbDouglasConfig: "Cobb-Douglas game"}
+# by class name: checking a game's kind imports no other kind's module
+KIND_NAMES = {"STGame": "team game", "TUGame": "TU game", "CobbDouglasConfig": "Cobb-Douglas game"}
 
 
 def _unit_interval(text: str) -> float:
@@ -83,13 +89,14 @@ def _out_path(args, default: str) -> Path:
 
 
 def _load(args, *kinds):
-    """The game in ``args.game``; a document of another kind is refused."""
+    """The game in ``args.game``; a document of a kind not in ``kinds`` is refused."""
+    from . import game_io
+
     game = game_io.load_game(args.game)
-    if not isinstance(game, kinds):
+    kind = type(game).__name__
+    if kind not in kinds:
         wanted = " or ".join(KIND_NAMES[k] for k in kinds)
-        raise GameError(
-            f"{args.command} requires a {wanted} document, got a {KIND_NAMES[type(game)]}"
-        )
+        raise GameError(f"{args.command} requires a {wanted} document, got a {KIND_NAMES[kind]}")
     return game
 
 
@@ -100,9 +107,11 @@ def _witness(exc: NotReducibleError, players) -> str:
 
 def _tu_game(args) -> TUGame:
     """A TU document, or a team document reduced to TU form."""
-    game = _load(args, STGame, TUGame)
-    if isinstance(game, TUGame):
+    game = _load(args, "STGame", "TUGame")
+    if type(game).__name__ == "TUGame":
         return game
+    from . import st
+
     try:
         return st.reduce_to_tu(game, args.tol)
     except NotReducibleError as exc:
@@ -112,7 +121,9 @@ def _tu_game(args) -> TUGame:
 
 
 def cmd_metrics(args) -> int:
-    game = _load(args, STGame)
+    from . import game_io, st
+
+    game = _load(args, "STGame")
     points = st.all_coop_points(game, include_grand=args.include_grand)
     full = (1 << game.n) - 1
     table = {
@@ -139,6 +150,9 @@ def _decided(n: int, limit: int, decide) -> str:
 
 
 def _classify_st(game: STGame, tol: float) -> None:
+    from . import additivity, st
+    from .players import PlayerSet
+
     def scan(test) -> str:
         return _decided(game.n, MAX_PAIR_SCAN, lambda: test(game, tol))
 
@@ -167,6 +181,8 @@ def _classify_st(game: STGame, tol: float) -> None:
 
 
 def _classify_tu(game: TUGame, tol: float) -> None:
+    from . import tu
+
     n = game.n
     print(f"convex: {str(tu.is_convex(game, tol)).lower()}")
     superadditive = _decided(n, MAX_PAIR_SCAN, lambda: tu.is_superadditive(game, tol))
@@ -175,22 +191,25 @@ def _classify_tu(game: TUGame, tol: float) -> None:
     shap = " ".join(f"{name}={float(value)!r}" for name, value in zip(game.players, phi))
     print(f"shapley: {shap}")
     print(f"shapley in core: {str(tu.in_core(game, phi, tol)).lower()}")
-    print(f"core nonempty: {_decided(n, tu.MAX_CORE_DECIDE, lambda: tu.core_is_nonempty(game))}")
+    print(f"core nonempty: {_decided(n, MAX_CORE_DECIDE, lambda: tu.core_is_nonempty(game))}")
 
 
 def cmd_classify(args) -> int:
-    game = game_io.load_game(args.game)
-    if isinstance(game, CobbDouglasConfig):
+    game = _load(args, *KIND_NAMES)
+    kind = type(game).__name__
+    if kind == "CobbDouglasConfig":
         print("kind: Cobb-Douglas resource game")
         print(f"theta={game.theta!r} alpha={game.alpha!r} beta={game.beta!r}")
         print("use `teamgames cobb` for sweeps of this game")
         return 0
-    print(f"kind: {KIND_NAMES[type(game)]} ({game.n} players: {', '.join(game.players)})")
-    (_classify_st if isinstance(game, STGame) else _classify_tu)(game, args.tol)
+    print(f"kind: {KIND_NAMES[kind]} ({game.n} players: {', '.join(game.players)})")
+    (_classify_st if kind == "STGame" else _classify_tu)(game, args.tol)
     return 0
 
 
 def cmd_shapley(args) -> int:
+    from . import game_io, tu
+
     game = _tu_game(args)
     phi = tu.shapley_value(game)
     out = _out_path(args, Path(args.game).stem + ".shapley.csv")
@@ -201,6 +220,8 @@ def cmd_shapley(args) -> int:
 
 
 def cmd_core(args) -> int:
+    from . import game_io, tu
+
     game = _tu_game(args)
     witness = tu.core_witness(game)
     if witness is None:
@@ -215,7 +236,9 @@ def cmd_core(args) -> int:
 
 
 def cmd_reduce_tu(args) -> int:
-    game = _load(args, STGame)
+    from . import game_io, st
+
+    game = _load(args, "STGame")
     try:
         reduced = st.reduce_to_tu(game, args.tol)
     except NotReducibleError as exc:
@@ -229,7 +252,9 @@ def cmd_reduce_tu(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    game = _load(args, STGame)
+    from . import additivity, game_io
+
+    game = _load(args, "STGame")
     try:
         matrix = additivity.extract_matrix(game, args.tol)
     except StructureError as exc:
@@ -243,7 +268,11 @@ def cmd_graph(args) -> int:
 
 def _base_config(args) -> CobbDouglasConfig:
     """Configuration from the optional document, overridden by explicit flags."""
-    base = _load(args, CobbDouglasConfig) if args.game else CobbDouglasConfig()
+    import dataclasses
+
+    from .cobb import CobbDouglasConfig
+
+    base = _load(args, "CobbDouglasConfig") if args.game else CobbDouglasConfig()
     updates = {}
     for field in ("theta", "alpha", "beta"):
         value = getattr(args, field, None)
@@ -265,31 +294,36 @@ def _check_rows(args, count: int, flag: str, budget: int) -> None:
 
 
 # Tables written one per gamma: size flag, rows per gamma as a power of the size, row
-# budget, builder (a name on `cobb`, looked up at run time), columns, summary noun.
+# budget, builder and columns (names on `cobb`, looked up at run time), summary noun.
 GAMMA_TABLES = {
-    "sweep": ("--resolution", 2, MAX_GRID_ROWS, "payoff_utility_grid", cobb.COBB_COLUMNS,
+    "sweep": ("--resolution", 2, MAX_GRID_ROWS, "payoff_utility_grid", "COBB_COLUMNS",
               "payoff/utility grid cells"),
-    "path": ("--samples", 1, MAX_SEARCH_ROWS, "cooperation_path", cobb.COBB_COLUMNS,
+    "path": ("--samples", 1, MAX_SEARCH_ROWS, "cooperation_path", "COBB_COLUMNS",
              "rational-path samples"),
-    "rational": ("--resolution", 1, MAX_SEARCH_ROWS, "rational_table", cobb.RATIONAL_COLUMNS,
+    "rational": ("--resolution", 1, MAX_SEARCH_ROWS, "rational_table", "RATIONAL_COLUMNS",
                  "rational-contribution samples"),
 }
 
 
 def cmd_cobb_table(args) -> int:
+    from . import cobb, game_io
+
     flag, power, budget, builder, columns, noun = GAMMA_TABLES[args.cobb_command]
     size = getattr(args, flag[2:])
     _check_rows(args, size**power, flag, budget)
     cfg = _base_config(args)
     build = getattr(cobb, builder)
-    tables = [build(hybrid(g), cfg, args.size_a, args.size_b, size, args.tol) for g in args.gammas]
+    tables = [build(cobb.hybrid(g), cfg, args.size_a, args.size_b, size, args.tol)
+              for g in args.gammas]
     out = _out_path(args, f"cobb_{args.cobb_command}.csv")
-    rows = game_io.write_table(tables, columns, out)
+    rows = game_io.write_table(tables, getattr(cobb, columns), out)
     print(f"wrote {rows} {noun} to {out}")
     return 0
 
 
 def cmd_cobb_frontier(args) -> int:
+    from . import cobb, game_io
+
     _check_rows(args, args.resolution, "--resolution", MAX_GRID_ROWS)
     cfg = _base_config(args)
     if not cfg.beta > 1.0:
@@ -303,6 +337,8 @@ def cmd_cobb_frontier(args) -> int:
 
 
 def cmd_scenario(args) -> int:
+    from . import game_io
+
     doc = scenario_document(args.name)
     out_dir = Path(args.output) if args.output else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)

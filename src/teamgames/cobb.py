@@ -29,14 +29,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from .errors import NumericOverflowError
+from .limits import DEFAULT_TOL
 from .players import PlayerSet, mask_sizes, member_sum, player_names, require_disjoint
-from .st import STGame, CoopPoint, coalition_outcomes, quadrant_labels
-from .tu import DEFAULT_TOL
+
+if TYPE_CHECKING:
+    from .st import CoopPoint, STGame
 
 UNBOUNDED = math.inf
 
@@ -247,6 +249,8 @@ def st_game_view(
     paid, which extends the utility totally without touching any value the
     metrics read.
     """
+    from .st import STGame, coalition_outcomes
+
     n = len(profile)
     outcomes, columns = coalition_outcomes(n)
     masks = np.arange(1 << n, dtype=np.int64)
@@ -265,6 +269,8 @@ def st_game_view(
 
 def cd_coop_point(scheme, cfg, profile, a: PlayerSet, b: PlayerSet) -> CoopPoint:
     """A's cooperation point against B; with B empty, A's own utility is all competitive."""
+    from .st import CoopPoint
+
     require_disjoint(a, b)
     if not b:
         alone = cd_subset_utility(scheme, cfg, profile, a, a)
@@ -625,6 +631,8 @@ def contribution_table(
     every member of A contributes x_a[i] and every member of B contributes
     x_b[i] (unit pools), with the quadrant classified at tolerance ``tol``.
     """
+    from .st import quadrant_labels
+
     _require_groups(size_a, size_b)
     x_a = np.asarray(x_a, dtype=float)
     x_b = np.asarray(x_b, dtype=float)

@@ -25,16 +25,20 @@ import itertools
 import json
 import math
 import operator
+import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .additivity import PerceptionGraph
-from .cobb import CobbDouglasConfig
 from .errors import GameLoadError, SizeLimitError
 from .players import MAX_SUBSET_ARRAY, PlayerSet
-from .st import STGame
-from .tu import TUGame
+
+if TYPE_CHECKING:  # each game kind's module is imported by the code that builds or reads it
+    from .additivity import PerceptionGraph
+    from .cobb import CobbDouglasConfig
+    from .st import STGame
+    from .tu import TUGame
 
 DOCUMENT_VERSION = 1
 COBB_KEYS = ("theta", "alpha", "beta")
@@ -215,6 +219,8 @@ def parse_document(doc: dict):
 
 
 def _parse_cobb(doc: dict) -> CobbDouglasConfig:
+    from .cobb import CobbDouglasConfig
+
     block = _require(doc, "cobb_douglas", dict, "cobb_douglas")
     for key in block:
         if key not in COBB_KEYS:
@@ -227,6 +233,8 @@ def _parse_cobb(doc: dict) -> CobbDouglasConfig:
 
 
 def _parse_tu(doc: dict) -> TUGame:
+    from .tu import TUGame
+
     index = _parse_names(doc, "players", "player", "player names")
     players, n = list(index), len(index)
     if n > MAX_SUBSET_ARRAY:
@@ -239,6 +247,8 @@ def _parse_tu(doc: dict) -> TUGame:
 
 
 def _parse_st(doc: dict) -> STGame:
+    from .st import STGame
+
     index = _parse_names(doc, "players", "player", "player names")
     players, n = list(index), len(index)
     column_of = _parse_names(doc, "outcomes", "outcome", "outcome ids")
@@ -292,9 +302,15 @@ def _require_names(names, noun: str) -> None:
         seen.add(name)
 
 
+def _loaded(module: str, name: str):
+    """Class ``name`` of submodule ``module``, or ``()`` if that module was never imported:
+    no instance of the class exists then, and ``isinstance(game, ())`` is false."""
+    return getattr(sys.modules.get(f"{__package__}.{module}"), name, ())
+
+
 def document_for(game) -> dict:
     """Document tree for a game; inverse of :func:`parse_document`."""
-    if isinstance(game, TUGame):
+    if isinstance(game, _loaded("tu", "TUGame")):
         _require_names(game.players, "player")
         return {
             "version": DOCUMENT_VERSION,
@@ -304,7 +320,7 @@ def document_for(game) -> dict:
                 for mask in range(1, 1 << game.n)
             ],
         }
-    if isinstance(game, STGame):
+    if isinstance(game, _loaded("st", "STGame")):
         consequence, utilities = game.consequence_table, game.utility_table
         if consequence is None or utilities is None:
             raise ValueError("only tabulated team games can be serialized")
@@ -326,7 +342,7 @@ def document_for(game) -> dict:
                 for (mask, outcome), v in sorted(utilities.items())
             ],
         }
-    if isinstance(game, CobbDouglasConfig):
+    if isinstance(game, _loaded("cobb", "CobbDouglasConfig")):
         block = {key: getattr(game, key) for key in COBB_KEYS}
         return {"version": DOCUMENT_VERSION, "cobb_douglas": block}
     raise TypeError(f"cannot serialize {type(game).__name__}")

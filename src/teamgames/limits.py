@@ -1,0 +1,6 @@
+"""Tolerance and size limits shared across the package, readable without numpy."""
+
+DEFAULT_TOL = 1e-9
+
+MAX_PAIR_SCAN = 16  # a 3^n pair scan past this many players runs for minutes
+MAX_CORE_DECIDE = 14  # exact LP columns: 2^n - 2

@@ -13,9 +13,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import DisjointnessError, SizeLimitError
+from .limits import MAX_PAIR_SCAN
 
 MAX_PLAYERS = 64
-MAX_PAIR_SCAN = 16  # a 3^n pair scan past this many players runs for minutes
 MAX_SUBSET_ARRAY = 20  # an array over all 2^n subsets past this many players outgrows memory
 
 

@@ -7,8 +7,6 @@ through the ordinary loading path.
 
 from __future__ import annotations
 
-from .game_io import parse_document
-
 # Two prisoners choosing between teaming up and acting alone. Together the
 # pair is worth 4 and each member individually values the joint outcome at
 # 2; alone each is worth 1 to itself. Both players therefore sit at
@@ -83,4 +81,6 @@ def scenario_document(name: str) -> dict:
 
 def builtin_game(name: str):
     """Load a built-in scenario through the regular document path."""
+    from .game_io import parse_document
+
     return parse_document(scenario_document(name))

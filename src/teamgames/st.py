@@ -25,16 +25,19 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Hashable, Mapping
+from typing import TYPE_CHECKING, Callable, Hashable, Mapping
 
 import numpy as np
 
 from .errors import MissingUtilityError, NotReducibleError, SizeLimitError
+from .limits import DEFAULT_TOL
 from .players import (
     PlayerSet, check_subset_array, first_pair, member_sum, player_names, require_disjoint,
     subset_label,
 )
-from .tu import DEFAULT_TOL, TUGame
+
+if TYPE_CHECKING:
+    from .tu import TUGame
 
 Outcome = Hashable
 NULL_OUTCOME: Outcome = None
@@ -464,6 +467,8 @@ def reduce_to_tu(g: STGame, tol: float = DEFAULT_TOL) -> TUGame:
     value). Raises :class:`NotReducibleError` with the witnessing pair
     otherwise.
     """
+    from .tu import TUGame
+
     def competes(a, b):
         union = a | b
         c = g.u(union, union) - g.u(b, union)

@@ -16,14 +16,11 @@ import numpy as np
 
 from .errors import NumericOverflowError, SizeLimitError
 from .exact_lp import first_uncovered, minimal_coalition_cover
+from .limits import DEFAULT_TOL, MAX_CORE_DECIDE
 from .players import (
     MAX_SUBSET_ARRAY, PlayerSet, check_subset_array, first_pair, mask_sizes, member_sum,
     player_names, require_disjoint, subset_label,
 )
-
-DEFAULT_TOL = 1e-9
-
-MAX_CORE_DECIDE = 14  # exact LP columns: 2^n - 2
 
 
 @dataclass(frozen=True)

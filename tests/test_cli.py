@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import teamgames.cobb
 from teamgames import cli
 from teamgames.cli import main
 from teamgames.scenarios import GLOVE, PRISONERS_DILEMMA
@@ -616,9 +617,10 @@ class TestCobbCommands:
         self, tmp_path, capsys, monkeypatch, command, table_fn, count_flag, budget
     ):
         # stand-ins that compute nothing: a table of empty columns
-        columns = (*cli.cobb.COBB_COLUMNS, *cli.cobb.RATIONAL_COLUMNS, *cli.cobb.FRONTIER_COLUMNS)
+        columns = (*teamgames.cobb.COBB_COLUMNS, *teamgames.cobb.RATIONAL_COLUMNS,
+                   *teamgames.cobb.FRONTIER_COLUMNS)
         empty = dict.fromkeys(columns, [])
-        monkeypatch.setattr(cli.cobb, table_fn, lambda *args, **kwargs: empty)
+        monkeypatch.setattr(teamgames.cobb, table_fn, lambda *args, **kwargs: empty)
         limit = getattr(cli, budget)
         per_gamma = int(limit**0.5) if command == "sweep" else limit
         # the default gammas and this command's default count fit
@@ -630,7 +632,7 @@ class TestCobbCommands:
         def refuse(*args, **kwargs):
             raise AssertionError(f"{table_fn} called past the row budget")
 
-        monkeypatch.setattr(cli.cobb, table_fn, refuse)
+        monkeypatch.setattr(teamgames.cobb, table_fn, refuse)
         for count, gammas in ((per_gamma + 1, "0"), (per_gamma, "0,1")):
             out.unlink(missing_ok=True)
             argv = ["cobb", command, count_flag, count, "--gammas", gammas, "-o", out]
