@@ -80,7 +80,18 @@ def is_coadditive(g: STGame, tol: float = DEFAULT_TOL) -> bool:
 
 
 def is_biadditive(g: STGame, tol: float = DEFAULT_TOL) -> bool:
-    return is_additive(g, tol) and is_coadditive(g, tol)
+    """Additive, co-additive, and reproduced within ``tol`` by its perception matrix.
+
+    Each detector allows ``tol`` per entry, so a game can pass both while the
+    matrix misses an entry by up to their sum; ``extract_matrix`` refuses it.
+    """
+    if not (is_additive(g, tol) and is_coadditive(g, tol)):
+        return False
+    try:
+        extract_matrix(g, tol)
+    except StructureError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

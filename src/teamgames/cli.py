@@ -11,6 +11,7 @@ command line loads no numpy and a command loads no other command's modules.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from pathlib import Path
@@ -28,7 +29,7 @@ if TYPE_CHECKING:
 
 # Row budgets of the cobb tables, checked before anything is computed. In one 2-core
 # process (time of `main`, then peak `ru_maxrss`), a sweep or frontier row (a closed
-# form) costs about 12 us (a 248,645-row sweep: 3.0 s, 59 MB peak), and a path or
+# form) costs about 10 us (a 248,645-row sweep: 2.5 s, 58 MB peak), and a path or
 # rational row (its share of one batched search) 43-77 us: 200,000 path rows take 8.6 s
 # and peak at 54 MB, 200,000 rational rows 15 s and 58 MB (the imports alone: 28 MB).
 MAX_GRID_ROWS = 250_000
@@ -149,9 +150,19 @@ def _decided(n: int, limit: int, decide) -> str:
     return str(decide()).lower() if n <= limit else f"not decided (n > {limit})"
 
 
+def _matrix_miss(exc: StructureError, players) -> str:
+    """Why ``extract_matrix`` refused a game: the first entry its matrix misses."""
+    from .players import PlayerSet
+
+    a_mask, s_mask, got, want = exc.witness
+    if got is None:  # a missing singleton assessment
+        return str(exc)
+    a, s = (_subset_label(PlayerSet(m), players) for m in (a_mask, s_mask))
+    return f"u_{a}(V({s})) is {got!r}, the reconstruction gives {want!r}"
+
+
 def _classify_st(game: STGame, tol: float) -> None:
     from . import additivity, st
-    from .players import PlayerSet
 
     def scan(test) -> str:
         return _decided(game.n, MAX_PAIR_SCAN, lambda: test(game, tol))
@@ -163,18 +174,17 @@ def _classify_st(game: STGame, tol: float) -> None:
     additive, coadditive = scan(additivity.is_additive), scan(additivity.is_coadditive)
     print(f"additive: {additive}")
     print(f"co-additive: {coadditive}")
-    biadditive = additive == coadditive == "true"
-    print(f"bi-additive: {_decided(game.n, MAX_PAIR_SCAN, lambda: biadditive)}")
-    if biadditive:
+    matrix = miss = None
+    if additive == coadditive == "true":
         try:
             matrix = additivity.extract_matrix(game, tol)
         except StructureError as exc:
-            # each detector allows --tol; the matrix can miss an entry by their sum
-            a_mask, s_mask, got, want = exc.witness
-            a, s = (_subset_label(PlayerSet(m), game.players) for m in (a_mask, s_mask))
-            print(f"perception: no matrix within --tol: u_{a}(V({s})) is {got!r}, "
-                  f"the reconstruction gives {want!r}")
-            return
+            miss = _matrix_miss(exc, game.players)
+    print(f"bi-additive: {_decided(game.n, MAX_PAIR_SCAN, lambda: matrix is not None)}")
+    if miss:
+        # each detector allows --tol; the matrix can miss an entry by their sum
+        print(f"perception: no matrix within --tol: {miss}")
+    elif matrix is not None:
         for a in range(game.n):
             row = " ".join(repr(float(v)) for v in matrix.m[a])
             print(f"perception[{game.players[a]}]: {row}")
@@ -258,7 +268,7 @@ def cmd_graph(args) -> int:
     try:
         matrix = additivity.extract_matrix(game, args.tol)
     except StructureError as exc:
-        raise GameError(f"not bi-additive: {exc}") from None
+        raise GameError(f"not bi-additive: {_matrix_miss(exc, game.players)}") from None
     graph = additivity.export_graph(matrix)
     out = _out_path(args, Path(args.game).stem + ".edges")
     game_io.write_edges(graph, out)
@@ -435,5 +445,23 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """The ``teamgames`` process: ``main`` with the cyclic garbage collector off.
+
+    A command makes almost no reference cycles, yet the collector would keep
+    scanning every container that the numpy import and a decoded document
+    create: 36 to over 600 collections per command, which together free a
+    constant few hundred objects. The freeze moves every live object to the
+    permanent generation, so the collection that the interpreter still runs
+    at exit has nothing to traverse. ``main`` called in process leaves the
+    caller's collector as it was.
+    """
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

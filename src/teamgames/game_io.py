@@ -20,7 +20,6 @@ full-precision (shortest round-trip) decimals, and graph exports as
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -42,7 +41,7 @@ if TYPE_CHECKING:  # each game kind's module is imported by the code that builds
 
 DOCUMENT_VERSION = 1
 COBB_KEYS = ("theta", "alpha", "beta")
-ROW_CHUNK = 4096  # table rows turned into Python cells at a time, so cells stay few
+ROW_CHUNK = 1024  # rows formatted and joined into one text at a time, few to keep the peak low
 
 
 def _require(doc: dict, key: str, kind, location: str):
@@ -381,17 +380,50 @@ def _constant(cells) -> bool:
     return all(map(operator.is_, cells, itertools.repeat(first)))
 
 
+def _needs_quotes(text: str) -> bool:
+    """Does ``csv.writer`` (QUOTE_MINIMAL, ``lineterminator="\\n"``) quote this text?
+
+    It does for a comma, a quote or a newline; a lone ``\\r`` is not quoted.
+    """
+    return "," in text or '"' in text or "\n" in text
+
+
+def _quote(text: str) -> str:
+    """One CSV field as ``csv.writer`` writes it: quoted where needed, its quotes doubled."""
+    return '"' + text.replace('"', '""') + '"' if _needs_quotes(text) else text
+
+
 def _format_slice(cells):
-    """Lazy text of one column slice, its formatter chosen once for the whole slice."""
+    """Lazy CSV fields of one column slice, its formatter chosen once for the whole slice.
+
+    Numeric arrays spell numbers and ``true``/``false`` only, so only other
+    cells are checked for quoting.
+    """
     if _constant(cells):
         first = cells[:1].tolist() if isinstance(cells, np.ndarray) else cells[:1]
-        return itertools.repeat(format_cell(first[0]), len(cells))
+        return itertools.repeat(_quote(format_cell(first[0])), len(cells))
     if isinstance(cells, np.ndarray):
         if cells.dtype == np.float64:
             return map(float.__repr__, cells.tolist())
+        numeric = cells.dtype.kind in "biuf"
         # tolist gives Python floats and bools, which format_cell spells fastest
         cells = cells.tolist()
-    return map(format_cell, cells)
+        if numeric:
+            return map(format_cell, cells)
+    texts = list(map(format_cell, cells))
+    return map(_quote, texts) if _needs_quotes("".join(texts)) else texts
+
+
+def _lines(fields) -> str:
+    """CSV lines of the rows ``zip(*fields)``, each ending in a newline.
+
+    A row of one empty field is written ``""``, as ``csv.writer`` writes it,
+    so that it is not a blank line.
+    """
+    rows = map(",".join, zip(*fields))
+    if len(fields) == 1:
+        rows = (row or '""' for row in rows)
+    return "\n".join(rows) + "\n"
 
 
 def write_table(tables, columns, path) -> int:
@@ -401,9 +433,9 @@ def write_table(tables, columns, path) -> int:
     numpy array or a list) holding that column's cells in row order. Every
     table is checked before the file is opened, cells are formatted
     ``ROW_CHUNK`` rows at a time, each column slice by one formatter (a
-    constant slice formatted once), and every line ends in a newline, so
-    identical inputs produce identical bytes. Returns the number of rows
-    written.
+    constant slice formatted once), fields are quoted as ``csv.writer``
+    quotes them, and every line ends in a newline, so identical inputs
+    produce identical bytes. Returns the number of rows written.
     """
     columns = list(columns)
     tables = list(tables)
@@ -416,13 +448,12 @@ def write_table(tables, columns, path) -> int:
             raise ValueError(f"table {i} has columns of unequal lengths {lengths}")
     rows = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
+        fh.write(_lines([[_quote(c)] for c in columns]))
         for table in tables:
             cols = [table[c] for c in columns]
             count = len(cols[0]) if cols else 0
             for lo in range(0, count, ROW_CHUNK):
-                writer.writerows(zip(*(_format_slice(c[lo:lo + ROW_CHUNK]) for c in cols)))
+                fh.write(_lines([_format_slice(c[lo:lo + ROW_CHUNK]) for c in cols]))
             rows += count
     return rows
 

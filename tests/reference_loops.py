@@ -10,7 +10,8 @@ player order, as the library adds them.
 The structured games are here too as the per-element closures the library
 built them from before they became closed forms over arrays, with the same
 random draws one value at a time; so are the entry-at-a-time document
-loaders that ``game_io`` replaced with its column reader, and the
+loaders that ``game_io`` replaced with its column reader, its table writer
+through ``csv.writer`` that it replaced with joined text, and the
 Cobb-Douglas cooperation point as differences of per-pair subset
 utilities, which ``cobb`` replaced with its group evaluator. The exact
 core LP is here with its all-``Fraction`` pricing, which ``exact_lp``
@@ -26,6 +27,7 @@ Shapley routes that check ``tu.shapley_value``, and the team-core
 membership wrapper.
 """
 
+import csv
 import itertools
 import math
 
@@ -53,7 +55,15 @@ from teamgames.errors import (
     SizeLimitError,
     StructureError,
 )
-from teamgames.game_io import _parse_names, _parse_subset, _parse_value, _require
+from teamgames.game_io import (
+    ROW_CHUNK,
+    _constant,
+    _parse_names,
+    _parse_subset,
+    _parse_value,
+    _require,
+    format_cell,
+)
 from teamgames.players import MAX_SUBSET_ARRAY, PlayerSet, subset_label
 from teamgames.st import CoopPoint, Quadrant, STGame, coop_point, is_fully_cooperative
 from teamgames.tu import TUGame
@@ -635,6 +645,37 @@ def parse_st(doc):
         raise GameLoadError(str(exc), "outcomes") from None
     except ValueError as exc:
         raise GameLoadError(str(exc), "utilities") from None
+
+
+# ----------------------------------------------------------------- table writer
+
+
+def _format_slice(cells):
+    """Unquoted text of one column slice, its formatter chosen once for the whole slice."""
+    if _constant(cells):
+        first = cells[:1].tolist() if isinstance(cells, np.ndarray) else cells[:1]
+        return itertools.repeat(format_cell(first[0]), len(cells))
+    if isinstance(cells, np.ndarray):
+        if cells.dtype == np.float64:
+            return map(float.__repr__, cells.tolist())
+        cells = cells.tolist()
+    return map(format_cell, cells)
+
+
+def write_table(tables, columns, path):
+    """``game_io.write_table`` as it was before rows were joined as text: ``csv.writer`` rows."""
+    columns = list(columns)
+    rows = 0
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for table in tables:
+            cols = [table[c] for c in columns]
+            count = len(cols[0]) if cols else 0
+            for lo in range(0, count, ROW_CHUNK):
+                writer.writerows(zip(*(_format_slice(c[lo:lo + ROW_CHUNK]) for c in cols)))
+            rows += count
+    return rows
 
 
 # ----------------------------------------------------------------- cobb searches

@@ -18,6 +18,7 @@ from teamgames.additivity import (
     is_coadditive,
 )
 from teamgames.errors import DisjointnessError, StructureError
+from teamgames.game_io import parse_document
 from reference_loops import disjoint_pairs
 from teamgames.players import PlayerSet
 from teamgames.random_games import (
@@ -58,6 +59,23 @@ class TestDetectors:
         assert is_additive(PD)
         assert not is_coadditive(PD)
         assert not is_biadditive(PD)
+
+    def test_a_matrix_that_misses_the_tolerance_is_not_biadditive(self):
+        # each detector allows tol per entry; the matrix [[1, 1], [1, 1]] misses
+        # u_ab(Vab) and u_ab(Vb) by 0.27
+        values = {("ab", "Vab"): 4.27, ("a", "Vab"): 2.09, ("b", "Vab"): 2.09,
+                  ("ab", "Va"): 2.0, ("ab", "Vb"): 2.27}
+        g = parse_document({
+            "version": 1, "players": ["a", "b"], "outcomes": ["Va", "Vb", "Vab"],
+            "consequence": [{"subset": list(o[1:]), "outcome": o} for o in ("Va", "Vb", "Vab")],
+            "utilities": [
+                {"subset": list(a), "outcome": o, "value": values.get((a, o), 1.0)}
+                for a in ("a", "b", "ab") for o in ("Va", "Vb", "Vab")
+            ],
+        })
+        assert is_additive(g, 0.1) and is_coadditive(g, 0.1)
+        assert not is_biadditive(g, 0.1)
+        assert is_biadditive(g, 0.3)
 
     def test_superadditive_only_utility_is_not_additive(self):
         outcomes = tuple(range(1, 4))

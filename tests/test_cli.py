@@ -39,6 +39,21 @@ def one_error_line(capsys) -> str:
     return err[0]
 
 
+# Each structure detector stays within --tol 0.1, but the perception matrix [[1, 1], [1, 1]]
+# misses u_ab(Vab) by 0.27, so the game is not bi-additive.
+GAP_VALUES = {("ab", "Vab"): 4.27, ("a", "Vab"): 2.09, ("b", "Vab"): 2.09,
+              ("ab", "Va"): 2.0, ("ab", "Vb"): 2.27}
+GAP = {
+    "version": 1, "players": ["a", "b"], "outcomes": ["Va", "Vb", "Vab"],
+    "consequence": [{"subset": list(o[1:]), "outcome": o} for o in ("Va", "Vb", "Vab")],
+    "utilities": [
+        {"subset": list(a), "outcome": o, "value": GAP_VALUES.get((a, o), 1.0)}
+        for a in ("a", "b", "ab") for o in ("Va", "Vb", "Vab")
+    ],
+}
+GAP_MISS = "u_a+b(V(a+b)) is 4.27, the reconstruction gives 4.0"
+
+
 class TestMetrics:
     def test_pd_rows(self, pd_file, tmp_path, capsys):
         out = tmp_path / "points.csv"
@@ -124,30 +139,19 @@ class TestClassify:
     def test_team_report_when_the_perception_matrix_misses_the_tolerance(
         self, tmp_path, capsys
     ):
-        # each detector stays within --tol 0.1; the matrix [[1, 1], [1, 1]] misses u_ab(Vab)
-        values = {("ab", "Vab"): 4.27, ("a", "Vab"): 2.09, ("b", "Vab"): 2.09,
-                  ("ab", "Va"): 2.0, ("ab", "Vb"): 2.27}
-        doc = {
-            "version": 1, "players": ["a", "b"], "outcomes": ["Va", "Vb", "Vab"],
-            "consequence": [{"subset": list(o[1:]), "outcome": o} for o in ("Va", "Vb", "Vab")],
-            "utilities": [
-                {"subset": list(a), "outcome": o, "value": values.get((a, o), 1.0)}
-                for a in ("a", "b", "ab") for o in ("Va", "Vb", "Vab")
-            ],
-        }
-        path = write_doc(tmp_path, "gap.game", doc)
+        path = write_doc(tmp_path, "gap.game", GAP)
         assert run(["classify", path, "--tol", "0.1"]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         lines = captured.out.splitlines()
-        assert lines[4:7] == ["additive: true", "co-additive: true", "bi-additive: true"]
-        assert lines[7:] == [
-            "perception: no matrix within --tol: u_a+b(V(a+b)) is 4.27, "
-            "the reconstruction gives 4.0"
-        ]
-        # graph still refuses the game in one line
+        assert lines[4:7] == ["additive: true", "co-additive: true", "bi-additive: false"]
+        assert lines[7:] == [f"perception: no matrix within --tol: {GAP_MISS}"]
+
+    def test_graph_names_the_entry_the_matrix_misses(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "gap.game", GAP)
         assert run(["graph", path, "--tol", "0.1", "-o", tmp_path / "gap.edges"]) == 1
-        assert one_error_line(capsys).startswith("error: not bi-additive: ")
+        assert one_error_line(capsys) == f"error: not bi-additive: {GAP_MISS}"
+        assert not (tmp_path / "gap.edges").exists()
 
 
 class TestParser:

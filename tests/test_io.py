@@ -423,6 +423,66 @@ def test_write_table_quotes_awkward_cells(tmp_path):
     assert path.read_text(encoding="utf-8").splitlines()[1] == '"x,y",1.0'
 
 
+# pieces of text cells: each character csv quoting looks at, spaces and the empty string
+PIECES = [",", '"', "\n", "\r", " ", "", "a", "b c", "\r\n", "é"]
+
+
+def _text(rng):
+    return "".join(rng.choice(PIECES) for _ in range(rng.randrange(4)))
+
+
+def _random_column(rng, count):
+    kind = rng.randrange(9)
+    floats = [0.0, -0.0, 0.1, -2.5, 1e300, 5e-324, float("nan"), float("inf"), float("-inf")]
+    if kind == 0:
+        return np.array([rng.choice(floats) for _ in range(count)])
+    if kind == 1:
+        return np.array([rng.randrange(-5, 5) for _ in range(count)], dtype=np.int64)
+    if kind == 2:
+        return np.array([rng.random() < 0.5 for _ in range(count)])
+    if kind == 3:
+        return np.array([_text(rng) for _ in range(count)], dtype=str)
+    if kind == 4:
+        return [_text(rng) for _ in range(count)]
+    if kind == 5:
+        mixed = [True, False, np.True_, 0, 7, None, -0.0, 2.5, np.float64(-0.0)]
+        return [rng.choice(mixed + [_text(rng)]) for _ in range(count)]
+    if kind == 6:
+        return [_text(rng)] * count
+    if kind == 7:
+        return np.full(count, rng.choice(floats))
+    return np.array([rng.choice(floats[:4]) for _ in range(count)], dtype=np.float32)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_write_table_matches_csv_writer(tmp_path, seed):
+    rng = random.Random(seed)
+    columns = list(dict.fromkeys(_text(rng) for _ in range(rng.randrange(1, 5))))
+    counts = [rng.choice([0, 1, 2, rng.randrange(60), ROW_CHUNK + 3])
+              for _ in range(rng.randrange(1, 4))]
+    tables = [{c: _random_column(rng, count) for c in columns} for count in counts]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    assert write_table(tables, columns, got) == ref.write_table(tables, columns, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["", "x", "a,b", '"'])
+def test_write_table_one_column_matches_csv_writer(tmp_path, name):
+    # csv.writer writes a row of one empty field as "", so it is not a blank line
+    cells = ["", "x", "", " ", "\r", 'q"', "", None, True, -0.0]
+    tables = [{name: cells}, {name: [""] * 3}, {name: np.array(["", "y", ""])},
+              {name: np.array([-0.0, 1.0])}]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    assert write_table(tables, [name], got) == ref.write_table(tables, [name], want) == 18
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_write_table_without_columns_matches_csv_writer(tmp_path):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    assert write_table([{}, {"x": [1]}], [], got) == ref.write_table([{}], [], want) == 0
+    assert got.read_bytes() == want.read_bytes() == b"\n"
+
+
 def test_write_table_rejects_ragged_rows(tmp_path):
     with pytest.raises(ValueError, match="missing"):
         write_table([{"a": [1]}], ["a", "b"], tmp_path / "bad2.csv")
