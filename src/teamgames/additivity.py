@@ -18,29 +18,32 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import StructureError
+from .errors import NumericOverflowError, StructureError
 from .limits import DEFAULT_TOL
 from .players import (
-    PlayerSet, check_pair_scan, first_pair, mask_sizes, member_sum, require_disjoint,
+    PlayerSet, check_pair_scan, first_pair, member_sum, require_disjoint, subset_label, subset_sums,
 )
 from .st import STGame, coalition_outcomes, is_fully_cooperative, is_sensible
 
-ROW_BLOCK = 1 << 10  # coalitions per gathered block of row sums
 
-
-def _first_mismatch(g: STGame, expected, tol: float):
+def _first_mismatch(g: STGame, what: str, tol: float, expected):
     """First nested pair (assessor A, coalition S) in scan order where u_A(S) is more than
     ``tol`` off ``expected(s, a)``, as (A, S, got, expected); a NaN expectation (a missing
-    entry) counts as off and is reported with got and expected None."""
+    entry) counts as off and is reported with got and expected None. An infinite one (the
+    ``what`` of A at S past the float range) raises ``NumericOverflowError``."""
     def off(s, a):
-        want = expected(s, a)
-        got = g.u(a, s)
-        return np.isnan(want) | (np.abs(got - want) > tol), got, want
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = expected(s, a)
+            got = g.u(a, s)
+            return ~np.isfinite(want) | (np.abs(got - want) > tol), got, want
 
     witness = first_pair((1 << g.n) - 1, off, nested=True, nonempty=True)
     if witness is None:
         return None
     s, a, got, want = witness
+    if np.isinf(want):
+        a, s = (subset_label(mask, g.players) for mask in (a, s))
+        raise NumericOverflowError(f"the {what} of {a} at coalition {s} is past the float range")
     return (a, s, got, want) if want == want else (a, s, None, None)
 
 
@@ -56,7 +59,7 @@ def _find_additive_violation(g: STGame, tol: float):
             singles[has, i] = g.u(1 << i, span[has])
         return member_sum(g.n, a, lambda i, sel: singles[s[sel] - lo, i])
 
-    return _first_mismatch(g, expected, tol)
+    return _first_mismatch(g, "additive expectation", tol, expected)
 
 
 def _find_coadditive_violation(g: STGame, tol: float):
@@ -66,9 +69,8 @@ def _find_coadditive_violation(g: STGame, tol: float):
     the identity as a total function; the missing entry is reported as the
     violation.
     """
-    return _first_mismatch(
-        g, lambda s, a: member_sum(g.n, s, lambda i, sel: g.u(a[sel], 1 << i)), tol
-    )
+    return _first_mismatch(g, "co-additive expectation", tol,
+                           lambda s, a: member_sum(g.n, s, lambda i, sel: g.u(a[sel], 1 << i)))
 
 
 def is_additive(g: STGame, tol: float = DEFAULT_TOL) -> bool:
@@ -120,7 +122,7 @@ class BiAdditiveMatrix:
         S, is defined for every subset and every coalition.
         """
         outcomes, columns = coalition_outcomes(self.n)
-        return STGame.additive(self.n, outcomes, columns, _row_sums(self.m)[1:].T, players)
+        return STGame.additive(self.n, outcomes, columns, subset_sums(self.m.T)[1:].T, players)
 
 
 class FastMetrics(NamedTuple):
@@ -149,10 +151,10 @@ def extract_matrix(g: STGame, tol: float = DEFAULT_TOL) -> BiAdditiveMatrix:
             "cannot extract a perception matrix",
             witness=(1 << a, 1 << b, None, None),
         )
-    row_sums = _row_sums(mat)
-    witness = _first_mismatch(
-        g, lambda s, a: member_sum(n, a, lambda i, sel: row_sums[s[sel], i]), tol
-    )
+    with np.errstate(over="ignore"):  # an infinite row sum of a is the expectation of {a}
+        row_sums = subset_sums(mat.T)  # row_sums[S, a]: a's perceptions summed over S
+    witness = _first_mismatch(g, "matrix reconstruction", tol,
+                              lambda s, a: member_sum(n, a, lambda i, sel: row_sums[s[sel], i]))
     if witness is not None:
         a_mask, s_mask, got, expected = witness
         raise StructureError(
@@ -161,27 +163,6 @@ def extract_matrix(g: STGame, tol: float = DEFAULT_TOL) -> BiAdditiveMatrix:
             witness=witness,
         )
     return BiAdditiveMatrix(n, mat)
-
-
-def _row_sums(mat: np.ndarray) -> np.ndarray:
-    """Row sums of ``mat`` over each coalition's columns, one row per coalition mask.
-
-    Coalitions of equal size are summed together, up to ``ROW_BLOCK`` at a
-    time so the gathered block stays small, each along a contiguous last
-    axis exactly as ``mat[:, members].sum(axis=1)`` sums one, so the
-    reconstruction (and the value a witness reports) matches a
-    per-coalition computation to the last bit.
-    """
-    n = len(mat)
-    masks = np.arange(1 << n, dtype=np.int64)
-    sizes = mask_sizes(n)
-    sums = np.zeros((1 << n, n))
-    for size in range(1, n + 1):
-        group = masks[sizes == size]
-        for block in np.split(group, range(ROW_BLOCK, len(group), ROW_BLOCK)):
-            members = np.nonzero((block[:, None] >> np.arange(n)) & 1)[1].reshape(-1, size)
-            sums[block] = mat[:, members].sum(axis=2).T
-    return sums
 
 
 def fast_metrics(matrix: BiAdditiveMatrix, a: PlayerSet, b: PlayerSet) -> FastMetrics:

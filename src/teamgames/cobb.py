@@ -28,6 +28,7 @@ single number is a table of one row.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import NumericOverflowError
 from .limits import DEFAULT_TOL
-from .players import PlayerSet, mask_sizes, member_sum, player_names, require_disjoint
+from .players import PlayerSet, mask_sizes, player_names, require_disjoint, subset_sums
 
 if TYPE_CHECKING:
     from .st import CoopPoint, STGame
@@ -253,9 +254,8 @@ def st_game_view(
 
     n = len(profile)
     outcomes, columns = coalition_outcomes(n)
-    masks = np.arange(1 << n, dtype=np.int64)
-    total = member_sum(n, masks, lambda i, sel: profile.x[i])
-    reserve = member_sum(n, masks, lambda i, sel: profile.resources[i] - profile.x[i])
+    total = subset_sums(profile.x)
+    reserve = subset_sums(np.subtract(profile.resources, profile.x))
     heads = mask_sizes(n)
 
     def assess(a, j):
@@ -333,7 +333,8 @@ def max_stable_team_size(gamma: float, r: float, beta: float) -> float:
     is returned, otherwise the floor of the bound. A quotient within 4 ulps
     below an integer counts as reaching it, since rounding in r^beta - gamma*r
     can pull an exact integer bound just under itself; from 2^40 on, where
-    4 ulps approach a whole step, the plain floor is kept.
+    4 ulps approach a whole step, the plain floor is kept. A bound past the
+    float range, as where r^beta underflows, raises ``NumericOverflowError``.
     """
     if not 0 < r <= 1:
         raise ValueError(f"contribution share r must lie in (0, 1], got {r}")
@@ -341,10 +342,15 @@ def max_stable_team_size(gamma: float, r: float, beta: float) -> float:
         raise ValueError(f"the bound needs beta > 1, got {beta}")
     if not 0 <= gamma <= 1:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    denom = r**beta - gamma * r
-    if denom <= 0:
+    power = r**beta
+    denom = power - gamma * r
+    # below the normal range r^beta has lost its precision: r^(beta-1) < gamma decides the sign
+    if denom <= 0 and (power >= sys.float_info.min or gamma > r ** (beta - 1)):
         return UNBOUNDED
-    quotient = (1.0 - gamma) / denom
+    quotient = (1.0 - gamma) / denom if denom > 0 else math.inf
+    if quotient == math.inf:
+        raise NumericOverflowError(f"the stable team-size bound at gamma {gamma!r}, r {r!r} "
+                                   "is past the float range")
     bound = math.floor(quotient)
     # an exact integer bound can come out a few ulps short in floating point
     slack = 4 * math.ulp(quotient)
@@ -511,10 +517,11 @@ def altruism_roots(
     A and B contribute symmetrically within themselves over unit pools; the
     scan covers x_A in [0, size_a] in ``ROOT_SCAN`` intervals. Grid points
     within ``tol`` of zero count as roots; sign changes are bisected to
-    ``ROOT_XATOL``. ``x_b_total`` is a number, giving one ascending list of
-    roots, or an array of rows, giving one list per row; the rows are scanned
-    ``SCAN_CELLS // (ROOT_SCAN + 1)`` at a time and bisected together, each
-    with the float operations of a search run on it alone.
+    ``ROOT_XATOL``, or until no float lies between the ends. ``x_b_total`` is
+    a number, giving one ascending list of roots, or an array of rows, giving
+    one list per row; the rows are scanned ``SCAN_CELLS // (ROOT_SCAN + 1)``
+    at a time and bisected together, each with the float operations of a
+    search run on it alone.
     """
     _require_groups(size_a, size_b)
     x_b = np.atleast_1d(np.asarray(x_b_total, dtype=float))
@@ -550,13 +557,14 @@ def altruism_roots(
     live = hi - lo > ROOT_XATOL
     while live.any():
         mid = (lo + hi) / 2.0
+        live &= (mid != lo) & (mid != hi)  # no float lies between lo and hi: the row is done
         f_mid = altruism(mid, rows)
         hit = f_mid == 0.0  # an exact zero ends the row's bisection at mid
         same = (f_mid < 0) == (f_lo < 0)
         lo = np.where(live & (hit | same), mid, lo)
         hi = np.where(live & (hit | ~same), mid, hi)
         f_lo = np.where(live & same & ~hit, f_mid, f_lo)
-        live = hi - lo > ROOT_XATOL
+        live &= hi - lo > ROOT_XATOL
     for r, root in zip(rows.tolist(), ((lo + hi) / 2.0).tolist()):
         roots[r].append(root)
     for row in roots:

@@ -29,6 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .players import subset_sums
+
 _MAX_PIVOTS = 100_000
 _EPS = 2.0**-52     # twice the unit roundoff of a float64
 _TINY = 2.0**-1074  # the smallest subnormal float64
@@ -75,11 +77,7 @@ class _Pricing:
         if not math.isfinite(2.0 * scale):
             return np.arange(len(self.worth_f))
         bound = (self.n + 4) * _EPS * scale + (self.n + 2) * _TINY
-        paid = np.empty(1 << self.n)  # paid[S]: the prices summed over S, in player order
-        paid[0] = 0.0
-        for i, y in enumerate(prices_f):
-            np.add(paid[:1 << i], y, out=paid[1 << i:2 << i])
-        reduced = self.worth_f - paid[1:-1]
+        reduced = self.worth_f - subset_sums(prices_f)[1:-1]
         sure = np.flatnonzero(reduced > bound)
         if len(sure):
             reduced = reduced[:sure[0] + 1]

@@ -128,13 +128,30 @@ def subsets(n: int, *, nonempty: bool = False) -> Iterator[PlayerSet]:
         yield PlayerSet(mask)
 
 
+def subset_sums(terms) -> np.ndarray:
+    """For every mask S below 2^n, the sum of ``terms[i]`` (a number or a row) over the
+    players i in S. The table doubles once per player, so each sum adds its terms in
+    ascending player order from 0, as :func:`member_sum` does."""
+    terms = np.asarray(terms)
+    sums = np.zeros((1 << len(terms),) + terms.shape[1:], dtype=terms.dtype)
+    for i, term in enumerate(terms):
+        np.add(sums[:1 << i], term, out=sums[1 << i:2 << i])
+    return sums
+
+
+def subset_closure(table: np.ndarray, ufunc) -> np.ndarray:
+    """Close a C-contiguous 2^n table in place along axis 0 and return it: ``table[S]``
+    becomes ``ufunc`` folded over ``table[B]`` for every submask B of S (the zeta
+    transform of the subset lattice), in one pass per player."""
+    for i in range(len(table).bit_length() - 1):
+        halves = table.reshape(-1, 2, 1 << i, *table.shape[1:])
+        ufunc(halves[:, 1], halves[:, 0], out=halves[:, 1])
+    return table
+
+
 def mask_sizes(n: int) -> np.ndarray:
     """Popcount of every mask below 2^n."""
-    masks = np.arange(1 << n, dtype=np.int64)
-    sizes = np.zeros(1 << n, dtype=np.int64)
-    for i in range(n):
-        sizes += (masks >> i) & 1
-    return sizes
+    return subset_sums(np.ones(n, dtype=np.int64))
 
 
 def member_sum(n: int, members, term) -> np.ndarray:

@@ -33,7 +33,7 @@ from .errors import MissingUtilityError, NotReducibleError, SizeLimitError
 from .limits import DEFAULT_TOL
 from .players import (
     PlayerSet, check_subset_array, first_pair, member_sum, player_names, require_disjoint,
-    subset_label,
+    subset_closure, subset_label,
 )
 
 if TYPE_CHECKING:
@@ -128,10 +128,7 @@ class STGame:
         table[0] = 0.0
         table[np.asarray(assessors, dtype=np.intp), np.asarray(positions, dtype=np.intp)] = values
         # after a subset-OR closure, cover[S, j] says some nonempty submask of S lacks outcome j
-        cover = np.isnan(table)
-        for i in range(n):
-            halves = cover.reshape(-1, 2, 1 << i, len(outcomes))
-            halves[:, 1] |= halves[:, 0]
+        cover = subset_closure(np.isnan(table), np.logical_or)
         bad = cover[np.arange(1 << n), columns]
         if bad.any():
             s = int(np.argmax(bad))

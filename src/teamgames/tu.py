@@ -18,8 +18,8 @@ from .errors import NumericOverflowError, SizeLimitError
 from .exact_lp import first_uncovered, minimal_coalition_cover
 from .limits import DEFAULT_TOL, MAX_CORE_DECIDE
 from .players import (
-    MAX_SUBSET_ARRAY, PlayerSet, check_subset_array, first_pair, mask_sizes, member_sum,
-    player_names, require_disjoint, subset_label,
+    MAX_SUBSET_ARRAY, PlayerSet, check_subset_array, first_pair, mask_sizes, player_names,
+    require_disjoint, subset_closure, subset_label, subset_sums,
 )
 
 
@@ -178,9 +178,9 @@ def in_core(game: TUGame, phi, tol: float = DEFAULT_TOL) -> bool:
         raise ValueError(f"allocation must have length {game.n}")
     masks = np.arange(1 << game.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = member_sum(game.n, masks, lambda i, sel: phi[i])
+        sums = subset_sums(phi)
         _require_finite(game, sums, masks, "the allocation's share of")
-        # np.sum may add in another order than the checked member sums: no range check here
+        # np.sum may add in another order than the checked subset sums: no range check here
         efficient = abs(float(np.sum(phi)) - game.grand_value()) <= tol
         return efficient and bool(np.all(sums >= game.u - tol))
 
@@ -254,7 +254,5 @@ def random_convex_game(n: int, rng: np.random.Generator, scale: float = 1.0) -> 
     check_subset_array(n)
     table = np.zeros(1 << n)
     table[1:] = rng.uniform(0.0, scale, size=(1 << n) - 1)  # one coefficient per carrier
-    for i in range(n):  # each mask sums the coefficients of the carriers inside it
-        halves = table.reshape(-1, 2, 1 << i)
-        halves[:, 1] += halves[:, 0]
-    return TUGame(n, table)
+    # each mask sums the coefficients of the carriers inside it
+    return TUGame(n, subset_closure(table, np.add))

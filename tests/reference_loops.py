@@ -240,6 +240,11 @@ def find_coadditive_violation(g, tol=1e-9):
     return None
 
 
+def coalition_row_sums(mat, s_mask):
+    """Every row of ``mat`` summed over the columns of coalition S, one coalition at a time."""
+    return mat[:, _bits(s_mask)].sum(axis=1)
+
+
 def extract_matrix(g, tol=1e-9):
     """The perception matrix, or the StructureError the library must raise."""
     n = g.n
@@ -257,8 +262,7 @@ def extract_matrix(g, tol=1e-9):
     full = (1 << n) - 1
     for s_mask in range(1, full + 1):
         x = g._v(s_mask)
-        cols = _bits(s_mask)
-        row_sums = mat[:, cols].sum(axis=1)
+        row_sums = coalition_row_sums(mat, s_mask)
         for a_mask in iter_submasks(s_mask, nonempty=True):
             expected = float(_total(row_sums[a] for a in _bits(a_mask)))
             got = g._u(a_mask, x)
@@ -761,6 +765,8 @@ def altruism_roots(scheme, cfg, size_a, size_b, x_b_total, *, tol=1e-9):
         f_lo = values[i].item()
         while hi - lo > ROOT_XATOL:
             mid = (lo + hi) / 2.0
+            if mid in (lo, hi):
+                break
             f_mid = altruism(mid)
             if f_mid == 0.0:
                 lo = hi = mid

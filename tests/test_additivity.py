@@ -5,7 +5,7 @@ import pytest
 
 from teamgames.additivity import (
     BiAdditiveMatrix,
-    _row_sums,
+    _find_additive_violation,
     additive_metrics,
     additive_predicates,
     coadditive_metrics,
@@ -17,10 +17,10 @@ from teamgames.additivity import (
     is_biadditive,
     is_coadditive,
 )
-from teamgames.errors import DisjointnessError, StructureError
+from teamgames.errors import DisjointnessError, NumericOverflowError, StructureError
 from teamgames.game_io import parse_document
 from reference_loops import disjoint_pairs
-from teamgames.players import PlayerSet
+from teamgames.players import PlayerSet, subset_sums
 from teamgames.random_games import (
     random_additive_game,
     random_biadditive_matrix,
@@ -153,6 +153,56 @@ class TestMatrixExtraction:
             extract_matrix(PD)
 
 
+def matrix_game(mat) -> STGame:
+    """The game u_A(S) = sum over a in A, b in S of mat[a][b], outcome S per coalition S,
+    with the nested entries and the singleton assessments only, summed in player order."""
+    n = len(mat)
+
+    def u(a_mask, s_mask):
+        total = 0.0
+        for a in PlayerSet(a_mask):
+            row = 0.0
+            for b in PlayerSet(s_mask):
+                row += mat[a][b]
+            total += row
+        return total
+
+    entries = {(a, s): u(a, s) for s in range(1, 1 << n) for a in range(1, s + 1) if a & s == a}
+    entries.update({(1 << a, 1 << b): mat[a][b] for a in range(n) for b in range(n)})
+    return STGame.from_tables(n, range(1, 1 << n), {s: s for s in range(1, 1 << n)}, entries)
+
+
+class TestFloatRange:
+    """Team detectors refuse an expectation past the float range, and no numpy warning
+    escapes (tier-1 turns every RuntimeWarning into an error)."""
+
+    def test_a_gap_past_the_float_range_is_a_violation(self):
+        # u_0 + u_1 is finite, u_01 minus it is not
+        g = STGame.from_tables(2, "abc", {1: "a", 2: "b", 3: "c"}, {
+            (1, "a"): 0.0, (2, "b"): 0.0, (1, "c"): 1e308, (2, "c"): -1.5e308, (3, "c"): 1.5e308,
+        })
+        assert _find_additive_violation(g, 1e-9) == (3, 3, 1.5e308, -5e307)
+
+    def test_an_additive_expectation_past_the_float_range(self):
+        g = STGame.from_tables(2, "abc", {1: "a", 2: "b", 3: "c"}, {
+            (1, "a"): 0.0, (2, "b"): 0.0, (1, "c"): 1e308, (2, "c"): 1e308, (3, "c"): 0.0,
+        })
+        with pytest.raises(NumericOverflowError, match=(
+                r"^the additive expectation of \{0,1\} at coalition \{0,1\} is past")):
+            is_additive(g)
+
+    def test_a_matrix_reconstruction_past_the_float_range(self):
+        g = matrix_game([[1e308, 0.0], [0.0, 1e308]])
+        with pytest.raises(NumericOverflowError, match=(
+                r"^the matrix reconstruction of \{0,1\} at coalition \{0,1\} is past")):
+            extract_matrix(g)
+
+    def test_a_row_sum_the_reconstruction_never_reads_may_overflow(self):
+        # player 0's row overflows over {1,2}, which holds no assessor 0, not over {0,1,2}
+        mat = [[-1e308, 1e308, 1e308], [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+        assert np.array_equal(extract_matrix(matrix_game(mat)).m, mat)
+
+
 class TestFastMetrics:
     def test_identity_matrix_example(self):
         m = BiAdditiveMatrix(2, np.eye(2))
@@ -202,7 +252,7 @@ class TestFastMetrics:
         mat = np.random.default_rng(3).normal(size=(16, 16))
         tracemalloc.start()
         try:
-            sums = _row_sums(mat)
+            sums = subset_sums(mat.T)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -103,6 +103,18 @@ def test_altruism_roots_match_the_scalar_scan_and_bisection():
         cobb.altruism_roots(hybrid(0.0), cfg, 1, 1, np.array([0.5, 2.0]))
 
 
+@pytest.mark.parametrize("size_a", [2**40, 2**53])
+def test_altruism_roots_stop_where_adjacent_floats_are_far_apart(size_a):
+    # past about 2^26 adjacent floats lie more than ROOT_XATOL apart: a row ends once no
+    # float lies strictly between its ends, in both the batched and the scalar bisection
+    cfg = CobbDouglasConfig()
+    x_b = np.array([0.0, 1.5, 3.0])
+    got = cobb.altruism_roots(hybrid(0.0), cfg, size_a, 3, x_b)
+    assert [bits(row) for row in got] == [
+        bits(ref.altruism_roots(hybrid(0.0), cfg, size_a, 3, t)) for t in x_b.tolist()]
+    assert all(len(row) == 1 for row in got[1:])
+
+
 @pytest.mark.parametrize("theta, beta, gamma", CONFIGS)
 @pytest.mark.parametrize("size_a, size_b", [(2, 10), (1, 4)])
 def test_tables_match_the_row_by_row_builders(theta, beta, gamma, size_a, size_b):

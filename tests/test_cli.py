@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import json
 import re
+import signal
 import warnings
 from pathlib import Path
 
@@ -30,6 +32,21 @@ def write_doc(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+@contextlib.contextmanager
+def alarm(seconds: int):
+    """Fail a call that is still running after ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def one_error_line(capsys) -> str:
@@ -325,6 +342,54 @@ class TestGraph:
     def test_non_biadditive_rejected(self, pd_file, tmp_path, capsys):
         assert run(["graph", pd_file, "-o", tmp_path / "x.edges"]) == 1
         assert "not bi-additive" in capsys.readouterr().err
+
+
+def size_additive_doc(u_a_k1: float) -> dict:
+    """A 4-player game whose outcome is the coalition's size k, with u_A(k) = k times A's
+    stakes (0.5, 1.25, 2, 0.75), except u_{A}(k1) = ``u_a_k1``."""
+    names, stakes = "ABCD", (0.5, 1.25, 2.0, 0.75)
+    masks = range(1, 16)
+
+    def members(mask):
+        return [names[i] for i in range(4) if mask >> i & 1]
+
+    return {
+        "version": 1, "players": list(names), "outcomes": ["k1", "k2", "k3", "k4"],
+        "consequence": [{"subset": members(s), "outcome": f"k{s.bit_count()}"} for s in masks],
+        "utilities": [
+            {"subset": members(a), "outcome": f"k{k}",
+             "value": u_a_k1 if (a, k) == (1, 1) else k * sum(
+                 stakes[i] for i in range(4) if a >> i & 1)}
+            for a in masks for k in range(1, 5)
+        ],
+    }
+
+
+class TestTeamFloatRange:
+    """A team detector whose expectation leaves the float range ends in one error line."""
+
+    @pytest.mark.parametrize(
+        "value, report",
+        [
+            (-1e308, "sensible: false\nfully-cooperative: true\nutility in team core: true\n"),
+            (1e308, "sensible: true\nfully-cooperative: false\nutility in team core: false\n"),
+        ],
+    )
+    def test_classify_and_graph(self, tmp_path, capsys, value, report):
+        path = write_doc(tmp_path, "huge.game", size_additive_doc(value))
+        out = tmp_path / "huge.edges"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["classify", path]) == 1
+            captured = capsys.readouterr()
+            assert run(["graph", path, "-o", out]) == 1
+        # every singleton coalition produces k1: u_A(V(A+B)) expects u_A(k1) twice
+        assert captured.out == "kind: team game (4 players: A, B, C, D)\n" + report
+        assert captured.err == ("error: the co-additive expectation of {A} at coalition {A,B} "
+                                "is past the float range\n")
+        assert one_error_line(capsys) == (
+            "error: the matrix reconstruction of {A} at coalition {A,B} is past the float range")
+        assert not out.exists()
 
 
 class TestRefusals:
@@ -649,6 +714,44 @@ class TestCobbCommands:
     def test_seed_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit):
             run(["--seed", 5, "cobb", "frontier", "-o", tmp_path / "f.csv"])
+
+    @pytest.mark.parametrize(
+        "argv, at",
+        [
+            # r^300 is subnormal: the float quotient is inf
+            (["--resolution", 11, "--gammas", "0"], "gamma 0.0, r 0.09090909090909091"),
+            # r^300 underflows to 0, yet the bound is finite (about 10^900)
+            (["--resolution", 1000], "gamma 0.0, r 0.001"),
+            (["--resolution", 20, "--gammas", "0"], "gamma 0.0, r 0.05"),
+        ],
+    )
+    def test_frontier_past_the_float_range_is_one_error_line(self, tmp_path, capsys, argv, at):
+        out = tmp_path / "frontier.csv"
+        with alarm(5):
+            assert run(["cobb", "frontier", "--beta", 300, *argv, "-o", out]) == 1
+        assert one_error_line(capsys) == (
+            f"error: the stable team-size bound at {at} is past the float range")
+        assert not out.exists()
+
+    def test_frontier_keeps_inf_where_the_denominator_is_negative(self, tmp_path):
+        # r^300 underflows, but gamma * r is larger still: every size is stable
+        out = tmp_path / "frontier.csv"
+        assert run(["cobb", "frontier", "--beta", 300, "--gammas", "0.5", "--resolution", 1000,
+                    "-o", out]) == 0
+        rows = out.read_text(encoding="utf-8").splitlines()
+        assert rows[1] == "0.5,0.001,300.0,inf" and len(rows) == 1001
+
+    @pytest.mark.parametrize("size_a", [2**40, 2**53])
+    def test_rational_roots_stop_where_floats_are_sparse(self, tmp_path, size_a):
+        # adjacent floats near x_A lie more than ROOT_XATOL apart: bisection ends between them
+        out = tmp_path / "rational.csv"
+        argv = ["cobb", "rational", "--resolution", 2, "--sizeA", size_a, "--sizeB", 3,
+                "--gammas", "0", "-o", out]
+        with alarm(5):
+            assert run(argv) == 0
+        rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert [row[5] for row in rows] == ["0.0", "1.0"]
+        assert 0.0 < float(rows[1][7]) < 1.0
 
 
 class TestOversizedDocuments:

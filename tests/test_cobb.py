@@ -432,6 +432,17 @@ class TestTeamSizeBound:
                     expected = UNBOUNDED if denom <= 0 else math.floor((1 - g) / denom)
                     assert max_stable_team_size(gamma, k / res, beta) == expected, (gamma, k, res)
 
+    @pytest.mark.parametrize("gamma, r", [(0.0, 0.001), (0.0, 0.05), (0.0, 1 / 11)])
+    def test_a_bound_past_the_float_range_raises(self, gamma, r):
+        # r^300 underflows to 0 or is subnormal, yet the bound is finite (10^900 at r = 0.001)
+        with pytest.raises(NumericOverflowError, match=f"^the stable team-size bound at gamma "
+                                                       f"{gamma!r}, r {r!r} is past"):
+            max_stable_team_size(gamma, r, 300.0)
+
+    def test_an_underflowing_power_below_gamma_r_stays_unbounded(self):
+        assert max_stable_team_size(0.5, 0.001, 300.0) == UNBOUNDED
+        assert max_stable_team_size(1e-300, 1e-10, 300.0) == UNBOUNDED
+
     def test_grid_rows(self):
         table = stable_size_grid(1.5, [0.0, 1.0], [0.5, 1.0])
         assert table["gamma"] == [0.0, 0.0, 1.0, 1.0] and table["beta"] == [1.5] * 4

@@ -1,11 +1,15 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from teamgames import additivity, cobb, st, tu
 from teamgames.errors import DisjointnessError, SizeLimitError
-from reference_loops import disjoint_pairs, iter_submasks, iter_subset_masks
+from reference_loops import coalition_row_sums, disjoint_pairs, iter_submasks, iter_subset_masks
 from teamgames.players import (
-    MAX_PAIR_SCAN, PlayerSet, first_pair, mask_pairs, player_names, subsets,
+    MAX_PAIR_SCAN, PlayerSet, first_pair, mask_pairs, mask_sizes, member_sum, player_names,
+    subset_closure, subset_sums, subsets,
 )
 from teamgames.random_games import random_additive_game, random_biadditive_matrix
 
@@ -144,3 +148,104 @@ def test_player_names_default_and_length_check():
         with pytest.raises(ValueError, match="player name list must match the player count"):
             bad()
     assert tu.TUGame(2, np.zeros(4)).players == ("0", "1")
+
+
+def same_bits(x, y) -> bool:
+    """Equal shapes, dtypes and bytes: signed zeros and NaN payloads count."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def _mixed_terms(rng, shape):
+    """Terms of either sign from 1e-300 to 1e300, with some +0.0 and -0.0."""
+    terms = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-300, 300, size=shape)
+    terms[rng.random(shape) < 0.2] = 0.0
+    terms[rng.random(shape) < 0.2] = -0.0
+    return terms
+
+
+@pytest.mark.parametrize("n", range(21))
+def test_subset_sums_equal_member_sum_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    masks = np.arange(1 << n)
+    terms = _mixed_terms(rng, n)
+    assert same_bits(subset_sums(terms), member_sum(n, masks, lambda i, sel: terms[i]))
+    counts = rng.integers(-1000, 1000, size=n)
+    sums = subset_sums(counts)
+    assert sums.dtype == np.int64
+    assert same_bits(sums.astype(float), member_sum(n, masks, lambda i, sel: counts[i]))
+    if n <= 12:  # one row of k terms per player
+        rows = _mixed_terms(rng, (n, 3))
+        grid = np.broadcast_to(masks[:, None], (1 << n, 3))
+        by_row = member_sum(n, grid, lambda i, sel: np.broadcast_to(rows[i], grid.shape)[sel])
+        assert same_bits(subset_sums(rows), by_row)
+
+
+def test_mask_sizes_are_popcounts():
+    for n in range(12):
+        assert mask_sizes(n).tolist() == [m.bit_count() for m in range(1 << n)]
+    assert mask_sizes(3).dtype == np.int64
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_row_sums_match_a_sum_per_coalition(n):
+    rng = np.random.default_rng(100 + n)
+    mat = _mixed_terms(rng, (n, n)) if n % 2 else rng.normal(size=(n, n))
+    sums = subset_sums(mat.T)
+    expected = np.array([coalition_row_sums(mat, s) for s in range(1 << n)]).reshape(sums.shape)
+    # numpy's sum starts from the first term, not from 0.0: only a zero's sign may differ
+    assert np.array_equal(sums, expected)
+
+
+def _block_row_sums(mat, block=1 << 10):
+    """Row sums over each coalition's columns, coalitions of equal size gathered in blocks
+    and summed along a contiguous last axis, as the library built them before."""
+    n = len(mat)
+    masks = np.arange(1 << n, dtype=np.int64)
+    sizes = mask_sizes(n)
+    sums = np.zeros((1 << n, n))
+    for size in range(1, n + 1):
+        group = masks[sizes == size]
+        for part in np.split(group, range(block, len(group), block)):
+            members = np.nonzero((part[:, None] >> np.arange(n)) & 1)[1].reshape(-1, size)
+            sums[part] = mat[:, members].sum(axis=2).T
+    return sums
+
+
+def test_row_sums_match_the_block_gather_at_18_players():
+    mat = np.random.default_rng(18).normal(size=(18, 18))
+    assert same_bits(subset_sums(mat.T), _block_row_sums(mat))
+
+
+def _submask_fold(table, ufunc):
+    """``ufunc`` folded over the entries of every submask, one coalition at a time."""
+    out = np.empty_like(table)
+    for s in range(len(table)):
+        out[s] = ufunc.reduce(table[[b for b in range(s + 1) if b & s == b]], axis=0)
+    return out
+
+
+@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("ufunc", [np.logical_or, np.add])
+@pytest.mark.parametrize("columns", [None, 3])
+def test_subset_closure_matches_a_submask_fold(n, ufunc, columns):
+    rng = np.random.default_rng(n)
+    shape = (1 << n,) if columns is None else (1 << n, columns)
+    if ufunc is np.logical_or:
+        table = rng.random(shape) < 0.1
+    else:  # small integers: every order of addition gives the same float
+        table = rng.integers(-50, 50, size=shape).astype(float)
+    expected = _submask_fold(table, ufunc)
+    closed = subset_closure(table, ufunc)
+    assert closed is table
+    assert same_bits(closed, expected)
+
+
+SRC = Path(__file__).parents[1] / "src" / "teamgames"
+# an n-pass closure over halves of the lattice, and the doubling slice of a subset sum
+LATTICE_IDIOMS = re.compile(r"reshape\(-1, 2, 1 <<|\[1 << \w+ ?: ?2 << \w+\]")
+
+
+def test_subset_lattice_loops_live_in_players_only():
+    found = {path.name for path in SRC.glob("*.py") if LATTICE_IDIOMS.search(path.read_text())}
+    assert found == {"players.py"}
