@@ -21,19 +21,45 @@ import numpy as np
 from .errors import NumericOverflowError, StructureError
 from .limits import DEFAULT_TOL
 from .players import (
-    PlayerSet, check_pair_scan, first_pair, member_sum, require_disjoint, subset_label, subset_sums,
+    PlayerSet, check_pair_scan, first_pair, member_sum, player_names, require_disjoint,
+    subset_closure, subset_label, subset_sums,
 )
 from .st import STGame, coalition_outcomes, is_fully_cooperative, is_sensible
 
 
-def _first_mismatch(g: STGame, what: str, tol: float, expected):
+def _members(n: int) -> np.ndarray:
+    """``[S, i]``: whether player i is a member of coalition mask S."""
+    return (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
+
+
+def _member_terms(g: STGame) -> np.ndarray:
+    """``[S, i]`` = u_i(V(S)) for every coalition mask S and member i of S, NaN elsewhere:
+    the per-player terms of an additive game, read at member cells only."""
+    check_pair_scan(g.n)  # every caller scans pairs: refuse before reading
+    s, i = np.nonzero(_members(g.n))
+    terms = np.full((1 << g.n, g.n), np.nan)
+    terms[s, i] = g.u(1 << i, s)
+    return terms
+
+
+def _perceptions(g: STGame) -> np.ndarray:
+    """``[A, b]`` = u_A(V({b})) for every assessor mask A and player b: the per-player
+    terms of a co-additive game."""
+    check_pair_scan(g.n)  # every caller scans pairs: refuse before reading
+    return g.u(np.arange(1 << g.n)[:, None], 1 << np.arange(g.n))
+
+
+def _first_mismatch(g: STGame, what: str, tol: float, terms: np.ndarray, by_assessor: bool):
     """First nested pair (assessor A, coalition S) in scan order where u_A(S) is more than
-    ``tol`` off ``expected(s, a)``, as (A, S, got, expected); a NaN expectation (a missing
-    entry) counts as off and is reported with got and expected None. An infinite one (the
-    ``what`` of A at S past the float range) raises ``NumericOverflowError``."""
+    ``tol`` off its expectation, as (A, S, got, expected). The expectation sums ``terms[S, i]``
+    over the members i of A (``by_assessor``) or ``terms[A, i]`` over the members i of S. A
+    NaN expectation (a missing entry) counts as off and is reported with got and expected
+    None; an infinite one (the ``what`` of A at S past the float range) raises
+    ``NumericOverflowError``."""
     def off(s, a):
+        rows, members = (s, a) if by_assessor else (a, s)
         with np.errstate(over="ignore", invalid="ignore"):
-            want = expected(s, a)
+            want = member_sum(g.n, members, lambda i, sel: terms[rows[sel], i])
             got = g.u(a, s)
             return ~np.isfinite(want) | (np.abs(got - want) > tol), got, want
 
@@ -49,28 +75,13 @@ def _first_mismatch(g: STGame, what: str, tol: float, expected):
 
 def _find_additive_violation(g: STGame, tol: float):
     """First violation of u_A(S) = sum over members a of u_a(S)."""
-    def expected(s, a):
-        # u_i(V(S)) once per member i of each coalition in the chunk's range
-        lo = int(s[0])
-        span = np.arange(lo, int(s[-1]) + 1, dtype=np.int64)
-        singles = np.zeros((len(span), g.n))
-        for i in range(g.n):
-            has = (span >> i) & 1 == 1
-            singles[has, i] = g.u(1 << i, span[has])
-        return member_sum(g.n, a, lambda i, sel: singles[s[sel] - lo, i])
-
-    return _first_mismatch(g, "additive expectation", tol, expected)
+    return _first_mismatch(g, "additive expectation", tol, _member_terms(g), True)
 
 
 def _find_coadditive_violation(g: STGame, tol: float):
-    """First violation of u_A(S) = sum over members b of u_A(V({b})).
-
-    A tabulated game that lacks a needed singleton assessment cannot satisfy
-    the identity as a total function; the missing entry is reported as the
-    violation.
-    """
-    return _first_mismatch(g, "co-additive expectation", tol,
-                           lambda s, a: member_sum(g.n, s, lambda i, sel: g.u(a[sel], 1 << i)))
+    """First violation of u_A(S) = sum over members b of u_A(V({b})). A tabulated game
+    that lacks a needed singleton assessment reports the missing entry."""
+    return _first_mismatch(g, "co-additive expectation", tol, _perceptions(g), False)
 
 
 def is_additive(g: STGame, tol: float = DEFAULT_TOL) -> bool:
@@ -119,10 +130,18 @@ class BiAdditiveMatrix:
 
         Outcomes are the coalition masks themselves (the consequence map is
         the identity), so u_A(S), the sum over a in A of m[a]'s row sum over
-        S, is defined for every subset and every coalition.
+        S, is defined for every subset and every coalition. A row sum past the
+        float range, the utility u_a(S), raises ``NumericOverflowError``.
         """
         outcomes, columns = coalition_outcomes(self.n)
-        return STGame.additive(self.n, outcomes, columns, subset_sums(self.m.T)[1:].T, players)
+        with np.errstate(over="ignore"):  # refused below
+            sums = subset_sums(self.m.T)
+        if np.isinf(sums).any():
+            s, a = divmod(int(np.argmax(np.isinf(sums))), self.n)
+            names = player_names(self.n, players)
+            raise NumericOverflowError(f"the utility of {{{names[a]}}} at coalition "
+                                       f"{subset_label(s, names)} is past the float range")
+        return STGame.additive(self.n, outcomes, columns, sums[1:].T, players)
 
 
 class FastMetrics(NamedTuple):
@@ -153,8 +172,7 @@ def extract_matrix(g: STGame, tol: float = DEFAULT_TOL) -> BiAdditiveMatrix:
         )
     with np.errstate(over="ignore"):  # an infinite row sum of a is the expectation of {a}
         row_sums = subset_sums(mat.T)  # row_sums[S, a]: a's perceptions summed over S
-    witness = _first_mismatch(g, "matrix reconstruction", tol,
-                              lambda s, a: member_sum(n, a, lambda i, sel: row_sums[s[sel], i]))
+    witness = _first_mismatch(g, "matrix reconstruction", tol, row_sums, True)
     if witness is not None:
         a_mask, s_mask, got, expected = witness
         raise StructureError(
@@ -231,28 +249,16 @@ class AdditiveReport:
 
 
 def additive_predicates(g: STGame, tol: float = DEFAULT_TOL) -> AdditiveReport:
-    violation = _find_additive_violation(g, tol)
+    terms = _member_terms(g)
+    violation = _first_mismatch(g, "additive expectation", tol, terms, True)
     if violation is not None:
         raise StructureError("game is not additive", witness=violation)
-    n = g.n
-    masks = np.arange(1, 1 << n, dtype=np.int64)
-    values_ok = not any(
-        np.any(g.u(1 << p, masks[(masks >> p) & 1 == 1]) < -tol) for p in range(n)
-    )
-
-    def loses(a, b):  # some bystander p in B values A joining below B's own outcome
-        bad = np.zeros(len(a), dtype=bool)
-        for p in range(n):
-            sel = (b >> p) & 1 == 1
-            bad[sel] |= g.u(1 << p, a[sel] | b[sel]) - g.u(1 << p, b[sel]) < -tol
-        return (bad,)
-
-    return AdditiveReport(
-        sensible=values_ok,
-        fully_cooperative=is_fully_cooperative(g, tol),
-        individual_values_nonneg=values_ok,
-        individual_gains_nonneg=first_pair((1 << n) - 1, loses, nonempty=True) is None,
-    )
+    values_ok = not np.any(terms < -tol)
+    # p's least term over the supersets of B; fl(x - y) is monotone in x, so it decides B
+    lowest = subset_closure(terms[::-1].copy(), np.fmin)[::-1]
+    with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
+        gains_ok = not np.any(lowest - terms < -tol)
+    return AdditiveReport(values_ok, is_fully_cooperative(g, tol), values_ok, gains_ok)
 
 
 @dataclass(frozen=True)
@@ -273,29 +279,17 @@ class CoadditiveReport:
 
 
 def coadditive_predicates(g: STGame, tol: float = DEFAULT_TOL) -> CoadditiveReport:
-    violation = _find_coadditive_violation(g, tol)
+    perceptions = _perceptions(g)
+    violation = _first_mismatch(g, "co-additive expectation", tol, perceptions, False)
     if violation is not None:
         raise StructureError("game is not co-additive", witness=violation)
-    n = g.n
-    masks = np.arange(1, 1 << n, dtype=np.int64)
-    outsiders_ok = not any(
-        np.any(g.u(masks[(masks >> p) & 1 == 0], 1 << p) < -tol) for p in range(n)
-    )
-
-    def drops(a, b):  # A|B values some member p's presence below B's valuation of it
-        union = a | b
-        bad = np.zeros(len(a), dtype=bool)
-        for p in range(n):
-            sel = (union >> p) & 1 == 1
-            bad[sel] |= g.u(union[sel], 1 << p) - g.u(b[sel], 1 << p) < -tol
-        return (bad,)
-
-    return CoadditiveReport(
-        sensible=is_sensible(g, tol),
-        fully_cooperative=outsiders_ok,
-        perceptions_of_outsiders_nonneg=outsiders_ok,
-        assessments_monotone=first_pair((1 << n) - 1, drops) is None,
-    )
+    member = _members(g.n)
+    outsiders_ok = not np.any(perceptions[~member] < -tol)
+    # the most a submask of T values p; fl(x - y) is monotone in y, so it decides T
+    highest = subset_closure(perceptions.copy(), np.fmax)
+    with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
+        monotone = not np.any((perceptions - highest)[member] < -tol)
+    return CoadditiveReport(is_sensible(g, tol), outsiders_ok, outsiders_ok, monotone)
 
 
 @dataclass(frozen=True)

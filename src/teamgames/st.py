@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Callable, Hashable, Mapping
 
 import numpy as np
 
-from .errors import MissingUtilityError, NotReducibleError, SizeLimitError
+from .errors import MissingUtilityError, NotReducibleError, NumericOverflowError, SizeLimitError
 from .limits import DEFAULT_TOL
 from .players import (
     PlayerSet, check_subset_array, first_pair, member_sum, player_names, require_disjoint,
@@ -383,16 +383,25 @@ def all_coop_points(g: STGame, *, include_grand: bool = True) -> list[CoopPoint]
     """One point per nonempty subset, ascending mask order.
 
     The grand coalition's point (computed under the empty-bystander
-    convention) comes last; drop it with ``include_grand=False``.
+    convention) comes last; drop it with ``include_grand=False``. A
+    coordinate past the float range raises ``NumericOverflowError`` naming
+    the first such subset.
     """
     check_subset_array(g.n)
     full = (1 << g.n) - 1
     subsets = np.arange(1, full + include_grand, dtype=np.int64)
     rest = full ^ subsets
     rest_joint = g.u(rest, full)
-    competitive = g.u(full, full) - rest_joint
-    altruism = np.where(rest != 0, rest_joint - g.u(rest, rest), 0.0)
-    marginal = altruism + competitive
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        competitive = g.u(full, full) - rest_joint
+        altruism = np.where(rest != 0, rest_joint - g.u(rest, rest), 0.0)
+        marginal = altruism + competitive
+    past = np.isinf([altruism, competitive, marginal])  # a NaN marginal has an infinite part
+    if past.any():
+        k, what = divmod(int(np.argmax(past.T)), 3)
+        raise NumericOverflowError(
+            f"the {('altruism', 'competitive contribution', 'total marginal')[what]} of "
+            f"{subset_label(int(subsets[k]), g.players)} is past the float range")
     return [
         CoopPoint(altruism=alt, competitive=c, marginal=m, subset=PlayerSet(mask))
         for mask, alt, c, m in zip(
@@ -409,7 +418,8 @@ def is_sensible(g: STGame, tol: float = DEFAULT_TOL) -> bool:
     """
     def loses(a, b):  # A|B values its outcome below B's assessment of it
         union = a | b
-        return (g.u(union, union) - g.u(b, union) < -tol,)
+        with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
+            return (g.u(union, union) - g.u(b, union) < -tol,)
 
     return first_pair((1 << g.n) - 1, loses) is None
 
@@ -422,7 +432,8 @@ def is_cohesive(g: STGame, s: PlayerSet, tol: float = DEFAULT_TOL) -> bool:
         raise ValueError(f"{s} is not a coalition of a {g.n}-player team")
 
     def loses(a, b):  # B values A joining below its own outcome
-        return (g.u(b, a | b) - g.u(b, b) < -tol,)
+        with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
+            return (g.u(b, a | b) - g.u(b, b) < -tol,)
 
     return first_pair(s.mask, loses, nonempty=True) is None
 
@@ -462,18 +473,24 @@ def reduce_to_tu(g: STGame, tol: float = DEFAULT_TOL) -> TUGame:
     Requires every competitive contribution over disjoint nonempty pairs to
     vanish (all participating subsets then agree on each reachable outcome's
     value). Raises :class:`NotReducibleError` with the witnessing pair
-    otherwise.
+    otherwise, or ``NumericOverflowError`` when its contribution is past the
+    float range.
     """
     from .tu import TUGame
 
     def competes(a, b):
         union = a | b
-        c = g.u(union, union) - g.u(b, union)
+        with np.errstate(over="ignore"):  # an infinite contribution is reported below
+            c = g.u(union, union) - g.u(b, union)
         return np.abs(c) > tol, c
 
     witness = first_pair((1 << g.n) - 1, competes, nonempty=True)
     if witness is not None:
         a, b, c = witness
+        if math.isinf(c):
+            a, b = (subset_label(mask, g.players) for mask in (a, b))
+            raise NumericOverflowError(
+                f"the competitive contribution of {a} against {b} is past the float range")
         raise NotReducibleError(PlayerSet(a), PlayerSet(b), c)
     masks = np.arange(1 << g.n, dtype=np.int64)
     return TUGame(g.n, g.u(masks, masks), g.players)

@@ -197,6 +197,20 @@ class TestFloatRange:
                 r"^the matrix reconstruction of \{0,1\} at coalition \{0,1\} is past")):
             extract_matrix(g)
 
+    @pytest.mark.parametrize("players, label", [(None, "{0} at coalition {0,1}"),
+                                                 ("xy", "{x} at coalition {x,y}")])
+    def test_a_matrix_whose_row_sum_overflows_builds_no_game(self, players, label):
+        # the row sum of player 0 over {0,1} is its utility u_0(V({0,1}))
+        matrix = BiAdditiveMatrix(2, [[1e308, 1e308], [0.0, 0.0]])
+        with pytest.raises(NumericOverflowError) as got:
+            matrix.to_game(players)
+        assert str(got.value) == f"the utility of {label} is past the float range"
+
+    def test_row_sums_at_the_float_limit_build_the_game(self):
+        g = BiAdditiveMatrix(2, [[1.7e308, -1.7e308], [1e308, 0.0]]).to_game()
+        assert [g.u(1, s) for s in (1, 2, 3)] == [1.7e308, -1.7e308, 0.0]
+        assert g.u(2, 3) == 1e308
+
     def test_a_row_sum_the_reconstruction_never_reads_may_overflow(self):
         # player 0's row overflows over {1,2}, which holds no assessor 0, not over {0,1,2}
         mat = [[-1e308, 1e308, 1e308], [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]

@@ -392,6 +392,61 @@ class TestTeamFloatRange:
         assert not out.exists()
 
 
+def swap_doc(u_a: float, u_b: float, u_ab: float) -> dict:
+    """Two players whose every coalition produces x, valued u_a, u_b and u_ab."""
+    subsets = (["a"], ["b"], ["a", "b"])
+    return {
+        "version": 1, "players": ["a", "b"], "outcomes": ["x"],
+        "consequence": [{"subset": s, "outcome": "x"} for s in subsets],
+        "utilities": [{"subset": s, "outcome": "x", "value": v}
+                      for s, v in zip(subsets, (u_a, u_b, u_ab))],
+    }
+
+
+# u_ab - u_b leaves the float range in the swap and its sign mirror; in the exchange of the
+# singleton values, u_ab - u_a does
+SWAPS = {"swap": (1.0, -1.7e308, 1.7e308), "mirror": (-1.0, 1.7e308, -1.7e308),
+         "exchange": (-1.7e308, 1.0, 1.7e308)}
+TEAM_HEAD = ("kind: team game (2 players: a, b)\nsensible: false\nfully-cooperative: true\n"
+             "utility in team core: true\n")
+SWAP_REPORT = TEAM_HEAD + "additive: false\nco-additive: false\nbi-additive: false\n"
+PAST = "is past the float range"
+NO_TU = f"error: the competitive contribution of {{a}} against {{b}} {PAST}\n"
+
+
+class TestSwapFloatRange:
+    """The team kernels on a document whose differences leave the float range: each command
+    ends in a result or one error line, with no warning."""
+
+    @pytest.mark.parametrize(
+        "name, command, status, stdout, stderr",
+        [
+            *((name, "classify", 0, SWAP_REPORT, "") for name in ("swap", "mirror")),
+            ("exchange", "classify", 1, TEAM_HEAD,
+             f"error: the co-additive expectation of {{a}} at coalition {{a,b}} {PAST}\n"),
+            *((name, "metrics", 1, "", f"error: the competitive contribution of {{a}} {PAST}\n")
+              for name in ("swap", "mirror")),
+            ("exchange", "metrics", 1, "",
+             f"error: the competitive contribution of {{b}} {PAST}\n"),
+            *((name, command, 1, "", NO_TU)
+              for name in ("swap", "mirror") for command in ("reduce-tu", "shapley")),
+            ("exchange", "reduce-tu", 0,
+             "not reducible: competitive contributions do not vanish\n"
+             "witness: c[a | b] = 1.7e+308\n", ""),
+            ("exchange", "shapley", 1, "", "error: not reducible to a TU game: competitive "
+             "contribution c[a | b] = 1.7e+308\n"),
+        ],
+    )
+    def test_commands(self, tmp_path, capsys, name, command, status, stdout, stderr):
+        path = write_doc(tmp_path, f"{name}.game", swap_doc(*SWAPS[name]))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([command, path] + ([] if command == "classify" else ["-o", out])) == status
+        assert capsys.readouterr() == (stdout, stderr)
+        assert not out.exists()
+
+
 class TestRefusals:
     """Every refusal ends in exactly one ``error:`` line on stderr and exit status 1."""
 

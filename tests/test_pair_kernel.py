@@ -7,6 +7,7 @@ name the same first pair, with the same values, in the same words.
 
 import functools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ import pytest
 import reference_loops as ref
 import teamgames.players as players
 from teamgames.additivity import (
+    AdditiveReport,
     BiAdditiveMatrix,
+    CoadditiveReport,
     _find_additive_violation,
     _find_coadditive_violation,
     additive_predicates,
@@ -39,6 +42,7 @@ from teamgames.st import (
     MAX_TABLE_CELLS,
     STGame,
     all_coop_points,
+    coalition_outcomes,
     from_ntu,
     is_cohesive,
     is_fully_cooperative,
@@ -357,11 +361,130 @@ def test_pair_scans_refuse_past_the_limit_before_scanning(monkeypatch, scan):
     def refuse(*args, **kwargs):
         raise AssertionError("mask_pairs called past the pair-scan limit")
 
+    def utility(a, x):  # the structure detectors read per-player tables before scanning
+        raise AssertionError("a utility read past the pair-scan limit")
+
     monkeypatch.setattr(players, "mask_pairs", refuse)
     n = MAX_PAIR_SCAN + 1
     if scan is is_superadditive:
         game = TUGame(n, np.zeros(1 << n))
     else:
-        game = STGame.from_functions(n, ("x",), lambda s: "x", lambda a, x: 1.0)
+        game = STGame.from_functions(n, ("x",), lambda s: "x", utility)
     with pytest.raises(SizeLimitError, match=f"pair scans support n <= {MAX_PAIR_SCAN}, got {n}"):
         scan(game)
+
+
+@pytest.mark.parametrize("report", [additive_predicates, coadditive_predicates],
+                         ids=lambda report: report.__name__)
+def test_reports_start_two_pair_scans(monkeypatch, report):
+    """The structure detector and one generic predicate scan pairs; the per-player
+    conditions are lattice closures."""
+    rng = np.random.default_rng(7)
+    game = (random_additive_game(6, rng, nonnegative=True, monotone=True)
+            if report is additive_predicates else random_coadditive_game(6, rng, monotone=True))
+    scans = []
+    walk = players.mask_pairs
+
+    def counting(*args, **kwargs):
+        scans.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(players, "mask_pairs", counting)
+    report(game)
+    assert len(scans) == 2
+
+
+EDGE_TOL = 2.0**-20  # n + EDGE_TOL is exact, so a planted difference is exactly -EDGE_TOL
+
+
+def _edge_value(n, below):
+    """n + EDGE_TOL, or the float after it: n minus it is -EDGE_TOL, or one ulp below."""
+    value = n + EDGE_TOL
+    return np.nextafter(value, np.inf) if below else value
+
+
+def _sizes(n):
+    return np.array([mask.bit_count() for mask in range(1, 1 << n)], dtype=float)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+@pytest.mark.parametrize("below", [False, True])
+def test_additive_report_at_the_tolerance_edge(n, below):
+    # player 0 values each outcome V(S) = S at |S|, but the team without player n - 1 at
+    # n + EDGE_TOL: bystander 0 loses exactly EDGE_TOL, or one ulp more, when n - 1 joins
+    outcomes, columns = coalition_outcomes(n)
+    values = np.tile(_sizes(n), (n, 1))
+    values[0, (1 << (n - 1)) - 2] = _edge_value(n, below)
+    g = STGame.additive(n, outcomes, columns, values)
+    values_ok, coop_ok, gains_ok = ref.additive_predicates(g, EDGE_TOL)
+    assert additive_predicates(g, EDGE_TOL) == AdditiveReport(values_ok, coop_ok, values_ok,
+                                                              gains_ok)
+    assert gains_ok is not below
+
+
+def _coadditive_game(n, perception):
+    """u_A(V(S)) with V(S) = S: the sum of ``perception[A, b]`` over the members b of S."""
+    perception = np.asarray(perception, dtype=float)
+    outcomes, columns = coalition_outcomes(n)
+
+    def assess(a, j):
+        s = j + 1  # outcome position j is coalition mask j + 1
+        if isinstance(a, int):  # one read, as the reference walks make them
+            return sum(perception.item(a, b) for b in range(n) if s >> b & 1)
+        return players.member_sum(n, s, lambda b, sel: perception[a[sel], b])
+
+    return STGame(n, outcomes, tuple(map(str, range(n))), columns, assess)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+@pytest.mark.parametrize("below", [False, True])
+def test_coadditive_report_at_the_tolerance_edge(n, below):
+    # every subset A perceives each player at |A|, but the team without player n - 1
+    # perceives player 0 at n + EDGE_TOL: the grand team values 0 exactly EDGE_TOL less, or
+    # one ulp more
+    perception = np.zeros((1 << n, n))
+    perception[1:] = _sizes(n)[:, None]
+    perception[(1 << (n - 1)) - 1, 0] = _edge_value(n, below)
+    g = _coadditive_game(n, perception)
+    sensible_ok, outsiders_ok, monotone_ok = ref.coadditive_predicates(g, EDGE_TOL)
+    assert coadditive_predicates(g, EDGE_TOL) == CoadditiveReport(
+        sensible_ok, outsiders_ok, outsiders_ok, monotone_ok)
+    assert monotone_ok is not below
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_reports_past_the_float_range_match_the_reference(sign):
+    """Differences that overflow, in the pair scans or against a closure, decide by their
+    sign, with no warning."""
+    outcomes, columns = coalition_outcomes(2)
+    values = np.zeros((2, 3))
+    values[0] = (-sign * 1.5e308, 0.0, sign * 1.5e308)  # player 0 at V({0}), V({1}), V({0,1})
+    additive = STGame.additive(2, outcomes, columns, values)
+    # {0} perceives player 0 at sign * 1.5e308, the grand team at the opposite
+    perception = np.zeros((4, 2))
+    perception[1, 0], perception[3, 0] = sign * 1.5e308, -sign * 1.5e308
+    coadditive = _coadditive_game(2, perception)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values_ok, coop_ok, gains_ok = ref.additive_predicates(additive)
+        assert additive_predicates(additive) == AdditiveReport(values_ok, coop_ok, values_ok,
+                                                               gains_ok)
+        sensible_ok, outsiders_ok, monotone_ok = ref.coadditive_predicates(coadditive)
+        assert coadditive_predicates(coadditive) == CoadditiveReport(
+            sensible_ok, outsiders_ok, outsiders_ok, monotone_ok)
+    assert not (values_ok or monotone_ok)
+
+
+def test_assessments_monotone_reads_members_only():
+    # A perceives its members at |A| and each outsider at 1 / |A|: valuations of members grow
+    # with the assessor, valuations of outsiders shrink, and only members count
+    n = 5
+    perception = np.zeros((1 << n, n))
+    for a in range(1, 1 << n):
+        for b in range(n):
+            perception[a, b] = a.bit_count() if a >> b & 1 else 1 / a.bit_count()
+    g = _coadditive_game(n, perception)
+    sensible_ok, outsiders_ok, monotone_ok = ref.coadditive_predicates(g)
+    assert coadditive_predicates(g) == CoadditiveReport(sensible_ok, outsiders_ok, outsiders_ok,
+                                                        monotone_ok)
+    assert monotone_ok

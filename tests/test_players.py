@@ -226,15 +226,18 @@ def _submask_fold(table, ufunc):
 
 
 @pytest.mark.parametrize("n", range(8))
-@pytest.mark.parametrize("ufunc", [np.logical_or, np.add])
+@pytest.mark.parametrize("ufunc", [np.logical_or, np.add, np.fmin, np.fmax])
 @pytest.mark.parametrize("columns", [None, 3])
 def test_subset_closure_matches_a_submask_fold(n, ufunc, columns):
     rng = np.random.default_rng(n)
     shape = (1 << n,) if columns is None else (1 << n, columns)
     if ufunc is np.logical_or:
         table = rng.random(shape) < 0.1
-    else:  # small integers: every order of addition gives the same float
+    elif ufunc is np.add:  # small integers: every order of addition gives the same float
         table = rng.integers(-50, 50, size=shape).astype(float)
+    else:  # NaN cells, which fmin and fmax skip unless a whole fold is NaN
+        table = rng.normal(size=shape)
+        table[rng.random(shape) < 0.4] = np.nan
     expected = _submask_fold(table, ufunc)
     closed = subset_closure(table, ufunc)
     assert closed is table

@@ -5,7 +5,7 @@ from hypothesis import strategies as hs
 import reference_loops as ref
 from reference_loops import disjoint_pairs, in_st_core
 
-from teamgames.errors import DisjointnessError, NotReducibleError
+from teamgames.errors import DisjointnessError, NotReducibleError, NumericOverflowError
 from teamgames.players import PlayerSet
 from teamgames.random_games import monotone_series, random_st_game
 from teamgames.scenarios import builtin_game
@@ -374,3 +374,76 @@ class TestDegeneracyProperties:
         for a, b in disjoint_pairs(3):
             assert altruistic_contribution(g, a, b) == 0.0
             assert g.subset_utility(b, a | b) == g.subset_utility(b, b)
+
+
+# u_S(x) by assessor mask for a two-player game in which every coalition produces x: the
+# competitive contribution of {a} against {b} leaves the float range in SWAP and MIRROR, and
+# the one of {b} against {a} in EXCHANGE, which swaps the singleton assessments
+SWAP = {1: 1.0, 2: -1.7e308, 3: 1.7e308}
+MIRROR = {mask: -value for mask, value in SWAP.items()}
+EXCHANGE = {1: -1.7e308, 2: 1.0, 3: 1.7e308}
+
+
+def one_outcome_game(values):
+    return STGame.from_tables(2, ("x",), {1: "x", 2: "x", 3: "x"},
+                              {(mask, "x"): value for mask, value in values.items()}, "ab")
+
+
+def own_outcome_game(values):
+    """Two players where V(S) = S; ``values`` maps (assessor mask, coalition mask) to u."""
+    return STGame.from_tables(2, (1, 2, 3), {1: 1, 2: 2, 3: 3}, values, "ab")
+
+
+class TestFloatRange:
+    """A difference past the float range decides by its sign or is refused with
+    NumericOverflowError; no numpy warning escapes (tier-1 turns each into an error)."""
+
+    @pytest.mark.parametrize("values", [SWAP, MIRROR, EXCHANGE], ids=["swap", "mirror", "exchange"])
+    def test_predicates_decide_by_the_sign(self, values):
+        g = one_outcome_game(values)
+        assert is_sensible(g) == ref.is_sensible(g)
+        assert is_fully_cooperative(g) == ref.is_fully_cooperative(g)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_cohesion_decides_by_the_sign(self, sign):
+        # b values the joint outcome at sign * 1.7e308 and its own at the opposite
+        g = own_outcome_game({(1, 1): 1.0, (2, 2): -sign * 1.7e308, (1, 3): 1.0,
+                              (2, 3): sign * 1.7e308, (3, 3): 1.0})
+        assert is_cohesive(g, PlayerSet.of(0, 1)) == ref.is_cohesive(g, PlayerSet.of(0, 1))
+        assert is_cohesive(g, PlayerSet.of(0, 1)) == (sign > 0)
+
+    @pytest.mark.parametrize("values", [SWAP, MIRROR], ids=["swap", "mirror"])
+    def test_an_infinite_first_witness_is_refused(self, values):
+        with pytest.raises(NumericOverflowError, match=(
+                r"^the competitive contribution of \{a\} against \{b\} is past the float "
+                r"range$")):
+            reduce_to_tu(one_outcome_game(values))
+
+    def test_a_finite_first_witness_is_reported(self):
+        g = one_outcome_game(EXCHANGE)
+        with pytest.raises(NotReducibleError) as got:
+            reduce_to_tu(g)
+        with pytest.raises(NotReducibleError) as expected:
+            ref.reduce_to_tu(g)
+        assert (got.value.a, got.value.b, got.value.value) == (
+            expected.value.a, expected.value.b, expected.value.value) == (A, B, 1.7e308)
+
+    @pytest.mark.parametrize(
+        "game, message",
+        [
+            (one_outcome_game(SWAP), "the competitive contribution of {a}"),
+            (one_outcome_game(MIRROR), "the competitive contribution of {a}"),
+            (one_outcome_game(EXCHANGE), "the competitive contribution of {b}"),
+            # b gains 3.4e308 from a joining: the altruism of {a}
+            (own_outcome_game({(1, 1): 0.0, (2, 2): -1.7e308, (1, 3): 0.0, (2, 3): 1.7e308,
+                               (3, 3): 0.0}), "the altruism of {a}"),
+            # altruism and competitive contribution 1e308 each
+            (own_outcome_game({(1, 1): 0.0, (2, 2): -1e308, (1, 3): 0.0, (2, 3): 0.0,
+                               (3, 3): 1e308}), "the total marginal of {a}"),
+        ],
+    )
+    def test_a_point_past_the_float_range_is_refused(self, game, message):
+        for include_grand in (True, False):
+            with pytest.raises(NumericOverflowError) as got:
+                all_coop_points(game, include_grand=include_grand)
+            assert str(got.value) == f"{message} is past the float range"
