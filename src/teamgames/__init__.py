@@ -11,7 +11,8 @@ The package splits into:
 * :mod:`teamgames.additivity` - additive/co-additive/bi-additive structure,
   fast metric formulas, and perception-graph export;
 * :mod:`teamgames.cobb` - the Cobb-Douglas resource-contribution game with
-  stability bounds, rational contributions, and sweep tables;
+  rational contributions and sweep tables; its parameters and stability
+  bounds are in the numpy-free :mod:`teamgames.cobb_params`;
 * :mod:`teamgames.game_io` - ``.game`` documents, CSV tables, edge lists;
 * :mod:`teamgames.cli` - the ``teamgames`` command.
 
@@ -33,12 +34,12 @@ _MODULE_EXPORTS = {
     "additivity": """BiAdditiveMatrix PerceptionGraph AdditiveReport CoadditiveReport is_additive
         is_coadditive is_biadditive extract_matrix fast_metrics additive_metrics
         coadditive_metrics additive_predicates coadditive_predicates export_graph""",
-    "cobb": """UNBOUNDED CobbDouglasConfig ContributionProfile PayoffScheme PROPORTIONAL EQUAL
-        hybrid cd_value payoff cd_subset_utility cd_competitive cd_altruistic cd_marginal
-        cd_coop_point cd_fully_cooperative st_game_view avg_return_condition
-        max_stable_team_size rational_contribution symmetric_rational_contribution
-        zero_altruism_contour altruism_roots cooperation_path payoff_utility_grid
-        stable_size_grid""",
+    "cobb_params": "UNBOUNDED CobbDouglasConfig max_stable_team_size stable_size_grid",
+    "cobb": """ContributionProfile PayoffScheme PROPORTIONAL EQUAL hybrid cd_value payoff
+        cd_subset_utility cd_competitive cd_altruistic cd_marginal cd_coop_point
+        cd_fully_cooperative st_game_view avg_return_condition rational_contribution
+        symmetric_rational_contribution zero_altruism_contour altruism_roots cooperation_path
+        payoff_utility_grid""",
     "game_io": "load_game save_game write_table write_edges",
     "errors": """GameError DisjointnessError SizeLimitError MissingUtilityError
         NumericOverflowError StructureError NotReducibleError GameLoadError""",

@@ -6,6 +6,7 @@ commands emit rows in a fixed order, so repeated runs are byte-identical.
 
 Each command imports the modules it runs when it runs, so parsing the
 command line loads no numpy and a command loads no other command's modules.
+``cobb frontier`` and a Cobb-Douglas document's ``classify`` load no numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .limits import DEFAULT_TOL, MAX_CORE_DECIDE, MAX_PAIR_SCAN
 from .scenarios import SCENARIOS, scenario_document
 
 if TYPE_CHECKING:
-    from .cobb import CobbDouglasConfig
+    from .cobb_params import CobbDouglasConfig
     from .players import PlayerSet
     from .st import STGame
     from .tu import TUGame
@@ -280,7 +281,7 @@ def _base_config(args) -> CobbDouglasConfig:
     """Configuration from the optional document, overridden by explicit flags."""
     import dataclasses
 
-    from .cobb import CobbDouglasConfig
+    from .cobb_params import CobbDouglasConfig
 
     base = _load(args, "CobbDouglasConfig") if args.game else CobbDouglasConfig()
     updates = {}
@@ -332,16 +333,16 @@ def cmd_cobb_table(args) -> int:
 
 
 def cmd_cobb_frontier(args) -> int:
-    from . import cobb, game_io
+    from . import cobb_params, game_io
 
     _check_rows(args, args.resolution, "--resolution", MAX_GRID_ROWS)
     cfg = _base_config(args)
     if not cfg.beta > 1.0:
         raise GameError(f"beta: the team-size bound needs beta > 1, got {cfg.beta!r}")
     shares = [k / args.resolution for k in range(1, args.resolution + 1)]
-    table = cobb.stable_size_grid(cfg.beta, args.gammas, shares)
+    table = cobb_params.stable_size_grid(cfg.beta, args.gammas, shares)
     out = _out_path(args, "cobb_frontier.csv")
-    rows = game_io.write_table([table], cobb.FRONTIER_COLUMNS, out)
+    rows = game_io.write_table([table], cobb_params.FRONTIER_COLUMNS, out)
     print(f"wrote {rows} team-size bounds to {out}")
     return 0
 

@@ -28,14 +28,14 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import GameLoadError, SizeLimitError
-from .players import MAX_SUBSET_ARRAY, PlayerSet
+from .limits import MAX_SUBSET_ARRAY
 
-if TYPE_CHECKING:  # each game kind's module is imported by the code that builds or reads it
+if TYPE_CHECKING:  # each game kind's module, and numpy, is imported by the code that uses it
+    import numpy as np
+
     from .additivity import PerceptionGraph
-    from .cobb import CobbDouglasConfig
+    from .cobb_params import CobbDouglasConfig
     from .st import STGame
     from .tu import TUGame
 
@@ -105,7 +105,7 @@ def _parse_value(entry, location: str) -> float:
 
 def _first(flags: np.ndarray) -> int:
     """Index of the first set flag, or the length of ``flags`` when none is set."""
-    return int(np.argmax(flags)) if flags.any() else len(flags)
+    return int(flags.argmax()) if flags.any() else len(flags)
 
 
 _KINDS = {  # per section kind: entry noun, empty-subset error (None: allowed), repeated entry
@@ -145,6 +145,8 @@ def _read_section(doc: dict, kind: str, index, column_of, subsets: dict, masks: 
     section, gathered up to the first entry with a bad object, subset or outcome. Each list
     of names is parsed once (``subsets``: names -> id; ``masks``: mask -> id). Values and
     repeats are checked in bulk; the lowest faulty entry raises through :func:`_entry_fault`."""
+    import numpy as np
+
     section = "consequence" if kind == "consequence" else "utilities"
     entries = _require(doc, section, list, section)
     ids, cols, raw = [], [], []
@@ -196,6 +198,8 @@ def _read_section(doc: dict, kind: str, index, column_of, subsets: dict, masks: 
 
 def _require_every_subset(masks: dict, n: int, players, what: str, section: str) -> np.ndarray:
     """The masks by id, once every nonempty subset is present; n is bounded from here on."""
+    import numpy as np
+
     if len(masks) - (0 in masks) < (1 << n) - 1:
         mask = next(m for m in range(1, 1 << n) if m not in masks)
         raise GameLoadError(f"no {what} entry for subset {_subset_names(mask, players)}", section)
@@ -218,7 +222,7 @@ def parse_document(doc: dict):
 
 
 def _parse_cobb(doc: dict) -> CobbDouglasConfig:
-    from .cobb import CobbDouglasConfig
+    from .cobb_params import CobbDouglasConfig
 
     block = _require(doc, "cobb_douglas", dict, "cobb_douglas")
     for key in block:
@@ -232,6 +236,8 @@ def _parse_cobb(doc: dict) -> CobbDouglasConfig:
 
 
 def _parse_tu(doc: dict) -> TUGame:
+    import numpy as np
+
     from .tu import TUGame
 
     index = _parse_names(doc, "players", "player", "player names")
@@ -246,6 +252,8 @@ def _parse_tu(doc: dict) -> TUGame:
 
 
 def _parse_st(doc: dict) -> STGame:
+    import numpy as np
+
     from .st import STGame
 
     index = _parse_names(doc, "players", "player", "player names")
@@ -288,6 +296,8 @@ def load_game(source):
 
 
 def _subset_names(mask: int, players) -> list[str]:
+    from .players import PlayerSet
+
     return [players[i] for i in PlayerSet(mask)]
 
 
@@ -302,14 +312,14 @@ def _require_names(names, noun: str) -> None:
 
 
 def _loaded(module: str, name: str):
-    """Class ``name`` of submodule ``module``, or ``()`` if that module was never imported:
-    no instance of the class exists then, and ``isinstance(game, ())`` is false."""
-    return getattr(sys.modules.get(f"{__package__}.{module}"), name, ())
+    """Type ``name`` of ``module`` (numpy, or a submodule such as ``.tu``), or ``()`` if that
+    module was never imported: no instance exists then, and ``isinstance(x, ())`` is false."""
+    return getattr(sys.modules.get(__package__ + module if module[0] == "." else module), name, ())
 
 
 def document_for(game) -> dict:
     """Document tree for a game; inverse of :func:`parse_document`."""
-    if isinstance(game, _loaded("tu", "TUGame")):
+    if isinstance(game, _loaded(".tu", "TUGame")):
         _require_names(game.players, "player")
         return {
             "version": DOCUMENT_VERSION,
@@ -319,7 +329,7 @@ def document_for(game) -> dict:
                 for mask in range(1, 1 << game.n)
             ],
         }
-    if isinstance(game, _loaded("st", "STGame")):
+    if isinstance(game, _loaded(".st", "STGame")):
         consequence, utilities = game.consequence_table, game.utility_table
         if consequence is None or utilities is None:
             raise ValueError("only tabulated team games can be serialized")
@@ -341,7 +351,7 @@ def document_for(game) -> dict:
                 for (mask, outcome), v in sorted(utilities.items())
             ],
         }
-    if isinstance(game, _loaded("cobb", "CobbDouglasConfig")):
+    if isinstance(game, _loaded(".cobb_params", "CobbDouglasConfig")):
         block = {key: getattr(game, key) for key in COBB_KEYS}
         return {"version": DOCUMENT_VERSION, "cobb_douglas": block}
     raise TypeError(f"cannot serialize {type(game).__name__}")
@@ -359,7 +369,9 @@ def format_cell(value) -> str:
     if isinstance(value, float):
         # float.__repr__, not repr: numpy 2 spells repr(np.float64(0.1)) 'np.float64(0.1)'
         return float.__repr__(value)
-    if isinstance(value, (bool, np.bool_)):
+    if type(value) is str:  # most other cells: text, settled before numpy is looked up
+        return value
+    if isinstance(value, (bool, _loaded("numpy", "bool_"))):
         return "true" if value else "false"
     if value is None:
         return ""
@@ -371,7 +383,7 @@ def _constant(cells) -> bool:
 
     ``==`` would not do: it takes 0.0 for -0.0 and 1 for True.
     """
-    if isinstance(cells, np.ndarray):
+    if isinstance(cells, _loaded("numpy", "ndarray")):
         if cells.dtype.kind not in "biuf" or cells.itemsize not in (1, 2, 4, 8):
             return False
         bits = cells.view(f"u{cells.itemsize}")
@@ -399,11 +411,12 @@ def _format_slice(cells):
     Numeric arrays spell numbers and ``true``/``false`` only, so only other
     cells are checked for quoting.
     """
+    array = isinstance(cells, _loaded("numpy", "ndarray"))
     if _constant(cells):
-        first = cells[:1].tolist() if isinstance(cells, np.ndarray) else cells[:1]
+        first = cells[:1].tolist() if array else cells[:1]
         return itertools.repeat(_quote(format_cell(first[0])), len(cells))
-    if isinstance(cells, np.ndarray):
-        if cells.dtype == np.float64:
+    if array:
+        if cells.dtype == _loaded("numpy", "float64"):
             return map(float.__repr__, cells.tolist())
         numeric = cells.dtype.kind in "biuf"
         # tolist gives Python floats and bools, which format_cell spells fastest

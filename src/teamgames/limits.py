@@ -4,3 +4,4 @@ DEFAULT_TOL = 1e-9
 
 MAX_PAIR_SCAN = 16  # a 3^n pair scan past this many players runs for minutes
 MAX_CORE_DECIDE = 14  # exact LP columns: 2^n - 2
+MAX_SUBSET_ARRAY = 20  # an array over all 2^n subsets past this many players outgrows memory

@@ -13,10 +13,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import DisjointnessError, SizeLimitError
-from .limits import MAX_PAIR_SCAN
+from .limits import MAX_PAIR_SCAN, MAX_SUBSET_ARRAY
 
 MAX_PLAYERS = 64
-MAX_SUBSET_ARRAY = 20  # an array over all 2^n subsets past this many players outgrows memory
 
 
 @dataclass(frozen=True)

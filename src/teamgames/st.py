@@ -170,15 +170,30 @@ class STGame:
     @classmethod
     def additive(cls, n: int, outcomes, columns, values, players=None) -> STGame:
         """Additive game: u_A(o_j) is the sum of ``values[i, j]`` over the members i of A,
-        where o_j is ``outcomes[j]`` and ``columns[S]`` is the position of V(S)."""
+        where o_j is ``outcomes[j]`` and ``columns[S]`` is the position of V(S). A sum past
+        the float range raises ``NumericOverflowError`` naming its assessor and outcome."""
         values = np.array(values, dtype=float)
+        outcomes, players = tuple(outcomes), player_names(n, players)
+
+        def refuse(a: int, j: int):
+            raise NumericOverflowError(f"the utility of {subset_label(a, players)} at outcome "
+                                       f"{outcomes[j]!r} is past the float range")
 
         def assess(a, j):
             if isinstance(a, int):  # one read: a loop over A's members beats n array passes
-                return sum(values.item(i, j) for i in range(n) if a >> i & 1)
-            return member_sum(n, a, lambda i, sel: values[i, j[sel]])
+                total = sum(values.item(i, j) for i in range(n) if a >> i & 1)
+                if math.isinf(total):
+                    refuse(a, j)
+                return total
+            with np.errstate(over="ignore"):  # refused below
+                total = member_sum(n, a, lambda i, sel: values[i, j[sel]])
+            past = np.isinf(total)
+            if past.any():
+                k = int(np.argmax(past))
+                refuse(int(a.flat[k]), int(j.flat[k]))
+            return total
 
-        return cls(n, tuple(outcomes), player_names(n, players), columns, assess)
+        return cls(n, outcomes, players, columns, assess)
 
     @property
     def utility_table(self) -> Mapping[tuple[int, Outcome], float] | None:

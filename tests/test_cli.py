@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import teamgames.cobb
+import teamgames.cobb_params
 from teamgames import cli
 from teamgames.cli import main
 from teamgames.scenarios import GLOVE, PRISONERS_DILEMMA
@@ -744,7 +745,9 @@ class TestCobbCommands:
         columns = (*teamgames.cobb.COBB_COLUMNS, *teamgames.cobb.RATIONAL_COLUMNS,
                    *teamgames.cobb.FRONTIER_COLUMNS)
         empty = dict.fromkeys(columns, [])
-        monkeypatch.setattr(teamgames.cobb, table_fn, lambda *args, **kwargs: empty)
+        # the frontier reads its builder from the numpy-free leaf, the tables from cobb
+        module = teamgames.cobb_params if command == "frontier" else teamgames.cobb
+        monkeypatch.setattr(module, table_fn, lambda *args, **kwargs: empty)
         limit = getattr(cli, budget)
         per_gamma = int(limit**0.5) if command == "sweep" else limit
         # the default gammas and this command's default count fit
@@ -756,7 +759,7 @@ class TestCobbCommands:
         def refuse(*args, **kwargs):
             raise AssertionError(f"{table_fn} called past the row budget")
 
-        monkeypatch.setattr(teamgames.cobb, table_fn, refuse)
+        monkeypatch.setattr(module, table_fn, refuse)
         for count, gammas in ((per_gamma + 1, "0"), (per_gamma, "0,1")):
             out.unlink(missing_ok=True)
             argv = ["cobb", command, count_flag, count, "--gammas", gammas, "-o", out]

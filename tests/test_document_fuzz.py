@@ -9,6 +9,7 @@ nothing on stderr, exits 1 with exactly one ``error:`` line, or exits 2 (a
 usage error).
 """
 
+import contextlib
 import copy
 import json
 import random
@@ -133,16 +134,31 @@ def documents(seed):
         yield json.dumps(doc).replace(f'"{RAW_NUMBER}"', RAW_NUMBER)
 
 
+class Expired(Exception):
+    """The alarm of a run; not an ``OSError`` such as ``TimeoutError``, which ``main`` would
+    report as one ``error:`` line and so pass a hung run as a refusal."""
+
+
 def _expire(signum, frame):
-    raise TimeoutError(f"still running after {ALARM_S} s")
+    raise Expired(f"still running after {ALARM_S} s")
+
+
+@contextlib.contextmanager
+def alarm():
+    """Raise ``Expired`` in the block once it has run for ``ALARM_S`` seconds."""
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm(ALARM_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def run_contract(argv, capsys):
     """Why ``main(argv)`` broke the contract, or None."""
-    previous = signal.signal(signal.SIGALRM, _expire)
-    signal.alarm(ALARM_S)
     try:
-        with warnings.catch_warnings():
+        with alarm(), warnings.catch_warnings():
             warnings.simplefilter("error")
             status = main(argv)
     except SystemExit as exc:
@@ -150,9 +166,6 @@ def run_contract(argv, capsys):
     except BaseException as exc:  # a traceback, a warning or the alarm
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         return f"{type(exc).__name__}: {exc} ({Path(frame.filename).name}:{frame.lineno})"
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     err = capsys.readouterr().err.splitlines()
     if status == 0 and not err or status == 2:
         return None
@@ -184,7 +197,8 @@ def test_the_fuzzer_reaches_every_ending(tmp_path, capsys):
         for text in documents(seed):
             path.write_text(text, encoding="utf-8")
             for command in ("metrics", "reduce-tu"):
-                status = main([command, str(path), "-o", str(out)])
+                with alarm():
+                    status = main([command, str(path), "-o", str(out)])
                 err = capsys.readouterr().err
                 endings.add((status, "past the float range" in err))
     assert {(0, False), (1, False), (1, True)} <= endings

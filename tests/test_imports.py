@@ -5,6 +5,7 @@ Module sets are read in a fresh interpreter, after the command ran through
 ``runpy`` as ``python -m teamgames.cli`` would run it.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -59,6 +60,8 @@ def docs(tmp_path):
                       for s in coalitions.values() for o in coalitions],
     }
     (tmp_path / "zero.game").write_text(json.dumps(zero), encoding="utf-8")
+    cobb_douglas = {"version": 1, "cobb_douglas": {"theta": 0.5, "alpha": 2.0, "beta": 2.5}}
+    (tmp_path / "cd.game").write_text(json.dumps(cobb_douglas), encoding="utf-8")
     return tmp_path
 
 
@@ -75,10 +78,12 @@ def test_command_line_parsing_loads_no_numpy(docs, argv, status):
 
 
 COBB_TABLES = ["tu", "exact_lp", "additivity"]
+# the frontier bound and a Cobb-Douglas document need no arrays
+NO_ARRAYS = ["numpy", "players", "cobb", "st", "tu", *COBB_TABLES[1:]]
 
 
 @pytest.mark.parametrize("argv, absent", [
-    (["cobb", "frontier", "--resolution", "5"], ["st", *COBB_TABLES]),
+    (["cobb", "frontier", "--resolution", "5"], NO_ARRAYS),
     (["cobb", "sweep", "--resolution", "3"], COBB_TABLES),
     (["cobb", "path", "--samples", "3"], COBB_TABLES),
     (["cobb", "rational", "--resolution", "3"], COBB_TABLES),
@@ -89,10 +94,13 @@ COBB_TABLES = ["tu", "exact_lp", "additivity"]
     (["classify", "tu.game"], ["st", "additivity", "cobb"]),
     (["shapley", "tu.game"], ["st", "additivity", "cobb"]),
     (["core", "tu.game"], ["st", "additivity", "cobb"]),
+    (["cobb", "frontier", "cd.game", "--resolution", "5"], NO_ARRAYS),
+    (["classify", "cd.game"], NO_ARRAYS),
 ])
 def test_command_loads_only_its_modules(docs, argv, absent):
     status, numpy, names = loaded(argv, docs)
-    assert status == 0 and numpy
+    assert status == 0
+    assert numpy == ("numpy" not in absent)
     assert names.isdisjoint(absent), sorted(names)
 
 
@@ -147,17 +155,102 @@ def test_unknown_attribute_raises_attribute_error():
         exec("from teamgames import no_such_name", {})
 
 
-def test_package_import_loads_submodules_on_first_use():
-    code = """
+def first_use(name):
+    """In a fresh interpreter: the teamgames submodules that ``import teamgames`` loads, those
+    loaded once ``teamgames.<name>`` is read, and whether numpy is loaded then."""
+    code = f"""
 import json, sys
 import teamgames
 before = [m for m in sys.modules if m.startswith("teamgames.")]
-teamgames.shapley_value
+teamgames.{name}
 after = sorted(m for m in sys.modules if m.startswith("teamgames."))
-print(json.dumps([before, after]))
+print(json.dumps([before, after, "numpy" in sys.modules]))
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
-    before, after = json.loads(out)
+    return json.loads(out)
+
+
+def test_package_import_loads_submodules_on_first_use():
+    before, after, _ = first_use("shapley_value")
     assert before == []
     assert after == [f"teamgames.{m}" for m in ("errors", "exact_lp", "limits", "players", "tu")]
+
+
+@pytest.mark.parametrize("name", ["max_stable_team_size", "CobbDouglasConfig"])
+def test_cobb_parameters_load_no_numpy_on_first_use(name):
+    _, after, numpy = first_use(name)
+    assert not numpy
+    assert after == [f"teamgames.{m}" for m in ("cobb_params", "errors")]
+
+
+LEAF_NAMES = "UNBOUNDED CobbDouglasConfig max_stable_team_size stable_size_grid FRONTIER_COLUMNS"
+
+
+@pytest.mark.parametrize("name", LEAF_NAMES.split())
+def test_leaf_names_are_one_object_everywhere(name):
+    from teamgames import cobb, cobb_params
+
+    assert getattr(cobb, name) is getattr(cobb_params, name)
+    if name in teamgames.__all__:
+        assert getattr(teamgames, name) is getattr(cobb_params, name)
+
+
+def test_subset_array_limit_is_one_object():
+    from teamgames import limits, players
+
+    assert players.MAX_SUBSET_ARRAY is limits.MAX_SUBSET_ARRAY
+
+
+# modules that parsing the command line, `cobb frontier` or a Cobb-Douglas document loads
+NUMPY_FREE = ["cli", "limits", "errors", "scenarios", "game_io", "cobb_params"]
+PACKAGE = SRC / "teamgames"
+
+
+def _module_imports(tree):
+    """(line, imported module) of every import a module runs when it is imported: its
+    top-level statements and the branches of top-level ``if`` and ``try`` blocks, except
+    ``if TYPE_CHECKING:``. A teamgames submodule is named ``.name``."""
+    def statements(body):
+        for node in body:
+            if isinstance(node, ast.If):
+                if not (isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"):
+                    yield from statements(node.body)
+                yield from statements(node.orelse)
+            elif isinstance(node, ast.Try):
+                for block in (node.body, *(h.body for h in node.handlers), node.orelse,
+                              node.finalbody):
+                    yield from statements(block)
+            else:
+                yield node
+
+    for node in statements(tree.body):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                yield node.lineno, node.module
+            elif node.module:
+                yield node.lineno, "." + node.module.split(".")[0]
+            else:  # from . import a, b
+                yield from ((node.lineno, "." + alias.name) for alias in node.names)
+
+
+def test_numpy_free_modules_import_no_numpy_at_module_level():
+    """A module-level numpy import in a command's numpy-free path, direct or through a
+    teamgames module that imports numpy, fails here with its line."""
+    imports = {path.stem: list(_module_imports(ast.parse(path.read_text(encoding="utf-8"))))
+               for path in PACKAGE.glob("*.py")}
+    heavy = {name for name, found in imports.items()
+             if any(module.split(".")[0] == "numpy" for _, module in found)}
+    grown = True
+    while grown:  # modules that import a numpy-importing module import numpy too
+        before = len(heavy)
+        heavy |= {name for name, found in imports.items()
+                  if any(module[1:] in heavy for _, module in found if module.startswith("."))}
+        grown = len(heavy) > before
+    assert {"players", "cobb", "st", "tu"} <= heavy
+    faults = [f"{name}.py:{line}: imports {module}" for name in NUMPY_FREE
+              for line, module in imports[name]
+              if module.split(".")[0] == "numpy" or module.startswith(".") and module[1:] in heavy]
+    assert not faults, "\n".join(faults)

@@ -5,6 +5,7 @@ from hypothesis import strategies as hs
 import reference_loops as ref
 from reference_loops import disjoint_pairs, in_st_core
 
+from teamgames.additivity import BiAdditiveMatrix
 from teamgames.errors import DisjointnessError, NotReducibleError, NumericOverflowError
 from teamgames.players import PlayerSet
 from teamgames.random_games import monotone_series, random_st_game
@@ -447,3 +448,24 @@ class TestFloatRange:
             with pytest.raises(NumericOverflowError) as got:
                 all_coop_points(game, include_grand=include_grand)
             assert str(got.value) == f"{message} is past the float range"
+
+    @pytest.mark.parametrize("kernel", [all_coop_points, reduce_to_tu])
+    def test_an_additive_sum_past_the_float_range_names_the_utility(self, kernel):
+        # every row sum is finite, and so is every contribution; u_{0,1}(V({0,1})) is not
+        game = BiAdditiveMatrix(2, [[1e308, 0.0], [1e308, 0.0]]).to_game()
+        with pytest.raises(NumericOverflowError) as got:
+            kernel(game)
+        assert str(got.value) == "the utility of {0,1} at outcome 3 is past the float range"
+        with pytest.raises(NumericOverflowError, match=r"^the utility of \{a,b\} at outcome 'x'"):
+            individual = {0: {"x": 1.7e308}, 1: {"x": 1e308}}
+            from_ntu(2, "x", dict.fromkeys((1, 2, 3), "x"), individual, "ab").u(3, 3)
+
+    def test_additive_sums_in_the_float_range_keep_their_bits(self):
+        values = [[1.7e308, -1e308, 0.1], [-1.7e308, 1.7e308, 0.2], [0.3, -0.7e308, 0.7]]
+        game = from_ntu(3, "xyz", lambda s: "xyz"[s.mask % 3],
+                        {p: dict(zip("xyz", row)) for p, row in enumerate(values)})
+        masks = np.arange(1, 8)
+        for a in range(1, 8):
+            for s in range(1, 8):
+                want = sum(values[p]["xyz".index(game._v(s))] for p in range(3) if a >> p & 1)
+                assert game.u(a, s) == want == game.u(masks, masks[:, None])[s - 1, a - 1]
