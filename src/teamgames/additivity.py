@@ -24,7 +24,9 @@ from .players import (
     PlayerSet, check_pair_scan, first_pair, member_sum, player_names, require_disjoint,
     subset_closure, subset_label, subset_sums,
 )
-from .st import STGame, coalition_outcomes, is_fully_cooperative, is_sensible
+from .st import (
+    STGame, coalition_outcomes, is_fully_cooperative, is_sensible, pair_value,
+)
 
 
 def _members(n: int) -> np.ndarray:
@@ -183,18 +185,29 @@ def extract_matrix(g: STGame, tol: float = DEFAULT_TOL) -> BiAdditiveMatrix:
     return BiAdditiveMatrix(n, mat)
 
 
+def _metrics(altruism: float, competitive: float, a: PlayerSet, b: PlayerSet,
+             players) -> FastMetrics:
+    """The metrics of A against B; one past the float range raises ``NumericOverflowError``."""
+    marginal = altruism + competitive
+    for what, value in (("altruism", altruism), ("competitive contribution", competitive),
+                        ("total marginal", marginal)):
+        pair_value(value, what, a.mask, b.mask, players)
+    return FastMetrics(altruism, competitive, marginal)
+
+
 def fast_metrics(matrix: BiAdditiveMatrix, a: PlayerSet, b: PlayerSet) -> FastMetrics:
     """Closed-form cooperation metrics for a bi-additive game.
 
     The competitive part is everything A perceives in the joint coalition;
-    the altruistic part is everything B perceives in A.
+    the altruistic part is everything B perceives in A. A metric past the
+    float range raises ``NumericOverflowError``, as in the two functions below.
     """
     require_disjoint(a, b)
-    mat = matrix.m
+    item = matrix.m.item
     union = list(a) + list(b)
-    competitive = float(sum(mat[x][y] for x in a for y in union))
-    altruism = float(sum(mat[x][y] for x in b for y in a))
-    return FastMetrics(altruism, competitive, altruism + competitive)
+    competitive = float(sum(item(x, y) for x in a for y in union))
+    altruism = float(sum(item(x, y) for x in b for y in a))
+    return _metrics(altruism, competitive, a, b, player_names(matrix.n))
 
 
 def additive_metrics(g: STGame, a: PlayerSet, b: PlayerSet) -> FastMetrics:
@@ -209,7 +222,7 @@ def additive_metrics(g: STGame, a: PlayerSet, b: PlayerSet) -> FastMetrics:
     competitive = float(sum(g._u(1 << p, x_union) for p in a))
     x_b = g._v(b.mask)
     altruism = float(sum(g._u(1 << p, x_union) - g._u(1 << p, x_b) for p in b))
-    return FastMetrics(altruism, competitive, altruism + competitive)
+    return _metrics(altruism, competitive, a, b, g.players)
 
 
 def coadditive_metrics(g: STGame, a: PlayerSet, b: PlayerSet) -> FastMetrics:
@@ -228,7 +241,7 @@ def coadditive_metrics(g: STGame, a: PlayerSet, b: PlayerSet) -> FastMetrics:
             for p in union
         )
     )
-    return FastMetrics(altruism, competitive, altruism + competitive)
+    return _metrics(altruism, competitive, a, b, g.players)
 
 
 @dataclass(frozen=True)

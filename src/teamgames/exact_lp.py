@@ -47,19 +47,20 @@ def _as_float(num: int, den: int) -> float:
 class _Pricing:
     """Reduced costs ``worth(S) - sum of prices[i] over i in S`` of every column S.
 
-    The claims are kept as integers over one common denominator ``q``, and a
-    set of prices as integers ``Y`` over ``q * D``, so that ``q * D`` times a
-    reduced cost is the integer ``claims[S] * D - sum of Y[i] over i in S``.
+    The float claims are kept as integers over one common denominator ``q``,
+    the largest of their power-of-two denominators, and a set of prices as
+    integers ``Y`` over ``q * D``, so that ``q * D`` times a reduced cost is
+    the integer ``claims[S] * D - sum of Y[i] over i in S``.
     """
 
-    def __init__(self, n: int, worth: dict[int, Fraction]):
-        masks = range(1, (1 << n) - 1)
-        if len(worth) != len(masks) or any(m not in worth for m in masks):
+    def __init__(self, n: int, worth: list[float]):
+        if len(worth) != (1 << n) - 2:
             raise ValueError("worth must cover every proper nonempty coalition")
         self.n = n
-        self.q = math.lcm(*(w.denominator for w in worth.values()))
-        self.claims = [0] + [worth[m].numerator * (self.q // worth[m].denominator) for m in masks]
-        self.worth_f = np.array([_as_float(c, self.q) for c in self.claims[1:]])
+        ratios = [w.as_integer_ratio() for w in worth]
+        self.q = max(den for _, den in ratios)
+        self.claims = [0] + [num * (self.q // den) for num, den in ratios]
+        self.worth_f = np.array(worth, dtype=float)
         self.worth_scale = float(np.max(np.abs(self.worth_f)))
 
     def candidates(self, prices: list[int], den: int) -> np.ndarray:
@@ -67,10 +68,10 @@ class _Pricing:
         first whose reduced cost certainly is.
 
         Each float reduced cost is within ``bound`` of the exact one: the
-        worths and prices are rounded once each, and a sum of at most n of
-        them adds at most n more roundings of terms no larger than ``scale``
-        (additions that land among the subnormals are exact). A price or sum
-        past the float range leaves every column a candidate.
+        worths are exact, the prices are rounded once each, and a sum of at
+        most n of them adds at most n more roundings of terms no larger than
+        ``scale`` (additions that land among the subnormals are exact). A
+        price or sum past the float range leaves every column a candidate.
         """
         prices_f = [_as_float(y, self.q * den) for y in prices]
         scale = self.worth_scale + sum(map(abs, prices_f))
@@ -99,7 +100,7 @@ class _Pricing:
         return None
 
 
-def first_uncovered(n: int, worth: dict[int, Fraction], allocation: list[Fraction]) -> int | None:
+def first_uncovered(n: int, worth: list[float], allocation: list[Fraction]) -> int | None:
     """The lowest coalition mask whose claim exceeds what ``allocation`` pays its
     members, decided exactly, or None when every claim is honored."""
     pricing = _Pricing(n, worth)
@@ -109,10 +110,11 @@ def first_uncovered(n: int, worth: dict[int, Fraction], allocation: list[Fractio
     return None if found is None else found[0]
 
 
-def minimal_coalition_cover(n: int, worth: dict[int, Fraction]) -> tuple[Fraction, list[Fraction]]:
+def minimal_coalition_cover(n: int, worth: list[float]) -> tuple[Fraction, list[Fraction]]:
     """Solve the program above with Bland's rule (revised simplex, exact).
 
-    ``worth`` maps every proper nonempty coalition mask to its claim.
+    ``worth`` lists the claim of every proper nonempty coalition as a float,
+    by mask from 1 to 2^n - 2; each float is taken at its exact value.
     Returns the optimal value and the simplex multipliers, which form the
     cheapest allocation satisfying every coalition claim.
 

@@ -378,20 +378,6 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def _constant(cells) -> bool:
-    """Are all cells of a slice exactly the same: one object, or one bit pattern in an array?
-
-    ``==`` would not do: it takes 0.0 for -0.0 and 1 for True.
-    """
-    if isinstance(cells, _loaded("numpy", "ndarray")):
-        if cells.dtype.kind not in "biuf" or cells.itemsize not in (1, 2, 4, 8):
-            return False
-        bits = cells.view(f"u{cells.itemsize}")
-        return bool((bits == bits[0]).all())
-    first = cells[0]
-    return all(map(operator.is_, cells, itertools.repeat(first)))
-
-
 def _needs_quotes(text: str) -> bool:
     """Does ``csv.writer`` (QUOTE_MINIMAL, ``lineterminator="\\n"``) quote this text?
 
@@ -408,21 +394,17 @@ def _quote(text: str) -> str:
 def _format_slice(cells):
     """Lazy CSV fields of one column slice, its formatter chosen once for the whole slice.
 
-    Numeric arrays spell numbers and ``true``/``false`` only, so only other
-    cells are checked for quoting.
+    A float64 array is spelled by ``float.__repr__``; any other array is read
+    as Python values. A slice that repeats one object is formatted once, and
+    other cells one by one, quoted where ``csv.writer`` would quote them.
     """
-    array = isinstance(cells, _loaded("numpy", "ndarray"))
-    if _constant(cells):
-        first = cells[:1].tolist() if array else cells[:1]
-        return itertools.repeat(_quote(format_cell(first[0])), len(cells))
-    if array:
+    if isinstance(cells, _loaded("numpy", "ndarray")):
         if cells.dtype == _loaded("numpy", "float64"):
             return map(float.__repr__, cells.tolist())
-        numeric = cells.dtype.kind in "biuf"
-        # tolist gives Python floats and bools, which format_cell spells fastest
         cells = cells.tolist()
-        if numeric:
-            return map(format_cell, cells)
+    first = cells[0]
+    if all(map(operator.is_, cells, itertools.repeat(first))):
+        return itertools.repeat(_quote(format_cell(first)), len(cells))
     texts = list(map(format_cell, cells))
     return map(_quote, texts) if _needs_quotes("".join(texts)) else texts
 
@@ -446,9 +428,9 @@ def write_table(tables, columns, path) -> int:
     numpy array or a list) holding that column's cells in row order. Every
     table is checked before the file is opened, cells are formatted
     ``ROW_CHUNK`` rows at a time, each column slice by one formatter (a
-    constant slice formatted once), fields are quoted as ``csv.writer``
-    quotes them, and every line ends in a newline, so identical inputs
-    produce identical bytes. Returns the number of rows written.
+    slice repeating one object formatted once), fields are quoted as
+    ``csv.writer`` quotes them, and every line ends in a newline, so
+    identical inputs produce identical bytes. Returns the number of rows written.
     """
     columns = list(columns)
     tables = list(tables)

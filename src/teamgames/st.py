@@ -291,11 +291,22 @@ def _require_pair(g: STGame, a: PlayerSet, b: PlayerSet) -> None:
         raise ValueError(f"{a} and {b} do not fit a {g.n}-player team")
 
 
+def pair_value(value: float, what: str, a: int, b: int, players) -> float:
+    """``value``, the ``what`` of coalition mask A against B, refused with
+    ``NumericOverflowError`` when it is past the float range."""
+    if not math.isfinite(value):
+        a, b = (subset_label(mask, players) for mask in (a, b))
+        raise NumericOverflowError(f"the {what} of {a} against {b} is past the float range")
+    return value
+
+
 def total_marginal(g: STGame, a: PlayerSet, b: PlayerSet) -> float:
-    """m_A(A|B): joint worth to the joint coalition minus B's worth to itself."""
+    """m_A(A|B): joint worth to the joint coalition minus B's worth to itself. A margin
+    past the float range raises ``NumericOverflowError``, as do the metrics below."""
     _require_pair(g, a, b)
     union = a.mask | b.mask
-    return g._u(union, g._v(union)) - g._u(b.mask, g._v(b.mask))
+    margin = g._u(union, g._v(union)) - g._u(b.mask, g._v(b.mask))
+    return pair_value(margin, "total marginal", a.mask, b.mask, g.players)
 
 
 def competitive_contribution(g: STGame, a: PlayerSet, b: PlayerSet) -> float:
@@ -303,7 +314,8 @@ def competitive_contribution(g: STGame, a: PlayerSet, b: PlayerSet) -> float:
     _require_pair(g, a, b)
     union = a.mask | b.mask
     x = g._v(union)
-    return g._u(union, x) - g._u(b.mask, x)
+    c = g._u(union, x) - g._u(b.mask, x)
+    return pair_value(c, "competitive contribution", a.mask, b.mask, g.players)
 
 
 def altruistic_contribution(g: STGame, a: PlayerSet, b: PlayerSet) -> float:
@@ -312,7 +324,8 @@ def altruistic_contribution(g: STGame, a: PlayerSet, b: PlayerSet) -> float:
     if not b:
         raise ValueError("the bystanding subset B must be nonempty")
     union = a.mask | b.mask
-    return g._u(b.mask, g._v(union)) - g._u(b.mask, g._v(b.mask))
+    alt = g._u(b.mask, g._v(union)) - g._u(b.mask, g._v(b.mask))
+    return pair_value(alt, "altruism", a.mask, b.mask, g.players)
 
 
 class Quadrant(enum.Enum):
@@ -379,7 +392,8 @@ def coop_point(g: STGame, a: PlayerSet) -> CoopPoint:
     """Cooperation-space point of subset A against the rest of the team.
 
     For A equal to the whole team the bystander set is empty, so altruism is
-    0 by convention and the competitive part carries the full marginal.
+    0 by convention and the competitive part carries the full marginal. A
+    coordinate past the float range raises ``NumericOverflowError``.
     """
     if not a:
         raise ValueError("subset must be nonempty")
@@ -387,11 +401,9 @@ def coop_point(g: STGame, a: PlayerSet) -> CoopPoint:
         raise ValueError(f"{a} is not a subset of a {g.n}-player team")
     b = a.complement(g.n)
     c = competitive_contribution(g, a, b)
-    if b:
-        alt = altruistic_contribution(g, a, b)
-    else:
-        alt = 0.0
-    return CoopPoint(altruism=alt, competitive=c, marginal=alt + c, subset=a)
+    alt = altruistic_contribution(g, a, b) if b else 0.0
+    marginal = pair_value(alt + c, "total marginal", a.mask, b.mask, g.players)
+    return CoopPoint(altruism=alt, competitive=c, marginal=marginal, subset=a)
 
 
 def all_coop_points(g: STGame, *, include_grand: bool = True) -> list[CoopPoint]:
@@ -502,10 +514,7 @@ def reduce_to_tu(g: STGame, tol: float = DEFAULT_TOL) -> TUGame:
     witness = first_pair((1 << g.n) - 1, competes, nonempty=True)
     if witness is not None:
         a, b, c = witness
-        if math.isinf(c):
-            a, b = (subset_label(mask, g.players) for mask in (a, b))
-            raise NumericOverflowError(
-                f"the competitive contribution of {a} against {b} is past the float range")
+        pair_value(c, "competitive contribution", a, b, g.players)  # raises when infinite
         raise NotReducibleError(PlayerSet(a), PlayerSet(b), c)
     masks = np.arange(1 << g.n, dtype=np.int64)
     return TUGame(g.n, g.u(masks, masks), g.players)

@@ -27,8 +27,8 @@ from .players import (
 class TUGame:
     """Payoff table over all 2^n coalitions, indexed by coalition mask.
 
-    The empty coalition must be worth exactly 0; inputs violating that are
-    rejected rather than silently shifted.
+    The empty coalition must be worth exactly 0 and every worth must be
+    finite; inputs violating that are rejected rather than silently shifted.
     """
 
     n: int
@@ -43,10 +43,16 @@ class TUGame:
             raise ValueError(f"payoff table must have length {1 << self.n}, got {table.shape}")
         if table[0] != 0.0:
             raise ValueError(f"empty coalition must be worth 0, got {table[0]}")
+        players = player_names(self.n, self.players)
+        bad = ~np.isfinite(table)
+        if bad.any():
+            mask = int(np.argmax(bad))
+            raise ValueError(f"coalition {subset_label(mask, players)} must have a finite "
+                             f"worth, got {table[mask]}")
         table = table.copy()
         table.flags.writeable = False
         object.__setattr__(self, "u", table)
-        object.__setattr__(self, "players", player_names(self.n, self.players))
+        object.__setattr__(self, "players", players)
 
     @classmethod
     def from_function(cls, n: int, worth, players=None) -> TUGame:
@@ -185,12 +191,11 @@ def in_core(game: TUGame, phi, tol: float = DEFAULT_TOL) -> bool:
         return efficient and bool(np.all(sums >= game.u - tol))
 
 
-def _core_claims(game: TUGame) -> dict[int, Fraction]:
-    """The exact worth of every proper nonempty coalition, once the size is checked."""
-    n = game.n
-    if n > MAX_CORE_DECIDE:
-        raise SizeLimitError(f"core decision supports n <= {MAX_CORE_DECIDE}, got {n}")
-    return {mask: Fraction(float(game.u[mask])) for mask in range(1, (1 << n) - 1)}
+def _core_claims(game: TUGame) -> list[float]:
+    """The worth of every proper nonempty coalition by mask, once the size is checked."""
+    if game.n > MAX_CORE_DECIDE:
+        raise SizeLimitError(f"core decision supports n <= {MAX_CORE_DECIDE}, got {game.n}")
+    return game.u[1:-1].tolist()
 
 
 def core_witness(game: TUGame) -> np.ndarray | None:

@@ -56,8 +56,6 @@ from teamgames.errors import (
     StructureError,
 )
 from teamgames.game_io import (
-    ROW_CHUNK,
-    _constant,
     _parse_names,
     _parse_subset,
     _parse_value,
@@ -654,31 +652,19 @@ def parse_st(doc):
 # ----------------------------------------------------------------- table writer
 
 
-def _format_slice(cells):
-    """Unquoted text of one column slice, its formatter chosen once for the whole slice."""
-    if _constant(cells):
-        first = cells[:1].tolist() if isinstance(cells, np.ndarray) else cells[:1]
-        return itertools.repeat(format_cell(first[0]), len(cells))
-    if isinstance(cells, np.ndarray):
-        if cells.dtype == np.float64:
-            return map(float.__repr__, cells.tolist())
-        cells = cells.tolist()
-    return map(format_cell, cells)
-
-
 def write_table(tables, columns, path):
-    """``game_io.write_table`` as it was before rows were joined as text: ``csv.writer`` rows."""
+    """``game_io.write_table`` as it was before rows were joined as text: ``csv.writer`` rows
+    of cells formatted one at a time, an array's cells read as Python values."""
     columns = list(columns)
     rows = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for table in tables:
-            cols = [table[c] for c in columns]
-            count = len(cols[0]) if cols else 0
-            for lo in range(0, count, ROW_CHUNK):
-                writer.writerows(zip(*(_format_slice(c[lo:lo + ROW_CHUNK]) for c in cols)))
-            rows += count
+            cols = [table[c].tolist() if isinstance(table[c], np.ndarray) else table[c]
+                    for c in columns]
+            writer.writerows(zip(*(map(format_cell, c) for c in cols)))
+            rows += len(cols[0]) if cols else 0
     return rows
 
 

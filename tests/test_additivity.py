@@ -381,3 +381,48 @@ class TestGenericAgreement:
             fm = fast_metrics(m, a, a.complement(3))
             assert abs(p.altruism - fm.altruism) <= 1e-9
             assert abs(p.competitive - fm.competitive) <= 1e-9
+
+
+class TestFastMetricsPastTheFloatRange:
+    """The closed-form metrics refuse a value past the float range, naming the quantity
+    and the pair, and no numpy warning escapes (tier-1 turns it into an error)."""
+
+    def test_a_bi_additive_competitive_part(self):
+        matrix = BiAdditiveMatrix(2, [[1e308, 1e308], [0.0, 0.0]])
+        with pytest.raises(NumericOverflowError) as got:
+            fast_metrics(matrix, PlayerSet.of(0), PlayerSet.of(1))
+        assert str(got.value) == ("the competitive contribution of {0} against {1} is past "
+                                  "the float range")
+
+    def test_an_additive_marginal(self):
+        # altruism and competitive part 1e308 each
+        game = BiAdditiveMatrix(2, [[1e308, 0.0], [1e308, 0.0]]).to_game()
+        with pytest.raises(NumericOverflowError) as got:
+            additive_metrics(game, PlayerSet.of(0), PlayerSet.of(1))
+        assert str(got.value) == "the total marginal of {0} against {1} is past the float range"
+
+    def test_an_additive_altruism_of_opposite_overflows(self):
+        # each bystander's gain is past the float range, one up and one down: their sum is NaN
+        individual = {0: {"x": 0.0, "y": 0.0}, 1: {"x": 1.7e308, "y": -1.7e308},
+                      2: {"x": -1.7e308, "y": 1.7e308}}
+        game = from_ntu(3, "xy", lambda s: "x" if s.mask == 7 else "y", individual, "abc")
+        with pytest.raises(NumericOverflowError) as got:
+            additive_metrics(game, PlayerSet.of(0), PlayerSet.of(1, 2))
+        assert str(got.value) == "the altruism of {a} against {b,c} is past the float range"
+
+    def test_a_co_additive_competitive_part(self):
+        # u_a = 1, u_b = -1.7e308 and u_ab = 1.7e308 at the one outcome x
+        game = STGame.from_tables(2, ("x",), {1: "x", 2: "x", 3: "x"},
+                                  {(1, "x"): 1.0, (2, "x"): -1.7e308, (3, "x"): 1.7e308}, "ab")
+        with pytest.raises(NumericOverflowError) as got:
+            coadditive_metrics(game, PlayerSet.of(0), PlayerSet.of(1))
+        assert str(got.value) == ("the competitive contribution of {a} against {b} is past "
+                                  "the float range")
+
+    def test_finite_metrics_keep_their_bits(self):
+        matrix = BiAdditiveMatrix(2, [[1.7e308, -1.7e308], [1e308, 0.0]])
+        assert fast_metrics(matrix, PlayerSet.of(0), PlayerSet.of(1)) == (1e308, 0.0, 1e308)
+        assert fast_metrics(matrix, PlayerSet.of(1), PlayerSet.of(0)) == (-1.7e308, 1e308,
+                                                                          -1.7e308 + 1e308)
+        game = matrix.to_game()
+        assert additive_metrics(game, PlayerSet.of(0), PlayerSet.of(1)) == (1e308, 0.0, 1e308)

@@ -1,12 +1,13 @@
 """The exact core LP against the all-``Fraction`` simplex it replaced.
 
 ``reference_loops.minimal_coalition_cover`` prices every column exactly on
-every pivot. The library prices in one float pass and confirms Bland's
-column exactly, so both must take the same pivot path and return the same
-optimal value and prices, as ``Fraction``s, on every family below. The
-worths one ulp apart and the extreme worths put exactly positive reduced
-costs inside the float pass's rounding error, where only the bound and the
-exact confirmation keep the path right.
+every pivot, reading the claims as a dict of ``Fraction``s; the library
+reads the same floats as a list, by mask. The library prices in one float
+pass and confirms Bland's column exactly, so both must take the same pivot
+path and return the same optimal value and prices, as ``Fraction``s, on
+every family below. The worths one ulp apart and the extreme worths put
+exactly positive reduced costs inside the float pass's rounding error,
+where only the bound and the exact confirmation keep the path right.
 """
 
 from fractions import Fraction
@@ -21,7 +22,13 @@ from teamgames.tu import random_convex_game, unanimity_game
 
 
 def claims(table) -> dict[int, Fraction]:
+    """The reference's claims: every proper nonempty mask's worth as a ``Fraction``."""
     return {mask: Fraction(float(table[mask])) for mask in range(1, len(table) - 1)}
+
+
+def worths(table) -> list[float]:
+    """The library's claims: the same worths as floats, by mask from 1."""
+    return np.asarray(table, dtype=float)[1:-1].tolist()
 
 
 def member_totals(n, x) -> np.ndarray:
@@ -87,36 +94,38 @@ FAMILIES = (
     ids=[f"{family.__name__}-{n}-{seed}" for seed, (family, n) in enumerate(FAMILIES)],
 )
 def test_matches_the_all_fraction_simplex(family, n, seed):
-    worth = claims(family(n, np.random.default_rng(seed)))
-    assert minimal_coalition_cover(n, worth) == ref.minimal_coalition_cover(n, worth)
+    table = family(n, np.random.default_rng(seed))
+    got = minimal_coalition_cover(n, worths(table))
+    assert got == ref.minimal_coalition_cover(n, claims(table))
 
 
 def test_single_point_core_costs_the_grand_worth():
     x = [Fraction(3, 8), Fraction(-5, 4), Fraction(7, 2), Fraction(0)]
     table = member_totals(4, np.array([float(v) for v in x]))
-    value, prices = minimal_coalition_cover(4, claims(table))
+    value, prices = minimal_coalition_cover(4, worths(table))
     assert value == sum(x)
-    assert first_uncovered(4, claims(table), prices) is None
+    assert first_uncovered(4, worths(table), prices) is None
 
 
 def test_first_uncovered_names_the_lowest_short_coalition():
     rng = np.random.default_rng(11)
     for _ in range(20):
         n = int(rng.integers(2, 7))
-        worth = claims(ulp_apart(n, rng))
+        table = ulp_apart(n, rng)
+        worth = claims(table)
         allocation = [Fraction(float(v)) for v in rng.uniform(-1.0, 1.0, n)]
         short = [m for m in sorted(worth)
                  if sum(allocation[i] for i in PlayerSet(m)) < worth[m]]
-        assert first_uncovered(n, worth, allocation) == (short[0] if short else None)
+        assert first_uncovered(n, worths(table), allocation) == (short[0] if short else None)
 
 
 def test_prices_past_the_float_range_are_priced_exactly():
     # the cheapest cover pays a more than a float can hold
-    worth = {1: Fraction(1.7e308), 2: Fraction(-1.7e308), 4: Fraction(1.7e308),
-             3: Fraction(1.7e308), 5: Fraction(1.7e308), 6: Fraction(1.7e308)}
-    assert minimal_coalition_cover(3, worth) == ref.minimal_coalition_cover(3, worth)
+    table = [0.0, 1.7e308, -1.7e308, 1.7e308, 1.7e308, 1.7e308, 1.7e308, 0.0]
+    got = minimal_coalition_cover(3, worths(table))
+    assert got == ref.minimal_coalition_cover(3, claims(table))
 
 
 def test_incomplete_claims_refused():
     with pytest.raises(ValueError, match="every proper nonempty coalition"):
-        minimal_coalition_cover(3, {1: Fraction(1), 2: Fraction(1)})
+        minimal_coalition_cover(3, [1.0] * 5)

@@ -466,6 +466,46 @@ def test_write_table_matches_csv_writer(tmp_path, seed):
     assert got.read_bytes() == want.read_bytes()
 
 
+SPAN = ROW_CHUNK + 3  # two slices: a full one and three rows
+
+
+def _fixed_columns():
+    """Columns of every kind the writer formats, constant or not across the slice boundary."""
+    columns = {f"float64-constant-{v!r}": np.full(SPAN, v)
+               for v in (0.0, -0.0, float("nan"), float("inf"), 5e-324)}
+    columns["float64-constant-first-slice"] = np.concatenate([np.zeros(ROW_CHUNK),
+                                                              [1.0, 0.0, -0.0]])
+    columns.update({
+        "bool-constant": np.ones(SPAN, dtype=bool),
+        "bool-varying": np.arange(SPAN) % 3 == 0,
+        "int64-constant-small": np.full(SPAN, 7, dtype=np.int64),
+        "int64-constant-large": np.full(SPAN, 10**12, dtype=np.int64),
+        "int64-varying": np.arange(SPAN, dtype=np.int64) - 500,
+        "float32": np.resize(np.array([0.1, -0.0, 2.5, np.nan, np.inf], dtype=np.float32), SPAN),
+        "object-strings": np.resize(np.array(["a,b", 'q"t', "x\ny", "plain"], dtype=object), SPAN),
+        # one str object in every cell; np.full would convert it to a new one per cell
+        "object-constant": np.array(['say "hi", then\nleave'] * SPAN, dtype=object),
+        "empty-strings-list": [""] * SPAN,
+        "empty-strings-object": np.array([""] * SPAN, dtype=object),
+        "empty-strings-str": np.full(SPAN, "", dtype=str),
+    })
+    return columns
+
+
+FIXED_COLUMNS = _fixed_columns()
+
+
+@pytest.mark.parametrize("kind", FIXED_COLUMNS)
+def test_write_table_matches_csv_writer_at_every_column_kind(tmp_path, kind):
+    column = FIXED_COLUMNS[kind]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    # alone (a row of one empty field is written ""), then beside a varying float column
+    for tables, columns in (([{"c": column}], ["c"]),
+                            ([{"c": column, "x": np.arange(SPAN) / 4}], ["x", "c"])):
+        assert write_table(tables, columns, got) == ref.write_table(tables, columns, want) == SPAN
+        assert got.read_bytes() == want.read_bytes()
+
+
 @pytest.mark.parametrize("name", ["", "x", "a,b", '"'])
 def test_write_table_one_column_matches_csv_writer(tmp_path, name):
     # csv.writer writes a row of one empty field as "", so it is not a blank line

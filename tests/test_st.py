@@ -469,3 +469,50 @@ class TestFloatRange:
             for s in range(1, 8):
                 want = sum(values[p]["xyz".index(game._v(s))] for p in range(3) if a >> p & 1)
                 assert game.u(a, s) == want == game.u(masks, masks[:, None])[s - 1, a - 1]
+
+
+# b gains 3.4e308 from a joining: the altruism of {a} against {b}
+GAIN = {(1, 1): 0.0, (2, 2): -1.7e308, (1, 3): 0.0, (2, 3): 1.7e308, (3, 3): 0.0}
+# altruism and competitive contribution 1e308 each: the total marginal of {a} against {b}
+BOTH = {(1, 1): 0.0, (2, 2): -1e308, (1, 3): 0.0, (2, 3): 0.0, (3, 3): 1e308}
+
+
+class TestPairMetricsPastTheFloatRange:
+    """The per-pair metrics refuse a value past the float range, as ``all_coop_points``
+    does for the whole table, naming the quantity and the pair."""
+
+    @pytest.mark.parametrize(
+        "game, metric, quantity",
+        [
+            (one_outcome_game(SWAP), total_marginal, "total marginal"),
+            (one_outcome_game(SWAP), competitive_contribution, "competitive contribution"),
+            (one_outcome_game(MIRROR), competitive_contribution, "competitive contribution"),
+            (own_outcome_game(GAIN), altruistic_contribution, "altruism"),
+            (own_outcome_game(BOTH), total_marginal, "total marginal"),
+        ],
+        ids=["swap-marginal", "swap-competitive", "mirror-competitive", "gain-altruism",
+             "both-marginal"],
+    )
+    def test_a_pair_metric_is_refused(self, game, metric, quantity):
+        with pytest.raises(NumericOverflowError) as got:
+            metric(game, A, B)
+        assert str(got.value) == f"the {quantity} of {{a}} against {{b}} is past the float range"
+
+    @pytest.mark.parametrize(
+        "game, quantity",
+        [(one_outcome_game(SWAP), "competitive contribution"), (own_outcome_game(GAIN), "altruism"),
+         (own_outcome_game(BOTH), "total marginal")],
+        ids=["swap", "gain", "both"],
+    )
+    def test_a_point_is_refused(self, game, quantity):
+        with pytest.raises(NumericOverflowError) as got:
+            coop_point(game, A)
+        assert str(got.value) == f"the {quantity} of {{a}} against {{b}} is past the float range"
+
+    def test_finite_metrics_keep_their_bits(self):
+        g = one_outcome_game(EXCHANGE)  # u_a = -1.7e308, u_b = 1, u_ab = 1.7e308
+        assert total_marginal(g, A, B) == competitive_contribution(g, A, B) == 1.7e308 - 1.0
+        assert altruistic_contribution(g, A, B) == 0.0
+        assert total_marginal(g, A | B, PlayerSet.empty()) == 1.7e308
+        assert coop_point(g, A) == CoopPoint(0.0, 1.7e308 - 1.0, 1.7e308 - 1.0, A)
+        assert coop_point(g, A | B) == CoopPoint(0.0, 1.7e308, 1.7e308, A | B)

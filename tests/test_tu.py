@@ -40,6 +40,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="empty coalition"):
             TUGame(2, [1.0, 0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("mask, label", [(1, "{0}"), (3, "{0,1}")], ids=["singleton", "grand"])
+    def test_rejects_a_non_finite_worth(self, value, mask, label):
+        table = [0.0, 1.0, 2.0, 3.0]
+        table[mask] = value
+        with pytest.raises(ValueError) as got:
+            TUGame(2, table)
+        assert str(got.value) == f"coalition {label} must have a finite worth, got {value}"
+
     def test_rejects_wrong_table_length(self):
         with pytest.raises(ValueError):
             TUGame(2, [0.0, 1.0, 2.0])
