@@ -13,6 +13,7 @@ coalition; values u_A(S) with A not in S are unconstrained by structure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,7 +23,7 @@ from .errors import NumericOverflowError, StructureError
 from .limits import DEFAULT_TOL
 from .players import (
     PlayerSet, check_pair_scan, first_pair, member_sum, player_names, require_disjoint,
-    subset_closure, subset_label, subset_sums,
+    require_fit, subset_closure, subset_label, subset_sums,
 )
 from .st import (
     STGame, coalition_outcomes, is_fully_cooperative, is_sensible, pair_value,
@@ -120,12 +121,24 @@ class BiAdditiveMatrix:
         mat = np.asarray(self.m, dtype=float)
         if mat.shape != (self.n, self.n):
             raise ValueError(f"matrix must be {self.n}x{self.n}, got {mat.shape}")
+        bad = ~np.isfinite(mat)
+        if bad.any():
+            a, b = divmod(int(np.argmax(bad)), self.n)
+            raise ValueError(f"matrix entry m[{a}][{b}] must be finite, got {mat[a, b]}")
         mat = mat.copy()
         mat.flags.writeable = False
         object.__setattr__(self, "m", mat)
 
     def utility(self, assessor: PlayerSet, coalition: PlayerSet) -> float:
-        return float(sum(self.m[a][b] for a in assessor for b in coalition))
+        """u_A(S), the sum of m[a][b] over a in A and b in S; a sum past the float range
+        raises ``NumericOverflowError``."""
+        require_fit(self.n, assessor, coalition)
+        total = float(sum(self.m.item(a, b) for a in assessor for b in coalition))
+        if math.isinf(total):
+            a, s = (subset_label(x.mask, player_names(self.n)) for x in (assessor, coalition))
+            raise NumericOverflowError(f"the utility of {a} at coalition {s} is past the "
+                                       "float range")
+        return total
 
     def to_game(self, players=None) -> STGame:
         """The bi-additive team game this matrix determines.
@@ -203,6 +216,7 @@ def fast_metrics(matrix: BiAdditiveMatrix, a: PlayerSet, b: PlayerSet) -> FastMe
     float range raises ``NumericOverflowError``, as in the two functions below.
     """
     require_disjoint(a, b)
+    require_fit(matrix.n, a, b)
     item = matrix.m.item
     union = list(a) + list(b)
     competitive = float(sum(item(x, y) for x in a for y in union))
@@ -218,6 +232,7 @@ def additive_metrics(g: STGame, a: PlayerSet, b: PlayerSet) -> FastMetrics:
     outcomes. Assumes additivity; no structure check is repeated here.
     """
     require_disjoint(a, b)
+    require_fit(g.n, a, b)
     x_union = g._v(a.mask | b.mask)
     competitive = float(sum(g._u(1 << p, x_union) for p in a))
     x_b = g._v(b.mask)
@@ -233,6 +248,7 @@ def coadditive_metrics(g: STGame, a: PlayerSet, b: PlayerSet) -> FastMetrics:
     Assumes co-additivity.
     """
     require_disjoint(a, b)
+    require_fit(g.n, a, b)
     union = a | b
     altruism = float(sum(g._u(b.mask, g._v(1 << p)) for p in a))
     competitive = float(

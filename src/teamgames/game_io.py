@@ -206,19 +206,24 @@ def _require_every_subset(masks: dict, n: int, players, what: str, section: str)
     return np.array(list(masks), dtype=np.int64)
 
 
-def parse_document(doc: dict):
-    """Validate a document tree and build the game it describes."""
+def _read(doc: dict):
+    """Validate a document tree into a builder of its game that holds no part of the tree."""
     if not isinstance(doc, dict):
         raise GameLoadError("document root must be an object", "$")
     version = _require(doc, "version", int, "version")
     if version != DOCUMENT_VERSION:
         raise GameLoadError(f"unsupported document version {version}", "version")
 
-    if "cobb_douglas" in doc:
-        return _parse_cobb(doc)
-    if "outcomes" in doc or "consequence" in doc:
-        return _parse_st(doc)
-    return _parse_tu(doc)
+    if "cobb_douglas" not in doc and ("outcomes" in doc or "consequence" in doc):
+        return _read_st(doc)
+    game = _parse_cobb(doc) if "cobb_douglas" in doc else _parse_tu(doc)  # small trees: built now
+    return lambda: game
+
+
+def parse_document(doc: dict):
+    """Validate a document tree and build the game it describes. The caller's tree stays
+    alive while a team game's table is built; :func:`load_game` frees it first."""
+    return _read(doc)()
 
 
 def _parse_cobb(doc: dict) -> CobbDouglasConfig:
@@ -251,30 +256,33 @@ def _parse_tu(doc: dict) -> TUGame:
     return TUGame(n, table, tuple(players))
 
 
-def _parse_st(doc: dict) -> STGame:
+def _read_st(doc: dict):
     import numpy as np
 
-    from .st import STGame
-
     index = _parse_names(doc, "players", "player", "player names")
-    players, n = list(index), len(index)
+    players, n = tuple(index), len(index)
     column_of = _parse_names(doc, "outcomes", "outcome", "outcome ids")
     # the sections share one subset cache; coverage is settled before any 2^n allocation
     subsets, masks = {}, {}
     ids, cols, _ = _read_section(doc, "consequence", index, column_of, subsets, masks)
     coalitions = _require_every_subset(masks, n, players, "consequence", "consequence")[ids]
-    columns = np.zeros(1 << n, dtype=np.intp)
-    columns[coalitions] = cols
     ids, positions, values = _read_section(doc, "utilities", index, column_of, subsets, masks)
     assessors = np.array(list(masks), dtype=np.int64)[ids]
-    try:
-        return STGame.from_entries(
-            n, tuple(column_of), columns, assessors, positions, values, tuple(players)
-        )
-    except SizeLimitError as exc:
-        raise GameLoadError(str(exc), "outcomes") from None
-    except ValueError as exc:
-        raise GameLoadError(str(exc), "utilities") from None
+
+    def build() -> STGame:
+        from .st import STGame
+
+        columns = np.zeros(1 << n, dtype=np.intp)
+        columns[coalitions] = cols
+        try:
+            return STGame.from_entries(
+                n, tuple(column_of), columns, assessors, positions, values, players)
+        except SizeLimitError as exc:
+            raise GameLoadError(str(exc), "outcomes") from None
+        except ValueError as exc:
+            raise GameLoadError(str(exc), "utilities") from None
+
+    return build
 
 
 def load_game(source):
@@ -292,7 +300,9 @@ def load_game(source):
     except RecursionError:
         raise GameLoadError("malformed document: nested too deeply", "$") from None
     del text  # the decoded tree is all parsing needs
-    return parse_document(doc)
+    build = _read(doc)
+    del doc  # freed before the game's table is allocated
+    return build()
 
 
 def _subset_names(mask: int, players) -> list[str]:

@@ -108,6 +108,12 @@ def require_disjoint(a: PlayerSet, b: PlayerSet) -> None:
         raise DisjointnessError(f"{a} and {b} overlap")
 
 
+def require_fit(n: int, a: PlayerSet, b: PlayerSet) -> None:
+    """Refuse two sets with a member outside an n-player team."""
+    if not (a | b).fits(n):
+        raise ValueError(f"{a} and {b} do not fit a {n}-player team")
+
+
 def player_names(n: int, players=None) -> tuple[str, ...]:
     """The given names of n players, or "0".."n-1" for ``None``."""
     names = tuple(players) if players is not None else tuple(map(str, range(n)))

@@ -33,7 +33,7 @@ from .errors import MissingUtilityError, NotReducibleError, NumericOverflowError
 from .limits import DEFAULT_TOL
 from .players import (
     PlayerSet, check_subset_array, first_pair, member_sum, player_names, require_disjoint,
-    subset_closure, subset_label,
+    require_fit, subset_closure, subset_label,
 )
 
 if TYPE_CHECKING:
@@ -287,8 +287,7 @@ def _require_pair(g: STGame, a: PlayerSet, b: PlayerSet) -> None:
     require_disjoint(a, b)
     if not a:
         raise ValueError("the contributing subset A must be nonempty")
-    if not (a | b).fits(g.n):
-        raise ValueError(f"{a} and {b} do not fit a {g.n}-player team")
+    require_fit(g.n, a, b)
 
 
 def pair_value(value: float, what: str, a: int, b: int, players) -> float:

@@ -19,7 +19,7 @@ from .exact_lp import first_uncovered, minimal_coalition_cover
 from .limits import DEFAULT_TOL, MAX_CORE_DECIDE
 from .players import (
     MAX_SUBSET_ARRAY, PlayerSet, check_subset_array, first_pair, mask_sizes, player_names,
-    require_disjoint, subset_closure, subset_label, subset_sums,
+    require_disjoint, require_fit, subset_closure, subset_label, subset_sums,
 )
 
 
@@ -75,6 +75,7 @@ def marginal_contribution(game: TUGame, a: PlayerSet, b: PlayerSet) -> float:
     """Worth added by coalition A joining the disjoint coalition B; a margin past the
     float range raises ``NumericOverflowError`` naming both coalitions."""
     require_disjoint(a, b)
+    require_fit(game.n, a, b)
     margin = float(game.u[a.mask | b.mask]) - float(game.u[b.mask])
     what = f"the margin of coalition {subset_label(a.mask, game.players)} on coalition"
     _require_finite(game, [margin], [b.mask], what)

@@ -426,3 +426,45 @@ class TestFastMetricsPastTheFloatRange:
                                                                           -1.7e308 + 1e308)
         game = matrix.to_game()
         assert additive_metrics(game, PlayerSet.of(0), PlayerSet.of(1)) == (1e308, 0.0, 1e308)
+
+
+class TestCallsOutsideTheTeam:
+    """The closed-form calls refuse sets outside the team as ``st``'s per-pair functions
+    do, a perception matrix holds finite entries only, and a matrix utility past the float
+    range is refused."""
+
+    MATRIX = BiAdditiveMatrix(2, [[1, 2], [3, 4]])
+    OUTSIDE = r"^PlayerSet.of\(0\) and PlayerSet.of\(2\) do not fit a 2-player team$"
+
+    def test_fast_metrics(self):
+        with pytest.raises(ValueError, match=self.OUTSIDE):
+            fast_metrics(self.MATRIX, PlayerSet.of(0), PlayerSet.of(2))
+
+    def test_additive_metrics(self):
+        with pytest.raises(ValueError, match=self.OUTSIDE):
+            additive_metrics(self.MATRIX.to_game(), PlayerSet.of(0), PlayerSet.of(2))
+
+    def test_coadditive_metrics(self):
+        with pytest.raises(ValueError, match=self.OUTSIDE):
+            coadditive_metrics(self.MATRIX.to_game(), PlayerSet.of(0), PlayerSet.of(2))
+
+    def test_matrix_utility(self):
+        message = r"^PlayerSet.of\(2\) and PlayerSet.of\(0\) do not fit a 2-player team$"
+        with pytest.raises(ValueError, match=message):
+            self.MATRIX.utility(PlayerSet.of(2), PlayerSet.of(0))
+        assert self.MATRIX.utility(PlayerSet.of(0), PlayerSet.of(0, 1)) == 3.0
+
+    @pytest.mark.parametrize("entry, at", [(np.nan, (0, 0)), (np.inf, (1, 1)), (-np.inf, (1, 0))])
+    def test_a_non_finite_matrix_entry(self, entry, at):
+        m = np.zeros((2, 2))
+        m[at] = entry
+        message = rf"^matrix entry m\[{at[0]}\]\[{at[1]}\] must be finite, got {entry}$"
+        with pytest.raises(ValueError, match=message):
+            BiAdditiveMatrix(2, m)
+
+    def test_matrix_utility_past_the_float_range(self):
+        matrix = BiAdditiveMatrix(2, [[1e308, 1e308], [0.0, 0.0]])
+        with pytest.raises(NumericOverflowError) as got:
+            matrix.utility(PlayerSet.of(0), PlayerSet.of(0, 1))
+        assert str(got.value) == "the utility of {0} at coalition {0,1} is past the float range"
+        assert matrix.utility(PlayerSet.of(0), PlayerSet.of(1)) == 1e308

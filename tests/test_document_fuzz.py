@@ -22,7 +22,8 @@ import numpy as np
 import pytest
 
 from teamgames.cli import main
-from teamgames.game_io import document_for
+from teamgames.errors import GameLoadError
+from teamgames.game_io import document_for, load_game, parse_document
 from teamgames.random_games import random_st_game, random_tu_game, tabulate
 from teamgames.scenarios import SCENARIOS
 from teamgames.st import STGame
@@ -187,6 +188,34 @@ def test_every_mutated_document_ends_in_a_result_or_one_error_line(tmp_path, cap
                 faults.setdefault(fault, (command, text))
     assert not faults, "\n".join(f"{fault}\n  {command} on {text}"
                                  for fault, (command, text) in faults.items())
+
+
+def _ending(load):
+    """What a load ends in: the document of its game, or its error's message and location."""
+    try:
+        with alarm(), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return document_for(load())
+    except GameLoadError as exc:
+        return str(exc), exc.location
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_both_entry_points_read_every_mutated_document_alike(tmp_path, seed):
+    """``load_game`` of a file and ``parse_document`` of its decoded tree share one reader:
+    both build the same game or both raise the same error at the same location. A malformed
+    document fails only in ``load_game``, before the reader runs, and is skipped."""
+    path = tmp_path / "fuzz.game"
+    differ = []
+    for text in documents(seed):
+        path.write_text(text, encoding="utf-8")
+        loaded = _ending(lambda: load_game(path))
+        if isinstance(loaded, tuple) and "malformed document" in loaded[0]:
+            continue
+        parsed = _ending(lambda: parse_document(json.loads(text)))
+        if loaded != parsed:
+            differ.append(f"{loaded} != {parsed}\n  on {text}")
+    assert not differ, "\n".join(differ)
 
 
 def test_the_fuzzer_reaches_every_ending(tmp_path, capsys):

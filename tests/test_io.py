@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,6 +332,57 @@ def test_st_round_trip_is_structurally_identical(tmp_path):
     assert dict(second.utility_table) == dict(first.utility_table)
     # and the documents themselves are stable from the second generation on
     assert document_for(second) == document_for(first)
+
+
+def _coalition_document(n: int, rng: random.Random) -> dict:
+    """A team document with one outcome per coalition: 3^n - 2^n utility entries, one per
+    assessor inside the coalition that produces the outcome."""
+    players = [f"p{i}" for i in range(n)]
+
+    def names(mask):
+        return [players[i] for i in range(n) if mask >> i & 1]
+
+    coalitions = range(1, 1 << n)
+    return {
+        "version": 1,
+        "players": players,
+        "outcomes": [f"o{s}" for s in coalitions],
+        "consequence": [{"subset": names(s), "outcome": f"o{s}"} for s in coalitions],
+        "utilities": [{"subset": names(a), "outcome": f"o{s}", "value": rng.random()}
+                      for s in coalitions for a in range(1, s + 1) if a & s == a],
+    }
+
+
+def test_load_game_frees_the_document_tree_before_building_the_table(tmp_path, monkeypatch):
+    """When ``STGame.from_entries`` runs inside ``load_game``, the decoded tree is gone: the
+    traced memory then is under half the tree's size above what it was before the load.
+    ``parse_document`` on a tree the caller still holds builds an equal game."""
+    text = json.dumps(_coalition_document(8, random.Random(8)))
+    path = tmp_path / "coalitions.game"
+    path.write_text(text, encoding="utf-8")
+    build, at_build = STGame.from_entries, []
+
+    def recording(cls, *args):
+        at_build.append(tracemalloc.get_traced_memory()[0])
+        return build(*args)
+
+    monkeypatch.setattr(STGame, "from_entries", classmethod(recording))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tree = json.loads(text)
+        tree_size = tracemalloc.get_traced_memory()[0] - before
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_game(path)
+    finally:
+        tracemalloc.stop()
+    assert len(at_build) == 1
+    assert at_build[0] - before < tree_size / 2, (at_build[0] - before, tree_size)
+    parsed = parse_document(tree)
+    assert (parsed.players, parsed.outcomes) == (loaded.players, loaded.outcomes)
+    assert dict(parsed.consequence_table) == dict(loaded.consequence_table)
+    assert dict(parsed.utility_table) == dict(loaded.utility_table)
+    assert len(loaded.utility_table) == 3**8 - 2**8
 
 
 def test_tu_round_trip(tmp_path):

@@ -79,6 +79,11 @@ class TestMarginalContribution:
         with pytest.raises(DisjointnessError):
             marginal_contribution(GLOVE, PlayerSet.of(0), PlayerSet.of(0, 1))
 
+    def test_a_coalition_outside_the_team_rejected(self):
+        message = r"^PlayerSet.of\(2\) and PlayerSet.of\(0\) do not fit a 2-player team$"
+        with pytest.raises(ValueError, match=message):
+            marginal_contribution(TWO, PlayerSet.of(2), PlayerSet.of(0))
+
 
 class TestShapley:
     def test_symmetric_two_player_split(self):
