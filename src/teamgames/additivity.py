@@ -20,13 +20,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericOverflowError, StructureError
-from .limits import DEFAULT_TOL
+from .limits import DEFAULT_TOL, check_tol
 from .players import (
     PlayerSet, check_pair_scan, first_pair, member_sum, player_names, require_disjoint,
     require_fit, subset_closure, subset_label, subset_sums,
 )
 from .st import (
-    STGame, coalition_outcomes, is_fully_cooperative, is_sensible, pair_value,
+    STGame, closure_table, coalition_outcomes, is_fully_cooperative, is_sensible, pair_value,
+    reached,
 )
 
 
@@ -78,6 +79,16 @@ def _first_mismatch(g: STGame, what: str, tol: float, terms: np.ndarray, by_asse
 
 def _find_additive_violation(g: STGame, tol: float):
     """First violation of u_A(S) = sum over members a of u_a(S)."""
+    table = closure_table(g)
+    if table is not None:
+        # the expectation depends on A and V(S) only: the singleton rows summed over A,
+        # compared wherever a coalition containing A produces the outcome
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite sum is off
+            sums = subset_sums(table[1 << np.arange(g.n)])
+            off = ~np.isfinite(sums)
+            off |= np.abs(np.subtract(table, sums, out=sums), out=sums) > tol
+        if not np.any((off & reached(g))[1:]):
+            return None
     return _first_mismatch(g, "additive expectation", tol, _member_terms(g), True)
 
 
@@ -88,10 +99,12 @@ def _find_coadditive_violation(g: STGame, tol: float):
 
 
 def is_additive(g: STGame, tol: float = DEFAULT_TOL) -> bool:
+    check_tol(tol)
     return _find_additive_violation(g, tol) is None
 
 
 def is_coadditive(g: STGame, tol: float = DEFAULT_TOL) -> bool:
+    check_tol(tol)
     return _find_coadditive_violation(g, tol) is None
 
 
@@ -101,6 +114,7 @@ def is_biadditive(g: STGame, tol: float = DEFAULT_TOL) -> bool:
     Each detector allows ``tol`` per entry, so a game can pass both while the
     matrix misses an entry by up to their sum; ``extract_matrix`` refuses it.
     """
+    check_tol(tol)
     if not (is_additive(g, tol) and is_coadditive(g, tol)):
         return False
     try:
@@ -173,6 +187,7 @@ def extract_matrix(g: STGame, tol: float = DEFAULT_TOL) -> BiAdditiveMatrix:
     nested (assessor, coalition) pairs; otherwise a StructureError carries
     the first witness.
     """
+    check_tol(tol)
     check_pair_scan(g.n)  # before the 2^n row sums are built
     n = g.n
     singles = 1 << np.arange(n, dtype=np.int64)
@@ -278,10 +293,11 @@ class AdditiveReport:
 
 
 def additive_predicates(g: STGame, tol: float = DEFAULT_TOL) -> AdditiveReport:
-    terms = _member_terms(g)
-    violation = _first_mismatch(g, "additive expectation", tol, terms, True)
+    check_tol(tol)
+    violation = _find_additive_violation(g, tol)
     if violation is not None:
         raise StructureError("game is not additive", witness=violation)
+    terms = _member_terms(g)
     values_ok = not np.any(terms < -tol)
     # p's least term over the supersets of B; fl(x - y) is monotone in x, so it decides B
     lowest = subset_closure(terms[::-1].copy(), np.fmin)[::-1]
@@ -308,6 +324,7 @@ class CoadditiveReport:
 
 
 def coadditive_predicates(g: STGame, tol: float = DEFAULT_TOL) -> CoadditiveReport:
+    check_tol(tol)
     perceptions = _perceptions(g)
     violation = _first_mismatch(g, "co-additive expectation", tol, perceptions, False)
     if violation is not None:

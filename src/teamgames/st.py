@@ -30,10 +30,10 @@ from typing import TYPE_CHECKING, Callable, Hashable, Mapping
 import numpy as np
 
 from .errors import MissingUtilityError, NotReducibleError, NumericOverflowError, SizeLimitError
-from .limits import DEFAULT_TOL
+from .limits import DEFAULT_TOL, check_tol
 from .players import (
-    PlayerSet, check_subset_array, first_pair, member_sum, player_names, require_disjoint,
-    require_fit, subset_closure, subset_label,
+    PlayerSet, check_pair_scan, check_subset_array, first_pair, member_sum, player_names,
+    require_disjoint, require_fit, subset_closure, subset_label,
 )
 
 if TYPE_CHECKING:
@@ -43,6 +43,9 @@ Outcome = Hashable
 NULL_OUTCOME: Outcome = None
 
 MAX_TABLE_CELLS = 1 << 25  # assessor x outcome cells of a tabulated game (256 MiB)
+# closure cells allowed per pair a scan would walk: a cell costs 0.2-0.9 ns and a pair 50-115 ns
+# (measured), so closures that find a violation add at most an eighth of a full scan
+CELLS_PER_PAIR = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,9 +351,6 @@ class CoopPoint:
     marginal: float
     subset: PlayerSet
 
-    def as_pair(self) -> tuple[float, float]:
-        return (self.altruism, self.competitive)
-
 
 # quadrant of a point by the side of each coordinate: 0 below the band, 1 inside, 2 above
 _QUADRANT_GRID = np.array([[Quadrant[name].value for name in row.split()] for row in (
@@ -436,12 +436,45 @@ def all_coop_points(g: STGame, *, include_grand: bool = True) -> list[CoopPoint]
     ]
 
 
+def closure_table(g: STGame) -> np.ndarray | None:
+    """A tabulated game's table when subset-lattice closures decide its pair predicates
+    faster than a pair scan, else None: the closures pass n * 2^n * |outcomes| cells against
+    the scan's 3^n pairs. A team past the pair-scan limit is refused either way."""
+    check_pair_scan(g.n)
+    if g._table is not None and g.n * len(g.outcomes) << g.n < CELLS_PER_PAIR * 3**g.n:
+        return g._table
+    return None
+
+
+def reached(g: STGame) -> np.ndarray:
+    """``[A, j]``: whether a coalition containing assessor mask A produces outcome
+    position j, for a tabulated game (a superset-OR closure of the consequence map)."""
+    full = (1 << g.n) - 1
+    reach = np.zeros(g._table.shape, dtype=bool)
+    reach[full ^ np.arange(full + 1), g._columns] = True  # row full ^ S: S produces V(S)
+    return subset_closure(reach, np.logical_or)[::-1]
+
+
+def _own_values(g: STGame, table: np.ndarray) -> np.ndarray:
+    """u_S(V(S)) for every coalition mask S of a tabulated game."""
+    return table[np.arange(1 << g.n), g._columns]
+
+
 def is_sensible(g: STGame, tol: float = DEFAULT_TOL) -> bool:
     """No subset's participation is valued below the bystanders' assessment.
 
     Quantifies c_A(A|B) >= 0 over all disjoint nonempty pairs and over the
     B-empty case (self-assessments nonnegative).
     """
+    check_tol(tol)
+    table = closure_table(g)
+    if table is not None:
+        # the most any B inside T values V(T); fl(x - y) is monotone in y, so it decides T,
+        # and B = T adds u_T - u_T, never below -tol
+        highest = _own_values(g, subset_closure(table.copy(), np.fmax))
+        with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
+            return not np.any(_own_values(g, table) - highest < -tol)
+
     def loses(a, b):  # A|B values its outcome below B's assessment of it
         union = a | b
         with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
@@ -452,10 +485,18 @@ def is_sensible(g: STGame, tol: float = DEFAULT_TOL) -> bool:
 
 def is_cohesive(g: STGame, s: PlayerSet, tol: float = DEFAULT_TOL) -> bool:
     """No part of coalition S loses, by its own assessment, from another part joining."""
+    check_tol(tol)
     if not s:
         raise ValueError("coalition must be nonempty")
     if not s.fits(g.n):
         raise ValueError(f"{s} is not a coalition of a {g.n}-player team")
+    table = closure_table(g) if s.mask == (1 << g.n) - 1 else None
+    if table is not None:
+        # B loses when it values below V(B) an outcome that a coalition above it produces;
+        # the coalition B itself adds u_B(V(B)) - u_B(V(B)), never below -tol
+        with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
+            loses = table - _own_values(g, table)[:, None] < -tol
+        return not np.any((loses & reached(g))[1:])
 
     def loses(a, b):  # B values A joining below its own outcome
         with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
@@ -504,16 +545,36 @@ def reduce_to_tu(g: STGame, tol: float = DEFAULT_TOL) -> TUGame:
     """
     from .tu import TUGame
 
+    check_tol(tol)
+
     def competes(a, b):
         union = a | b
         with np.errstate(over="ignore"):  # an infinite contribution is reported below
             c = g.u(union, union) - g.u(b, union)
         return np.abs(c) > tol, c
 
-    witness = first_pair((1 << g.n) - 1, competes, nonempty=True)
+    table = closure_table(g)
+    witness = None
+    if table is None or _competition_in(g, table, tol):
+        witness = first_pair((1 << g.n) - 1, competes, nonempty=True)
     if witness is not None:
         a, b, c = witness
         pair_value(c, "competitive contribution", a, b, g.players)  # raises when infinite
         raise NotReducibleError(PlayerSet(a), PlayerSet(b), c)
     masks = np.arange(1 << g.n, dtype=np.int64)
     return TUGame(g.n, g.u(masks, masks), g.players)
+
+
+def _competition_in(g: STGame, table: np.ndarray, tol: float) -> bool:
+    """Whether some nonempty B inside a coalition T values V(T) more than ``tol`` off u_T:
+    fl(x - y) is monotone in y, so the least and the most such u_B(V(T)) decide T. The
+    empty assessor is left out; B = T adds u_T - u_T, never more than tol off."""
+    own = _own_values(g, table)
+    for fold in (np.fmin, np.fmax):
+        values = table.copy()
+        values[0] = np.nan  # skipped by the fold
+        bound = _own_values(g, subset_closure(values, fold))
+        with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
+            if np.any(np.abs(own - bound) > tol):
+                return True
+    return False

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericOverflowError, SizeLimitError
 from .exact_lp import first_uncovered, minimal_coalition_cover
-from .limits import DEFAULT_TOL, MAX_CORE_DECIDE
+from .limits import DEFAULT_TOL, MAX_CORE_DECIDE, check_tol
 from .players import (
     MAX_SUBSET_ARRAY, PlayerSet, check_subset_array, first_pair, mask_sizes, player_names,
     require_disjoint, require_fit, subset_closure, subset_label, subset_sums,
@@ -131,6 +131,7 @@ def is_convex(game: TUGame, tol: float = DEFAULT_TOL) -> bool:
     Vectorized per (i, j) pair over all eligible subsets. A margin past the
     float range raises ``NumericOverflowError``.
     """
+    check_tol(tol)
     n = game.n
     masks = np.arange(1 << n, dtype=np.int64)
     for i in range(n):
@@ -151,6 +152,7 @@ def is_superadditive(game: TUGame, tol: float = DEFAULT_TOL) -> bool:
     A sum below the float range cannot violate the bound, and one above it
     at the first violating pair raises ``NumericOverflowError``.
     """
+    check_tol(tol)
     u = game.u
 
     def test(a, b):
@@ -167,19 +169,10 @@ def is_superadditive(game: TUGame, tol: float = DEFAULT_TOL) -> bool:
     return False
 
 
-def is_efficient(game: TUGame, phi, tol: float = DEFAULT_TOL) -> bool:
-    """Does the allocation pay out the grand worth? A sum past the float range raises
-    ``NumericOverflowError``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = float(np.sum(phi))
-    if not math.isfinite(total):
-        raise NumericOverflowError("the allocation's sum is past the float range")
-    return abs(total - game.grand_value()) <= tol
-
-
 def in_core(game: TUGame, phi, tol: float = DEFAULT_TOL) -> bool:
     """Core membership: efficient, and no coalition can beat its share. A coalition's
     share past the float range raises ``NumericOverflowError``."""
+    check_tol(tol)
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (game.n,):
         raise ValueError(f"allocation must have length {game.n}")

@@ -1,13 +1,13 @@
-"""Seeded random game generators for property sweeps and tests."""
+"""Seeded random game generators for the property tests."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .additivity import BiAdditiveMatrix
-from .players import mask_sizes, member_sum, player_names
-from .st import STGame, coalition_outcomes
-from .tu import TUGame
+from teamgames.additivity import BiAdditiveMatrix
+from teamgames.players import mask_sizes, member_sum, player_names
+from teamgames.st import STGame, coalition_outcomes
+from teamgames.tu import TUGame
 
 
 def random_tu_game(n: int, rng: np.random.Generator, scale: float = 1.0) -> TUGame:

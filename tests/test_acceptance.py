@@ -40,7 +40,7 @@ from teamgames.cobb import (
     rational_contribution,
 )
 from teamgames.players import PlayerSet
-from teamgames.random_games import (
+from random_games import (
     random_additive_game,
     random_biadditive_matrix,
     random_coadditive_game,

@@ -21,7 +21,7 @@ from teamgames.errors import DisjointnessError, NumericOverflowError, StructureE
 from teamgames.game_io import parse_document
 from reference_loops import disjoint_pairs
 from teamgames.players import PlayerSet, subset_sums
-from teamgames.random_games import (
+from random_games import (
     random_additive_game,
     random_biadditive_matrix,
     random_coadditive_game,

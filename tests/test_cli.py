@@ -515,7 +515,7 @@ class TestAgainstDirectApi:
 
         from teamgames import all_coop_points, classify_quadrant
         from teamgames.game_io import save_game
-        from teamgames.random_games import random_st_game
+        from random_games import random_st_game
 
         game = random_st_game(3, np.random.default_rng(99))
         src = tmp_path / "random3.game"
@@ -537,7 +537,7 @@ class TestAgainstDirectApi:
 
         from teamgames import st
         from teamgames.game_io import save_game
-        from teamgames.random_games import random_st_game
+        from random_games import random_st_game
 
         def refuse(*args, **kwargs):
             raise AssertionError("a quadrant was classified one row at a time")

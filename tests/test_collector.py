@@ -22,7 +22,7 @@ import pytest
 import teamgames
 from teamgames import game_io
 from teamgames.cli import main
-from teamgames.random_games import random_tu_game
+from random_games import random_tu_game
 from teamgames.scenarios import PRISONERS_DILEMMA
 
 SRC = Path(teamgames.__file__).resolve().parents[1]

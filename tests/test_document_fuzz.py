@@ -24,7 +24,7 @@ import pytest
 from teamgames.cli import main
 from teamgames.errors import GameLoadError
 from teamgames.game_io import document_for, load_game, parse_document
-from teamgames.random_games import random_st_game, random_tu_game, tabulate
+from random_games import random_st_game, random_tu_game, tabulate
 from teamgames.scenarios import SCENARIOS
 from teamgames.st import STGame
 from teamgames.tu import random_convex_game

@@ -395,7 +395,7 @@ def test_tu_round_trip(tmp_path):
 
 
 def test_games_with_unreadable_names_are_not_written(tmp_path):
-    from teamgames.random_games import random_additive_game, tabulate
+    from random_games import random_additive_game, tabulate
 
     game = tabulate(random_additive_game(3, np.random.default_rng(5)))
     assert not isinstance(game.outcomes[0], str)

@@ -1,19 +1,24 @@
-"""The chunked pair kernels against the pair-at-a-time reference walks.
+"""The chunked pair kernels and the subset-lattice closures against the pair-at-a-time
+reference walks.
 
-Every predicate and detector that scans disjoint or nested mask pairs must
-give the reference walk's answer, and when it names a violation it must
-name the same first pair, with the same values, in the same words.
+Every predicate and detector that scans disjoint or nested mask pairs, or
+decides a table by closures, must give the reference walk's answer, and when
+it names a violation it must name the same first pair, with the same values,
+in the same words.
 """
 
 import functools
+import math
 import tracemalloc
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 import reference_loops as ref
 import teamgames.players as players
+import teamgames.st as st
 from teamgames.additivity import (
     AdditiveReport,
     BiAdditiveMatrix,
@@ -24,12 +29,15 @@ from teamgames.additivity import (
     coadditive_predicates,
     extract_matrix,
     is_additive,
+    is_biadditive,
     is_coadditive,
 )
 from teamgames.cobb import CobbDouglasConfig, ContributionProfile, hybrid, st_game_view
-from teamgames.errors import NotReducibleError, SizeLimitError, StructureError
+from teamgames.errors import (
+    NotReducibleError, NumericOverflowError, SizeLimitError, StructureError,
+)
 from teamgames.players import FIRST_CHUNK, MAX_PAIR_SCAN, PlayerSet, mask_pairs
-from teamgames.random_games import (
+from random_games import (
     monotone_series,
     random_additive_game,
     random_biadditive_matrix,
@@ -49,7 +57,7 @@ from teamgames.st import (
     is_sensible,
     reduce_to_tu,
 )
-from teamgames.tu import TUGame, is_superadditive, random_convex_game
+from teamgames.tu import TUGame, in_core, is_convex, is_superadditive, random_convex_game
 
 SIZES = range(1, 8)
 
@@ -219,6 +227,153 @@ def test_structured_families_reach_both_answers():
         assert (key, True) in seen and (key, False) in seen, key
 
 
+def _scaled(game, peak=1.5e308):
+    """Tabulated copy of a game with its entries scaled so the largest is ``peak``: their
+    differences and sums leave the float range."""
+    rows, cols = np.nonzero(~np.isnan(game._table[1:]))
+    values = game._table[rows + 1, cols]
+    return STGame.from_entries(game.n, game.outcomes, game._columns, rows + 1, cols,
+                               values / (np.abs(values).max() or 1.0) * peak, game.players)
+
+
+@functools.lru_cache(maxsize=None)
+def _tables(n, seed):
+    """Every family above as a table: clean and perturbed ones, sparse copies (NaN cells) of
+    families that pass, and copies whose entries reach 1.5e308."""
+    rng = np.random.default_rng(2000 * n + seed)
+    games = {name: g if g._table is not None else tabulate(g)
+             for name, g in _games(n, seed).items()}
+    for name in ("monotone_series", "additive_monotone", "coadditive_monotone",
+                 "competition_free"):
+        games[f"{name}_sparse"] = _sparse(games[name], rng)
+    for name in ("random_st_few_outcomes", "additive_monotone", "competition_free"):
+        games[f"{name}_huge"] = _scaled(games[name])
+    return games
+
+
+@pytest.fixture
+def pair_scans(monkeypatch):
+    """The list of pair scans started."""
+    started = []
+    walk = players.mask_pairs
+
+    def counting(*args, **kwargs):
+        started.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(players, "mask_pairs", counting)
+    return started
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.0])
+@pytest.mark.parametrize("n,seed", CASES)
+def test_closures_match_reference(n, seed, tol, pair_scans, monkeypatch):
+    """The closure-decided predicates give the reference walk's answers. One that holds
+    starts no pair scan; a violation is located by the pair kernel, with its witness and
+    message."""
+    monkeypatch.setattr(st, "CELLS_PER_PAIR", math.inf)  # every table takes the closures
+    for name, g in _tables(n, seed).items():
+        before = len(pair_scans)
+        assert is_sensible(g, tol) == ref.is_sensible(g, tol), name
+        assert is_fully_cooperative(g, tol) == ref.is_fully_cooperative(g, tol), name
+        assert len(pair_scans) == before, name
+
+        try:
+            expected = ref.reduce_to_tu(g, tol)
+        except NotReducibleError as exc:
+            with pytest.raises((NotReducibleError, NumericOverflowError)) as got:
+                reduce_to_tu(g, tol)
+            if math.isinf(exc.value):
+                a, b = (players.subset_label(x.mask, g.players) for x in (exc.a, exc.b))
+                assert str(got.value) == (f"the competitive contribution of {a} against {b} "
+                                          "is past the float range"), name
+            else:
+                assert (got.value.a, got.value.b, got.value.value) == (
+                    exc.a, exc.b, exc.value), name
+                assert str(got.value) == str(exc), name
+        else:
+            assert reduce_to_tu(g, tol).u.tolist() == expected.u.tolist(), name
+            assert len(pair_scans) == before, name
+
+        before = len(pair_scans)
+        expected = ref.find_additive_violation(g, tol)
+        if expected is None:
+            assert _find_additive_violation(g, tol) is None, name
+            values_ok, coop_ok, gains_ok = ref.additive_predicates(g, tol)
+            assert additive_predicates(g, tol) == AdditiveReport(values_ok, coop_ok, values_ok,
+                                                                 gains_ok), name
+            assert len(pair_scans) == before, name
+        elif math.isinf(expected[3]):
+            a, s = (players.subset_label(mask, g.players) for mask in expected[:2])
+            for detect in (_find_additive_violation, additive_predicates):
+                with pytest.raises(NumericOverflowError) as got:
+                    detect(g, tol)
+                assert str(got.value) == (f"the additive expectation of {a} at coalition {s} "
+                                          "is past the float range"), name
+        else:
+            assert _find_additive_violation(g, tol) == expected, name
+            with pytest.raises(StructureError) as got:
+                additive_predicates(g, tol)
+            assert got.value.witness == expected, name
+            assert str(got.value) == "game is not additive", name
+
+
+def test_table_families_reach_both_answers():
+    """The tables above see each closure-decided predicate pass and fail, the reduction and
+    the additive expectation also past the float range."""
+    seen = set()
+    for n, seed in CASES:
+        for g in _tables(n, seed).values():
+            seen.add(("sensible", ref.is_sensible(g)))
+            seen.add(("cooperative", ref.is_fully_cooperative(g)))
+            try:
+                ref.reduce_to_tu(g)
+                seen.add(("reducible", True))
+            except NotReducibleError as exc:
+                seen.add(("reducible", "past" if math.isinf(exc.value) else False))
+            additive = ref.find_additive_violation(g)
+            seen.add(("additive", "past" if additive and math.isinf(additive[3])
+                      else additive is None))
+    for key in ("sensible", "cooperative", "reducible", "additive"):
+        assert {(key, True), (key, False)} <= seen, key
+    assert {("reducible", "past"), ("additive", "past")} <= seen
+
+
+def test_clean_size_outcome_tables_scan_no_pairs(pair_scans, monkeypatch):
+    """At the pair-scan limit the closures decide a clean table with one outcome per
+    coalition size and scan no pairs; a table with one outcome per coalition is left to
+    the pair kernel."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closure-decided predicate scanned pairs")
+
+    g = _size_outcome_game(MAX_PAIR_SCAN)
+    with monkeypatch.context() as patched:
+        patched.setattr(players, "mask_pairs", refuse)
+        for predicate in (is_sensible, is_fully_cooperative, is_additive):
+            assert predicate(g), predicate.__name__
+    coalition = tabulate(random_additive_game(6, np.random.default_rng(3), nonnegative=True))
+    assert is_sensible(coalition)
+    assert len(pair_scans) == 1
+
+
+@pytest.mark.parametrize(
+    "predicate",
+    [is_sensible, is_cohesive, is_fully_cooperative, reduce_to_tu, is_additive, is_coadditive,
+     is_biadditive, extract_matrix, additive_predicates, coadditive_predicates, is_convex,
+     is_superadditive, in_core],
+    ids=lambda predicate: predicate.__name__,
+)
+@pytest.mark.parametrize("tol", [math.nan, -1e-9])
+def test_predicates_refuse_a_nan_or_negative_tol(predicate, tol):
+    if predicate in (is_convex, is_superadditive, in_core):
+        game = random_convex_game(3, np.random.default_rng(1))
+    else:
+        game = _games(3, 0)["biadditive_tabulated"]
+    args = {is_cohesive: (PlayerSet.of(0, 1),), in_core: ([0.0, 0.0, 0.0],)}.get(predicate, ())
+    with pytest.raises(ValueError, match=f"^tol must be a nonnegative number, got {tol}$"):
+        predicate(game, *args, tol=tol)
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_superadditivity_matches_reference(n):
     rng = np.random.default_rng(77 + n)
@@ -294,8 +449,8 @@ def test_enumerator_order_and_coverage():
 
 
 def _size_outcome_game(n):
-    """Additive team game whose outcome is the coalition size: sensible, so
-    a sensibility scan walks every pair."""
+    """Additive team game whose outcome is the coalition size: sensible, fully cooperative
+    and additive, so a pair kernel deciding it walks every pair."""
     sizes = np.array([bin(m).count("1") for m in range(1 << n)])
     columns = np.maximum(sizes - 1, 0).astype(np.intp)
     weight = np.array([sum(0.5 + i for i in range(n) if m >> i & 1) for m in range(1 << n)])
@@ -309,6 +464,8 @@ def _size_outcome_game(n):
 
 
 def test_sensibility_scan_memory_is_chunk_bounded():
+    """Deciding sensibility holds nothing near a 3^n array: this table is decided by a
+    closure over one copy of it, a scan by one chunk of pairs at a time."""
     n = 14
     g = _size_outcome_game(n)
     tracemalloc.start()
@@ -318,6 +475,21 @@ def test_sensibility_scan_memory_is_chunk_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 3**n * 8
+
+
+@pytest.mark.parametrize("predicate", [is_sensible, is_fully_cooperative, reduce_to_tu,
+                                       is_additive], ids=lambda predicate: predicate.__name__)
+def test_closure_memory_is_table_bounded(predicate):
+    """A closure holds temporaries no larger than the table, one or two at a time."""
+    g = _size_outcome_game(14)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotReducibleError) if predicate is reduce_to_tu else nullcontext():
+            predicate(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * g._table.nbytes
 
 
 def test_violation_near_the_start_stops_early():

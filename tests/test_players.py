@@ -11,7 +11,7 @@ from teamgames.players import (
     MAX_PAIR_SCAN, PlayerSet, first_pair, mask_pairs, mask_sizes, member_sum, player_names,
     subset_closure, subset_sums, subsets,
 )
-from teamgames.random_games import random_additive_game, random_biadditive_matrix
+from random_games import random_additive_game, random_biadditive_matrix
 
 
 def test_construction_and_membership():

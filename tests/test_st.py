@@ -8,7 +8,7 @@ from reference_loops import disjoint_pairs, in_st_core
 from teamgames.additivity import BiAdditiveMatrix
 from teamgames.errors import DisjointnessError, NotReducibleError, NumericOverflowError
 from teamgames.players import PlayerSet
-from teamgames.random_games import monotone_series, random_st_game
+from random_games import monotone_series, random_st_game
 from teamgames.scenarios import builtin_game
 from teamgames.st import (
     CoopPoint,
@@ -126,7 +126,7 @@ class TestCoopPoints:
         pts = all_coop_points(PD, include_grand=False)
         assert len(pts) == 2
         assert [p.subset.mask for p in pts] == [1, 2]
-        assert all(p.as_pair() == (1.0, 2.0) for p in pts)
+        assert all((p.altruism, p.competitive) == (1.0, 2.0) for p in pts)
 
         g = random_st_game(3, np.random.default_rng(5))
         pts = all_coop_points(g, include_grand=False)

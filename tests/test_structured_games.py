@@ -19,7 +19,7 @@ from teamgames.cobb import EQUAL, CobbDouglasConfig, ContributionProfile, hybrid
 from teamgames.errors import SizeLimitError
 from teamgames.game_io import load_game, save_game
 from teamgames.players import MAX_SUBSET_ARRAY, PlayerSet, check_subset_array
-from teamgames.random_games import (
+from random_games import (
     random_additive_game,
     random_biadditive_matrix,
     random_coadditive_game,

@@ -6,7 +6,7 @@ from reference_loops import shapley_by_permutations, shapley_value_stratified
 
 from teamgames.errors import DisjointnessError, NumericOverflowError, SizeLimitError
 from teamgames.players import PlayerSet, member_sum
-from teamgames.random_games import random_tu_game
+from random_games import random_tu_game
 from teamgames.tu import (
     MAX_CORE_DECIDE,
     TUGame,
@@ -14,13 +14,22 @@ from teamgames.tu import (
     core_witness,
     in_core,
     is_convex,
-    is_efficient,
     is_superadditive,
     marginal_contribution,
     random_convex_game,
     shapley_value,
     unanimity_game,
 )
+
+
+def is_efficient(game, phi, tol=1e-9):
+    """Does the allocation pay out the grand worth? A sum past the float range raises
+    ``NumericOverflowError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(phi))
+    if not np.isfinite(total):
+        raise NumericOverflowError("the allocation's sum is past the float range")
+    return abs(total - game.grand_value()) <= tol
 
 
 def game(values_by_members, n):
