@@ -22,12 +22,11 @@ import numpy as np
 from .errors import NumericOverflowError, StructureError
 from .limits import DEFAULT_TOL, check_tol
 from .players import (
-    PlayerSet, check_pair_scan, first_pair, member_sum, player_names, require_disjoint,
-    require_fit, subset_closure, subset_label, subset_sums,
+    PlayerSet, check_pair_scan, first_nested_cell, first_pair, member_sum, player_names,
+    require_disjoint, require_fit, subset_closure, subset_label, subset_sums,
 )
 from .st import (
     STGame, closure_table, coalition_outcomes, is_fully_cooperative, is_sensible, pair_value,
-    reached,
 )
 
 
@@ -53,13 +52,13 @@ def _perceptions(g: STGame) -> np.ndarray:
     return g.u(np.arange(1 << g.n)[:, None], 1 << np.arange(g.n))
 
 
-def _first_mismatch(g: STGame, what: str, tol: float, terms: np.ndarray, by_assessor: bool):
+def _first_mismatch(g: STGame, what: str, tol: float, terms, by_assessor: bool, first=None):
     """First nested pair (assessor A, coalition S) in scan order where u_A(S) is more than
     ``tol`` off its expectation, as (A, S, got, expected). The expectation sums ``terms[S, i]``
     over the members i of A (``by_assessor``) or ``terms[A, i]`` over the members i of S. A
     NaN expectation (a missing entry) counts as off and is reported with got and expected
     None; an infinite one (the ``what`` of A at S past the float range) raises
-    ``NumericOverflowError``."""
+    ``NumericOverflowError``. A pair (S, A) known to come first, ``first``, is read alone."""
     def off(s, a):
         rows, members = (s, a) if by_assessor else (a, s)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -67,7 +66,8 @@ def _first_mismatch(g: STGame, what: str, tol: float, terms: np.ndarray, by_asse
             got = g.u(a, s)
             return ~np.isfinite(want) | (np.abs(got - want) > tol), got, want
 
-    witness = first_pair((1 << g.n) - 1, off, nested=True, nonempty=True)
+    witness = (first_pair((1 << g.n) - 1, off, nested=True, nonempty=True) if first is None
+               else (*first, *(v.item() for v in off(*np.array([first]).T)[1:])))
     if witness is None:
         return None
     s, a, got, want = witness
@@ -77,9 +77,10 @@ def _first_mismatch(g: STGame, what: str, tol: float, terms: np.ndarray, by_asse
     return (a, s, got, want) if want == want else (a, s, None, None)
 
 
-def _find_additive_violation(g: STGame, tol: float):
-    """First violation of u_A(S) = sum over members a of u_a(S)."""
+def _find_additive_violation(g: STGame, tol: float, terms=None):
+    """First violation of u_A(S) = sum over members a of u_a(S); ``terms``: ``_member_terms``."""
     table = closure_table(g)
+    first = None
     if table is not None:
         # the expectation depends on A and V(S) only: the singleton rows summed over A,
         # compared wherever a coalition containing A produces the outcome
@@ -87,9 +88,11 @@ def _find_additive_violation(g: STGame, tol: float):
             sums = subset_sums(table[1 << np.arange(g.n)])
             off = ~np.isfinite(sums)
             off |= np.abs(np.subtract(table, sums, out=sums), out=sums) > tol
-        if not np.any((off & reached(g))[1:]):
+        first = first_nested_cell(off, g._columns)
+        if first is None:
             return None
-    return _first_mismatch(g, "additive expectation", tol, _member_terms(g), True)
+    terms = _member_terms(g) if terms is None else terms
+    return _first_mismatch(g, "additive expectation", tol, terms, True, first)
 
 
 def _find_coadditive_violation(g: STGame, tol: float):
@@ -294,10 +297,10 @@ class AdditiveReport:
 
 def additive_predicates(g: STGame, tol: float = DEFAULT_TOL) -> AdditiveReport:
     check_tol(tol)
-    violation = _find_additive_violation(g, tol)
+    terms = _member_terms(g)
+    violation = _find_additive_violation(g, tol, terms)
     if violation is not None:
         raise StructureError("game is not additive", witness=violation)
-    terms = _member_terms(g)
     values_ok = not np.any(terms < -tol)
     # p's least term over the supersets of B; fl(x - y) is monotone in x, so it decides B
     lowest = subset_closure(terms[::-1].copy(), np.fmin)[::-1]

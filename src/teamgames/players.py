@@ -154,6 +154,21 @@ def subset_closure(table: np.ndarray, ufunc) -> np.ndarray:
     return table
 
 
+def first_nested_cell(flags: np.ndarray, columns):
+    """The first (S, A) with ``flags[A, columns[S]]`` set, or None, in ``first_pair``'s nested
+    order: nonempty S ascending, then its nonempty submasks A ascending. ``flags``, a boolean
+    table of 2^n assessor rows by outcome positions, is OR-closed in place with row 0 cleared:
+    the first covered submask of S is also its first flagged one."""
+    flags[0] = False
+    bad = subset_closure(flags, np.logical_or)[np.arange(len(flags)), columns]
+    if not bad.any():
+        return None
+    s = int(np.argmax(bad))
+    subs = np.arange(1, s + 1)
+    subs = subs[(subs & s) == subs]
+    return s, int(subs[np.argmax(flags[subs, columns[s]])])
+
+
 def mask_sizes(n: int) -> np.ndarray:
     """Popcount of every mask below 2^n."""
     return subset_sums(np.ones(n, dtype=np.int64))

@@ -32,8 +32,8 @@ import numpy as np
 from .errors import MissingUtilityError, NotReducibleError, NumericOverflowError, SizeLimitError
 from .limits import DEFAULT_TOL, check_tol
 from .players import (
-    PlayerSet, check_pair_scan, check_subset_array, first_pair, member_sum, player_names,
-    require_disjoint, require_fit, subset_closure, subset_label,
+    PlayerSet, check_pair_scan, check_subset_array, first_nested_cell, first_pair, member_sum,
+    player_names, require_disjoint, require_fit, subset_closure, subset_label,
 )
 
 if TYPE_CHECKING:
@@ -58,7 +58,7 @@ class STGame:
     or two ints. A tabulated game reads it from ``_table[A, j]``, NaN where
     no entry was given (row 0, the empty assessor, is all 0); structured
     games compute it in closed form; only :meth:`from_functions` calls user
-    code per element. Every kernel reads games through :meth:`u`.
+    code per element. Pair kernels read games through :meth:`u`; lattice closures read ``_table``.
     """
 
     n: int
@@ -130,14 +130,9 @@ class STGame:
         table = np.full((1 << n, len(outcomes)), np.nan)
         table[0] = 0.0
         table[np.asarray(assessors, dtype=np.intp), np.asarray(positions, dtype=np.intp)] = values
-        # after a subset-OR closure, cover[S, j] says some nonempty submask of S lacks outcome j
-        cover = subset_closure(np.isnan(table), np.logical_or)
-        bad = cover[np.arange(1 << n), columns]
-        if bad.any():
-            s = int(np.argmax(bad))
-            subs = np.arange(1, s + 1)
-            subs = subs[(subs & s) == subs]
-            a = int(subs[np.argmax(np.isnan(table[subs, columns[s]]))])
+        missing = first_nested_cell(np.isnan(table), columns)
+        if missing is not None:
+            s, a = missing
             raise ValueError(
                 f"missing utility: assessor {subset_label(a, players)} "
                 f"at outcome {outcomes[columns[s]]!r} (reachable via coalition "
@@ -367,6 +362,7 @@ def quadrant_labels(altruism, competitive, tol: float = DEFAULT_TOL, *, closed: 
     c >= -tol; this matches predicates stated with >= 0. A NaN coordinate
     fails both comparisons and lands on the negative side.
     """
+    check_tol(tol)
 
     def side(x):
         x = np.asarray(x, dtype=float)
@@ -446,15 +442,6 @@ def closure_table(g: STGame) -> np.ndarray | None:
     return None
 
 
-def reached(g: STGame) -> np.ndarray:
-    """``[A, j]``: whether a coalition containing assessor mask A produces outcome
-    position j, for a tabulated game (a superset-OR closure of the consequence map)."""
-    full = (1 << g.n) - 1
-    reach = np.zeros(g._table.shape, dtype=bool)
-    reach[full ^ np.arange(full + 1), g._columns] = True  # row full ^ S: S produces V(S)
-    return subset_closure(reach, np.logical_or)[::-1]
-
-
 def _own_values(g: STGame, table: np.ndarray) -> np.ndarray:
     """u_S(V(S)) for every coalition mask S of a tabulated game."""
     return table[np.arange(1 << g.n), g._columns]
@@ -496,7 +483,7 @@ def is_cohesive(g: STGame, s: PlayerSet, tol: float = DEFAULT_TOL) -> bool:
         # the coalition B itself adds u_B(V(B)) - u_B(V(B)), never below -tol
         with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
             loses = table - _own_values(g, table)[:, None] < -tol
-        return not np.any((loses & reached(g))[1:])
+        return first_nested_cell(loses, g._columns) is None
 
     def loses(a, b):  # B values A joining below its own outcome
         with np.errstate(over="ignore"):  # an overflowing difference keeps its sign

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import reference_loops as ref
+import teamgames.additivity as additivity
 import teamgames.players as players
 import teamgames.st as st
 from teamgames.additivity import (
@@ -32,7 +33,9 @@ from teamgames.additivity import (
     is_biadditive,
     is_coadditive,
 )
-from teamgames.cobb import CobbDouglasConfig, ContributionProfile, hybrid, st_game_view
+from teamgames.cobb import (
+    CobbDouglasConfig, ContributionProfile, hybrid, payoff_utility_grid, st_game_view,
+)
 from teamgames.errors import (
     NotReducibleError, NumericOverflowError, SizeLimitError, StructureError,
 )
@@ -55,6 +58,7 @@ from teamgames.st import (
     is_cohesive,
     is_fully_cooperative,
     is_sensible,
+    quadrant_labels,
     reduce_to_tu,
 )
 from teamgames.tu import TUGame, in_core, is_convex, is_superadditive, random_convex_game
@@ -269,8 +273,9 @@ def pair_scans(monkeypatch):
 @pytest.mark.parametrize("n,seed", CASES)
 def test_closures_match_reference(n, seed, tol, pair_scans, monkeypatch):
     """The closure-decided predicates give the reference walk's answers. One that holds
-    starts no pair scan; a violation is located by the pair kernel, with its witness and
-    message."""
+    starts no pair scan, and neither does the additive detector's violation, located from
+    its closure; a reduction's violation is located by the pair kernel. Every witness and
+    message is the walk's."""
     monkeypatch.setattr(st, "CELLS_PER_PAIR", math.inf)  # every table takes the closures
     for name, g in _tables(n, seed).items():
         before = len(pair_scans)
@@ -298,24 +303,25 @@ def test_closures_match_reference(n, seed, tol, pair_scans, monkeypatch):
         before = len(pair_scans)
         expected = ref.find_additive_violation(g, tol)
         if expected is None:
-            assert _find_additive_violation(g, tol) is None, name
+            assert _find_additive_violation(g, tol) is None and is_additive(g, tol), name
             values_ok, coop_ok, gains_ok = ref.additive_predicates(g, tol)
             assert additive_predicates(g, tol) == AdditiveReport(values_ok, coop_ok, values_ok,
                                                                  gains_ok), name
-            assert len(pair_scans) == before, name
         elif math.isinf(expected[3]):
             a, s = (players.subset_label(mask, g.players) for mask in expected[:2])
-            for detect in (_find_additive_violation, additive_predicates):
+            for detect in (_find_additive_violation, additive_predicates, is_additive):
                 with pytest.raises(NumericOverflowError) as got:
                     detect(g, tol)
                 assert str(got.value) == (f"the additive expectation of {a} at coalition {s} "
                                           "is past the float range"), name
         else:
             assert _find_additive_violation(g, tol) == expected, name
+            assert not is_additive(g, tol), name
             with pytest.raises(StructureError) as got:
                 additive_predicates(g, tol)
             assert got.value.witness == expected, name
             assert str(got.value) == "game is not additive", name
+        assert len(pair_scans) == before, name
 
 
 def test_table_families_reach_both_answers():
@@ -360,7 +366,7 @@ def test_clean_size_outcome_tables_scan_no_pairs(pair_scans, monkeypatch):
     "predicate",
     [is_sensible, is_cohesive, is_fully_cooperative, reduce_to_tu, is_additive, is_coadditive,
      is_biadditive, extract_matrix, additive_predicates, coadditive_predicates, is_convex,
-     is_superadditive, in_core],
+     is_superadditive, in_core, quadrant_labels, payoff_utility_grid],
     ids=lambda predicate: predicate.__name__,
 )
 @pytest.mark.parametrize("tol", [math.nan, -1e-9])
@@ -369,9 +375,27 @@ def test_predicates_refuse_a_nan_or_negative_tol(predicate, tol):
         game = random_convex_game(3, np.random.default_rng(1))
     else:
         game = _games(3, 0)["biadditive_tabulated"]
-    args = {is_cohesive: (PlayerSet.of(0, 1),), in_core: ([0.0, 0.0, 0.0],)}.get(predicate, ())
+    args = {
+        is_cohesive: (game, PlayerSet.of(0, 1)),
+        in_core: (game, [0.0, 0.0, 0.0]),
+        quadrant_labels: (0.0, 0.0),  # the origin at the default tol
+        payoff_utility_grid: (hybrid(0.5), CobbDouglasConfig(), 1, 1, 2),  # with an origin row
+    }.get(predicate, (game,))
     with pytest.raises(ValueError, match=f"^tol must be a nonnegative number, got {tol}$"):
-        predicate(game, *args, tol=tol)
+        predicate(*args, tol=tol)
+
+
+def test_additive_predicates_read_member_terms_once(monkeypatch):
+    """The detector and the report share one read of the per-player terms, on a game the
+    pair kernel decides and on one the closures decide."""
+    calls = []
+    read = additivity._member_terms
+    monkeypatch.setattr(additivity, "_member_terms", lambda g: calls.append(g) or read(g))
+    scanned = random_additive_game(6, np.random.default_rng(3), nonnegative=True)
+    for g in (scanned, _size_outcome_game(6)):
+        del calls[:]
+        assert additive_predicates(g).sensible
+        assert calls == [g]
 
 
 @pytest.mark.parametrize("n", SIZES)

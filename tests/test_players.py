@@ -8,8 +8,8 @@ from teamgames import additivity, cobb, st, tu
 from teamgames.errors import DisjointnessError, SizeLimitError
 from reference_loops import coalition_row_sums, disjoint_pairs, iter_submasks, iter_subset_masks
 from teamgames.players import (
-    MAX_PAIR_SCAN, PlayerSet, first_pair, mask_pairs, mask_sizes, member_sum, player_names,
-    subset_closure, subset_sums, subsets,
+    MAX_PAIR_SCAN, PlayerSet, first_nested_cell, first_pair, mask_pairs, mask_sizes, member_sum,
+    player_names, subset_closure, subset_sums, subsets,
 )
 from random_games import random_additive_game, random_biadditive_matrix
 
@@ -244,9 +244,44 @@ def test_subset_closure_matches_a_submask_fold(n, ufunc, columns):
     assert same_bits(closed, expected)
 
 
+def _first_flagged_walk(flags, columns):
+    """The first (S, A) with ``flags[A, columns[S]]`` set, one nested pair at a time."""
+    for s in range(1, len(flags)):
+        for a in iter_submasks(s, nonempty=True):
+            if flags[a, columns[s]]:
+                return s, a
+    return None
+
+
+@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("outcomes", [1, 2, 5])
+def test_first_nested_cell_matches_a_nested_walk(n, outcomes):
+    rng = np.random.default_rng(10 * n + outcomes)
+    for density in (0.0, 0.01, 0.05, 0.3):
+        flags = rng.random((1 << n, outcomes)) < density
+        columns = rng.integers(0, outcomes, size=1 << n)
+        expected = _first_flagged_walk(flags, columns)
+        row_cleared = flags.copy()
+        row_cleared[0] = False
+        assert first_nested_cell(flags, columns) == expected
+        assert same_bits(flags, subset_closure(row_cleared, np.logical_or))  # closed in place
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_first_nested_cell_finds_nothing_unflagged_or_in_row_zero(n):
+    flags = np.zeros((1 << n, 3), dtype=bool)
+    columns = np.arange(1 << n) % 3
+    assert first_nested_cell(flags, columns) is None
+    flags[0] = True  # the empty assessor is in no nested pair
+    assert first_nested_cell(flags, columns) is None
+    assert not flags.any()
+
+
 SRC = Path(__file__).parents[1] / "src" / "teamgames"
-# an n-pass closure over halves of the lattice, and the doubling slice of a subset sum
-LATTICE_IDIOMS = re.compile(r"reshape\(-1, 2, 1 <<|\[1 << \w+ ?: ?2 << \w+\]")
+# an n-pass closure over halves of the lattice, the doubling slice of a subset sum, and a
+# submask filter (a nested lattice search)
+LATTICE_IDIOMS = re.compile(
+    r"reshape\(-1, 2, 1 <<|\[1 << \w+ ?: ?2 << \w+\]|\((\w+) & (\w+)\) == \1")
 
 
 def test_subset_lattice_loops_live_in_players_only():

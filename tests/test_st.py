@@ -5,6 +5,7 @@ from hypothesis import strategies as hs
 import reference_loops as ref
 from reference_loops import disjoint_pairs, in_st_core
 
+from teamgames import tu
 from teamgames.additivity import BiAdditiveMatrix
 from teamgames.errors import DisjointnessError, NotReducibleError, NumericOverflowError
 from teamgames.players import PlayerSet
@@ -17,6 +18,7 @@ from teamgames.st import (
     all_coop_points,
     altruistic_contribution,
     classify_quadrant,
+    coalition_outcomes,
     competitive_contribution,
     coop_point,
     from_ntu,
@@ -516,3 +518,43 @@ class TestPairMetricsPastTheFloatRange:
         assert total_marginal(g, A | B, PlayerSet.empty()) == 1.7e308
         assert coop_point(g, A) == CoopPoint(0.0, 1.7e308 - 1.0, 1.7e308 - 1.0, A)
         assert coop_point(g, A | B) == CoopPoint(0.0, 1.7e308, 1.7e308, A | B)
+
+
+OUTSIDE = PlayerSet.of(2)  # a set outside a 2-player team
+
+
+@pytest.mark.parametrize(
+    "call, outcome",
+    [
+        (lambda: competitive_contribution(
+            STGame.additive(2, *coalition_outcomes(2), np.full((2, 3), 1e308)), A, B),
+         NumericOverflowError("the utility of {0,1} at outcome 3 is past the float range")),
+        (lambda: tu.core_is_nonempty(tu.TUGame(1, np.array([0.0, -1.0]))), True),
+        (lambda: tu.in_core(tu.TUGame(2, np.zeros(4)), [0.0]),
+         ValueError("allocation must have length 2")),
+        (lambda: tu.unanimity_game(2, OUTSIDE),
+         ValueError("carrier PlayerSet.of(2) does not fit a 2-player team")),
+        (lambda: PD.consequence(OUTSIDE),
+         ValueError("PlayerSet.of(2) is not a coalition of a 2-player team")),
+        (lambda: PD.assess(OUTSIDE, "together"),
+         ValueError("PlayerSet.of(2) is not a subset of a 2-player team")),
+        (lambda: coop_point(PD, PlayerSet.empty()), ValueError("subset must be nonempty")),
+        (lambda: coop_point(PD, OUTSIDE),
+         ValueError("PlayerSet.of(2) is not a subset of a 2-player team")),
+        (lambda: is_cohesive(PD, PlayerSet.empty()), ValueError("coalition must be nonempty")),
+        (lambda: is_cohesive(PD, OUTSIDE),
+         ValueError("PlayerSet.of(2) is not a coalition of a 2-player team")),
+    ],
+    ids=["additive-read-past-range", "one-player-core", "in-core-length", "unanimity-carrier",
+         "consequence-outside", "assess-outside", "coop-point-empty", "coop-point-outside",
+         "cohesive-empty", "cohesive-outside"],
+)
+def test_library_calls_outside_a_game_end_in_their_answer_or_message(call, outcome):
+    """Calls that only these cases reach: each ends in its answer or in one error naming
+    what does not fit."""
+    if not isinstance(outcome, Exception):
+        assert call() is outcome
+        return
+    with pytest.raises(type(outcome)) as got:
+        call()
+    assert str(got.value) == str(outcome)
