@@ -66,7 +66,7 @@ def _first_mismatch(g: STGame, what: str, tol: float, terms, by_assessor: bool, 
             got = g.u(a, s)
             return ~np.isfinite(want) | (np.abs(got - want) > tol), got, want
 
-    witness = (first_pair((1 << g.n) - 1, off, nested=True, nonempty=True) if first is None
+    witness = (first_pair(g.n, off, nested=True, nonempty=True) if first is None
                else (*first, *(v.item() for v in off(*np.array([first]).T)[1:])))
     if witness is None:
         return None
@@ -79,7 +79,7 @@ def _first_mismatch(g: STGame, what: str, tol: float, terms, by_assessor: bool, 
 
 def _find_additive_violation(g: STGame, tol: float, terms=None):
     """First violation of u_A(S) = sum over members a of u_a(S); ``terms``: ``_member_terms``."""
-    table = closure_table(g)
+    table = closure_table(g, g.n)
     first = None
     if table is not None:
         # the expectation depends on A and V(S) only: the singleton rows summed over A,

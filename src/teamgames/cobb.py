@@ -36,8 +36,10 @@ import numpy as np
 
 from .cobb_params import FRONTIER_COLUMNS, UNBOUNDED, CobbDouglasConfig  # noqa: F401
 from .cobb_params import max_stable_team_size, stable_size_grid  # noqa: F401 - re-exported
-from .limits import DEFAULT_TOL
-from .players import PlayerSet, mask_sizes, player_names, require_disjoint, subset_sums
+from .limits import DEFAULT_TOL, check_tol
+from .players import (
+    PlayerSet, mask_sizes, player_names, require_disjoint, require_fit, subset_sums,
+)
 
 if TYPE_CHECKING:
     from .st import CoopPoint, STGame
@@ -178,6 +180,7 @@ def payoff(
     """Payment to subset A out of coalition S's produced value. Requires A in S."""
     if not a.issubset(s):
         raise ValueError(f"{a} is not a subset of the coalition {s}")
+    require_fit(len(profile), a, s)
     return float(_group_payoff(scheme, cfg, profile.total(a), len(a), profile.total(s), len(s)))
 
 
@@ -190,6 +193,7 @@ def cd_subset_utility(
 ) -> float:
     """u_A(S): the Cobb-Douglas balance of A's payment from S, made to A's members inside
     S, and A's reserve; the empty assessor values everything at 0."""
+    require_fit(len(profile), a, s)
     inside = a & s
     group = (profile.total(inside), len(inside), profile.reserve(a))
     return float(_group_utility(scheme, cfg, group, (profile.total(s), len(s)))[1])
@@ -227,6 +231,7 @@ def cd_coop_point(scheme, cfg, profile, a: PlayerSet, b: PlayerSet) -> CoopPoint
     from .st import CoopPoint
 
     require_disjoint(a, b)
+    require_fit(len(profile), a, b)
     if not b:
         alone = cd_subset_utility(scheme, cfg, profile, a, a)
         return CoopPoint(altruism=0.0, competitive=alone, marginal=alone, subset=a)
@@ -262,7 +267,9 @@ def cd_fully_cooperative(
     Equivalent to a_A(A|B) >= 0 whenever B keeps any reserve: the altruism
     factorizes as (payment_joint^theta - payment_alone^theta) * reserve^(1-theta).
     """
+    check_tol(tol)
     require_disjoint(a, b)
+    require_fit(len(profile), a, b)
     if not b:
         raise ValueError("the bystanding subset B must be nonempty")
     return payoff(scheme, cfg, profile, b, a | b) >= payoff(scheme, cfg, profile, b, b) - tol
@@ -325,7 +332,7 @@ def maximize_scalar(fn, lo, hi):
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
     lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
                                  np.atleast_1d(np.asarray(hi, dtype=float)))
-    if np.any(hi < lo):
+    if not np.all(lo <= hi):
         raise ValueError("empty bracket")
     # np.linspace per row: j * step + lo, or (j / n) * span + lo where the step underflows,
     # ending exactly at hi
@@ -389,6 +396,8 @@ def rational_contribution(
     Everyone else's contribution is taken from ``profile`` (the player's own
     entry is ignored); ties break toward contributing less.
     """
+    if not 0 <= player < len(profile):
+        raise ValueError(f"player {player} is not in a {len(profile)}-player team")
     return symmetric_rational_contribution(scheme, cfg, profile, PlayerSet.of(player))
 
 
@@ -408,6 +417,8 @@ def symmetric_rational_contribution(
     """
     if not group:
         raise ValueError("group must be nonempty")
+    if not group.fits(len(profile)):
+        raise ValueError(f"{group} is not a group of a {len(profile)}-player team")
     pools = sorted({profile.resources[p] for p in group})
     if len(pools) > 1:
         raise ValueError(f"group members must share one resource pool, got pools {pools}")
@@ -443,6 +454,7 @@ def altruism_roots(
     at a time and bisected together, each with the float operations of a
     search run on it alone.
     """
+    check_tol(tol)
     _require_groups(size_a, size_b)
     x_b = np.atleast_1d(np.asarray(x_b_total, dtype=float))
     outside = ~((0.0 <= x_b) & (x_b <= size_b))
@@ -538,6 +550,7 @@ def cooperation_path(
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    check_tol(tol)
     _require_groups(size_a, size_b)
     x_b = np.linspace(0.0, 1.0, samples)
     x_a = _best_response(scheme, cfg, size_a, size_b * x_b, size_a + size_b)
@@ -609,6 +622,7 @@ def rational_table(
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    check_tol(tol)
     x_b = np.arange(resolution) / (resolution - 1)
     x_a = _best_response(scheme, cfg, size_a, size_b * x_b, size_a + size_b)
     roots = altruism_roots(scheme, cfg, size_a, size_b, x_b * size_b, tol=tol)

@@ -160,10 +160,10 @@ def first_nested_cell(flags: np.ndarray, columns):
     table of 2^n assessor rows by outcome positions, is OR-closed in place with row 0 cleared:
     the first covered submask of S is also its first flagged one."""
     flags[0] = False
-    bad = subset_closure(flags, np.logical_or)[np.arange(len(flags)), columns]
+    bad = subset_closure(flags, np.logical_or)[np.arange(1, len(flags)), columns[1:]]
     if not bad.any():
         return None
-    s = int(np.argmax(bad))
+    s = int(np.argmax(bad)) + 1
     subs = np.arange(1, s + 1)
     subs = subs[(subs & s) == subs]
     return s, int(subs[np.argmax(flags[subs, columns[s]])])
@@ -218,23 +218,21 @@ FIRST_CHUNK = 1 << 6   # pairs in a scan's first chunk, so early exits stay chea
 PAIR_CHUNK = 1 << 16   # largest chunk; later chunks double up to it
 
 
-def mask_pairs(within: int, *, nested: bool = False, nonempty: bool = False):
-    """Every mask pair of a 3^n scan, in chunks of parallel int64 arrays.
+def mask_pairs(n: int, *, nested: bool = False, nonempty: bool = False):
+    """Every mask pair of a 3^n scan over players 0..n-1, in chunks of parallel int64 arrays.
 
     Yields ``(outer, inner)`` arrays ascending in (outer, inner): outer runs
-    over the nonempty submasks of ``within``; inner over the submasks of
-    outer (``nested``) or of the rest of ``within`` (disjoint), the empty
-    one skipped when ``nonempty``. Pairs are numbered in that order and
-    chunks are consecutive ranges of the numbering, so a scan that stops at
-    the first violating entry of a chunk stops at the first violating pair,
-    and no pair array outgrows the chunk size whatever the team size.
+    over the nonempty masks below 2^n; inner over the submasks of outer
+    (``nested``) or of its complement (disjoint), the empty one skipped
+    when ``nonempty``. Pairs are numbered in that order and chunks are
+    consecutive ranges of the numbering, so a scan that stops at the first
+    violating entry of a chunk stops at the first violating pair, and no
+    pair array outgrows the chunk size whatever the team size.
     """
-    width = within.bit_length()
-    k = within.bit_count()
-    full = (1 << k) - 1
+    full = (1 << n) - 1
     outer = np.arange(1, full + 1, dtype=np.int64)
-    sizes = mask_sizes(k)[1:]
-    counts = np.left_shift(1, sizes if nested else k - sizes) - int(nonempty)
+    sizes = mask_sizes(n)[1:]
+    counts = np.left_shift(1, sizes if nested else n - sizes) - int(nonempty)
     ends = np.cumsum(counts)
     starts = ends - counts
     total = int(ends[-1]) if len(ends) else 0
@@ -243,15 +241,12 @@ def mask_pairs(within: int, *, nested: bool = False, nonempty: bool = False):
         index = np.arange(done, min(done + size, total), dtype=np.int64)
         pos = np.searchsorted(ends, index, side="right")
         x = outer[pos]
-        y = _deposit(index - starts[pos] + int(nonempty), x if nested else full ^ x, k)
-        if within != full:
-            x, y = _deposit(x, within, width), _deposit(y, within, width)
-        yield x, y
+        yield x, _deposit(index - starts[pos] + int(nonempty), x if nested else full ^ x, n)
         done += len(index)
         size = min(2 * size, PAIR_CHUNK)
 
 
-def first_pair(within: int, test, *, nested: bool = False, nonempty: bool = False):
+def first_pair(n: int, test, *, nested: bool = False, nonempty: bool = False):
     """The first pair of a :func:`mask_pairs` scan that ``test`` flags, or None.
 
     ``test(outer, inner)`` takes one chunk and returns ``(bad, *values)``, a
@@ -260,8 +255,8 @@ def first_pair(within: int, test, *, nested: bool = False, nonempty: bool = Fals
     order, as Python scalars. A scan over more than ``MAX_PAIR_SCAN`` players
     is refused before ``test`` sees a chunk.
     """
-    check_pair_scan(within.bit_count())
-    for outer, inner in mask_pairs(within, nested=nested, nonempty=nonempty):
+    check_pair_scan(n)
+    for outer, inner in mask_pairs(n, nested=nested, nonempty=nonempty):
         bad, *values = test(outer, inner)
         if bad.any():
             k = int(np.argmax(bad))

@@ -33,7 +33,7 @@ from .errors import MissingUtilityError, NotReducibleError, NumericOverflowError
 from .limits import DEFAULT_TOL, check_tol
 from .players import (
     PlayerSet, check_pair_scan, check_subset_array, first_nested_cell, first_pair, member_sum,
-    player_names, require_disjoint, require_fit, subset_closure, subset_label,
+    player_names, require_disjoint, require_fit, subset_closure, subset_label, subset_sums,
 )
 
 if TYPE_CHECKING:
@@ -116,8 +116,9 @@ class STGame:
         coalition mask S (entry 0 is ignored); entry k values outcome
         ``positions[k]`` at ``values[k]`` for assessor mask ``assessors[k]``,
         and no (assessor, position) pair comes twice. Refuses a table of more
-        than ``MAX_TABLE_CELLS`` cells before allocating it, then names the
-        first missing assessment in ascending (coalition, assessor) order.
+        than ``MAX_TABLE_CELLS`` cells, or arrays and names that do not fit
+        it, before allocating it, then names the first missing assessment in
+        ascending (coalition, assessor) order.
         """
         cells = (1 << n) * len(outcomes)
         if cells > MAX_TABLE_CELLS:
@@ -126,10 +127,18 @@ class STGame:
                 f"over the limit of {MAX_TABLE_CELLS}"
             )
         columns = np.array(columns, dtype=np.intp)
+        if columns.shape != (1 << n,):
+            raise ValueError(f"columns must have shape {(1 << n,)}, got {columns.shape}")
         columns[0] = 0
+        _require_within("columns", columns[1:], 0, len(outcomes))
+        assessors = _require_within("assessors", assessors, 1, 1 << n)
+        positions = _require_within("positions", positions, 0, len(outcomes))
+        if not len(assessors) == len(positions) == len(values):
+            raise ValueError("assessors, positions and values must have one length")
+        players = player_names(n, players)
         table = np.full((1 << n, len(outcomes)), np.nan)
         table[0] = 0.0
-        table[np.asarray(assessors, dtype=np.intp), np.asarray(positions, dtype=np.intp)] = values
+        table[assessors, positions] = values
         missing = first_nested_cell(np.isnan(table), columns)
         if missing is not None:
             s, a = missing
@@ -251,6 +260,15 @@ class STGame:
         if value != value:  # NaN: no entry
             raise MissingUtilityError(subset_label(mask, self.players), outcome)
         return value
+
+
+def _require_within(name: str, values, low: int, high: int) -> np.ndarray:
+    """``values`` as an index array, refused unless every entry lies in [low, high)."""
+    values = np.asarray(values, dtype=np.intp)
+    outside = (values < low) | (values >= high)
+    if outside.any():
+        raise ValueError(f"{name} holds {values[outside][0]}, outside [{low}, {high})")
+    return values
 
 
 def coalition_outcomes(n: int) -> tuple[tuple, np.ndarray]:
@@ -432,12 +450,12 @@ def all_coop_points(g: STGame, *, include_grand: bool = True) -> list[CoopPoint]
     ]
 
 
-def closure_table(g: STGame) -> np.ndarray | None:
-    """A tabulated game's table when subset-lattice closures decide its pair predicates
-    faster than a pair scan, else None: the closures pass n * 2^n * |outcomes| cells against
-    the scan's 3^n pairs. A team past the pair-scan limit is refused either way."""
-    check_pair_scan(g.n)
-    if g._table is not None and g.n * len(g.outcomes) << g.n < CELLS_PER_PAIR * 3**g.n:
+def closure_table(g: STGame, k: int) -> np.ndarray | None:
+    """A tabulated game's table when lattice closures over k of its players decide a pair
+    predicate faster than a pair scan, else None: they pass k * 2^k * |outcomes| cells
+    against the scan's 3^k pairs. A scan past the pair-scan limit is refused either way."""
+    check_pair_scan(k)
+    if g._table is not None and k * len(g.outcomes) << k < CELLS_PER_PAIR * 3**k:
         return g._table
     return None
 
@@ -447,6 +465,16 @@ def _own_values(g: STGame, table: np.ndarray) -> np.ndarray:
     return table[np.arange(1 << g.n), g._columns]
 
 
+def _bystander_gap(g: STGame, table: np.ndarray, fold, empty: float) -> np.ndarray:
+    """u_T(V(T)) minus ``fold`` (np.fmin or np.fmax) of u_B(V(T)) over the assessors B inside
+    T, for every coalition T of a tabulated game; the empty assessor values at ``empty``, and
+    NaN leaves it out. fl(x - y) is monotone in y, so the least or most u_B(V(T)) decides T."""
+    values = table.copy()
+    values[0] = empty
+    with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
+        return _own_values(g, table) - _own_values(g, subset_closure(values, fold))
+
+
 def is_sensible(g: STGame, tol: float = DEFAULT_TOL) -> bool:
     """No subset's participation is valued below the bystanders' assessment.
 
@@ -454,20 +482,18 @@ def is_sensible(g: STGame, tol: float = DEFAULT_TOL) -> bool:
     B-empty case (self-assessments nonnegative).
     """
     check_tol(tol)
-    table = closure_table(g)
+    table = closure_table(g, g.n)
     if table is not None:
-        # the most any B inside T values V(T); fl(x - y) is monotone in y, so it decides T,
-        # and B = T adds u_T - u_T, never below -tol
-        highest = _own_values(g, subset_closure(table.copy(), np.fmax))
-        with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
-            return not np.any(_own_values(g, table) - highest < -tol)
+        # T's gap to the most any B inside T, the empty one at 0, values V(T); B = T adds
+        # u_T - u_T, never below -tol
+        return not np.any(_bystander_gap(g, table, np.fmax, 0.0) < -tol)
 
     def loses(a, b):  # A|B values its outcome below B's assessment of it
         union = a | b
         with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
             return (g.u(union, union) - g.u(b, union) < -tol,)
 
-    return first_pair((1 << g.n) - 1, loses) is None
+    return first_pair(g.n, loses) is None
 
 
 def is_cohesive(g: STGame, s: PlayerSet, tol: float = DEFAULT_TOL) -> bool:
@@ -477,19 +503,22 @@ def is_cohesive(g: STGame, s: PlayerSet, tol: float = DEFAULT_TOL) -> bool:
         raise ValueError("coalition must be nonempty")
     if not s.fits(g.n):
         raise ValueError(f"{s} is not a coalition of a {g.n}-player team")
-    table = closure_table(g) if s.mask == (1 << g.n) - 1 else None
+    table = closure_table(g, len(s))  # refuses a scan past the limit before any 2^|S| array
+    masks = subset_sums(np.left_shift(1, s.members()))  # S's own lattice: b names masks[b]
     if table is not None:
         # B loses when it values below V(B) an outcome that a coalition above it produces;
         # the coalition B itself adds u_B(V(B)) - u_B(V(B)), never below -tol
+        columns = g._columns[masks]
+        rows = table if len(s) == g.n else table[masks]
         with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
-            loses = table - _own_values(g, table)[:, None] < -tol
-        return first_nested_cell(loses, g._columns) is None
+            loses = rows - rows[np.arange(len(masks)), columns][:, None] < -tol
+        return first_nested_cell(loses, columns) is None
 
     def loses(a, b):  # B values A joining below its own outcome
         with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
-            return (g.u(b, a | b) - g.u(b, b) < -tol,)
+            return (g.u(masks[b], masks[a | b]) - g.u(masks[b], masks[b]) < -tol,)
 
-    return first_pair(s.mask, loses, nonempty=True) is None
+    return first_pair(len(s), loses, nonempty=True) is None
 
 
 def is_fully_cooperative(g: STGame, tol: float = DEFAULT_TOL) -> bool:
@@ -540,10 +569,10 @@ def reduce_to_tu(g: STGame, tol: float = DEFAULT_TOL) -> TUGame:
             c = g.u(union, union) - g.u(b, union)
         return np.abs(c) > tol, c
 
-    table = closure_table(g)
+    table = closure_table(g, g.n)
     witness = None
     if table is None or _competition_in(g, table, tol):
-        witness = first_pair((1 << g.n) - 1, competes, nonempty=True)
+        witness = first_pair(g.n, competes, nonempty=True)
     if witness is not None:
         a, b, c = witness
         pair_value(c, "competitive contribution", a, b, g.players)  # raises when infinite
@@ -554,14 +583,7 @@ def reduce_to_tu(g: STGame, tol: float = DEFAULT_TOL) -> TUGame:
 
 def _competition_in(g: STGame, table: np.ndarray, tol: float) -> bool:
     """Whether some nonempty B inside a coalition T values V(T) more than ``tol`` off u_T:
-    fl(x - y) is monotone in y, so the least and the most such u_B(V(T)) decide T. The
-    empty assessor is left out; B = T adds u_T - u_T, never more than tol off."""
-    own = _own_values(g, table)
-    for fold in (np.fmin, np.fmax):
-        values = table.copy()
-        values[0] = np.nan  # skipped by the fold
-        bound = _own_values(g, subset_closure(values, fold))
-        with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
-            if np.any(np.abs(own - bound) > tol):
-                return True
-    return False
+    the least and the most such u_B(V(T)) decide T. The empty assessor is left out; B = T
+    adds u_T - u_T, never more than tol off."""
+    return any(np.any(np.abs(_bystander_gap(g, table, fold, np.nan)) > tol)
+               for fold in (np.fmin, np.fmax))

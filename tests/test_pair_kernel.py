@@ -8,6 +8,7 @@ in the same words.
 """
 
 import functools
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 import reference_loops as ref
+import teamgames
 import teamgames.additivity as additivity
 import teamgames.players as players
 import teamgames.st as st
@@ -34,7 +36,9 @@ from teamgames.additivity import (
     is_coadditive,
 )
 from teamgames.cobb import (
-    CobbDouglasConfig, ContributionProfile, hybrid, payoff_utility_grid, st_game_view,
+    EQUAL, CobbDouglasConfig, ContributionProfile, altruism_roots, cd_fully_cooperative,
+    cooperation_path, hybrid, maximize_scalar, payoff_utility_grid, rational_table,
+    st_game_view, zero_altruism_contour,
 )
 from teamgames.errors import (
     NotReducibleError, NumericOverflowError, SizeLimitError, StructureError,
@@ -51,8 +55,10 @@ from random_games import (
 )
 from teamgames.st import (
     MAX_TABLE_CELLS,
+    CoopPoint,
     STGame,
     all_coop_points,
+    classify_quadrant,
     coalition_outcomes,
     from_ntu,
     is_cohesive,
@@ -345,6 +351,59 @@ def test_table_families_reach_both_answers():
     assert {("reducible", "past"), ("additive", "past")} <= seen
 
 
+@pytest.mark.parametrize("route", ["closures", "scans"])
+@pytest.mark.parametrize("tol", [1e-9, 0.0, 0.3])
+@pytest.mark.parametrize("n,seed", CASES)
+def test_cohesion_of_every_coalition_matches_reference(n, seed, tol, route, monkeypatch):
+    """Every nonempty coalition of every table gets the reference walk's answer, each on
+    its own lattice: by closures with no pair scan, or by a scan over its members."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closure-decided cohesion scanned pairs")
+
+    if route == "closures":
+        monkeypatch.setattr(st, "CELLS_PER_PAIR", math.inf)
+        monkeypatch.setattr(players, "mask_pairs", refuse)
+    else:
+        monkeypatch.setattr(st, "CELLS_PER_PAIR", 0)
+    seen = set()
+    for name, g in _tables(n, seed).items():
+        for mask in range(1, 1 << n):
+            expected = ref.is_cohesive(g, PlayerSet(mask), tol)
+            assert is_cohesive(g, PlayerSet(mask), tol) == expected, (name, mask)
+            seen.add((mask == (1 << n) - 1, expected))
+    if n > 2:  # at n = 2 every proper coalition has one member, so is cohesive
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_cohesion_past_the_pair_scan_limit_is_refused_before_its_lattice():
+    def utility(a, x):
+        raise AssertionError("a utility read past the pair-scan limit")
+
+    n = MAX_PAIR_SCAN + 1
+    g = STGame.from_functions(n, ("x",), lambda s: "x", utility)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError,
+                           match=f"^disjoint-pair scans support n <= {MAX_PAIR_SCAN}, got {n}$"):
+            is_cohesive(g, PlayerSet.full(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << n  # under a byte per coalition of the refused lattice
+
+
+def test_cohesion_of_a_coalition_of_a_team_past_the_limit():
+    """A coalition of at most ``MAX_PAIR_SCAN`` members is decided in a larger team, from
+    its table by closures and from callables by a scan."""
+    n = MAX_PAIR_SCAN + 1
+    table = random_st_game(n, np.random.default_rng(17), n_outcomes=2)
+    view = STGame.from_functions(n, table.outcomes, lambda s: table._v(s.mask),
+                                 lambda a, x: table._u(a.mask, x))
+    for s in (PlayerSet.of(16), PlayerSet.of(0, 5, 16), PlayerSet.of(*range(1, 17, 2))):
+        expected = ref.is_cohesive(table, s)
+        assert is_cohesive(table, s) == is_cohesive(view, s) == expected, s
+
+
 def test_clean_size_outcome_tables_scan_no_pairs(pair_scans, monkeypatch):
     """At the pair-scan limit the closures decide a clean table with one outcome per
     coalition size and scan no pairs; a table with one outcome per coalition is left to
@@ -362,27 +421,52 @@ def test_clean_size_outcome_tables_scan_no_pairs(pair_scans, monkeypatch):
     assert len(pair_scans) == 1
 
 
-@pytest.mark.parametrize(
-    "predicate",
-    [is_sensible, is_cohesive, is_fully_cooperative, reduce_to_tu, is_additive, is_coadditive,
-     is_biadditive, extract_matrix, additive_predicates, coadditive_predicates, is_convex,
-     is_superadditive, in_core, quadrant_labels, payoff_utility_grid],
-    ids=lambda predicate: predicate.__name__,
-)
+GAME = object()  # stands for a 3-player game in the table below
+# the arguments of every call that takes a tol, but the tol
+TOL_CALLS = {
+    is_sensible: (GAME,), is_cohesive: (GAME, PlayerSet.of(0, 1)), is_fully_cooperative: (GAME,),
+    reduce_to_tu: (GAME,), is_additive: (GAME,), is_coadditive: (GAME,), is_biadditive: (GAME,),
+    extract_matrix: (GAME,), additive_predicates: (GAME,), coadditive_predicates: (GAME,),
+    is_convex: (GAME,), is_superadditive: (GAME,), in_core: (GAME, [0.0, 0.0, 0.0]),
+    quadrant_labels: (0.0, 0.0),  # the origin at the default tol
+    classify_quadrant: (CoopPoint(0.0, 0.0, 0.0, PlayerSet.of(0)),),
+    payoff_utility_grid: (hybrid(0.5), CobbDouglasConfig(), 1, 1, 2),  # with an origin row
+    cooperation_path: (hybrid(0.5), CobbDouglasConfig(), 1, 1),
+    cd_fully_cooperative: (EQUAL, CobbDouglasConfig(), ContributionProfile.create([0.2, 0.5]),
+                           PlayerSet.of(0), PlayerSet.of(1)),
+    # B's payment balance is 0 at x_A = 0, a root at the default tol
+    altruism_roots: (EQUAL, CobbDouglasConfig(), 1, 1, 0.0),
+    zero_altruism_contour: (EQUAL, CobbDouglasConfig(), 1, 1, 0.0),
+    rational_table: (EQUAL, CobbDouglasConfig(), 1, 1, 3),
+}
+
+
+@pytest.mark.parametrize("predicate", list(TOL_CALLS), ids=lambda predicate: predicate.__name__)
 @pytest.mark.parametrize("tol", [math.nan, -1e-9])
 def test_predicates_refuse_a_nan_or_negative_tol(predicate, tol):
     if predicate in (is_convex, is_superadditive, in_core):
         game = random_convex_game(3, np.random.default_rng(1))
     else:
         game = _games(3, 0)["biadditive_tabulated"]
-    args = {
-        is_cohesive: (game, PlayerSet.of(0, 1)),
-        in_core: (game, [0.0, 0.0, 0.0]),
-        quadrant_labels: (0.0, 0.0),  # the origin at the default tol
-        payoff_utility_grid: (hybrid(0.5), CobbDouglasConfig(), 1, 1, 2),  # with an origin row
-    }.get(predicate, (game,))
+    args = [game if arg is GAME else arg for arg in TOL_CALLS[predicate]]
     with pytest.raises(ValueError, match=f"^tol must be a nonnegative number, got {tol}$"):
         predicate(*args, tol=tol)
+
+
+def test_every_exported_tol_is_checked():
+    """Every callable the package exports with a ``tol`` parameter is in the table above."""
+    takes_tol = [name for name in teamgames.__all__ if callable(value := getattr(teamgames, name))
+                 and not inspect.isclass(value) and "tol" in inspect.signature(value).parameters]
+    assert [name for name in takes_tol if getattr(teamgames, name) not in TOL_CALLS] == []
+
+
+@pytest.mark.parametrize("hi", [math.nan, -1e-9])
+def test_maximize_scalar_refuses_a_bracket_without_lo_below_hi(hi):
+    """A NaN end, or an upper end below the lower one, is refused in any row: the search
+    takes no tol, so it is not in the table above."""
+    for lo, top in ((0.0, hi), ([0.0, 0.0], [1.0, hi])):
+        with pytest.raises(ValueError, match="^empty bracket$"):
+            maximize_scalar(lambda x: -x, lo, top)
 
 
 def test_additive_predicates_read_member_terms_once(monkeypatch):
@@ -456,18 +540,19 @@ def test_from_tables_refuses_a_table_past_the_cell_limit():
 
 
 def test_enumerator_order_and_coverage():
-    for within in (0, 0b1, 0b1011, 0b110101, (1 << 8) - 1):
+    for n in (0, 1, 3, 4, 8):
+        full = (1 << n) - 1
         for nested in (False, True):
             for nonempty in (False, True):
                 got = [
                     (int(x), int(y))
-                    for xs, ys in mask_pairs(within, nested=nested, nonempty=nonempty)
+                    for xs, ys in mask_pairs(n, nested=nested, nonempty=nonempty)
                     for x, y in zip(xs, ys)
                 ]
                 expected = [
                     (x, y)
-                    for x in ref.iter_submasks(within, nonempty=True)
-                    for y in ref.iter_submasks(x if nested else within & ~x, nonempty=nonempty)
+                    for x in ref.iter_submasks(full, nonempty=True)
+                    for y in ref.iter_submasks(x if nested else full & ~x, nonempty=nonempty)
                 ]
                 assert got == expected
 
@@ -501,8 +586,13 @@ def test_sensibility_scan_memory_is_chunk_bounded():
     assert peak < 3**n * 8
 
 
+def _cohesion_without_player_0(g):
+    return is_cohesive(g, PlayerSet.full(g.n) - PlayerSet.of(0))
+
+
 @pytest.mark.parametrize("predicate", [is_sensible, is_fully_cooperative, reduce_to_tu,
-                                       is_additive], ids=lambda predicate: predicate.__name__)
+                                       is_additive, _cohesion_without_player_0],
+                         ids=lambda predicate: predicate.__name__)
 def test_closure_memory_is_table_bounded(predicate):
     """A closure holds temporaries no larger than the table, one or two at a time."""
     g = _size_outcome_game(14)

@@ -80,8 +80,8 @@ def test_disjoint_pairs_count():
 @pytest.mark.parametrize("nested", [False, True])
 @pytest.mark.parametrize("edge", ["first-of-later-chunk", "last-of-chunk"])
 def test_first_pair_stops_at_the_first_flagged_pair(nested, edge):
-    within = 0b1101101
-    chunks = [list(zip(x.tolist(), y.tolist())) for x, y in mask_pairs(within, nested=nested)]
+    n = 5
+    chunks = [list(zip(x.tolist(), y.tolist())) for x, y in mask_pairs(n, nested=nested)]
     assert len(chunks) >= 3
     target = chunks[2][0] if edge == "first-of-later-chunk" else chunks[1][-1]
     order = [pair for chunk in chunks for pair in chunk]
@@ -93,22 +93,19 @@ def test_first_pair_stops_at_the_first_flagged_pair(nested, edge):
         index = np.arange(len(outer)) + sum(calls[:-1])
         return index >= start, outer * 1000 + inner, index
 
-    got = first_pair(within, test, nested=nested)
+    got = first_pair(n, test, nested=nested)
     assert got == (*target, target[0] * 1000 + target[1], start)
     assert all(type(v) is int for v in got)
     assert len(calls) == (3 if edge == "first-of-later-chunk" else 2)
-    assert first_pair(within, lambda x, y: (x < 0,), nested=nested) is None
+    assert first_pair(n, lambda x, y: (x < 0,), nested=nested) is None
 
 
 def test_first_pair_refuses_before_calling_test():
     def test(outer, inner):
         raise AssertionError("test called past the pair-scan limit")
 
-    within = (1 << (MAX_PAIR_SCAN + 1)) - 1
     with pytest.raises(SizeLimitError, match=f"got {MAX_PAIR_SCAN + 1}"):
-        first_pair(within, test)
-    # the limit counts the players in the scan, not the highest index
-    assert first_pair(1 << 40 | 1, lambda x, y: (x == 1 << 40, y)) == (1 << 40, 0, 0)
+        first_pair(MAX_PAIR_SCAN + 1, test)
 
 
 PAIR_ENTRY_POINTS = [
@@ -139,6 +136,35 @@ def test_every_pair_entry_point_refuses_overlapping_subsets(name):
     overlap = r"^PlayerSet.of\(0, 1\) and PlayerSet.of\(1, 2\) overlap$"
     with pytest.raises(DisjointnessError, match=overlap):
         entry(*_leading_arguments(module, function), PlayerSet.of(0, 1), PlayerSet.of(1, 2))
+
+
+@pytest.mark.parametrize("name", PAIR_ENTRY_POINTS)
+def test_every_pair_entry_point_refuses_a_subset_outside_the_team(name):
+    module, function = name.split(".")
+    entry = getattr({"st": st, "tu": tu, "additivity": additivity, "cobb": cobb}[module], function)
+    outside = r"^PlayerSet.of\(0\) and PlayerSet.of\(3\) do not fit a 3-player team$"
+    with pytest.raises(ValueError, match=outside):
+        entry(*_leading_arguments(module, function), PlayerSet.of(0), PlayerSet.of(3))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda *args: cobb.payoff(*args, PlayerSet.of(3), PlayerSet.of(0, 3)),
+         "PlayerSet.of(3) and PlayerSet.of(0, 3) do not fit a 3-player team"),
+        (lambda *args: cobb.cd_subset_utility(*args, PlayerSet.of(0), PlayerSet.of(3)),
+         "PlayerSet.of(0) and PlayerSet.of(3) do not fit a 3-player team"),
+        (lambda *args: cobb.symmetric_rational_contribution(*args, PlayerSet.of(3)),
+         "PlayerSet.of(3) is not a group of a 3-player team"),
+        (lambda *args: cobb.rational_contribution(*args, 3), "player 3 is not in a 3-player team"),
+    ],
+    ids=["payoff", "cd_subset_utility", "symmetric_rational_contribution",
+         "rational_contribution"],
+)
+def test_cobb_calls_refuse_a_player_outside_the_profile(call, message):
+    with pytest.raises(ValueError) as got:
+        call(*_leading_arguments("cobb", "payoff"))
+    assert str(got.value) == message
 
 
 def test_player_names_default_and_length_check():

@@ -558,3 +558,38 @@ def test_library_calls_outside_a_game_end_in_their_answer_or_message(call, outco
     with pytest.raises(type(outcome)) as got:
         call()
     assert str(got.value) == str(outcome)
+
+
+@pytest.mark.parametrize(
+    "n, outcomes, columns, assessors, positions, message",
+    [
+        (1, (), [0, 0], [], [], "columns holds 0, outside [0, 0)"),
+        (1, ("x",), [0, 1], [1], [0], "columns holds 1, outside [0, 1)"),
+        (1, ("x",), [0, -1], [1], [0], "columns holds -1, outside [0, 1)"),
+        (1, ("x",), [0], [1], [0], "columns must have shape (2,), got (1,)"),
+        (1, ("x",), [0, 0, 0], [1], [0], "columns must have shape (2,), got (3,)"),
+        (1, ("x",), [0, 0], [2], [0], "assessors holds 2, outside [1, 2)"),
+        (1, ("x",), [0, 0], [0], [0], "assessors holds 0, outside [1, 2)"),
+        (1, ("x",), [0, 0], [1], [1], "positions holds 1, outside [0, 1)"),
+        (1, ("x",), [0, 0], [1], [-1], "positions holds -1, outside [0, 1)"),
+        (1, ("x",), [0, 0], [1, 1], [0], "assessors, positions and values must have one length"),
+    ],
+    ids=["no-outcomes", "column-past", "column-negative", "columns-short", "columns-long",
+         "assessor-past", "assessor-empty", "position-past", "position-negative", "lengths"],
+)
+def test_from_entries_refuses_an_entry_outside_its_table(n, outcomes, columns, assessors,
+                                                         positions, message):
+    with pytest.raises(ValueError) as got:
+        STGame.from_entries(n, outcomes, columns, assessors, positions, [1.0] * len(assessors),
+                            ("0",))
+    assert str(got.value) == message
+
+
+def test_from_entries_refuses_a_name_list_of_another_length():
+    with pytest.raises(ValueError, match="^player name list must match the player count$"):
+        STGame.from_entries(1, ("x",), [0, 0], [1], [0], [1.0], ("0", "1"))
+
+
+def test_a_table_without_players_builds():
+    g = STGame.from_tables(0, [], {}, {})
+    assert (g.n, g.outcomes, dict(g.utility_table)) == (0, (), {})
