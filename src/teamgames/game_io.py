@@ -12,8 +12,12 @@ document kinds share the envelope:
   worth 0;
 * Cobb-Douglas games: a ``cobb_douglas`` parameter block.
 
-Every validation failure names the offending field; syntax errors carry the
-line and column. Tables are written as UTF-8 CSV with a header row and
+Loading holds no tree of entry objects: ``load_game`` gathers each entry
+into flat columns (an id for its list of names, an id for its outcome, its
+raw value) while ``json.loads`` decodes it, and ``parse_document`` gathers
+the sections of a caller's tree into the same columns, so one set of checks
+serves both. Every validation failure names the offending field; syntax
+errors carry the line and column. Tables are written as UTF-8 CSV with a header row and
 full-precision (shortest round-trip) decimals, and graph exports as
 ``src dst weight`` edge-list lines, so repeated runs are byte-identical.
 """
@@ -114,6 +118,124 @@ _KINDS = {  # per section kind: entry noun, empty-subset error (None: allowed), 
     "utilities": ("utility", "the empty subset assesses nothing", "utility for (subset, outcome)"),
     "tu": ("utility", None, "entry for subset"),
 }
+_SECTIONS = ("consequence", "utilities")  # the root's lists of entries
+_MISSING = object()  # the outcome of an entry that has none
+_ENTRY, _FIRST = object(), object()  # a gathered entry's place; _FIRST is the first one's
+
+
+class _Entries:
+    """The entries of a document gathered into columns, one row per entry in the order met.
+
+    :attr:`gather` keeps an entry-shaped object as a row and returns a marker in its place:
+    a dict whose ``subset`` is a list of hashable names and whose ``outcome`` is absent or a
+    string. A row holds the id of its list of names, the id of its outcome and its raw value,
+    so the object and its list are freed at once when ``json.loads`` calls it as its
+    ``object_hook``. Other objects come back unchanged. ``sections`` maps each section of
+    the root to its list with markers, its first row and its number of rows.
+    """
+
+    def __init__(self):
+        self.subsets: dict[tuple, int] = {}  # list of names -> id, in first-seen order
+        self.outcomes: dict = {_MISSING: 0}  # outcome -> id
+        self.ids, self.oids, self.values = [], [], []  # per row
+        self.sections: dict[str, tuple[list, int, int]] = {}
+        self.masks: dict[int, int] | None = None  # mask -> id, once the subsets are parsed
+        self.mask_ids: np.ndarray | None = None  # subset id -> mask id (-1: no set of players)
+        self.gather = self._gatherer()
+
+    def _gatherer(self):
+        subsets, outcomes, ids, oids, values = (
+            self.subsets, self.outcomes, self.ids, self.oids, self.values)
+        last, last_id = None, 0
+
+        def gather(obj):
+            nonlocal last, last_id
+            subset = obj.get("subset")
+            if not isinstance(subset, list):
+                return obj
+            try:
+                oid = outcomes.get(outcome := obj.get("outcome", _MISSING))
+            except TypeError:  # an unhashable outcome, such as an array
+                return obj
+            if oid is None:
+                if not isinstance(outcome, str):
+                    return obj
+                oid = outcomes[outcome] = len(outcomes)
+            if subset != last:  # most documents repeat a subset in a row
+                try:
+                    last_id = subsets.get(key := tuple(subset))
+                except TypeError:  # an unhashable name
+                    return obj
+                if last_id is None:
+                    last_id = subsets[key] = len(subsets)
+                last = subset
+            marker = _ENTRY if values else _FIRST
+            ids.append(last_id)
+            oids.append(oid)
+            values.append(obj.get("value"))
+            return marker
+
+        return gather
+
+    def locate(self, doc) -> bool:
+        """Find the rows of a tree decoded through :attr:`gather` in its sections. False when
+        a row lies elsewhere: on the root, inside another entry, under another or a repeated
+        key; the sections then hold fewer markers than there are rows."""
+        found = []
+        if isinstance(doc, dict):
+            for name in _SECTIONS:
+                items = doc.get(name)
+                if isinstance(items, list):
+                    first = next((e for e in items if e is _ENTRY or e is _FIRST), None) is _FIRST
+                    found.append((name, items, items.count(_ENTRY) + first, first))
+        if sum(count for _, _, count, _ in found) != len(self.values):
+            return False
+        start = 0  # a section's rows are contiguous, and the first row's section came first
+        for name, items, count, _ in sorted(found, key=lambda f: not f[3]):
+            self.sections[name] = items, start, count
+            start += count
+        return True
+
+    def gather_sections(self, doc) -> None:
+        """Gather the entries of each section of a caller's tree into new lists; the tree is
+        not changed."""
+        if isinstance(doc, dict):
+            for name in _SECTIONS:
+                items = doc.get(name)
+                if isinstance(items, list):
+                    start = len(self.values)
+                    items = [self.gather(e) if isinstance(e, dict) else e for e in items]
+                    self.sections[name] = items, start, len(self.values) - start
+
+    def parse_subsets(self, index, location: str) -> np.ndarray:
+        """:attr:`mask_ids`, each list of names parsed once however many entries repeat it."""
+        import numpy as np
+
+        if self.masks is None:
+            self.masks, ids = {}, []
+            for names in self.subsets:
+                try:
+                    mask = _parse_subset(list(names), index, location)
+                except GameLoadError:
+                    ids.append(-1)
+                else:
+                    ids.append(self.masks.setdefault(mask, len(self.masks)))
+            self.mask_ids = np.array(ids, dtype=np.int64)
+        return self.mask_ids
+
+    def entry(self, row: int) -> dict:
+        """The entry of a row, as its checks read it."""
+        entry = {"subset": list(list(self.subsets)[self.ids[row]]), "value": self.values[row]}
+        outcome = list(self.outcomes)[self.oids[row]]
+        if outcome is not _MISSING:
+            entry["outcome"] = outcome
+        return entry
+
+    def clear(self) -> None:
+        """Free the rows and the lists with markers once every section is read."""
+        for items, _, _ in self.sections.values():
+            items.clear()
+        del self.ids[:], self.oids[:], self.values[:]
 
 
 def _entry_fault(kind: str, section: str, i: int, entry, index, column_of, earlier: int):
@@ -140,74 +262,73 @@ def _entry_fault(kind: str, section: str, i: int, entry, index, column_of, earli
     raise AssertionError(f"{loc}: flagged entry passed every check")
 
 
-def _read_section(doc: dict, kind: str, index, column_of, subsets: dict, masks: dict):
-    """Subset ids, outcome columns and values of a ``consequence``, ``utilities`` or ``tu``
-    section, gathered up to the first entry with a bad object, subset or outcome. Each list
-    of names is parsed once (``subsets``: names -> id; ``masks``: mask -> id). Values and
-    repeats are checked in bulk; the lowest faulty entry raises through :func:`_entry_fault`."""
+def _read_section(doc: dict, entries: _Entries, kind: str, index, column_of):
+    """Mask ids (into ``entries.masks``), outcome columns and values of the rows of a
+    ``consequence``, ``utilities`` or ``tu`` section, read up to its first entry that was
+    not gathered or has a bad subset or outcome. Values and repeats are checked in bulk; the
+    lowest faulty entry raises through :func:`_entry_fault`."""
     import numpy as np
 
     section = "consequence" if kind == "consequence" else "utilities"
-    entries = _require(doc, section, list, section)
-    ids, cols, raw = [], [], []
-    prev = sid = None
-    for entry in entries:
-        try:  # KeyError: a missing field or undeclared outcome; TypeError: an unhashable name
-            if not isinstance(entry, dict) or (column_of is None and "outcome" in entry):
-                break
-            subset = entry["subset"]
-            if sid is None or subset != prev:  # most documents repeat a subset in a row
-                sid = subsets.get(tuple(subset) if isinstance(subset, list) else None)
-                if sid is None:
-                    mask = _parse_subset(subset, index, section)
-                    if mask == 0 and _KINDS[kind][1]:
-                        break
-                    sid = subsets[tuple(subset)] = masks.setdefault(mask, len(masks))
-                prev = subset
-            if column_of is not None:
-                if not isinstance(outcome := entry["outcome"], str):
-                    break
-                cols.append(column_of[outcome])
-            ids.append(sid)
-            if kind != "consequence":
-                raw.append(entry["value"])
-        except (KeyError, TypeError, GameLoadError):
-            break
-    ids, cols = np.array(ids, dtype=np.int64), np.array(cols, dtype=np.int64)
+    _require(doc, section, list, section)
+    items, start, count = entries.sections[section]
+    stop = count if count == len(items) else next(
+        i for i, e in enumerate(items) if e is not _ENTRY and e is not _FIRST)
+    rows = slice(start, start + stop)
+    ids = entries.parse_subsets(index, section)[np.array(entries.ids[rows], dtype=np.int64)]
+    bad = ids < 0
+    if _KINDS[kind][1]:
+        bad |= ids == entries.masks.get(0, -1)
+    cols = np.array(entries.oids[rows], dtype=np.int64)  # outcome ids, then columns
+    if column_of is None:
+        bad |= cols != 0  # an outcome in a TU entry
+    else:
+        cols = np.array([column_of.get(o, -1) for o in entries.outcomes], dtype=np.int64)[cols]
+        bad |= cols < 0
+    end = _first(bad)
+    ids, cols = ids[:end], cols[:end]
     keys = ids * len(column_of) + cols if kind == "utilities" else ids
-    repeat = np.ones(len(ids), dtype=bool)
+    repeat = np.ones(end, dtype=bool)
     repeat[np.unique(keys, return_index=True)[1]] = False
-    faults = [len(ids), _first(repeat)]
+    faults = [end, _first(repeat)]
     values = None
     if kind != "consequence":
-        numbers = {t for t in set(map(type, raw)) if issubclass(t, (int, float)) and t is not bool}
-        raw = raw[:_first(~np.fromiter(map(numbers.__contains__, map(type, raw)), bool, len(raw)))]
+        raw = entries.values[start:start + end]
+        types = set(map(type, raw))
+        numbers = {t for t in types if issubclass(t, (int, float)) and t is not bool}
+        if numbers != types:  # cut at the first value that is not a number
+            raw = raw[:_first(~np.fromiter(map(numbers.__contains__, map(type, raw)), bool, len(raw)))]
         try:
             values = np.array(raw, dtype=np.float64)
         except OverflowError:  # an integer past the float range
             values = np.fromiter(map(_as_float, raw), np.float64, len(raw))
         faults.append(_first(~np.isfinite(values)))
-        empty = ids[:len(values)] == masks.get(0, -1)  # only a TU document lists the empty set
+        empty = ids[:len(values)] == entries.masks.get(0, -1)  # only a TU document lists it
         faults.append(_first(empty & (values != 0.0)))
     i = min(faults)
-    if i < len(entries):
-        earlier = _first(keys[:i] == keys[i]) if i < len(ids) else i
-        _entry_fault(kind, section, i, entries[i], index, column_of, earlier)
+    if i < len(items):
+        earlier = _first(keys[:i] == keys[i]) if i < end else i
+        entry = entries.entry(start + i) if i < stop else items[i]
+        _entry_fault(kind, section, i, entry, index, column_of, earlier)
     return ids, cols, values
 
 
-def _require_every_subset(masks: dict, n: int, players, what: str, section: str) -> np.ndarray:
-    """The masks by id, once every nonempty subset is present; n is bounded from here on."""
+def _require_every_subset(entries: _Entries, ids, n: int, players, what: str,
+                          section: str) -> np.ndarray:
+    """The masks by id, once the masks of ``ids`` hold every nonempty subset; n is bounded
+    from here on."""
     import numpy as np
 
-    if len(masks) - (0 in masks) < (1 << n) - 1:
-        mask = next(m for m in range(1, 1 << n) if m not in masks)
+    masks = list(entries.masks)
+    present = {masks[i] for i in np.flatnonzero(np.bincount(ids, minlength=len(masks))).tolist()}
+    if len(present - {0}) < (1 << n) - 1:
+        mask = next(m for m in range(1, 1 << n) if m not in present)
         raise GameLoadError(f"no {what} entry for subset {_subset_names(mask, players)}", section)
-    return np.array(list(masks), dtype=np.int64)
+    return np.array(masks, dtype=np.int64)
 
 
-def _read(doc: dict):
-    """Validate a document tree into a builder of its game that holds no part of the tree."""
+def _read(doc, entries: _Entries):
+    """Validate a document tree whose sections ``entries`` gathered and build its game."""
     if not isinstance(doc, dict):
         raise GameLoadError("document root must be an object", "$")
     version = _require(doc, "version", int, "version")
@@ -215,15 +336,17 @@ def _read(doc: dict):
         raise GameLoadError(f"unsupported document version {version}", "version")
 
     if "cobb_douglas" not in doc and ("outcomes" in doc or "consequence" in doc):
-        return _read_st(doc)
-    game = _parse_cobb(doc) if "cobb_douglas" in doc else _parse_tu(doc)  # small trees: built now
-    return lambda: game
+        return _read_st(doc, entries)
+    return _parse_cobb(doc) if "cobb_douglas" in doc else _parse_tu(doc, entries)
 
 
 def parse_document(doc: dict):
-    """Validate a document tree and build the game it describes. The caller's tree stays
-    alive while a team game's table is built; :func:`load_game` frees it first."""
-    return _read(doc)()
+    """Validate a document tree and build the game it describes. Each section's entries are
+    gathered as :func:`load_game` gathers them while it decodes, into new lists: the
+    caller's tree is not changed, and it stays alive while a team game's table is built."""
+    entries = _Entries()
+    entries.gather_sections(doc)
+    return _read(doc, entries)
 
 
 def _parse_cobb(doc: dict) -> CobbDouglasConfig:
@@ -240,7 +363,7 @@ def _parse_cobb(doc: dict) -> CobbDouglasConfig:
         raise GameLoadError(str(exc), "cobb_douglas") from None
 
 
-def _parse_tu(doc: dict) -> TUGame:
+def _parse_tu(doc: dict, entries: _Entries) -> TUGame:
     import numpy as np
 
     from .tu import TUGame
@@ -249,60 +372,60 @@ def _parse_tu(doc: dict) -> TUGame:
     players, n = list(index), len(index)
     if n > MAX_SUBSET_ARRAY:
         raise GameLoadError(f"TU games support 1..{MAX_SUBSET_ARRAY} players, got {n}", "players")
-    masks: dict[int, int] = {}
-    ids, _, values = _read_section(doc, "tu", index, None, {}, masks)
+    ids, _, values = _read_section(doc, entries, "tu", index, None)
     table = np.zeros(1 << n)
-    table[_require_every_subset(masks, n, players, "utility", "utilities")[ids]] = values
+    table[_require_every_subset(entries, ids, n, players, "utility", "utilities")[ids]] = values
     return TUGame(n, table, tuple(players))
 
 
-def _read_st(doc: dict):
+def _read_st(doc: dict, entries: _Entries) -> STGame:
     import numpy as np
 
     index = _parse_names(doc, "players", "player", "player names")
     players, n = tuple(index), len(index)
     column_of = _parse_names(doc, "outcomes", "outcome", "outcome ids")
-    # the sections share one subset cache; coverage is settled before any 2^n allocation
-    subsets, masks = {}, {}
-    ids, cols, _ = _read_section(doc, "consequence", index, column_of, subsets, masks)
-    coalitions = _require_every_subset(masks, n, players, "consequence", "consequence")[ids]
-    ids, positions, values = _read_section(doc, "utilities", index, column_of, subsets, masks)
-    assessors = np.array(list(masks), dtype=np.int64)[ids]
+    # coverage is settled before any 2^n allocation
+    ids, cols, _ = _read_section(doc, entries, "consequence", index, column_of)
+    masks = _require_every_subset(entries, ids, n, players, "consequence", "consequence")
+    columns = np.zeros(1 << n, dtype=np.intp)
+    columns[masks[ids]] = cols
+    ids, positions, values = _read_section(doc, entries, "utilities", index, column_of)
+    assessors = masks[ids]
+    del ids
+    entries.clear()  # the table is built without the gathered rows
 
-    def build() -> STGame:
-        from .st import STGame
+    from .st import STGame
 
-        columns = np.zeros(1 << n, dtype=np.intp)
-        columns[coalitions] = cols
-        try:
-            return STGame.from_entries(
-                n, tuple(column_of), columns, assessors, positions, values, players)
-        except SizeLimitError as exc:
-            raise GameLoadError(str(exc), "outcomes") from None
-        except ValueError as exc:
-            raise GameLoadError(str(exc), "utilities") from None
-
-    return build
+    try:
+        return STGame.from_entries(
+            n, tuple(column_of), columns, assessors, positions, values, players)
+    except SizeLimitError as exc:
+        raise GameLoadError(str(exc), "outcomes") from None
+    except ValueError as exc:
+        raise GameLoadError(str(exc), "utilities") from None
 
 
 def load_game(source):
-    """Load a game document from a path or open text stream."""
+    """Load a game document from a path or open text stream. The entries are gathered into
+    columns while the text decodes, so no tree of entry objects is ever held."""
     try:
         text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise GameLoadError(f"not UTF-8 text ({exc.reason})", f"byte {exc.start}") from None
+    entries = _Entries()
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_hook=entries.gather)
     except json.JSONDecodeError as exc:
         raise GameLoadError(
             f"malformed document: {exc.msg}", f"line {exc.lineno}, column {exc.colno}"
         ) from None
     except RecursionError:
         raise GameLoadError("malformed document: nested too deeply", "$") from None
-    del text  # the decoded tree is all parsing needs
-    build = _read(doc)
-    del doc  # freed before the game's table is allocated
-    return build()
+    if not entries.locate(doc):  # an entry outside the sections: read the tree as a caller's
+        del doc, entries
+        return parse_document(json.loads(text))
+    del text
+    return _read(doc, entries)
 
 
 def _subset_names(mask: int, players) -> list[str]:

@@ -116,9 +116,10 @@ class STGame:
         coalition mask S (entry 0 is ignored); entry k values outcome
         ``positions[k]`` at ``values[k]`` for assessor mask ``assessors[k]``,
         and no (assessor, position) pair comes twice. Refuses a table of more
-        than ``MAX_TABLE_CELLS`` cells, or arrays and names that do not fit
-        it, before allocating it, then names the first missing assessment in
-        ascending (coalition, assessor) order.
+        than ``MAX_TABLE_CELLS`` cells, index arrays that are not integers,
+        or arrays and names that do not fit it, before allocating it, then
+        names the first missing assessment in ascending (coalition, assessor)
+        order.
         """
         cells = (1 << n) * len(outcomes)
         if cells > MAX_TABLE_CELLS:
@@ -126,7 +127,7 @@ class STGame:
                 f"{n} players and {len(outcomes)} outcomes need {cells} table cells, "
                 f"over the limit of {MAX_TABLE_CELLS}"
             )
-        columns = np.array(columns, dtype=np.intp)
+        columns = _index_array("columns", columns).copy()
         if columns.shape != (1 << n,):
             raise ValueError(f"columns must have shape {(1 << n,)}, got {columns.shape}")
         columns[0] = 0
@@ -262,9 +263,17 @@ class STGame:
         return value
 
 
+def _index_array(name: str, values) -> np.ndarray:
+    """``values`` as an index array, refused unless they are integers (or there are none)."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, got dtype {values.dtype}")
+    return values.astype(np.intp, copy=False)
+
+
 def _require_within(name: str, values, low: int, high: int) -> np.ndarray:
-    """``values`` as an index array, refused unless every entry lies in [low, high)."""
-    values = np.asarray(values, dtype=np.intp)
+    """``values`` as an index array, refused unless every entry is an integer in [low, high)."""
+    values = _index_array(name, values)
     outside = (values < low) | (values >= high)
     if outside.any():
         raise ValueError(f"{name} holds {values[outside][0]}, outside [{low}, {high})")

@@ -1,6 +1,8 @@
 import copy
+import io
 import json
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -232,6 +234,68 @@ def test_loader_errors_match_reference_loops():
     assert refused > 150
 
 
+def _load_text(text):
+    return load_game(io.StringIO(text))
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+def test_text_and_tree_read_every_faulty_document_alike(indent):
+    """``load_game`` gathers entries while the text decodes, ``parse_document`` from a tree:
+    both give the same error at the same location, or the same table."""
+    for case, doc in _faulty_docs():
+        text = json.dumps(doc, indent=indent)
+        assert _load_result(_load_text, text) == _load_result(parse_document, doc), case
+
+
+def _document_text(pairs, indent=None) -> str:
+    """A document's text from its root's (key, value) pairs, which may repeat a key."""
+    return "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v, indent=indent)}" for k, v in pairs) + "}"
+
+
+def _entries_out_of_place():
+    """Texts with an entry-shaped object outside the root's sections, sections out of the
+    usual order or a section key twice."""
+    for make in (lambda: _team_doc(3), lambda: _tu_doc(3)):
+        doc = make()
+        items, entry = list(doc.items()), dict(doc["utilities"][2])
+        yield "root-subset", [("subset", ["p0"]), *items]
+        yield "root-subset-last", [*items, ("subset", ["p0"])]
+        yield "extra-key-with-entries", [*items, ("spare", doc["utilities"][:2])]
+        yield "entry-in-extra-object", [*items, ("spare", {"inner": entry})]
+        yield "utilities-before-players", [items[-1], *items[:-1]]
+        yield "utilities-twice", [*items, ("utilities", doc["utilities"][:3])]
+        yield "utilities-twice-first-empty", [("utilities", []), *items]
+        yield "utilities-twice-first-kept", [*items[:-1], ("utilities", doc["utilities"][:3]),
+                                             items[-1]]
+        yield "entry-as-value", [*items[:-1], ("utilities", [
+            *doc["utilities"][:4], {**doc["utilities"][4], "value": entry}])]
+        yield "entry-as-outcome", [*items[:-1], ("utilities", [
+            *doc["utilities"][:4], {**doc["utilities"][4], "outcome": entry}])]
+        yield "entry-as-name", [*items[:-1], ("utilities", [
+            *doc["utilities"][:4], {**doc["utilities"][4], "subset": ["p0", entry]}])]
+        yield "entry-in-players", [(k, v + [entry] if k == "players" else v) for k, v in items]
+        yield "entry-as-version", [("version", entry), *items[1:]]
+    doc = _team_doc(3)
+    items = [(k, v) for k, v in doc.items() if k != "utilities"]
+    yield "consequence-entry-as-outcome", [*items[:-1], ("consequence", [
+        {**doc["consequence"][0], "outcome": doc["consequence"][1]}, *doc["consequence"][1:]]),
+        ("utilities", doc["utilities"])]
+    yield "consequence-twice-first-empty", [("consequence", []), ("utilities", doc["utilities"]),
+                                            *items]
+    yield "sections-swapped", [*items[:-1], ("utilities", doc["utilities"]), items[-1]]
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+def test_text_with_entries_out_of_place_reads_as_its_tree(indent):
+    results = set()
+    for case, pairs in _entries_out_of_place():
+        text = _document_text(pairs, indent)
+        expected = _load_result(parse_document, json.loads(text))
+        assert _load_result(_load_text, text) == expected, case
+        results.add(isinstance(expected, tuple))
+    assert results == {False, True}  # some texts build a game, others are refused
+
+
 def test_valid_documents_match_reference_loops():
     for doc in (_team_doc(1), _team_doc(4), PRISONERS_DILEMMA):
         game, expected = parse_document(doc), ref.parse_st(doc)
@@ -383,6 +447,28 @@ def test_load_game_frees_the_document_tree_before_building_the_table(tmp_path, m
     assert dict(parsed.consequence_table) == dict(loaded.consequence_table)
     assert dict(parsed.utility_table) == dict(loaded.utility_table)
     assert len(loaded.utility_table) == 3**8 - 2**8
+
+
+def test_load_game_holds_no_tree_of_entries(tmp_path):
+    """``load_game`` gathers each entry into columns as the text decodes: its traced peak
+    above the text it reads stays under a quarter of the decoded tree's size."""
+    text = json.dumps(_coalition_document(8, random.Random(8)))
+    path = tmp_path / "coalitions.game"
+    path.write_text(text, encoding="utf-8")
+    load_game(path)  # imports done before anything is traced
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tree = json.loads(text)
+        tree_size = tracemalloc.get_traced_memory()[0] - before
+        del tree
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        load_game(path)
+        peak = tracemalloc.get_traced_memory()[1] - before - sys.getsizeof(text)
+    finally:
+        tracemalloc.stop()
+    assert peak < tree_size / 4, (peak, tree_size)
 
 
 def test_tu_round_trip(tmp_path):

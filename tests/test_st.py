@@ -573,9 +573,18 @@ def test_library_calls_outside_a_game_end_in_their_answer_or_message(call, outco
         (1, ("x",), [0, 0], [1], [1], "positions holds 1, outside [0, 1)"),
         (1, ("x",), [0, 0], [1], [-1], "positions holds -1, outside [0, 1)"),
         (1, ("x",), [0, 0], [1, 1], [0], "assessors, positions and values must have one length"),
+        (1, ("x",), [0, 0.7], [1], [0], "columns must hold integers, got dtype float64"),
+        (1, ("x",), [0, 0], [1.9], [0], "assessors must hold integers, got dtype float64"),
+        (1, ("x",), [0, 0], [1], [0.2], "positions must hold integers, got dtype float64"),
+        (1, ("x",), [False, True], [1], [0], "columns must hold integers, got dtype bool"),
+        (1, ("x",), [0, 0], [True], [0], "assessors must hold integers, got dtype bool"),
+        (1, ("x",), [0, 0], ["1"], [0], "assessors must hold integers, got dtype <U1"),
+        (1, ("x",), [0, 0], [1], ["0"], "positions must hold integers, got dtype <U1"),
     ],
     ids=["no-outcomes", "column-past", "column-negative", "columns-short", "columns-long",
-         "assessor-past", "assessor-empty", "position-past", "position-negative", "lengths"],
+         "assessor-past", "assessor-empty", "position-past", "position-negative", "lengths",
+         "column-float", "assessor-float", "position-float", "column-bool", "assessor-bool",
+         "assessor-str", "position-str"],
 )
 def test_from_entries_refuses_an_entry_outside_its_table(n, outcomes, columns, assessors,
                                                          positions, message):
@@ -583,6 +592,14 @@ def test_from_entries_refuses_an_entry_outside_its_table(n, outcomes, columns, a
         STGame.from_entries(n, outcomes, columns, assessors, positions, [1.0] * len(assessors),
                             ("0",))
     assert str(got.value) == message
+
+
+def test_from_entries_takes_integers_of_any_width_and_empty_lists():
+    g = STGame.from_entries(1, ("x",), np.zeros(2, dtype=np.uint8), np.ones(1, dtype=np.uint16),
+                            np.zeros(1, dtype=np.int8), [2.5], ("0",))
+    assert dict(g.utility_table) == {(1, "x"): 2.5}
+    g = STGame.from_entries(0, ("x",), [0], [], [], [], ())
+    assert (g.n, dict(g.utility_table)) == (0, {})
 
 
 def test_from_entries_refuses_a_name_list_of_another_length():
