@@ -14,6 +14,9 @@ The package splits into:
   rational contributions and sweep tables; its parameters and stability
   bounds are in the numpy-free :mod:`teamgames.cobb_params`;
 * :mod:`teamgames.game_io` - ``.game`` documents, CSV tables, edge lists;
+  it re-exports the CSV writer of the numpy-free :mod:`teamgames.csv_tables`,
+  as :mod:`teamgames.st` re-exports the quadrant rule of
+  :mod:`teamgames.quadrants`, so the ``cobb`` commands load neither;
 * :mod:`teamgames.cli` - the ``teamgames`` command.
 
 Names load on first use: ``import teamgames`` imports no submodule, and

@@ -317,7 +317,7 @@ GAMMA_TABLES = {
 
 
 def cmd_cobb_table(args) -> int:
-    from . import cobb, game_io
+    from . import cobb, csv_tables
 
     flag, power, budget, builder, columns, noun = GAMMA_TABLES[args.cobb_command]
     size = getattr(args, flag[2:])
@@ -327,13 +327,13 @@ def cmd_cobb_table(args) -> int:
     tables = [build(cobb.hybrid(g), cfg, args.size_a, args.size_b, size, args.tol)
               for g in args.gammas]
     out = _out_path(args, f"cobb_{args.cobb_command}.csv")
-    rows = game_io.write_table(tables, getattr(cobb, columns), out)
+    rows = csv_tables.write_table(tables, getattr(cobb, columns), out)
     print(f"wrote {rows} {noun} to {out}")
     return 0
 
 
 def cmd_cobb_frontier(args) -> int:
-    from . import cobb_params, game_io
+    from . import cobb_params, csv_tables
 
     _check_rows(args, args.resolution, "--resolution", MAX_GRID_ROWS)
     cfg = _base_config(args)
@@ -342,7 +342,7 @@ def cmd_cobb_frontier(args) -> int:
     shares = [k / args.resolution for k in range(1, args.resolution + 1)]
     table = cobb_params.stable_size_grid(cfg.beta, args.gammas, shares)
     out = _out_path(args, "cobb_frontier.csv")
-    rows = game_io.write_table([table], cobb_params.FRONTIER_COLUMNS, out)
+    rows = csv_tables.write_table([table], cobb_params.FRONTIER_COLUMNS, out)
     print(f"wrote {rows} team-size bounds to {out}")
     return 0
 

@@ -572,7 +572,7 @@ def contribution_table(
     every member of A contributes x_a[i] and every member of B contributes
     x_b[i] (unit pools), with the quadrant classified at tolerance ``tol``.
     """
-    from .st import quadrant_labels
+    from .quadrants import quadrant_labels
 
     _require_groups(size_a, size_b)
     x_a = np.asarray(x_a, dtype=float)

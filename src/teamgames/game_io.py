@@ -17,9 +17,9 @@ into flat columns (an id for its list of names, an id for its outcome, its
 raw value) while ``json.loads`` decodes it, and ``parse_document`` gathers
 the sections of a caller's tree into the same columns, so one set of checks
 serves both. Every validation failure names the offending field; syntax
-errors carry the line and column. Tables are written as UTF-8 CSV with a header row and
-full-precision (shortest round-trip) decimals, and graph exports as
-``src dst weight`` edge-list lines, so repeated runs are byte-identical.
+errors carry the line and column. Graph exports are ``src dst weight``
+edge-list lines, so repeated runs are byte-identical. The CSV table writer
+is :mod:`teamgames.csv_tables`, re-exported here.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
-import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -45,7 +43,6 @@ if TYPE_CHECKING:  # each game kind's module, and numpy, is imported by the code
 
 DOCUMENT_VERSION = 1
 COBB_KEYS = ("theta", "alpha", "beta")
-ROW_CHUNK = 1024  # rows formatted and joined into one text at a time, few to keep the peak low
 
 
 def _require(doc: dict, key: str, kind, location: str):
@@ -207,20 +204,32 @@ class _Entries:
                     items = [self.gather(e) if isinstance(e, dict) else e for e in items]
                     self.sections[name] = items, start, len(self.values) - start
 
-    def parse_subsets(self, index, location: str) -> np.ndarray:
-        """:attr:`mask_ids`, each list of names parsed once however many entries repeat it."""
+    def parse_subsets(self, index) -> np.ndarray:
+        """:attr:`mask_ids`, every distinct list of names parsed in one bulk pass however
+        many entries repeat it; a list with an unknown or a repeated name gets id -1."""
         import numpy as np
 
         if self.masks is None:
-            self.masks, ids = {}, []
-            for names in self.subsets:
-                try:
-                    mask = _parse_subset(list(names), index, location)
-                except GameLoadError:
-                    ids.append(-1)
-                else:
-                    ids.append(self.masks.setdefault(mask, len(self.masks)))
-            self.mask_ids = np.array(ids, dtype=np.int64)
+            lists = list(self.subsets)
+            sizes = np.fromiter(map(len, lists), np.int64, len(lists))
+            names = itertools.chain.from_iterable(lists)
+            found = np.fromiter(map(index.get, names, itertools.repeat(-1)), np.int64,
+                                int(sizes.sum()))
+            owner = np.repeat(np.arange(len(lists)), sizes)
+            good = sizes <= len(index)
+            good[owner[found < 0]] = False
+            # Python ints past 56 players, where a sum of a list's bits could leave int64
+            kind = np.int64 if len(index) <= 56 else object
+            bits = np.left_shift(np.ones(1, kind), np.maximum(found, 0, out=found))
+            del found
+            masks, sums = np.zeros(len(lists), kind), np.zeros(len(lists), kind)
+            np.bitwise_or.at(masks, owner, bits)
+            np.add.at(sums, owner, bits)
+            good &= sums == masks  # a repeated name adds its bit twice
+            self.masks = {}
+            ids = [self.masks.setdefault(mask, len(self.masks)) for mask in masks[good].tolist()]
+            self.mask_ids = np.full(len(lists), -1, dtype=np.int64)
+            self.mask_ids[good] = ids
         return self.mask_ids
 
     def entry(self, row: int) -> dict:
@@ -275,7 +284,7 @@ def _read_section(doc: dict, entries: _Entries, kind: str, index, column_of):
     stop = count if count == len(items) else next(
         i for i, e in enumerate(items) if e is not _ENTRY and e is not _FIRST)
     rows = slice(start, start + stop)
-    ids = entries.parse_subsets(index, section)[np.array(entries.ids[rows], dtype=np.int64)]
+    ids = entries.parse_subsets(index)[np.array(entries.ids[rows], dtype=np.int64)]
     bad = ids < 0
     if _KINDS[kind][1]:
         bad |= ids == entries.masks.get(0, -1)
@@ -444,14 +453,20 @@ def _require_names(names, noun: str) -> None:
         seen.add(name)
 
 
-def _loaded(module: str, name: str):
-    """Type ``name`` of ``module`` (numpy, or a submodule such as ``.tu``), or ``()`` if that
-    module was never imported: no instance exists then, and ``isinstance(x, ())`` is false."""
-    return getattr(sys.modules.get(__package__ + module if module[0] == "." else module), name, ())
+def __getattr__(name: str):
+    """The CSV writer's names, re-exported from :mod:`teamgames.csv_tables` on first use, so
+    that loading a document does not load the writer."""
+    if name in ("ROW_CHUNK", "format_cell", "write_table"):
+        from . import csv_tables
+
+        return getattr(csv_tables, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def document_for(game) -> dict:
     """Document tree for a game; inverse of :func:`parse_document`."""
+    from .csv_tables import _loaded
+
     if isinstance(game, _loaded(".tu", "TUGame")):
         _require_names(game.players, "player")
         return {
@@ -492,98 +507,6 @@ def document_for(game) -> dict:
 
 def save_game(game, path) -> None:
     Path(path).write_text(json.dumps(document_for(game), indent=2) + "\n", encoding="utf-8")
-
-
-def format_cell(value) -> str:
-    """Full-precision, deterministic text for one table cell.
-
-    numpy floats and bools print like their Python counterparts.
-    """
-    if isinstance(value, float):
-        # float.__repr__, not repr: numpy 2 spells repr(np.float64(0.1)) 'np.float64(0.1)'
-        return float.__repr__(value)
-    if type(value) is str:  # most other cells: text, settled before numpy is looked up
-        return value
-    if isinstance(value, (bool, _loaded("numpy", "bool_"))):
-        return "true" if value else "false"
-    if value is None:
-        return ""
-    return str(value)
-
-
-def _needs_quotes(text: str) -> bool:
-    """Does ``csv.writer`` (QUOTE_MINIMAL, ``lineterminator="\\n"``) quote this text?
-
-    It does for a comma, a quote or a newline; a lone ``\\r`` is not quoted.
-    """
-    return "," in text or '"' in text or "\n" in text
-
-
-def _quote(text: str) -> str:
-    """One CSV field as ``csv.writer`` writes it: quoted where needed, its quotes doubled."""
-    return '"' + text.replace('"', '""') + '"' if _needs_quotes(text) else text
-
-
-def _format_slice(cells):
-    """Lazy CSV fields of one column slice, its formatter chosen once for the whole slice.
-
-    A float64 array is spelled by ``float.__repr__``; any other array is read
-    as Python values. A slice that repeats one object is formatted once, and
-    other cells one by one, quoted where ``csv.writer`` would quote them.
-    """
-    if isinstance(cells, _loaded("numpy", "ndarray")):
-        if cells.dtype == _loaded("numpy", "float64"):
-            return map(float.__repr__, cells.tolist())
-        cells = cells.tolist()
-    first = cells[0]
-    if all(map(operator.is_, cells, itertools.repeat(first))):
-        return itertools.repeat(_quote(format_cell(first)), len(cells))
-    texts = list(map(format_cell, cells))
-    return map(_quote, texts) if _needs_quotes("".join(texts)) else texts
-
-
-def _lines(fields) -> str:
-    """CSV lines of the rows ``zip(*fields)``, each ending in a newline.
-
-    A row of one empty field is written ``""``, as ``csv.writer`` writes it,
-    so that it is not a blank line.
-    """
-    rows = map(",".join, zip(*fields))
-    if len(fields) == 1:
-        rows = (row or '""' for row in rows)
-    return "\n".join(rows) + "\n"
-
-
-def write_table(tables, columns, path) -> int:
-    """Write column tables one after another as UTF-8 CSV with a header row.
-
-    A table maps every name in ``columns`` to an equal-length sequence (a
-    numpy array or a list) holding that column's cells in row order. Every
-    table is checked before the file is opened, cells are formatted
-    ``ROW_CHUNK`` rows at a time, each column slice by one formatter (a
-    slice repeating one object formatted once), fields are quoted as
-    ``csv.writer`` quotes them, and every line ends in a newline, so
-    identical inputs produce identical bytes. Returns the number of rows written.
-    """
-    columns = list(columns)
-    tables = list(tables)
-    for i, table in enumerate(tables):
-        missing = [c for c in columns if c not in table]
-        if missing:
-            raise ValueError(f"table {i} is missing columns {missing}")
-        lengths = sorted({len(table[c]) for c in columns})
-        if len(lengths) > 1:
-            raise ValueError(f"table {i} has columns of unequal lengths {lengths}")
-    rows = 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_lines([[_quote(c)] for c in columns]))
-        for table in tables:
-            cols = [table[c] for c in columns]
-            count = len(cols[0]) if cols else 0
-            for lo in range(0, count, ROW_CHUNK):
-                fh.write(_lines([_format_slice(c[lo:lo + ROW_CHUNK]) for c in cols]))
-            rows += count
-    return rows
 
 
 def write_edges(graph: PerceptionGraph, path) -> None:

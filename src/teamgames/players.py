@@ -7,6 +7,7 @@ every enumeration a canonical order: ascending mask value.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -185,20 +186,57 @@ def member_sum(n: int, members, term) -> np.ndarray:
     return total
 
 
-def _deposit(values, rooms, width: int) -> np.ndarray:
-    """Scatter the low bits of each value into the set bits of its room mask.
+@functools.cache
+def _byte_tables():
+    """``(pext, pdep, popcount)`` over bytes, built on first use: ``pext[m << 8 | v]`` gathers
+    the bits of v that byte mask m selects into the low bits, ``pdep[m << 8 | v]`` scatters
+    the low bits of v onto the set bits of m, and ``popcount[m]`` counts m's bits (the
+    compress and expand of Warren, *Hacker's Delight*, 2nd ed., sections 7-4 and 7-5)."""
+    byte = np.arange(256, dtype=np.uint8)  # bytes: 128 KiB in all, an eighth of int64 tables
+    m, v = np.repeat(byte, 256), np.tile(byte, 256)
+    pext, pdep, below = (np.zeros(1 << 16, dtype=np.uint8) for _ in range(3))
+    for i in range(8):
+        bit = m >> i & 1
+        pext |= (v >> i & bit) << below
+        pdep |= (v >> below & bit) << i
+        below += bit  # set bits of m below bit i + 1
+    return pext, pdep, below[::256].copy()
 
-    The k-th lowest bit of a value lands on the k-th lowest set bit of its
-    room (a parallel bit deposit), so ascending values below
-    2^popcount(room) map to the submasks of that room in ascending order.
-    ``width`` bounds the bit positions rooms use.
-    """
-    values = np.asarray(values, dtype=np.int64)
-    out = np.zeros_like(values)
-    for i in range(width):
-        bit = (rooms >> i) & 1
-        out |= (values & bit) << i
-        values = values >> bit
+
+def _lookup(table, masks, values, low: int, at: int):
+    """``table`` at byte ``low`` of each mask and the byte of its value from bit ``at``, and
+    the number of set bits in that mask byte. Built in place, so that at most three arrays
+    the size of the values live at once."""
+    index = masks >> low
+    index &= 255
+    count = _byte_tables()[2][index]
+    index <<= 8
+    byte = values >> at
+    byte &= 255
+    return table[byte | index], count
+
+
+def pext(values, masks, width: int):
+    """The bits of each value that its mask selects, packed into the low bits in order: the
+    rank of a submask among the submasks of its mask. ``width`` bounds the bit positions the
+    masks use; values and masks are ints or int64 arrays."""
+    out, shift = 0, 0
+    for low in range(0, width, 8):
+        part, count = _lookup(_byte_tables()[0], masks, values, low, low)
+        out |= np.left_shift(part, shift, dtype=np.int64)
+        shift = shift + count
+    return out
+
+
+def pdep(values, masks, width: int):
+    """The low bits of each value scattered onto the set bits of its mask, in order (the
+    inverse of :func:`pext`): ascending values below 2^popcount(mask) map to the submasks
+    of that mask in ascending order."""
+    out, shift = 0, 0
+    for low in range(0, width, 8):
+        part, count = _lookup(_byte_tables()[1], masks, values, low, shift)
+        out |= np.left_shift(part, low, dtype=np.int64)
+        shift = shift + count
     return out
 
 
@@ -241,8 +279,10 @@ def mask_pairs(n: int, *, nested: bool = False, nonempty: bool = False):
         index = np.arange(done, min(done + size, total), dtype=np.int64)
         pos = np.searchsorted(ends, index, side="right")
         x = outer[pos]
-        yield x, _deposit(index - starts[pos] + int(nonempty), x if nested else full ^ x, n)
         done += len(index)
+        index -= starts[pos] - int(nonempty)  # the pair's rank among its outer's
+        del pos
+        yield x, pdep(index, x if nested else full ^ x, n)
         size = min(2 * size, PAIR_CHUNK)
 
 

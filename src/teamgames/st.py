@@ -20,32 +20,73 @@ B empty therefore reduce to m_A(A) = u_A(V(A)).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Hashable, Mapping
+from typing import TYPE_CHECKING, Callable, Hashable, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import MissingUtilityError, NotReducibleError, NumericOverflowError, SizeLimitError
 from .limits import DEFAULT_TOL, check_tol
 from .players import (
-    PlayerSet, check_pair_scan, check_subset_array, first_nested_cell, first_pair, member_sum,
-    player_names, require_disjoint, require_fit, subset_closure, subset_label, subset_sums,
+    PAIR_CHUNK, PlayerSet, check_pair_scan, check_subset_array, first_nested_cell, first_pair,
+    member_sum, pdep, pext, player_names, require_disjoint, require_fit, subset_closure,
+    subset_label, subset_sums,
 )
 
 if TYPE_CHECKING:
+    from .quadrants import Quadrant
     from .tu import TUGame
 
 Outcome = Hashable
 NULL_OUTCOME: Outcome = None
 
-MAX_TABLE_CELLS = 1 << 25  # assessor x outcome cells of a tabulated game (256 MiB)
+MAX_TABLE_CELLS = 1 << 25  # block cells of a tabulated game (256 MiB)
 # closure cells allowed per pair a scan would walk: a cell costs 0.2-0.9 ns and a pair 50-115 ns
 # (measured), so closures that find a violation add at most an eighth of a full scan
 CELLS_PER_PAIR = 8
+ENTRY_CHUNK = 1 << 14  # entries placed in their blocks at a time
+
+
+class _Blocks(NamedTuple):
+    """The cells of a tabulated game. Outcome j's block holds one cell per submask A of its
+    frame F_j, at ``cells[offsets[j] + pext(A, F_j) * strides[j]]``; blocks of one frame size
+    sit side by side as one C-ordered (2^k, count) array, an outcome per column."""
+
+    cells: np.ndarray
+    frames: np.ndarray
+    offsets: np.ndarray
+    strides: np.ndarray
+    n: int
+
+    def index(self, a, j):
+        """Cell position of assessor mask a, inside the frame of outcome position j."""
+        return self.offsets[j] + pext(a, self.frames[j], self.n) * self.strides[j]
+
+    def groups(self, array):
+        """(outcome positions, (2^k, count) view of ``array``) for each frame size k, for an
+        ``array`` laid out as the cells."""
+        for positions, base, rows in _frame_groups(self.frames, self.n):
+            yield positions, array[base:base + rows * len(positions)].reshape(rows, -1)
+
+
+def _frame_groups(frames: np.ndarray, n: int):
+    """For each frame size k, ascending: the positions of the outcomes whose frames have k
+    players, ascending, the first cell of their blocks, and 2^k."""
+    rows = pext(frames, frames, n) + 1  # 2^|F|: pext(F, F) is |F| one bits
+    order = np.argsort(rows, kind="stable")
+    base = 0
+    for size, start, count in zip(*(part.tolist() for part in np.unique(
+            rows[order], return_index=True, return_counts=True))):
+        yield order[start:start + count], base, size
+        base += size * count
+
+
+def _require_players(n: int) -> None:
+    if n < 1:
+        raise SizeLimitError(f"team games support 1 or more players, got {n}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,10 +96,16 @@ class STGame:
     Every game is two things: ``_columns[S]``, the position in ``outcomes``
     of V(S) for every coalition mask S, and ``_assess(a, j)``, the value of
     outcome position j to assessor mask a, for two int arrays of one shape
-    or two ints. A tabulated game reads it from ``_table[A, j]``, NaN where
-    no entry was given (row 0, the empty assessor, is all 0); structured
-    games compute it in closed form; only :meth:`from_functions` calls user
-    code per element. Pair kernels read games through :meth:`u`; lattice closures read ``_table``.
+    or two ints. Structured games compute it in closed form; only
+    :meth:`from_functions` calls user code per element. A tabulated game
+    reads it from ``_blocks``, which stores u_A(o_j) only on the frame of
+    o_j: the union of the coalitions that produce it and of the assessors
+    its entries name, the only assessors a reachable assessment names. An
+    assessor outside the frame, or a cell with no entry, reads NaN; the
+    empty assessor reads 0. A table whose frames are all the team is the
+    dense 2^n x |outcomes| array. Pair kernels read games through :meth:`u`;
+    lattice closures read :func:`closure_table`. A team has at least one
+    player.
     """
 
     n: int
@@ -66,7 +113,10 @@ class STGame:
     players: tuple[str, ...]
     _columns: np.ndarray
     _assess: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    _table: np.ndarray | None = None
+    _blocks: _Blocks | None = None
+
+    def __post_init__(self):
+        _require_players(self.n)
 
     @classmethod
     def from_tables(
@@ -85,6 +135,7 @@ class STGame:
         entries may be present (detectors for co-additive structure use
         them) but are not required.
         """
+        _require_players(n)
         outcomes = tuple(outcomes)
         players = player_names(n, players)
         columns = _outcome_columns(n, outcomes, consequence, players)
@@ -115,18 +166,13 @@ class STGame:
         ``columns[S]`` is the position in ``outcomes`` of V(S) for every
         coalition mask S (entry 0 is ignored); entry k values outcome
         ``positions[k]`` at ``values[k]`` for assessor mask ``assessors[k]``,
-        and no (assessor, position) pair comes twice. Refuses a table of more
-        than ``MAX_TABLE_CELLS`` cells, index arrays that are not integers,
-        or arrays and names that do not fit it, before allocating it, then
-        names the first missing assessment in ascending (coalition, assessor)
-        order.
+        and no (assessor, position) pair comes twice. Refuses index arrays
+        that are not integers, arrays and names that do not fit the team, or
+        blocks of more than ``MAX_TABLE_CELLS`` cells in all, before
+        allocating them, then names the first missing assessment in
+        ascending (coalition, assessor) order.
         """
-        cells = (1 << n) * len(outcomes)
-        if cells > MAX_TABLE_CELLS:
-            raise SizeLimitError(
-                f"{n} players and {len(outcomes)} outcomes need {cells} table cells, "
-                f"over the limit of {MAX_TABLE_CELLS}"
-            )
+        _require_players(n)
         columns = _index_array("columns", columns).copy()
         if columns.shape != (1 << n,):
             raise ValueError(f"columns must have shape {(1 << n,)}, got {columns.shape}")
@@ -137,10 +183,26 @@ class STGame:
         if not len(assessors) == len(positions) == len(values):
             raise ValueError("assessors, positions and values must have one length")
         players = player_names(n, players)
-        table = np.full((1 << n, len(outcomes)), np.nan)
-        table[0] = 0.0
-        table[assessors, positions] = values
-        missing = first_nested_cell(np.isnan(table), columns)
+        frames = np.zeros(len(outcomes), dtype=np.int64)
+        np.bitwise_or.at(frames, columns[1:], np.arange(1, 1 << n))
+        np.bitwise_or.at(frames, positions, assessors)
+        groups = list(_frame_groups(frames, n))
+        cells = sum(rows * len(group) for group, _, rows in groups)
+        if cells > MAX_TABLE_CELLS:
+            raise SizeLimitError(
+                f"{n} players and {len(outcomes)} outcomes need {cells} table cells, "
+                f"over the limit of {MAX_TABLE_CELLS}"
+            )
+        offsets, strides = np.empty_like(frames), np.empty_like(frames)
+        for group, base, _ in groups:  # a group's outcomes are the columns of its array
+            offsets[group], strides[group] = base + np.arange(len(group)), len(group)
+        blocks = _Blocks(np.full(cells, np.nan), frames, offsets, strides, n)
+        blocks.cells[offsets] = 0.0  # the empty assessor
+        values = np.asarray(values, dtype=float)
+        for lo in range(0, len(values), ENTRY_CHUNK):  # small index arrays, a chunk at a time
+            chunk = slice(lo, lo + ENTRY_CHUNK)
+            blocks.cells[blocks.index(assessors[chunk], positions[chunk])] = values[chunk]
+        missing = _first_missing(blocks, columns)
         if missing is not None:
             s, a = missing
             raise ValueError(
@@ -149,8 +211,15 @@ class STGame:
                 f"{subset_label(s, players)})"
             )
         columns.flags.writeable = False
-        table.flags.writeable = False
-        return cls(n, outcomes, players, columns, lambda a, j: table[a, j], table)
+        blocks.cells.flags.writeable = False
+        if cells == len(outcomes) << n:  # every frame is the team: the dense table
+            table = blocks.cells.reshape(1 << n, len(outcomes))
+            return cls(n, outcomes, players, columns, lambda a, j: table[a, j], blocks)
+
+        def assess(a, j):
+            return np.where(a & ~frames[j], np.nan, blocks.cells[blocks.index(a, j)])
+
+        return cls(n, outcomes, players, columns, assess, blocks)
 
     @classmethod
     def from_functions(
@@ -163,6 +232,7 @@ class STGame:
     ) -> STGame:
         """Game over callables: ``consequence`` is read once per coalition here and must
         name a declared outcome; ``utility`` is called per element a kernel reads."""
+        _require_players(n)
         outcomes = tuple(outcomes)
         players = player_names(n, players)
         columns = _outcome_columns(n, outcomes, consequence, players)
@@ -180,6 +250,7 @@ class STGame:
         """Additive game: u_A(o_j) is the sum of ``values[i, j]`` over the members i of A,
         where o_j is ``outcomes[j]`` and ``columns[S]`` is the position of V(S). A sum past
         the float range raises ``NumericOverflowError`` naming its assessor and outcome."""
+        _require_players(n)
         values = np.array(values, dtype=float)
         outcomes, players = tuple(outcomes), player_names(n, players)
 
@@ -206,19 +277,26 @@ class STGame:
     @property
     def utility_table(self) -> Mapping[tuple[int, Outcome], float] | None:
         """Read-only (assessor mask, outcome) -> value map of a tabulated game's
-        entries, built on each access; ``None`` for other games."""
-        if self._table is None:
+        entries in ascending (assessor, outcome position) order, built on each
+        access; ``None`` for other games."""
+        if self._blocks is None:
             return None
-        rows, cols = np.nonzero(~np.isnan(self._table[1:]))
-        values = self._table[rows + 1, cols].tolist()
-        keys = zip((rows + 1).tolist(), (self.outcomes[j] for j in cols.tolist()))
-        return MappingProxyType(dict(zip(keys, values)))
+        assessors, positions, values = [], [], []
+        for group, block in self._blocks.groups(self._blocks.cells):
+            rows, cols = np.nonzero(~np.isnan(block[1:]))
+            positions.append(group[cols])
+            assessors.append(pdep(rows + 1, self._blocks.frames[group[cols]], self.n))
+            values.append(block[rows + 1, cols])
+        assessors, positions, values = map(np.concatenate, (assessors, positions, values))
+        order = np.lexsort((positions, assessors))
+        keys = zip(assessors[order].tolist(), (self.outcomes[j] for j in positions[order].tolist()))
+        return MappingProxyType(dict(zip(keys, values[order].tolist())))
 
     @property
     def consequence_table(self) -> Mapping[int, Outcome] | None:
         """Read-only coalition mask -> outcome map of a tabulated game, built on
         each access; ``None`` for other games."""
-        if self._table is None:
+        if self._blocks is None:
             return None
         return MappingProxyType(
             {mask: self.outcomes[j] for mask, j in enumerate(self._columns.tolist()) if mask}
@@ -261,6 +339,34 @@ class STGame:
         if value != value:  # NaN: no entry
             raise MissingUtilityError(subset_label(mask, self.players), outcome)
         return value
+
+
+def _first_missing(blocks: _Blocks, columns: np.ndarray):
+    """The first (S, A) in ascending (coalition, nonempty assessor A inside S) order whose
+    u_A(V(S)) has no cell value, or None. Each frame-size group's NaN flags are OR-closed on
+    its own lattice: a submask of a frame ranks at a submask of the frame's rank, in the
+    same order, so the first covered submask of S is also its first flagged one."""
+    flags = np.isnan(blocks.cells)
+    for _, group in blocks.groups(flags):
+        group[0] = False
+        subset_closure(group, np.logical_or)
+    coalitions = np.arange(1, len(columns))
+    bad = flags[blocks.index(coalitions, columns[1:])]
+    if not bad.any():
+        return None
+    s = int(np.argmax(bad)) + 1
+    subs = coalitions[:s][(coalitions[:s] & s) == coalitions[:s]]
+    return s, int(subs[np.argmax(flags[blocks.index(subs, columns[s])])])
+
+
+def __getattr__(name: str):
+    """``Quadrant`` and ``quadrant_labels``, re-exported from :mod:`teamgames.quadrants` on
+    first use, so that a command that labels no point does not load it."""
+    if name in ("Quadrant", "quadrant_labels"):
+        from . import quadrants
+
+        return getattr(quadrants, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _index_array(name: str, values) -> np.ndarray:
@@ -352,18 +458,6 @@ def altruistic_contribution(g: STGame, a: PlayerSet, b: PlayerSet) -> float:
     return pair_value(alt, "altruism", a.mask, b.mask, g.players)
 
 
-class Quadrant(enum.Enum):
-    """Region of cooperation space, with explicit axis and origin tags."""
-
-    I = "I"
-    II = "II"
-    III = "III"
-    IV = "IV"
-    AXIS_A = "axis-a"  # on the altruism axis: c within tolerance of 0
-    AXIS_C = "axis-c"  # on the competitive axis: a within tolerance of 0
-    ORIGIN = "origin"
-
-
 @dataclass(frozen=True)
 class CoopPoint:
     """One subset's coordinates in cooperation space (vs. the rest of the team)."""
@@ -374,32 +468,6 @@ class CoopPoint:
     subset: PlayerSet
 
 
-# quadrant of a point by the side of each coordinate: 0 below the band, 1 inside, 2 above
-_QUADRANT_GRID = np.array([[Quadrant[name].value for name in row.split()] for row in (
-    "III AXIS_A II", "AXIS_C ORIGIN AXIS_C", "IV AXIS_A I")], dtype=object)
-
-
-def quadrant_labels(altruism, competitive, tol: float = DEFAULT_TOL, *, closed: bool = False):
-    """The ``Quadrant`` value of each point (altruism[i], competitive[i]): an object array of
-    labels, or one label for a pair of numbers.
-
-    Open mode (default) keeps a symmetric band |x| <= tol around each axis
-    and tags points inside it as axis or origin points. Closed mode absorbs
-    the band into the nonnegative side, so quadrant I means a >= -tol and
-    c >= -tol; this matches predicates stated with >= 0. A NaN coordinate
-    fails both comparisons and lands on the negative side.
-    """
-    check_tol(tol)
-
-    def side(x):
-        x = np.asarray(x, dtype=float)
-        if closed:
-            return np.where(x >= -tol, 2, 0)
-        return np.where(np.abs(x) <= tol, 1, np.where(x > 0, 2, 0))
-
-    return _QUADRANT_GRID[side(altruism), side(competitive)]
-
-
 def classify_quadrant(point: CoopPoint, tol: float = DEFAULT_TOL, *, closed: bool = False) -> Quadrant:
     """Which quadrant a cooperation-space point occupies (see ``quadrant_labels``)."""
     return quadrant_of(point.altruism, point.competitive, tol, closed=closed)
@@ -407,6 +475,8 @@ def classify_quadrant(point: CoopPoint, tol: float = DEFAULT_TOL, *, closed: boo
 
 def quadrant_of(a: float, c: float, tol: float = DEFAULT_TOL, *, closed: bool = False) -> Quadrant:
     """The quadrant of the point with altruism ``a`` and competitive part ``c``."""
+    from .quadrants import Quadrant, quadrant_labels
+
     return Quadrant(quadrant_labels(a, c, tol, closed=closed))
 
 
@@ -459,14 +529,26 @@ def all_coop_points(g: STGame, *, include_grand: bool = True) -> list[CoopPoint]
     ]
 
 
-def closure_table(g: STGame, k: int) -> np.ndarray | None:
-    """A tabulated game's table when lattice closures over k of its players decide a pair
-    predicate faster than a pair scan, else None: they pass k * 2^k * |outcomes| cells
-    against the scan's 3^k pairs. A scan past the pair-scan limit is refused either way."""
+def closure_table(g: STGame, k: int, masks=None) -> np.ndarray | None:
+    """A tabulated game's assessor x outcome table, its rows ``masks`` (every assessor mask
+    when None), NaN where no entry was given, when lattice closures over k of its players
+    decide a pair predicate faster than a pair scan; else None. They pass k * 2^k *
+    |outcomes| cells against the scan's 3^k pairs. A table whose frames are all the team is
+    read in place; one with narrower frames is copied from its blocks. A scan past the
+    pair-scan limit is refused either way."""
     check_pair_scan(k)
-    if g._table is not None and k * len(g.outcomes) << k < CELLS_PER_PAIR * 3**k:
-        return g._table
-    return None
+    m = len(g.outcomes)
+    if g._blocks is None or not k * m << k < CELLS_PER_PAIR * 3**k:
+        return None
+    if len(g._blocks.cells) == m << g.n:
+        table = g._blocks.cells.reshape(-1, m)
+        return table if masks is None else table[masks]
+    masks = np.arange(1 << g.n) if masks is None else masks
+    table = np.empty((len(masks), m))
+    step = max(1, PAIR_CHUNK // m)
+    for lo in range(0, len(masks), step):  # the reader's index arrays stay one chunk
+        table[lo:lo + step] = g._assess(masks[lo:lo + step, None], np.arange(m))
+    return table
 
 
 def _own_values(g: STGame, table: np.ndarray) -> np.ndarray:
@@ -512,13 +594,13 @@ def is_cohesive(g: STGame, s: PlayerSet, tol: float = DEFAULT_TOL) -> bool:
         raise ValueError("coalition must be nonempty")
     if not s.fits(g.n):
         raise ValueError(f"{s} is not a coalition of a {g.n}-player team")
-    table = closure_table(g, len(s))  # refuses a scan past the limit before any 2^|S| array
+    check_pair_scan(len(s))  # before any 2^|S| array
     masks = subset_sums(np.left_shift(1, s.members()))  # S's own lattice: b names masks[b]
-    if table is not None:
+    rows = closure_table(g, len(s), None if len(s) == g.n else masks)
+    if rows is not None:
         # B loses when it values below V(B) an outcome that a coalition above it produces;
         # the coalition B itself adds u_B(V(B)) - u_B(V(B)), never below -tol
         columns = g._columns[masks]
-        rows = table if len(s) == g.n else table[masks]
         with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
             loses = rows - rows[np.arange(len(masks)), columns][:, None] < -tol
         return first_nested_cell(loses, columns) is None
@@ -548,6 +630,7 @@ def from_ntu(
 ) -> STGame:
     """Embed per-player utilities ``individual[p][x]``, given for every player p and
     outcome x, as an additive team game: u_A = sum of members' u_a."""
+    _require_players(n)
     outcomes = tuple(outcomes)
     for p in range(n):
         for x in outcomes:

@@ -87,11 +87,11 @@ NO_ARRAYS = ["numpy", "players", "cobb", "st", "tu", *COBB_TABLES[1:]]
     (["cobb", "sweep", "--resolution", "3"], COBB_TABLES),
     (["cobb", "path", "--samples", "3"], COBB_TABLES),
     (["cobb", "rational", "--resolution", "3"], COBB_TABLES),
-    (["classify", "team.game"], ["cobb", "tu", "exact_lp"]),
+    (["classify", "team.game"], ["cobb", "tu", "exact_lp", "quadrants", "csv_tables"]),
     (["metrics", "team.game"], ["cobb", "tu", "exact_lp", "additivity"]),
     (["graph", "zero.game"], ["cobb", "tu", "exact_lp"]),
     (["reduce-tu", "team.game"], ["cobb", "additivity"]),
-    (["classify", "tu.game"], ["st", "additivity", "cobb"]),
+    (["classify", "tu.game"], ["st", "additivity", "cobb", "csv_tables"]),
     (["shapley", "tu.game"], ["st", "additivity", "cobb"]),
     (["core", "tu.game"], ["st", "additivity", "cobb"]),
     (["cobb", "frontier", "cd.game", "--resolution", "5"], NO_ARRAYS),
@@ -102,6 +102,23 @@ def test_command_loads_only_its_modules(docs, argv, absent):
     assert status == 0
     assert numpy == ("numpy" not in absent)
     assert names.isdisjoint(absent), sorted(names)
+
+
+# a `cobb` command without a document writes its table through `csv_tables`, so it loads
+# neither the document reader nor the team-game module
+COBB_BASE = {"limits", "errors", "scenarios", "cobb_params", "csv_tables"}
+COBB_ARRAYS = COBB_BASE | {"players", "cobb"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["cobb", "frontier", "--resolution", "5"], COBB_BASE),
+    (["cobb", "sweep", "--resolution", "3"], COBB_ARRAYS | {"quadrants"}),
+    (["cobb", "path", "--samples", "3"], COBB_ARRAYS | {"quadrants"}),
+    (["cobb", "rational", "--resolution", "3"], COBB_ARRAYS),
+    (["cobb", "sweep", "cd.game", "--resolution", "3"], COBB_ARRAYS | {"quadrants", "game_io"}),
+])
+def test_cobb_commands_load_exactly_their_modules(docs, argv, modules):
+    assert loaded(argv, docs)[::2] == (0, modules)
 
 
 # the names `teamgames` exported, by the submodule each came from, when every name was
@@ -203,7 +220,7 @@ def test_subset_array_limit_is_one_object():
 
 
 # modules that parsing the command line, `cobb frontier` or a Cobb-Douglas document loads
-NUMPY_FREE = ["cli", "limits", "errors", "scenarios", "game_io", "cobb_params"]
+NUMPY_FREE = ["cli", "limits", "errors", "scenarios", "game_io", "cobb_params", "csv_tables"]
 PACKAGE = SRC / "teamgames"
 
 
@@ -249,7 +266,7 @@ def test_numpy_free_modules_import_no_numpy_at_module_level():
         heavy |= {name for name, found in imports.items()
                   if any(module[1:] in heavy for _, module in found if module.startswith("."))}
         grown = len(heavy) > before
-    assert {"players", "cobb", "st", "tu"} <= heavy
+    assert {"players", "cobb", "st", "tu", "quadrants"} <= heavy
     faults = [f"{name}.py:{line}: imports {module}" for name in NUMPY_FREE
               for line, module in imports[name]
               if module.split(".")[0] == "numpy" or module.startswith(".") and module[1:] in heavy]

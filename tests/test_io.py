@@ -163,7 +163,14 @@ def _load_result(parse, doc):
         game = parse(doc)
     except GameLoadError as exc:
         return str(exc), exc.location
-    return game.u.tobytes() if isinstance(game, TUGame) else game._table.tobytes()
+    return game.u.tobytes() if isinstance(game, TUGame) else _entries(game)
+
+
+def _entries(game):
+    """A team game's utility entries in order, each value by its bytes: a list, where a
+    refused document's result is a tuple."""
+    table = game.utility_table
+    return [list(table), np.array(list(table.values())).tobytes()]
 
 
 # each fault rewrites the entry at position i of a section's entry list
@@ -299,29 +306,55 @@ def test_text_with_entries_out_of_place_reads_as_its_tree(indent):
 def test_valid_documents_match_reference_loops():
     for doc in (_team_doc(1), _team_doc(4), PRISONERS_DILEMMA):
         game, expected = parse_document(doc), ref.parse_st(doc)
-        assert np.array_equal(game._table, expected._table, equal_nan=True)
+        assert _entries(game) == _entries(expected)
         assert np.array_equal(game._columns, expected._columns)
     for doc in (_tu_doc(1), _tu_doc(5), GLOVE):
         assert parse_document(doc).u.tobytes() == ref.parse_tu(doc).u.tobytes()
 
 
 def test_each_distinct_subset_is_parsed_once(monkeypatch):
-    calls = []
+    """The distinct lists of names are parsed in one bulk pass, which the utilities section
+    shares with the consequence section; a list is parsed alone only for a faulty entry's
+    message."""
+    calls, passes = [], []
+    parse_subset, parse_all = game_io._parse_subset, game_io._Entries.parse_subsets
 
     def counting(entry, index, location):
         calls.append(location)
         return parse_subset(entry, index, location)
 
-    parse_subset = game_io._parse_subset
+    def counting_passes(self, index):
+        passes.append(self.masks is None)
+        return parse_all(self, index)
+
     monkeypatch.setattr(game_io, "_parse_subset", counting)
+    monkeypatch.setattr(game_io._Entries, "parse_subsets", counting_passes)
     doc = _team_doc(10)
     assert len(doc["utilities"]) == 6133
     parse_document(doc)
-    # 1,023 distinct subsets; the utilities section reuses the consequence section's parses
-    assert 0 < calls.count("consequence") and len(calls) <= 1023
-    calls.clear()
+    assert (calls, passes) == ([], [True, False])
+    passes.clear()
     parse_document(_tu_doc(10))
-    assert len(calls) <= 1024
+    assert (calls, passes) == ([], [True])
+    doc["utilities"][5] = {**doc["utilities"][5], "subset": doc["utilities"][5]["subset"] + ["zed"]}
+    with pytest.raises(GameLoadError, match="unknown player 'zed'"):
+        parse_document(doc)
+    assert calls == ["utilities[5].subset"]
+
+
+@pytest.mark.parametrize("n", [3, 56, 57, 64])
+def test_a_repeated_or_unknown_name_is_named_at_any_team_size(n):
+    """Masks past 56 players are built from Python ints, so a list of one name repeated, or
+    a name no player has, is still named at its own entry."""
+    names = [f"p{i}" for i in range(n)]
+    doc = {"version": 1, "players": names, "outcomes": ["x"], "utilities": [],
+           "consequence": [{"subset": s, "outcome": "x"} for s in (["p0"], [names[-1]] * 9)]}
+    with pytest.raises(GameLoadError, match=rf"^consequence\[1\]\.subset\[1\]: player "
+                                            rf"'{names[-1]}' listed twice$"):
+        parse_document(doc)
+    doc["consequence"][1]["subset"] = [names[-1], "zed"]
+    with pytest.raises(GameLoadError, match=r"^consequence\[1\]\.subset\[1\]: unknown player"):
+        parse_document(doc)
 
 
 def test_entry_order_does_not_change_the_game():
@@ -331,7 +364,7 @@ def test_entry_order_does_not_change_the_game():
     for section in ("consequence", "utilities"):
         rng.shuffle(doc[section])
     again = parse_document(doc)
-    assert np.array_equal(again._table, game._table, equal_nan=True)
+    assert _entries(again) == _entries(game)
     assert np.array_equal(again._columns, game._columns)
     doc = _tu_doc(6)
     table = parse_document(doc).u
@@ -349,7 +382,7 @@ def test_large_integer_values_load_as_their_float(value):
         if isinstance(game, TUGame):
             got = game.u[mask]
         else:
-            got = game._table[mask, doc["outcomes"].index(entry["outcome"])]
+            got = game.utility_table[mask, entry["outcome"]]
         assert got.hex() == float(value).hex()
 
 

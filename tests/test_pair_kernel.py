@@ -99,8 +99,9 @@ def _competition_free(n, rng):
     )
 
 
-def _sparse(game, rng):
-    """Tabulated copy keeping every reachable entry and about half of the others."""
+def _sparse(game, rng, others=0.5):
+    """Tabulated copy keeping every reachable entry and about a share ``others`` of the
+    others."""
     table = tabulate(game)
     reachable = {
         (a_mask, table._v(s_mask))
@@ -110,7 +111,7 @@ def _sparse(game, rng):
     utilities = {
         key: value
         for key, value in table.utility_table.items()
-        if key in reachable or rng.random() < 0.5
+        if key in reachable or rng.random() < others
     }
     return STGame.from_tables(
         game.n, table.outcomes, dict(table.consequence_table), utilities, game.players
@@ -240,25 +241,66 @@ def test_structured_families_reach_both_answers():
 def _scaled(game, peak=1.5e308):
     """Tabulated copy of a game with its entries scaled so the largest is ``peak``: their
     differences and sums leave the float range."""
-    rows, cols = np.nonzero(~np.isnan(game._table[1:]))
-    values = game._table[rows + 1, cols]
-    return STGame.from_entries(game.n, game.outcomes, game._columns, rows + 1, cols,
+    entries = game.utility_table
+    position = {outcome: j for j, outcome in enumerate(game.outcomes)}
+    assessors, positions = zip(*((a, position[x]) for a, x in entries))
+    values = np.array(list(entries.values()))
+    return STGame.from_entries(game.n, game.outcomes, game._columns, assessors, positions,
                                values / (np.abs(values).max() or 1.0) * peak, game.players)
 
 
 @functools.lru_cache(maxsize=None)
 def _tables(n, seed):
     """Every family above as a table: clean and perturbed ones, sparse copies (NaN cells) of
-    families that pass, and copies whose entries reach 1.5e308."""
+    families that pass, copies whose entries reach 1.5e308, and copies with the reachable
+    entries only, whose outcomes' frames are narrower than the team."""
     rng = np.random.default_rng(2000 * n + seed)
-    games = {name: g if g._table is not None else tabulate(g)
+    games = {name: g if g.consequence_table is not None else tabulate(g)
              for name, g in _games(n, seed).items()}
     for name in ("monotone_series", "additive_monotone", "coadditive_monotone",
                  "competition_free"):
         games[f"{name}_sparse"] = _sparse(games[name], rng)
     for name in ("random_st_few_outcomes", "additive_monotone", "competition_free"):
         games[f"{name}_huge"] = _scaled(games[name])
+    for name in ("random_st", "monotone_series", "biadditive_tabulated", "additive_perturbed",
+                 "competition_free"):
+        games[f"{name}_reachable"] = _sparse(games[name], rng, others=0.0)
+    games["competition_free_reachable_huge"] = _scaled(games["competition_free_reachable"])
     return games
+
+
+@pytest.mark.parametrize("n,seed", CASES)
+def test_blocks_read_as_the_dense_table(n, seed):
+    """Every table family reads, through ``u`` and ``utility_table``, as the dense assessor x
+    outcome table built here from the entries each was made of: NaN where no entry was
+    given, 0 for the empty assessor."""
+    build, made = STGame.from_entries.__func__, {}
+
+    def recording(cls, n, outcomes, columns, assessors, positions, values, players):
+        g = build(cls, n, outcomes, columns, assessors, positions, values, players)
+        dense = np.full((1 << n, len(outcomes)), np.nan)
+        dense[0] = 0.0
+        dense[np.asarray(assessors, dtype=int), np.asarray(positions, dtype=int)] = values
+        made[id(g)] = g, dense
+        return g
+
+    _games.cache_clear()
+    _tables.cache_clear()
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(STGame, "from_entries", classmethod(recording))
+        tables = _tables(n, seed)
+    masks = np.arange(1 << n)
+    narrow = 0
+    for name, g in tables.items():
+        dense = made[id(g)][1]
+        got = g.u(masks[:, None], masks[None, :])
+        assert np.array_equal(got, dense[:, g._columns], equal_nan=True), name
+        rows, cols = np.nonzero(~np.isnan(dense[1:]))
+        entries = [((a, g.outcomes[j]), v) for a, j, v in
+                   zip((rows + 1).tolist(), cols.tolist(), dense[rows + 1, cols].tolist())]
+        assert list(g.utility_table.items()) == entries, name
+        narrow += len(g._blocks.cells) < dense.size
+    assert narrow >= (5 if n > 1 else 0)
 
 
 @pytest.fixture
@@ -532,11 +574,48 @@ def test_from_tables_rejects_nan_values():
 
 
 def test_from_tables_refuses_a_table_past_the_cell_limit():
+    """The limit counts block cells: an outcome that an entry of the whole team names holds
+    2^n of them, one that no coalition produces and no entry names holds one."""
     n = 16
+    full = (1 << n) - 1
     outcomes = tuple(f"o{k}" for k in range(MAX_TABLE_CELLS // (1 << n) + 1))
     consequence = {mask: outcomes[0] for mask in range(1, 1 << n)}
-    with pytest.raises(SizeLimitError, match="table cells, over the limit"):
-        STGame.from_tables(n, outcomes, consequence, {})
+    message = (f"^16 players and {len(outcomes)} outcomes need {len(outcomes) << n} table "
+               f"cells, over the limit of {MAX_TABLE_CELLS}$")
+    with pytest.raises(SizeLimitError, match=message):
+        STGame.from_tables(n, outcomes, consequence, {(full, x): 0.0 for x in outcomes})
+    g = STGame.from_tables(n, outcomes, consequence, {(a, "o0"): 1.0 for a in range(1, 1 << n)})
+    assert len(g.utility_table) == full and g.u(full, full) == 1.0
+
+
+def _coalition_entries(n):
+    """Entry arrays of a team game with one outcome per coalition, V(S) = S at position
+    S - 1, that values it at |A| for every nonempty assessor A inside S: sensible."""
+    pairs = list(mask_pairs(n, nested=True, nonempty=True))
+    coalitions, assessors = (np.concatenate(part) for part in zip(*pairs))
+    return (coalitions - 1, assessors,
+            players.mask_sizes(n)[assessors].astype(float))
+
+
+def test_a_13_player_table_with_one_outcome_per_coalition_builds_in_its_blocks():
+    """Each outcome's block spans only its coalition's 2^|S| assessors, 3^13 - 1 cells in
+    all, where a dense table would need 2^13 x (2^13 - 1), past the cell limit; the build
+    and a pair scan over it hold little more than the blocks."""
+    n = 13
+    outcomes, columns = coalition_outcomes(n)
+    positions, assessors, values = _coalition_entries(n)
+    blocks = (3**n - 1) * 8
+    assert len(outcomes) << n > MAX_TABLE_CELLS
+    tracemalloc.start()
+    try:
+        g = STGame.from_entries(n, outcomes, columns, assessors, positions, values,
+                                tuple(map(str, range(n))))
+        assert is_sensible(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * blocks
+    assert g.u(5, 7) == 2.0 and math.isnan(g.u(8, 7))  # {0,2} inside {0,1,2}; {3} outside
 
 
 def test_enumerator_order_and_coverage():
@@ -603,7 +682,7 @@ def test_closure_memory_is_table_bounded(predicate):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * g._table.nbytes
+    assert peak < 1.5 * (len(g.outcomes) << g.n) * 8  # the table's float cells
 
 
 def test_violation_near_the_start_stops_early():

@@ -7,7 +7,9 @@ from reference_loops import disjoint_pairs, in_st_core
 
 from teamgames import tu
 from teamgames.additivity import BiAdditiveMatrix
-from teamgames.errors import DisjointnessError, NotReducibleError, NumericOverflowError
+from teamgames.errors import (
+    DisjointnessError, NotReducibleError, NumericOverflowError, SizeLimitError,
+)
 from teamgames.players import PlayerSet
 from random_games import monotone_series, random_st_game
 from teamgames.scenarios import builtin_game
@@ -598,8 +600,9 @@ def test_from_entries_takes_integers_of_any_width_and_empty_lists():
     g = STGame.from_entries(1, ("x",), np.zeros(2, dtype=np.uint8), np.ones(1, dtype=np.uint16),
                             np.zeros(1, dtype=np.int8), [2.5], ("0",))
     assert dict(g.utility_table) == {(1, "x"): 2.5}
-    g = STGame.from_entries(0, ("x",), [0], [], [], [], ())
-    assert (g.n, dict(g.utility_table)) == (0, {})
+    # empty entry lists are index arrays too: the table is built and found to lack u_{0}(x)
+    with pytest.raises(ValueError, match=r"^missing utility: assessor \{0\} at outcome 'x'"):
+        STGame.from_entries(1, ("x",), [0, 0], [], [], [], ("0",))
 
 
 def test_from_entries_refuses_a_name_list_of_another_length():
@@ -607,6 +610,18 @@ def test_from_entries_refuses_a_name_list_of_another_length():
         STGame.from_entries(1, ("x",), [0, 0], [1], [0], [1.0], ("0", "1"))
 
 
-def test_a_table_without_players_builds():
-    g = STGame.from_tables(0, [], {}, {})
-    assert (g.n, g.outcomes, dict(g.utility_table)) == (0, (), {})
+@pytest.mark.parametrize("build", [
+    lambda n: STGame.from_tables(n, [], {}, {}),
+    lambda n: STGame.from_entries(n, (), [0], [], [], [], ()),
+    lambda n: STGame.from_functions(n, ("x",), lambda s: "x", lambda a, x: 0.0),
+    lambda n: STGame.additive(n, ("x",), [0], np.zeros((0, 1))),
+    lambda n: from_ntu(n, ("x",), {}, {}),
+    lambda n: STGame(n, (), (), np.zeros(1, dtype=np.intp), lambda a, j: 0.0),
+], ids=["from_tables", "from_entries", "from_functions", "additive", "from_ntu", "direct"])
+@pytest.mark.parametrize("n", [0, -1])
+def test_a_team_without_players_is_refused(build, n):
+    with pytest.raises(SizeLimitError, match=f"^team games support 1 or more players, got {n}$"):
+        build(n)
+    if n == 0:
+        with pytest.raises(SizeLimitError, match="^team games support 1 or more players, got 0$"):
+            BiAdditiveMatrix(0, np.zeros((0, 0))).to_game()
