@@ -7,6 +7,8 @@ commands emit rows in a fixed order, so repeated runs are byte-identical.
 Each command imports the modules it runs when it runs, so parsing the
 command line loads no numpy and a command loads no other command's modules.
 ``cobb frontier`` and a Cobb-Douglas document's ``classify`` load no numpy.
+A document command loads its document first: the text and the decode's
+churn are freed before numpy loads, so they do not stack on its peak.
 """
 
 from __future__ import annotations
@@ -123,9 +125,9 @@ def _tu_game(args) -> TUGame:
 
 
 def cmd_metrics(args) -> int:
+    game = _load(args, "STGame")
     from . import game_io, st
 
-    game = _load(args, "STGame")
     points = st.all_coop_points(game, include_grand=args.include_grand)
     full = (1 << game.n) - 1
     table = {
@@ -219,9 +221,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_shapley(args) -> int:
+    game = _tu_game(args)
     from . import game_io, tu
 
-    game = _tu_game(args)
     phi = tu.shapley_value(game)
     out = _out_path(args, Path(args.game).stem + ".shapley.csv")
     game_io.write_table([{"player": game.players, "shapley": phi}], ["player", "shapley"], out)
@@ -231,9 +233,9 @@ def cmd_shapley(args) -> int:
 
 
 def cmd_core(args) -> int:
+    game = _tu_game(args)
     from . import game_io, tu
 
-    game = _tu_game(args)
     witness = tu.core_witness(game)
     if witness is None:
         print("core: empty")
@@ -247,9 +249,9 @@ def cmd_core(args) -> int:
 
 
 def cmd_reduce_tu(args) -> int:
+    game = _load(args, "STGame")
     from . import game_io, st
 
-    game = _load(args, "STGame")
     try:
         reduced = st.reduce_to_tu(game, args.tol)
     except NotReducibleError as exc:
@@ -263,9 +265,9 @@ def cmd_reduce_tu(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    game = _load(args, "STGame")
     from . import additivity, game_io
 
-    game = _load(args, "STGame")
     try:
         matrix = additivity.extract_matrix(game, args.tol)
     except StructureError as exc:

@@ -16,7 +16,8 @@ Loading holds no tree of entry objects: ``load_game`` gathers each entry
 into flat columns (an id for its list of names, an id for its outcome, its
 raw value) while ``json.loads`` decodes it, and ``parse_document`` gathers
 the sections of a caller's tree into the same columns, so one set of checks
-serves both. Every validation failure names the offending field; syntax
+serves both. The columns are compacted into arrays before numpy is loaded,
+and numpy reads them in place. Every validation failure names the offending field; syntax
 errors carry the line and column. Graph exports are ``src dst weight``
 edge-list lines, so repeated runs are byte-identical. The CSV table writer
 is :mod:`teamgames.csv_tables`, re-exported here.
@@ -27,6 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from array import array
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -128,16 +130,19 @@ class _Entries:
     string. A row holds the id of its list of names, the id of its outcome and its raw value,
     so the object and its list are freed at once when ``json.loads`` calls it as its
     ``object_hook``. Other objects come back unchanged. ``sections`` maps each section of
-    the root to its list with markers, its first row and its number of rows.
+    the root to its first row, the number of its entries up to the first one not gathered
+    (the rows its checks read) and its entries from that one on.
     """
 
     def __init__(self):
         self.subsets: dict[tuple, int] = {}  # list of names -> id, in first-seen order
         self.outcomes: dict = {_MISSING: 0}  # outcome -> id
-        self.ids, self.oids, self.values = [], [], []  # per row
-        self.sections: dict[str, tuple[list, int, int]] = {}
+        self.ids, self.oids, self.values = [], [], []  # per row, until compact
+        self.sections: dict[str, tuple[int, int, list]] = {}
         self.masks: dict[int, int] | None = None  # mask -> id, once the subsets are parsed
         self.mask_ids: np.ndarray | None = None  # subset id -> mask id (-1: no set of players)
+        self.floats, self.first = array("d"), 0  # utility values from row first on, once compact
+        self.after: dict = {}  # the row after the floats -> its raw value, when it is no number
         self.gather = self._gatherer()
 
     def _gatherer(self):
@@ -174,10 +179,17 @@ class _Entries:
 
         return gather
 
+    def _section(self, name: str, items: list, start: int, count: int) -> None:
+        """Record a section whose ``count`` rows from ``start`` are its markers in ``items``."""
+        stop = count if count == len(items) else next(
+            i for i, e in enumerate(items) if e is not _ENTRY and e is not _FIRST)
+        self.sections[name] = start, stop, items[stop:]
+
     def locate(self, doc) -> bool:
-        """Find the rows of a tree decoded through :attr:`gather` in its sections. False when
-        a row lies elsewhere: on the root, inside another entry, under another or a repeated
-        key; the sections then hold fewer markers than there are rows."""
+        """Find the rows of a tree decoded through :attr:`gather` in its sections, and empty
+        the sections' lists of markers. False when a row lies elsewhere: on the root, inside
+        another entry, under another or a repeated key; the sections then hold fewer markers
+        than there are rows."""
         found = []
         if isinstance(doc, dict):
             for name in _SECTIONS:
@@ -189,20 +201,20 @@ class _Entries:
             return False
         start = 0  # a section's rows are contiguous, and the first row's section came first
         for name, items, count, _ in sorted(found, key=lambda f: not f[3]):
-            self.sections[name] = items, start, count
+            self._section(name, items, start, count)
+            items.clear()
             start += count
         return True
 
     def gather_sections(self, doc) -> None:
-        """Gather the entries of each section of a caller's tree into new lists; the tree is
-        not changed."""
+        """Gather the entries of each section of a caller's tree; the tree is not changed."""
         if isinstance(doc, dict):
             for name in _SECTIONS:
                 items = doc.get(name)
                 if isinstance(items, list):
                     start = len(self.values)
                     items = [self.gather(e) if isinstance(e, dict) else e for e in items]
-                    self.sections[name] = items, start, len(self.values) - start
+                    self._section(name, items, start, len(self.values) - start)
 
     def parse_subsets(self, index) -> np.ndarray:
         """:attr:`mask_ids`, every distinct list of names parsed in one bulk pass however
@@ -232,19 +244,42 @@ class _Entries:
             self.mask_ids[good] = ids
         return self.mask_ids
 
+    def compact(self) -> None:
+        """Turn the gathered columns into compact arrays, which numpy reads without copying:
+        the ids as C ints, and the values of the ``utilities`` section's rows as doubles, up
+        to the first one that is not a number, whose raw value is kept for its error. Every
+        other value object is freed, before numpy is loaded."""
+        ids, oids, values = self.ids, self.oids, self.values
+        kind = "i" if len(ids) < 1 << 30 else "q"  # ids count rows or fewer
+        self.ids, self.oids = array(kind, ids), array(kind, oids)
+        del ids[:], oids[:]
+        start, stop, _ = self.sections.get("utilities", (0, 0, None))
+        types = set(map(type, itertools.islice(values, start, start + stop)))
+        numbers = {t for t in types if issubclass(t, (int, float)) and t is not bool}
+        if numbers != types:  # cut at the first value that is not a number
+            kinds = map(type, itertools.islice(values, start, start + stop))
+            stop = next(k for k, t in enumerate(kinds) if t not in numbers)
+            self.after = {start + stop: values[start + stop]}
+        self.first = start
+        try:
+            self.floats = array("d", itertools.islice(values, start, start + stop))
+        except OverflowError:  # an integer past the float range
+            self.floats = array("d", map(_as_float, itertools.islice(values, start, start + stop)))
+        del values[:]
+
     def entry(self, row: int) -> dict:
         """The entry of a row, as its checks read it."""
-        entry = {"subset": list(list(self.subsets)[self.ids[row]]), "value": self.values[row]}
+        k = row - self.first
+        value = self.floats[k] if 0 <= k < len(self.floats) else self.after.get(row)
+        entry = {"subset": list(list(self.subsets)[self.ids[row]]), "value": value}
         outcome = list(self.outcomes)[self.oids[row]]
         if outcome is not _MISSING:
             entry["outcome"] = outcome
         return entry
 
     def clear(self) -> None:
-        """Free the rows and the lists with markers once every section is read."""
-        for items, _, _ in self.sections.values():
-            items.clear()
-        del self.ids[:], self.oids[:], self.values[:]
+        """Free the rows once every section is read."""
+        self.ids = self.oids = self.floats = None
 
 
 def _entry_fault(kind: str, section: str, i: int, entry, index, column_of, earlier: int):
@@ -271,6 +306,31 @@ def _entry_fault(kind: str, section: str, i: int, entry, index, column_of, earli
     raise AssertionError(f"{loc}: flagged entry passed every check")
 
 
+def _keys(kind: str, ids: np.ndarray, cols: np.ndarray, column_of) -> np.ndarray:
+    """A new array of the key of each entry of a section: its subset, and for a utility of
+    a team game also its outcome."""
+    if kind != "utilities":
+        return ids.copy()
+    keys = ids * len(column_of)
+    keys += cols
+    return keys
+
+
+def _first_repeat(kind: str, ids: np.ndarray, cols: np.ndarray, column_of) -> int:
+    """Position of the first entry whose key an earlier entry has, or the number of entries.
+    Sorted in place, the keys show whether any repeats; only a section with a repeat pays
+    for ``np.unique`` to find the first one by position."""
+    import numpy as np
+
+    keys = _keys(kind, ids, cols, column_of)
+    keys.sort()
+    if not (keys[1:] == keys[:-1]).any():
+        return len(keys)
+    repeat = np.ones(len(keys), dtype=bool)
+    repeat[np.unique(_keys(kind, ids, cols, column_of), return_index=True)[1]] = False
+    return _first(repeat)
+
+
 def _read_section(doc: dict, entries: _Entries, kind: str, index, column_of):
     """Mask ids (into ``entries.masks``), outcome columns and values of the rows of a
     ``consequence``, ``utilities`` or ``tu`` section, read up to its first entry that was
@@ -280,44 +340,36 @@ def _read_section(doc: dict, entries: _Entries, kind: str, index, column_of):
 
     section = "consequence" if kind == "consequence" else "utilities"
     _require(doc, section, list, section)
-    items, start, count = entries.sections[section]
-    stop = count if count == len(items) else next(
-        i for i, e in enumerate(items) if e is not _ENTRY and e is not _FIRST)
-    rows = slice(start, start + stop)
-    ids = entries.parse_subsets(index)[np.array(entries.ids[rows], dtype=np.int64)]
+    start, stop, rest = entries.sections[section]
+    ids, cols = (np.frombuffer(column, column.typecode)[start:start + stop]
+                 for column in (entries.ids, entries.oids))  # subset and outcome ids
+    ids = entries.parse_subsets(index)[ids]
     bad = ids < 0
     if _KINDS[kind][1]:
         bad |= ids == entries.masks.get(0, -1)
-    cols = np.array(entries.oids[rows], dtype=np.int64)  # outcome ids, then columns
     if column_of is None:
         bad |= cols != 0  # an outcome in a TU entry
     else:
         cols = np.array([column_of.get(o, -1) for o in entries.outcomes], dtype=np.int64)[cols]
         bad |= cols < 0
     end = _first(bad)
+    del bad
     ids, cols = ids[:end], cols[:end]
-    keys = ids * len(column_of) + cols if kind == "utilities" else ids
-    repeat = np.ones(end, dtype=bool)
-    repeat[np.unique(keys, return_index=True)[1]] = False
-    faults = [end, _first(repeat)]
+    faults = [end]
     values = None
     if kind != "consequence":
-        raw = entries.values[start:start + end]
-        types = set(map(type, raw))
-        numbers = {t for t in types if issubclass(t, (int, float)) and t is not bool}
-        if numbers != types:  # cut at the first value that is not a number
-            raw = raw[:_first(~np.fromiter(map(numbers.__contains__, map(type, raw)), bool, len(raw)))]
-        try:
-            values = np.array(raw, dtype=np.float64)
-        except OverflowError:  # an integer past the float range
-            values = np.fromiter(map(_as_float, raw), np.float64, len(raw))
+        values = np.frombuffer(entries.floats, np.float64)[:end]  # from row start on
         faults.append(_first(~np.isfinite(values)))
         empty = ids[:len(values)] == entries.masks.get(0, -1)  # only a TU document lists it
         faults.append(_first(empty & (values != 0.0)))
+    faults.append(_first_repeat(kind, ids, cols, column_of))
     i = min(faults)
-    if i < len(items):
-        earlier = _first(keys[:i] == keys[i]) if i < end else i
-        entry = entries.entry(start + i) if i < stop else items[i]
+    if i < stop + len(rest):
+        earlier = i
+        if i < end:
+            keys = _keys(kind, ids, cols, column_of)
+            earlier = _first(keys[:i] == keys[i])
+        entry = entries.entry(start + i) if i < stop else rest[i - stop]
         _entry_fault(kind, section, i, entry, index, column_of, earlier)
     return ids, cols, values
 
@@ -355,6 +407,7 @@ def parse_document(doc: dict):
     caller's tree is not changed, and it stays alive while a team game's table is built."""
     entries = _Entries()
     entries.gather_sections(doc)
+    entries.compact()
     return _read(doc, entries)
 
 
@@ -434,6 +487,7 @@ def load_game(source):
         del doc, entries
         return parse_document(json.loads(text))
     del text
+    entries.compact()
     return _read(doc, entries)
 
 

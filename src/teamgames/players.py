@@ -253,7 +253,10 @@ def check_subset_array(n: int) -> None:
 
 
 FIRST_CHUNK = 1 << 6   # pairs in a scan's first chunk, so early exits stay cheap
-PAIR_CHUNK = 1 << 16   # largest chunk; later chunks double up to it
+# largest chunk; later chunks double up to it. A scan's test makes about ten temporaries of
+# the chunk's length, so 2^14 pairs keep them near 1.3 MB; the scans took no longer than with
+# 2^16 (the five predicates on clean 10- and 11-player tables, best of 7)
+PAIR_CHUNK = 1 << 14
 
 
 def mask_pairs(n: int, *, nested: bool = False, nonempty: bool = False):

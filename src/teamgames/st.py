@@ -61,8 +61,15 @@ class _Blocks(NamedTuple):
     strides: np.ndarray
     n: int
 
+    @property
+    def dense(self) -> bool:
+        """Whether every frame is the team: the cells are the 2^n x |outcomes| table."""
+        return len(self.cells) == len(self.frames) << self.n
+
     def index(self, a, j):
         """Cell position of assessor mask a, inside the frame of outcome position j."""
+        if self.dense:  # no pext
+            return a * len(self.frames) + j
         return self.offsets[j] + pext(a, self.frames[j], self.n) * self.strides[j]
 
     def groups(self, array):
@@ -75,6 +82,9 @@ class _Blocks(NamedTuple):
 def _frame_groups(frames: np.ndarray, n: int):
     """For each frame size k, ascending: the positions of the outcomes whose frames have k
     players, ascending, the first cell of their blocks, and 2^k."""
+    if (frames == (1 << n) - 1).all():  # every frame is the team: one group, no pext
+        yield np.arange(len(frames)), 0, 1 << n
+        return
     rows = pext(frames, frames, n) + 1  # 2^|F|: pext(F, F) is |F| one bits
     order = np.argsort(rows, kind="stable")
     base = 0
@@ -212,7 +222,7 @@ class STGame:
             )
         columns.flags.writeable = False
         blocks.cells.flags.writeable = False
-        if cells == len(outcomes) << n:  # every frame is the team: the dense table
+        if blocks.dense:
             table = blocks.cells.reshape(1 << n, len(outcomes))
             return cls(n, outcomes, players, columns, lambda a, j: table[a, j], blocks)
 
@@ -540,7 +550,7 @@ def closure_table(g: STGame, k: int, masks=None) -> np.ndarray | None:
     m = len(g.outcomes)
     if g._blocks is None or not k * m << k < CELLS_PER_PAIR * 3**k:
         return None
-    if len(g._blocks.cells) == m << g.n:
+    if g._blocks.dense:
         table = g._blocks.cells.reshape(-1, m)
         return table if masks is None else table[masks]
     masks = np.arange(1 << g.n) if masks is None else masks

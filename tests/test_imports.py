@@ -121,6 +121,39 @@ def test_cobb_commands_load_exactly_their_modules(docs, argv, modules):
     assert loaded(argv, docs)[::2] == (0, modules)
 
 
+DECODE_FIRST = """
+import contextlib, io, json, runpy, sys
+decoded = []  # whether numpy was loaded at each json.loads
+loads = json.loads
+def recording(*args, **kwargs):
+    decoded.append("numpy" in sys.modules)
+    return loads(*args, **kwargs)
+json.loads = recording
+sys.argv = ["teamgames", *loads(sys.argv[1])]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        runpy.run_module("teamgames.cli", run_name="__main__")
+    except SystemExit as exc:
+        assert not exc.code, exc.code
+print(json.dumps(decoded))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "team.game"], ["metrics", "team.game"], ["graph", "zero.game"],
+    ["reduce-tu", "team.game"], ["classify", "tu.game"], ["shapley", "tu.game"],
+    ["core", "tu.game"],
+])
+def test_a_document_command_decodes_before_numpy_loads(docs, argv):
+    """A document's text, its decode and the decode's churn are freed before numpy maps its
+    libraries, so a command's peak is not numpy stacked on them."""
+    proc = subprocess.run(
+        [sys.executable, "-c", DECODE_FIRST, json.dumps(argv)], cwd=docs, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
+    )
+    assert json.loads(proc.stdout) == [False]
+
+
 # the names `teamgames` exported, by the submodule each came from, when every name was
 # imported eagerly; each must keep resolving to the same object
 EXPORTED = {

@@ -97,6 +97,34 @@ def test_duplicate_utility_names_first_entry():
         parse_document(doc)
 
 
+def _repeated_later(doc, section, positions):
+    """``doc`` with copies of the entries at ``positions`` of a section appended in turn."""
+    doc = copy.deepcopy(doc)
+    doc[section] += [dict(doc[section][i]) for i in positions]
+    return doc
+
+
+@pytest.mark.parametrize("make, section, positions, error", [
+    # [p1] repeats before [p0], whose key is smaller
+    (lambda: _team_doc(2), "consequence", [1, 0],
+     "consequence[3].subset: duplicate consequence for subset (also at consequence[1])"),
+    # ([p1], s2) repeats before ([p0], s1)
+    (lambda: _team_doc(2), "utilities", [3, 0],
+     "utilities[5]: duplicate utility for (subset, outcome) (also at utilities[3])"),
+    # [p0, p1] repeats before [p0]
+    (lambda: _tu_doc(2), "utilities", [3, 1],
+     "utilities[4].subset: duplicate entry for subset (also at utilities[3])"),
+])
+def test_the_first_repeat_by_position_is_named_before_a_smaller_key(make, section, positions,
+                                                                      error):
+    """A section's first repeated entry is named by its position, not by its key's rank."""
+    doc = _repeated_later(make(), section, positions)
+    for parse, source in ((parse_document, doc), (_load_text, json.dumps(doc))):
+        with pytest.raises(GameLoadError) as raised:
+            parse(source)
+        assert str(raised.value) == error, parse.__name__
+
+
 def test_unknown_player_location():
     doc = copy.deepcopy(PRISONERS_DILEMMA)
     doc["utilities"][2]["subset"] = ["Z"]

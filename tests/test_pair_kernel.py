@@ -9,6 +9,7 @@ in the same words.
 
 import functools
 import inspect
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -43,7 +44,7 @@ from teamgames.cobb import (
 from teamgames.errors import (
     NotReducibleError, NumericOverflowError, SizeLimitError, StructureError,
 )
-from teamgames.players import FIRST_CHUNK, MAX_PAIR_SCAN, PlayerSet, mask_pairs
+from teamgames.players import FIRST_CHUNK, MAX_PAIR_SCAN, PAIR_CHUNK, PlayerSet, mask_pairs
 from random_games import (
     monotone_series,
     random_additive_game,
@@ -301,6 +302,62 @@ def test_blocks_read_as_the_dense_table(n, seed):
         assert list(g.utility_table.items()) == entries, name
         narrow += len(g._blocks.cells) < dense.size
     assert narrow >= (5 if n > 1 else 0)
+
+
+def _answers(g, s):
+    """Every predicate's answer on g, and a refusal as its type, message and witness."""
+    def answer(predicate):
+        try:
+            result = predicate()
+        except NotReducibleError as exc:
+            return "not reducible", str(exc), (exc.a, exc.b, exc.value)
+        except StructureError as exc:
+            return "structure", str(exc), exc.witness
+        return result.m.tolist() if isinstance(result, BiAdditiveMatrix) else result
+
+    return [answer(predicate) for predicate in (
+        lambda: is_sensible(g), lambda: is_fully_cooperative(g), lambda: is_cohesive(g, s),
+        lambda: reduce_to_tu(g).u.tolist(), lambda: _find_additive_violation(g, 1e-9),
+        lambda: _find_coadditive_violation(g, 1e-9), lambda: extract_matrix(g),
+        lambda: all_coop_points(g))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+@pytest.mark.parametrize("noise", [0.0, 4.0])
+def test_size_outcome_tables_place_entries_without_frames(n, noise):
+    """A table whose frames are all the team, as in every size-outcome document, places its
+    entries at ``a * outcomes + j``: its cells are the dense table, and the missing-entry
+    message and every predicate's answer and witness are those of the same entries read
+    through their frames, here forced by one more outcome that nothing produces or names."""
+    rng = np.random.default_rng(40 + n)
+    sizes = players.mask_sizes(n)
+    columns = np.maximum(sizes - 1, 0).astype(np.intp)  # V(S) is |S|, at position |S| - 1
+    masks, cols = (part.ravel() for part in np.meshgrid(np.arange(1, 1 << n), np.arange(n),
+                                                        indexing="ij"))
+    values = sizes[masks] * (cols + 1.0) + noise * rng.normal(size=len(masks)).round(1)
+    outcomes, names = tuple(f"k{k}" for k in range(1, n + 1)), tuple(map(str, range(n)))
+    dense = STGame.from_entries(n, outcomes, columns, masks, cols, values, names)
+    framed = STGame.from_entries(n, outcomes + ("x",), columns, masks, cols, values, names)
+    assert (len(dense._blocks.cells), len(framed._blocks.cells)) == (n << n, (n << n) + 1)
+    table = np.full((1 << n, n), np.nan)
+    table[0] = 0.0
+    table[masks, cols] = values
+    assert np.array_equal(dense._blocks.cells.reshape(1 << n, n), table)
+    assert dict(dense.utility_table) == dict(framed.utility_table)
+    s = PlayerSet(int(rng.integers(1, 1 << n)))
+    assert _answers(dense, s) == _answers(framed, s)
+
+    coalition = int(rng.integers(1, 1 << n))  # drop one entry its coalition reaches
+    subs = [a for a in range(1, coalition + 1) if a & coalition == a]
+    drop = (masks != subs[int(rng.integers(len(subs)))]) | (cols != columns[coalition])
+    consequence = {mask: outcomes[j] for mask, j in enumerate(columns.tolist()) if mask}
+    utilities = {(int(a), outcomes[j]): v for a, j, v in zip(masks[drop], cols[drop], values[drop])}
+    messages = []
+    for declared in (outcomes, outcomes + ("x",)):
+        with pytest.raises(ValueError, match="^missing utility") as missing:
+            STGame.from_entries(n, declared, columns, masks[drop], cols[drop], values[drop], names)
+        messages.append(str(missing.value))
+    assert messages == [ref.check_tables(n, outcomes, consequence, utilities, names)] * 2
 
 
 @pytest.fixture
@@ -697,6 +754,42 @@ def test_violation_near_the_start_stops_early():
     g = STGame.from_functions(n, ("x",), lambda s: "x", utility)
     assert not is_sensible(g)
     assert calls <= 2 * FIRST_CHUNK
+
+
+def _chunk_seam():
+    """The smallest team whose scan of nonempty disjoint pairs fills a chunk of
+    ``PAIR_CHUNK`` pairs and has another after it, the last pair of that chunk and the first
+    of the next, found by the reference enumeration: chunks of ``FIRST_CHUNK`` pairs doubling
+    up to ``PAIR_CHUNK``."""
+    size = end = FIRST_CHUNK
+    while size < PAIR_CHUNK:
+        size = min(2 * size, PAIR_CHUNK)
+        end += size
+    for n in range(1, MAX_PAIR_SCAN + 1):
+        full = (1 << n) - 1
+        pairs = ((x, y) for x in ref.iter_submasks(full, nonempty=True)
+                 for y in ref.iter_submasks(full & ~x, nonempty=True))
+        seam = list(itertools.islice(pairs, end - 1, end + 1))
+        if len(seam) == 2:
+            return n, *seam
+    raise AssertionError("no scan within the limit fills a chunk")
+
+
+@pytest.mark.parametrize("planted", [[0], [1], [0, 1]], ids=["last", "first", "both"])
+def test_a_violation_at_a_chunk_seam_is_the_witness(planted):
+    """A reduction's witness at the last pair of a full chunk or the first pair of the next
+    is that pair, and with both planted, the earlier one."""
+    n, *seam = _chunk_seam()
+    pairs = [seam[k] for k in planted]
+    raised = {(b, a | b) for a, b in pairs}  # B's assessment of the outcome of A|B
+
+    def utility(assessor, outcome):
+        return float(len(PlayerSet(outcome))) + ((assessor.mask, outcome) in raised)
+
+    g = STGame.from_functions(n, range(1, 1 << n), lambda s: s.mask, utility)
+    with pytest.raises(NotReducibleError) as witness:
+        reduce_to_tu(g)
+    assert (witness.value.a.mask, witness.value.b.mask, witness.value.value) == (*pairs[0], -1.0)
 
 
 def test_functional_games_stay_lazy():
