@@ -25,9 +25,7 @@ from .players import (
     PlayerSet, check_pair_scan, first_nested_cell, first_pair, member_sum, player_names,
     require_disjoint, require_fit, subset_closure, subset_label, subset_sums,
 )
-from .st import (
-    STGame, closure_table, coalition_outcomes, is_fully_cooperative, is_sensible, pair_value,
-)
+from .st import STGame, coalition_outcomes, is_fully_cooperative, is_sensible, pair_value
 
 
 def _members(n: int) -> np.ndarray:
@@ -79,16 +77,19 @@ def _first_mismatch(g: STGame, what: str, tol: float, terms, by_assessor: bool, 
 
 def _find_additive_violation(g: STGame, tol: float, terms=None):
     """First violation of u_A(S) = sum over members a of u_a(S); ``terms``: ``_member_terms``."""
-    table = closure_table(g, g.n)
     first = None
-    if table is not None:
-        # the expectation depends on A and V(S) only: the singleton rows summed over A,
-        # compared wherever a coalition containing A produces the outcome
-        with np.errstate(over="ignore", invalid="ignore"):  # an infinite sum is off
-            sums = subset_sums(table[1 << np.arange(g.n)])
-            off = ~np.isfinite(sums)
-            off |= np.abs(np.subtract(table, sums, out=sums), out=sums) > tol
-        first = first_nested_cell(off, g._columns)
+    if g._blocks is not None:
+        check_pair_scan(g.n)
+        # the expectation depends on A and V(S) only: each block's singleton rows summed over
+        # A, compared wherever a coalition containing A produces the outcome; ascending rank
+        # in a frame is ascending player, so the sums add in the scan's order
+        off = np.empty(len(g._blocks.cells), dtype=bool)
+        for _, cells, flags in g._blocks.groups(g._blocks.cells, off):
+            with np.errstate(over="ignore", invalid="ignore"):  # an infinite sum is off
+                sums = subset_sums(cells[1 << np.arange(len(cells).bit_length() - 1)])
+                np.logical_not(np.isfinite(sums), out=flags)
+                flags |= np.abs(np.subtract(cells, sums, out=sums), out=sums) > tol
+        first = first_nested_cell(off, g._blocks, g._columns)
         if first is None:
             return None
     terms = _member_terms(g) if terms is None else terms

@@ -31,9 +31,9 @@ import numpy as np
 from .errors import MissingUtilityError, NotReducibleError, NumericOverflowError, SizeLimitError
 from .limits import DEFAULT_TOL, check_tol
 from .players import (
-    PAIR_CHUNK, PlayerSet, check_pair_scan, check_subset_array, first_nested_cell, first_pair,
-    member_sum, pdep, pext, player_names, require_disjoint, require_fit, subset_closure,
-    subset_label, subset_sums,
+    PlayerSet, check_pair_scan, check_subset_array, first_nested_cell, first_pair, member_sum,
+    pdep, pext, player_names, require_disjoint, require_fit, subset_closure, subset_label,
+    subset_sums,
 )
 
 if TYPE_CHECKING:
@@ -44,22 +44,37 @@ Outcome = Hashable
 NULL_OUTCOME: Outcome = None
 
 MAX_TABLE_CELLS = 1 << 25  # block cells of a tabulated game (256 MiB)
-# closure cells allowed per pair a scan would walk: a cell costs 0.2-0.9 ns and a pair 50-115 ns
-# (measured), so closures that find a violation add at most an eighth of a full scan
-CELLS_PER_PAIR = 8
 ENTRY_CHUNK = 1 << 14  # entries placed in their blocks at a time
 
 
 class _Blocks(NamedTuple):
     """The cells of a tabulated game. Outcome j's block holds one cell per submask A of its
     frame F_j, at ``cells[offsets[j] + pext(A, F_j) * strides[j]]``; blocks of one frame size
-    sit side by side as one C-ordered (2^k, count) array, an outcome per column."""
+    sit side by side as one C-ordered (2^k, count) array, an outcome per column, and
+    ``spans`` holds each such array's (outcome positions, first cell, 2^k)."""
 
     cells: np.ndarray
     frames: np.ndarray
     offsets: np.ndarray
     strides: np.ndarray
     n: int
+    spans: tuple
+
+    @classmethod
+    def layout(cls, frames: np.ndarray, n: int) -> _Blocks:
+        """Blocks for outcomes with these frames, every cell NaN; more than ``MAX_TABLE_CELLS``
+        cells are refused before they are allocated."""
+        spans = tuple(_frame_groups(frames, n))
+        cells = sum(rows * len(group) for group, _, rows in spans)
+        if cells > MAX_TABLE_CELLS:
+            raise SizeLimitError(
+                f"{n} players and {len(frames)} outcomes need {cells} table cells, "
+                f"over the limit of {MAX_TABLE_CELLS}"
+            )
+        offsets, strides = np.empty_like(frames), np.empty_like(frames)
+        for group, base, _ in spans:  # a group's outcomes are the columns of its array
+            offsets[group], strides[group] = base + np.arange(len(group)), len(group)
+        return cls(np.full(cells, np.nan), frames, offsets, strides, n, spans)
 
     @property
     def dense(self) -> bool:
@@ -72,11 +87,17 @@ class _Blocks(NamedTuple):
             return a * len(self.frames) + j
         return self.offsets[j] + pext(a, self.frames[j], self.n) * self.strides[j]
 
-    def groups(self, array):
-        """(outcome positions, (2^k, count) view of ``array``) for each frame size k, for an
-        ``array`` laid out as the cells."""
-        for positions, base, rows in _frame_groups(self.frames, self.n):
-            yield positions, array[base:base + rows * len(positions)].reshape(rows, -1)
+    def groups(self, *arrays):
+        """(outcome positions, (2^k, count) view of each of ``arrays``) for each frame size k,
+        for arrays laid out as the cells."""
+        for positions, base, rows in self.spans:
+            yield positions, *(array[base:base + rows * len(positions)].reshape(rows, -1)
+                               for array in arrays)
+
+    def assessors(self, positions, rows: int):
+        """The assessor masks of a group's (rows, count) cells: rank r of each frame."""
+        ranks = np.arange(rows)[:, None]
+        return ranks if rows == 1 << self.n else pdep(ranks, self.frames[positions], self.n)
 
 
 def _frame_groups(frames: np.ndarray, n: int):
@@ -114,8 +135,8 @@ class STGame:
     assessor outside the frame, or a cell with no entry, reads NaN; the
     empty assessor reads 0. A table whose frames are all the team is the
     dense 2^n x |outcomes| array. Pair kernels read games through :meth:`u`;
-    lattice closures read :func:`closure_table`. A team has at least one
-    player.
+    the lattice closures that decide a tabulated game's predicates read its
+    blocks, one frame-size group at a time. A team has at least one player.
     """
 
     n: int
@@ -177,10 +198,10 @@ class STGame:
         coalition mask S (entry 0 is ignored); entry k values outcome
         ``positions[k]`` at ``values[k]`` for assessor mask ``assessors[k]``,
         and no (assessor, position) pair comes twice. Refuses index arrays
-        that are not integers, arrays and names that do not fit the team, or
-        blocks of more than ``MAX_TABLE_CELLS`` cells in all, before
-        allocating them, then names the first missing assessment in
-        ascending (coalition, assessor) order.
+        that are not integers, arrays and names that do not fit the team, an
+        infinite value, or blocks of more than ``MAX_TABLE_CELLS`` cells in
+        all, before allocating them, then names the first missing assessment
+        in ascending (coalition, assessor) order.
         """
         _require_players(n)
         columns = _index_array("columns", columns).copy()
@@ -193,26 +214,22 @@ class STGame:
         if not len(assessors) == len(positions) == len(values):
             raise ValueError("assessors, positions and values must have one length")
         players = player_names(n, players)
+        values = np.asarray(values, dtype=float)
+        if np.isinf(values).any():
+            k = int(np.argmax(np.isinf(values)))
+            raise ValueError(
+                f"utility of assessor {subset_label(int(assessors[k]), players)} at outcome "
+                f"{outcomes[positions[k]]!r} must be finite, got {values[k]}"
+            )
         frames = np.zeros(len(outcomes), dtype=np.int64)
         np.bitwise_or.at(frames, columns[1:], np.arange(1, 1 << n))
         np.bitwise_or.at(frames, positions, assessors)
-        groups = list(_frame_groups(frames, n))
-        cells = sum(rows * len(group) for group, _, rows in groups)
-        if cells > MAX_TABLE_CELLS:
-            raise SizeLimitError(
-                f"{n} players and {len(outcomes)} outcomes need {cells} table cells, "
-                f"over the limit of {MAX_TABLE_CELLS}"
-            )
-        offsets, strides = np.empty_like(frames), np.empty_like(frames)
-        for group, base, _ in groups:  # a group's outcomes are the columns of its array
-            offsets[group], strides[group] = base + np.arange(len(group)), len(group)
-        blocks = _Blocks(np.full(cells, np.nan), frames, offsets, strides, n)
-        blocks.cells[offsets] = 0.0  # the empty assessor
-        values = np.asarray(values, dtype=float)
+        blocks = _Blocks.layout(frames, n)
+        blocks.cells[blocks.offsets] = 0.0  # the empty assessor
         for lo in range(0, len(values), ENTRY_CHUNK):  # small index arrays, a chunk at a time
             chunk = slice(lo, lo + ENTRY_CHUNK)
             blocks.cells[blocks.index(assessors[chunk], positions[chunk])] = values[chunk]
-        missing = _first_missing(blocks, columns)
+        missing = first_nested_cell(np.isnan(blocks.cells), blocks, columns)
         if missing is not None:
             s, a = missing
             raise ValueError(
@@ -349,24 +366,6 @@ class STGame:
         if value != value:  # NaN: no entry
             raise MissingUtilityError(subset_label(mask, self.players), outcome)
         return value
-
-
-def _first_missing(blocks: _Blocks, columns: np.ndarray):
-    """The first (S, A) in ascending (coalition, nonempty assessor A inside S) order whose
-    u_A(V(S)) has no cell value, or None. Each frame-size group's NaN flags are OR-closed on
-    its own lattice: a submask of a frame ranks at a submask of the frame's rank, in the
-    same order, so the first covered submask of S is also its first flagged one."""
-    flags = np.isnan(blocks.cells)
-    for _, group in blocks.groups(flags):
-        group[0] = False
-        subset_closure(group, np.logical_or)
-    coalitions = np.arange(1, len(columns))
-    bad = flags[blocks.index(coalitions, columns[1:])]
-    if not bad.any():
-        return None
-    s = int(np.argmax(bad)) + 1
-    subs = coalitions[:s][(coalitions[:s] & s) == coalitions[:s]]
-    return s, int(subs[np.argmax(flags[blocks.index(subs, columns[s])])])
 
 
 def __getattr__(name: str):
@@ -539,41 +538,20 @@ def all_coop_points(g: STGame, *, include_grand: bool = True) -> list[CoopPoint]
     ]
 
 
-def closure_table(g: STGame, k: int, masks=None) -> np.ndarray | None:
-    """A tabulated game's assessor x outcome table, its rows ``masks`` (every assessor mask
-    when None), NaN where no entry was given, when lattice closures over k of its players
-    decide a pair predicate faster than a pair scan; else None. They pass k * 2^k *
-    |outcomes| cells against the scan's 3^k pairs. A table whose frames are all the team is
-    read in place; one with narrower frames is copied from its blocks. A scan past the
-    pair-scan limit is refused either way."""
-    check_pair_scan(k)
-    m = len(g.outcomes)
-    if g._blocks is None or not k * m << k < CELLS_PER_PAIR * 3**k:
-        return None
-    if g._blocks.dense:
-        table = g._blocks.cells.reshape(-1, m)
-        return table if masks is None else table[masks]
-    masks = np.arange(1 << g.n) if masks is None else masks
-    table = np.empty((len(masks), m))
-    step = max(1, PAIR_CHUNK // m)
-    for lo in range(0, len(masks), step):  # the reader's index arrays stay one chunk
-        table[lo:lo + step] = g._assess(masks[lo:lo + step, None], np.arange(m))
-    return table
-
-
-def _own_values(g: STGame, table: np.ndarray) -> np.ndarray:
-    """u_S(V(S)) for every coalition mask S of a tabulated game."""
-    return table[np.arange(1 << g.n), g._columns]
-
-
-def _bystander_gap(g: STGame, table: np.ndarray, fold, empty: float) -> np.ndarray:
+def _bystander_gap(g: STGame, fold, empty: float) -> np.ndarray:
     """u_T(V(T)) minus ``fold`` (np.fmin or np.fmax) of u_B(V(T)) over the assessors B inside
-    T, for every coalition T of a tabulated game; the empty assessor values at ``empty``, and
-    NaN leaves it out. fl(x - y) is monotone in y, so the least or most u_B(V(T)) decides T."""
-    values = table.copy()
-    values[0] = empty
+    T, for every coalition T of a tabulated game, folded on each frame-size group of its
+    blocks; the empty assessor values at ``empty``, and NaN leaves it out. fl(x - y) is
+    monotone in y, so the least or most u_B(V(T)) decides T."""
+    check_pair_scan(g.n)
+    blocks = g._blocks
+    folded = blocks.cells.copy()
+    folded[blocks.offsets] = empty
+    for _, block in blocks.groups(folded):
+        subset_closure(block, fold)
+    at = blocks.index(np.arange(1 << g.n), g._columns)
     with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
-        return _own_values(g, table) - _own_values(g, subset_closure(values, fold))
+        return blocks.cells[at] - folded[at]
 
 
 def is_sensible(g: STGame, tol: float = DEFAULT_TOL) -> bool:
@@ -583,11 +561,10 @@ def is_sensible(g: STGame, tol: float = DEFAULT_TOL) -> bool:
     B-empty case (self-assessments nonnegative).
     """
     check_tol(tol)
-    table = closure_table(g, g.n)
-    if table is not None:
+    if g._blocks is not None:
         # T's gap to the most any B inside T, the empty one at 0, values V(T); B = T adds
         # u_T - u_T, never below -tol
-        return not np.any(_bystander_gap(g, table, np.fmax, 0.0) < -tol)
+        return not np.any(_bystander_gap(g, np.fmax, 0.0) < -tol)
 
     def loses(a, b):  # A|B values its outcome below B's assessment of it
         union = a | b
@@ -595,6 +572,25 @@ def is_sensible(g: STGame, tol: float = DEFAULT_TOL) -> bool:
             return (g.u(union, union) - g.u(b, union) < -tol,)
 
     return first_pair(g.n, loses) is None
+
+
+def _subgame(g: STGame, masks: np.ndarray) -> tuple[_Blocks, np.ndarray]:
+    """The blocks and outcome columns of a tabulated game's subgame on a coalition's k
+    members, numbered as ``masks`` (the team's mask of every local mask below 2^k) numbers
+    them: the outcomes that its nonempty coalitions produce, each cut to its assessors inside
+    the coalition."""
+    blocks, coalition = g._blocks, int(masks[-1])
+    produced = np.zeros(len(g.outcomes), dtype=np.intp)
+    produced[g._columns[masks[1:]]] = 1
+    used = np.flatnonzero(produced)
+    columns = (np.cumsum(produced) - 1)[g._columns[masks]]  # positions among the used ones
+    columns[0] = 0
+    frames = pext(blocks.frames[used] & coalition, coalition, g.n)
+    sub = _Blocks.layout(frames, len(masks).bit_length() - 1)
+    for positions, cells in sub.groups(sub.cells):
+        at = blocks.index(masks[sub.assessors(positions, len(cells))], used[positions])
+        np.take(blocks.cells, at, out=cells, mode="clip")  # in range: "clip" copies no buffer
+    return sub, columns
 
 
 def is_cohesive(g: STGame, s: PlayerSet, tol: float = DEFAULT_TOL) -> bool:
@@ -606,20 +602,21 @@ def is_cohesive(g: STGame, s: PlayerSet, tol: float = DEFAULT_TOL) -> bool:
         raise ValueError(f"{s} is not a coalition of a {g.n}-player team")
     check_pair_scan(len(s))  # before any 2^|S| array
     masks = subset_sums(np.left_shift(1, s.members()))  # S's own lattice: b names masks[b]
-    rows = closure_table(g, len(s), None if len(s) == g.n else masks)
-    if rows is not None:
-        # B loses when it values below V(B) an outcome that a coalition above it produces;
-        # the coalition B itself adds u_B(V(B)) - u_B(V(B)), never below -tol
-        columns = g._columns[masks]
-        with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
-            loses = rows - rows[np.arange(len(masks)), columns][:, None] < -tol
-        return first_nested_cell(loses, columns) is None
+    if g._blocks is None:
+        def loses(a, b):  # B values A joining below its own outcome
+            with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
+                return (g.u(masks[b], masks[a | b]) - g.u(masks[b], masks[b]) < -tol,)
 
-    def loses(a, b):  # B values A joining below its own outcome
+        return first_pair(len(s), loses, nonempty=True) is None
+    blocks, columns = (g._blocks, g._columns) if len(s) == g.n else _subgame(g, masks)
+    # B loses when it values below V(B) an outcome that a coalition above it produces; the
+    # coalition B itself adds u_B(V(B)) - u_B(V(B)), never below -tol
+    own = blocks.cells[blocks.index(np.arange(len(columns)), columns)]
+    loses = np.empty(len(blocks.cells), dtype=bool)
+    for positions, cells, flags in blocks.groups(blocks.cells, loses):
         with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
-            return (g.u(masks[b], masks[a | b]) - g.u(masks[b], masks[b]) < -tol,)
-
-    return first_pair(len(s), loses, nonempty=True) is None
+            np.less(cells - own[blocks.assessors(positions, len(cells))], -tol, out=flags)
+    return first_nested_cell(loses, blocks, columns) is None
 
 
 def is_fully_cooperative(g: STGame, tol: float = DEFAULT_TOL) -> bool:
@@ -671,9 +668,11 @@ def reduce_to_tu(g: STGame, tol: float = DEFAULT_TOL) -> TUGame:
             c = g.u(union, union) - g.u(b, union)
         return np.abs(c) > tol, c
 
-    table = closure_table(g, g.n)
     witness = None
-    if table is None or _competition_in(g, table, tol):
+    # some nonempty B inside a coalition T values V(T) more than tol off u_T when the least or
+    # the most such u_B(V(T)) does; B = T adds u_T - u_T, never more than tol off
+    if g._blocks is None or any(np.any(np.abs(_bystander_gap(g, fold, np.nan)) > tol)
+                                for fold in (np.fmin, np.fmax)):
         witness = first_pair(g.n, competes, nonempty=True)
     if witness is not None:
         a, b, c = witness
@@ -681,11 +680,3 @@ def reduce_to_tu(g: STGame, tol: float = DEFAULT_TOL) -> TUGame:
         raise NotReducibleError(PlayerSet(a), PlayerSet(b), c)
     masks = np.arange(1 << g.n, dtype=np.int64)
     return TUGame(g.n, g.u(masks, masks), g.players)
-
-
-def _competition_in(g: STGame, table: np.ndarray, tol: float) -> bool:
-    """Whether some nonempty B inside a coalition T values V(T) more than ``tol`` off u_T:
-    the least and the most such u_B(V(T)) decide T. The empty assessor is left out; B = T
-    adds u_T - u_T, never more than tol off."""
-    return any(np.any(np.abs(_bystander_gap(g, table, fold, np.nan)) > tol)
-               for fold in (np.fmin, np.fmax))

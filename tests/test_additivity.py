@@ -192,7 +192,11 @@ class TestFloatRange:
             is_additive(g)
 
     def test_a_matrix_reconstruction_past_the_float_range(self):
-        g = matrix_game([[1e308, 0.0], [0.0, 1e308]])
+        # every entry is finite, but the perceptions of {0,1} at {0,1} sum past the float range
+        g = STGame.from_tables(2, (1, 2, 3), {1: 1, 2: 2, 3: 3}, {
+            (1, 1): 1e308, (1, 2): 0.0, (2, 1): 0.0, (2, 2): 1e308, (1, 3): 1e308,
+            (2, 3): 1e308, (3, 3): 1.5e308,
+        })
         with pytest.raises(NumericOverflowError, match=(
                 r"^the matrix reconstruction of \{0,1\} at coalition \{0,1\} is past")):
             extract_matrix(g)

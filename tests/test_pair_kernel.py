@@ -22,7 +22,6 @@ import reference_loops as ref
 import teamgames
 import teamgames.additivity as additivity
 import teamgames.players as players
-import teamgames.st as st
 from teamgames.additivity import (
     AdditiveReport,
     BiAdditiveMatrix,
@@ -376,12 +375,11 @@ def pair_scans(monkeypatch):
 
 @pytest.mark.parametrize("tol", [1e-9, 0.0])
 @pytest.mark.parametrize("n,seed", CASES)
-def test_closures_match_reference(n, seed, tol, pair_scans, monkeypatch):
+def test_closures_match_reference(n, seed, tol, pair_scans):
     """The closure-decided predicates give the reference walk's answers. One that holds
     starts no pair scan, and neither does the additive detector's violation, located from
     its closure; a reduction's violation is located by the pair kernel. Every witness and
     message is the walk's."""
-    monkeypatch.setattr(st, "CELLS_PER_PAIR", math.inf)  # every table takes the closures
     for name, g in _tables(n, seed).items():
         before = len(pair_scans)
         assert is_sensible(g, tol) == ref.is_sensible(g, tol), name
@@ -450,26 +448,39 @@ def test_table_families_reach_both_answers():
     assert {("reducible", "past"), ("additive", "past")} <= seen
 
 
+def _view(table):
+    """``table`` read through callables: a game only the pair kernel decides."""
+    return STGame.from_functions(table.n, table.outcomes, lambda s: table._v(s.mask),
+                                 lambda a, x: table._u(a.mask, x), table.players)
+
+
 @pytest.mark.parametrize("route", ["closures", "scans"])
 @pytest.mark.parametrize("tol", [1e-9, 0.0, 0.3])
 @pytest.mark.parametrize("n,seed", CASES)
 def test_cohesion_of_every_coalition_matches_reference(n, seed, tol, route, monkeypatch):
-    """Every nonempty coalition of every table gets the reference walk's answer, each on
-    its own lattice: by closures with no pair scan, or by a scan over its members."""
+    """Every nonempty coalition of every table gets the reference walk's answer: from the
+    table, by closures on its blocks with no pair scan, or from a view of it through
+    callables, by a scan over the coalition's members. From the table, sensibility, full
+    cooperation and additivity are decided with no pair scan too."""
     def refuse(*args, **kwargs):
-        raise AssertionError("a closure-decided cohesion scanned pairs")
+        raise AssertionError("a closure-decided predicate scanned pairs")
 
     if route == "closures":
-        monkeypatch.setattr(st, "CELLS_PER_PAIR", math.inf)
         monkeypatch.setattr(players, "mask_pairs", refuse)
-    else:
-        monkeypatch.setattr(st, "CELLS_PER_PAIR", 0)
     seen = set()
-    for name, g in _tables(n, seed).items():
+    for name, table in _tables(n, seed).items():
+        g = table if route == "closures" else _view(table)
         for mask in range(1, 1 << n):
-            expected = ref.is_cohesive(g, PlayerSet(mask), tol)
+            expected = ref.is_cohesive(table, PlayerSet(mask), tol)
             assert is_cohesive(g, PlayerSet(mask), tol) == expected, (name, mask)
             seen.add((mask == (1 << n) - 1, expected))
+        if route == "closures":
+            assert is_sensible(g, tol) == ref.is_sensible(g, tol), name
+            assert is_fully_cooperative(g, tol) == ref.is_fully_cooperative(g, tol), name
+            additive = ref.find_additive_violation(g, tol)
+            with (pytest.raises(NumericOverflowError) if additive and math.isinf(additive[3])
+                  else nullcontext()):
+                assert is_additive(g, tol) == (additive is None), name
     if n > 2:  # at n = 2 every proper coalition has one member, so is cohesive
         assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
@@ -496,8 +507,7 @@ def test_cohesion_of_a_coalition_of_a_team_past_the_limit():
     its table by closures and from callables by a scan."""
     n = MAX_PAIR_SCAN + 1
     table = random_st_game(n, np.random.default_rng(17), n_outcomes=2)
-    view = STGame.from_functions(n, table.outcomes, lambda s: table._v(s.mask),
-                                 lambda a, x: table._u(a.mask, x))
+    view = _view(table)
     for s in (PlayerSet.of(16), PlayerSet.of(0, 5, 16), PlayerSet.of(*range(1, 17, 2))):
         expected = ref.is_cohesive(table, s)
         assert is_cohesive(table, s) == is_cohesive(view, s) == expected, s
@@ -505,8 +515,8 @@ def test_cohesion_of_a_coalition_of_a_team_past_the_limit():
 
 def test_clean_size_outcome_tables_scan_no_pairs(pair_scans, monkeypatch):
     """At the pair-scan limit the closures decide a clean table with one outcome per
-    coalition size and scan no pairs; a table with one outcome per coalition is left to
-    the pair kernel."""
+    coalition size and scan no pairs, and so they do a table with one outcome per
+    coalition."""
     def refuse(*args, **kwargs):
         raise AssertionError("a closure-decided predicate scanned pairs")
 
@@ -517,7 +527,7 @@ def test_clean_size_outcome_tables_scan_no_pairs(pair_scans, monkeypatch):
             assert predicate(g), predicate.__name__
     coalition = tabulate(random_additive_game(6, np.random.default_rng(3), nonnegative=True))
     assert is_sensible(coalition)
-    assert len(pair_scans) == 1
+    assert len(pair_scans) == 0
 
 
 GAME = object()  # stands for a 3-player game in the table below

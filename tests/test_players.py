@@ -270,37 +270,83 @@ def test_subset_closure_matches_a_submask_fold(n, ufunc, columns):
     assert same_bits(closed, expected)
 
 
-def _first_flagged_walk(flags, columns):
-    """The first (S, A) with ``flags[A, columns[S]]`` set, one nested pair at a time."""
-    for s in range(1, len(flags)):
+def _first_flagged_walk(flags, blocks, columns):
+    """The first (S, A) with the cell of A at outcome ``columns[S]`` flagged, one nested pair
+    at a time."""
+    for s in range(1, len(columns)):
         for a in iter_submasks(s, nonempty=True):
-            if flags[a, columns[s]]:
+            if flags[blocks.index(a, columns[s])]:
                 return s, a
     return None
+
+
+def _mixed_frames(n, outcomes, rng):
+    """Frames of mixed sizes, the last one the team, and for every coalition an outcome whose
+    frame holds it."""
+    frames = rng.integers(0, 1 << n, size=outcomes)
+    frames[-1] = (1 << n) - 1
+    columns = np.zeros(1 << n, dtype=np.intp)
+    for s in range(1, 1 << n):
+        holding = np.flatnonzero(frames & s == s)
+        columns[s] = holding[rng.integers(len(holding))]
+    return frames, columns
 
 
 @pytest.mark.parametrize("n", range(7))
 @pytest.mark.parametrize("outcomes", [1, 2, 5])
 def test_first_nested_cell_matches_a_nested_walk(n, outcomes):
+    """On the dense table (every frame the team, OR-closed in place as one lattice) and on
+    blocks with frames of mixed sizes."""
     rng = np.random.default_rng(10 * n + outcomes)
+    team = st._Blocks.layout(np.full(outcomes, (1 << n) - 1), n)
+    mixed, mixed_columns = _mixed_frames(n, outcomes, rng)
+    mixed = st._Blocks.layout(mixed, n)
     for density in (0.0, 0.01, 0.05, 0.3):
         flags = rng.random((1 << n, outcomes)) < density
         columns = rng.integers(0, outcomes, size=1 << n)
-        expected = _first_flagged_walk(flags, columns)
+        expected = _first_flagged_walk(flags.ravel(), team, columns)
         row_cleared = flags.copy()
         row_cleared[0] = False
-        assert first_nested_cell(flags, columns) == expected
+        assert first_nested_cell(flags.ravel(), team, columns) == expected
         assert same_bits(flags, subset_closure(row_cleared, np.logical_or))  # closed in place
+
+        flags = rng.random(len(mixed.cells)) < density
+        expected = _first_flagged_walk(flags, mixed, mixed_columns)
+        assert first_nested_cell(flags, mixed, mixed_columns) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_first_nested_cell_on_a_coalition_s_subgame(n):
+    """On the blocks of a proper coalition's subgame, numbered on its members, the search
+    finds the walk's first pair inside the coalition, and the cells are the team's."""
+    rng = np.random.default_rng(n)
+    _, columns = _mixed_frames(n, 4, rng)
+    pairs = [(s, a) for s in range(1, 1 << n) for a in iter_submasks(s, nonempty=True)]
+    assessors, positions = np.array([(a, columns[s]) for s, a in pairs]).T
+    g = st.STGame.from_entries(n, tuple(range(4)), columns, assessors, positions,
+                               rng.normal(size=len(pairs)), tuple(map(str, range(n))))
+    for coalition in range(1, 1 << n):
+        masks = subset_sums(np.left_shift(1, PlayerSet(coalition).members()))
+        sub, local = st._subgame(g, masks)
+        for s in range(1, len(masks)):
+            for a in iter_submasks(s, nonempty=True):
+                assert sub.cells[sub.index(a, local[s])] == g.u(masks[a], masks[s])
+        for density in (0.0, 0.05, 0.3):
+            flags = rng.random(len(sub.cells)) < density
+            expected = _first_flagged_walk(flags, sub, local)
+            assert first_nested_cell(flags, sub, local) == expected
+    assert len(g._blocks.cells) < 4 << n  # some frame is narrower than the team
 
 
 @pytest.mark.parametrize("n", range(5))
 def test_first_nested_cell_finds_nothing_unflagged_or_in_row_zero(n):
-    flags = np.zeros((1 << n, 3), dtype=bool)
-    columns = np.arange(1 << n) % 3
-    assert first_nested_cell(flags, columns) is None
-    flags[0] = True  # the empty assessor is in no nested pair
-    assert first_nested_cell(flags, columns) is None
-    assert not flags.any()
+    frames, columns = _mixed_frames(n, 3, np.random.default_rng(n))
+    for blocks in (st._Blocks.layout(np.full(3, (1 << n) - 1), n), st._Blocks.layout(frames, n)):
+        flags = np.zeros(len(blocks.cells), dtype=bool)
+        assert first_nested_cell(flags, blocks, columns) is None
+        flags[blocks.offsets] = True  # the empty assessor is in no nested pair
+        assert first_nested_cell(flags, blocks, columns) is None
+        assert not flags.any()
 
 
 SRC = Path(__file__).parents[1] / "src" / "teamgames"

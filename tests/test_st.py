@@ -610,6 +610,22 @@ def test_from_entries_refuses_a_name_list_of_another_length():
         STGame.from_entries(1, ("x",), [0, 0], [1], [0], [1.0], ("0", "1"))
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_tables_refuse_an_infinite_utility(value):
+    """An infinite utility is refused when the table is built, naming the first such entry,
+    and not found later as a difference past the float range."""
+    utilities = {(1, "x"): 1.0, (2, "x"): value, (3, "x"): 2.0, (1, "y"): value}
+    consequence = {1: "x", 2: "x", 3: "x"}
+    message = "utility of assessor {%s} at outcome 'x' must be finite, got " + str(value)
+    with pytest.raises(ValueError) as got:
+        STGame.from_tables(2, ("x", "y"), consequence, utilities)
+    assert str(got.value) == message % 1
+    with pytest.raises(ValueError) as got:
+        STGame.from_entries(2, ("x",), [0, 0, 0, 0], [3, 1, 2], [0, 0, 0], [2.0, value, 1.0],
+                            ("0", "1"))
+    assert str(got.value) == message % 0
+
+
 @pytest.mark.parametrize("build", [
     lambda n: STGame.from_tables(n, [], {}, {}),
     lambda n: STGame.from_entries(n, (), [0], [], [], [], ()),
