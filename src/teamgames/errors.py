@@ -13,6 +13,16 @@ class SizeLimitError(GameError, ValueError):
     """A game exceeds the player-count bound of an exhaustive operation."""
 
 
+class RepeatedEntryError(GameError, ValueError):
+    """A table's entries name one cell twice: ``entry`` is the first such entry by position,
+    and ``earlier`` the entry whose cell it names again."""
+
+    def __init__(self, message, entry: int, earlier: int):
+        self.entry = entry
+        self.earlier = earlier
+        super().__init__(message)
+
+
 class NumericOverflowError(GameError, OverflowError):
     """A computed quantity is too large for a float."""
 

@@ -16,9 +16,13 @@ Loading holds no tree of entry objects: ``load_game`` gathers each entry
 into flat columns (an id for its list of names, an id for its outcome, its
 raw value) while ``json.loads`` decodes it, and ``parse_document`` gathers
 the sections of a caller's tree into the same columns, so one set of checks
-serves both. The columns are compacted into arrays before numpy is loaded,
-and numpy reads them in place. Every validation failure names the offending field; syntax
-errors carry the line and column. Graph exports are ``src dst weight``
+serves both. The columns are compacted into stdlib arrays, and every
+section is checked on them before numpy is loaded: each distinct list of
+names and outcome once, the values by one ``math.fsum``, coverage and
+repeats by position. A team game's repeated utilities are left to building
+its table, which refuses a pair placed twice; numpy reads the arrays in
+place. Every validation failure names the offending field; syntax errors
+carry the line and column. Graph exports are ``src dst weight``
 edge-list lines, so repeated runs are byte-identical. The CSV table writer
 is :mod:`teamgames.csv_tables`, re-exported here.
 """
@@ -32,12 +36,10 @@ from array import array
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import GameLoadError, SizeLimitError
+from .errors import GameLoadError, RepeatedEntryError, SizeLimitError
 from .limits import MAX_SUBSET_ARRAY
 
 if TYPE_CHECKING:  # each game kind's module, and numpy, is imported by the code that uses it
-    import numpy as np
-
     from .additivity import PerceptionGraph
     from .cobb_params import CobbDouglasConfig
     from .st import STGame
@@ -106,11 +108,6 @@ def _parse_value(entry, location: str) -> float:
     return value
 
 
-def _first(flags: np.ndarray) -> int:
-    """Index of the first set flag, or the length of ``flags`` when none is set."""
-    return int(flags.argmax()) if flags.any() else len(flags)
-
-
 _KINDS = {  # per section kind: entry noun, empty-subset error (None: allowed), repeated entry
     "consequence": ("consequence", "the empty coalition has no consequence entry",
                     "consequence for subset"),
@@ -136,11 +133,10 @@ class _Entries:
 
     def __init__(self):
         self.subsets: dict[tuple, int] = {}  # list of names -> id, in first-seen order
-        self.outcomes: dict = {_MISSING: 0}  # outcome -> id
+        self.outcomes: dict = {}  # outcome (_MISSING for none) -> id, in first-seen order
         self.ids, self.oids, self.values = [], [], []  # per row, until compact
         self.sections: dict[str, tuple[int, int, list]] = {}
-        self.masks: dict[int, int] | None = None  # mask -> id, once the subsets are parsed
-        self.mask_ids: np.ndarray | None = None  # subset id -> mask id (-1: no set of players)
+        self.masks: list[int] | None = None  # subset id -> mask (-1: no set of players)
         self.floats, self.first = array("d"), 0  # utility values from row first on, once compact
         self.after: dict = {}  # the row after the floats -> its raw value, when it is no number
         self.gather = self._gatherer()
@@ -160,7 +156,7 @@ class _Entries:
             except TypeError:  # an unhashable outcome, such as an array
                 return obj
             if oid is None:
-                if not isinstance(outcome, str):
+                if not isinstance(outcome, str) and outcome is not _MISSING:
                     return obj
                 oid = outcomes[outcome] = len(outcomes)
             if subset != last:  # most documents repeat a subset in a row
@@ -216,33 +212,27 @@ class _Entries:
                     items = [self.gather(e) if isinstance(e, dict) else e for e in items]
                     self._section(name, items, start, len(self.values) - start)
 
-    def parse_subsets(self, index) -> np.ndarray:
-        """:attr:`mask_ids`, every distinct list of names parsed in one bulk pass however
-        many entries repeat it; a list with an unknown or a repeated name gets id -1."""
-        import numpy as np
-
+    def parse_subsets(self, index) -> list[int]:
+        """:attr:`masks`, each distinct list of names parsed once, however many entries
+        repeat it, as the sum of its players' bits: a list with an unknown name gets -1, and
+        so does one with a name twice, whose bits then carry into fewer than its length."""
         if self.masks is None:
-            lists = list(self.subsets)
-            sizes = np.fromiter(map(len, lists), np.int64, len(lists))
-            names = itertools.chain.from_iterable(lists)
-            found = np.fromiter(map(index.get, names, itertools.repeat(-1)), np.int64,
-                                int(sizes.sum()))
-            owner = np.repeat(np.arange(len(lists)), sizes)
-            good = sizes <= len(index)
-            good[owner[found < 0]] = False
-            # Python ints past 56 players, where a sum of a list's bits could leave int64
-            kind = np.int64 if len(index) <= 56 else object
-            bits = np.left_shift(np.ones(1, kind), np.maximum(found, 0, out=found))
-            del found
-            masks, sums = np.zeros(len(lists), kind), np.zeros(len(lists), kind)
-            np.bitwise_or.at(masks, owner, bits)
-            np.add.at(sums, owner, bits)
-            good &= sums == masks  # a repeated name adds its bit twice
-            self.masks = {}
-            ids = [self.masks.setdefault(mask, len(self.masks)) for mask in masks[good].tolist()]
-            self.mask_ids = np.full(len(lists), -1, dtype=np.int64)
-            self.mask_ids[good] = ids
-        return self.mask_ids
+            bits = {name: 1 << i for name, i in index.items()}
+            self.masks = []
+            for names in self.subsets:
+                try:
+                    mask = sum(map(bits.__getitem__, names))
+                except KeyError:
+                    mask = -1
+                self.masks.append(mask if mask.bit_count() == len(names) else -1)
+        return self.masks
+
+    def columns(self, column_of) -> list[int]:
+        """The column of each outcome id: its position in ``column_of``, or, for a TU
+        document (``column_of`` None), 0 for no outcome; -1 for any other outcome."""
+        if column_of is None:
+            return [0 if outcome is _MISSING else -1 for outcome in self.outcomes]
+        return [column_of.get(outcome, -1) for outcome in self.outcomes]
 
     def compact(self) -> None:
         """Turn the gathered columns into compact arrays, which numpy reads without copying:
@@ -267,6 +257,14 @@ class _Entries:
             self.floats = array("d", map(_as_float, itertools.islice(values, start, start + stop)))
         del values[:]
 
+    def rows(self, section: str):
+        """Writable numpy views of the subset and outcome ids of a section's rows."""
+        import numpy as np
+
+        start, stop, _ = self.sections[section]
+        return (np.frombuffer(column, column.typecode)[start:start + stop]
+                for column in (self.ids, self.oids))
+
     def entry(self, row: int) -> dict:
         """The entry of a row, as its checks read it."""
         k = row - self.first
@@ -278,13 +276,20 @@ class _Entries:
         return entry
 
     def clear(self) -> None:
-        """Free the rows once every section is read."""
-        self.ids = self.oids = self.floats = None
+        """Free the lists of names and the outcomes, which only the checks read, once every
+        section passed them: their memory is then free for numpy's import."""
+        self.subsets = self.outcomes = None
+
+
+def _repeat_fault(kind: str, section: str, i: int, earlier: int) -> GameLoadError:
+    """The error of entry i of a section, whose key first came at entry ``earlier``."""
+    where = f"{section}[{i}]" if kind == "utilities" else f"{section}[{i}].subset"
+    return GameLoadError(f"duplicate {_KINDS[kind][2]} (also at {section}[{earlier}])", where)
 
 
 def _entry_fault(kind: str, section: str, i: int, entry, index, column_of, earlier: int):
     """Raise the error of entry i, its section's first fault; its key first came at ``earlier``."""
-    noun, empty, repeat = _KINDS[kind]
+    noun, empty, _ = _KINDS[kind]
     loc = f"{section}[{i}]"
     if not isinstance(entry, dict):
         raise GameLoadError(f"{noun} entry must be an object", loc)
@@ -299,93 +304,89 @@ def _entry_fault(kind: str, section: str, i: int, entry, index, column_of, earli
         raise GameLoadError(f"undeclared outcome {outcome!r}", f"{loc}.outcome")
     value = _parse_value(entry.get("value"), f"{loc}.value") if noun == "utility" else None
     if earlier < i:
-        where = loc if kind == "utilities" else f"{loc}.subset"
-        raise GameLoadError(f"duplicate {repeat} (also at {section}[{earlier}])", where)
+        raise _repeat_fault(kind, section, i, earlier)
     if mask == 0 and value != 0.0:
         raise GameLoadError("the empty coalition must be worth 0", f"{loc}.value")
     raise AssertionError(f"{loc}: flagged entry passed every check")
 
 
-def _keys(kind: str, ids: np.ndarray, cols: np.ndarray, column_of) -> np.ndarray:
-    """A new array of the key of each entry of a section: its subset, and for a utility of
-    a team game also its outcome."""
-    if kind != "utilities":
-        return ids.copy()
-    keys = ids * len(column_of)
-    keys += cols
-    return keys
+def _first_repeated_key(keys) -> tuple[int, int] | None:
+    """The position of the first key an earlier one equals, and that earlier one's, or None;
+    a dict pass, for the checks that run before numpy loads."""
+    seen = {}
+    for k, key in enumerate(keys):
+        earlier = seen.setdefault(key, k)
+        if earlier != k:
+            return k, earlier
+    return None
 
 
-def _first_repeat(kind: str, ids: np.ndarray, cols: np.ndarray, column_of) -> int:
-    """Position of the first entry whose key an earlier entry has, or the number of entries.
-    Sorted in place, the keys show whether any repeats; only a section with a repeat pays
-    for ``np.unique`` to find the first one by position."""
-    import numpy as np
-
-    keys = _keys(kind, ids, cols, column_of)
-    keys.sort()
-    if not (keys[1:] == keys[:-1]).any():
-        return len(keys)
-    repeat = np.ones(len(keys), dtype=bool)
-    repeat[np.unique(_keys(kind, ids, cols, column_of), return_index=True)[1]] = False
-    return _first(repeat)
+def _first_nonfinite(values) -> int:
+    """Position of the first value that is not finite, or the number of values. ``math.fsum``
+    is finite only when every value is; it raises when a partial sum leaves the float range
+    or adds -inf to inf, and only then, or when it is not finite, are the values searched."""
+    try:
+        if math.isfinite(math.fsum(values)):
+            return len(values)
+    except (OverflowError, ValueError):
+        pass
+    return next((k for k, value in enumerate(values) if not math.isfinite(value)), len(values))
 
 
-def _read_section(doc: dict, entries: _Entries, kind: str, index, column_of):
-    """Mask ids (into ``entries.masks``), outcome columns and values of the rows of a
-    ``consequence``, ``utilities`` or ``tu`` section, read up to its first entry that was
-    not gathered or has a bad subset or outcome. Values and repeats are checked in bulk; the
-    lowest faulty entry raises through :func:`_entry_fault`."""
-    import numpy as np
-
+def _check_section(doc: dict, entries: _Entries, kind: str, index, column_of) -> set | None:
+    """Check the rows of a ``consequence``, ``utilities`` or ``tu`` section without numpy, up
+    to its first entry that was not gathered, and return the masks of a consequence or TU
+    section's rows. Each distinct list of names and outcome is checked once, and the rows are
+    searched only when one is faulty; the values take one ``math.fsum``. Repeats are found by
+    position, except a team game's repeated utilities: placing them in the table finds those
+    (see ``STGame.from_entries``), unless a later entry is faulty, when the rows before it are
+    searched here. The lowest faulty entry raises through :func:`_entry_fault`."""
     section = "consequence" if kind == "consequence" else "utilities"
     _require(doc, section, list, section)
     start, stop, rest = entries.sections[section]
-    ids, cols = (np.frombuffer(column, column.typecode)[start:start + stop]
-                 for column in (entries.ids, entries.oids))  # subset and outcome ids
-    ids = entries.parse_subsets(index)[ids]
-    bad = ids < 0
-    if _KINDS[kind][1]:
-        bad |= ids == entries.masks.get(0, -1)
-    if column_of is None:
-        bad |= cols != 0  # an outcome in a TU entry
-    else:
-        cols = np.array([column_of.get(o, -1) for o in entries.outcomes], dtype=np.int64)[cols]
-        bad |= cols < 0
-    end = _first(bad)
-    del bad
-    ids, cols = ids[:end], cols[:end]
+    masks, columns = entries.parse_subsets(index), entries.columns(column_of)
+    ids, oids = (memoryview(column)[start:start + stop] for column in (entries.ids, entries.oids))
+    bad_ids = {i for i, mask in enumerate(masks) if mask < 0 or mask == 0 and _KINDS[kind][1]}
+    bad_oids = {i for i, column in enumerate(columns) if column < 0}
+    end = stop
+    if bad_ids or bad_oids:
+        end = next((k for k, (i, o) in enumerate(zip(ids, oids))
+                    if i in bad_ids or o in bad_oids), stop)
     faults = [end]
-    values = None
     if kind != "consequence":
-        values = np.frombuffer(entries.floats, np.float64)[:end]  # from row start on
-        faults.append(_first(~np.isfinite(values)))
-        empty = ids[:len(values)] == entries.masks.get(0, -1)  # only a TU document lists it
-        faults.append(_first(empty & (values != 0.0)))
-    faults.append(_first_repeat(kind, ids, cols, column_of))
-    i = min(faults)
-    if i < stop + len(rest):
-        earlier = i
-        if i < end:
-            keys = _keys(kind, ids, cols, column_of)
-            earlier = _first(keys[:i] == keys[i])
-        entry = entries.entry(start + i) if i < stop else rest[i - stop]
-        _entry_fault(kind, section, i, entry, index, column_of, earlier)
-    return ids, cols, values
+        values = memoryview(entries.floats)[:end]  # from row start on
+        faults.append(_first_nonfinite(values))
+        if kind == "tu" and 0 in masks:  # only a TU document lists the empty subset
+            empty = masks.index(0)
+            faults.append(next((k for k, i in enumerate(ids[:len(values)])
+                                if i == empty and values[k] != 0.0), len(values)))
+    fault = min(faults)
+    faulty, present = fault < stop + len(rest), None
+    if kind == "utilities":  # keys of (assessor, outcome) pairs, read only before a fault
+        if not faulty:
+            return None
+        width, limit = len(column_of), min(fault + 1, end)
+        repeat = _first_repeated_key(masks[i] * width + columns[o]
+                               for i, o in zip(ids[:limit], oids[:limit]))
+    else:
+        keys = list(map(masks.__getitem__, ids[:end]))
+        present = set(keys)
+        repeat = _first_repeated_key(keys) if len(present) < len(keys) else None
+    if repeat is not None and repeat[0] <= fault:
+        fault, earlier = repeat
+    elif faulty:
+        earlier = fault
+    else:
+        return present
+    entry = entries.entry(start + fault) if fault < stop else rest[fault - stop]
+    _entry_fault(kind, section, fault, entry, index, column_of, earlier)
 
 
-def _require_every_subset(entries: _Entries, ids, n: int, players, what: str,
-                          section: str) -> np.ndarray:
-    """The masks by id, once the masks of ``ids`` hold every nonempty subset; n is bounded
-    from here on."""
-    import numpy as np
-
-    masks = list(entries.masks)
-    present = {masks[i] for i in np.flatnonzero(np.bincount(ids, minlength=len(masks))).tolist()}
+def _require_every_subset(present: set, n: int, players, what: str, section: str) -> None:
+    """Refuse a section whose masks miss a nonempty subset; n is bounded from here on."""
     if len(present - {0}) < (1 << n) - 1:
         mask = next(m for m in range(1, 1 << n) if m not in present)
         raise GameLoadError(f"no {what} entry for subset {_subset_names(mask, players)}", section)
-    return np.array(masks, dtype=np.int64)
 
 
 def _read(doc, entries: _Entries):
@@ -426,42 +427,59 @@ def _parse_cobb(doc: dict) -> CobbDouglasConfig:
 
 
 def _parse_tu(doc: dict, entries: _Entries) -> TUGame:
-    import numpy as np
-
-    from .tu import TUGame
-
     index = _parse_names(doc, "players", "player", "player names")
     players, n = list(index), len(index)
     if n > MAX_SUBSET_ARRAY:
         raise GameLoadError(f"TU games support 1..{MAX_SUBSET_ARRAY} players, got {n}", "players")
-    ids, _, values = _read_section(doc, entries, "tu", index, None)
+    present = _check_section(doc, entries, "tu", index, None)
+    _require_every_subset(present, n, players, "utility", "utilities")
+    masks = entries.masks
+    entries.clear()
+
+    import numpy as np
+
+    from .tu import TUGame
+
+    ids, _ = entries.rows("utilities")
     table = np.zeros(1 << n)
-    table[_require_every_subset(entries, ids, n, players, "utility", "utilities")[ids]] = values
+    table[np.array(masks)[ids]] = np.frombuffer(entries.floats)
     return TUGame(n, table, tuple(players))
 
 
 def _read_st(doc: dict, entries: _Entries) -> STGame:
-    import numpy as np
-
     index = _parse_names(doc, "players", "player", "player names")
     players, n = tuple(index), len(index)
     column_of = _parse_names(doc, "outcomes", "outcome", "outcome ids")
     # coverage is settled before any 2^n allocation
-    ids, cols, _ = _read_section(doc, entries, "consequence", index, column_of)
-    masks = _require_every_subset(entries, ids, n, players, "consequence", "consequence")
+    present = _check_section(doc, entries, "consequence", index, column_of)
+    _require_every_subset(present, n, players, "consequence", "consequence")
+    _check_section(doc, entries, "utilities", index, column_of)
+    masks, cols = entries.masks, entries.columns(column_of)
+    entries.clear()
+
+    import numpy as np
+
+    from .st import ENTRY_CHUNK, STGame, entry_keys, first_repeat
+
+    ids, oids = entries.rows("consequence")
+    # in the ids' own type, C ints: no document lists every coalition of 31 players
+    masks, cols = np.array(masks, ids.dtype), np.array(cols, oids.dtype)
     columns = np.zeros(1 << n, dtype=np.intp)
-    columns[masks[ids]] = cols
-    ids, positions, values = _read_section(doc, entries, "utilities", index, column_of)
-    assessors = masks[ids]
-    del ids
-    entries.clear()  # the table is built without the gathered rows
-
-    from .st import STGame
-
+    columns[masks[ids]] = cols[oids]
+    assessors, positions = entries.rows("utilities")
+    for lo in range(0, len(assessors), ENTRY_CHUNK):  # ids become masks and columns in place
+        chunk = slice(lo, lo + ENTRY_CHUNK)
+        assessors[chunk], positions[chunk] = masks[assessors[chunk]], cols[positions[chunk]]
+    values = np.frombuffer(entries.floats)
     try:
         return STGame.from_entries(
             n, tuple(column_of), columns, assessors, positions, values, players)
-    except SizeLimitError as exc:
+    except RepeatedEntryError as exc:
+        raise _repeat_fault("utilities", "utilities", exc.entry, exc.earlier) from None
+    except SizeLimitError as exc:  # refused before placing: a repeated utility comes first
+        repeat = first_repeat(entry_keys(assessors, positions, len(column_of)))
+        if repeat is not None:
+            raise _repeat_fault("utilities", "utilities", *repeat) from None
         raise GameLoadError(str(exc), "outcomes") from None
     except ValueError as exc:
         raise GameLoadError(str(exc), "utilities") from None
@@ -492,9 +510,8 @@ def load_game(source):
 
 
 def _subset_names(mask: int, players) -> list[str]:
-    from .players import PlayerSet
-
-    return [players[i] for i in PlayerSet(mask)]
+    """The names of a mask's players, in player order."""
+    return [players[i] for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _require_names(names, noun: str) -> None:
@@ -560,7 +577,11 @@ def document_for(game) -> dict:
 
 
 def save_game(game, path) -> None:
-    Path(path).write_text(json.dumps(document_for(game), indent=2) + "\n", encoding="utf-8")
+    """Write a game's document, streamed as it is encoded, with a final newline."""
+    doc = document_for(game)  # refused before the file is opened
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def write_edges(graph: PerceptionGraph, path) -> None:

@@ -200,14 +200,15 @@ def _byte_tables():
     the low bits of v onto the set bits of m, and ``popcount[m]`` counts m's bits (the
     compress and expand of Warren, *Hacker's Delight*, 2nd ed., sections 7-4 and 7-5)."""
     byte = np.arange(256, dtype=np.uint8)  # bytes: 128 KiB in all, an eighth of int64 tables
-    m, v = np.repeat(byte, 256), np.tile(byte, 256)
-    pext, pdep, below = (np.zeros(1 << 16, dtype=np.uint8) for _ in range(3))
+    m, v = byte[:, None], byte[None, :]  # a table's rows and columns, broadcast
+    pext, pdep = (np.zeros((256, 256), dtype=np.uint8) for _ in range(2))
+    below = np.zeros_like(m)
     for i in range(8):
         bit = m >> i & 1
         pext |= (v >> i & bit) << below
         pdep |= (v >> below & bit) << i
         below += bit  # set bits of m below bit i + 1
-    return pext, pdep, below[::256].copy()
+    return pext.ravel(), pdep.ravel(), below.ravel()
 
 
 def _lookup(table, masks, values, low: int, at: int):
@@ -291,8 +292,9 @@ def mask_pairs(n: int, *, nested: bool = False, nonempty: bool = False):
         x = outer[pos]
         done += len(index)
         index -= starts[pos] - int(nonempty)  # the pair's rank among its outer's
-        del pos
-        yield x, pdep(index, x if nested else full ^ x, n)
+        inner = pdep(index, x if nested else full ^ x, n)
+        del pos, index  # only the pair's arrays stay alive while the chunk is tested
+        yield x, inner
         size = min(2 * size, PAIR_CHUNK)
 
 

@@ -28,7 +28,10 @@ from typing import TYPE_CHECKING, Callable, Hashable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import MissingUtilityError, NotReducibleError, NumericOverflowError, SizeLimitError
+from .errors import (
+    MissingUtilityError, NotReducibleError, NumericOverflowError, RepeatedEntryError,
+    SizeLimitError,
+)
 from .limits import DEFAULT_TOL, check_tol
 from .players import (
     PlayerSet, check_pair_scan, check_subset_array, first_nested_cell, first_pair, member_sum,
@@ -44,7 +47,7 @@ Outcome = Hashable
 NULL_OUTCOME: Outcome = None
 
 MAX_TABLE_CELLS = 1 << 25  # block cells of a tabulated game (256 MiB)
-ENTRY_CHUNK = 1 << 14  # entries placed in their blocks at a time
+ENTRY_CHUNK = 1 << 12  # entries placed at a time: each temporary of a chunk is 32 KiB
 
 
 class _Blocks(NamedTuple):
@@ -85,7 +88,10 @@ class _Blocks(NamedTuple):
         """Cell position of assessor mask a, inside the frame of outcome position j."""
         if self.dense:  # no pext
             return a * len(self.frames) + j
-        return self.offsets[j] + pext(a, self.frames[j], self.n) * self.strides[j]
+        at = pext(a, self.frames[j], self.n)  # a new array, or a scalar
+        at *= self.strides[j]
+        at += self.offsets[j]
+        return at
 
     def groups(self, *arrays):
         """(outcome positions, (2^k, count) view of each of ``arrays``) for each frame size k,
@@ -196,15 +202,18 @@ class STGame:
 
         ``columns[S]`` is the position in ``outcomes`` of V(S) for every
         coalition mask S (entry 0 is ignored); entry k values outcome
-        ``positions[k]`` at ``values[k]`` for assessor mask ``assessors[k]``,
-        and no (assessor, position) pair comes twice. Refuses index arrays
-        that are not integers, arrays and names that do not fit the team, an
-        infinite value, or blocks of more than ``MAX_TABLE_CELLS`` cells in
-        all, before allocating them, then names the first missing assessment
-        in ascending (coalition, assessor) order.
+        ``positions[k]`` at ``values[k]`` for assessor mask ``assessors[k]``.
+        Refuses index arrays that are not integers, arrays and names that do
+        not fit the team, a value that is not finite, or blocks of more than
+        ``MAX_TABLE_CELLS`` cells in all, before allocating them. The entries
+        are read in place and placed ``ENTRY_CHUNK`` at a time; an (assessor,
+        position) pair that comes twice is refused with a
+        :class:`RepeatedEntryError` naming the first repeat by position, and then
+        the first missing assessment is named in ascending (coalition, assessor)
+        order.
         """
         _require_players(n)
-        columns = _index_array("columns", columns).copy()
+        columns = _index_array("columns", columns).astype(np.intp)
         if columns.shape != (1 << n,):
             raise ValueError(f"columns must have shape {(1 << n,)}, got {columns.shape}")
         columns[0] = 0
@@ -215,21 +224,37 @@ class STGame:
             raise ValueError("assessors, positions and values must have one length")
         players = player_names(n, players)
         values = np.asarray(values, dtype=float)
-        if np.isinf(values).any():
-            k = int(np.argmax(np.isinf(values)))
+        finite = np.isfinite(values)
+        if not finite.all():
+            k = int(np.argmin(finite))
             raise ValueError(
                 f"utility of assessor {subset_label(int(assessors[k]), players)} at outcome "
                 f"{outcomes[positions[k]]!r} must be finite, got {values[k]}"
             )
         frames = np.zeros(len(outcomes), dtype=np.int64)
         np.bitwise_or.at(frames, columns[1:], np.arange(1, 1 << n))
-        np.bitwise_or.at(frames, positions, assessors)
+
+        def chunks():  # 8-byte copies of the index arrays, a small chunk at a time
+            for lo in range(0, len(values), ENTRY_CHUNK):
+                chunk = slice(lo, lo + ENTRY_CHUNK)
+                yield assessors[chunk].astype(np.int64), positions[chunk].astype(np.intp), chunk
+
+        for a, j, _ in chunks():
+            np.bitwise_or.at(frames, j, a)
         blocks = _Blocks.layout(frames, n)
-        blocks.cells[blocks.offsets] = 0.0  # the empty assessor
-        for lo in range(0, len(values), ENTRY_CHUNK):  # small index arrays, a chunk at a time
-            chunk = slice(lo, lo + ENTRY_CHUNK)
-            blocks.cells[blocks.index(assessors[chunk], positions[chunk])] = values[chunk]
-        missing = first_nested_cell(np.isnan(blocks.cells), blocks, columns)
+        cells = blocks.cells
+        cells[blocks.offsets] = 0.0  # the empty assessor
+        for a, j, chunk in chunks():
+            cells[blocks.index(a, j)] = values[chunk]
+        empty = np.isnan(cells)
+        # every value is finite, so a pair named twice leaves fewer cells filled than entries
+        if len(cells) - len(outcomes) - np.count_nonzero(empty) < len(values):
+            k, earlier = first_repeat(entry_keys(assessors, positions, len(outcomes)))
+            raise RepeatedEntryError(
+                f"repeated utility: assessor {subset_label(int(assessors[k]), players)} at "
+                f"outcome {outcomes[positions[k]]!r} (entries {earlier} and {k})", k, earlier
+            )
+        missing = first_nested_cell(empty, blocks, columns)
         if missing is not None:
             s, a = missing
             raise ValueError(
@@ -244,7 +269,8 @@ class STGame:
             return cls(n, outcomes, players, columns, lambda a, j: table[a, j], blocks)
 
         def assess(a, j):
-            return np.where(a & ~frames[j], np.nan, blocks.cells[blocks.index(a, j)])
+            value = cells[blocks.index(a, j)]  # read before the frame test's arrays exist
+            return np.where(a & ~frames[j], np.nan, value)
 
         return cls(n, outcomes, players, columns, assess, blocks)
 
@@ -379,20 +405,38 @@ def __getattr__(name: str):
 
 
 def _index_array(name: str, values) -> np.ndarray:
-    """``values`` as an index array, refused unless they are integers (or there are none)."""
+    """``values`` as an integer array, read in place; refused unless they are integers (or
+    there are none)."""
     values = np.asarray(values)
-    if values.size and values.dtype.kind not in "iu":
+    if values.dtype.kind in "iu":
+        return values
+    if values.size:
         raise ValueError(f"{name} must hold integers, got dtype {values.dtype}")
-    return values.astype(np.intp, copy=False)
+    return values.astype(np.intp)
 
 
 def _require_within(name: str, values, low: int, high: int) -> np.ndarray:
-    """``values`` as an index array, refused unless every entry is an integer in [low, high)."""
+    """``values`` as an integer array, refused unless every entry is in [low, high)."""
     values = _index_array(name, values)
-    outside = (values < low) | (values >= high)
-    if outside.any():
+    if values.size and (values.min() < low or values.max() >= high):
+        outside = (values < low) | (values >= high)
         raise ValueError(f"{name} holds {values[outside][0]}, outside [{low}, {high})")
     return values
+
+
+def entry_keys(assessors, positions, outcomes: int) -> np.ndarray:
+    """One int64 key per (assessor mask, outcome position) entry, equal only for one pair."""
+    return np.asarray(assessors, dtype=np.int64) * outcomes + np.asarray(positions, np.int64)
+
+
+def first_repeat(keys: np.ndarray) -> tuple[int, int] | None:
+    """The position of the first key an earlier one equals, and that earlier one's, or None."""
+    first = np.zeros(len(keys), dtype=bool)
+    first[np.unique(keys, return_index=True)[1]] = True
+    if first.all():
+        return None
+    k = int(np.argmin(first))
+    return k, int(np.argmax(keys == keys[k]))
 
 
 def coalition_outcomes(n: int) -> tuple[tuple, np.ndarray]:
@@ -545,13 +589,17 @@ def _bystander_gap(g: STGame, fold, empty: float) -> np.ndarray:
     monotone in y, so the least or most u_B(V(T)) decides T."""
     check_pair_scan(g.n)
     blocks = g._blocks
-    folded = blocks.cells.copy()
-    folded[blocks.offsets] = empty
-    for _, block in blocks.groups(folded):
-        subset_closure(block, fold)
     at = blocks.index(np.arange(1 << g.n), g._columns)
-    with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
-        return blocks.cells[at] - folded[at]
+    gap = blocks.cells[at]
+    for positions, base, rows in blocks.spans:  # a copy of one group at a time
+        folded = blocks.cells[base:base + rows * len(positions)].reshape(rows, -1).copy()
+        folded[0] = empty
+        subset_closure(folded, fold)
+        inside = (at >= base) & (at < base + folded.size)
+        with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
+            gap[inside] -= folded.ravel()[at[inside] - base]
+        del folded  # before the next group's copy
+    return gap
 
 
 def is_sensible(g: STGame, tol: float = DEFAULT_TOL) -> bool:

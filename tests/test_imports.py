@@ -6,6 +6,7 @@ Module sets are read in a fresh interpreter, after the command ran through
 """
 
 import ast
+import copy
 import importlib
 import json
 import os
@@ -152,6 +153,79 @@ def test_a_document_command_decodes_before_numpy_loads(docs, argv):
         text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
     )
     assert json.loads(proc.stdout) == [False]
+
+
+CHECKS_FIRST = """
+import contextlib, io, json, runpy, sys
+import teamgames.game_io as game_io
+checked = []  # whether numpy was loaded as each section check returned or raised
+check = game_io._check_section
+def recording(*args):
+    try:
+        return check(*args)
+    finally:
+        checked.append("numpy" in sys.modules)
+game_io._check_section = recording
+sys.argv = ["teamgames", *json.loads(sys.argv[1])]
+status, err = 0, io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    try:
+        runpy.run_module("teamgames.cli", run_name="__main__")
+    except SystemExit as exc:
+        status = exc.code
+print(json.dumps([status, err.getvalue(), checked, "numpy" in sys.modules]))
+"""
+
+
+def checked(argv, cwd):
+    """Exit status, standard error, whether numpy was loaded as each section check ended,
+    and whether it was loaded at exit."""
+    proc = subprocess.run(
+        [sys.executable, "-c", CHECKS_FIRST, json.dumps(argv)], cwd=cwd, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv, sections", [
+    (["classify", "team.game"], 2), (["metrics", "zero.game"], 2), (["shapley", "tu.game"], 1),
+])
+def test_a_document_s_sections_are_checked_before_numpy_loads(docs, argv, sections):
+    status, _, ends, numpy = checked(argv, docs)
+    assert (status, ends, numpy) == (0, [False] * sections, True)
+
+
+def _edited(doc, edit):
+    doc = copy.deepcopy(doc)
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("doc, error", [
+    (_edited(PRISONERS_DILEMMA, lambda d: d["utilities"][2].update(subset=["A", "Z"])),
+     "utilities[2].subset[1]: unknown player 'Z'"),
+    (_edited(PRISONERS_DILEMMA, lambda d: d["consequence"][2].update(subset=["A", "B", "A"])),
+     "consequence[2].subset[2]: player 'A' listed twice"),
+    (_edited(PRISONERS_DILEMMA, lambda d: d["utilities"][1].update(outcome="nowhere")),
+     "utilities[1].outcome: undeclared outcome 'nowhere'"),
+    (_edited(PRISONERS_DILEMMA, lambda d: d["utilities"][3].update(value=float("inf"))),
+     "utilities[3].value: value must be finite, got inf"),
+    (_edited(GLOVE, lambda d: d["utilities"][5].update(value=float("nan"))),
+     "utilities[5].value: value must be finite, got nan"),
+    (_edited(PRISONERS_DILEMMA, lambda d: d["consequence"].append(dict(d["consequence"][0]))),
+     "consequence[3].subset: duplicate consequence for subset (also at consequence[0])"),
+    (_edited(PRISONERS_DILEMMA, lambda d: d["consequence"].pop(1)),
+     "consequence: no consequence entry for subset ['B']"),
+    (_edited(GLOVE, lambda d: d["utilities"][4].update(outcome="x")),
+     "utilities[4].outcome: TU utility entries carry no outcome (did you mean a team-game "
+     "document with an outcomes section?)"),
+], ids=["unknown-player", "repeated-name", "undeclared-outcome", "infinite-value",
+        "tu-nan-value", "repeated-consequence", "missing-consequence", "tu-outcome"])
+def test_a_fault_the_section_checks_find_never_loads_numpy(tmp_path, doc, error):
+    (tmp_path / "bad.game").write_text(json.dumps(doc), encoding="utf-8")
+    status, err, ends, numpy = checked(["classify", "bad.game"], tmp_path)
+    assert (status, err, numpy) == (1, f"error: {error}\n", False)
+    assert ends and not any(ends)
 
 
 # the names `teamgames` exported, by the submodule each came from, when every name was

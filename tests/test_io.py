@@ -125,6 +125,27 @@ def test_the_first_repeat_by_position_is_named_before_a_smaller_key(make, sectio
         assert str(raised.value) == error, parse.__name__
 
 
+def test_a_repeated_utility_is_named_before_the_cell_limit(monkeypatch):
+    """A table past the cell limit is refused before its entries are placed, yet a repeated
+    utility is still the error named, as for a table within the limit."""
+    import teamgames.st as st
+
+    monkeypatch.setattr(st, "MAX_TABLE_CELLS", 7)  # two outcomes of four cells each
+    doc = _team_doc(2)
+    for parse, source in ((parse_document, doc), (_load_text, json.dumps(doc))):
+        with pytest.raises(GameLoadError) as raised:
+            parse(source)
+        assert str(raised.value) == ("outcomes: 2 players and 2 outcomes need 8 table cells, "
+                                     "over the limit of 7"), parse.__name__
+    doc = _repeated_later(doc, "utilities", [4, 1])
+    for parse, source in ((parse_document, doc), (_load_text, json.dumps(doc))):
+        with pytest.raises(GameLoadError) as raised:
+            parse(source)
+        assert str(raised.value) == (
+            "utilities[5]: duplicate utility for (subset, outcome) (also at utilities[4])"
+        ), parse.__name__
+
+
 def test_unknown_player_location():
     doc = copy.deepcopy(PRISONERS_DILEMMA)
     doc["utilities"][2]["subset"] = ["Z"]
@@ -530,6 +551,21 @@ def test_load_game_holds_no_tree_of_entries(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < tree_size / 4, (peak, tree_size)
+
+
+def test_save_game_writes_the_text_of_the_document(tmp_path):
+    """``save_game`` streams the document as it is encoded: the bytes are those of the
+    whole indented text, with a final newline."""
+    names = {"version": 1, "players": ["Zoë", "B"],
+             "utilities": [{"subset": ["Zoë"], "value": 1}, {"subset": ["B"], "value": 0.5},
+                           {"subset": ["Zoë", "B"], "value": 2.25}]}
+    games = [parse_document(GLOVE), parse_document(names), parse_document(PRISONERS_DILEMMA),
+             parse_document(_team_doc(4)), CobbDouglasConfig(theta=0.5, alpha=2.0, beta=2.5)]
+    for k, game in enumerate(games):
+        path = tmp_path / f"{k}.game"
+        save_game(game, path)
+        text = json.dumps(document_for(game), indent=2) + "\n"
+        assert path.read_bytes() == text.encode("utf-8"), k
 
 
 def test_tu_round_trip(tmp_path):

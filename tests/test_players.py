@@ -321,8 +321,10 @@ def test_first_nested_cell_on_a_coalition_s_subgame(n):
     finds the walk's first pair inside the coalition, and the cells are the team's."""
     rng = np.random.default_rng(n)
     _, columns = _mixed_frames(n, 4, rng)
-    pairs = [(s, a) for s in range(1, 1 << n) for a in iter_submasks(s, nonempty=True)]
-    assessors, positions = np.array([(a, columns[s]) for s, a in pairs]).T
+    # each (assessor, outcome) pair once: coalitions share outcomes
+    pairs = sorted({(a, columns[s]) for s in range(1, 1 << n)
+                    for a in iter_submasks(s, nonempty=True)})
+    assessors, positions = np.array(pairs).T
     g = st.STGame.from_entries(n, tuple(range(4)), columns, assessors, positions,
                                rng.normal(size=len(pairs)), tuple(map(str, range(n))))
     for coalition in range(1, 1 << n):

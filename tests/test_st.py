@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +10,14 @@ from reference_loops import disjoint_pairs, in_st_core
 from teamgames import tu
 from teamgames.additivity import BiAdditiveMatrix
 from teamgames.errors import (
-    DisjointnessError, NotReducibleError, NumericOverflowError, SizeLimitError,
+    DisjointnessError, NotReducibleError, NumericOverflowError, RepeatedEntryError,
+    SizeLimitError,
 )
-from teamgames.players import PlayerSet
+from teamgames.players import PlayerSet, subset_label
 from random_games import monotone_series, random_st_game
 from teamgames.scenarios import builtin_game
 from teamgames.st import (
+    ENTRY_CHUNK,
     CoopPoint,
     Quadrant,
     STGame,
@@ -624,6 +628,102 @@ def test_tables_refuse_an_infinite_utility(value):
         STGame.from_entries(2, ("x",), [0, 0, 0, 0], [3, 1, 2], [0, 0, 0], [2.0, value, 1.0],
                             ("0", "1"))
     assert str(got.value) == message % 0
+
+
+def test_from_entries_refuses_a_repeated_entry():
+    with pytest.raises(RepeatedEntryError) as got:
+        STGame.from_entries(1, ("x",), [0, 0], [1, 1], [0, 0], [1.0, 2.0], ("A",))
+    assert str(got.value) == "repeated utility: assessor {A} at outcome 'x' (entries 0 and 1)"
+    assert (got.value.entry, got.value.earlier) == (1, 0)
+    # a NaN would leave its cell looking empty to a later repeat, so it is refused too
+    with pytest.raises(ValueError, match="^utility of assessor {A} at outcome 'x' must be "
+                                         "finite, got nan$"):
+        STGame.from_entries(1, ("x",), [0, 0], [1], [0], [float("nan")], ("A",))
+
+
+def _entries_past_a_chunk(narrow: bool):
+    """(n, outcomes, columns, assessors, positions) of more than ``ENTRY_CHUNK`` entries, each
+    (assessor, position) pair once: every assessor values every one of 17 outcomes, so every
+    frame is the team, or every coalition's subsets value its own outcome, so frames are
+    narrower than the team."""
+    n = 10
+    masks = np.arange(1, 1 << n)
+    if narrow:
+        outcomes, columns = coalition_outcomes(n)
+        pairs = [(a, s - 1) for s in masks.tolist() for a in masks[:s].tolist() if a & s == a]
+        assessors, positions = np.array(pairs).T
+    else:
+        outcomes = tuple(range(17))
+        columns = np.insert(masks % 17, 0, 0)
+        assessors, positions = np.repeat(masks, 17), np.tile(np.arange(17), len(masks))
+    assert len(assessors) > ENTRY_CHUNK + 100
+    return n, outcomes, columns, assessors, positions
+
+
+@pytest.mark.parametrize("narrow", [False, True], ids=["dense", "narrow"])
+@pytest.mark.parametrize("repeats", [
+    [(2, 9)],
+    [(40, 41), (3, 12)],  # the first repeat by position is named, not the smaller cell
+    [(ENTRY_CHUNK - 1, ENTRY_CHUNK)],  # the last entry of a chunk, repeated by the next
+    [(7, ENTRY_CHUNK + 5)],
+    [(ENTRY_CHUNK + 60, ENTRY_CHUNK + 90), (5, ENTRY_CHUNK + 70)],
+], ids=["one-chunk", "two-in-one-chunk", "at-the-seam", "across-the-seam", "second-chunk"])
+def test_a_repeated_entry_is_named_by_its_first_position(narrow, repeats):
+    """Placing the entries a chunk at a time finds a pair that comes twice, in one chunk or
+    across chunks, and names the first such entry by position and its earlier entry."""
+    n, outcomes, columns, assessors, positions = _entries_past_a_chunk(narrow)
+    values = np.arange(len(assessors), dtype=float)
+    g = STGame.from_entries(n, outcomes, columns, assessors, positions, values, None)
+    assert g._blocks.dense != narrow
+    for earlier, later in repeats:  # the later entry takes the earlier one's pair
+        assessors[later], positions[later] = assessors[earlier], positions[earlier]
+    earlier, later = min(repeats, key=lambda pair: pair[1])
+    with pytest.raises(RepeatedEntryError) as got:
+        STGame.from_entries(n, outcomes, columns, assessors, positions, values, None)
+    assert (got.value.entry, got.value.earlier) == (later, earlier)
+    a, j = int(assessors[later]), int(positions[later])
+    assert str(got.value) == (
+        f"repeated utility: assessor {subset_label(a, g.players)} at outcome {outcomes[j]!r} "
+        f"(entries {earlier} and {later})")
+
+
+def _coalition_table(n: int, rng) -> STGame:
+    """One outcome per coalition, as in the benchmark's coalition-biadditive documents: every
+    nonempty subset of a coalition values the coalition's outcome, and every assessor values
+    each singleton's."""
+    outcomes, columns = coalition_outcomes(n)
+    masks = np.arange(1, 1 << n)
+    assessors, positions = [], []
+    for s in masks.tolist():
+        subsets = masks[:s][(masks[:s] & s) == masks[:s]]
+        assessors.append(subsets)
+        positions.append(np.full(len(subsets), s - 1))
+    for b in range(n):
+        others = masks[masks != 1 << b]
+        assessors.append(others)
+        positions.append(np.full(len(others), (1 << b) - 1))
+    assessors, positions = np.concatenate(assessors), np.concatenate(positions)
+    return STGame.from_entries(n, outcomes, columns, assessors, positions,
+                               rng.random(len(assessors)), None)
+
+
+def test_a_tabulated_fold_holds_one_frame_size_group_at_a_time():
+    """``is_sensible`` and ``reduce_to_tu`` fold the cells of a 12-player table with one
+    outcome per coalition one frame-size group at a time: their traced peaks stay under a
+    third of the table's cells."""
+    g = _coalition_table(12, np.random.default_rng(12))
+    table = g._blocks.cells.nbytes
+    for decide in (is_sensible, reduce_to_tu):
+        tracemalloc.start()
+        try:
+            try:
+                decide(g)
+            except NotReducibleError:
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table / 3, (decide.__name__, peak, table)
 
 
 @pytest.mark.parametrize("build", [
