@@ -64,7 +64,7 @@ def _first_mismatch(g: STGame, what: str, tol: float, terms, by_assessor: bool, 
             got = g.u(a, s)
             return ~np.isfinite(want) | (np.abs(got - want) > tol), got, want
 
-    witness = (first_pair(g.n, off, nested=True, nonempty=True) if first is None
+    witness = (first_pair(g.n, off, nested=True) if first is None
                else (*first, *(v.item() for v in off(*np.array([first]).T)[1:])))
     if witness is None:
         return None
@@ -77,21 +77,19 @@ def _first_mismatch(g: STGame, what: str, tol: float, terms, by_assessor: bool, 
 
 def _find_additive_violation(g: STGame, tol: float, terms=None):
     """First violation of u_A(S) = sum over members a of u_a(S); ``terms``: ``_member_terms``."""
-    first = None
-    if g._blocks is not None:
-        check_pair_scan(g.n)
-        # the expectation depends on A and V(S) only: each block's singleton rows summed over
-        # A, compared wherever a coalition containing A produces the outcome; ascending rank
-        # in a frame is ascending player, so the sums add in the scan's order
-        off = np.empty(len(g._blocks.cells), dtype=bool)
-        for _, cells, flags in g._blocks.groups(g._blocks.cells, off):
-            with np.errstate(over="ignore", invalid="ignore"):  # an infinite sum is off
-                sums = subset_sums(cells[1 << np.arange(len(cells).bit_length() - 1)])
-                np.logical_not(np.isfinite(sums), out=flags)
-                flags |= np.abs(np.subtract(cells, sums, out=sums), out=sums) > tol
-        first = first_nested_cell(off, g._blocks, g._columns)
-        if first is None:
-            return None
+    check_pair_scan(g.n)
+    # the expectation depends on A and V(S) only: each block's singleton rows summed over A,
+    # compared wherever a coalition containing A produces the outcome; ascending rank in a
+    # frame is ascending player, so the sums add in the scan's order
+    off = np.empty(len(g._blocks.cells), dtype=bool)
+    for _, cells, flags in g._blocks.groups(g._blocks.cells, off):
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite sum is off
+            sums = subset_sums(cells[1 << np.arange(len(cells).bit_length() - 1)])
+            np.logical_not(np.isfinite(sums), out=flags)
+            flags |= np.abs(np.subtract(cells, sums, out=sums), out=sums) > tol
+    first = first_nested_cell(off, g._blocks, g._columns)
+    if first is None:
+        return None
     terms = _member_terms(g) if terms is None else terms
     return _first_mismatch(g, "additive expectation", tol, terms, True, first)
 
@@ -162,9 +160,9 @@ class BiAdditiveMatrix:
         """The bi-additive team game this matrix determines.
 
         Outcomes are the coalition masks themselves (the consequence map is
-        the identity), so u_A(S), the sum over a in A of m[a]'s row sum over
-        S, is defined for every subset and every coalition. A row sum past the
-        float range, the utility u_a(S), raises ``NumericOverflowError``.
+        the identity), and u_A(S) sums m[a]'s row sum over S for a in A, on the
+        frames of ``STGame._tabulate``. A row sum past the float range, the
+        utility u_a(S), raises ``NumericOverflowError``, as does a stored u_A(S).
         """
         outcomes, columns = coalition_outcomes(self.n)
         with np.errstate(over="ignore"):  # refused below

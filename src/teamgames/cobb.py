@@ -204,10 +204,10 @@ def st_game_view(
 ) -> STGame:
     """The game as a generic team game, so every cooperation metric applies.
 
-    Outcomes are coalition masks (the consequence map is the identity); for
-    assessors not contained in the coalition only their members inside get
-    paid, which extends the utility totally without touching any value the
-    metrics read.
+    Outcomes are coalition masks (the consequence map is the identity),
+    tabulated at construction on the frames of ``STGame._tabulate``: every
+    assessor inside the coalition, and every assessor at a one-player
+    coalition, of whom only the members inside get paid.
     """
     from .st import STGame, coalition_outcomes
 
@@ -223,7 +223,7 @@ def st_game_view(
         group = (total[inside], heads[inside], reserve[a])
         return _group_utility(scheme, cfg, group, (total[s], heads[s]))[1]
 
-    return STGame(n, outcomes, player_names(n, players), columns, assess)
+    return STGame._tabulate(n, outcomes, columns, player_names(n, players), assess)
 
 
 def cd_coop_point(scheme, cfg, profile, a: PlayerSet, b: PlayerSet) -> CoopPoint:

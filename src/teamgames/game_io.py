@@ -550,8 +550,6 @@ def document_for(game) -> dict:
         }
     if isinstance(game, _loaded(".st", "STGame")):
         consequence, utilities = game.consequence_table, game.utility_table
-        if consequence is None or utilities is None:
-            raise ValueError("only tabulated team games can be serialized")
         _require_names(game.players, "player")
         _require_names(game.outcomes, "outcome")
         return {

@@ -267,21 +267,21 @@ FIRST_CHUNK = 1 << 6   # pairs in a scan's first chunk, so early exits stay chea
 PAIR_CHUNK = 1 << 14
 
 
-def mask_pairs(n: int, *, nested: bool = False, nonempty: bool = False):
+def mask_pairs(n: int, *, nested: bool = False):
     """Every mask pair of a 3^n scan over players 0..n-1, in chunks of parallel int64 arrays.
 
     Yields ``(outer, inner)`` arrays ascending in (outer, inner): outer runs
-    over the nonempty masks below 2^n; inner over the submasks of outer
-    (``nested``) or of its complement (disjoint), the empty one skipped
-    when ``nonempty``. Pairs are numbered in that order and chunks are
-    consecutive ranges of the numbering, so a scan that stops at the first
-    violating entry of a chunk stops at the first violating pair, and no
-    pair array outgrows the chunk size whatever the team size.
+    over the nonempty masks below 2^n; inner over the nonempty submasks of
+    outer (``nested``) or of its complement (disjoint). Pairs are numbered in
+    that order and chunks are consecutive ranges of the numbering, so a scan
+    that stops at the first violating entry of a chunk stops at the first
+    violating pair, and no pair array outgrows the chunk size whatever the
+    team size.
     """
     full = (1 << n) - 1
     outer = np.arange(1, full + 1, dtype=np.int64)
     sizes = mask_sizes(n)[1:]
-    counts = np.left_shift(1, sizes if nested else n - sizes) - int(nonempty)
+    counts = np.left_shift(1, sizes if nested else n - sizes) - 1
     ends = np.cumsum(counts)
     starts = ends - counts
     total = int(ends[-1]) if len(ends) else 0
@@ -291,24 +291,26 @@ def mask_pairs(n: int, *, nested: bool = False, nonempty: bool = False):
         pos = np.searchsorted(ends, index, side="right")
         x = outer[pos]
         done += len(index)
-        index -= starts[pos] - int(nonempty)  # the pair's rank among its outer's
+        index -= starts[pos] - 1  # the pair's rank among its outer's, the empty inner skipped
         inner = pdep(index, x if nested else full ^ x, n)
         del pos, index  # only the pair's arrays stay alive while the chunk is tested
         yield x, inner
         size = min(2 * size, PAIR_CHUNK)
 
 
-def first_pair(n: int, test, *, nested: bool = False, nonempty: bool = False):
-    """The first pair of a :func:`mask_pairs` scan that ``test`` flags, or None.
-
-    ``test(outer, inner)`` takes one chunk and returns ``(bad, *values)``, a
-    boolean array flagging pairs and arrays of the chunk's length; the
-    result is ``(outer, inner, *values)`` at the first flagged pair in scan
-    order, as Python scalars. A scan over more than ``MAX_PAIR_SCAN`` players
-    is refused before ``test`` sees a chunk.
-    """
+def first_pair(n: int, test, *, nested: bool = False):
+    """The first pair of a :func:`mask_pairs` scan that ``test`` flags, or None; a scan over
+    more than ``MAX_PAIR_SCAN`` players is refused before ``test`` sees a chunk."""
     check_pair_scan(n)
-    for outer, inner in mask_pairs(n, nested=nested, nonempty=nonempty):
+    return first_flagged(test, mask_pairs(n, nested=nested))
+
+
+def first_flagged(test, chunks):
+    """The first pair of ``chunks``, ``(outer, inner)`` arrays, that ``test`` flags, or None.
+    ``test(outer, inner)`` returns ``(bad, *values)``, a boolean array flagging pairs and arrays
+    of the chunk's length; the result is ``(outer, inner, *values)`` at the first flagged pair
+    in scan order, as Python scalars."""
+    for outer, inner in chunks:
         bad, *values = test(outer, inner)
         if bad.any():
             k = int(np.argmax(bad))

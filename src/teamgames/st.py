@@ -20,6 +20,7 @@ B empty therefore reduce to m_A(A) = u_A(V(A)).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,8 +34,9 @@ from .errors import (
     SizeLimitError,
 )
 from .limits import DEFAULT_TOL, check_tol
+from . import players as _players
 from .players import (
-    PlayerSet, check_pair_scan, check_subset_array, first_nested_cell, first_pair, member_sum,
+    PlayerSet, check_pair_scan, check_subset_array, first_flagged, first_nested_cell, member_sum,
     pdep, pext, player_names, require_disjoint, require_fit, subset_closure, subset_label,
     subset_sums,
 )
@@ -105,6 +107,18 @@ class _Blocks(NamedTuple):
         ranks = np.arange(rows)[:, None]
         return ranks if rows == 1 << self.n else pdep(ranks, self.frames[positions], self.n)
 
+    def entries(self, flags: np.ndarray):
+        """(assessor masks, outcome positions, values) of the flagged cells of nonempty
+        assessors, ascending in (assessor, position), for ``flags`` laid out as the cells."""
+        parts = []
+        for group, block, cells in self.groups(flags, self.cells):
+            rows, cols = np.nonzero(block[1:])
+            a = pdep(rows + 1, self.frames[group[cols]], self.n)
+            parts.append((a, group[cols], cells[rows + 1, cols]))
+        a, j, values = map(np.concatenate, zip(*parts))
+        order = np.lexsort((j, a))
+        return a[order], j[order], values[order]
+
 
 def _frame_groups(frames: np.ndarray, n: int):
     """For each frame size k, ascending: the positions of the outcomes whose frames have k
@@ -130,18 +144,14 @@ def _require_players(n: int) -> None:
 class STGame:
     """Team game with per-subset outcome assessments.
 
-    Every game is two things: ``_columns[S]``, the position in ``outcomes``
-    of V(S) for every coalition mask S, and ``_assess(a, j)``, the value of
-    outcome position j to assessor mask a, for two int arrays of one shape
-    or two ints. Structured games compute it in closed form; only
-    :meth:`from_functions` calls user code per element. A tabulated game
-    reads it from ``_blocks``, which stores u_A(o_j) only on the frame of
-    o_j: the union of the coalitions that produce it and of the assessors
-    its entries name, the only assessors a reachable assessment names. An
-    assessor outside the frame, or a cell with no entry, reads NaN; the
-    empty assessor reads 0. A table whose frames are all the team is the
-    dense 2^n x |outcomes| array. Pair kernels read games through :meth:`u`;
-    the lattice closures that decide a tabulated game's predicates read its
+    Every game is a table: ``_columns[S]``, the position in ``outcomes`` of
+    V(S) for every coalition mask S, and ``_blocks``, which stores u_A(o_j)
+    only on the frame of o_j: the union of the coalitions that produce it and
+    of the assessors its entries name (see :meth:`_tabulate` for closed
+    forms). An assessor outside the frame, or a cell with no entry, reads
+    NaN; the empty assessor reads 0. A table whose frames are all the team is
+    the dense 2^n x |outcomes| array. Pair kernels read games through
+    :meth:`u`; the lattice closures that decide the predicates read the
     blocks, one frame-size group at a time. A team has at least one player.
     """
 
@@ -149,11 +159,12 @@ class STGame:
     outcomes: tuple
     players: tuple[str, ...]
     _columns: np.ndarray
-    _assess: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    _blocks: _Blocks | None = None
+    _blocks: _Blocks
 
     def __post_init__(self):
         _require_players(self.n)
+        self._columns.flags.writeable = False
+        self._blocks.cells.flags.writeable = False
 
     @classmethod
     def from_tables(
@@ -262,95 +273,82 @@ class STGame:
                 f"at outcome {outcomes[columns[s]]!r} (reachable via coalition "
                 f"{subset_label(s, players)})"
             )
-        columns.flags.writeable = False
-        blocks.cells.flags.writeable = False
-        if blocks.dense:
-            table = blocks.cells.reshape(1 << n, len(outcomes))
-            return cls(n, outcomes, players, columns, lambda a, j: table[a, j], blocks)
-
-        def assess(a, j):
-            value = cells[blocks.index(a, j)]  # read before the frame test's arrays exist
-            return np.where(a & ~frames[j], np.nan, value)
-
-        return cls(n, outcomes, players, columns, assess, blocks)
+        return cls(n, outcomes, players, columns, blocks)
 
     @classmethod
     def from_functions(
-        cls,
-        n: int,
-        outcomes,
-        consequence: Callable[[PlayerSet], Outcome],
-        utility: Callable[[PlayerSet, Outcome], float],
-        players=None,
+        cls, n: int, outcomes, consequence: Callable[[PlayerSet], Outcome],
+        utility: Callable[[PlayerSet, Outcome], float], players=None,
     ) -> STGame:
-        """Game over callables: ``consequence`` is read once per coalition here and must
-        name a declared outcome; ``utility`` is called per element a kernel reads."""
+        """Game over callables, read here: ``consequence`` once per coalition, naming a
+        declared outcome, and ``utility`` once per cell :meth:`_tabulate` stores."""
         _require_players(n)
         outcomes = tuple(outcomes)
         players = player_names(n, players)
         columns = _outcome_columns(n, outcomes, consequence, players)
 
         def assess(a, j):
-            a, j = np.broadcast_arrays(a, j)
             pairs = zip(a.ravel().tolist(), j.ravel().tolist())
-            values = [float(utility(PlayerSet(m), outcomes[k])) if m else 0.0 for m, k in pairs]
+            values = [float(utility(PlayerSet(m), outcomes[k])) for m, k in pairs]
             return np.array(values, dtype=float).reshape(a.shape)
 
-        return cls(n, outcomes, players, columns, assess)
+        return cls._tabulate(n, outcomes, columns, players, assess)
 
     @classmethod
     def additive(cls, n: int, outcomes, columns, values, players=None) -> STGame:
         """Additive game: u_A(o_j) is the sum of ``values[i, j]`` over the members i of A,
-        where o_j is ``outcomes[j]`` and ``columns[S]`` is the position of V(S). A sum past
-        the float range raises ``NumericOverflowError`` naming its assessor and outcome."""
+        where o_j is ``outcomes[j]`` and ``columns[S]`` is the position of V(S), tabulated on
+        the frames of :meth:`_tabulate`. A stored sum past the float range is refused."""
         _require_players(n)
         values = np.array(values, dtype=float)
-        outcomes, players = tuple(outcomes), player_names(n, players)
-
-        def refuse(a: int, j: int):
-            raise NumericOverflowError(f"the utility of {subset_label(a, players)} at outcome "
-                                       f"{outcomes[j]!r} is past the float range")
 
         def assess(a, j):
-            if isinstance(a, int):  # one read: a loop over A's members beats n array passes
-                total = sum(values.item(i, j) for i in range(n) if a >> i & 1)
-                if math.isinf(total):
-                    refuse(a, j)
-                return total
-            with np.errstate(over="ignore"):  # refused below
-                total = member_sum(n, a, lambda i, sel: values[i, j[sel]])
-            past = np.isinf(total)
-            if past.any():
-                k = int(np.argmax(past))
-                refuse(int(a.flat[k]), int(j.flat[k]))
-            return total
+            with np.errstate(over="ignore"):  # refused by _tabulate
+                return member_sum(n, a, lambda i, sel: values[i, j[sel]])
 
-        return cls(n, outcomes, players, columns, assess)
+        return cls._tabulate(n, tuple(outcomes), columns, player_names(n, players), assess)
+
+    @classmethod
+    def _tabulate(cls, n: int, outcomes: tuple, columns, players, assess) -> STGame:
+        """The table of a closed form ``assess(a, j)``, the value of outcome positions j to
+        assessor masks a (broadcast int64 arrays), called once per frame-size group. Outcome
+        j's frame joins the coalitions that produce it, or is the team when a one-player one
+        does: every nested read and perception u_A(V({b})) is stored. A cell past the float
+        range raises ``NumericOverflowError``, a NaN one ``ValueError``, naming the first
+        nested one, else the first in (assessor, j) order."""
+        frames = np.zeros(len(outcomes), dtype=np.int64)
+        np.bitwise_or.at(frames, columns[1:], np.arange(1, 1 << n))
+        frames[columns[1 << np.arange(n)]] = (1 << n) - 1
+        blocks = _Blocks.layout(frames, n)
+        for positions, cells in blocks.groups(blocks.cells):
+            cells[0] = 0.0
+            cells[1:] = assess(*np.broadcast_arrays(
+                blocks.assessors(positions, len(cells))[1:], positions))
+        bad = ~np.isfinite(blocks.cells)
+        if bad.any():
+            first = first_nested_cell(bad.copy(), blocks, columns)
+            a, j = ((first[1], columns[first[0]]) if first
+                    else (int(k[0]) for k in blocks.entries(bad)[:2]))
+            label, outcome = subset_label(a, players), outcomes[j]
+            if math.isnan(blocks.cells[blocks.index(a, j)]):
+                raise ValueError(
+                    f"utility of assessor {label} at outcome {outcome!r} is not a number")
+            raise NumericOverflowError(
+                f"the utility of {label} at outcome {outcome!r} is past the float range")
+        return cls(n, outcomes, players, columns, blocks)
 
     @property
-    def utility_table(self) -> Mapping[tuple[int, Outcome], float] | None:
-        """Read-only (assessor mask, outcome) -> value map of a tabulated game's
-        entries in ascending (assessor, outcome position) order, built on each
-        access; ``None`` for other games."""
-        if self._blocks is None:
-            return None
-        assessors, positions, values = [], [], []
-        for group, block in self._blocks.groups(self._blocks.cells):
-            rows, cols = np.nonzero(~np.isnan(block[1:]))
-            positions.append(group[cols])
-            assessors.append(pdep(rows + 1, self._blocks.frames[group[cols]], self.n))
-            values.append(block[rows + 1, cols])
-        assessors, positions, values = map(np.concatenate, (assessors, positions, values))
-        order = np.lexsort((positions, assessors))
-        keys = zip(assessors[order].tolist(), (self.outcomes[j] for j in positions[order].tolist()))
-        return MappingProxyType(dict(zip(keys, values[order].tolist())))
+    def utility_table(self) -> Mapping[tuple[int, Outcome], float]:
+        """Read-only (assessor mask, outcome) -> value map of the game's stored cells of
+        nonempty assessors in ascending (assessor, outcome position) order, built on each
+        access."""
+        assessors, positions, values = self._blocks.entries(~np.isnan(self._blocks.cells))
+        keys = zip(assessors.tolist(), (self.outcomes[j] for j in positions.tolist()))
+        return MappingProxyType(dict(zip(keys, values.tolist())))
 
     @property
-    def consequence_table(self) -> Mapping[int, Outcome] | None:
-        """Read-only coalition mask -> outcome map of a tabulated game, built on
-        each access; ``None`` for other games."""
-        if self._blocks is None:
-            return None
+    def consequence_table(self) -> Mapping[int, Outcome]:
+        """Read-only coalition mask -> outcome map, built on each access."""
         return MappingProxyType(
             {mask: self.outcomes[j] for mask, j in enumerate(self._columns.tolist()) if mask}
         )
@@ -373,12 +371,19 @@ class STGame:
 
     def u(self, a_masks, s_masks) -> np.ndarray:
         """u_A(V(S)) over broadcast assessor and coalition masks; 0 where A is empty, NaN
-        where a tabulated game has no entry."""
-        return self._assess(*np.broadcast_arrays(a_masks, self._columns[s_masks]))
+        where no cell is stored."""
+        a, j = np.broadcast_arrays(a_masks, self._columns[s_masks])
+        blocks = self._blocks
+        if blocks.dense:
+            return blocks.cells.reshape(1 << self.n, -1)[a, j]
+        value = blocks.cells[blocks.index(a, j)]  # read before the frame test's arrays exist
+        return np.where(a & ~blocks.frames[j], np.nan, value)
 
     @cached_property
-    def _position(self) -> dict:
-        return {outcome: j for j, outcome in enumerate(self.outcomes)}
+    def _block_of(self) -> dict:
+        """Outcome -> (frame, first cell, stride) of its block, as Python ints."""
+        parts = (self._blocks.frames, self._blocks.offsets, self._blocks.strides)
+        return dict(zip(self.outcomes, zip(*(part.tolist() for part in parts))))
 
     # scalar accessors for the per-pair functions
     def _v(self, mask: int) -> Outcome:
@@ -387,11 +392,17 @@ class STGame:
     def _u(self, mask: int, outcome: Outcome) -> float:
         if mask == 0:
             return 0.0
-        j = self._position.get(outcome)  # None: not an outcome of this game
-        value = math.nan if j is None else float(self._assess(int(mask), j))
-        if value != value:  # NaN: no entry
-            raise MissingUtilityError(subset_label(mask, self.players), outcome)
-        return value
+        frame, offset, stride = self._block_of.get(outcome, (0, 0, 0))  # frame 0: no outcome
+        if mask & frame == mask:
+            rank, rest = 0, mask  # pext(mask, frame): member bit b goes to |frame below b|
+            while rest:
+                low = rest & -rest
+                rank |= 1 << (frame & (low - 1)).bit_count()
+                rest ^= low
+            value = self._blocks.cells.item(offset + rank * stride)
+            if value == value:  # not NaN: a stored cell
+                return value
+        raise MissingUtilityError(subset_label(mask, self.players), outcome)
 
 
 def __getattr__(name: str):
@@ -609,17 +620,8 @@ def is_sensible(g: STGame, tol: float = DEFAULT_TOL) -> bool:
     B-empty case (self-assessments nonnegative).
     """
     check_tol(tol)
-    if g._blocks is not None:
-        # T's gap to the most any B inside T, the empty one at 0, values V(T); B = T adds
-        # u_T - u_T, never below -tol
-        return not np.any(_bystander_gap(g, np.fmax, 0.0) < -tol)
-
-    def loses(a, b):  # A|B values its outcome below B's assessment of it
-        union = a | b
-        with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
-            return (g.u(union, union) - g.u(b, union) < -tol,)
-
-    return first_pair(g.n, loses) is None
+    # T's gap to the most any B inside T, the empty one at 0, values V(T) (B = T adds 0)
+    return not np.any(_bystander_gap(g, np.fmax, 0.0) < -tol)
 
 
 def _subgame(g: STGame, masks: np.ndarray) -> tuple[_Blocks, np.ndarray]:
@@ -650,12 +652,6 @@ def is_cohesive(g: STGame, s: PlayerSet, tol: float = DEFAULT_TOL) -> bool:
         raise ValueError(f"{s} is not a coalition of a {g.n}-player team")
     check_pair_scan(len(s))  # before any 2^|S| array
     masks = subset_sums(np.left_shift(1, s.members()))  # S's own lattice: b names masks[b]
-    if g._blocks is None:
-        def loses(a, b):  # B values A joining below its own outcome
-            with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
-                return (g.u(masks[b], masks[a | b]) - g.u(masks[b], masks[b]) < -tol,)
-
-        return first_pair(len(s), loses, nonempty=True) is None
     blocks, columns = (g._blocks, g._columns) if len(s) == g.n else _subgame(g, masks)
     # B loses when it values below V(B) an outcome that a coalition above it produces; the
     # coalition B itself adds u_B(V(B)) - u_B(V(B)), never below -tol
@@ -716,12 +712,14 @@ def reduce_to_tu(g: STGame, tol: float = DEFAULT_TOL) -> TUGame:
             c = g.u(union, union) - g.u(b, union)
         return np.abs(c) > tol, c
 
-    witness = None
+    check_pair_scan(g.n)
+    chunks = _players.mask_pairs(g.n)
+    witness = first_flagged(competes, itertools.islice(chunks, 1))  # a witness near the start
     # some nonempty B inside a coalition T values V(T) more than tol off u_T when the least or
     # the most such u_B(V(T)) does; B = T adds u_T - u_T, never more than tol off
-    if g._blocks is None or any(np.any(np.abs(_bystander_gap(g, fold, np.nan)) > tol)
-                                for fold in (np.fmin, np.fmax)):
-        witness = first_pair(g.n, competes, nonempty=True)
+    if witness is None and any(np.any(np.abs(_bystander_gap(g, fold, np.nan)) > tol)
+                               for fold in (np.fmin, np.fmax)):
+        witness = first_flagged(competes, chunks)
     if witness is not None:
         a, b, c = witness
         pair_value(c, "competitive contribution", a, b, g.players)  # raises when infinite

@@ -160,7 +160,7 @@ def is_superadditive(game: TUGame, tol: float = DEFAULT_TOL) -> bool:
         return u[a | b] < total - tol, total
 
     with np.errstate(over="ignore", invalid="ignore"):
-        first = first_pair(game.n, test, nonempty=True)
+        first = first_pair(game.n, test)
     if first is None:
         return True
     if not math.isfinite(first[2]):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from teamgames.additivity import BiAdditiveMatrix
-from teamgames.players import mask_sizes, member_sum, player_names
+from teamgames.players import PlayerSet, mask_sizes, player_names
 from teamgames.st import STGame, coalition_outcomes
 from teamgames.tu import TUGame
 
@@ -66,36 +66,30 @@ def random_coadditive_game(
     perceptions nonnegative and growing with the assessing subset, which
     yields a sensible and fully cooperative game.
     """
-    outcomes, columns = coalition_outcomes(n)
+    outcomes, _ = coalition_outcomes(n)  # refuses a team past the coalition-array limit
     shape = (len(outcomes), n)
     if monotone:
         draws = 0.3 * mask_sizes(n)[1:, None] + rng.uniform(0.0, 0.2, size=shape)
     else:
         draws = rng.uniform(-1.0, 1.0, size=shape)
     perception = np.vstack([np.zeros(n), draws])  # row 0: the empty assessor perceives nothing
+    return coadditive_game(n, perception)
 
-    def assess(a, j):
-        s = j + 1  # outcome position j is coalition mask j + 1
-        if isinstance(a, int):  # one read: a loop over the members of S beats n array passes
-            return sum(perception.item(a, b) for b in range(n) if s >> b & 1)
-        return member_sum(n, s, lambda b, sel: perception[a[sel], b])
 
-    return STGame(n, outcomes, player_names(n), columns, assess)
+def coadditive_game(n: int, perception) -> STGame:
+    """u_A(V(S)) with V(S) = S: the sum of ``perception[A, b]`` over the members b of S, in
+    ascending player order."""
+    perception = np.asarray(perception, dtype=float)
+    outcomes = tuple(range(1, 1 << n))
+
+    def utility(a, s):
+        return sum(perception.item(a.mask, b) for b in PlayerSet(s))
+
+    return STGame.from_functions(n, outcomes, lambda s: s.mask, utility)
 
 
 def random_biadditive_matrix(n: int, rng: np.random.Generator) -> BiAdditiveMatrix:
     return BiAdditiveMatrix(n, rng.uniform(-1.0, 1.0, size=(n, n)))
-
-
-def tabulate(game: STGame) -> STGame:
-    """Materialize a game into tables (e.g. for serialization).
-
-    Entries cover every (assessor, outcome) pair, so detectors needing
-    assessments outside nested pairs keep working.
-    """
-    rows, positions = np.indices(((1 << game.n) - 1, len(game.outcomes)))
-    values = game._assess(rows + 1, positions)
-    return _full_table(game.n, game.outcomes, game._columns, values, game.players)
 
 
 def monotone_series(n: int, rng: np.random.Generator) -> STGame:

@@ -26,7 +26,6 @@ from random_games import (
     random_biadditive_matrix,
     random_coadditive_game,
     random_st_game,
-    tabulate,
 )
 from teamgames.scenarios import builtin_game
 from teamgames.st import (
@@ -112,9 +111,8 @@ class TestDetectors:
     def test_detectors_monotone_in_tolerance(self):
         rng = np.random.default_rng(5)
         base = random_biadditive_matrix(3, rng).to_game()
-        noisy = tabulate(base)
-        table = {k: v + float(rng.uniform(-1e-7, 1e-7)) for k, v in noisy.utility_table.items()}
-        noisy = STGame.from_tables(3, noisy.outcomes, dict(noisy.consequence_table), table)
+        table = {k: v + float(rng.uniform(-1e-7, 1e-7)) for k, v in base.utility_table.items()}
+        noisy = STGame.from_tables(3, base.outcomes, dict(base.consequence_table), table)
         accepted_at = [tol for tol in (1e-9, 1e-6, 1e-3) if is_biadditive(noisy, tol)]
         assert accepted_at == [] or accepted_at == [1e-6, 1e-3] or accepted_at == [1e-3]
         if is_biadditive(noisy, 1e-6):
@@ -211,9 +209,13 @@ class TestFloatRange:
         assert str(got.value) == f"the utility of {label} is past the float range"
 
     def test_row_sums_at_the_float_limit_build_the_game(self):
-        g = BiAdditiveMatrix(2, [[1.7e308, -1.7e308], [1e308, 0.0]]).to_game()
+        g = BiAdditiveMatrix(2, [[1.7e308, -1.7e308], [0.0, 1e308]]).to_game()
         assert [g.u(1, s) for s in (1, 2, 3)] == [1.7e308, -1.7e308, 0.0]
         assert g.u(2, 3) == 1e308
+        # every row sum is finite, but the stored perception u_{0,1}(V({0})) is not
+        with pytest.raises(NumericOverflowError) as got:
+            BiAdditiveMatrix(2, [[1.7e308, -1.7e308], [1e308, 0.0]]).to_game()
+        assert str(got.value) == "the utility of {0,1} at outcome 1 is past the float range"
 
     def test_a_row_sum_the_reconstruction_never_reads_may_overflow(self):
         # player 0's row overflows over {1,2}, which holds no assessor 0, not over {0,1,2}
@@ -399,8 +401,8 @@ class TestFastMetricsPastTheFloatRange:
                                   "the float range")
 
     def test_an_additive_marginal(self):
-        # altruism and competitive part 1e308 each
-        game = BiAdditiveMatrix(2, [[1e308, 0.0], [1e308, 0.0]]).to_game()
+        # altruism and competitive part 1e308 each, from finite cells
+        game = BiAdditiveMatrix(2, [[0.0, 1e308], [1e308, -1e308]]).to_game()
         with pytest.raises(NumericOverflowError) as got:
             additive_metrics(game, PlayerSet.of(0), PlayerSet.of(1))
         assert str(got.value) == "the total marginal of {0} against {1} is past the float range"
@@ -428,7 +430,8 @@ class TestFastMetricsPastTheFloatRange:
         assert fast_metrics(matrix, PlayerSet.of(0), PlayerSet.of(1)) == (1e308, 0.0, 1e308)
         assert fast_metrics(matrix, PlayerSet.of(1), PlayerSet.of(0)) == (-1.7e308, 1e308,
                                                                           -1.7e308 + 1e308)
-        game = matrix.to_game()
+        # to_game stores u_{0,1}(V({0})) = 1.7e308 + 1e308, so its game swaps player 0's row
+        game = BiAdditiveMatrix(2, [[-1.7e308, 1.7e308], [1e308, 0.0]]).to_game()
         assert additive_metrics(game, PlayerSet.of(0), PlayerSet.of(1)) == (1e308, 0.0, 1e308)
 
 

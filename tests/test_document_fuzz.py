@@ -24,7 +24,7 @@ import pytest
 from teamgames.cli import main
 from teamgames.errors import GameLoadError
 from teamgames.game_io import document_for, load_game, parse_document
-from random_games import random_st_game, random_tu_game, tabulate
+from random_games import random_st_game, random_tu_game
 from teamgames.scenarios import SCENARIOS
 from teamgames.st import STGame
 from teamgames.tu import random_convex_game
@@ -48,7 +48,7 @@ def _additive_document(n, outcome_of, count, rng):
     outcomes = tuple(f"o{j}" for j in range(count))
     columns = np.array([outcome_of(s) if s else 0 for s in range(1 << n)])
     values = rng.uniform(-2.0, 2.0, size=(n, count)).round(2)
-    return document_for(tabulate(STGame.additive(n, outcomes, columns, values)))
+    return document_for(STGame.additive(n, outcomes, columns, values))
 
 
 def base_documents(seed):

@@ -578,9 +578,9 @@ def test_tu_round_trip(tmp_path):
 
 
 def test_games_with_unreadable_names_are_not_written(tmp_path):
-    from random_games import random_additive_game, tabulate
+    from random_games import random_additive_game
 
-    game = tabulate(random_additive_game(3, np.random.default_rng(5)))
+    game = random_additive_game(3, np.random.default_rng(5))
     assert not isinstance(game.outcomes[0], str)
     path = tmp_path / "additive.game"
     with pytest.raises(ValueError, match=rf"^outcome {game.outcomes[0]!r}: "):
@@ -605,10 +605,20 @@ def test_games_with_unreadable_names_are_not_written(tmp_path):
             document_for(TUGame(2, np.array([0.0, 1.0, 1.0, 3.0]), players))
 
 
-def test_functional_games_cannot_serialize():
-    game = STGame.from_functions(2, ("x",), lambda s: "x", lambda a, x: 1.0)
-    with pytest.raises(ValueError, match="tabulated"):
-        document_for(game)
+def test_functional_games_round_trip(tmp_path):
+    """Every team game is a table, so a game over callables round-trips too: its document
+    holds every stored cell, and both tables come back equal."""
+    outcomes = ("alone", "pair", "all")
+    game = STGame.from_functions(
+        3, outcomes, lambda s: outcomes[len(s) - 1],
+        lambda a, x: len(a) * (outcomes.index(x) + 0.5) - 0.25 * (0 in a), ("x", "y", "z"))
+    path = tmp_path / "functional.game"
+    save_game(game, path)
+    again = load_game(path)
+    assert (again.players, again.outcomes) == (game.players, game.outcomes)
+    assert dict(again.consequence_table) == dict(game.consequence_table)
+    assert dict(again.utility_table) == dict(game.utility_table)
+    assert len(game.utility_table) == 3 * 7
 
 
 def test_write_table_deterministic_and_full_precision(tmp_path):

@@ -22,6 +22,7 @@ import reference_loops as ref
 import teamgames
 import teamgames.additivity as additivity
 import teamgames.players as players
+import teamgames.st as st
 from teamgames.additivity import (
     AdditiveReport,
     BiAdditiveMatrix,
@@ -41,17 +42,17 @@ from teamgames.cobb import (
     st_game_view, zero_altruism_contour,
 )
 from teamgames.errors import (
-    NotReducibleError, NumericOverflowError, SizeLimitError, StructureError,
+    MissingUtilityError, NotReducibleError, NumericOverflowError, SizeLimitError, StructureError,
 )
 from teamgames.players import FIRST_CHUNK, MAX_PAIR_SCAN, PAIR_CHUNK, PlayerSet, mask_pairs
 from random_games import (
+    coadditive_game,
     monotone_series,
     random_additive_game,
     random_biadditive_matrix,
     random_coadditive_game,
     random_st_game,
     random_tu_game,
-    tabulate,
 )
 from teamgames.st import (
     MAX_TABLE_CELLS,
@@ -80,14 +81,13 @@ def _nested_entry(n, rng):
 
 
 def _perturbed(game, rng, scale=0.5):
-    """Tabulated copy of a game with one reachable assessment shifted."""
-    table = tabulate(game)
-    utilities = dict(table.utility_table)
+    """Copy of a game with one reachable assessment shifted."""
+    utilities = dict(game.utility_table)
     a_mask, s_mask = _nested_entry(game.n, rng)
-    key = (a_mask, table._v(s_mask))
+    key = (a_mask, game._v(s_mask))
     utilities[key] += scale
     return STGame.from_tables(
-        game.n, table.outcomes, dict(table.consequence_table), utilities, game.players
+        game.n, game.outcomes, dict(game.consequence_table), utilities, game.players
     )
 
 
@@ -100,21 +100,19 @@ def _competition_free(n, rng):
 
 
 def _sparse(game, rng, others=0.5):
-    """Tabulated copy keeping every reachable entry and about a share ``others`` of the
-    others."""
-    table = tabulate(game)
+    """Copy keeping every reachable entry and about a share ``others`` of the others."""
     reachable = {
-        (a_mask, table._v(s_mask))
+        (a_mask, game._v(s_mask))
         for s_mask in range(1, 1 << game.n)
         for a_mask in ref.iter_submasks(s_mask, nonempty=True)
     }
     utilities = {
         key: value
-        for key, value in table.utility_table.items()
+        for key, value in game.utility_table.items()
         if key in reachable or rng.random() < others
     }
     return STGame.from_tables(
-        game.n, table.outcomes, dict(table.consequence_table), utilities, game.players
+        game.n, game.outcomes, dict(game.consequence_table), utilities, game.players
     )
 
 
@@ -137,7 +135,6 @@ def _games(n, seed):
         "from_ntu": from_ntu(n, outcomes, {m: m for m in outcomes}, individual),
         "competition_free": _competition_free(n, rng),
     }
-    games["biadditive_tabulated"] = tabulate(games["biadditive"])
     games["biadditive_perturbed"] = _perturbed(games["biadditive"], rng)
     games["biadditive_sparse"] = _sparse(games["biadditive"], rng)
     games["additive_perturbed"] = _perturbed(games["additive_monotone"], rng)
@@ -255,14 +252,13 @@ def _tables(n, seed):
     families that pass, copies whose entries reach 1.5e308, and copies with the reachable
     entries only, whose outcomes' frames are narrower than the team."""
     rng = np.random.default_rng(2000 * n + seed)
-    games = {name: g if g.consequence_table is not None else tabulate(g)
-             for name, g in _games(n, seed).items()}
+    games = dict(_games(n, seed))
     for name in ("monotone_series", "additive_monotone", "coadditive_monotone",
                  "competition_free"):
         games[f"{name}_sparse"] = _sparse(games[name], rng)
     for name in ("random_st_few_outcomes", "additive_monotone", "competition_free"):
         games[f"{name}_huge"] = _scaled(games[name])
-    for name in ("random_st", "monotone_series", "biadditive_tabulated", "additive_perturbed",
+    for name in ("random_st", "monotone_series", "biadditive", "additive_perturbed",
                  "competition_free"):
         games[f"{name}_reachable"] = _sparse(games[name], rng, others=0.0)
     games["competition_free_reachable_huge"] = _scaled(games["competition_free_reachable"])
@@ -272,8 +268,8 @@ def _tables(n, seed):
 @pytest.mark.parametrize("n,seed", CASES)
 def test_blocks_read_as_the_dense_table(n, seed):
     """Every table family reads, through ``u`` and ``utility_table``, as the dense assessor x
-    outcome table built here from the entries each was made of: NaN where no entry was
-    given, 0 for the empty assessor."""
+    outcome table built here from the entries each was made of (for a closed form, the
+    cells it stored): NaN where no entry was given, 0 for the empty assessor."""
     build, made = STGame.from_entries.__func__, {}
 
     def recording(cls, n, outcomes, columns, assessors, positions, values, players):
@@ -292,7 +288,14 @@ def test_blocks_read_as_the_dense_table(n, seed):
     masks = np.arange(1 << n)
     narrow = 0
     for name, g in tables.items():
-        dense = made[id(g)][1]
+        if id(g) in made:
+            dense = made[id(g)][1]
+        else:
+            dense = np.full((1 << n, len(g.outcomes)), np.nan)
+            dense[0] = 0.0
+            position = {outcome: j for j, outcome in enumerate(g.outcomes)}
+            for (a, outcome), value in g.utility_table.items():
+                dense[a, position[outcome]] = value
         got = g.u(masks[:, None], masks[None, :])
         assert np.array_equal(got, dense[:, g._columns], equal_nan=True), name
         rows, cols = np.nonzero(~np.isnan(dense[1:]))
@@ -361,13 +364,20 @@ def test_size_outcome_tables_place_entries_without_frames(n, noise):
 
 @pytest.fixture
 def pair_scans(monkeypatch):
-    """The list of pair scans started."""
+    """The number of chunks read by each pair scan started, one entry a scan."""
     started = []
     walk = players.mask_pairs
 
     def counting(*args, **kwargs):
-        started.append(args)
-        return walk(*args, **kwargs)
+        started.append(0)
+        scan = len(started) - 1
+
+        def chunks():
+            for chunk in walk(*args, **kwargs):
+                started[scan] += 1
+                yield chunk
+
+        return chunks()
 
     monkeypatch.setattr(players, "mask_pairs", counting)
     return started
@@ -378,8 +388,9 @@ def pair_scans(monkeypatch):
 def test_closures_match_reference(n, seed, tol, pair_scans):
     """The closure-decided predicates give the reference walk's answers. One that holds
     starts no pair scan, and neither does the additive detector's violation, located from
-    its closure; a reduction's violation is located by the pair kernel. Every witness and
-    message is the walk's."""
+    its closure. A reduction reads the first chunk of its pair scan, and reads on only when
+    its closures find a violation, which the pair kernel locates. Every witness and message
+    is the walk's."""
     for name, g in _tables(n, seed).items():
         before = len(pair_scans)
         assert is_sensible(g, tol) == ref.is_sensible(g, tol), name
@@ -401,7 +412,7 @@ def test_closures_match_reference(n, seed, tol, pair_scans):
                 assert str(got.value) == str(exc), name
         else:
             assert reduce_to_tu(g, tol).u.tolist() == expected.u.tolist(), name
-            assert len(pair_scans) == before, name
+            assert len(pair_scans) == before + 1 and pair_scans[-1] <= 1, name
 
         before = len(pair_scans)
         expected = ref.find_additive_violation(g, tol)
@@ -449,7 +460,8 @@ def test_table_families_reach_both_answers():
 
 
 def _view(table):
-    """``table`` read through callables: a game only the pair kernel decides."""
+    """``table`` read through callables, which its construction reads at every cell of the
+    frames of a closed-form game."""
     return STGame.from_functions(table.n, table.outcomes, lambda s: table._v(s.mask),
                                  lambda a, x: table._u(a.mask, x), table.players)
 
@@ -458,18 +470,25 @@ def _view(table):
 @pytest.mark.parametrize("tol", [1e-9, 0.0, 0.3])
 @pytest.mark.parametrize("n,seed", CASES)
 def test_cohesion_of_every_coalition_matches_reference(n, seed, tol, route, monkeypatch):
-    """Every nonempty coalition of every table gets the reference walk's answer: from the
-    table, by closures on its blocks with no pair scan, or from a view of it through
-    callables, by a scan over the coalition's members. From the table, sensibility, full
-    cooperation and additivity are decided with no pair scan too."""
+    """Every nonempty coalition of every table gets the reference walk's answer, by closures
+    with no pair scan: on the table's blocks, or (route "scans") on those of a view of the
+    table through callables. Only a table with entries left out, sparse or reachable-only,
+    can lack a cell that the view stores, and then the view is refused when it is built.
+    From the table, sensibility, full cooperation and additivity are decided with no pair
+    scan too."""
     def refuse(*args, **kwargs):
         raise AssertionError("a closure-decided predicate scanned pairs")
 
-    if route == "closures":
-        monkeypatch.setattr(players, "mask_pairs", refuse)
+    monkeypatch.setattr(players, "mask_pairs", refuse)
     seen = set()
     for name, table in _tables(n, seed).items():
-        g = table if route == "closures" else _view(table)
+        g = table
+        if route == "scans":
+            try:
+                g = _view(table)
+            except MissingUtilityError:
+                assert "_sparse" in name or "_reachable" in name, name
+                continue
         for mask in range(1, 1 << n):
             expected = ref.is_cohesive(table, PlayerSet(mask), tol)
             assert is_cohesive(g, PlayerSet(mask), tol) == expected, (name, mask)
@@ -485,12 +504,30 @@ def test_cohesion_of_every_coalition_matches_reference(n, seed, tol, route, monk
         assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
-def test_cohesion_past_the_pair_scan_limit_is_refused_before_its_lattice():
-    def utility(a, x):
+@functools.lru_cache(maxsize=None)
+def _past_the_limit_table():
+    """A table of ``MAX_PAIR_SCAN`` + 1 players and one outcome, valued by every assessor at
+    its size."""
+    n = MAX_PAIR_SCAN + 1
+    assessors = np.arange(1, 1 << n)
+    return STGame.from_entries(n, ("x",), np.zeros(1 << n, dtype=np.intp), assessors,
+                               np.zeros(len(assessors), dtype=np.intp),
+                               players.mask_sizes(n)[1:].astype(float),
+                               tuple(map(str, range(n))))
+
+
+def _refuse_reads(monkeypatch):
+    def read(*args):
         raise AssertionError("a utility read past the pair-scan limit")
 
-    n = MAX_PAIR_SCAN + 1
-    g = STGame.from_functions(n, ("x",), lambda s: "x", utility)
+    monkeypatch.setattr(STGame, "u", read)
+    monkeypatch.setattr(STGame, "_u", read)
+
+
+def test_cohesion_past_the_pair_scan_limit_is_refused_before_its_lattice(monkeypatch):
+    g = _past_the_limit_table()
+    n = g.n
+    _refuse_reads(monkeypatch)
     tracemalloc.start()
     try:
         with pytest.raises(SizeLimitError,
@@ -504,7 +541,7 @@ def test_cohesion_past_the_pair_scan_limit_is_refused_before_its_lattice():
 
 def test_cohesion_of_a_coalition_of_a_team_past_the_limit():
     """A coalition of at most ``MAX_PAIR_SCAN`` members is decided in a larger team, from
-    its table by closures and from callables by a scan."""
+    its table and from a view of it through callables."""
     n = MAX_PAIR_SCAN + 1
     table = random_st_game(n, np.random.default_rng(17), n_outcomes=2)
     view = _view(table)
@@ -525,7 +562,7 @@ def test_clean_size_outcome_tables_scan_no_pairs(pair_scans, monkeypatch):
         patched.setattr(players, "mask_pairs", refuse)
         for predicate in (is_sensible, is_fully_cooperative, is_additive):
             assert predicate(g), predicate.__name__
-    coalition = tabulate(random_additive_game(6, np.random.default_rng(3), nonnegative=True))
+    coalition = random_additive_game(6, np.random.default_rng(3), nonnegative=True)
     assert is_sensible(coalition)
     assert len(pair_scans) == 0
 
@@ -556,7 +593,7 @@ def test_predicates_refuse_a_nan_or_negative_tol(predicate, tol):
     if predicate in (is_convex, is_superadditive, in_core):
         game = random_convex_game(3, np.random.default_rng(1))
     else:
-        game = _games(3, 0)["biadditive_tabulated"]
+        game = _games(3, 0)["biadditive"]
     args = [game if arg is GAME else arg for arg in TOL_CALLS[predicate]]
     with pytest.raises(ValueError, match=f"^tol must be a nonnegative number, got {tol}$"):
         predicate(*args, tol=tol)
@@ -579,8 +616,8 @@ def test_maximize_scalar_refuses_a_bracket_without_lo_below_hi(hi):
 
 
 def test_additive_predicates_read_member_terms_once(monkeypatch):
-    """The detector and the report share one read of the per-player terms, on a game the
-    pair kernel decides and on one the closures decide."""
+    """The detector and the report share one read of the per-player terms, on a game with one
+    outcome per coalition and on one with one outcome per coalition size."""
     calls = []
     read = additivity._member_terms
     monkeypatch.setattr(additivity, "_member_terms", lambda g: calls.append(g) or read(g))
@@ -658,7 +695,7 @@ def test_from_tables_refuses_a_table_past_the_cell_limit():
 def _coalition_entries(n):
     """Entry arrays of a team game with one outcome per coalition, V(S) = S at position
     S - 1, that values it at |A| for every nonempty assessor A inside S: sensible."""
-    pairs = list(mask_pairs(n, nested=True, nonempty=True))
+    pairs = list(mask_pairs(n, nested=True))
     coalitions, assessors = (np.concatenate(part) for part in zip(*pairs))
     return (coalitions - 1, assessors,
             players.mask_sizes(n)[assessors].astype(float))
@@ -689,18 +726,17 @@ def test_enumerator_order_and_coverage():
     for n in (0, 1, 3, 4, 8):
         full = (1 << n) - 1
         for nested in (False, True):
-            for nonempty in (False, True):
-                got = [
-                    (int(x), int(y))
-                    for xs, ys in mask_pairs(n, nested=nested, nonempty=nonempty)
-                    for x, y in zip(xs, ys)
-                ]
-                expected = [
-                    (x, y)
-                    for x in ref.iter_submasks(full, nonempty=True)
-                    for y in ref.iter_submasks(x if nested else full & ~x, nonempty=nonempty)
-                ]
-                assert got == expected
+            got = [
+                (int(x), int(y))
+                for xs, ys in mask_pairs(n, nested=nested)
+                for x, y in zip(xs, ys)
+            ]
+            expected = [
+                (x, y)
+                for x in ref.iter_submasks(full, nonempty=True)
+                for y in ref.iter_submasks(x if nested else full & ~x, nonempty=True)
+            ]
+            assert got == expected
 
 
 def _size_outcome_game(n):
@@ -752,18 +788,18 @@ def test_closure_memory_is_table_bounded(predicate):
     assert peak < 1.5 * (len(g.outcomes) << g.n) * 8  # the table's float cells
 
 
-def test_violation_near_the_start_stops_early():
-    n = 14
-    calls = 0
+def test_violation_near_the_start_stops_early(pair_scans, monkeypatch):
+    """A reduction whose witness lies in the first chunk of its pair scan reads that chunk
+    alone and folds no table."""
+    def refuse(*args):
+        raise AssertionError("a reduction folded its table")
 
-    def utility(a, outcome):
-        nonlocal calls
-        calls += 1
-        return -1.0 if a.mask == 1 else float(len(a))
-
-    g = STGame.from_functions(n, ("x",), lambda s: "x", utility)
-    assert not is_sensible(g)
-    assert calls <= 2 * FIRST_CHUNK
+    g = _size_outcome_game(14)
+    monkeypatch.setattr(st, "_bystander_gap", refuse)
+    with pytest.raises(NotReducibleError) as got:
+        reduce_to_tu(g)
+    assert pair_scans == [1]
+    assert (got.value.a, got.value.b, got.value.value) == (PlayerSet.of(0), PlayerSet.of(1), 1.0)
 
 
 def _chunk_seam():
@@ -802,8 +838,9 @@ def test_a_violation_at_a_chunk_seam_is_the_witness(planted):
     assert (witness.value.a.mask, witness.value.b.mask, witness.value.value) == (*pairs[0], -1.0)
 
 
-def test_functional_games_stay_lazy():
-    """A functional game's kernels evaluate what the pairs need, nothing tabulated."""
+def test_functional_games_call_user_code_once_per_cell():
+    """A functional game calls its utility once per stored cell when it is built, and never
+    while a predicate decides it."""
     n = 9
     calls = 0
 
@@ -813,10 +850,12 @@ def test_functional_games_stay_lazy():
         return float(len(a)) * len(PlayerSet(outcome))
 
     g = STGame.from_functions(n, tuple(range(1, 1 << n)), lambda s: s.mask, utility)
-    assert is_sensible(g)
-    pairs = 3**n - 2**n  # u_A(V(A|B)) and u_B(V(A|B)) for every pair with B nonempty
-    assert calls <= 2 * 3**n
-    assert calls >= pairs
+    # a coalition's own outcome at each of its nonempty assessors, and a one-player
+    # coalition's at every nonempty assessor of the team
+    assert calls == (3**n - 2**n - n) + n * (2**n - 1) == len(g.utility_table)
+    built = calls
+    assert is_sensible(g) and is_fully_cooperative(g)
+    assert calls == built
 
 
 @pytest.mark.parametrize(
@@ -829,37 +868,27 @@ def test_pair_scans_refuse_past_the_limit_before_scanning(monkeypatch, scan):
     def refuse(*args, **kwargs):
         raise AssertionError("mask_pairs called past the pair-scan limit")
 
-    def utility(a, x):  # the structure detectors read per-player tables before scanning
-        raise AssertionError("a utility read past the pair-scan limit")
-
-    monkeypatch.setattr(players, "mask_pairs", refuse)
     n = MAX_PAIR_SCAN + 1
     if scan is is_superadditive:
         game = TUGame(n, np.zeros(1 << n))
-    else:
-        game = STGame.from_functions(n, ("x",), lambda s: "x", utility)
+    else:  # the structure detectors read per-player tables before scanning: refuse reads
+        game = _past_the_limit_table()
+        _refuse_reads(monkeypatch)
+    monkeypatch.setattr(players, "mask_pairs", refuse)
     with pytest.raises(SizeLimitError, match=f"pair scans support n <= {MAX_PAIR_SCAN}, got {n}"):
         scan(game)
 
 
 @pytest.mark.parametrize("report", [additive_predicates, coadditive_predicates],
                          ids=lambda report: report.__name__)
-def test_reports_start_two_pair_scans(monkeypatch, report):
-    """The structure detector and one generic predicate scan pairs; the per-player
-    conditions are lattice closures."""
+def test_only_the_co_additive_report_scans_pairs(pair_scans, report):
+    """The co-additive detector scans pairs, once; the additive detector, the generic
+    predicates and the per-player conditions are lattice closures."""
     rng = np.random.default_rng(7)
     game = (random_additive_game(6, rng, nonnegative=True, monotone=True)
             if report is additive_predicates else random_coadditive_game(6, rng, monotone=True))
-    scans = []
-    walk = players.mask_pairs
-
-    def counting(*args, **kwargs):
-        scans.append(args)
-        return walk(*args, **kwargs)
-
-    monkeypatch.setattr(players, "mask_pairs", counting)
     report(game)
-    assert len(scans) == 2
+    assert len(pair_scans) == (report is coadditive_predicates)
 
 
 EDGE_TOL = 2.0**-20  # n + EDGE_TOL is exact, so a planted difference is exactly -EDGE_TOL
@@ -890,20 +919,6 @@ def test_additive_report_at_the_tolerance_edge(n, below):
     assert gains_ok is not below
 
 
-def _coadditive_game(n, perception):
-    """u_A(V(S)) with V(S) = S: the sum of ``perception[A, b]`` over the members b of S."""
-    perception = np.asarray(perception, dtype=float)
-    outcomes, columns = coalition_outcomes(n)
-
-    def assess(a, j):
-        s = j + 1  # outcome position j is coalition mask j + 1
-        if isinstance(a, int):  # one read, as the reference walks make them
-            return sum(perception.item(a, b) for b in range(n) if s >> b & 1)
-        return players.member_sum(n, s, lambda b, sel: perception[a[sel], b])
-
-    return STGame(n, outcomes, tuple(map(str, range(n))), columns, assess)
-
-
 @pytest.mark.parametrize("n", [9, 10])
 @pytest.mark.parametrize("below", [False, True])
 def test_coadditive_report_at_the_tolerance_edge(n, below):
@@ -913,7 +928,7 @@ def test_coadditive_report_at_the_tolerance_edge(n, below):
     perception = np.zeros((1 << n, n))
     perception[1:] = _sizes(n)[:, None]
     perception[(1 << (n - 1)) - 1, 0] = _edge_value(n, below)
-    g = _coadditive_game(n, perception)
+    g = coadditive_game(n, perception)
     sensible_ok, outsiders_ok, monotone_ok = ref.coadditive_predicates(g, EDGE_TOL)
     assert coadditive_predicates(g, EDGE_TOL) == CoadditiveReport(
         sensible_ok, outsiders_ok, outsiders_ok, monotone_ok)
@@ -931,7 +946,7 @@ def test_reports_past_the_float_range_match_the_reference(sign):
     # {0} perceives player 0 at sign * 1.5e308, the grand team at the opposite
     perception = np.zeros((4, 2))
     perception[1, 0], perception[3, 0] = sign * 1.5e308, -sign * 1.5e308
-    coadditive = _coadditive_game(2, perception)
+    coadditive = coadditive_game(2, perception)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values_ok, coop_ok, gains_ok = ref.additive_predicates(additive)
@@ -951,7 +966,7 @@ def test_assessments_monotone_reads_members_only():
     for a in range(1, 1 << n):
         for b in range(n):
             perception[a, b] = a.bit_count() if a >> b & 1 else 1 / a.bit_count()
-    g = _coadditive_game(n, perception)
+    g = coadditive_game(n, perception)
     sensible_ok, outsiders_ok, monotone_ok = ref.coadditive_predicates(g)
     assert coadditive_predicates(g) == CoadditiveReport(sensible_ok, outsiders_ok, outsiders_ok,
                                                         monotone_ok)

@@ -459,14 +459,14 @@ class TestFloatRange:
 
     @pytest.mark.parametrize("kernel", [all_coop_points, reduce_to_tu])
     def test_an_additive_sum_past_the_float_range_names_the_utility(self, kernel):
-        # every row sum is finite, and so is every contribution; u_{0,1}(V({0,1})) is not
-        game = BiAdditiveMatrix(2, [[1e308, 0.0], [1e308, 0.0]]).to_game()
+        # every row sum is finite, and so is every contribution; u_{0,1}(V({0,1})) is not,
+        # and the game refuses it when it is built, before ``kernel`` reads it
         with pytest.raises(NumericOverflowError) as got:
-            kernel(game)
+            kernel(BiAdditiveMatrix(2, [[1e308, 0.0], [1e308, 0.0]]).to_game())
         assert str(got.value) == "the utility of {0,1} at outcome 3 is past the float range"
         with pytest.raises(NumericOverflowError, match=r"^the utility of \{a,b\} at outcome 'x'"):
             individual = {0: {"x": 1.7e308}, 1: {"x": 1e308}}
-            from_ntu(2, "x", dict.fromkeys((1, 2, 3), "x"), individual, "ab").u(3, 3)
+            from_ntu(2, "x", dict.fromkeys((1, 2, 3), "x"), individual, "ab")
 
     def test_additive_sums_in_the_float_range_keep_their_bits(self):
         values = [[1.7e308, -1e308, 0.1], [-1.7e308, 1.7e308, 0.2], [0.3, -0.7e308, 0.7]]
@@ -732,7 +732,7 @@ def test_a_tabulated_fold_holds_one_frame_size_group_at_a_time():
     lambda n: STGame.from_functions(n, ("x",), lambda s: "x", lambda a, x: 0.0),
     lambda n: STGame.additive(n, ("x",), [0], np.zeros((0, 1))),
     lambda n: from_ntu(n, ("x",), {}, {}),
-    lambda n: STGame(n, (), (), np.zeros(1, dtype=np.intp), lambda a, j: 0.0),
+    lambda n: STGame(n, (), (), np.zeros(1, dtype=np.intp), None),
 ], ids=["from_tables", "from_entries", "from_functions", "additive", "from_ntu", "direct"])
 @pytest.mark.parametrize("n", [0, -1])
 def test_a_team_without_players_is_refused(build, n):
