@@ -50,13 +50,22 @@ def _perceptions(g: STGame) -> np.ndarray:
     return g.u(np.arange(1 << g.n)[:, None], 1 << np.arange(g.n))
 
 
-def _first_mismatch(g: STGame, what: str, tol: float, terms, by_assessor: bool, first=None):
+def _violation(g: STGame, what: str, a: int, s: int, got: float, want: float):
+    """The violation u_A(S) = ``got`` against its expectation ``want``, as (A, S, got,
+    expected); a NaN expectation (a missing entry) gives got and expected None, and an
+    infinite one (the ``what`` of A at S past the float range) raises
+    ``NumericOverflowError``."""
+    if math.isinf(want):
+        a, s = (subset_label(mask, g.players) for mask in (a, s))
+        raise NumericOverflowError(f"the {what} of {a} at coalition {s} is past the float range")
+    return (a, s, got, want) if want == want else (a, s, None, None)
+
+
+def _first_mismatch(g: STGame, what: str, tol: float, terms, by_assessor: bool):
     """First nested pair (assessor A, coalition S) in scan order where u_A(S) is more than
-    ``tol`` off its expectation, as (A, S, got, expected). The expectation sums ``terms[S, i]``
-    over the members i of A (``by_assessor``) or ``terms[A, i]`` over the members i of S. A
-    NaN expectation (a missing entry) counts as off and is reported with got and expected
-    None; an infinite one (the ``what`` of A at S past the float range) raises
-    ``NumericOverflowError``. A pair (S, A) known to come first, ``first``, is read alone."""
+    ``tol`` off its expectation, as ``_violation`` gives it. The expectation sums
+    ``terms[S, i]`` over the members i of A (``by_assessor``) or ``terms[A, i]`` over the
+    members i of S; a NaN one (a missing entry) counts as off."""
     def off(s, a):
         rows, members = (s, a) if by_assessor else (a, s)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -64,19 +73,15 @@ def _first_mismatch(g: STGame, what: str, tol: float, terms, by_assessor: bool, 
             got = g.u(a, s)
             return ~np.isfinite(want) | (np.abs(got - want) > tol), got, want
 
-    witness = (first_pair(g.n, off, nested=True) if first is None
-               else (*first, *(v.item() for v in off(*np.array([first]).T)[1:])))
+    witness = first_pair(g.n, off, nested=True)
     if witness is None:
         return None
     s, a, got, want = witness
-    if np.isinf(want):
-        a, s = (subset_label(mask, g.players) for mask in (a, s))
-        raise NumericOverflowError(f"the {what} of {a} at coalition {s} is past the float range")
-    return (a, s, got, want) if want == want else (a, s, None, None)
+    return _violation(g, what, a, s, got, want)
 
 
-def _find_additive_violation(g: STGame, tol: float, terms=None):
-    """First violation of u_A(S) = sum over members a of u_a(S); ``terms``: ``_member_terms``."""
+def _find_additive_violation(g: STGame, tol: float):
+    """First violation of u_A(S) = sum over members a of u_a(S)."""
     check_pair_scan(g.n)
     # the expectation depends on A and V(S) only: each block's singleton rows summed over A,
     # compared wherever a coalition containing A produces the outcome; ascending rank in a
@@ -90,8 +95,14 @@ def _find_additive_violation(g: STGame, tol: float, terms=None):
     first = first_nested_cell(off, g._blocks, g._columns)
     if first is None:
         return None
-    terms = _member_terms(g) if terms is None else terms
-    return _first_mismatch(g, "additive expectation", tol, terms, True, first)
+    # the flagged pair alone, its member terms added left to right from 0.0 as `member_sum`
+    # adds them (not `sum`, which compensates from Python 3.12, nor `np.sum`, pairwise)
+    s, a = first
+    singles = 1 << np.arange(g.n, dtype=np.int64)
+    want = 0.0
+    for term in g.u(singles[singles & a != 0], s).tolist():
+        want += term
+    return _violation(g, "additive expectation", a, s, float(g.u(a, s)), want)
 
 
 def _find_coadditive_violation(g: STGame, tol: float):
@@ -296,10 +307,10 @@ class AdditiveReport:
 
 def additive_predicates(g: STGame, tol: float = DEFAULT_TOL) -> AdditiveReport:
     check_tol(tol)
-    terms = _member_terms(g)
-    violation = _find_additive_violation(g, tol, terms)
+    violation = _find_additive_violation(g, tol)
     if violation is not None:
         raise StructureError("game is not additive", witness=violation)
+    terms = _member_terms(g)
     values_ok = not np.any(terms < -tol)
     # p's least term over the supersets of B; fl(x - y) is monotone in x, so it decides B
     lowest = subset_closure(terms[::-1].copy(), np.fmin)[::-1]

@@ -26,7 +26,6 @@ from .scenarios import SCENARIOS, scenario_document
 
 if TYPE_CHECKING:
     from .cobb_params import CobbDouglasConfig
-    from .players import PlayerSet
     from .st import STGame
     from .tu import TUGame
 
@@ -84,8 +83,17 @@ def _gamma_list(text: str) -> list[float]:
 DEFAULT_GAMMAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-def _subset_label(subset: PlayerSet, players) -> str:
-    return "+".join(players[i] for i in subset)
+def _labels(masks, players) -> list[str]:
+    """Each coalition mask of ``masks`` as its members' names in player order, joined by
+    "+": one concatenation a mask, of its parts' labels on two half-team tables."""
+    half = len(players) // 2
+    low, high = [""], [""]
+    for table, names in ((low, players[:half]), (high, players[half:])):
+        for name in names:
+            table += [f"{label}+{name}" if label else name for label in table]
+    joined = [""] + ["+" + label for label in high[1:]]
+    below = (1 << half) - 1
+    return [low[m & below] + joined[m >> half] if m & below else high[m >> half] for m in masks]
 
 
 def _out_path(args, default: str) -> Path:
@@ -105,7 +113,7 @@ def _load(args, *kinds):
 
 
 def _witness(exc: NotReducibleError, players) -> str:
-    a, b = _subset_label(exc.a, players), _subset_label(exc.b, players)
+    a, b = _labels((exc.a.mask, exc.b.mask), players)
     return f"c[{a} | {b}] = {exc.value!r}"
 
 
@@ -128,17 +136,15 @@ def cmd_metrics(args) -> int:
     game = _load(args, "STGame")
     from . import game_io, st
 
-    points = st.all_coop_points(game, include_grand=args.include_grand)
-    full = (1 << game.n) - 1
+    space = st.all_coop_points(game, include_grand=args.include_grand)
     table = {
-        "subset": [_subset_label(p.subset, game.players) for p in points],
-        "altruism": [p.altruism for p in points],
-        "competitive": [p.competitive for p in points],
-        "marginal": [p.marginal for p in points],
-        "grand": [p.subset.mask == full for p in points],
+        "altruism": space.altruism, "competitive": space.competitive, "marginal": space.marginal,
+        "quadrant": st.quadrant_labels(space.altruism, space.competitive, args.tol),
+        "grand": space.subsets == (1 << game.n) - 1,
+        # labelled once the quadrant pass's temporaries are gone
+        "subset": _labels(map(int, space.subsets), game.players),
     }
-    quadrants = st.quadrant_labels(table["altruism"], table["competitive"], args.tol)
-    table["quadrant"] = quadrants.tolist()
+    del space  # the masks are not held while the rows are formatted
     columns = ["subset", "altruism", "competitive", "marginal", "quadrant"]
     if args.include_grand:
         columns.append("grand")
@@ -155,12 +161,10 @@ def _decided(n: int, limit: int, decide) -> str:
 
 def _matrix_miss(exc: StructureError, players) -> str:
     """Why ``extract_matrix`` refused a game: the first entry its matrix misses."""
-    from .players import PlayerSet
-
     a_mask, s_mask, got, want = exc.witness
     if got is None:  # a missing singleton assessment
         return str(exc)
-    a, s = (_subset_label(PlayerSet(m), players) for m in (a_mask, s_mask))
+    a, s = _labels((a_mask, s_mask), players)
     return f"u_{a}(V({s})) is {got!r}, the reconstruction gives {want!r}"
 
 

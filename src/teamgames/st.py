@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -562,8 +563,37 @@ def coop_point(g: STGame, a: PlayerSet) -> CoopPoint:
     return CoopPoint(altruism=alt, competitive=c, marginal=marginal, subset=a)
 
 
-def all_coop_points(g: STGame, *, include_grand: bool = True) -> list[CoopPoint]:
-    """One point per nonempty subset, ascending mask order.
+class CoopSpace(Sequence):
+    """The cooperation space of a team as columns, read as a sequence of ``CoopPoint``s:
+    ``subsets`` holds the nonempty coalition masks in ascending order (int64), and
+    ``altruism``, ``competitive`` and ``marginal`` each one's coordinates against the rest of
+    the team (float64). A point is made only when it is read, and the space equals any
+    sequence of the same points."""
+
+    __slots__ = ("subsets", "altruism", "competitive", "marginal")
+
+    def __init__(self, subsets, altruism, competitive, marginal):
+        self.subsets, self.altruism = subsets, altruism
+        self.competitive, self.marginal = competitive, marginal
+
+    def __len__(self) -> int:
+        return len(self.subsets)
+
+    def __getitem__(self, k: int) -> CoopPoint:
+        return CoopPoint(altruism=self.altruism[k].item(), competitive=self.competitive[k].item(),
+                         marginal=self.marginal[k].item(), subset=PlayerSet(self.subsets[k].item()))
+
+    def __iter__(self):
+        for mask, alt, c, m in zip(self.subsets.tolist(), self.altruism.tolist(),
+                                   self.competitive.tolist(), self.marginal.tolist()):
+            yield CoopPoint(altruism=alt, competitive=c, marginal=m, subset=PlayerSet(mask))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
+def all_coop_points(g: STGame, *, include_grand: bool = True) -> CoopSpace:
+    """One point per nonempty subset, ascending mask order, held as columns.
 
     The grand coalition's point (computed under the empty-bystander
     convention) comes last; drop it with ``include_grand=False``. A
@@ -585,12 +615,7 @@ def all_coop_points(g: STGame, *, include_grand: bool = True) -> list[CoopPoint]
         raise NumericOverflowError(
             f"the {('altruism', 'competitive contribution', 'total marginal')[what]} of "
             f"{subset_label(int(subsets[k]), g.players)} is past the float range")
-    return [
-        CoopPoint(altruism=alt, competitive=c, marginal=m, subset=PlayerSet(mask))
-        for mask, alt, c, m in zip(
-            subsets.tolist(), altruism.tolist(), competitive.tolist(), marginal.tolist()
-        )
-    ]
+    return CoopSpace(subsets, altruism, competitive, marginal)
 
 
 def _bystander_gap(g: STGame, fold, empty: float) -> np.ndarray:

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import NumericOverflowError, SizeLimitError
-from .exact_lp import first_uncovered, minimal_coalition_cover
 from .limits import DEFAULT_TOL, MAX_CORE_DECIDE, check_tol
 from .players import (
     MAX_SUBSET_ARRAY, PlayerSet, check_subset_array, first_pair, mask_sizes, player_names,
@@ -202,6 +200,10 @@ def core_witness(game: TUGame) -> np.ndarray | None:
     evenly to restore efficiency. A witness component past the float range
     raises ``NumericOverflowError`` naming its player.
     """
+    from fractions import Fraction
+
+    from .exact_lp import first_uncovered, minimal_coalition_cover
+
     n = game.n
     worth = _core_claims(game)
     if n == 1:
@@ -227,6 +229,10 @@ def core_witness(game: TUGame) -> np.ndarray | None:
 
 def core_is_nonempty(game: TUGame) -> bool:
     """Whether the core is nonempty, decided from the exact optimal cover value."""
+    from fractions import Fraction
+
+    from .exact_lp import minimal_coalition_cover
+
     worth = _core_claims(game)
     if game.n == 1:
         return True

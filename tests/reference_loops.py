@@ -21,7 +21,11 @@ section per rational contribution, a scalar bisection per root), which
 ``cobb`` replaced with searches over arrays of rows; the path oracle
 returns the same ``COBB_COLUMNS`` dict as ``cobb.cooperation_path``, its
 quadrant column labelled one row at a time by the if-chain ``quadrant_of``
-that ``st.quadrant_labels`` replaced with one array rule. Last come the
+that ``st.quadrant_labels`` replaced with one array rule. The ``metrics``
+table is here as the command built it from ``CoopPoint`` rows, before it
+wrote the columns of ``st.CoopSpace``, and the additive witness as it
+was priced from the whole member-term table, before the detector read its
+one flagged pair. Last come the
 helpers only tests use: the submask and disjoint-pair generators, the two
 Shapley routes that check ``tu.shapley_value``, and the team-core
 membership wrapper.
@@ -52,6 +56,7 @@ from teamgames.errors import (
     GameLoadError,
     MissingUtilityError,
     NotReducibleError,
+    NumericOverflowError,
     SizeLimitError,
     StructureError,
 )
@@ -158,6 +163,22 @@ def all_coop_points(g, include_grand=True):
     return [coop_point(g, PlayerSet(mask)) for mask in range(1, top)]
 
 
+def metrics_table(g, include_grand, tol=1e-9):
+    """The ``metrics`` table as the command built it from ``CoopPoint`` rows: a point a row,
+    from ``coop_point`` above, its subset labelled member by member, its quadrant by the
+    if-chain."""
+    points = all_coop_points(g, include_grand)
+    full = (1 << g.n) - 1
+    return {
+        "subset": ["+".join(g.players[i] for i in p.subset) for p in points],
+        "altruism": [p.altruism for p in points],
+        "competitive": [p.competitive for p in points],
+        "marginal": [p.marginal for p in points],
+        "quadrant": [quadrant_of(p.altruism, p.competitive, tol).value for p in points],
+        "grand": [p.subset.mask == full for p in points],
+    }
+
+
 def quadrant_of(a, c, tol=1e-9, *, closed=False):
     """The band rule one point at a time, as an if-chain on Python floats."""
     if closed:
@@ -220,6 +241,32 @@ def find_additive_violation(g, tol=1e-9):
             got = g._u(a_mask, x)
             if abs(got - expected) > tol:
                 return (a_mask, s_mask, got, expected)
+    return None
+
+
+def additive_witness(g, tol=1e-9):
+    """``find_additive_violation`` read through ``g.u`` from the whole 2^n x n member-term
+    table terms[S, i] = u_i(V(S)), as the library priced the additive witness before it read
+    the flagged pair alone: a missing entry (NaN) is a violation reported as (A, S, None,
+    None), and an infinite expectation raises the library's ``NumericOverflowError``."""
+    n = g.n
+    terms = np.full((1 << n, n), np.nan)
+    for s_mask in range(1, 1 << n):
+        for i in _bits(s_mask):
+            terms[s_mask, i] = g.u(1 << i, s_mask)
+    for s_mask in range(1, 1 << n):
+        for a_mask in iter_submasks(s_mask, nonempty=True):
+            expected = _total(terms[s_mask, i].item() for i in _bits(a_mask))
+            got = float(g.u(a_mask, s_mask))
+            if math.isfinite(expected) and not abs(got - expected) > tol:
+                continue
+            if math.isinf(expected):
+                a, s = (subset_label(mask, g.players) for mask in (a_mask, s_mask))
+                raise NumericOverflowError(
+                    f"the additive expectation of {a} at coalition {s} is past the float range")
+            if expected != expected:
+                return (a_mask, s_mask, None, None)
+            return (a_mask, s_mask, got, expected)
     return None
 
 

@@ -532,6 +532,51 @@ class TestAgainstDirectApi:
             assert float(cells[3]) == point.marginal
             assert cells[4] == classify_quadrant(point).value
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 12])
+    @pytest.mark.parametrize("names", [None, ['a+b', 'c,d', 'say "e"']])
+    def test_metrics_writes_columns_not_points(self, tmp_path, monkeypatch, n, names):
+        """`metrics` writes the cooperation-space columns as they are, with no `CoopPoint`
+        and no per-row subset walk: the bytes of the point-by-point table, with and without
+        the grand row, for any player names, in at most twice the table's memory."""
+        import dataclasses
+        import tracemalloc
+
+        import numpy as np
+
+        import reference_loops as ref
+        from random_games import random_st_game
+        from teamgames import game_io, st
+
+        game = random_st_game(n, np.random.default_rng(n), n_outcomes=min(n + 1, (1 << n) - 1))
+        if names:
+            players = [names[i % 3] + str(i) for i in range(n)]
+            game = dataclasses.replace(game, players=tuple(players))
+        monkeypatch.setattr(game_io, "load_game", lambda path: game)
+        columns = ["subset", "altruism", "competitive", "marginal", "quadrant"]
+        expected = {}
+        for grand in (False, True):
+            out = tmp_path / f"expected{grand}.csv"
+            ref.write_table([ref.metrics_table(game, grand)], columns + ["grand"] * grand, out)
+            expected[grand] = out.read_bytes()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cooperation-space point was built")
+
+        monkeypatch.setattr(st, "CoopPoint", refuse)
+        for grand in (False, True):
+            out = tmp_path / f"got{grand}.csv"
+            args = cli.build_parser().parse_args(
+                ["metrics", "x.game", "-o", str(out)] + ["--include-grand"] * grand)
+            tracemalloc.start()
+            try:
+                assert args.func(args) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert out.read_bytes() == expected[grand]
+            if n == 12 and names is None:
+                assert peak <= 2 * game._blocks.cells.nbytes
+
     def test_tables_label_quadrants_by_whole_columns(self, tmp_path, monkeypatch):
         import numpy as np
 

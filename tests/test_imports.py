@@ -91,9 +91,9 @@ NO_ARRAYS = ["numpy", "players", "cobb", "st", "tu", *COBB_TABLES[1:]]
     (["classify", "team.game"], ["cobb", "tu", "exact_lp", "quadrants", "csv_tables"]),
     (["metrics", "team.game"], ["cobb", "tu", "exact_lp", "additivity"]),
     (["graph", "zero.game"], ["cobb", "tu", "exact_lp"]),
-    (["reduce-tu", "team.game"], ["cobb", "additivity"]),
+    (["reduce-tu", "team.game"], ["cobb", "additivity", "exact_lp"]),
     (["classify", "tu.game"], ["st", "additivity", "cobb", "csv_tables"]),
-    (["shapley", "tu.game"], ["st", "additivity", "cobb"]),
+    (["shapley", "tu.game"], ["st", "additivity", "cobb", "exact_lp"]),
     (["core", "tu.game"], ["st", "additivity", "cobb"]),
     (["cobb", "frontier", "cd.game", "--resolution", "5"], NO_ARRAYS),
     (["classify", "cd.game"], NO_ARRAYS),
@@ -298,7 +298,7 @@ print(json.dumps([before, after, "numpy" in sys.modules]))
 def test_package_import_loads_submodules_on_first_use():
     before, after, _ = first_use("shapley_value")
     assert before == []
-    assert after == [f"teamgames.{m}" for m in ("errors", "exact_lp", "limits", "players", "tu")]
+    assert after == [f"teamgames.{m}" for m in ("errors", "limits", "players", "tu")]
 
 
 @pytest.mark.parametrize("name", ["max_stable_team_size", "CobbDouglasConfig"])

@@ -616,7 +616,7 @@ def test_maximize_scalar_refuses_a_bracket_without_lo_below_hi(hi):
 
 
 def test_additive_predicates_read_member_terms_once(monkeypatch):
-    """The detector and the report share one read of the per-player terms, on a game with one
+    """The report reads the per-player terms once, after the detector, on a game with one
     outcome per coalition and on one with one outcome per coalition size."""
     calls = []
     read = additivity._member_terms
@@ -626,6 +626,58 @@ def test_additive_predicates_read_member_terms_once(monkeypatch):
         del calls[:]
         assert additive_predicates(g).sensible
         assert calls == [g]
+
+
+def _with_cell(g, a, s, value):
+    """A copy of tabulated game g whose cell of assessor mask A at V(S) reads ``value``, built
+    around the blocks as they are: a NaN leaves a nested cell missing, which no document or
+    closed form can."""
+    cells = g._blocks.cells.copy()
+    cells[g._blocks.index(a, g._columns[s])] = value
+    return STGame(g.n, g.outcomes, g.players, g._columns.copy(), g._blocks._replace(cells=cells))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_additive_witness_is_priced_from_its_pair(n, monkeypatch):
+    """The additive detector prices its flagged pair from that pair's member terms alone, and
+    gives the witness of the whole member-term table: on the violating random families, on a
+    table missing one member cell, and past the float range with the same words."""
+    monkeypatch.setattr(additivity, "_member_terms", None)  # the detector never builds it
+    rng = np.random.default_rng(500 + n)
+    games = [random_st_game(n, rng), random_st_game(n, rng, n_outcomes=3 if n > 1 else 1),
+             random_coadditive_game(n, rng), monotone_series(n, rng)]
+    violations = [ref.additive_witness(g) for g in games]
+    assert [_find_additive_violation(g, 1e-9) for g in games] == violations
+    assert n == 1 or None not in violations
+    if n > 1:  # player 1's term at V({0, 1}), which {1} reads first
+        missing = _with_cell(random_additive_game(n, rng), 2, 3, np.nan)
+        assert _find_additive_violation(missing, 1e-9) == ref.additive_witness(missing)
+        assert _find_additive_violation(missing, 1e-9) == (2, 3, None, None)
+        # u_{0,1}(V({0,1})) is finite; the sum of its members' terms is not
+        big = _with_cell(_with_cell(missing, 1, 3, 1e308), 2, 3, 1e308)
+        messages = []
+        for detect in (lambda g: _find_additive_violation(g, 1e-9), ref.additive_witness):
+            with pytest.raises(NumericOverflowError) as got:
+                detect(big)
+            messages.append(str(got.value))
+        assert messages[0] == messages[1] == (
+            "the additive expectation of {0,1} at coalition {0,1} is past the float range")
+
+
+def test_additive_witness_memory_is_table_bounded():
+    """Deciding a violating 12-player size-outcome table holds at most twice its cells: the
+    witness reads its pair, not a 2^n x n table of member terms."""
+    g = _size_outcome_game(12)
+    full = (1 << 12) - 1
+    g = _with_cell(g, 3, full, float(g.u(3, full)) + 1.0)
+    assert _find_additive_violation(g, 1e-9)[:2] == (3, full)  # and lazy set-up is done
+    tracemalloc.start()
+    try:
+        assert not is_additive(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * g._blocks.cells.nbytes
 
 
 @pytest.mark.parametrize("n", SIZES)
