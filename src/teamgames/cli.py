@@ -29,11 +29,13 @@ if TYPE_CHECKING:
     from .st import STGame
     from .tu import TUGame
 
-# Row budgets of the cobb tables, checked before anything is computed. In one 2-core
-# process (time of `main`, then peak `ru_maxrss`), a sweep or frontier row (a closed
-# form) costs about 10 us (a 248,645-row sweep: 2.5 s, 58 MB peak), and a path or
-# rational row (its share of one batched search) 43-77 us: 200,000 path rows take 8.6 s
-# and peak at 54 MB, 200,000 rational rows 15 s and 58 MB (the imports alone: 28 MB).
+# Row budgets of the cobb tables, checked before anything is computed. A table is built
+# and written a block of rows at a time, so its peak does not grow with its rows. As one
+# process on a 2-core machine (wall time, then peak `ru_maxrss`, median of 5; the imports
+# alone: 28 MB), a sweep or frontier row (a closed form) costs 2-6 us (a 248,645-row
+# sweep: 1.4 s, 30 MB; 250,000 frontier rows: 0.4 s, 15 MB), and a path or rational row
+# (its share of one batched search) 19-41 us: 200,000 path rows take 3.9 s and peak at
+# 32 MB, 200,000 rational rows 8.3 s and 32 MB, the search's block of 256 rows setting it.
 MAX_GRID_ROWS = 250_000
 MAX_SEARCH_ROWS = 200_000
 
@@ -310,6 +312,14 @@ def _check_rows(args, count: int, flag: str, budget: int) -> None:
         )
 
 
+def _row_blocks(count: int):
+    """Slices of ``csv_tables.ROW_CHUNK`` rows covering a table of ``count`` rows, the blocks
+    a cobb table is built, formatted and written in, one at a time."""
+    from .csv_tables import ROW_CHUNK
+
+    return (slice(lo, lo + ROW_CHUNK) for lo in range(0, count, ROW_CHUNK))
+
+
 # Tables written one per gamma: size flag, rows per gamma as a power of the size, row
 # budget, builder and columns (names on `cobb`, looked up at run time), summary noun.
 GAMMA_TABLES = {
@@ -329,9 +339,10 @@ def cmd_cobb_table(args) -> int:
     size = getattr(args, flag[2:])
     _check_rows(args, size**power, flag, budget)
     cfg = _base_config(args)
-    build = getattr(cobb, builder)
-    tables = [build(cobb.hybrid(g), cfg, args.size_a, args.size_b, size, args.tol)
-              for g in args.gammas]
+    # each block built as it is written, through the module attribute
+    tables = (getattr(cobb, builder)(cobb.hybrid(g), cfg, args.size_a, args.size_b, size,
+                                     args.tol, rows=rows)
+              for g in args.gammas for rows in _row_blocks(size**power))
     out = _out_path(args, f"cobb_{args.cobb_command}.csv")
     rows = csv_tables.write_table(tables, getattr(cobb, columns), out)
     print(f"wrote {rows} {noun} to {out}")
@@ -345,10 +356,13 @@ def cmd_cobb_frontier(args) -> int:
     cfg = _base_config(args)
     if not cfg.beta > 1.0:
         raise GameError(f"beta: the team-size bound needs beta > 1, got {cfg.beta!r}")
-    shares = [k / args.resolution for k in range(1, args.resolution + 1)]
-    table = cobb_params.stable_size_grid(cfg.beta, args.gammas, shares)
+    count = args.resolution
+    # one gamma's block of shares k / count at a time, built as it is written
+    tables = (cobb_params.stable_size_grid(cfg.beta, [g], [k / count for k in
+                                                           range(1, count + 1)[rows]])
+              for g in args.gammas for rows in _row_blocks(count))
     out = _out_path(args, "cobb_frontier.csv")
-    rows = csv_tables.write_table([table], cobb_params.FRONTIER_COLUMNS, out)
+    rows = csv_tables.write_table(tables, cobb_params.FRONTIER_COLUMNS, out)
     print(f"wrote {rows} team-size bounds to {out}")
     return 0
 

@@ -19,8 +19,9 @@ stability bound for power value functions live in the numpy-free
 The searches run on arrays of rows: ``maximize_scalar`` (a coarse scan,
 then golden section; Kiefer 1953) and ``altruism_roots`` (a sign scan, then
 bisection) take one row per table row. A path or rational table calls
-``altruism_roots`` once and ``maximize_scalar`` once per 255 rows, and
-every 2-D scan is evaluated over blocks of at most ``SCAN_CELLS`` cells.
+``altruism_roots`` once and ``maximize_scalar`` once per 256 rows, and
+every 2-D scan is evaluated over blocks of whole rows, at most ``EVAL_CELLS``
+cells each.
 Each row keeps the step count its own bracket fixes and is frozen once it
 is done, so it does the float operations of a search run on it alone; a
 single number is a table of one row.
@@ -50,8 +51,12 @@ ARGMAX_XATOL = 1e-6
 # altruism_roots: intervals of the sign scan, and the width bisection stops at
 ROOT_SCAN = 1024
 ROOT_XATOL = 1e-8
-# cells (rows x points) of a batched 2-D scan evaluated at a time, so its arrays stay near 0.5 MB
-SCAN_CELLS = 1 << 16
+# cells (rows x points) of one argmax scan: 256 rows, so that a block of rows written at a time
+# (1,024 of them) is searched in whole scans, with no short one left over
+SCAN_CELLS = 256 * (ARGMAX_SCAN + 1)
+# cells of a scan evaluated at a time, so the objective's temporaries stay near 64 KB each:
+# 32 rows of the argmax scan, 8 of the root scan
+EVAL_CELLS = 32 * (ARGMAX_SCAN + 1)
 
 # column order of the sweep and path tables and of the rational table
 COBB_COLUMNS = ["gamma", "theta", "beta", "sizeA", "sizeB", "xA_avg", "xB_avg", "payoff",
@@ -339,7 +344,10 @@ def maximize_scalar(fn, lo, hi):
     span = (hi - lo)[:, None]
     step = span / ARGMAX_SCAN
     j = np.arange(ARGMAX_SCAN + 1.0)
-    grid = np.where(step == 0, j / ARGMAX_SCAN * span, j * step) + lo[:, None]
+    grid = j * step
+    tiny = step[:, 0] == 0
+    grid[tiny] = j / ARGMAX_SCAN * span[tiny]
+    grid += lo[:, None]
     grid[:, -1] = hi
     best_i = np.argmax(np.broadcast_to(fn(grid), grid.shape), axis=1)
     rows = np.arange(len(lo))
@@ -369,17 +377,24 @@ def _best_response(scheme, cfg, size, others_total, team_size, cap=1.0, pool=1.0
 
     One search per row of ``others_total``, what the rest of the ``team_size`` team
     contributes there; the member keeps ``pool`` minus its contribution. Rows are searched
-    ``SCAN_CELLS // (ARGMAX_SCAN + 1)`` at a time, so the scan arrays stay small.
+    ``SCAN_CELLS // (ARGMAX_SCAN + 1)`` at a time, and the utility is evaluated over at
+    most ``EVAL_CELLS`` points at a time, whole rows in row order, so the scan arrays stay
+    small and an overflow names the first overflowing row.
     """
     others_total = np.asarray(others_total, dtype=float)
     block = SCAN_CELLS // (ARGMAX_SCAN + 1)
-    found = []
+    found = [np.zeros(0)]
     for start in range(0, len(others_total), block):
         others = others_total[start:start + block, None]
 
         def utility(v, others=others):
-            coalition = (size * v + others, team_size)
-            return _group_utility(scheme, cfg, (v, 1, pool - v), coalition)[1]
+            values = np.empty(v.shape)
+            step = max(1, EVAL_CELLS // v.shape[1])
+            for lo in range(0, len(v), step):
+                x, rest = v[lo:lo + step], others[lo:lo + step]
+                coalition = (size * x + rest, team_size)
+                values[lo:lo + step] = _group_utility(scheme, cfg, (x, 1, pool - x), coalition)[1]
+            return values
 
         found.append(maximize_scalar(utility, np.zeros(len(others)), np.full(len(others), cap)))
     return np.concatenate(found)
@@ -450,7 +465,7 @@ def altruism_roots(
     within ``tol`` of zero count as roots; sign changes are bisected to
     ``ROOT_XATOL``, or until no float lies between the ends. ``x_b_total`` is
     a number, giving one ascending list of roots, or an array of rows, giving
-    one list per row; the rows are scanned ``SCAN_CELLS // (ROOT_SCAN + 1)``
+    one list per row; the rows are scanned ``EVAL_CELLS // (ROOT_SCAN + 1)``
     at a time and bisected together, each with the float operations of a
     search run on it alone.
     """
@@ -471,7 +486,7 @@ def altruism_roots(
     roots = [[] for _ in x_b]
     # sign changes of every row: (row, interval, balance at the interval's left end)
     cross_rows, cross_at, cross_f = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
-    block = SCAN_CELLS // (ROOT_SCAN + 1)
+    block = EVAL_CELLS // (ROOT_SCAN + 1)
     for start in range(0, len(x_b), block):
         rows = np.arange(start, min(start + block, len(x_b)))
         values = altruism(grid, rows[:, None])
@@ -533,6 +548,18 @@ def _unit_pool_group(size: int, x):
     return size * x, size, size * (1.0 - x)
 
 
+def _row_indices(count: int, rows: slice):
+    """The indices of the rows ``rows`` picks out of a table of ``count`` rows, as an array."""
+    span = range(count)[rows]
+    return np.arange(span.start, span.stop, span.step)
+
+
+def _unit_axis(count: int, k):
+    """``np.linspace(0.0, 1.0, count)[k]`` for an index array k, without the whole axis:
+    k times the step 1 / (count - 1), as linspace computes it, and exactly 1 at the end."""
+    return np.where(k == count - 1, 1.0, k * (1.0 / (count - 1)))
+
+
 def cooperation_path(
     scheme: PayoffScheme,
     cfg: CobbDouglasConfig,
@@ -540,6 +567,7 @@ def cooperation_path(
     size_b: int,
     samples: int = 101,
     tol: float = DEFAULT_TOL,
+    rows: slice = slice(None),
 ) -> dict:
     """Path traced by subset A responding rationally to B's average contribution, as columns.
 
@@ -547,12 +575,14 @@ def cooperation_path(
     members of A choose a common utility-maximizing contribution; the row is
     ``contribution_table``'s for that pair, so it holds A's (altruism,
     competitive) point against B and its quadrant at tolerance ``tol``.
+    ``rows`` picks the rows to compute (all by default); each row is the same
+    whichever rows are computed with it.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
     check_tol(tol)
     _require_groups(size_a, size_b)
-    x_b = np.linspace(0.0, 1.0, samples)
+    x_b = _unit_axis(samples, _row_indices(samples, rows))
     x_a = _best_response(scheme, cfg, size_a, size_b * x_b, size_a + size_b)
     return contribution_table(scheme, cfg, size_a, size_b, x_a, x_b, tol)
 
@@ -596,38 +626,42 @@ def payoff_utility_grid(
     size_b: int,
     resolution: int = 101,
     tol: float = DEFAULT_TOL,
+    rows: slice = slice(None),
 ) -> dict:
     """Dense sweep of A's payoff, utility, and cooperation metrics, as table columns.
 
     Axes are the average contributions of the members of A and B over unit
     pools, ``resolution`` samples each; rows run with the B axis outer and
-    the A axis inner, both ascending.
+    the A axis inner, both ascending. ``rows`` picks the rows to compute
+    (all by default) out of the resolution² of the table.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    axis = np.linspace(0.0, 1.0, resolution)
-    x_b, x_a = np.meshgrid(axis, axis, indexing="ij")
-    return contribution_table(scheme, cfg, size_a, size_b, x_a.ravel(), x_b.ravel(), tol)
+    k = _row_indices(resolution**2, rows)
+    x_a, x_b = _unit_axis(resolution, k % resolution), _unit_axis(resolution, k // resolution)
+    return contribution_table(scheme, cfg, size_a, size_b, x_a, x_b, tol)
 
 
 def rational_table(
-    scheme, cfg, size_a: int, size_b: int, resolution: int = 101, tol: float = DEFAULT_TOL
+    scheme, cfg, size_a: int, size_b: int, resolution: int = 101, tol: float = DEFAULT_TOL,
+    rows: slice = slice(None),
 ) -> dict:
     """Columns of the rational table, one row per average contribution k/(resolution-1) of B.
 
     Each row holds the common utility-maximizing contribution of A's
     members and the smallest average contribution of A at which B's payment
     balance vanishes, within ``tol`` (None without a zero crossing); pools
-    are unit.
+    are unit. ``rows`` picks the rows to compute (all by default); each row
+    is the same whichever rows are computed with it.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     check_tol(tol)
-    x_b = np.arange(resolution) / (resolution - 1)
+    x_b = _row_indices(resolution, rows) / (resolution - 1)
     x_a = _best_response(scheme, cfg, size_a, size_b * x_b, size_a + size_b)
     roots = altruism_roots(scheme, cfg, size_a, size_b, x_b * size_b, tol=tol)
     zero = [row[0] / size_a if row else None for row in roots]
-    n = resolution
+    n = len(x_b)
     return {
         "gamma": [scheme.mix] * n, "theta": [cfg.theta] * n, "beta": [cfg.beta] * n,
         "sizeA": [size_a] * n, "sizeB": [size_b] * n, "xB_avg": x_b, "xA_rational": x_a,

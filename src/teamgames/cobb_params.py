@@ -39,7 +39,10 @@ class CobbDouglasConfig:
     def value(self, x):
         """Total value produced by a pooled contribution x (a number or an array).
 
-        Raises ``NumericOverflowError`` where alpha * x^beta exceeds the float range.
+        Raises ``NumericOverflowError`` where alpha * x^beta exceeds the float range,
+        naming the first row of ``x`` that overflows (an element of a 1-D array, a row of
+        points of a batched search) at its smallest overflowing x, so a table computed
+        a block of rows at a time reports what the whole table would.
         """
         import numpy as np
 
@@ -50,8 +53,8 @@ class CobbDouglasConfig:
             produced = self.alpha * x**self.beta
         overflow = ~np.isfinite(produced)
         if overflow.any():
-            if x.ndim > 1:  # rows of a batched search: report the first row that overflows
-                first = int(np.argmax(overflow.any(axis=tuple(range(1, x.ndim)))))
+            if x.ndim:
+                first = int(np.argmax(overflow.reshape(len(x), -1).any(axis=1)))
                 x, overflow = x[first], overflow[first]
             raise NumericOverflowError(
                 f"alpha * x^beta overflows at x = {float(x[overflow].min())!r} "

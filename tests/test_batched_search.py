@@ -147,8 +147,14 @@ def test_path_columns_across_two_blocks_and_tolerances():
     [
         (CobbDouglasConfig(alpha=1e308), 3),
         (CobbDouglasConfig(beta=1e308), 3),
-        # overflow starts at x = 7, in the second half of a table of two blocks
+        # overflow starts at x = 7, at a block boundary of a table of two blocks: at the last
+        # row of the first block when the second is short, at the first row of the second when
+        # both are full
+        (CobbDouglasConfig(alpha=1.7976931348623157e308 / 7.0**1.5), 2 * SCAN_ROWS - 2),
         (CobbDouglasConfig(alpha=1.7976931348623157e308 / 7.0**1.5), 2 * SCAN_ROWS),
+        # inside one block: row 41 is the first to overflow, and every later row overflows at
+        # a smaller point, including rows of the block's other evaluation chunks
+        (CobbDouglasConfig(alpha=1.7976931348623157e308 / 7.0**1.5), 81),
     ],
 )
 def test_overflow_reports_the_first_overflowing_row(cfg, count):

@@ -731,6 +731,10 @@ def _fixed_columns():
         # one str object in every cell; np.full would convert it to a new one per cell
         "object-constant": np.array(['say "hi", then\nleave'] * SPAN, dtype=object),
         "empty-strings-list": [""] * SPAN,
+        # lists of Python floats only, of strings only, and of floats mixed with None
+        "float-list": ([0.1, -0.0, float("nan"), float("inf"), 5e-324, 1e22] * SPAN)[:SPAN],
+        "string-list": (["a,b", 'q"t', "x\ny", "plain", ""] * SPAN)[:SPAN],
+        "float-none-list": ([0.5, None, -0.0] * SPAN)[:SPAN],
         "empty-strings-object": np.array([""] * SPAN, dtype=object),
         "empty-strings-str": np.full(SPAN, "", dtype=str),
     })
