@@ -436,9 +436,9 @@ def _parse_tu(doc: dict, entries: _Entries) -> TUGame:
     masks = entries.masks
     entries.clear()
 
-    import numpy as np
+    from .tu import TUGame  # compiled before numpy loads: see _read_st
 
-    from .tu import TUGame
+    import numpy as np
 
     ids, _ = entries.rows("utilities")
     table = np.zeros(1 << n)
@@ -457,9 +457,11 @@ def _read_st(doc: dict, entries: _Entries) -> STGame:
     masks, cols = entries.masks, entries.columns(column_of)
     entries.clear()
 
-    import numpy as np
-
+    # the game module first: without bytecode files its compile is freed before its own
+    # numpy import maps numpy's libraries, rather than stacking on them
     from .st import ENTRY_CHUNK, STGame, entry_keys, first_repeat
+
+    import numpy as np
 
     ids, oids = entries.rows("consequence")
     # in the ids' own type, C ints: no document lists every coalition of 31 players

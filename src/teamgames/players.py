@@ -261,10 +261,14 @@ def check_subset_array(n: int) -> None:
 
 
 FIRST_CHUNK = 1 << 6   # pairs in a scan's first chunk, so early exits stay cheap
-# largest chunk; later chunks double up to it. A scan's test makes about ten temporaries of
-# the chunk's length, so 2^14 pairs keep them near 1.3 MB; the scans took no longer than with
-# 2^16 (the five predicates on clean 10- and 11-player tables, best of 7)
-PAIR_CHUNK = 1 << 14
+# largest chunk; later chunks double up to it. A scan's test holds about twelve float64
+# temporaries of the chunk's length: 0.8 MB at 2^13 pairs (1.6 MB at 2^14). Compared with
+# 2^14 (best of 5, ten alternating processes on a 2-core machine), `is_superadditive` on a
+# 16-player convex game took 1,330 against 1,287 ms, 3% longer in 9 of 10 runs, and
+# `is_coadditive` + `extract_matrix` on a 13-player bi-additive game 353 against 338 ms, slower
+# in 6 of 10; on clean 11- and 12-player tables they took the same time (28 and 14 ms, best
+# of 7), and 2^12 took 10-15% longer
+PAIR_CHUNK = 1 << 13
 
 
 def mask_pairs(n: int, *, nested: bool = False):

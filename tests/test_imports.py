@@ -155,6 +155,43 @@ def test_a_document_command_decodes_before_numpy_loads(docs, argv):
     assert json.loads(proc.stdout) == [False]
 
 
+COMPILE_FIRST = """
+import contextlib, importlib.machinery, io, json, runpy, sys
+compiled = {}  # whether numpy was loaded as each game module's source was compiled
+loader = importlib.machinery.SourceFileLoader
+compile_source = loader.source_to_code
+def recording(self, data, path, **kwargs):
+    if self.name in ("teamgames.st", "teamgames.tu"):
+        compiled[self.name] = "numpy" in sys.modules
+    return compile_source(self, data, path, **kwargs)
+loader.source_to_code = recording
+sys.argv = ["teamgames", *json.loads(sys.argv[1])]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        runpy.run_module("teamgames.cli", run_name="__main__")
+    except SystemExit as exc:
+        assert not exc.code, exc.code
+print(json.dumps(compiled))
+"""
+
+
+@pytest.mark.parametrize("argv, module", [
+    (["metrics", "team.game"], "st"), (["shapley", "tu.game"], "tu"),
+])
+def test_a_document_command_compiles_its_game_module_before_numpy_loads(docs, argv, module):
+    """Without bytecode files, the compile of the game module is freed before numpy maps its
+    libraries, so it does not stack on numpy."""
+    no_bytecode = docs / "pycache"
+    no_bytecode.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-B", "-X", f"pycache_prefix={no_bytecode}", "-c", COMPILE_FIRST,
+         json.dumps(argv)], cwd=docs, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
+    )
+    assert json.loads(proc.stdout) == {f"teamgames.{module}": False}
+    assert not any(no_bytecode.iterdir())
+
+
 CHECKS_FIRST = """
 import contextlib, io, json, runpy, sys
 import teamgames.game_io as game_io

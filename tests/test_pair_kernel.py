@@ -680,6 +680,46 @@ def test_additive_witness_memory_is_table_bounded():
     assert peak <= 2 * g._blocks.cells.nbytes
 
 
+# a scan's test of one chunk holds about twelve float64 temporaries of the chunk's length
+CHUNK_TEMPORARIES = 12 * 8 * PAIR_CHUNK
+
+
+def _traced_peak(run):
+    """What ``run()`` returns, and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pair_scans_hold_one_chunk_of_temporaries():
+    """The co-additive, matrix and superadditive scans of a clean 11- or 12-player table walk
+    every pair and hold arrays the size of the table (its perceptions, the enumerator's
+    per-coalition arrays) plus one chunk's temporaries, which ``PAIR_CHUNK`` keeps under a
+    megabyte; a violation at the last pair is still found."""
+    assert CHUNK_TEMPORARIES < 1 << 20
+    n = 11
+    full = (1 << n) - 1
+    g = _size_outcome_game(n)
+    (coadditive, matrix), peak = _traced_peak(lambda: (is_coadditive(g), extract_matrix(g)))
+    assert coadditive
+    assert np.array_equal(matrix.m, np.add.outer(np.arange(n) + 0.5, np.zeros(n)))
+    assert peak <= 3 * g._blocks.cells.nbytes + CHUNK_TEMPORARIES
+    # u_N(V(N)) is read by the scans' last pair alone
+    want = float(g.u(full, full))
+    planted = _with_cell(g, full, full, want + 1.0)
+    assert _find_coadditive_violation(planted, 1e-9) == (full, full, want + 1.0, want)
+    with pytest.raises(StructureError) as miss:
+        extract_matrix(planted)
+    assert miss.value.witness == (full, full, want + 1.0, want)
+    game = random_convex_game(12, np.random.default_rng(3))
+    superadditive, peak = _traced_peak(lambda: is_superadditive(game))
+    assert superadditive
+    assert peak <= 8 * game.u.nbytes + CHUNK_TEMPORARIES
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_superadditivity_matches_reference(n):
     rng = np.random.default_rng(77 + n)
