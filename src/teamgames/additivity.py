@@ -22,8 +22,8 @@ import numpy as np
 from .errors import NumericOverflowError, StructureError
 from .limits import DEFAULT_TOL, check_tol
 from .players import (
-    PlayerSet, check_pair_scan, first_nested_cell, first_pair, member_sum, player_names,
-    require_disjoint, require_fit, subset_closure, subset_label, subset_sums,
+    PlayerSet, check_pair_scan, first_pair, member_sum, player_names, require_disjoint,
+    require_fit, subset_closure, subset_label, subset_sums,
 )
 from .st import STGame, coalition_outcomes, is_fully_cooperative, is_sensible, pair_value
 
@@ -36,7 +36,6 @@ def _members(n: int) -> np.ndarray:
 def _member_terms(g: STGame) -> np.ndarray:
     """``[S, i]`` = u_i(V(S)) for every coalition mask S and member i of S, NaN elsewhere:
     the per-player terms of an additive game, read at member cells only."""
-    check_pair_scan(g.n)  # every caller scans pairs: refuse before reading
     s, i = np.nonzero(_members(g.n))
     terms = np.full((1 << g.n, g.n), np.nan)
     terms[s, i] = g.u(1 << i, s)
@@ -92,7 +91,7 @@ def _find_additive_violation(g: STGame, tol: float):
             sums = subset_sums(cells[1 << np.arange(len(cells).bit_length() - 1)])
             np.logical_not(np.isfinite(sums), out=flags)
             flags |= np.abs(np.subtract(cells, sums, out=sums), out=sums) > tol
-    first = first_nested_cell(off, g._blocks, g._columns)
+    first = g._blocks.first_nested(off, g._columns)
     if first is None:
         return None
     # the flagged pair alone, its member terms added left to right from 0.0 as `member_sum`

@@ -277,6 +277,10 @@ def cmd_graph(args) -> int:
     game = _load(args, "STGame")
     from . import additivity, game_io
 
+    tests = {"additive": additivity.is_additive, "co-additive": additivity.is_coadditive}
+    failing = [name for name, test in tests.items() if not test(game, args.tol)]
+    if failing:  # both detectors, then the matrix, as `classify` decides bi-additivity
+        raise GameError(f"not bi-additive: not {' and not '.join(failing)}")
     try:
         matrix = additivity.extract_matrix(game, args.tol)
     except StructureError as exc:

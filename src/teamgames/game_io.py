@@ -310,7 +310,7 @@ def _entry_fault(kind: str, section: str, i: int, entry, index, column_of, earli
     raise AssertionError(f"{loc}: flagged entry passed every check")
 
 
-def _first_repeated_key(keys) -> tuple[int, int] | None:
+def _repeated_key(keys) -> tuple[int, int] | None:
     """The position of the first key an earlier one equals, and that earlier one's, or None;
     a dict pass, for the checks that run before numpy loads."""
     seen = {}
@@ -366,12 +366,12 @@ def _check_section(doc: dict, entries: _Entries, kind: str, index, column_of) ->
         if not faulty:
             return None
         width, limit = len(column_of), min(fault + 1, end)
-        repeat = _first_repeated_key(masks[i] * width + columns[o]
+        repeat = _repeated_key(masks[i] * width + columns[o]
                                for i, o in zip(ids[:limit], oids[:limit]))
     else:
         keys = list(map(masks.__getitem__, ids[:end]))
         present = set(keys)
-        repeat = _first_repeated_key(keys) if len(present) < len(keys) else None
+        repeat = _repeated_key(keys) if len(present) < len(keys) else None
     if repeat is not None and repeat[0] <= fault:
         fault, earlier = repeat
     elif faulty:
@@ -459,7 +459,7 @@ def _read_st(doc: dict, entries: _Entries) -> STGame:
 
     # the game module first: without bytecode files its compile is freed before its own
     # numpy import maps numpy's libraries, rather than stacking on them
-    from .st import ENTRY_CHUNK, STGame, entry_keys, first_repeat
+    from .st import ENTRY_CHUNK, STGame
 
     import numpy as np
 
@@ -478,10 +478,7 @@ def _read_st(doc: dict, entries: _Entries) -> STGame:
             n, tuple(column_of), columns, assessors, positions, values, players)
     except RepeatedEntryError as exc:
         raise _repeat_fault("utilities", "utilities", exc.entry, exc.earlier) from None
-    except SizeLimitError as exc:  # refused before placing: a repeated utility comes first
-        repeat = first_repeat(entry_keys(assessors, positions, len(column_of)))
-        if repeat is not None:
-            raise _repeat_fault("utilities", "utilities", *repeat) from None
+    except SizeLimitError as exc:
         raise GameLoadError(str(exc), "outcomes") from None
     except ValueError as exc:
         raise GameLoadError(str(exc), "utilities") from None

@@ -155,28 +155,6 @@ def subset_closure(table: np.ndarray, ufunc) -> np.ndarray:
     return table
 
 
-def first_nested_cell(flags: np.ndarray, blocks, columns):
-    """The first (S, A) with the cell of assessor A at outcome position ``columns[S]`` flagged,
-    or None, in ``first_pair``'s nested order: nonempty S ascending, then its nonempty
-    submasks A ascending. ``flags`` is a boolean array laid out as the cells of ``blocks``
-    (a tabulated team game's ``_Blocks``: ``groups`` yields each frame-size group's (2^k,
-    count) views, ``index(a, j)`` places a cell). Each group is OR-closed in place on its own
-    lattice with its row 0 (the empty assessor) cleared: a submask of a frame ranks at a
-    submask of the frame's rank, in the same order, so the first covered submask of S is
-    also its first flagged one."""
-    for _, group in blocks.groups(flags):
-        group[0] = False
-        subset_closure(group, np.logical_or)
-    coalitions = np.arange(1, len(columns))
-    bad = flags[blocks.index(coalitions, columns[1:])]
-    if not bad.any():
-        return None
-    s = int(np.argmax(bad)) + 1
-    subs = coalitions[:s]
-    subs = subs[(subs & s) == subs]
-    return s, int(subs[np.argmax(flags[blocks.index(subs, columns[s])])])
-
-
 def mask_sizes(n: int) -> np.ndarray:
     """Popcount of every mask below 2^n."""
     return subset_sums(np.ones(n, dtype=np.int64))

@@ -37,9 +37,8 @@ from .errors import (
 from .limits import DEFAULT_TOL, check_tol
 from . import players as _players
 from .players import (
-    PlayerSet, check_pair_scan, check_subset_array, first_flagged, first_nested_cell, member_sum,
-    pdep, pext, player_names, require_disjoint, require_fit, subset_closure, subset_label,
-    subset_sums,
+    PlayerSet, check_pair_scan, check_subset_array, first_flagged, member_sum, pdep, pext,
+    player_names, require_disjoint, require_fit, subset_closure, subset_label, subset_sums,
 )
 
 if TYPE_CHECKING:
@@ -119,6 +118,31 @@ class _Blocks(NamedTuple):
         a, j, values = map(np.concatenate, zip(*parts))
         order = np.lexsort((j, a))
         return a[order], j[order], values[order]
+
+    def first_nested(self, flags: np.ndarray, columns):
+        """The first (S, A) with the cell of assessor A at outcome position ``columns[S]``
+        flagged, or None, in ``first_pair``'s nested order: nonempty S ascending, then its
+        nonempty submasks A ascending. ``flags`` is a boolean array laid out as the cells. Each
+        group is OR-closed in place on its own lattice with its row 0 (the empty assessor)
+        cleared: a submask of a frame ranks at a submask of the frame's rank, in the same order,
+        so the first covered submask of S is also its first flagged one."""
+        for _, group in self.groups(flags):
+            group[0] = False
+            subset_closure(group, np.logical_or)
+        coalitions = np.arange(1, len(columns))
+        bad = flags[self.index(coalitions, columns[1:])]
+        if not bad.any():
+            return None
+        s = int(np.argmax(bad)) + 1
+        subs = pdep(np.arange(1, 1 << s.bit_count()), s, self.n)  # S's submasks, ascending
+        return s, int(subs[np.argmax(flags[self.index(subs, columns[s])])])
+
+
+def _produced_frames(n: int, outcomes: int, columns) -> np.ndarray:
+    """Per outcome position, the union of the coalitions that produce it."""
+    frames = np.zeros(outcomes, dtype=np.int64)
+    np.bitwise_or.at(frames, columns[1:], np.arange(1, 1 << n))
+    return frames
 
 
 def _frame_groups(frames: np.ndarray, n: int):
@@ -216,13 +240,12 @@ class STGame:
         coalition mask S (entry 0 is ignored); entry k values outcome
         ``positions[k]`` at ``values[k]`` for assessor mask ``assessors[k]``.
         Refuses index arrays that are not integers, arrays and names that do
-        not fit the team, a value that is not finite, or blocks of more than
-        ``MAX_TABLE_CELLS`` cells in all, before allocating them. The entries
-        are read in place and placed ``ENTRY_CHUNK`` at a time; an (assessor,
-        position) pair that comes twice is refused with a
-        :class:`RepeatedEntryError` naming the first repeat by position, and then
-        the first missing assessment is named in ascending (coalition, assessor)
-        order.
+        not fit the team, a value that is not finite, an (assessor, position)
+        pair that comes twice (a :class:`RepeatedEntryError` naming the first
+        repeat by position), or blocks of more than ``MAX_TABLE_CELLS`` cells
+        in all, in that order and before allocating the blocks. The entries are
+        read in place and placed ``ENTRY_CHUNK`` at a time; then the first
+        missing assessment is named in ascending (coalition, assessor) order.
         """
         _require_players(n)
         columns = _index_array("columns", columns).astype(np.intp)
@@ -243,8 +266,7 @@ class STGame:
                 f"utility of assessor {subset_label(int(assessors[k]), players)} at outcome "
                 f"{outcomes[positions[k]]!r} must be finite, got {values[k]}"
             )
-        frames = np.zeros(len(outcomes), dtype=np.int64)
-        np.bitwise_or.at(frames, columns[1:], np.arange(1, 1 << n))
+        frames = _produced_frames(n, len(outcomes), columns)
 
         def chunks():  # 8-byte copies of the index arrays, a small chunk at a time
             for lo in range(0, len(values), ENTRY_CHUNK):
@@ -253,7 +275,11 @@ class STGame:
 
         for a, j, _ in chunks():
             np.bitwise_or.at(frames, j, a)
-        blocks = _Blocks.layout(frames, n)
+        try:
+            blocks = _Blocks.layout(frames, n)
+        except SizeLimitError:  # refused before placing: a repeated utility comes first
+            _refuse_repeat(assessors, positions, outcomes, players)
+            raise
         cells = blocks.cells
         cells[blocks.offsets] = 0.0  # the empty assessor
         for a, j, chunk in chunks():
@@ -261,12 +287,8 @@ class STGame:
         empty = np.isnan(cells)
         # every value is finite, so a pair named twice leaves fewer cells filled than entries
         if len(cells) - len(outcomes) - np.count_nonzero(empty) < len(values):
-            k, earlier = first_repeat(entry_keys(assessors, positions, len(outcomes)))
-            raise RepeatedEntryError(
-                f"repeated utility: assessor {subset_label(int(assessors[k]), players)} at "
-                f"outcome {outcomes[positions[k]]!r} (entries {earlier} and {k})", k, earlier
-            )
-        missing = first_nested_cell(empty, blocks, columns)
+            _refuse_repeat(assessors, positions, outcomes, players)
+        missing = blocks.first_nested(empty, columns)
         if missing is not None:
             s, a = missing
             raise ValueError(
@@ -317,8 +339,7 @@ class STGame:
         does: every nested read and perception u_A(V({b})) is stored. A cell past the float
         range raises ``NumericOverflowError``, a NaN one ``ValueError``, naming the first
         nested one, else the first in (assessor, j) order."""
-        frames = np.zeros(len(outcomes), dtype=np.int64)
-        np.bitwise_or.at(frames, columns[1:], np.arange(1, 1 << n))
+        frames = _produced_frames(n, len(outcomes), columns)
         frames[columns[1 << np.arange(n)]] = (1 << n) - 1
         blocks = _Blocks.layout(frames, n)
         for positions, cells in blocks.groups(blocks.cells):
@@ -327,7 +348,7 @@ class STGame:
                 blocks.assessors(positions, len(cells))[1:], positions))
         bad = ~np.isfinite(blocks.cells)
         if bad.any():
-            first = first_nested_cell(bad.copy(), blocks, columns)
+            first = blocks.first_nested(bad.copy(), columns)
             a, j = ((first[1], columns[first[0]]) if first
                     else (int(k[0]) for k in blocks.entries(bad)[:2]))
             label, outcome = subset_label(a, players), outcomes[j]
@@ -436,19 +457,20 @@ def _require_within(name: str, values, low: int, high: int) -> np.ndarray:
     return values
 
 
-def entry_keys(assessors, positions, outcomes: int) -> np.ndarray:
-    """One int64 key per (assessor mask, outcome position) entry, equal only for one pair."""
-    return np.asarray(assessors, dtype=np.int64) * outcomes + np.asarray(positions, np.int64)
-
-
-def first_repeat(keys: np.ndarray) -> tuple[int, int] | None:
-    """The position of the first key an earlier one equals, and that earlier one's, or None."""
+def _refuse_repeat(assessors, positions, outcomes: tuple, players) -> None:
+    """Raise :class:`RepeatedEntryError` naming the first (assessor, position) entry an earlier
+    one repeats, by position, if there is one."""
+    keys = np.asarray(assessors, dtype=np.int64) * len(outcomes) + np.asarray(positions, np.int64)
     first = np.zeros(len(keys), dtype=bool)
     first[np.unique(keys, return_index=True)[1]] = True
     if first.all():
-        return None
+        return
     k = int(np.argmin(first))
-    return k, int(np.argmax(keys == keys[k]))
+    earlier = int(np.argmax(keys == keys[k]))
+    raise RepeatedEntryError(
+        f"repeated utility: assessor {subset_label(int(assessors[k]), players)} at "
+        f"outcome {outcomes[positions[k]]!r} (entries {earlier} and {k})", k, earlier
+    )
 
 
 def coalition_outcomes(n: int) -> tuple[tuple, np.ndarray]:
@@ -685,7 +707,7 @@ def is_cohesive(g: STGame, s: PlayerSet, tol: float = DEFAULT_TOL) -> bool:
     for positions, cells, flags in blocks.groups(blocks.cells, loses):
         with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
             np.less(cells - own[blocks.assessors(positions, len(cells))], -tol, out=flags)
-    return first_nested_cell(loses, blocks, columns) is None
+    return blocks.first_nested(loses, columns) is None
 
 
 def is_fully_cooperative(g: STGame, tol: float = DEFAULT_TOL) -> bool:

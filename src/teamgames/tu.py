@@ -183,39 +183,43 @@ def in_core(game: TUGame, phi, tol: float = DEFAULT_TOL) -> bool:
         return efficient and bool(np.all(sums >= game.u - tol))
 
 
-def _core_claims(game: TUGame) -> list[float]:
-    """The worth of every proper nonempty coalition by mask, once the size is checked."""
+def _cover_surplus(game: TUGame):
+    """The Bondareva-Shapley test, exactly: the worth of every proper nonempty coalition by
+    mask, v(N) less the cheapest total payout that honors those claims (an exact simplex over
+    coalition covers; the core is nonempty exactly when this is not negative), and that
+    payout's prices. None for one player; refused past ``MAX_CORE_DECIDE`` players."""
+    from fractions import Fraction
+
+    from .exact_lp import minimal_coalition_cover
+
     if game.n > MAX_CORE_DECIDE:
         raise SizeLimitError(f"core decision supports n <= {MAX_CORE_DECIDE}, got {game.n}")
-    return game.u[1:-1].tolist()
+    if game.n == 1:
+        return None
+    worth = game.u[1:-1].tolist()
+    best_total, prices = minimal_coalition_cover(game.n, worth)
+    return worth, Fraction(float(game.u[-1])) - best_total, prices
 
 
 def core_witness(game: TUGame) -> np.ndarray | None:
     """An allocation in the core, or None when the core is empty.
 
-    Decided in exact rational arithmetic: the cheapest total payout that
-    honors every proper-coalition claim is found by an exact simplex over
-    coalition covers; the core is nonempty exactly when that minimum does
-    not exceed the grand coalition's worth, and any surplus is then spread
-    evenly to restore efficiency. A witness component past the float range
-    raises ``NumericOverflowError`` naming its player.
+    Decided by the exact cover test of :func:`core_is_nonempty`; the witness
+    is the cheapest cover's prices with any surplus spread evenly. A witness
+    component past the float range raises ``NumericOverflowError`` naming
+    its player.
     """
-    from fractions import Fraction
+    from .exact_lp import first_uncovered
 
-    from .exact_lp import first_uncovered, minimal_coalition_cover
-
-    n = game.n
-    worth = _core_claims(game)
-    if n == 1:
+    cover = _cover_surplus(game)
+    if cover is None:
         return np.array([game.grand_value()])
-    grand = Fraction(float(game.u[-1]))
-    best_total, prices = minimal_coalition_cover(n, worth)
-    if best_total > grand:
+    worth, surplus, prices = cover
+    if surplus < 0:
         return None
-    slack = (grand - best_total) / n
-    phi = [p + slack for p in prices]
+    phi = [p + surplus / game.n for p in prices]
     # exact sanity check before leaving rational arithmetic
-    if first_uncovered(n, worth, phi) is not None:
+    if first_uncovered(game.n, worth, phi) is not None:
         raise AssertionError("exact witness violates a coalition claim")
     witness = []
     for name, p in zip(game.players, phi):
@@ -228,16 +232,10 @@ def core_witness(game: TUGame) -> np.ndarray | None:
 
 
 def core_is_nonempty(game: TUGame) -> bool:
-    """Whether the core is nonempty, decided from the exact optimal cover value."""
-    from fractions import Fraction
-
-    from .exact_lp import minimal_coalition_cover
-
-    worth = _core_claims(game)
-    if game.n == 1:
-        return True
-    best_total, _ = minimal_coalition_cover(game.n, worth)
-    return best_total <= Fraction(float(game.u[-1]))
+    """Whether the core is nonempty: whether, in exact rational arithmetic, the cheapest
+    total payout that honors every proper coalition's claim is at most v(N)."""
+    cover = _cover_surplus(game)
+    return cover is None or cover[1] >= 0
 
 
 def unanimity_game(n: int, carrier: PlayerSet) -> TUGame:

@@ -71,6 +71,20 @@ GAP = {
 }
 GAP_MISS = "u_a+b(V(a+b)) is 4.27, the reconstruction gives 4.0"
 
+# u_A(o_S) sums m[i][j] over i in A and j in S, m = [[1, 2], [3, 4]], with o3 = V({a,b})
+# moved: each entry stays within the default tolerance of the matrix's reconstruction, but
+# u_a+b(o3) is 2.7e-9 off u_a(o3) + u_b(o3), so the game is co-additive, not additive
+DRIFT_VALUES = {("a", "o1"): 1.0, ("a", "o2"): 2.0, ("a", "o3"): 2.9999999991,
+                ("b", "o1"): 3.0, ("b", "o2"): 4.0, ("b", "o3"): 6.9999999991,
+                ("ab", "o1"): 4.0, ("ab", "o2"): 6.0, ("ab", "o3"): 10.0000000009}
+DRIFT = {
+    "version": 1, "players": ["a", "b"], "outcomes": ["o1", "o2", "o3"],
+    "consequence": [{"subset": list(s), "outcome": o} for s, o in (("a", "o1"), ("b", "o2"),
+                                                                   ("ab", "o3"))],
+    "utilities": [{"subset": list(a), "outcome": o, "value": v}
+                  for (a, o), v in DRIFT_VALUES.items()],
+}
+
 
 class TestMetrics:
     def test_pd_rows(self, pd_file, tmp_path, capsys):
@@ -344,6 +358,50 @@ class TestGraph:
         assert run(["graph", pd_file, "-o", tmp_path / "x.edges"]) == 1
         assert "not bi-additive" in capsys.readouterr().err
 
+    def test_a_game_its_matrix_reproduces_but_not_additive_is_refused(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "drift.game", DRIFT)
+        assert run(["classify", path]) == 0
+        assert capsys.readouterr().out.splitlines()[4:] == [
+            "additive: false", "co-additive: true", "bi-additive: false"]
+        assert run(["graph", path, "-o", tmp_path / "drift.edges"]) == 1
+        assert one_error_line(capsys) == "error: not bi-additive: not additive"
+        assert not (tmp_path / "drift.edges").exists()
+
+    FAMILIES = ["st", "additive", "coadditive", "biadditive", "monotone"]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_graph_succeeds_exactly_when_classify_reports_bi_additive(
+        self, tmp_path, capsys, family, n
+    ):
+        import numpy as np
+
+        import random_games as rg
+        from teamgames import game_io
+        from teamgames.st import STGame
+
+        rng = np.random.default_rng(n)
+        game = {
+            "st": lambda: rg.random_st_game(n, rng, 3),
+            "additive": lambda: rg.random_additive_game(n, rng),
+            "coadditive": lambda: rg.random_coadditive_game(n, rng),
+            "biadditive": lambda: rg.random_biadditive_matrix(n, rng).to_game(),
+            "monotone": lambda: rg.monotone_series(n, rng),
+        }[family]()
+        name = {x: f"o{x}" for x in game.outcomes}  # a document names outcomes by strings
+        game = STGame.from_tables(
+            n, name.values(), {s: name[x] for s, x in game.consequence_table.items()},
+            {(a, name[x]): v for (a, x), v in game.utility_table.items()}, game.players)
+        path = tmp_path / "g.game"
+        game_io.save_game(game, path)
+        assert run(["classify", path]) == 0
+        biadditive = "bi-additive: true" in capsys.readouterr().out.splitlines()
+        out = tmp_path / "g.edges"
+        assert run(["graph", path, "-o", out]) == (0 if biadditive else 1)
+        assert out.exists() == biadditive
+        if family == "biadditive":
+            assert biadditive
+
 
 def size_additive_doc(u_a_k1: float) -> dict:
     """A 4-player game whose outcome is the coalition's size k, with u_A(k) = k times A's
@@ -388,8 +446,8 @@ class TestTeamFloatRange:
         assert captured.out == "kind: team game (4 players: A, B, C, D)\n" + report
         assert captured.err == ("error: the co-additive expectation of {A} at coalition {A,B} "
                                 "is past the float range\n")
-        assert one_error_line(capsys) == (
-            "error: the matrix reconstruction of {A} at coalition {A,B} is past the float range")
+        # `graph` runs the same detectors first, so it ends in the same line
+        assert one_error_line(capsys) + "\n" == captured.err
         assert not out.exists()
 
 

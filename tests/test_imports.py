@@ -415,3 +415,33 @@ def test_numpy_free_modules_import_no_numpy_at_module_level():
               for line, module in imports[name]
               if module.split(".")[0] == "numpy" or module.startswith(".") and module[1:] in heavy]
     assert not faults, "\n".join(faults)
+
+
+def _tree(module: str):
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def test_each_table_and_core_decision_has_one_home():
+    """The nested search is the block layout's (``players`` names no table), the team loader
+    takes only the table builder and its chunk size from ``st``, and one function in ``tu``
+    runs the core's cover test."""
+    fields = {ast.Name: "id", ast.Attribute: "attr", ast.arg: "arg", ast.alias: "name",
+              ast.FunctionDef: "name", ast.ClassDef: "name"}
+    names = [getattr(node, fields[type(node)]) for node in ast.walk(_tree("players"))
+             if type(node) in fields]
+    assert not [name for name in names
+                if any(word in name for word in ("_blocks", "_Blocks", "first_nested"))]
+
+    from_st = {alias.name for node in ast.walk(_tree("game_io"))
+               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "st"
+               for alias in node.names}
+    assert from_st <= {"ENTRY_CHUNK", "STGame"}
+
+    def calls_cover(function):
+        return any(isinstance(node, ast.Call) and "minimal_coalition_cover" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            for node in ast.walk(function))
+
+    covering = [node.name for node in ast.walk(_tree("tu"))
+                if isinstance(node, ast.FunctionDef) and calls_cover(node)]
+    assert len(covering) == 1, covering

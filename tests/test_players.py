@@ -8,8 +8,8 @@ from teamgames import additivity, cobb, st, tu
 from teamgames.errors import DisjointnessError, SizeLimitError
 from reference_loops import coalition_row_sums, disjoint_pairs, iter_submasks, iter_subset_masks
 from teamgames.players import (
-    MAX_PAIR_SCAN, PlayerSet, first_nested_cell, first_pair, mask_pairs, mask_sizes, member_sum,
-    player_names, subset_closure, subset_sums, subsets,
+    MAX_PAIR_SCAN, PlayerSet, first_pair, mask_pairs, mask_sizes, member_sum, player_names,
+    subset_closure, subset_sums, subsets,
 )
 from random_games import random_additive_game, random_biadditive_matrix
 
@@ -307,12 +307,12 @@ def test_first_nested_cell_matches_a_nested_walk(n, outcomes):
         expected = _first_flagged_walk(flags.ravel(), team, columns)
         row_cleared = flags.copy()
         row_cleared[0] = False
-        assert first_nested_cell(flags.ravel(), team, columns) == expected
+        assert team.first_nested(flags.ravel(), columns) == expected
         assert same_bits(flags, subset_closure(row_cleared, np.logical_or))  # closed in place
 
         flags = rng.random(len(mixed.cells)) < density
         expected = _first_flagged_walk(flags, mixed, mixed_columns)
-        assert first_nested_cell(flags, mixed, mixed_columns) == expected
+        assert mixed.first_nested(flags, mixed_columns) == expected
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -336,7 +336,7 @@ def test_first_nested_cell_on_a_coalition_s_subgame(n):
         for density in (0.0, 0.05, 0.3):
             flags = rng.random(len(sub.cells)) < density
             expected = _first_flagged_walk(flags, sub, local)
-            assert first_nested_cell(flags, sub, local) == expected
+            assert sub.first_nested(flags, local) == expected
     assert len(g._blocks.cells) < 4 << n  # some frame is narrower than the team
 
 
@@ -345,9 +345,9 @@ def test_first_nested_cell_finds_nothing_unflagged_or_in_row_zero(n):
     frames, columns = _mixed_frames(n, 3, np.random.default_rng(n))
     for blocks in (st._Blocks.layout(np.full(3, (1 << n) - 1), n), st._Blocks.layout(frames, n)):
         flags = np.zeros(len(blocks.cells), dtype=bool)
-        assert first_nested_cell(flags, blocks, columns) is None
+        assert blocks.first_nested(flags, columns) is None
         flags[blocks.offsets] = True  # the empty assessor is in no nested pair
-        assert first_nested_cell(flags, blocks, columns) is None
+        assert blocks.first_nested(flags, columns) is None
         assert not flags.any()
 
 

@@ -641,6 +641,25 @@ def test_from_entries_refuses_a_repeated_entry():
         STGame.from_entries(1, ("x",), [0, 0], [1], [0], [float("nan")], ("A",))
 
 
+def test_a_repeated_entry_is_named_before_the_cell_limit(monkeypatch):
+    """A table past the cell limit is refused before its entries are placed, yet a repeated
+    pair is still the error named, as for a table within the limit."""
+    import teamgames.st as st
+
+    monkeypatch.setattr(st, "MAX_TABLE_CELLS", 7)  # two outcomes of four cells each
+    columns, players = [0, 0, 1, 1], ("A", "B")
+    assessors, positions = [1, 2, 3, 1, 3, 2, 3], [0, 0, 0, 1, 1, 0, 1]
+    values = [1.0] * len(assessors)
+    with pytest.raises(SizeLimitError, match="^2 players and 2 outcomes need 8 table cells, "
+                                             "over the limit of 7$"):
+        STGame.from_entries(2, ("x", "y"), columns, assessors[:5], positions[:5], values[:5],
+                            players)
+    with pytest.raises(RepeatedEntryError) as got:
+        STGame.from_entries(2, ("x", "y"), columns, assessors, positions, values, players)
+    assert (got.value.entry, got.value.earlier) == (5, 1)
+    assert str(got.value) == "repeated utility: assessor {B} at outcome 'x' (entries 1 and 5)"
+
+
 def _entries_past_a_chunk(narrow: bool):
     """(n, outcomes, columns, assessors, positions) of more than ``ENTRY_CHUNK`` entries, each
     (assessor, position) pair once: every assessor values every one of 17 outcomes, so every
