@@ -20,10 +20,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericOverflowError, StructureError
-from .limits import DEFAULT_TOL, check_tol
+from .limits import DEFAULT_TOL, _left_sum, check_tol
 from .players import (
-    PlayerSet, check_pair_scan, first_pair, member_sum, player_names, require_disjoint,
-    require_fit, subset_closure, subset_label, subset_sums,
+    PlayerSet, check_pair_scan, first_pair, member_sum, player_names,
+    require_disjoint, require_fit, subset_closure, subset_label, subset_sums,
 )
 from .st import STGame, coalition_outcomes, is_fully_cooperative, is_sensible, pair_value
 
@@ -81,7 +81,6 @@ def _first_mismatch(g: STGame, what: str, tol: float, terms, by_assessor: bool):
 
 def _find_additive_violation(g: STGame, tol: float):
     """First violation of u_A(S) = sum over members a of u_a(S)."""
-    check_pair_scan(g.n)
     # the expectation depends on A and V(S) only: each block's singleton rows summed over A,
     # compared wherever a coalition containing A produces the outcome; ascending rank in a
     # frame is ascending player, so the sums add in the scan's order
@@ -94,13 +93,11 @@ def _find_additive_violation(g: STGame, tol: float):
     first = g._blocks.first_nested(off, g._columns)
     if first is None:
         return None
-    # the flagged pair alone, its member terms added left to right from 0.0 as `member_sum`
-    # adds them (not `sum`, which compensates from Python 3.12, nor `np.sum`, pairwise)
+    # the flagged pair alone, its member terms added as `member_sum` adds them (not `np.sum`,
+    # which adds pairwise)
     s, a = first
     singles = 1 << np.arange(g.n, dtype=np.int64)
-    want = 0.0
-    for term in g.u(singles[singles & a != 0], s).tolist():
-        want += term
+    want = _left_sum(g.u(singles[singles & a != 0], s).tolist())
     return _violation(g, "additive expectation", a, s, float(g.u(a, s)), want)
 
 
@@ -159,7 +156,7 @@ class BiAdditiveMatrix:
         """u_A(S), the sum of m[a][b] over a in A and b in S; a sum past the float range
         raises ``NumericOverflowError``."""
         require_fit(self.n, assessor, coalition)
-        total = float(sum(self.m.item(a, b) for a in assessor for b in coalition))
+        total = _left_sum(self.m.item(a, b) for a in assessor for b in coalition)
         if math.isinf(total):
             a, s = (subset_label(x.mask, player_names(self.n)) for x in (assessor, coalition))
             raise NumericOverflowError(f"the utility of {a} at coalition {s} is past the "
@@ -246,8 +243,8 @@ def fast_metrics(matrix: BiAdditiveMatrix, a: PlayerSet, b: PlayerSet) -> FastMe
     require_fit(matrix.n, a, b)
     item = matrix.m.item
     union = list(a) + list(b)
-    competitive = float(sum(item(x, y) for x in a for y in union))
-    altruism = float(sum(item(x, y) for x in b for y in a))
+    competitive = _left_sum(item(x, y) for x in a for y in union)
+    altruism = _left_sum(item(x, y) for x in b for y in a)
     return _metrics(altruism, competitive, a, b, player_names(matrix.n))
 
 
@@ -261,9 +258,9 @@ def additive_metrics(g: STGame, a: PlayerSet, b: PlayerSet) -> FastMetrics:
     require_disjoint(a, b)
     require_fit(g.n, a, b)
     x_union = g._v(a.mask | b.mask)
-    competitive = float(sum(g._u(1 << p, x_union) for p in a))
+    competitive = _left_sum(g._u(1 << p, x_union) for p in a)
     x_b = g._v(b.mask)
-    altruism = float(sum(g._u(1 << p, x_union) - g._u(1 << p, x_b) for p in b))
+    altruism = _left_sum(g._u(1 << p, x_union) - g._u(1 << p, x_b) for p in b)
     return _metrics(altruism, competitive, a, b, g.players)
 
 
@@ -277,13 +274,9 @@ def coadditive_metrics(g: STGame, a: PlayerSet, b: PlayerSet) -> FastMetrics:
     require_disjoint(a, b)
     require_fit(g.n, a, b)
     union = a | b
-    altruism = float(sum(g._u(b.mask, g._v(1 << p)) for p in a))
-    competitive = float(
-        sum(
-            g._u(union.mask, g._v(1 << p)) - g._u(b.mask, g._v(1 << p))
-            for p in union
-        )
-    )
+    altruism = _left_sum(g._u(b.mask, g._v(1 << p)) for p in a)
+    competitive = _left_sum(g._u(union.mask, g._v(1 << p)) - g._u(b.mask, g._v(1 << p))
+                            for p in union)
     return _metrics(altruism, competitive, a, b, g.players)
 
 
@@ -305,7 +298,10 @@ class AdditiveReport:
 
 
 def additive_predicates(g: STGame, tol: float = DEFAULT_TOL) -> AdditiveReport:
+    """The report of an additive game, else ``StructureError`` with the detector's witness;
+    refused past ``MAX_PAIR_SCAN`` players, before its n x 2^n tables of member terms."""
     check_tol(tol)
+    check_pair_scan(g.n)
     violation = _find_additive_violation(g, tol)
     if violation is not None:
         raise StructureError("game is not additive", witness=violation)
@@ -364,10 +360,10 @@ class PerceptionGraph:
     edges: tuple[tuple[int, int, float], ...]
 
     def out_weight(self, a: PlayerSet) -> float:
-        return float(sum(w for src, dst, w in self.edges if src in a and dst not in a))
+        return _left_sum(w for src, dst, w in self.edges if src in a and dst not in a)
 
     def in_weight(self, a: PlayerSet) -> float:
-        return float(sum(w for _, dst, w in self.edges if dst in a))
+        return _left_sum(w for _, dst, w in self.edges if dst in a)
 
     def to_lines(self) -> list[str]:
         """Edge-list serialization: one ``src dst weight`` line per edge."""

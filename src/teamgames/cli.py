@@ -176,14 +176,15 @@ def _matrix_miss(exc: StructureError, players) -> str:
 def _classify_st(game: STGame, tol: float) -> None:
     from . import additivity, st
 
-    def scan(test) -> str:
-        return _decided(game.n, MAX_PAIR_SCAN, lambda: test(game, tol))
+    def word(test) -> str:
+        return str(test(game, tol)).lower()
 
-    sensible, cooperative = scan(st.is_sensible), scan(st.is_fully_cooperative)
+    sensible, cooperative = word(st.is_sensible), word(st.is_fully_cooperative)
     print(f"sensible: {sensible}")
     print(f"fully-cooperative: {cooperative}")
     print(f"utility in team core: {cooperative}")
-    additive, coadditive = scan(additivity.is_additive), scan(additivity.is_coadditive)
+    additive = word(additivity.is_additive)
+    coadditive = _decided(game.n, MAX_PAIR_SCAN, lambda: additivity.is_coadditive(game, tol))
     print(f"additive: {additive}")
     print(f"co-additive: {coadditive}")
     matrix = miss = None

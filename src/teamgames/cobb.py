@@ -37,7 +37,7 @@ import numpy as np
 
 from .cobb_params import FRONTIER_COLUMNS, UNBOUNDED, CobbDouglasConfig  # noqa: F401
 from .cobb_params import max_stable_team_size, stable_size_grid  # noqa: F401 - re-exported
-from .limits import DEFAULT_TOL, check_tol
+from .limits import DEFAULT_TOL, _left_sum, check_tol
 from .players import (
     PlayerSet, mask_sizes, player_names, require_disjoint, require_fit, subset_sums,
 )
@@ -93,10 +93,10 @@ class ContributionProfile:
         return len(self.x)
 
     def total(self, coalition: PlayerSet) -> float:
-        return float(sum(self.x[p] for p in coalition))
+        return _left_sum(self.x[p] for p in coalition)
 
     def reserve(self, coalition: PlayerSet) -> float:
-        return float(sum(self.resources[p] - self.x[p] for p in coalition))
+        return _left_sum(self.resources[p] - self.x[p] for p in coalition)
 
     def replace(self, player: int, value: float) -> ContributionProfile:
         x = list(self.x)

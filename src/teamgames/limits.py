@@ -1,10 +1,18 @@
-"""Tolerance and size limits shared across the package, readable without numpy."""
+"""Tolerance, size limits and float-sum order shared by the package, readable without numpy."""
+
+import functools
 
 DEFAULT_TOL = 1e-9
 
 MAX_PAIR_SCAN = 16  # a 3^n pair scan past this many players runs for minutes
 MAX_CORE_DECIDE = 14  # exact LP columns: 2^n - 2
 MAX_SUBSET_ARRAY = 20  # an array over all 2^n subsets past this many players outgrows memory
+
+
+def _left_sum(terms) -> float:
+    """``terms`` added left to right from 0.0, as ``players.member_sum`` adds them (``sum``
+    compensates from Python 3.12)."""
+    return functools.reduce(float.__add__, terms, 0.0)
 
 
 def check_tol(tol: float) -> None:

@@ -227,7 +227,7 @@ def pdep(values, masks, width: int):
 
 
 def check_pair_scan(n: int) -> None:
-    """Refuse a 3^n pair scan over more than ``MAX_PAIR_SCAN`` players, before it starts."""
+    """Refuse a pair scan or a per-player report past ``MAX_PAIR_SCAN`` players, up front."""
     if n > MAX_PAIR_SCAN:
         raise SizeLimitError(f"disjoint-pair scans support n <= {MAX_PAIR_SCAN}, got {n}")
 

@@ -38,7 +38,7 @@ from .limits import DEFAULT_TOL, check_tol
 from . import players as _players
 from .players import (
     PlayerSet, check_pair_scan, check_subset_array, first_flagged, member_sum, pdep, pext,
-    player_names, require_disjoint, require_fit, subset_closure, subset_label, subset_sums,
+    player_names, require_disjoint, require_fit, subset_closure, subset_label,
 )
 
 if TYPE_CHECKING:
@@ -49,7 +49,7 @@ Outcome = Hashable
 NULL_OUTCOME: Outcome = None
 
 MAX_TABLE_CELLS = 1 << 25  # block cells of a tabulated game (256 MiB)
-ENTRY_CHUNK = 1 << 12  # entries placed at a time: each temporary of a chunk is 32 KiB
+ENTRY_CHUNK = 1 << 12  # entries placed, or cells read, at a time: a chunk's temporary is 32 KiB
 
 
 class _Blocks(NamedTuple):
@@ -102,10 +102,12 @@ class _Blocks(NamedTuple):
             yield positions, *(array[base:base + rows * len(positions)].reshape(rows, -1)
                                for array in arrays)
 
-    def assessors(self, positions, rows: int):
-        """The assessor masks of a group's (rows, count) cells: rank r of each frame."""
-        ranks = np.arange(rows)[:, None]
-        return ranks if rows == 1 << self.n else pdep(ranks, self.frames[positions], self.n)
+    def assessors(self, positions, lo: int, hi: int):
+        """The assessor masks of rows lo to hi of a group's (2^k, count) cells: rank r of each
+        frame."""
+        ranks = np.arange(lo, hi)[:, None]
+        team = self.frames[positions[0]] == (1 << self.n) - 1  # the 2^n-row group: no pdep
+        return ranks if team else pdep(ranks, self.frames[positions], self.n)
 
     def entries(self, flags: np.ndarray):
         """(assessor masks, outcome positions, values) of the flagged cells of nonempty
@@ -119,23 +121,29 @@ class _Blocks(NamedTuple):
         order = np.lexsort((j, a))
         return a[order], j[order], values[order]
 
-    def first_nested(self, flags: np.ndarray, columns):
+    def first_nested(self, flags: np.ndarray, columns, within: int | None = None):
         """The first (S, A) with the cell of assessor A at outcome position ``columns[S]``
-        flagged, or None, in ``first_pair``'s nested order: nonempty S ascending, then its
-        nonempty submasks A ascending. ``flags`` is a boolean array laid out as the cells. Each
-        group is OR-closed in place on its own lattice with its row 0 (the empty assessor)
-        cleared: a submask of a frame ranks at a submask of the frame's rank, in the same order,
-        so the first covered submask of S is also its first flagged one."""
+        flagged, or None, in ``first_pair``'s nested order: nonempty S inside ``within`` (a
+        coalition mask; the team by default) ascending, then its nonempty submasks A ascending.
+        ``flags`` is a boolean array laid out as the cells. Each group is OR-closed in place on
+        its own lattice with its row 0 (the empty assessor) cleared: a submask of a frame ranks
+        at a submask of the frame's rank, in the same order, so the first covered submask of S
+        is also its first flagged one, whatever coalition holds S."""
         for _, group in self.groups(flags):
             group[0] = False
             subset_closure(group, np.logical_or)
-        coalitions = np.arange(1, len(columns))
-        bad = flags[self.index(coalitions, columns[1:])]
-        if not bad.any():
-            return None
-        s = int(np.argmax(bad)) + 1
-        subs = pdep(np.arange(1, 1 << s.bit_count()), s, self.n)  # S's submasks, ascending
-        return s, int(subs[np.argmax(flags[self.index(subs, columns[s])])])
+        within = (1 << self.n) - 1 if within is None else within
+        end = 1 << within.bit_count()
+        for lo in range(1, end, ENTRY_CHUNK):  # the coalitions, a chunk at a time
+            coalitions = np.arange(lo, min(lo + ENTRY_CHUNK, end))
+            if end < len(columns):  # a proper coalition: its nonempty submasks, ascending
+                coalitions = pdep(coalitions, within, self.n)
+            bad = flags[self.index(coalitions, columns[coalitions])]
+            if bad.any():
+                s = int(coalitions[np.argmax(bad)])
+                subs = pdep(np.arange(1, 1 << s.bit_count()), s, self.n)  # ascending
+                return s, int(subs[np.argmax(flags[self.index(subs, columns[s])])])
+        return None
 
 
 def _produced_frames(n: int, outcomes: int, columns) -> np.ndarray:
@@ -345,7 +353,7 @@ class STGame:
         for positions, cells in blocks.groups(blocks.cells):
             cells[0] = 0.0
             cells[1:] = assess(*np.broadcast_arrays(
-                blocks.assessors(positions, len(cells))[1:], positions))
+                blocks.assessors(positions, 1, len(cells)), positions))
         bad = ~np.isfinite(blocks.cells)
         if bad.any():
             first = blocks.first_nested(bad.copy(), columns)
@@ -645,7 +653,6 @@ def _bystander_gap(g: STGame, fold, empty: float) -> np.ndarray:
     T, for every coalition T of a tabulated game, folded on each frame-size group of its
     blocks; the empty assessor values at ``empty``, and NaN leaves it out. fl(x - y) is
     monotone in y, so the least or most u_B(V(T)) decides T."""
-    check_pair_scan(g.n)
     blocks = g._blocks
     at = blocks.index(np.arange(1 << g.n), g._columns)
     gap = blocks.cells[at]
@@ -671,43 +678,29 @@ def is_sensible(g: STGame, tol: float = DEFAULT_TOL) -> bool:
     return not np.any(_bystander_gap(g, np.fmax, 0.0) < -tol)
 
 
-def _subgame(g: STGame, masks: np.ndarray) -> tuple[_Blocks, np.ndarray]:
-    """The blocks and outcome columns of a tabulated game's subgame on a coalition's k
-    members, numbered as ``masks`` (the team's mask of every local mask below 2^k) numbers
-    them: the outcomes that its nonempty coalitions produce, each cut to its assessors inside
-    the coalition."""
-    blocks, coalition = g._blocks, int(masks[-1])
-    produced = np.zeros(len(g.outcomes), dtype=np.intp)
-    produced[g._columns[masks[1:]]] = 1
-    used = np.flatnonzero(produced)
-    columns = (np.cumsum(produced) - 1)[g._columns[masks]]  # positions among the used ones
-    columns[0] = 0
-    frames = pext(blocks.frames[used] & coalition, coalition, g.n)
-    sub = _Blocks.layout(frames, len(masks).bit_length() - 1)
-    for positions, cells in sub.groups(sub.cells):
-        at = blocks.index(masks[sub.assessors(positions, len(cells))], used[positions])
-        np.take(blocks.cells, at, out=cells, mode="clip")  # in range: "clip" copies no buffer
-    return sub, columns
-
-
 def is_cohesive(g: STGame, s: PlayerSet, tol: float = DEFAULT_TOL) -> bool:
-    """No part of coalition S loses, by its own assessment, from another part joining."""
+    """No part of coalition S loses, by its own assessment, from another part joining: read
+    off the team's closure at the coalitions inside S, at the cost of the team's table."""
     check_tol(tol)
     if not s:
         raise ValueError("coalition must be nonempty")
     if not s.fits(g.n):
         raise ValueError(f"{s} is not a coalition of a {g.n}-player team")
-    check_pair_scan(len(s))  # before any 2^|S| array
-    masks = subset_sums(np.left_shift(1, s.members()))  # S's own lattice: b names masks[b]
-    blocks, columns = (g._blocks, g._columns) if len(s) == g.n else _subgame(g, masks)
+    blocks, columns = g._blocks, g._columns
     # B loses when it values below V(B) an outcome that a coalition above it produces; the
     # coalition B itself adds u_B(V(B)) - u_B(V(B)), never below -tol
-    own = blocks.cells[blocks.index(np.arange(len(columns)), columns)]
+    own = np.empty(len(columns))  # u_B(V(B)) for every coalition B
+    for lo in range(0, len(columns), ENTRY_CHUNK):  # temporaries of a chunk at a time
+        b = np.arange(lo, min(lo + ENTRY_CHUNK, len(columns)))
+        own[b] = blocks.cells[blocks.index(b, columns[b])]
     loses = np.empty(len(blocks.cells), dtype=bool)
-    for positions, cells, flags in blocks.groups(blocks.cells, loses):
-        with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
-            np.less(cells - own[blocks.assessors(positions, len(cells))], -tol, out=flags)
-    return blocks.first_nested(loses, columns) is None
+    with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
+        for positions, cells, flags in blocks.groups(blocks.cells, loses):
+            step = -(-ENTRY_CHUNK // len(positions))  # rows of about ENTRY_CHUNK cells
+            for lo in range(0, len(cells), step):
+                b = blocks.assessors(positions, lo, min(lo + step, len(cells)))
+                np.less(cells[lo:lo + step] - own[b], -tol, out=flags[lo:lo + step])
+    return blocks.first_nested(loses, columns, s.mask) is None
 
 
 def is_fully_cooperative(g: STGame, tol: float = DEFAULT_TOL) -> bool:

@@ -83,7 +83,10 @@ def coadditive_game(n: int, perception) -> STGame:
     outcomes = tuple(range(1, 1 << n))
 
     def utility(a, s):
-        return sum(perception.item(a.mask, b) for b in PlayerSet(s))
+        total = 0.0  # left to right from 0.0: ``sum`` compensates from Python 3.12
+        for b in PlayerSet(s):
+            total += perception.item(a.mask, b)
+        return total
 
     return STGame.from_functions(n, outcomes, lambda s: s.mask, utility)
 

@@ -524,7 +524,7 @@ def from_ntu(n, outcomes, consequence, individual, players=None):
     cons_fn = consequence if callable(consequence) else (lambda s: consequence[s.mask])
 
     def utility(a, outcome):
-        return sum(individual[p][outcome] for p in a)
+        return _total(individual[p][outcome] for p in a)
 
     return STGame.from_functions(n, outcomes, cons_fn, utility, players)
 
@@ -555,7 +555,7 @@ def random_coadditive_game(n, rng, *, monotone=False):
                 perception[(a_mask, b)] = float(rng.uniform(-1.0, 1.0))
 
     def utility(a, outcome):
-        return sum(perception[(a.mask, b)] for b in PlayerSet(int(outcome)))
+        return _total(perception[(a.mask, b)] for b in PlayerSet(int(outcome)))
 
     return STGame.from_functions(n, outcomes, lambda s: s.mask, utility)
 
@@ -564,7 +564,7 @@ def biadditive_game(matrix):
     mat = matrix.m
 
     def utility(a, outcome):
-        return float(sum(mat[x][b] for x in a for b in PlayerSet(int(outcome))))
+        return float(_total(mat[x][b] for x in a for b in PlayerSet(int(outcome))))
 
     outcomes = tuple(range(1, 1 << matrix.n))
     return STGame.from_functions(matrix.n, outcomes, lambda s: s.mask, utility)

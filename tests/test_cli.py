@@ -150,7 +150,7 @@ class TestClassify:
 
 
     def test_team_report_past_the_pair_scan_limit(self, tmp_path, capsys):
-        # 17 players, one outcome: loads, but no pair scan may start
+        # 17 players, one outcome: the closures decide it, but no pair scan may start
         n = 17
         names = [chr(ord("a") + i) for i in range(n)]
         subsets = [[names[i] for i in range(n) if mask >> i & 1] for mask in range(1, 1 << n)]
@@ -164,9 +164,11 @@ class TestClassify:
         assert captured.err == ""
         lines = captured.out.splitlines()
         assert lines[0].startswith("kind: team game (17 players: ")
-        scanned = ["sensible", "fully-cooperative", "utility in team core", "additive",
-                   "co-additive", "bi-additive"]
-        assert lines[1:] == [f"{name}: not decided (n > 16)" for name in scanned]
+        assert lines[1:] == [
+            "sensible: true", "fully-cooperative: true", "utility in team core: true",
+            "additive: false", "co-additive: not decided (n > 16)",
+            "bi-additive: not decided (n > 16)",
+        ]
 
     def test_team_report_when_the_perception_matrix_misses_the_tolerance(
         self, tmp_path, capsys

@@ -445,3 +445,24 @@ def test_each_table_and_core_decision_has_one_home():
     covering = [node.name for node in ast.walk(_tree("tu"))
                 if isinstance(node, ast.FunctionDef) and calls_cover(node)]
     assert len(covering) == 1, covering
+
+
+def test_the_pair_scan_limit_guards_only_pair_scans():
+    """``check_pair_scan`` is called only by the pair scans and the per-player reports; the
+    lattice closures are bounded by their table alone, and cohesion reads the team's table,
+    so ``st`` builds no subgame."""
+    def callers(node, owner):  # the innermost function around each call
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else owner
+            if isinstance(child, ast.Call) and "check_pair_scan" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                yield owner
+            yield from callers(child, inner)
+
+    guarded = {f"{path.stem}.{owner}" for path in PACKAGE.glob("*.py")
+               for owner in callers(_tree(path.stem), None)}
+    assert guarded == {"players.first_pair", "additivity._perceptions",
+                       "additivity.extract_matrix", "additivity.additive_predicates",
+                       "st.reduce_to_tu"}
+    assert "_subgame" not in {node.name for node in ast.walk(_tree("st"))
+                              if isinstance(node, ast.FunctionDef)}

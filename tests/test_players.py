@@ -270,10 +270,11 @@ def test_subset_closure_matches_a_submask_fold(n, ufunc, columns):
     assert same_bits(closed, expected)
 
 
-def _first_flagged_walk(flags, blocks, columns):
+def _first_flagged_walk(flags, blocks, columns, within=None):
     """The first (S, A) with the cell of A at outcome ``columns[S]`` flagged, one nested pair
-    at a time."""
-    for s in range(1, len(columns)):
+    at a time, S inside ``within`` when it is given."""
+    coalitions = range(1, len(columns)) if within is None else iter_submasks(within, nonempty=True)
+    for s in coalitions:
         for a in iter_submasks(s, nonempty=True):
             if flags[blocks.index(a, columns[s])]:
                 return s, a
@@ -317,8 +318,8 @@ def test_first_nested_cell_matches_a_nested_walk(n, outcomes):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_first_nested_cell_on_a_coalition_s_subgame(n):
-    """On the blocks of a proper coalition's subgame, numbered on its members, the search
-    finds the walk's first pair inside the coalition, and the cells are the team's."""
+    """Within a coalition, the search on the team's table finds the walk's first pair among
+    the coalitions inside it."""
     rng = np.random.default_rng(n)
     _, columns = _mixed_frames(n, 4, rng)
     # each (assessor, outcome) pair once: coalitions share outcomes
@@ -327,17 +328,13 @@ def test_first_nested_cell_on_a_coalition_s_subgame(n):
     assessors, positions = np.array(pairs).T
     g = st.STGame.from_entries(n, tuple(range(4)), columns, assessors, positions,
                                rng.normal(size=len(pairs)), tuple(map(str, range(n))))
+    blocks = g._blocks
     for coalition in range(1, 1 << n):
-        masks = subset_sums(np.left_shift(1, PlayerSet(coalition).members()))
-        sub, local = st._subgame(g, masks)
-        for s in range(1, len(masks)):
-            for a in iter_submasks(s, nonempty=True):
-                assert sub.cells[sub.index(a, local[s])] == g.u(masks[a], masks[s])
         for density in (0.0, 0.05, 0.3):
-            flags = rng.random(len(sub.cells)) < density
-            expected = _first_flagged_walk(flags, sub, local)
-            assert sub.first_nested(flags, local) == expected
-    assert len(g._blocks.cells) < 4 << n  # some frame is narrower than the team
+            flags = rng.random(len(blocks.cells)) < density
+            expected = _first_flagged_walk(flags, blocks, columns, coalition)
+            assert blocks.first_nested(flags, columns, coalition) == expected
+    assert len(blocks.cells) < 4 << n  # some frame is narrower than the team
 
 
 @pytest.mark.parametrize("n", range(5))
