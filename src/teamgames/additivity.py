@@ -122,8 +122,10 @@ def is_biadditive(g: STGame, tol: float = DEFAULT_TOL) -> bool:
 
     Each detector allows ``tol`` per entry, so a game can pass both while the
     matrix misses an entry by up to their sum; ``extract_matrix`` refuses it.
+    Past ``MAX_PAIR_SCAN`` players any game is refused up front (pair scans).
     """
     check_tol(tol)
+    check_pair_scan(g.n)
     if not (is_additive(g, tol) and is_coadditive(g, tol)):
         return False
     try:

@@ -145,12 +145,18 @@ def subset_sums(terms) -> np.ndarray:
     return sums
 
 
+def lattice_halves(table: np.ndarray, i: int) -> np.ndarray:
+    """A C-contiguous 2^n table as a (2^(n-i-1), 2, 2^i, ...) view: ``[:, 0]`` holds the masks
+    without player i, ascending, and ``[:, 1]`` the same masks with i."""
+    return table.reshape(-1, 2, 1 << i, *table.shape[1:])
+
+
 def subset_closure(table: np.ndarray, ufunc) -> np.ndarray:
     """Close a C-contiguous 2^n table in place along axis 0 and return it: ``table[S]``
     becomes ``ufunc`` folded over ``table[B]`` for every submask B of S (the zeta
     transform of the subset lattice), in one pass per player."""
     for i in range(len(table).bit_length() - 1):
-        halves = table.reshape(-1, 2, 1 << i, *table.shape[1:])
+        halves = lattice_halves(table, i)
         ufunc(halves[:, 1], halves[:, 0], out=halves[:, 1])
     return table
 
@@ -281,18 +287,12 @@ def mask_pairs(n: int, *, nested: bool = False):
 
 
 def first_pair(n: int, test, *, nested: bool = False):
-    """The first pair of a :func:`mask_pairs` scan that ``test`` flags, or None; a scan over
-    more than ``MAX_PAIR_SCAN`` players is refused before ``test`` sees a chunk."""
+    """The first pair of a :func:`mask_pairs` scan that ``test`` flags, or None, refused past
+    ``MAX_PAIR_SCAN`` players before ``test`` sees a chunk. ``test(outer, inner)`` returns
+    ``(bad, *values)``: a boolean array flagging a chunk's pairs, and arrays of its length; the
+    result is ``(outer, inner, *values)`` at the first flagged pair, as Python scalars."""
     check_pair_scan(n)
-    return first_flagged(test, mask_pairs(n, nested=nested))
-
-
-def first_flagged(test, chunks):
-    """The first pair of ``chunks``, ``(outer, inner)`` arrays, that ``test`` flags, or None.
-    ``test(outer, inner)`` returns ``(bad, *values)``, a boolean array flagging pairs and arrays
-    of the chunk's length; the result is ``(outer, inner, *values)`` at the first flagged pair
-    in scan order, as Python scalars."""
-    for outer, inner in chunks:
+    for outer, inner in mask_pairs(n, nested=nested):
         bad, *values = test(outer, inner)
         if bad.any():
             k = int(np.argmax(bad))

@@ -20,7 +20,6 @@ B empty therefore reduce to m_A(A) = u_A(V(A)).
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -35,9 +34,8 @@ from .errors import (
     SizeLimitError,
 )
 from .limits import DEFAULT_TOL, check_tol
-from . import players as _players
 from .players import (
-    PlayerSet, check_pair_scan, check_subset_array, first_flagged, member_sum, pdep, pext,
+    PlayerSet, check_pair_scan, check_subset_array, first_pair, member_sum, pdep, pext,
     player_names, require_disjoint, require_fit, subset_closure, subset_label,
 )
 
@@ -648,34 +646,38 @@ def all_coop_points(g: STGame, *, include_grand: bool = True) -> CoopSpace:
     return CoopSpace(subsets, altruism, competitive, marginal)
 
 
-def _bystander_gap(g: STGame, fold, empty: float) -> np.ndarray:
-    """u_T(V(T)) minus ``fold`` (np.fmin or np.fmax) of u_B(V(T)) over the assessors B inside
-    T, for every coalition T of a tabulated game, folded on each frame-size group of its
-    blocks; the empty assessor values at ``empty``, and NaN leaves it out. fl(x - y) is
-    monotone in y, so the least or most u_B(V(T)) decides T."""
-    blocks = g._blocks
-    at = blocks.index(np.arange(1 << g.n), g._columns)
-    gap = blocks.cells[at]
-    for positions, base, rows in blocks.spans:  # a copy of one group at a time
-        folded = blocks.cells[base:base + rows * len(positions)].reshape(rows, -1).copy()
+def _bystander_breaks(g: STGame, fold, empty: float, breaks) -> bool:
+    """Whether ``breaks`` flags u_T(V(T)) minus ``fold`` (np.fmin or np.fmax) of u_B(V(T))
+    over the assessors B inside T, the empty one at ``empty`` (NaN leaves it out), for some
+    coalition T. fl(x - y) is monotone in y, so the least or most u_B(V(T)) decides T. Each
+    frame-size group is copied and folded in turn, and the coalitions with their own cell in
+    it read ``ENTRY_CHUNK`` at a time, up to the first that breaks."""
+    blocks, columns = g._blocks, g._columns
+    for positions, base, rows in blocks.spans:
+        cells = blocks.cells[base:base + rows * len(positions)]
+        folded = cells.reshape(rows, -1).copy()
         folded[0] = empty
-        subset_closure(folded, fold)
-        inside = (at >= base) & (at < base + folded.size)
-        with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
-            gap[inside] -= folded.ravel()[at[inside] - base]
+        folded = subset_closure(folded, fold).ravel()
+        for lo in range(0, len(columns), ENTRY_CHUNK):
+            t = np.arange(lo, min(lo + ENTRY_CHUNK, len(columns)))
+            at = blocks.index(t, columns[t]) - base
+            at = at[(at >= 0) & (at < len(cells))]  # the cells of T inside this group
+            with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
+                if breaks(cells[at] - folded[at]).any():
+                    return True
         del folded  # before the next group's copy
-    return gap
+    return False
 
 
 def is_sensible(g: STGame, tol: float = DEFAULT_TOL) -> bool:
     """No subset's participation is valued below the bystanders' assessment.
 
-    Quantifies c_A(A|B) >= 0 over all disjoint nonempty pairs and over the
-    B-empty case (self-assessments nonnegative).
+    Quantifies c_A(A|B) >= 0 over all disjoint nonempty pairs and the B-empty case
+    (self-assessments nonnegative), by table closures up to the first group that breaks it.
     """
     check_tol(tol)
     # T's gap to the most any B inside T, the empty one at 0, values V(T) (B = T adds 0)
-    return not np.any(_bystander_gap(g, np.fmax, 0.0) < -tol)
+    return not _bystander_breaks(g, np.fmax, 0.0, lambda gap: gap < -tol)
 
 
 def is_cohesive(g: STGame, s: PlayerSet, tol: float = DEFAULT_TOL) -> bool:
@@ -738,9 +740,10 @@ def reduce_to_tu(g: STGame, tol: float = DEFAULT_TOL) -> TUGame:
 
     Requires every competitive contribution over disjoint nonempty pairs to
     vanish (all participating subsets then agree on each reachable outcome's
-    value). Raises :class:`NotReducibleError` with the witnessing pair
-    otherwise, or ``NumericOverflowError`` when its contribution is past the
-    float range.
+    value), as the table's closures decide. Raises :class:`NotReducibleError`
+    with the first witnessing pair in disjoint order otherwise, named by a pair
+    scan (so past ``MAX_PAIR_SCAN`` players it is refused up front), or
+    ``NumericOverflowError`` when its contribution is past the float range.
     """
     from .tu import TUGame
 
@@ -753,15 +756,11 @@ def reduce_to_tu(g: STGame, tol: float = DEFAULT_TOL) -> TUGame:
         return np.abs(c) > tol, c
 
     check_pair_scan(g.n)
-    chunks = _players.mask_pairs(g.n)
-    witness = first_flagged(competes, itertools.islice(chunks, 1))  # a witness near the start
     # some nonempty B inside a coalition T values V(T) more than tol off u_T when the least or
     # the most such u_B(V(T)) does; B = T adds u_T - u_T, never more than tol off
-    if witness is None and any(np.any(np.abs(_bystander_gap(g, fold, np.nan)) > tol)
-                               for fold in (np.fmin, np.fmax)):
-        witness = first_flagged(competes, chunks)
-    if witness is not None:
-        a, b, c = witness
+    if any(_bystander_breaks(g, fold, np.nan, lambda gap: np.abs(gap) > tol)
+           for fold in (np.fmin, np.fmax)):  # then so does the first pair of the scan
+        a, b, c = first_pair(g.n, competes)
         pair_value(c, "competitive contribution", a, b, g.players)  # raises when infinite
         raise NotReducibleError(PlayerSet(a), PlayerSet(b), c)
     masks = np.arange(1 << g.n, dtype=np.int64)

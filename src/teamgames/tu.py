@@ -16,8 +16,8 @@ import numpy as np
 from .errors import NumericOverflowError, SizeLimitError
 from .limits import DEFAULT_TOL, MAX_CORE_DECIDE, check_tol
 from .players import (
-    MAX_SUBSET_ARRAY, PlayerSet, check_subset_array, first_pair, mask_sizes, player_names,
-    require_disjoint, require_fit, subset_closure, subset_label, subset_sums,
+    MAX_SUBSET_ARRAY, PlayerSet, check_subset_array, first_pair, lattice_halves, mask_sizes,
+    player_names, require_disjoint, require_fit, subset_closure, subset_label, subset_sums,
 )
 
 
@@ -126,20 +126,18 @@ def is_convex(game: TUGame, tol: float = DEFAULT_TOL) -> bool:
 
     Checked through the local pairwise form: for every i, S not containing i
     and j outside S+i, the margin of i on S is at most its margin on S+j.
-    Vectorized per (i, j) pair over all eligible subsets. A margin past the
-    float range raises ``NumericOverflowError``.
+    Vectorized per (i, j) pair over the halves of the lattice that j splits.
+    A margin past the float range raises ``NumericOverflowError``.
     """
     check_tol(tol)
-    n = game.n
-    masks = np.arange(1 << n, dtype=np.int64)
-    for i in range(n):
+    for i in range(game.n):
         margins = _margins(game, i)
-        for j in range(n):
+        for j in range(game.n):
             if j == i:
                 continue
-            s = masks[(masks & ((1 << i) | (1 << j))) == 0]
+            halves = lattice_halves(margins, j)  # at S holding i, both margins are 0
             with np.errstate(over="ignore"):  # past the range, rhs + tol is inf: no violation
-                if np.any(margins[s] > margins[s | (1 << j)] + tol):
+                if np.any(halves[:, 0] > halves[:, 1] + tol):
                     return False
     return True
 

@@ -25,7 +25,8 @@ that ``st.quadrant_labels`` replaced with one array rule. The ``metrics``
 table is here as the command built it from ``CoopPoint`` rows, before it
 wrote the columns of ``st.CoopSpace``, and the additive witness as it
 was priced from the whole member-term table, before the detector read its
-one flagged pair. Last come the
+one flagged pair, and TU convexity one (i, j, S) at a time, before
+``tu.is_convex`` compared the halves of each margin table. Last come the
 helpers only tests use: the submask and disjoint-pair generators, the two
 Shapley routes that check ``tu.shapley_value``, and the team-core
 membership wrapper.
@@ -378,6 +379,21 @@ def coadditive_predicates(g, tol=1e-9):
 
 
 # ----------------------------------------------------------------- tu
+
+
+def is_convex(game, tol=1e-9):
+    """The local pairwise form in Python floats: for every player i, j != i and S holding
+    neither, the margin of i on S is at most its margin on S + j, plus ``tol``."""
+    u = game.u.tolist()
+    for i in range(game.n):
+        for j in range(game.n):
+            if j == i:
+                continue
+            for s in iter_subset_masks(game.n):
+                t = s | 1 << j
+                if not s & (1 << i | 1 << j) and u[s | 1 << i] - u[s] > u[t | 1 << i] - u[t] + tol:
+                    return False
+    return True
 
 
 def is_superadditive(game, tol=1e-9):

@@ -447,22 +447,41 @@ def test_each_table_and_core_decision_has_one_home():
     assert len(covering) == 1, covering
 
 
-def test_the_pair_scan_limit_guards_only_pair_scans():
-    """``check_pair_scan`` is called only by the pair scans and the per-player reports; the
-    lattice closures are bounded by their table alone, and cohesion reads the team's table,
-    so ``st`` builds no subgame."""
-    def callers(node, owner):  # the innermost function around each call
+def _callers(function: str) -> set[str]:
+    """``module.function`` for the innermost function around each call of ``function``
+    in the package."""
+    def callers(node, owner):
         for child in ast.iter_child_nodes(node):
             inner = child.name if isinstance(child, ast.FunctionDef) else owner
-            if isinstance(child, ast.Call) and "check_pair_scan" in (
+            if isinstance(child, ast.Call) and function in (
                     getattr(child.func, "id", None), getattr(child.func, "attr", None)):
                 yield owner
             yield from callers(child, inner)
 
-    guarded = {f"{path.stem}.{owner}" for path in PACKAGE.glob("*.py")
-               for owner in callers(_tree(path.stem), None)}
-    assert guarded == {"players.first_pair", "additivity._perceptions",
-                       "additivity.extract_matrix", "additivity.additive_predicates",
-                       "st.reduce_to_tu"}
+    return {f"{path.stem}.{owner}" for path in PACKAGE.glob("*.py")
+            for owner in callers(_tree(path.stem), None)}
+
+
+def test_the_pair_scan_limit_guards_only_pair_scans():
+    """``check_pair_scan`` is called only by the pair scans and the per-player reports; the
+    lattice closures are bounded by their table alone, and cohesion reads the team's table,
+    so ``st`` builds no subgame."""
+    assert _callers("check_pair_scan") == {
+        "players.first_pair", "additivity._perceptions", "additivity.extract_matrix",
+        "additivity.additive_predicates", "additivity.is_biadditive", "st.reduce_to_tu"}
     assert "_subgame" not in {node.name for node in ast.walk(_tree("st"))
                               if isinstance(node, ast.FunctionDef)}
+
+
+def test_first_pair_is_the_one_way_into_the_pair_kernel():
+    """Only ``players.first_pair`` walks ``mask_pairs``: ``players`` has no second entry into
+    the kernel, and ``st``, whose team predicates are closures that a scan only names the
+    witness of, imports no ``itertools`` to cut a scan short."""
+    assert _callers("mask_pairs") == {"players.first_pair"}
+    assert "first_flagged" not in {node.name for node in ast.walk(_tree("players"))
+                                   if isinstance(node, ast.FunctionDef)}
+    imported = {alias.name.split(".")[0] for node in ast.walk(_tree("st"))
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(_tree("st"))
+                 if isinstance(node, ast.ImportFrom) and node.module and node.level == 0}
+    assert "itertools" not in imported

@@ -23,7 +23,6 @@ import reference_loops as ref
 import teamgames
 import teamgames.additivity as additivity
 import teamgames.players as players
-import teamgames.st as st
 from teamgames.additivity import (
     AdditiveReport,
     BiAdditiveMatrix,
@@ -389,9 +388,9 @@ def pair_scans(monkeypatch):
 def test_closures_match_reference(n, seed, tol, pair_scans):
     """The closure-decided predicates give the reference walk's answers. One that holds
     starts no pair scan, and neither does the additive detector's violation, located from
-    its closure. A reduction reads the first chunk of its pair scan, and reads on only when
-    its closures find a violation, which the pair kernel locates. Every witness and message
-    is the walk's."""
+    its closure, nor a reducible table's reduction. A reduction scans pairs only when its
+    closures find a violation, which the pair kernel locates. Every witness and message is
+    the walk's."""
     for name, g in _tables(n, seed).items():
         before = len(pair_scans)
         assert is_sensible(g, tol) == ref.is_sensible(g, tol), name
@@ -413,7 +412,7 @@ def test_closures_match_reference(n, seed, tol, pair_scans):
                 assert str(got.value) == str(exc), name
         else:
             assert reduce_to_tu(g, tol).u.tolist() == expected.u.tolist(), name
-            assert len(pair_scans) == before + 1 and pair_scans[-1] <= 1, name
+            assert len(pair_scans) == before, name
 
         before = len(pair_scans)
         expected = ref.find_additive_violation(g, tol)
@@ -533,6 +532,21 @@ def test_cohesion_past_the_pair_scan_limit_is_decided_within_its_table(monkeypat
     tracemalloc.start()
     try:
         assert is_cohesive(g, PlayerSet.full(g.n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * len(g._blocks.cells) * 8  # the table's float cells
+
+
+def test_sensibility_past_the_pair_scan_limit_holds_one_group_copy(monkeypatch):
+    """Past the pair-scan limit sensibility is decided from its table alone, one frame-size
+    group's copy and a chunk of coalitions at a time: its temporaries peak under 1.5 times
+    the table's float cells."""
+    g = _past_the_limit_table()
+    _refuse_reads(monkeypatch)
+    tracemalloc.start()
+    try:
+        assert is_sensible(g)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -882,14 +896,10 @@ def test_closure_memory_is_table_bounded(predicate):
     assert peak < 1.5 * (len(g.outcomes) << g.n) * 8  # the table's float cells
 
 
-def test_violation_near_the_start_stops_early(pair_scans, monkeypatch):
+def test_violation_near_the_start_stops_early(pair_scans):
     """A reduction whose witness lies in the first chunk of its pair scan reads that chunk
-    alone and folds no table."""
-    def refuse(*args):
-        raise AssertionError("a reduction folded its table")
-
+    alone."""
     g = _size_outcome_game(14)
-    monkeypatch.setattr(st, "_bystander_gap", refuse)
     with pytest.raises(NotReducibleError) as got:
         reduce_to_tu(g)
     assert pair_scans == [1]
@@ -955,22 +965,32 @@ def test_functional_games_call_user_code_once_per_cell():
 @pytest.mark.parametrize(
     "scan",
     [reduce_to_tu, is_coadditive, extract_matrix, additive_predicates, coadditive_predicates,
-     is_superadditive],
+     is_biadditive, is_superadditive],
     ids=lambda scan: scan.__name__,
 )
 def test_pair_scans_refuse_past_the_limit_before_scanning(monkeypatch, scan):
+    """Past the limit every pair scan is refused before it reads the table; ``is_biadditive``
+    is refused also when the table is not additive, which its closure alone could decide."""
     def refuse(*args, **kwargs):
         raise AssertionError("mask_pairs called past the pair-scan limit")
 
     n = MAX_PAIR_SCAN + 1
     if scan is is_superadditive:
-        game = TUGame(n, np.zeros(1 << n))
+        games = [TUGame(n, np.zeros(1 << n))]
     else:  # the structure detectors read per-player tables before scanning: refuse reads
-        game = _past_the_limit_table()
+        games = [_past_the_limit_table()]
+        if scan is is_biadditive:  # every assessor values the outcome at 1: not additive
+            assessors = np.arange(1, 1 << n)
+            games.append(STGame.from_entries(
+                n, ("x",), np.zeros(1 << n, dtype=np.intp), assessors,
+                np.zeros(len(assessors), dtype=np.intp), np.ones(len(assessors)),
+                tuple(map(str, range(n)))))
         _refuse_reads(monkeypatch)
     monkeypatch.setattr(players, "mask_pairs", refuse)
-    with pytest.raises(SizeLimitError, match=f"pair scans support n <= {MAX_PAIR_SCAN}, got {n}"):
-        scan(game)
+    for game in games:
+        with pytest.raises(SizeLimitError,
+                           match=f"pair scans support n <= {MAX_PAIR_SCAN}, got {n}"):
+            scan(game)
 
 
 @pytest.mark.parametrize("report", [additive_predicates, coadditive_predicates],

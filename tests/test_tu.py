@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
+import reference_loops as ref
 from reference_loops import shapley_by_permutations, shapley_value_stratified
 
 from teamgames.errors import DisjointnessError, NumericOverflowError, SizeLimitError
-from teamgames.players import PlayerSet, member_sum
+from teamgames.players import PlayerSet, member_sum, subset_sums
 from random_games import random_tu_game
 from teamgames.tu import (
     MAX_CORE_DECIDE,
@@ -143,6 +144,27 @@ class TestPredicates:
     def test_glove_not_convex_but_superadditive(self):
         assert not is_convex(GLOVE)
         assert is_superadditive(GLOVE)
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.0, 0.25])
+    def test_convexity_matches_the_reference_loop(self, tol):
+        """``is_convex`` answers as a loop over every (i, j, S) does, on random and random
+        convex games, and on additive ones with some cells moved by multiples of half the tol
+        (2^-10 at tol 0): their local differences fall at the tol, on either side of it, and
+        at tol 1e-9 within a rounding of it."""
+        rng = np.random.default_rng(11)
+        step = tol / 2 or 2.0**-10
+        seen = set()
+        for n in range(1, 8):
+            for _ in range(12):
+                table = subset_sums(rng.integers(-4, 5, n) / 4)
+                moved = rng.random(1 << n) < rng.random()
+                table[moved] += rng.integers(-2, 3, np.count_nonzero(moved)) * step
+                table[0] = 0.0
+                for g in (TUGame(n, table), random_tu_game(n, rng), random_convex_game(n, rng)):
+                    expected = ref.is_convex(g, tol)
+                    assert is_convex(g, tol) == expected, (n, g.u.tolist())
+                    seen.add(expected)
+        assert seen == {True, False}
 
     def test_not_superadditive(self):
         g = game({(0,): 2, (1,): 2, (0, 1): 3}, 2)
