@@ -9,9 +9,10 @@ command line loads no numpy and a command loads no other command's modules.
 ``cobb frontier`` and a Cobb-Douglas document's ``classify`` load no numpy.
 A document command loads its document first, in this order: the text is
 decoded and its sections checked; then the game module (``st`` or ``tu``) is
-imported, which compiles it when no bytecode is cached; then numpy loads,
-from that module's own import. The text, the decode's churn and the compile
-are freed before numpy maps its libraries, so they do not stack on its peak.
+imported, which compiles it and then ``players`` when no bytecode is cached;
+then numpy loads, from ``players``' own import. The text, the decode's churn
+and the compiles are freed before numpy maps its libraries, so they do not
+stack on its peak.
 """
 
 from __future__ import annotations

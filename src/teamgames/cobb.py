@@ -33,14 +33,16 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
-
 from .cobb_params import FRONTIER_COLUMNS, UNBOUNDED, CobbDouglasConfig  # noqa: F401
 from .cobb_params import max_stable_team_size, stable_size_grid  # noqa: F401 - re-exported
 from .limits import DEFAULT_TOL, _left_sum, check_tol
 from .players import (
     PlayerSet, mask_sizes, player_names, require_disjoint, require_fit, subset_sums,
 )
+
+# numpy after the package's modules: without bytecode files, their compile is freed before
+# numpy maps its libraries, rather than stacking on them
+import numpy as np
 
 if TYPE_CHECKING:
     from .st import CoopPoint, STGame

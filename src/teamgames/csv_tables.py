@@ -7,6 +7,7 @@ their tables from here without loading the document reader. Imports no numpy.
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import itertools
 import operator
@@ -142,6 +143,23 @@ def _open_output(path):
     return open(fd, "w", encoding="utf-8", newline=""), temporary, target
 
 
+@contextlib.contextmanager
+def _output_file(path):
+    """The text file of :func:`_open_output` for the block, renamed onto its target when the
+    block ends and unlinked when it raises, so a failed write leaves a regular file at
+    ``path`` or behind a link there, or its absence, as it was."""
+    fh, temporary, target = _open_output(path)
+    try:
+        with fh:
+            yield fh
+        if temporary:
+            os.replace(temporary, target)
+    except BaseException:
+        if temporary:
+            os.unlink(temporary)
+        raise
+
+
 def write_table(tables, columns, path) -> int:
     """Write column tables one after another as UTF-8 CSV with a header row.
 
@@ -154,32 +172,23 @@ def write_table(tables, columns, path) -> int:
     formatted once), fields are quoted as ``csv.writer`` quotes them, and
     every line ends in a newline, so identical inputs produce identical
     bytes. A table that fails its check, or an error raised while the tables
-    are produced, leaves a regular file at ``path`` or behind a link there, or
-    its absence, as it was (see ``_open_output``). Returns the number of rows
-    written.
+    are produced, leaves the file at ``path`` as it was (see ``_output_file``).
+    Returns the number of rows written.
     """
     columns = list(columns)
-    fh, temporary, target = _open_output(path)
-    try:
-        with fh:
-            fh.write(_lines([[_quote(c)] for c in columns]))
-            rows = 0
-            for i, table in enumerate(tables):
-                missing = [c for c in columns if c not in table]
-                if missing:
-                    raise ValueError(f"table {i} is missing columns {missing}")
-                lengths = sorted({len(table[c]) for c in columns})
-                if len(lengths) > 1:
-                    raise ValueError(f"table {i} has columns of unequal lengths {lengths}")
-                cols = [table[c] for c in columns]
-                count = len(cols[0]) if cols else 0
-                for lo in range(0, count, ROW_CHUNK):
-                    fh.write(_lines([_format_slice(c[lo:lo + ROW_CHUNK]) for c in cols]))
-                rows += count
-        if temporary:
-            os.replace(temporary, target)
-    except BaseException:
-        if temporary:
-            os.unlink(temporary)
-        raise
+    with _output_file(path) as fh:
+        fh.write(_lines([[_quote(c)] for c in columns]))
+        rows = 0
+        for i, table in enumerate(tables):
+            missing = [c for c in columns if c not in table]
+            if missing:
+                raise ValueError(f"table {i} is missing columns {missing}")
+            lengths = sorted({len(table[c]) for c in columns})
+            if len(lengths) > 1:
+                raise ValueError(f"table {i} has columns of unequal lengths {lengths}")
+            cols = [table[c] for c in columns]
+            count = len(cols[0]) if cols else 0
+            for lo in range(0, count, ROW_CHUNK):
+                fh.write(_lines([_format_slice(c[lo:lo + ROW_CHUNK]) for c in cols]))
+            rows += count
     return rows

@@ -16,15 +16,18 @@ Loading holds no tree of entry objects: ``load_game`` gathers each entry
 into flat columns (an id for its list of names, an id for its outcome, its
 raw value) while ``json.loads`` decodes it, and ``parse_document`` gathers
 the sections of a caller's tree into the same columns, so one set of checks
-serves both. The columns are compacted into stdlib arrays, and every
-section is checked on them before numpy is loaded: each distinct list of
-names and outcome once, the values by one ``math.fsum``, coverage and
-repeats by position. A team game's repeated utilities are left to building
-its table, which refuses a pair placed twice; numpy reads the arrays in
-place. Every validation failure names the offending field; syntax errors
-carry the line and column. Graph exports are ``src dst weight``
-edge-list lines, so repeated runs are byte-identical. The CSV table writer
-is :mod:`teamgames.csv_tables`, re-exported here.
+serves both. Every section is checked on the columns before numpy is
+loaded, and the checks only accept: each distinct list of names and outcome
+is checked once, the values by one ``math.fsum``, coverage and repeats by
+mask. A section they do not accept is walked in list order to its first
+fault. A team game's repeated utilities are left to building its table,
+which refuses a pair placed twice. Accepted columns are compacted into
+stdlib arrays, which numpy reads in place. Every validation failure names
+the offending field; syntax errors carry the line and column. ``.game`` and
+``.edges`` files are written under a temporary name and renamed over their
+target, as CSV tables are. Graph exports are ``src dst weight`` edge-list
+lines, so repeated runs are byte-identical. The CSV table writer is
+:mod:`teamgames.csv_tables`, re-exported here.
 """
 
 from __future__ import annotations
@@ -62,8 +65,18 @@ def _require(doc: dict, key: str, kind, location: str):
     return value
 
 
+def _encodable(name: str) -> bool:
+    """Whether UTF-8 encodes a string: every string but one holding a lone surrogate."""
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _parse_names(doc: dict, key: str, noun: str, names: str) -> dict[str, int]:
-    """Position of each name in ``doc[key]``, a nonempty list of distinct nonempty strings."""
+    """Position of each name in ``doc[key]``, a nonempty list of distinct nonempty strings
+    that UTF-8 encodes, so that every result naming them can be written."""
     items = _require(doc, key, list, key)
     if not items:
         raise GameLoadError(f"at least one {noun} is required", key)
@@ -71,6 +84,9 @@ def _parse_names(doc: dict, key: str, noun: str, names: str) -> dict[str, int]:
     for i, name in enumerate(items):
         if not isinstance(name, str) or not name:
             raise GameLoadError(f"{names} must be nonempty strings", f"{key}[{i}]")
+        if not _encodable(name):
+            raise GameLoadError(f"{noun} {name!r} holds a lone surrogate, which UTF-8 cannot "
+                                "encode", f"{key}[{i}]")
         if name in index:
             raise GameLoadError(f"duplicate {noun} {name!r}", f"{key}[{i}]")
         index[name] = i
@@ -127,8 +143,8 @@ class _Entries:
     string. A row holds the id of its list of names, the id of its outcome and its raw value,
     so the object and its list are freed at once when ``json.loads`` calls it as its
     ``object_hook``. Other objects come back unchanged. ``sections`` maps each section of
-    the root to its first row, the number of its entries up to the first one not gathered
-    (the rows its checks read) and its entries from that one on.
+    the root to its first row, the row after its last and its list of elements, markers and
+    anything not gathered; the lists are emptied by :meth:`compact`.
     """
 
     def __init__(self):
@@ -137,8 +153,7 @@ class _Entries:
         self.ids, self.oids, self.values = [], [], []  # per row, until compact
         self.sections: dict[str, tuple[int, int, list]] = {}
         self.masks: list[int] | None = None  # subset id -> mask (-1: no set of players)
-        self.floats, self.first = array("d"), 0  # utility values from row first on, once compact
-        self.after: dict = {}  # the row after the floats -> its raw value, when it is no number
+        self.floats = array("d")  # the utilities section's values, once compact
         self.gather = self._gatherer()
 
     def _gatherer(self):
@@ -175,17 +190,10 @@ class _Entries:
 
         return gather
 
-    def _section(self, name: str, items: list, start: int, count: int) -> None:
-        """Record a section whose ``count`` rows from ``start`` are its markers in ``items``."""
-        stop = count if count == len(items) else next(
-            i for i, e in enumerate(items) if e is not _ENTRY and e is not _FIRST)
-        self.sections[name] = start, stop, items[stop:]
-
     def locate(self, doc) -> bool:
-        """Find the rows of a tree decoded through :attr:`gather` in its sections, and empty
-        the sections' lists of markers. False when a row lies elsewhere: on the root, inside
-        another entry, under another or a repeated key; the sections then hold fewer markers
-        than there are rows."""
+        """Find the rows of a tree decoded through :attr:`gather` in its sections. False
+        when a row lies elsewhere: on the root, inside another entry, under another or a
+        repeated key; the sections then hold fewer markers than there are rows."""
         found = []
         if isinstance(doc, dict):
             for name in _SECTIONS:
@@ -197,8 +205,7 @@ class _Entries:
             return False
         start = 0  # a section's rows are contiguous, and the first row's section came first
         for name, items, count, _ in sorted(found, key=lambda f: not f[3]):
-            self._section(name, items, start, count)
-            items.clear()
+            self.sections[name] = start, start + count, items
             start += count
         return True
 
@@ -210,7 +217,7 @@ class _Entries:
                 if isinstance(items, list):
                     start = len(self.values)
                     items = [self.gather(e) if isinstance(e, dict) else e for e in items]
-                    self._section(name, items, start, len(self.values) - start)
+                    self.sections[name] = start, len(self.values), items
 
     def parse_subsets(self, index) -> list[int]:
         """:attr:`masks`, each distinct list of names parsed once, however many entries
@@ -235,26 +242,18 @@ class _Entries:
         return [column_of.get(outcome, -1) for outcome in self.outcomes]
 
     def compact(self) -> None:
-        """Turn the gathered columns into compact arrays, which numpy reads without copying:
-        the ids as C ints, and the values of the ``utilities`` section's rows as doubles, up
-        to the first one that is not a number, whose raw value is kept for its error. Every
-        other value object is freed, before numpy is loaded."""
+        """Turn the gathered columns of checked sections into compact arrays, which numpy
+        reads without copying: the ids as C ints, and the ``utilities`` section's values as
+        doubles. The sections' lists and every value object are freed, before numpy is
+        loaded."""
         ids, oids, values = self.ids, self.oids, self.values
+        for _, _, items in self.sections.values():
+            items.clear()
         kind = "i" if len(ids) < 1 << 30 else "q"  # ids count rows or fewer
         self.ids, self.oids = array(kind, ids), array(kind, oids)
         del ids[:], oids[:]
         start, stop, _ = self.sections.get("utilities", (0, 0, None))
-        types = set(map(type, itertools.islice(values, start, start + stop)))
-        numbers = {t for t in types if issubclass(t, (int, float)) and t is not bool}
-        if numbers != types:  # cut at the first value that is not a number
-            kinds = map(type, itertools.islice(values, start, start + stop))
-            stop = next(k for k, t in enumerate(kinds) if t not in numbers)
-            self.after = {start + stop: values[start + stop]}
-        self.first = start
-        try:
-            self.floats = array("d", itertools.islice(values, start, start + stop))
-        except OverflowError:  # an integer past the float range
-            self.floats = array("d", map(_as_float, itertools.islice(values, start, start + stop)))
+        self.floats = array("d", itertools.islice(values, start, stop))
         del values[:]
 
     def rows(self, section: str):
@@ -262,14 +261,12 @@ class _Entries:
         import numpy as np
 
         start, stop, _ = self.sections[section]
-        return (np.frombuffer(column, column.typecode)[start:start + stop]
+        return (np.frombuffer(column, column.typecode)[start:stop]
                 for column in (self.ids, self.oids))
 
     def entry(self, row: int) -> dict:
         """The entry of a row, as its checks read it."""
-        k = row - self.first
-        value = self.floats[k] if 0 <= k < len(self.floats) else self.after.get(row)
-        entry = {"subset": list(list(self.subsets)[self.ids[row]]), "value": value}
+        entry = {"subset": list(list(self.subsets)[self.ids[row]]), "value": self.values[row]}
         outcome = list(self.outcomes)[self.oids[row]]
         if outcome is not _MISSING:
             entry["outcome"] = outcome
@@ -287,8 +284,9 @@ def _repeat_fault(kind: str, section: str, i: int, earlier: int) -> GameLoadErro
     return GameLoadError(f"duplicate {_KINDS[kind][2]} (also at {section}[{earlier}])", where)
 
 
-def _entry_fault(kind: str, section: str, i: int, entry, index, column_of, earlier: int):
-    """Raise the error of entry i, its section's first fault; its key first came at ``earlier``."""
+def _entry_fault(kind: str, section: str, i: int, entry, index, column_of, seen: dict):
+    """Raise the error of entry i, its section's first fault; ``seen`` holds the position
+    of each key the entries before it first came at."""
     noun, empty, _ = _KINDS[kind]
     loc = f"{section}[{i}]"
     if not isinstance(entry, dict):
@@ -303,83 +301,80 @@ def _entry_fault(kind: str, section: str, i: int, entry, index, column_of, earli
     if column_of is not None and (not isinstance(outcome, str) or outcome not in column_of):
         raise GameLoadError(f"undeclared outcome {outcome!r}", f"{loc}.outcome")
     value = _parse_value(entry.get("value"), f"{loc}.value") if noun == "utility" else None
-    if earlier < i:
-        raise _repeat_fault(kind, section, i, earlier)
+    key = (mask, column_of[outcome]) if kind == "utilities" else mask
+    if key in seen:
+        raise _repeat_fault(kind, section, i, seen[key])
     if mask == 0 and value != 0.0:
         raise GameLoadError("the empty coalition must be worth 0", f"{loc}.value")
     raise AssertionError(f"{loc}: flagged entry passed every check")
 
 
-def _repeated_key(keys) -> tuple[int, int] | None:
-    """The position of the first key an earlier one equals, and that earlier one's, or None;
-    a dict pass, for the checks that run before numpy loads."""
-    seen = {}
-    for k, key in enumerate(keys):
-        earlier = seen.setdefault(key, k)
-        if earlier != k:
-            return k, earlier
-    return None
-
-
-def _first_nonfinite(values) -> int:
-    """Position of the first value that is not finite, or the number of values. ``math.fsum``
-    is finite only when every value is; it raises when a partial sum leaves the float range
-    or adds -inf to inf, and only then, or when it is not finite, are the values searched."""
+def _numbers(values: list) -> bool:
+    """Whether every value is an int or a float (a bool's type is neither) and their sum is
+    finite: ``math.fsum`` is finite only when every value is, and raises when a partial sum
+    leaves the float range or adds -inf to inf. Other number types are left to the walk."""
+    if not set(map(type, values)) <= {int, float}:
+        return False
     try:
-        if math.isfinite(math.fsum(values)):
-            return len(values)
+        return math.isfinite(math.fsum(values))
     except (OverflowError, ValueError):
-        pass
-    return next((k for k, value in enumerate(values) if not math.isfinite(value)), len(values))
+        return False
+
+
+def _finite_number(value) -> bool:
+    """Whether :func:`_parse_value` accepts a value."""
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and math.isfinite(_as_float(value)))
 
 
 def _check_section(doc: dict, entries: _Entries, kind: str, index, column_of) -> set | None:
-    """Check the rows of a ``consequence``, ``utilities`` or ``tu`` section without numpy, up
-    to its first entry that was not gathered, and return the masks of a consequence or TU
-    section's rows. Each distinct list of names and outcome is checked once, and the rows are
-    searched only when one is faulty; the values take one ``math.fsum``. Repeats are found by
-    position, except a team game's repeated utilities: placing them in the table finds those
-    (see ``STGame.from_entries``), unless a later entry is faulty, when the rows before it are
-    searched here. The lowest faulty entry raises through :func:`_entry_fault`."""
+    """Check a ``consequence``, ``utilities`` or ``tu`` section without numpy, and return the
+    masks of a consequence or TU section's rows. The checks only accept: every element was
+    gathered, every list of names and outcome is good (each distinct one checked once), the
+    values are numbers whose ``math.fsum`` is finite, a TU document's empty subset is worth
+    0 and the masks of a consequence or TU section are distinct. A team game's repeated
+    utilities are left to building its table (see ``STGame.from_entries``). A section that
+    is not accepted is walked in order by :func:`_walk_section`."""
     section = "consequence" if kind == "consequence" else "utilities"
     _require(doc, section, list, section)
-    start, stop, rest = entries.sections[section]
+    start, stop, items = entries.sections[section]
     masks, columns = entries.parse_subsets(index), entries.columns(column_of)
-    ids, oids = (memoryview(column)[start:start + stop] for column in (entries.ids, entries.oids))
-    bad_ids = {i for i, mask in enumerate(masks) if mask < 0 or mask == 0 and _KINDS[kind][1]}
-    bad_oids = {i for i, column in enumerate(columns) if column < 0}
-    end = stop
-    if bad_ids or bad_oids:
-        end = next((k for k, (i, o) in enumerate(zip(ids, oids))
-                    if i in bad_ids or o in bad_oids), stop)
-    faults = [end]
+    least = _KINDS[kind][1] is not None  # the least good mask: 1 where the empty set is refused
+    clean = (stop - start == len(items) and min(masks, default=1) >= least
+             and min(columns, default=0) >= 0)
     if kind != "consequence":
-        values = memoryview(entries.floats)[:end]  # from row start on
-        faults.append(_first_nonfinite(values))
-        if kind == "tu" and 0 in masks:  # only a TU document lists the empty subset
-            empty = masks.index(0)
-            faults.append(next((k for k, i in enumerate(ids[:len(values)])
-                                if i == empty and values[k] != 0.0), len(values)))
-    fault = min(faults)
-    faulty, present = fault < stop + len(rest), None
-    if kind == "utilities":  # keys of (assessor, outcome) pairs, read only before a fault
-        if not faulty:
-            return None
-        width, limit = len(column_of), min(fault + 1, end)
-        repeat = _repeated_key(masks[i] * width + columns[o]
-                               for i, o in zip(ids[:limit], oids[:limit]))
-    else:
-        keys = list(map(masks.__getitem__, ids[:end]))
+        clean = clean and _numbers(entries.values[start:stop])
+    present = None
+    if kind != "utilities":
+        keys = list(map(masks.__getitem__, entries.ids[start:stop]))
         present = set(keys)
-        repeat = _repeated_key(keys) if len(present) < len(keys) else None
-    if repeat is not None and repeat[0] <= fault:
-        fault, earlier = repeat
-    elif faulty:
-        earlier = fault
-    else:
-        return present
-    entry = entries.entry(start + fault) if fault < stop else rest[fault - stop]
-    _entry_fault(kind, section, fault, entry, index, column_of, earlier)
+        clean = clean and len(present) == len(keys) and (
+            0 not in present or entries.values[start + keys.index(0)] == 0)
+    return present if clean else _walk_section(entries, kind, section, index, column_of)
+
+
+def _walk_section(entries: _Entries, kind: str, section: str, index, column_of) -> set:
+    """Walk a section in list order and raise at its first fault through :func:`_entry_fault`,
+    with the entry rebuilt from its row. A marker's row is read through the parsed masks and
+    columns, and any other element is a fault. A section without a fault, refused in bulk
+    for the other section's list of names or outcome, for a sum past the float range or for
+    a number type other than int and float, returns its rows' keys: their masks, in a
+    consequence or TU section."""
+    start, _, items = entries.sections[section]
+    masks, columns = entries.masks, entries.columns(column_of)
+    ids, oids, values = entries.ids, entries.oids, entries.values
+    least, row, seen = _KINDS[kind][1] is not None, start, {}
+    for i, item in enumerate(items):
+        if item is _ENTRY or item is _FIRST:
+            mask, column, value = masks[ids[row]], columns[oids[row]], values[row]
+            key = (mask, column) if kind == "utilities" else mask
+            if mask >= least and column >= 0 and key not in seen and (
+                    kind == "consequence" or _finite_number(value) and (mask or value == 0)):
+                seen[key], row = i, row + 1
+                continue
+            item = entries.entry(row)
+        _entry_fault(kind, section, i, item, index, column_of, seen)
+    return set(seen)
 
 
 def _require_every_subset(present: set, n: int, players, what: str, section: str) -> None:
@@ -408,7 +403,6 @@ def parse_document(doc: dict):
     caller's tree is not changed, and it stays alive while a team game's table is built."""
     entries = _Entries()
     entries.gather_sections(doc)
-    entries.compact()
     return _read(doc, entries)
 
 
@@ -434,6 +428,7 @@ def _parse_tu(doc: dict, entries: _Entries) -> TUGame:
     present = _check_section(doc, entries, "tu", index, None)
     _require_every_subset(present, n, players, "utility", "utilities")
     masks = entries.masks
+    entries.compact()
     entries.clear()
 
     from .tu import TUGame  # compiled before numpy loads: see _read_st
@@ -455,6 +450,7 @@ def _read_st(doc: dict, entries: _Entries) -> STGame:
     _require_every_subset(present, n, players, "consequence", "consequence")
     _check_section(doc, entries, "utilities", index, column_of)
     masks, cols = entries.masks, entries.columns(column_of)
+    entries.compact()
     entries.clear()
 
     # the game module first: without bytecode files its compile is freed before its own
@@ -484,6 +480,28 @@ def _read_st(doc: dict, entries: _Entries) -> STGame:
         raise GameLoadError(str(exc), "utilities") from None
 
 
+def _decode(text: str, **hooks):
+    """``json.loads`` of a document's text, a malformed text refused with its line and
+    column."""
+    try:
+        return json.loads(text, **hooks)
+    except json.JSONDecodeError as exc:
+        raise GameLoadError(
+            f"malformed document: {exc.msg}", f"line {exc.lineno}, column {exc.colno}"
+        ) from None
+    except RecursionError:
+        raise GameLoadError("malformed document: nested too deeply", "$") from None
+
+
+def _long_int(literal: str):
+    """An integer literal's value, or inf past ``int()``'s digit limit, as :func:`_as_float`
+    reads an integer past the float range."""
+    try:
+        return int(literal)
+    except ValueError:
+        return math.inf
+
+
 def load_game(source):
     """Load a game document from a path or open text stream. The entries are gathered into
     columns while the text decodes, so no tree of entry objects is ever held."""
@@ -493,18 +511,17 @@ def load_game(source):
         raise GameLoadError(f"not UTF-8 text ({exc.reason})", f"byte {exc.start}") from None
     entries = _Entries()
     try:
-        doc = json.loads(text, object_hook=entries.gather)
-    except json.JSONDecodeError as exc:
-        raise GameLoadError(
-            f"malformed document: {exc.msg}", f"line {exc.lineno}, column {exc.colno}"
-        ) from None
-    except RecursionError:
-        raise GameLoadError("malformed document: nested too deeply", "$") from None
+        doc = _decode(text, object_hook=entries.gather)
+    except GameLoadError:
+        raise
+    except ValueError:  # json.loads refuses an integer literal past int()'s digit limit: only
+        # then is each integer literal read through a hook, and the tree read as a caller's
+        del entries
+        return parse_document(_decode(text, parse_int=_long_int))
     if not entries.locate(doc):  # an entry outside the sections: read the tree as a caller's
         del doc, entries
         return parse_document(json.loads(text))
     del text
-    entries.compact()
     return _read(doc, entries)
 
 
@@ -517,9 +534,9 @@ def _require_names(names, noun: str) -> None:
     """Refuse the names :func:`_parse_names` would refuse, before anything is written."""
     seen = set()
     for name in names:
-        if not isinstance(name, str) or not name or name in seen:
+        if not isinstance(name, str) or not name or name in seen or not _encodable(name):
             raise ValueError(f"{noun} {name!r}: a document names each {noun} by a distinct "
-                             "nonempty string")
+                             "nonempty string that UTF-8 encodes")
         seen.add(name)
 
 
@@ -574,13 +591,20 @@ def document_for(game) -> dict:
 
 
 def save_game(game, path) -> None:
-    """Write a game's document, streamed as it is encoded, with a final newline."""
+    """Write a game's document, streamed as it is encoded, with a final newline. A failed
+    write leaves the file at ``path`` as it was, as :func:`write_table` does."""
+    from .csv_tables import _output_file
+
     doc = document_for(game)  # refused before the file is opened
-    with open(path, "w", encoding="utf-8") as fh:
+    with _output_file(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
 def write_edges(graph: PerceptionGraph, path) -> None:
-    """Serialize a perception graph as ``src dst weight`` lines."""
-    Path(path).write_text("\n".join(graph.to_lines()) + "\n", encoding="utf-8")
+    """Serialize a perception graph as ``src dst weight`` lines, written as
+    :func:`save_game` writes."""
+    from .csv_tables import _output_file
+
+    with _output_file(path) as fh:
+        fh.write("\n".join(graph.to_lines()) + "\n")

@@ -27,8 +27,6 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Hashable, Mapping, NamedTuple
 
-import numpy as np
-
 from .errors import (
     MissingUtilityError, NotReducibleError, NumericOverflowError, RepeatedEntryError,
     SizeLimitError,
@@ -38,6 +36,10 @@ from .players import (
     PlayerSet, check_pair_scan, check_subset_array, first_pair, member_sum, pdep, pext,
     player_names, require_disjoint, require_fit, subset_closure, subset_label,
 )
+
+# numpy after the package's modules: without bytecode files, their compile is freed before
+# numpy maps its libraries, rather than stacking on them
+import numpy as np
 
 if TYPE_CHECKING:
     from .quadrants import Quadrant

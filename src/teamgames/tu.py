@@ -11,14 +11,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import NumericOverflowError, SizeLimitError
 from .limits import DEFAULT_TOL, MAX_CORE_DECIDE, check_tol
 from .players import (
     MAX_SUBSET_ARRAY, PlayerSet, check_subset_array, first_pair, lattice_halves, mask_sizes,
     player_names, require_disjoint, require_fit, subset_closure, subset_label, subset_sums,
 )
+
+# numpy after the package's modules: without bytecode files, their compile is freed before
+# numpy maps its libraries, rather than stacking on them
+import numpy as np
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 import argparse
 import contextlib
 import json
+import os
 import re
 import signal
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -567,6 +570,63 @@ class TestRefusals:
             path.write_text(content, encoding="utf-8")
         assert run(["classify", path]) == 1
         assert one_error_line(capsys).startswith(message)
+
+
+    @pytest.mark.parametrize("command", ["classify", "shapley", "core"])
+    @pytest.mark.parametrize("content, message", [
+        ('{"version": 1, "players": ["A"], "utilities": [{"subset": ["A"], "value": 1'
+         + "0" * 4300 + "}]}", "error: utilities[0].value: value must be finite, got inf"),
+        ('{"version": 1' + "0" * 4300 + ', "players": ["A"], "utilities": []}',
+         "error: version: field 'version' must be int, got float"),
+        ('{"version": 1, "players": ["A", "\\ud800"], "utilities": [{"subset": ["A"], '
+         '"value": 1}, {"subset": ["\\ud800"], "value": 1}, {"subset": ["A", "\\ud800"], '
+         '"value": 3}]}',
+         "error: players[1]: player '\\ud800' holds a lone surrogate, which UTF-8 cannot "
+         "encode"),
+        ('{"version": 1, "players": ["A"], "outcomes": ["\\udfff"], "consequence": [{"subset": '
+         '["A"], "outcome": "\\udfff"}], "utilities": [{"subset": ["A"], "outcome": "\\udfff", '
+         '"value": 1}]}',
+         "error: outcomes[0]: outcome '\\udfff' holds a lone surrogate, which UTF-8 cannot "
+         "encode"),
+    ], ids=["long-integer-value", "long-integer-version", "surrogate-player",
+            "surrogate-outcome"])
+    def test_long_integers_and_lone_surrogates_are_one_error_line(self, tmp_path, capsys,
+                                                                  command, content, message):
+        path = tmp_path / "bad.game"
+        path.write_text(content, encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert run([command, path] + ([] if command == "classify" else ["-o", out])) == 1
+        assert one_error_line(capsys) == message
+        assert not out.exists()
+
+
+# a bi-additive, competition-free team game: every utility is 0
+ZERO = {
+    "version": 1, "players": ["A", "B"], "outcomes": ["oA", "oB", "oAB"],
+    "consequence": [{"subset": s, "outcome": o}
+                    for s, o in ((["A"], "oA"), (["B"], "oB"), (["A", "B"], "oAB"))],
+    "utilities": [{"subset": s, "outcome": o, "value": 0}
+                  for s in (["A"], ["B"], ["A", "B"]) for o in ("oA", "oB", "oAB")],
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize("command, written", [
+    ("reduce-tu", '  "utilities": [\n'), ("graph", "0 0 0.0\n0 1 0.0\n1 0 0.0\n1 1 0.0\n"),
+])
+def test_a_document_or_edges_to_stdout_are_written_in_place(tmp_path, command, written):
+    """``-o /dev/stdout`` names the open standard output, which a ``.game`` or ``.edges``
+    file is written to in place, never replaced, even when a regular file stands behind it."""
+    src, out = write_doc(tmp_path, "zero.game", ZERO), tmp_path / "out.txt"
+    main_ = "import sys; from teamgames.cli import main; sys.exit(main(sys.argv[1:]))"
+    with open(out, "ab") as fh:
+        inode = os.fstat(fh.fileno()).st_ino
+        subprocess.run([sys.executable, "-c", main_, command, str(src), "-o", "/dev/stdout"],
+                       stdout=fh, check=True, env={
+                           **os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")})
+    assert os.stat(out).st_ino == inode
+    assert written in out.read_text(encoding="utf-8")
+    assert sorted(tmp_path.iterdir()) == [out, src]
 
 
 class TestAgainstDirectApi:

@@ -2,11 +2,11 @@
 
 Every document the CLI accepts must end in a result or in one ``error:``
 line. Small team and TU documents are mutated at random (type swaps,
-deletions, duplicates, numbers at and past the float range, NaN, empty and
-repeated names) and every document command runs on each, with warnings
-raised as errors and an alarm per run. A run passes if it exits 0 with
-nothing on stderr, exits 1 with exactly one ``error:`` line, or exits 2 (a
-usage error).
+deletions, duplicates, numbers at and past the float range or int()'s digit
+limit, NaN, empty and repeated names, a name UTF-8 cannot encode) and every
+document command runs on each, with warnings raised as errors and an alarm
+per run. A run passes if it exits 0 with nothing on stderr, exits 1 with
+exactly one ``error:`` line, or exits 2 (a usage error).
 """
 
 import contextlib
@@ -14,6 +14,7 @@ import copy
 import json
 import random
 import signal
+import sys
 import traceback
 import warnings
 from pathlib import Path
@@ -35,10 +36,11 @@ COMMANDS = ("classify", "metrics", "reduce-tu", "graph", "shapley", "core")
 ALARM_S = 10
 
 # values a utility is swapped for: near the float limit, or (rarer) past it or NaN, where
-# "1e309" is written as a bare JSON number, which reads as inf
+# each of RAW_NUMBERS is written as a bare JSON number: "1e309" reads as inf, and the
+# integer literal is past int()'s digit limit of 4,300 digits
 EXTREMES = (1e308, -1e308, 1.7e308, -1.7e308, 2**64, -(2**64))
-NOT_FINITE = (10**309, -(10**309), float("nan"), "1e309", "NaN")
-RAW_NUMBER = "1e309"
+RAW_NUMBERS = ("1e309", "9" * 4301)
+NOT_FINITE = (10**309, -(10**309), float("nan"), "NaN", *RAW_NUMBERS)
 OTHER_TYPES = (None, True, 0, 2.5, "x", [], {}, ["a"], {"a": 1})
 
 
@@ -98,13 +100,19 @@ def swap_values(doc, rng: random.Random):
 
 
 def mutate(doc, rng: random.Random):
-    """``doc`` with one structural mutation: a name, a deletion, a duplicate or a type swap."""
+    """``doc`` with one structural mutation: a name, a lone surrogate in a name, a deletion,
+    a duplicate or a type swap."""
     nodes = list(_nodes(doc))
-    kind = rng.choice(("type", "delete", "duplicate", "name"))
-    if kind == "name":  # empty, or the same as another string: a repeated name
-        names = [(path, node) for path, node in nodes if isinstance(node, str)]
-        if names:
-            return _set(doc, rng.choice(names)[0], rng.choice(["", *(n for _, n in names)]))
+    kind = rng.choice(("type", "delete", "duplicate", "name", "surrogate"))
+    names = [(path, node) for path, node in nodes if isinstance(node, str)]
+    if kind == "name" and names:  # empty, or the same as another string: a repeated name
+        return _set(doc, rng.choice(names)[0], rng.choice(["", *(n for _, n in names)]))
+    if kind == "surrogate" and names:  # a lone surrogate added to a name wherever it occurs
+        name = rng.choice(names)[1]
+        for path, node in names:
+            if node == name:
+                doc = _set(doc, path, name + "\ud800")
+        return doc
     if kind == "delete":
         containers = [node for _, node in nodes if isinstance(node, (dict, list)) and node]
         if containers:
@@ -132,7 +140,10 @@ def documents(seed):
         doc = swap_values(doc, rng)
         if rng.random() < 0.3:
             doc = mutate(doc, rng)
-        yield json.dumps(doc).replace(f'"{RAW_NUMBER}"', RAW_NUMBER)
+        text = json.dumps(doc)
+        for raw in RAW_NUMBERS:
+            text = text.replace(f'"{raw}"', raw)
+        yield text
 
 
 class Expired(Exception):
@@ -200,6 +211,16 @@ def _ending(load):
         return str(exc), exc.location
 
 
+def _tree(text):
+    """The tree of a document's text, as a caller may hold it: an integer of any length."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.loads(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_both_entry_points_read_every_mutated_document_alike(tmp_path, seed):
     """``load_game`` of a file and ``parse_document`` of its decoded tree share one reader:
@@ -212,7 +233,7 @@ def test_both_entry_points_read_every_mutated_document_alike(tmp_path, seed):
         loaded = _ending(lambda: load_game(path))
         if isinstance(loaded, tuple) and "malformed document" in loaded[0]:
             continue
-        parsed = _ending(lambda: parse_document(json.loads(text)))
+        parsed = _ending(lambda: parse_document(_tree(text)))
         if loaded != parsed:
             differ.append(f"{loaded} != {parsed}\n  on {text}")
     assert not differ, "\n".join(differ)

@@ -161,7 +161,7 @@ compiled = {}  # whether numpy was loaded as each game module's source was compi
 loader = importlib.machinery.SourceFileLoader
 compile_source = loader.source_to_code
 def recording(self, data, path, **kwargs):
-    if self.name in ("teamgames.st", "teamgames.tu"):
+    if self.name in ("teamgames.st", "teamgames.tu", "teamgames.players"):
         compiled[self.name] = "numpy" in sys.modules
     return compile_source(self, data, path, **kwargs)
 loader.source_to_code = recording
@@ -175,21 +175,31 @@ print(json.dumps(compiled))
 """
 
 
+def compiled(argv, cwd):
+    """Without bytecode files: whether numpy was loaded as each of ``st``, ``tu`` and
+    ``players`` that a command imports was compiled; no bytecode is written."""
+    no_bytecode = cwd / "pycache"
+    no_bytecode.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-B", "-X", f"pycache_prefix={no_bytecode}", "-c", COMPILE_FIRST,
+         json.dumps(argv)], cwd=cwd, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
+    )
+    assert not any(no_bytecode.iterdir())
+    return json.loads(proc.stdout)
+
+
 @pytest.mark.parametrize("argv, module", [
     (["metrics", "team.game"], "st"), (["shapley", "tu.game"], "tu"),
 ])
 def test_a_document_command_compiles_its_game_module_before_numpy_loads(docs, argv, module):
-    """Without bytecode files, the compile of the game module is freed before numpy maps its
-    libraries, so it does not stack on numpy."""
-    no_bytecode = docs / "pycache"
-    no_bytecode.mkdir()
-    proc = subprocess.run(
-        [sys.executable, "-B", "-X", f"pycache_prefix={no_bytecode}", "-c", COMPILE_FIRST,
-         json.dumps(argv)], cwd=docs, capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
-    )
-    assert json.loads(proc.stdout) == {f"teamgames.{module}": False}
-    assert not any(no_bytecode.iterdir())
+    """Without bytecode files, the compile of the game module and of ``players`` is freed
+    before numpy maps its libraries, so it does not stack on numpy."""
+    assert compiled(argv, docs) == {f"teamgames.{module}": False, "teamgames.players": False}
+
+
+def test_a_cobb_table_compiles_players_before_numpy_loads(docs):
+    assert compiled(["cobb", "sweep", "--resolution", "3"], docs) == {"teamgames.players": False}
 
 
 CHECKS_FIRST = """

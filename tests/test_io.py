@@ -435,6 +435,74 @@ def test_large_integer_values_load_as_their_float(value):
         assert got.hex() == float(value).hex()
 
 
+# an integer literal past int()'s digit limit (4,300 digits), which json.loads refuses
+LONG_LITERAL = "9" * 4301
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_an_integer_past_the_digit_limit_is_refused_as_one_past_the_float_range(sign):
+    doc = copy.deepcopy(GLOVE)
+    doc["utilities"][2]["value"] = "literal"
+
+    def text(digits):
+        return json.dumps(doc).replace('"literal"', sign + digits)
+
+    with pytest.raises(GameLoadError) as shorter:
+        _load_text(text("9" * 310))
+    with pytest.raises(GameLoadError) as longer:
+        _load_text(text(LONG_LITERAL))
+    assert str(longer.value) == str(shorter.value)
+    assert str(longer.value) == "utilities[2].value: value must be finite, got inf"
+
+
+@pytest.mark.parametrize("text, error", [
+    ('{"version": %s, "players": ["A"], "utilities": []}' % LONG_LITERAL,
+     "version: field 'version' must be int, got float"),
+    ('{"version": 1, "players": [%s], "utilities": []}' % LONG_LITERAL,
+     "players[0]: player names must be nonempty strings"),
+    ('{"version": 1, "cobb_douglas": {"beta": %s}}' % LONG_LITERAL,
+     "cobb_douglas.beta: value must be finite, got inf"),
+    ('{"version": 1, "players": [%s' % LONG_LITERAL,  # the text ends after the literal
+     f"line 1, column {len(LONG_LITERAL) + 28}: malformed document: Expecting ',' delimiter"),
+], ids=["version", "player", "cobb-beta", "malformed-after"])
+def test_an_integer_past_the_digit_limit_names_its_field(text, error):
+    with pytest.raises(GameLoadError) as raised:
+        _load_text(text)
+    assert str(raised.value) == error
+
+
+def test_a_document_with_an_integer_past_the_digit_limit_elsewhere_loads():
+    doc = {**GLOVE, "note": 0}
+    text = json.dumps(doc).replace('"note": 0', f'"note": {LONG_LITERAL}')
+    assert _load_text(text).u.tobytes() == parse_document(GLOVE).u.tobytes()
+
+
+@pytest.mark.parametrize("key, i, make", [
+    ("players", 1, lambda: copy.deepcopy(GLOVE)),
+    ("players", 0, lambda: copy.deepcopy(PRISONERS_DILEMMA)),
+    ("outcomes", 1, lambda: copy.deepcopy(PRISONERS_DILEMMA)),
+], ids=["tu-player", "team-player", "team-outcome"])
+def test_a_name_utf8_cannot_encode_is_refused(key, i, make):
+    doc = make()
+    doc[key][i] += "\ud800"  # a lone surrogate
+    noun = key[:-1]
+    error = (f"{key}[{i}]: {noun} {doc[key][i]!r} holds a lone surrogate, which UTF-8 cannot "
+             "encode")
+    for parse, source in ((parse_document, doc), (_load_text, json.dumps(doc))):
+        with pytest.raises(GameLoadError) as raised:
+            parse(source)
+        assert str(raised.value) == error, parse.__name__
+
+
+def test_a_game_with_a_name_utf8_cannot_encode_is_not_written(tmp_path):
+    path = tmp_path / "g.game"
+    with pytest.raises(ValueError, match=r"^player 'B\\ud800': "):
+        save_game(TUGame(2, np.array([0.0, 1.0, 1.0, 3.0]), ("A", "B\ud800")), path)
+    with pytest.raises(ValueError, match=r"^outcome 'x\\udfff': "):
+        save_game(STGame.from_tables(1, ["x\udfff"], {1: "x\udfff"}, {(1, "x\udfff"): 1.0}), path)
+    assert not path.exists()
+
+
 def test_malformed_json_reports_line(tmp_path):
     path = tmp_path / "broken.game"
     path.write_text('{"version": 1,\n  "players": [}', encoding="utf-8")
@@ -791,6 +859,31 @@ def test_write_edges_format(tmp_path):
     path = tmp_path / "g.edges"
     write_edges(graph, path)
     assert path.read_text(encoding="utf-8") == "0 0 0.5\n0 1 1.25\n1 0 0.0\n1 1 -2.0\n"
+
+
+def test_a_document_write_that_fails_midway_leaves_the_file_as_it_was(tmp_path, monkeypatch):
+    path = tmp_path / "out.game"
+    path.write_bytes(b"earlier\n")
+    # json.dump refuses the last value once it has written the rest
+    doc = {**document_for(parse_document(GLOVE)), "late": object()}
+    monkeypatch.setattr(game_io, "document_for", lambda game: doc)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        save_game(None, path)
+    assert path.read_bytes() == b"earlier\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_an_edges_write_that_fails_midway_leaves_the_file_as_it_was(tmp_path):
+    class Graph:  # its last line holds a lone surrogate, which UTF-8 cannot encode
+        def to_lines(self):
+            return ["0 0 0.5", "0 1 \ud800"]
+
+    path = tmp_path / "out.edges"
+    path.write_bytes(b"earlier\n")
+    with pytest.raises(UnicodeEncodeError):
+        write_edges(Graph(), path)
+    assert path.read_bytes() == b"earlier\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_unwritable_path_raises(tmp_path):
