@@ -67,10 +67,9 @@ def _first_mismatch(g: STGame, what: str, tol: float, terms, by_assessor: bool):
     members i of S; a NaN one (a missing entry) counts as off."""
     def off(s, a):
         rows, members = (s, a) if by_assessor else (a, s)
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = member_sum(g.n, members, lambda i, sel: terms[rows[sel], i])
-            got = g.u(a, s)
-            return ~np.isfinite(want) | (np.abs(got - want) > tol), got, want
+        want = member_sum(g.n, members, lambda i, sel: terms[rows[sel], i])
+        got = g.u(a, s)
+        return ~np.isfinite(want) | (np.abs(got - want) > tol), got, want
 
     witness = first_pair(g.n, off, nested=True)
     if witness is None:

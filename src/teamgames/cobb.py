@@ -234,14 +234,12 @@ def st_game_view(
 
 
 def cd_coop_point(scheme, cfg, profile, a: PlayerSet, b: PlayerSet) -> CoopPoint:
-    """A's cooperation point against B; with B empty, A's own utility is all competitive."""
+    """A's cooperation point against B; with B empty, its group (0.0, 0, 0.0) is paid
+    nothing, so A's own utility is all competitive."""
     from .st import CoopPoint
 
     require_disjoint(a, b)
     require_fit(len(profile), a, b)
-    if not b:
-        alone = cd_subset_utility(scheme, cfg, profile, a, a)
-        return CoopPoint(altruism=0.0, competitive=alone, marginal=alone, subset=a)
     metrics = _group_metrics(scheme, cfg, _group(profile, a), _group(profile, b))
     alt, comp, marginal = (float(v) for v in metrics[2:])
     return CoopPoint(altruism=alt, competitive=comp, marginal=marginal, subset=a)
@@ -533,7 +531,7 @@ def _group_metrics(scheme, cfg, a, b):
     """A's payoff and utility in the union of A and B, and its cooperation point against B.
 
     Each group is a (total contribution, head count, reserve) triple of
-    numbers or arrays, B's head count at least 1; the union adds them up.
+    numbers or arrays; the union adds them up.
     Returns (payoff, utility, altruism, competitive, marginal).
     """
     union = tuple(x + y for x, y in zip(a, b))

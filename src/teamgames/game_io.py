@@ -112,7 +112,7 @@ def _as_float(value) -> float:
     try:
         return float(value)
     except OverflowError:  # an integer past the float range
-        return math.inf
+        return -math.inf if value < 0 else math.inf
 
 
 def _parse_value(entry, location: str) -> float:
@@ -494,12 +494,12 @@ def _decode(text: str, **hooks):
 
 
 def _long_int(literal: str):
-    """An integer literal's value, or inf past ``int()``'s digit limit, as :func:`_as_float`
-    reads an integer past the float range."""
+    """An integer literal's value, or the infinity of its sign past ``int()``'s digit limit,
+    as :func:`_as_float` reads an integer past the float range."""
     try:
         return int(literal)
     except ValueError:
-        return math.inf
+        return -math.inf if literal.startswith("-") else math.inf
 
 
 def load_game(source):
@@ -514,13 +514,13 @@ def load_game(source):
         doc = _decode(text, object_hook=entries.gather)
     except GameLoadError:
         raise
-    except ValueError:  # json.loads refuses an integer literal past int()'s digit limit: only
-        # then is each integer literal read through a hook, and the tree read as a caller's
-        del entries
-        return parse_document(_decode(text, parse_int=_long_int))
-    if not entries.locate(doc):  # an entry outside the sections: read the tree as a caller's
+    except ValueError:  # json.loads refuses an integer literal past int()'s digit limit
+        doc = entries = None
+    if entries is None or not entries.locate(doc):
+        # such a literal, or an entry outside the sections: the text is decoded again with
+        # each integer literal read through a hook, and the tree read as a caller's
         del doc, entries
-        return parse_document(json.loads(text))
+        return parse_document(_decode(text, parse_int=_long_int))
     del text
     return _read(doc, entries)
 

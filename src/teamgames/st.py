@@ -753,8 +753,7 @@ def reduce_to_tu(g: STGame, tol: float = DEFAULT_TOL) -> TUGame:
 
     def competes(a, b):
         union = a | b
-        with np.errstate(over="ignore"):  # an infinite contribution is reported below
-            c = g.u(union, union) - g.u(b, union)
+        c = g.u(union, union) - g.u(b, union)  # an infinite contribution is reported below
         return np.abs(c) > tol, c
 
     check_pair_scan(g.n)

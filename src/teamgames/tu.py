@@ -157,8 +157,7 @@ def is_superadditive(game: TUGame, tol: float = DEFAULT_TOL) -> bool:
         total = u[a] + u[b]
         return u[a | b] < total - tol, total
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        first = first_pair(game.n, test)
+    first = first_pair(game.n, test)
     if first is None:
         return True
     if not math.isfinite(first[2]):

@@ -289,6 +289,27 @@ class TestCoopPoint:
         assert (point.altruism, point.competitive, point.marginal) == (0.0, own, own)
         assert point.subset == a and own > 0
 
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 0.75, 1.0, None], ids=str)
+    def test_empty_bystanders_are_own_utility_bit_for_bit(self, theta):
+        """With B empty, the point is (0.0, u_A(A), u_A(A)) to the bit: at the endpoints of
+        theta, at zero and full contributions, and on pools of 1e-300."""
+        rng = np.random.default_rng(34)
+        for k in range(600):
+            cfg, prof = random_setup(rng)
+            if theta is not None:
+                cfg = dataclasses.replace(cfg, theta=theta)
+            x, res = prof.x, prof.resources
+            x = (x, (0.0,) * len(x), res)[k % 3]
+            if k % 5 == 0:
+                x, res = (tuple(v * 1e-300 for v in values) for values in (x, res))
+            prof = ContributionProfile(x, res)
+            a = PlayerSet(int(rng.integers(1, 1 << len(prof))))
+            scheme = hybrid(float(rng.choice([0.0, 1.0, rng.uniform(0, 1)])))
+            own = cd_subset_utility(scheme, cfg, prof, a, a)
+            point = cd_coop_point(scheme, cfg, prof, a, PlayerSet.empty())
+            got = (point.altruism, point.competitive, point.marginal)
+            assert [v.hex() for v in got] == [v.hex() for v in (0.0, own, own)]
+
     def test_scalar_metrics_are_the_point_fields(self):
         rng = np.random.default_rng(31)
         for _ in range(30):

@@ -495,3 +495,31 @@ def test_first_pair_is_the_one_way_into_the_pair_kernel():
     imported |= {node.module.split(".")[0] for node in ast.walk(_tree("st"))
                  if isinstance(node, ast.ImportFrom) and node.module and node.level == 0}
     assert "itertools" not in imported
+
+
+def _calls(node, function: str):
+    return [child for child in ast.walk(node) if isinstance(child, ast.Call) and function in (
+        getattr(child.func, "id", None), getattr(child.func, "attr", None))]
+
+
+def test_the_pair_kernel_owns_its_chunks_and_float_state():
+    """``players`` cuts every scan into ``PAIR_CHUNK`` chunks, with no first-chunk size, and
+    ``first_pair`` sets the float error state of the tests it runs: no ``np.errstate`` wraps
+    a ``first_pair`` call or sits inside a test passed to it."""
+    assigned = {target.id for node in ast.walk(_tree("players")) if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    assert "FIRST_CHUNK" not in assigned and "PAIR_CHUNK" in assigned
+    faults = []
+    for path in PACKAGE.glob("*.py"):
+        tree = _tree(path.stem)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.With) and any(_calls(item.context_expr, "errstate")
+                                                  for item in node.items):
+                faults += [f"{path.stem}: errstate around first_pair, line {call.lineno}"
+                           for stmt in node.body for call in _calls(stmt, "first_pair")]
+        tests = {call.args[1].id for call in _calls(tree, "first_pair")
+                 if len(call.args) > 1 and isinstance(call.args[1], ast.Name)}
+        faults += [f"{path.stem}.{node.name}: errstate in a pair test" for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name in tests
+                   and _calls(node, "errstate")]
+    assert not faults, "\n".join(faults)

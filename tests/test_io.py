@@ -441,18 +441,22 @@ LONG_LITERAL = "9" * 4301
 
 @pytest.mark.parametrize("sign", ["", "-"])
 def test_an_integer_past_the_digit_limit_is_refused_as_one_past_the_float_range(sign):
-    doc = copy.deepcopy(GLOVE)
-    doc["utilities"][2]["value"] = "literal"
+    """A literal of 310 digits is past the float range and one of 4,301 past ``int()``'s
+    digit limit; both are refused as the infinity of their sign, in a utility entry and in a
+    Cobb-Douglas parameter."""
+    utilities = copy.deepcopy(GLOVE)
+    utilities["utilities"][2]["value"] = "literal"
+    cobb_douglas = {"version": 1, "cobb_douglas": {"theta": 0.5, "alpha": "literal"}}
+    for doc, field in ((utilities, "utilities[2].value"), (cobb_douglas, "cobb_douglas.alpha")):
+        def text(digits):
+            return json.dumps(doc).replace('"literal"', sign + digits)
 
-    def text(digits):
-        return json.dumps(doc).replace('"literal"', sign + digits)
-
-    with pytest.raises(GameLoadError) as shorter:
-        _load_text(text("9" * 310))
-    with pytest.raises(GameLoadError) as longer:
-        _load_text(text(LONG_LITERAL))
-    assert str(longer.value) == str(shorter.value)
-    assert str(longer.value) == "utilities[2].value: value must be finite, got inf"
+        with pytest.raises(GameLoadError) as shorter:
+            _load_text(text("9" * 310))
+        with pytest.raises(GameLoadError) as longer:
+            _load_text(text(LONG_LITERAL))
+        assert str(longer.value) == str(shorter.value)
+        assert str(longer.value) == f"{field}: value must be finite, got {sign}inf"
 
 
 @pytest.mark.parametrize("text, error", [

@@ -44,7 +44,7 @@ from teamgames.cobb import (
 from teamgames.errors import (
     MissingUtilityError, NotReducibleError, NumericOverflowError, SizeLimitError, StructureError,
 )
-from teamgames.players import FIRST_CHUNK, MAX_PAIR_SCAN, PAIR_CHUNK, PlayerSet, mask_pairs
+from teamgames.players import MAX_PAIR_SCAN, PAIR_CHUNK, PlayerSet, mask_pairs
 from random_games import (
     coadditive_game,
     monotone_series,
@@ -736,6 +736,27 @@ def test_pair_scans_hold_one_chunk_of_temporaries():
     assert peak <= 8 * game.u.nbytes + CHUNK_TEMPORARIES
 
 
+@pytest.mark.parametrize("nested", [False, True], ids=["disjoint", "nested"])
+def test_every_chunk_but_the_last_holds_pair_chunk_pairs(nested):
+    """A scan is cut into chunks of ``PAIR_CHUNK`` pairs from its first pair on, the last
+    holding what is left."""
+    n = 10
+    sizes = [len(outer) for outer, _ in mask_pairs(n, nested=nested)]
+    total = 3**n - 2**n if nested else 3**n - 2 ** (n + 1) + 1
+    assert sum(sizes) == total and len(sizes) > 2
+    assert sizes[:-1] == [PAIR_CHUNK] * (len(sizes) - 1)
+    assert 0 < sizes[-1] <= PAIR_CHUNK
+
+
+def test_a_16_player_superadditivity_scan_holds_two_arrays_over_the_masks():
+    """Across its chunks the kernel holds two arrays over the outer masks (512 KB each at 16
+    players) beside the game's table and one chunk's temporaries."""
+    game = random_convex_game(16, np.random.default_rng(1))
+    superadditive, peak = _traced_peak(lambda: is_superadditive(game))
+    assert superadditive
+    assert peak <= 2.5 * 2**20
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_superadditivity_matches_reference(n):
     rng = np.random.default_rng(77 + n)
@@ -909,17 +930,13 @@ def test_violation_near_the_start_stops_early(pair_scans):
 def _chunk_seam():
     """The smallest team whose scan of nonempty disjoint pairs fills a chunk of
     ``PAIR_CHUNK`` pairs and has another after it, the last pair of that chunk and the first
-    of the next, found by the reference enumeration: chunks of ``FIRST_CHUNK`` pairs doubling
-    up to ``PAIR_CHUNK``."""
-    size = end = FIRST_CHUNK
-    while size < PAIR_CHUNK:
-        size = min(2 * size, PAIR_CHUNK)
-        end += size
+    of the next, found by the reference enumeration: the first chunk ends at pair
+    ``PAIR_CHUNK``."""
     for n in range(1, MAX_PAIR_SCAN + 1):
         full = (1 << n) - 1
         pairs = ((x, y) for x in ref.iter_submasks(full, nonempty=True)
                  for y in ref.iter_submasks(full & ~x, nonempty=True))
-        seam = list(itertools.islice(pairs, end - 1, end + 1))
+        seam = list(itertools.islice(pairs, PAIR_CHUNK - 1, PAIR_CHUNK + 1))
         if len(seam) == 2:
             return n, *seam
     raise AssertionError("no scan within the limit fills a chunk")

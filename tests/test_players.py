@@ -80,7 +80,7 @@ def test_disjoint_pairs_count():
 @pytest.mark.parametrize("nested", [False, True])
 @pytest.mark.parametrize("edge", ["first-of-later-chunk", "last-of-chunk"])
 def test_first_pair_stops_at_the_first_flagged_pair(nested, edge):
-    n = 6
+    n = 10
     chunks = [list(zip(x.tolist(), y.tolist())) for x, y in mask_pairs(n, nested=nested)]
     assert len(chunks) >= 3
     target = chunks[2][0] if edge == "first-of-later-chunk" else chunks[1][-1]
